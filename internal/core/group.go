@@ -71,9 +71,7 @@ type groupState struct {
 	closed  []sliceRec    // closed slices, monotone in start and startCount
 	idx     assemblyIndex // pre-aggregates over closed (assembly.go strategy seam)
 	pending *SlicePartial
-	scratch operator.Agg
-	runs    [][]float64        // scratch run list for value merging
-	rm      operator.RunMerger // k-way merger for non-decomposable values
+	fin     operator.WindowFinisher // scratch aggregate and value runs of the window being assembled
 
 	// aggPool and partialPool recycle the per-slice aggregate rows (their
 	// Values buffers keep their capacity) and staged partials, so the
@@ -830,11 +828,7 @@ func (g *groupState) assembleTime(idx int, ws, we int64) {
 	if m.removed || ws < m.regTime {
 		return
 	}
-	mops := g.memberOpsFor(m)
 	lo := sort.Search(len(g.closed), func(i int) bool { return g.closed[i].start >= ws })
-	g.scratch.Reset(mops &^ operator.OpNDSort)
-	g.scratch.Sorted = true
-	g.runs = g.runs[:0]
 	udSeq := uint64(0)
 	if m.Type == query.UserDefined {
 		udSeq = m.udOpenSeq
@@ -848,7 +842,7 @@ func (g *groupState) assembleTime(idx int, ws, we int64) {
 	if udSeq > 0 {
 		lo += sort.Search(hi-lo, func(i int) bool { return g.closed[lo+i].seq >= udSeq })
 	}
-	g.assembleRange(m, mops, lo, hi)
+	g.assembleRange(m, lo, hi)
 	g.emitResult(m, ws, we)
 }
 
@@ -862,48 +856,19 @@ func (g *groupState) beginAssembly() time.Time {
 	return time.Now()
 }
 
-// assembleRange folds closed[lo:hi] into the scratch aggregate through the
-// pre-aggregation index (O(1) amortized merges for the decomposable
-// operators) and gathers the non-decomposable value runs from the same
-// range for the k-way merge.
-func (g *groupState) assembleRange(m *member, mops operator.Op, lo, hi int) {
+// assembleRange starts the window finisher for member m and hands it
+// closed[lo:hi]: the decomposable operators folded through the
+// pre-aggregation index (O(1) amortized merges), and the slices' value runs
+// when the member reads them.
+func (g *groupState) assembleRange(m *member, lo, hi int) {
+	g.fin.Begin(m.ops, g.ops)
 	g.idx.configure(len(g.contexts), g.ops&^operator.OpNDSort, len(g.closed))
-	g.idx.query(g.closed, m.Ctx, lo, hi, &g.scratch)
-	if mops&operator.OpNDSort != 0 {
+	g.idx.query(g.closed, m.Ctx, lo, hi, &g.fin.Agg)
+	if g.fin.ReadsRuns() {
 		for i := lo; i < hi; i++ {
-			g.runs = append(g.runs, g.closed[i].aggs[m.Ctx].Values)
+			g.fin.AddRun(g.closed[i].aggs[m.Ctx].Values)
 		}
 	}
-	g.finishValues(m, mops)
-}
-
-// finishValues attaches the non-decomposable results when the member reads
-// the group's sorted runs. Members that only need min/max (their own
-// operator is the decomposable sort, §4.2.2) take the run endpoints in
-// O(slices); everyone else gets the k-way merged values, which is
-// O(n log k) versus the O(n·k) of folding slices into the scratch one at a
-// time.
-func (g *groupState) finishValues(m *member, mops operator.Op) {
-	if mops&operator.OpNDSort == 0 {
-		return
-	}
-	if m.ops&operator.OpNDSort == 0 && m.ops&operator.OpDSort != 0 {
-		g.scratch.Ops |= operator.OpDSort
-		for _, r := range g.runs {
-			if len(r) == 0 {
-				continue
-			}
-			if r[0] < g.scratch.MinV {
-				g.scratch.MinV = r[0]
-			}
-			if last := r[len(r)-1]; last > g.scratch.MaxV {
-				g.scratch.MaxV = last
-			}
-		}
-		return
-	}
-	g.scratch.Values = g.rm.Merge(g.runs)
-	g.scratch.Ops |= operator.OpNDSort
 }
 
 // assembleCount merges the slices covering the count window (cs, ce] of
@@ -913,55 +878,43 @@ func (g *groupState) assembleCount(idx int, cs, ce int64) {
 	if m.removed || cs < m.regCount {
 		return
 	}
-	mops := g.memberOpsFor(m)
 	lo := sort.Search(len(g.closed), func(i int) bool { return g.closed[i].startCount >= cs })
-	g.scratch.Reset(mops &^ operator.OpNDSort)
-	g.scratch.Sorted = true
-	g.runs = g.runs[:0]
 	// endCount is strictly increasing across closed slices, so the covered
 	// slices form the contiguous range [lo, hi).
 	hi := lo + sort.Search(len(g.closed)-lo, func(i int) bool { return g.closed[lo+i].endCount > ce })
-	g.assembleRange(m, mops, lo, hi)
+	g.assembleRange(m, lo, hi)
 	g.emitResult(m, cs, ce)
 }
 
-// memberOpsFor maps a member's operator needs onto the group's slice
-// representation: when the group executes the non-decomposable sort instead
-// of the decomposable one (§4.2.2's sharing rule), min/max read the sorted
-// values rather than the never-maintained min/max fields.
-func (g *groupState) memberOpsFor(m *member) operator.Op {
-	ops := m.ops
-	if ops&operator.OpDSort != 0 && g.ops&operator.OpDSort == 0 {
-		ops = (ops &^ operator.OpDSort) | operator.OpNDSort
-	}
-	return ops
-}
-
-// emitResult evaluates the member's functions over the merged scratch
-// aggregate and hands the result to the engine.
+// emitResult evaluates the member's functions over the assembled window and
+// hands the result to the engine.
 func (g *groupState) emitResult(m *member, start, end int64) {
-	g.scratch.Finish()
 	g.telWindows.Inc()
 	if telemetry.TraceEnabled {
 		telemetry.TraceSlice(telemetry.TraceAssemble, g.e.cfg.TraceName, uint64(g.id), g.cur.seq, start, end)
 	}
 	if g.e.cfg.OnWindowAgg != nil {
-		g.e.cfg.OnWindowAgg(m.ID, start, end, &g.scratch)
+		g.e.cfg.OnWindowAgg(m.ID, start, end, g.fin.MergedAgg())
 		return
-	}
-	values := make([]FuncValue, len(m.Funcs))
-	for i, spec := range m.Funcs {
-		v, ok := g.scratch.Eval(spec)
-		values[i] = FuncValue{Spec: spec, Value: v, OK: ok}
 	}
 	g.e.emit(Result{
 		QueryID: m.ID,
 		Key:     m.Key,
 		Start:   start,
 		End:     end,
-		Count:   g.scratch.CountV,
-		Values:  values,
+		Count:   g.fin.Agg.CountV,
+		Values:  FinishValues(&g.fin, m.Funcs),
 	})
+}
+
+// FinishValues evaluates a member's functions over the window f holds.
+func FinishValues(f *operator.WindowFinisher, funcs []operator.FuncSpec) []FuncValue {
+	values := make([]FuncValue, len(funcs))
+	for i, spec := range funcs {
+		v, ok := f.Eval(spec)
+		values[i] = FuncValue{Spec: spec, Value: v, OK: ok}
+	}
+	return values
 }
 
 // prune drops closed slices no longer covered by any open window on either

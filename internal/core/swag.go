@@ -37,7 +37,8 @@ import (
 //
 // Only decomposable operators live in the index (the mask strips OpNDSort);
 // non-decomposable value runs are gathered per window from the same [lo,
-// hi) range and merged k-way by operator.RunMerger, exactly as before.
+// hi) range and handed to operator.WindowFinisher, which selects the ranks
+// it needs over them without merging.
 //
 // The index is derived state: it is rebuilt lazily whenever it falls out of
 // step with the ring (snapshot restore, operator-mask widening, context

@@ -37,11 +37,9 @@ type rootGroup struct {
 	uds        map[int32]*udState
 	started    bool
 	lastPunct  int64
-	scratch    operator.Agg
-	runs       [][]float64        // scratch run list for value merging
-	rm         operator.RunMerger // k-way merger for non-decomposable values
-	reg        []int64            // per-member registration time (runtime AddQuery)
-	removed    []bool             // per-member removal flag (indices stay stable)
+	fin        operator.WindowFinisher // scratch aggregate and value runs of the window being assembled
+	reg        []int64                 // per-member registration time (runtime AddQuery)
+	removed    []bool                  // per-member removal flag (indices stay stable)
 }
 
 // sessCand is the open global session of one session query, tracked from
@@ -319,15 +317,8 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 	m := rg.g.Queries[idx]
 	lo := sort.Search(len(rg.store), func(i int) bool { return rg.store[i].Start >= ws })
 	// Merge only the fields this member's functions need (core does the
-	// same); min/max fall back to the sorted values when the group shares
-	// the non-decomposable sort.
-	mops := operator.Union(m.Funcs) | operator.OpCount
-	if mops&operator.OpDSort != 0 && rg.g.Ops&operator.OpDSort == 0 {
-		mops = (mops &^ operator.OpDSort) | operator.OpNDSort
-	}
-	rg.scratch.Reset(mops &^ operator.OpNDSort)
-	rg.scratch.Sorted = true
-	rg.runs = rg.runs[:0]
+	// same).
+	rg.fin.Begin(operator.Union(m.Funcs)|operator.OpCount, rg.g.Ops)
 	us := rg.uds[int32(idx)]
 	for i := lo; i < len(rg.store); i++ {
 		p := rg.store[i]
@@ -341,38 +332,11 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 			continue
 		}
 		if p.End <= we && m.Ctx < len(p.Aggs) {
-			rg.scratch.Merge(&p.Aggs[m.Ctx])
-			if mops&operator.OpNDSort != 0 {
-				rg.runs = append(rg.runs, p.Aggs[m.Ctx].Values)
+			rg.fin.Agg.Merge(&p.Aggs[m.Ctx])
+			if rg.fin.ReadsRuns() {
+				rg.fin.AddRun(p.Aggs[m.Ctx].Values)
 			}
 		}
-	}
-	if mops&operator.OpNDSort != 0 {
-		raw := operator.Union(m.Funcs)
-		if raw&operator.OpNDSort == 0 && raw&operator.OpDSort != 0 {
-			// Min/max over sorted runs: the endpoints suffice (O(slices)).
-			rg.scratch.Ops |= operator.OpDSort
-			for _, r := range rg.runs {
-				if len(r) == 0 {
-					continue
-				}
-				if r[0] < rg.scratch.MinV {
-					rg.scratch.MinV = r[0]
-				}
-				if last := r[len(r)-1]; last > rg.scratch.MaxV {
-					rg.scratch.MaxV = last
-				}
-			}
-		} else {
-			rg.scratch.Values = rg.rm.Merge(rg.runs)
-			rg.scratch.Ops |= operator.OpNDSort
-		}
-	}
-	rg.scratch.Finish()
-	values := make([]core.FuncValue, len(m.Funcs))
-	for i, spec := range m.Funcs {
-		v, ok := rg.scratch.Eval(spec)
-		values[i] = core.FuncValue{Spec: spec, Value: v, OK: ok}
 	}
 	rg.telWindows.Inc()
 	if telemetry.TraceEnabled {
@@ -382,8 +346,8 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 		QueryID: m.ID,
 		Start:   ws,
 		End:     we,
-		Count:   rg.scratch.CountV,
-		Values:  values,
+		Count:   rg.fin.Agg.CountV,
+		Values:  core.FinishValues(&rg.fin, m.Funcs),
 	})
 }
 

@@ -34,6 +34,14 @@ func MergeCalls() uint64 { return mergeCalls.Load() }
 //
 // The zero Agg is not ready to use: call Reset (or NewAgg) so the min/max
 // and product identities are installed.
+//
+// NaN values are outside the contract of the sort operators. Finish sorts
+// them first (sort.Float64s), AddLate and the run merges compare with < and
+// <=, under which a NaN is neither before nor after anything, and
+// RunSelector answers with whatever pivot it holds when NaNs stall it: the
+// position of a NaN in merged values, and so min, max, median and quantile
+// of a window holding one, are unspecified and may differ between the merge
+// and the selection. Neither path fails or loops on them.
 type Agg struct {
 	// Ops is the operator mask this state was reset for.
 	Ops Op
@@ -273,12 +281,5 @@ func (a *Agg) quantile(q float64) (float64, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	rank := int(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return a.Values[rank-1], true
+	return a.Values[NearestRank(q, n)-1], true
 }

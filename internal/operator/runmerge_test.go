@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -71,20 +72,18 @@ func TestRunMergerQuick(t *testing.T) {
 	}
 }
 
+// BenchmarkRunMerger prices the full merge over the run shapes
+// BenchmarkRunSelect selects from (runselect_test.go).
 func BenchmarkRunMerger(b *testing.B) {
-	runs := make([][]float64, 10)
-	for i := range runs {
-		r := make([]float64, 333)
-		for j := range r {
-			r[j] = float64(j*(i+3)) * 1.3
-		}
-		sort.Float64s(r)
-		runs[i] = r
-	}
-	var m RunMerger
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Merge(runs)
+	for _, k := range []int{10, 50} {
+		runs := benchRuns(k, 100)
+		b.Run(fmt.Sprintf("runs=%d", k), func(b *testing.B) {
+			var m RunMerger
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Merge(runs)
+			}
+		})
 	}
 }

@@ -1,0 +1,140 @@
+package operator
+
+import "math"
+
+// NearestRank returns the 1-based nearest-rank position of quantile q among
+// n sorted values, clamped to [1, n]. Every quantile in the tree evaluates
+// this one float expression: an integer re-derivation disagrees with it
+// where q·n rounds up past a whole number, e.g. 0.07·100 =
+// 7.000000000000001 ranks 8.
+func NearestRank(q float64, n int) int {
+	rank := int(math.Ceil(q * float64(n)))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > n {
+		rank = n
+	}
+	return rank
+}
+
+// RunSelector finds one order statistic of many ascending runs without
+// merging them: the element RunMerger.Merge(runs)[rank-1] would hold. A
+// quantile window needs one rank of its slices' sorted runs, not the merged
+// sequence, so assembly selects instead of merging.
+//
+// Each run carries a [lo, hi) cursor over the candidates still in play. A
+// round takes the middle element of the widest cursor as pivot, counts the
+// candidates below and at-or-below it with two binary searches per run, and
+// keeps the side holding the rank. The pivot's own run loses at least half
+// its cursor every round, so a round costs O(k · log(n/k)) for k runs of n
+// values and O(log n) rounds are typical (O(k · log n) worst case). The only
+// state is four index arrays, which grow to the largest k seen.
+type RunSelector struct {
+	lo, hi []int // candidates of run i are r[lo[i]:hi[i]]
+	lt, le []int // per round: first candidate >= pivot, first > pivot
+}
+
+// Select returns the rank-th smallest value (1-based) of the ascending
+// runs; rank must lie in [1, total length]. Equal values keep the merge's
+// order — by run, then by position — so the result is bit-identical to the
+// merged sequence's element even where equal values differ in bits (±0).
+//
+//desis:hotpath
+func (s *RunSelector) Select(runs [][]float64, rank int) float64 {
+	s.lo, s.hi, s.lt, s.le = s.lo[:0], s.hi[:0], s.lt[:0], s.le[:0]
+	total := 0
+	for _, r := range runs {
+		s.lo = append(s.lo, 0)
+		s.hi = append(s.hi, len(r))
+		s.lt = append(s.lt, 0)
+		s.le = append(s.le, 0)
+		total += len(r)
+	}
+	if rank < 1 || rank > total {
+		panic("operator: RunSelector.Select rank outside [1, total]")
+	}
+	lo, hi, lt, le := s.lo, s.hi, s.lt, s.le
+	for {
+		// Invariant: 1 <= rank <= remaining, the sum of the cursor widths.
+		widest, width, remaining := 0, 0, 0
+		for i := range lo {
+			w := hi[i] - lo[i]
+			remaining += w
+			if w > width {
+				widest, width = i, w
+			}
+		}
+		if width == remaining {
+			return runs[widest][lo[widest]+rank-1]
+		}
+		pivot := runs[widest][lo[widest]+width/2]
+		below, atOrBelow := 0, 0
+		for i, r := range runs {
+			l := lowerBound(r, lo[i], hi[i], pivot)
+			e := l
+			if l < hi[i] && r[l] == pivot {
+				e = upperBound(r, l+1, hi[i], pivot)
+			}
+			lt[i], le[i] = l, e
+			below += l - lo[i]
+			atOrBelow += e - lo[i]
+		}
+		// On ascending runs the pivot is neither below itself nor above
+		// itself, so both outer cases shrink the pivot's cursor. Runs holding
+		// NaN are not ascending under < (see Agg); the two guards keep such
+		// input from looping and answer with the pivot.
+		switch {
+		case rank <= below:
+			if below == remaining {
+				return pivot
+			}
+			copy(hi, lt)
+		case rank <= atOrBelow:
+			// The rank falls among the values equal to the pivot: walk them
+			// in merge order.
+			rank -= below
+			for i, r := range runs {
+				eq := le[i] - lt[i]
+				if rank <= eq {
+					return r[lt[i]+rank-1]
+				}
+				rank -= eq
+			}
+		default:
+			if atOrBelow == 0 {
+				return pivot
+			}
+			rank -= atOrBelow
+			copy(lo, le)
+		}
+	}
+}
+
+// lowerBound returns the first index in [lo, hi) of ascending r whose value
+// is >= v, or hi.
+func lowerBound(r []float64, lo, hi int, v float64) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// upperBound returns the first index in [lo, hi) of ascending r whose value
+// is > v, or hi.
+func upperBound(r []float64, lo, hi int, v float64) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
