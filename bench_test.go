@@ -20,6 +20,7 @@ import (
 	"desis/internal/message"
 	"desis/internal/node"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -184,6 +185,130 @@ func BenchmarkEngineProcess(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
+// ingestShape is one input of the batch-ingest benchmarks: a catalog, a
+// stream segment that is replayed with its event time shifted by span on
+// every lap, and the batch length ProcessBatch is fed in.
+type ingestShape struct {
+	name    string
+	queries []string // a leading "*" marks a group-by template
+	dedup   bool
+	batch   int
+	span    int64
+	evs     []event.Event
+}
+
+// foldShapeQueries mirrors the benchmark's fold workload: long windows on
+// four keys, one of them a session and one marker-delimited.
+var foldShapeQueries = []string{
+	"tumbling(10s) sum,count key=0",
+	"sliding(30s,5s) average key=0",
+	"sliding(60s,10s) min,max key=0",
+	"tumbling(20s) sum,count key=0 value>=80",
+	"tumbling(10s) geomean key=1",
+	"sliding(20s,2s) average,count key=1",
+	"sliding(60s,5s) max key=1",
+	"tumbling(30s) min key=1",
+	"session(500ms) sum,count key=2",
+	"userdefined average key=3",
+}
+
+// ingestShapes lists the inputs: the one the quiet-run fast path is for
+// first, then the ones it cannot help, which must not pay for it.
+func ingestShapes() []ingestShape {
+	const n = 1 << 16
+	rng := gen.NewStream(gen.StreamConfig{Seed: 7, IntervalMS: 1})
+	value := func() float64 { return rng.Next().Value }
+	foldShape := make([]event.Event, 0, n)
+	for i := 0; len(foldShape) < n; i++ {
+		t := int64(i / 2)
+		if i%4000 == 0 {
+			foldShape = append(foldShape, event.Event{Time: t, Key: 3, Marker: event.MarkerBoundary})
+		}
+		key := uint32(i*2654435761>>16) & 3
+		if key == 2 && t%4000 >= 3000 {
+			key = 0 // the session key goes silent one second in four
+		}
+		v := value()
+		if key == 1 {
+			v = 1 // keeps the running product finite
+		}
+		foldShape = append(foldShape, event.Event{Time: t, Key: key, Value: v})
+	}
+	foldSpan := foldShape[len(foldShape)-1].Time/4000*4000 + 4000
+	perMs := func(keys int) []event.Event {
+		evs := make([]event.Event, max(n, keys))
+		for i := range evs {
+			evs[i] = event.Event{Time: int64(i), Key: uint32(i % keys), Value: value()}
+		}
+		return evs
+	}
+	return []ingestShape{
+		{name: "fold-shape-4-keys", queries: foldShapeQueries, batch: 512, span: foldSpan, evs: foldShape},
+		{name: "one-key", queries: []string{"tumbling(10s) sum,count key=0", "sliding(60s,10s) min,max key=0"}, batch: 512, span: n, evs: perMs(1)},
+		{name: "1e5-distinct-keys", queries: []string{"*tumbling(3600s) sum,count"}, batch: 512, span: 100_000, evs: perMs(100_000)},
+		{name: "dedup-group", queries: []string{"tumbling(10s) sum,count key=0", "tumbling(10s) max key=1"}, dedup: true, batch: 512, span: n, evs: perMs(2)},
+		{name: "punctuation-every-8-events", queries: []string{"tumbling(8ms) sum,count key=0"}, batch: 512, span: n, evs: perMs(1)},
+		{name: "batches-of-8", queries: foldShapeQueries, batch: 8, span: foldSpan, evs: foldShape},
+	}
+}
+
+// runIngest drives one shape; batched selects ProcessBatch over a loop of
+// Process.
+func runIngest(b *testing.B, sh ingestShape, batched bool) {
+	qs := make([]desis.Query, len(sh.queries))
+	for i, s := range sh.queries {
+		q := query.MustParse(strings.TrimPrefix(s, "*"))
+		q.ID, q.AnyKey = uint64(i+1), strings.HasPrefix(s, "*")
+		qs[i] = q
+	}
+	p, err := plan.New(qs, plan.Options{Dedup: sh.dedup})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}})
+	evs := append([]event.Event(nil), sh.evs...)
+	lap := func() {
+		if batched {
+			for i := 0; i < len(evs); i += sh.batch {
+				e.ProcessBatch(evs[i:min(i+sh.batch, len(evs))])
+			}
+		} else {
+			for _, ev := range evs {
+				e.Process(ev)
+			}
+		}
+		for i := range evs {
+			evs[i].Time += sh.span
+		}
+	}
+	lap() // instantiate templates, start every group
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += len(evs) {
+		lap()
+	}
+	b.StopTimer()
+	laps := (b.N + len(evs) - 1) / len(evs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(laps*len(evs)), "ns/event")
+}
+
+// BenchmarkEngineProcessBatch measures batch ingest per event on the shape
+// its quiet-run path is for and on the shapes that path cannot help.
+func BenchmarkEngineProcessBatch(b *testing.B) {
+	for _, sh := range ingestShapes() {
+		b.Run(sh.name, func(b *testing.B) { runIngest(b, sh, true) })
+	}
+}
+
+// BenchmarkEngineProcessLoop feeds the same shapes through Process one event
+// at a time: what ProcessBatch cost before it scanned for quiet runs, and the
+// line its slow shapes are held to.
+func BenchmarkEngineProcessLoop(b *testing.B) {
+	for _, sh := range ingestShapes() {
+		b.Run(sh.name, func(b *testing.B) { runIngest(b, sh, false) })
+	}
+}
+
 // BenchmarkEngineProcessQuantiles measures the shared non-decomposable sort
 // with 100 distinct quantile queries.
 func BenchmarkEngineProcessQuantiles(b *testing.B) {
@@ -214,6 +339,21 @@ func BenchmarkAggAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Add(float64(i & 1023))
+	}
+}
+
+// BenchmarkAggAddRun measures the same fold over runs of 128 values, per
+// value.
+func BenchmarkAggAddRun(b *testing.B) {
+	a := operator.NewAgg(operator.OpSum | operator.OpCount | operator.OpDSort)
+	var run [128]float64
+	for i := range run {
+		run[i] = float64(i * 37 & 1023)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(run) {
+		a.AddRun(run[:])
 	}
 }
 

@@ -55,6 +55,12 @@ type Engine struct {
 	sweepClock    *SweepClock
 	lastSweepTick uint64
 
+	// Batch ingest (batch.go): the generation the keys' quiet bounds are
+	// checked against, and the scratch holding the memo in front of the
+	// shard maps and the prefix being folded.
+	quietGen uint64
+	scratch  *batchScratch
+
 	// Engine-level free lists recycling evicted keys' pooled memory into
 	// future installs, and the scratch buffer eviction snapshots reuse.
 	aggFree     [][]operator.Agg
@@ -102,9 +108,10 @@ func New(groups []*groupOf, cfg Config) *Engine {
 // deltas reconcile identically on every tier.
 func NewFromPlan(p *plan.Plan, cfg Config) *Engine {
 	e := &Engine{
-		cfg:  cfg,
-		plan: p,
-		byID: make(map[uint32]*groupState),
+		cfg:      cfg,
+		plan:     p,
+		byID:     make(map[uint32]*groupState),
+		quietGen: 1,
 	}
 	e.pruneThreshold = cfg.PruneThreshold
 	if e.pruneThreshold <= 0 {
@@ -220,32 +227,41 @@ func (e *Engine) install(gs *groupState) {
 // revives it first.
 //
 //desis:hotpath
-func (e *Engine) Process(ev event.Event) {
+func (e *Engine) Process(ev event.Event) { e.process(ev, nil) }
+
+// process is Process with the key's resident entry when the caller already
+// routed the event (ProcessBatch hands it every event that is not quiet, see
+// batch.go); nil looks it up.
+//
+//desis:hotpath
+func (e *Engine) process(ev event.Event, ent *keyEntry) {
 	if ev.Time > e.now {
 		e.now = ev.Time
 	}
 	if len(e.plan.Templates) > 0 && !e.tmplKeys[ev.Key] {
 		//lint:ignore hotalloc cold path: template instantiation runs once per unseen key, through the full plan-delta machinery
 		e.instantiateTemplates(ev.Key)
+		ent = nil // the instances may be the key's first groups
 	}
-	sh := &e.shards[e.instShardOf(ev.Key)]
-	ent := sh.byKey[ev.Key]
 	if ent == nil {
-		if len(sh.evicted) == 0 {
-			return
-		}
-		//lint:ignore hotalloc cold path: reviving a parked key replays its eviction snapshot, once per idle period
-		ent = e.reviveKey(ev.Key)
-		if ent == nil {
-			return
+		if ent = e.lookup(ev.Key); ent == nil {
+			if len(e.shards[e.instShardOf(ev.Key)].evicted) == 0 {
+				return
+			}
+			//lint:ignore hotalloc cold path: reviving a parked key replays its eviction snapshot, once per idle period
+			ent = e.reviveKey(ev.Key)
+			if ent == nil {
+				return
+			}
 		}
 	}
 	ent.lastTouch = e.now
+	ent.gen = 0 // the event may move a punctuation: the key's quiet bounds go
 	for _, gs := range ent.groups {
 		gs.process(ev)
 	}
 	if e.ttl > 0 {
-		e.maybeSweep()
+		e.maybeSweep(1)
 	}
 }
 
@@ -257,6 +273,7 @@ func (e *Engine) Apply(d plan.Delta) error {
 	if err := e.plan.Apply(d); err != nil {
 		return err
 	}
+	e.quietGen++
 	if d.Kind == plan.DeltaInstantiate {
 		if e.tmplKeys == nil {
 			e.tmplKeys = make(map[uint32]bool)
@@ -300,6 +317,7 @@ func (e *Engine) ResyncPlan(p *plan.Plan) error {
 	}
 	e.plan = p
 	p.Warm()
+	e.quietGen++
 	e.syncPlan()
 	return nil
 }
@@ -468,15 +486,6 @@ func (e *Engine) RemoveQuery(id uint64) error {
 	return e.Apply(e.plan.RemoveDelta(id))
 }
 
-// ProcessBatch ingests a batch of events in order.
-//
-//desis:hotpath
-func (e *Engine) ProcessBatch(evs []event.Event) {
-	for _, ev := range evs {
-		e.Process(ev)
-	}
-}
-
 // AdvanceTo moves event time forward to t without ingesting data: every
 // punctuation at or before t fires. Decentralized deployments drive this
 // from watermarks (§5.1.2); tests and harnesses use it to drain the final
@@ -485,6 +494,7 @@ func (e *Engine) AdvanceTo(t int64) {
 	if t > e.now {
 		e.now = t
 	}
+	e.quietGen++
 	// Parked keys owe punctuation work too (idle started groups emit empty
 	// windows at every boundary), so a watermark revives the whole key
 	// space; the sweep re-parks what stays idle.

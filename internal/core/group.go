@@ -366,33 +366,64 @@ func (g *groupState) process(ev event.Event) {
 		g.closeSlice(ev.Time)
 		g.flushPending()
 	}
-	for i := range g.contexts {
-		if g.contexts[i].Matches(ev.Value) {
-			g.cur.aggs[i].Add(ev.Value)
-			g.e.stats.calculations.Add(g.logicalOps)
-		}
+	one := [1]float64{ev.Value}
+	if calcs := g.fold(one[:], ev.Time, ev.Time); calcs > 0 {
+		g.e.stats.calculations.Add(calcs)
 	}
-	if !g.sessions.Empty() {
-		g.sessions.Observe(ev.Time)
-	}
-	if !g.ud.Empty() {
-		// Windows opened by this event start with the slice that will
-		// contain it.
-		g.ud.ObserveOpened(ev.Time, g.onUDOpen)
-	}
-	if ev.Time > g.lastEventTime {
-		g.lastEventTime = ev.Time
-	}
-	if ev.Time > g.cur.lastEvent {
-		g.cur.lastEvent = ev.Time
-	}
-	g.count++
 	g.e.stats.events.Add(1)
-	g.telEvents.Inc()
 	for g.count == g.nextCountID {
 		g.punctuateCount(ev.Time)
 		g.nextCountID = g.countCal.NextBoundary(g.count)
 	}
+}
+
+// fold is the incremental aggregation of a run of this key's data events,
+// none of which is a punctuation for the group: the values (in stream
+// order) go into the open slice of every context they match, and the
+// bookkeeping a loop over the events would leave behind is written once —
+// last is the time of the run's last event, newest its greatest. It returns
+// the logical operator executions, which the caller adds to the work
+// counters together with the events. process calls it with a run of one
+// after the event's punctuations fired; Engine.foldRuns with the run a quiet
+// prefix holds for the key, where no event opens a session or user-defined
+// window (one that would is not quiet), so observing only the last time
+// loses nothing.
+//
+//desis:hotpath
+func (g *groupState) fold(vals []float64, last, newest int64) (calcs uint64) {
+	if len(vals) == 1 {
+		v := vals[0]
+		for i := range g.contexts {
+			if g.contexts[i].Matches(v) {
+				g.cur.aggs[i].Add(v)
+				calcs += g.logicalOps
+			}
+		}
+	} else {
+		for i := range g.contexts {
+			if run := g.e.matching(g.contexts[i], vals); len(run) > 0 {
+				g.cur.aggs[i].AddRun(run)
+				calcs += uint64(len(run)) * g.logicalOps
+			}
+		}
+	}
+	if !g.sessions.Empty() {
+		g.sessions.Observe(last)
+	}
+	if !g.ud.Empty() {
+		// Windows opened by this event start with the slice that will
+		// contain it.
+		g.ud.ObserveOpened(last, g.onUDOpen)
+	}
+	if newest > g.lastEventTime {
+		g.lastEventTime = newest
+	}
+	if newest > g.cur.lastEvent {
+		g.cur.lastEvent = newest
+	}
+	g.count += int64(len(vals))
+	g.telEvents.Add(uint64(len(vals)))
+	return calcs
 }
 
 // advanceTime fires every time-axis punctuation (fixed boundaries and

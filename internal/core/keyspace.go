@@ -39,11 +39,17 @@ const sweepBatch = 512
 const engineFreeCap = 256
 
 // keyEntry is one key's resident state: its materialised group instances
-// (ascending group id, the order installs happen in) and the event-time
-// clock of its last touch, read by the TTL sweep.
+// (ascending group id, the order installs happen in), the event-time clock
+// of its last touch, read by the TTL sweep, and what batch ingest keeps per
+// key (batch.go): the quiet bounds, current while gen equals the engine's
+// quietGen, and the run the prefix being scanned holds for the key.
 type keyEntry struct {
 	groups    []*groupState
 	lastTouch int64
+
+	gen   uint64
+	quiet quietState
+	run   keyRun
 }
 
 // instShard is one shard of the key-space tier: the resident entries and
@@ -92,18 +98,20 @@ func (e *Engine) orderedGroups() []*groupState {
 	return e.ordered
 }
 
-// maybeSweep advances the sweep clock by one ingested event and, every
+// maybeSweep advances the sweep clock by n ingested events (one from
+// Process, a quiet prefix's count from ProcessBatch, which cuts its prefixes
+// so the per-engine counter never passes the period inside one) and, every
 // InstanceSweepEvery events, scans a bounded batch of one shard for keys
 // idle past the TTL.
 //
 //desis:hotpath
-func (e *Engine) maybeSweep() {
+func (e *Engine) maybeSweep(n uint32) {
 	if c := e.sweepClock; c != nil {
 		// Shared clock: sweep when the global tick count — total events
 		// across every engine on the clock — advanced a full period since
 		// this engine's last sweep, so sweep cadence stays uniform under
 		// skewed shard load.
-		tick := c.Tick()
+		tick := c.Advance(uint64(n))
 		if tick-e.lastSweepTick < uint64(e.sweepEvery) {
 			return
 		}
@@ -112,7 +120,7 @@ func (e *Engine) maybeSweep() {
 		e.sweepStep()
 		return
 	}
-	e.sweepTick++
+	e.sweepTick += n
 	if e.sweepTick < e.sweepEvery {
 		return
 	}
@@ -195,6 +203,7 @@ func (e *Engine) evictKey(sh *instShard, key uint32, ent *keyEntry) {
 		e.reclaim(gs)
 	}
 	delete(sh.byKey, key)
+	e.memoDrop(key)
 	e.orderedStale = true
 	n := int64(len(ent.groups))
 	e.stats.instLive.Add(-n)

@@ -3,7 +3,7 @@ package core
 import "sync/atomic"
 
 // SweepClock is a shared tick source pacing idle-key TTL sweeps across
-// engines. Each engine ticks the clock once per ingested event and runs a
+// engines. Each engine advances the clock by the events it ingested and runs a
 // sweep step when the global tick count has advanced by its
 // InstanceSweepEvery since the engine's own last sweep. With one clock
 // shared across ParallelEngine shards, total ingest volume — not any
@@ -13,8 +13,9 @@ type SweepClock struct {
 	ticks atomic.Uint64
 }
 
-// Tick advances the clock by one event and returns the new tick count.
-func (c *SweepClock) Tick() uint64 { return c.ticks.Add(1) }
+// Advance moves the clock forward by n events and returns the new tick
+// count.
+func (c *SweepClock) Advance(n uint64) uint64 { return c.ticks.Add(n) }
 
 // Now returns the current tick count without advancing it.
 func (c *SweepClock) Now() uint64 { return c.ticks.Load() }

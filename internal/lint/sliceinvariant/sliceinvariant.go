@@ -7,7 +7,8 @@
 // the identity
 // fields of core.SlicePartial, the shared query.Group descriptor, and the
 // epoch-versioned plan.Plan catalog, and the key-space tier's sharded
-// instance maps and free lists (internal/core/keyspace.go): every
+// instance maps and free lists (internal/core/keyspace.go), and the quiet
+// bounds, runs and key memo of batch ingest (internal/core/batch.go): every
 // assignment, compound assignment, increment/decrement, or address-taking of
 // a guarded field outside its allow-listed writer functions is reported.
 // Writes *through* a guarded map or slice field — `x.m[k] = v`,
@@ -119,7 +120,7 @@ var DefaultRules = []Rule{
 	{
 		Type: corePkg + ".sliceRec",
 		AllowFuncs: []string{
-			corePkg + ":groupState.process",
+			corePkg + ":groupState.fold",
 			corePkg + ":groupState.closeSlice",
 			corePkg + ":groupState.prune",
 			corePkg + ":readSlice",
@@ -222,6 +223,57 @@ var DefaultRules = []Rule{
 		Fields:     []string{"groups"},
 		AllowFuncs: []string{corePkg + ":Engine.install"},
 		Message:    "a key's group list is append-only through install, in ascending group-id order; eviction snapshots and revives replay that order",
+	},
+	{
+		Type:   corePkg + ".keyEntry",
+		Fields: []string{"gen", "quiet", "run"},
+		AllowFuncs: []string{
+			// Batch ingest derives a key's quiet bounds, counts its run while
+			// scanning and settles both after the fold (batch.go).
+			corePkg + ":Engine.scanQuiet",
+			corePkg + ":Engine.refreshQuiet",
+			corePkg + ":batchScratch.openRun",
+			corePkg + ":Engine.foldRuns",
+			corePkg + ":keyEntry.quietAt",
+			// The punctuation path drops the bounds of the key it touched.
+			corePkg + ":Engine.process",
+		},
+		Message: "a key's quiet bounds and prefix run belong to batch ingest (scanQuiet/refreshQuiet/openRun/foldRuns); the only other writer is Engine.process, which drops the bounds of the key whose punctuations it may have moved",
+	},
+	{
+		Type: corePkg + ".keyRun",
+		AllowFuncs: []string{
+			corePkg + ":Engine.scanQuiet",
+			corePkg + ":batchScratch.openRun",
+			corePkg + ":Engine.foldRuns",
+			// Deriving the bounds also sets the clock the session gap is
+			// measured from.
+			corePkg + ":Engine.refreshQuiet",
+		},
+		Message: "a key's run is counted by the scan and cleared by the fold of the same prefix; a write elsewhere would fold events twice or not at all",
+	},
+	{
+		Type: corePkg + ".quietState",
+		AllowFuncs: []string{
+			corePkg + ":Engine.deriveQuiet",
+			corePkg + ":Engine.foldRuns",
+		},
+		Message: "quiet bounds are read off the groups by deriveQuiet; only the fold, which spends the count budget, adjusts them afterwards",
+	},
+	{
+		Type: corePkg + ".memoSlot",
+		AllowFuncs: []string{
+			corePkg + ":Engine.lookup",
+			corePkg + ":Engine.memoDrop",
+		},
+		Message: "the key memo is filled by lookup and dropped by memoDrop, which eviction calls: the one lifecycle step that retires a resident entry (install, revive and shrink never move one)",
+	},
+	{
+		Type:            corePkg + ".Engine",
+		Fields:          []string{"quietGen"},
+		MonotoneCounter: true,
+		AllowFuncs:      []string{corePkg + ":NewFromPlan"},
+		Message:         "the quiet generation only grows: every path that may move a punctuation outside Process (AdvanceTo, Apply, ResyncPlan) starts a new one, which is what retires the kept bounds of every key",
 	},
 	{
 		Type: planPkg + ".Plan",

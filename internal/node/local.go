@@ -141,8 +141,11 @@ func (l *Local) sendPartial(p *core.SlicePartial) {
 	l.err = err
 }
 
-// Process ingests a batch of in-order events from this node's data stream.
+// Process ingests a batch of in-order events from this node's data stream:
+// one pass collects the events RootOnly groups need and the batch's newest
+// time, then the engine takes the batch whole.
 func (l *Local) Process(evs []event.Event) error {
+	wm := l.wm.Load()
 	for _, ev := range evs {
 		if l.forward[ev.Key] {
 			l.buf = append(l.buf, ev)
@@ -150,20 +153,25 @@ func (l *Local) Process(evs []event.Event) error {
 				l.flushForward()
 			}
 		}
-		l.engine.Process(ev)
-		if ev.Time > l.wm.Load() {
-			l.wm.Store(ev.Time)
+		if ev.Time > wm {
+			wm = ev.Time
 		}
 	}
+	l.engine.ProcessBatch(evs)
+	l.wm.Store(wm)
 	return l.err
 }
 
+// flushForward ships the collected RootOnly events. The buffer is reused:
+// every Conn encodes before Send returns (the Conn contract, which the
+// noretain analyzer holds the implementations to), and event batches are not
+// batchable, so the batcher sends them synchronously too.
 func (l *Local) flushForward() {
 	if len(l.buf) == 0 || l.err != nil {
 		return
 	}
 	l.err = l.conn.Send(&message.Message{Kind: message.KindEventBatch, From: l.id, Events: l.buf})
-	l.buf = nil
+	l.buf = l.buf[:0]
 }
 
 // AdvanceTo moves this node's event time to t: pending punctuations fire,

@@ -124,6 +124,47 @@ func (a *Agg) Add(v float64) {
 	}
 }
 
+// AddRun folds a run of event values into the aggregate, leaving exactly the
+// state a loop of Add over vals would: the mask is tested once per run, and
+// every operator accumulates in stream order so sums and products stay
+// bit-identical to per-event folding. It is the batch path's inner loop;
+// Add stays for single events (late commits, a run of one).
+func (a *Agg) AddRun(vals []float64) {
+	ops := a.Ops
+	if ops&OpCount != 0 {
+		a.CountV += int64(len(vals))
+	}
+	if ops&OpSum != 0 {
+		s := a.SumV
+		for _, v := range vals {
+			s += v
+		}
+		a.SumV = s
+	}
+	if ops&OpMult != 0 {
+		p := a.ProdV
+		for _, v := range vals {
+			p *= v
+		}
+		a.ProdV = p
+	}
+	if ops&OpDSort != 0 {
+		lo, hi := a.MinV, a.MaxV
+		for _, v := range vals {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		a.MinV, a.MaxV = lo, hi
+	}
+	if ops&OpNDSort != 0 {
+		a.Values = append(a.Values, vals...)
+	}
+}
+
 // AddLate folds one out-of-order event into an aggregate that may already
 // be Finished: when the retained values are sorted, the new value is
 // insertion-shifted into position so the sorted run stays valid without a

@@ -1,7 +1,9 @@
 package operator
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -290,6 +292,54 @@ func TestQuantileNearestRank(t *testing.T) {
 		got, ok := a.Eval(FuncSpec{Func: Quantile, Arg: tc.q})
 		if !ok || got != tc.want {
 			t.Errorf("quantile(%g) = %g (%v), want %g", tc.q, got, ok, tc.want)
+		}
+	}
+}
+
+// TestAddRunEqualsAddLoop holds AddRun to a loop of Add bit for bit: every
+// operator mask, empty runs, signed zeros, infinities (whose product with a
+// zero is a NaN that must come out the same), and runs long enough to grow
+// the retained values several times.
+func TestAddRunEqualsAddLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 0.1, 1e300, 1e-300}
+	bits := func(a *Agg) string {
+		vals := make([]uint64, len(a.Values))
+		for i, v := range a.Values {
+			vals[i] = math.Float64bits(v)
+		}
+		return fmt.Sprintf("%v n%d s%x p%x lo%x hi%x sorted%v %x", a.Ops, a.CountV, math.Float64bits(a.SumV),
+			math.Float64bits(a.ProdV), math.Float64bits(a.MinV), math.Float64bits(a.MaxV), a.Sorted, vals)
+	}
+	allOps := OpCount | OpSum | OpMult | OpDSort | OpNDSort
+	for mask := Op(0); mask <= allOps; mask++ {
+		run, loop := NewAgg(mask), NewAgg(mask)
+		for round := 0; round < 24; round++ {
+			if round == 12 {
+				// Second half: zeros of both signs only, so the sign of the
+				// minimum and maximum depends on which came first.
+				run.Reset(mask)
+				loop.Reset(mask)
+			}
+			n := []int{0, 1, 2, 7, 300, 5000}[round%6]
+			vals := make([]float64, n)
+			for i := range vals {
+				switch {
+				case round >= 12:
+					vals[i] = special[rng.Intn(2)]
+				case rng.Intn(8) == 0:
+					vals[i] = special[rng.Intn(len(special))]
+				default:
+					vals[i] = rng.NormFloat64() * 10
+				}
+			}
+			run.AddRun(vals)
+			for _, v := range vals {
+				loop.Add(v)
+			}
+			if got, want := bits(&run), bits(&loop); got != want {
+				t.Fatalf("mask %v after a run of %d:\n AddRun %s\n   loop %s", mask, n, got, want)
+			}
 		}
 	}
 }
