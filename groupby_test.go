@@ -1,8 +1,11 @@
 package desis_test
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"desis"
 )
@@ -162,5 +165,84 @@ func TestGroupByMixedWithConcrete(t *testing.T) {
 	}
 	if byQuery[2] != 10 {
 		t.Errorf("fixed windows = %d, want 10", byQuery[2])
+	}
+}
+
+// TestParallelEngineWithTTLMatchesResidentEngine: the shards of a
+// ParallelEngine ingest in batches and park idle keys on one shared sweep
+// clock, so sweeps fall due wherever the other shards' progress puts them —
+// also between a batch's quiet run and the event that ends it. Whatever they
+// park, the windows must be those of one resident engine fed event by event.
+func TestParallelEngineWithTTLMatchesResidentEngine(t *testing.T) {
+	queries := func() []desis.Query {
+		qs := []desis.Query{
+			desis.MustParseQuery("tumbling(25ms) count,sum key=*"),
+			desis.MustParseQuery("session(10ms) count key=*"),
+			desis.MustParseQuery("sliding(40ms,20ms) max key=3"),
+		}
+		for i := range qs {
+			qs[i].ID = uint64(i + 1)
+		}
+		return qs
+	}
+	ref, err := desis.NewEngine(queries(), desis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := desis.NewParallelEngine(queries(), 3, desis.Options{InstanceTTL: 30 * time.Millisecond, InstanceShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 200 events a millisecond, so the clock's 1024 ticks pass every 5 ms;
+	// key k carries events for 10 ms and is then silent for 33 ms, a little
+	// over the TTL: some sweeps find it idle just before it comes back.
+	var batch []desis.Event
+	for i := 0; i < 400_000; i++ {
+		tm := int64(i / 200)
+		key := uint32(i % 43)
+		for (tm+int64(key))%43 >= 10 {
+			key = (key + 1) % 43
+		}
+		ev := desis.Event{Time: tm, Key: key, Value: float64(i%97) / 4}
+		ref.Process(ev)
+		batch = append(batch, ev)
+		if len(batch) == 700 {
+			par.ProcessBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	par.ProcessBatch(batch)
+	ref.AdvanceTo(4000)
+	par.AdvanceTo(4000)
+	par.Barrier()
+	revived := par.InstanceStats().Revived
+	got, want := par.Results(), ref.Results()
+	par.Close()
+	if revived == 0 {
+		t.Fatal("no key was parked and revived; the differential is vacuous")
+	}
+	line := func(r desis.Result) string {
+		s := fmt.Sprintf("q%d k%d [%d,%d) n%d", r.QueryID, r.Key, r.Start, r.End, r.Count)
+		for _, v := range r.Values {
+			s += fmt.Sprintf(" %x:%v", math.Float64bits(v.Value), v.OK)
+		}
+		return s
+	}
+	lines := func(rs []desis.Result) []string {
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			out[i] = line(r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	g, w := lines(got), lines(want)
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("result %d of the sorted sets differs\n parallel: %s\n resident: %s", i, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("parallel engine produced %d results, resident %d", len(g), len(w))
 	}
 }

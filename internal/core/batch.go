@@ -102,8 +102,7 @@ type keyRun struct {
 type batchScratch struct {
 	memo    [memoSize]memoSlot
 	touched [maxRun]*keyEntry
-	keys    int  // how many of touched the prefix being scanned uses
-	finite  bool // no value of the prefix is an infinity or a NaN
+	keys    int // how many of touched the prefix being scanned uses
 	slots   [maxRun]int32
 	cursor  [maxRun]int32
 	vals    [maxRun]float64
@@ -217,12 +216,13 @@ func (e *Engine) deriveQuiet(ent *keyEntry, key uint32) (q quietState, last int6
 
 // matching returns the values of a run laid out by foldRuns that p selects,
 // in order: vals itself when all of them do, else a copy in the scratch that
-// the next call overwrites. foldRuns noted whether the prefix is all finite
-// numbers, in which case a predicate without bounds needs no look at them.
+// the next call overwrites. finite is foldRuns' word that the prefix is all
+// finite numbers, in which case a predicate without bounds needs no look at
+// them.
 //
 //desis:hotpath
-func (e *Engine) matching(p query.Predicate, vals []float64) []float64 {
-	if e.scratch.finite && p.IsAll() {
+func (e *Engine) matching(p query.Predicate, vals []float64, finite bool) []float64 {
+	if finite && p.IsAll() {
 		return vals
 	}
 	// Compact without a branch on the predicate: every value is written,
@@ -264,11 +264,15 @@ func (e *Engine) ProcessBatch(evs []event.Event) {
 		// The scan never looks past the event that would reach the sweep
 		// tick, so the sweep runs after the same event as under Process.
 		limit := min(len(evs), maxRun)
-		if e.ttl > 0 && e.sweepClock == nil {
-			limit = min(limit, int(e.sweepEvery-e.sweepTick))
+		if e.ttl > 0 {
+			limit = min(limit, e.untilSweep())
 		}
 		n, ent := e.scanQuiet(evs[:limit])
-		e.foldRuns(evs[:n])
+		if e.foldRuns(evs[:n]) {
+			// Other engines moved a shared sweep clock meanwhile and the
+			// sweep fell due short of the limit: it may have parked the key.
+			ent = nil
+		}
 		// Punctuate: the event that ended the scan, unless the limit did.
 		if n < limit {
 			e.process(evs[n], ent)
@@ -381,14 +385,15 @@ func (e *Engine) refreshQuiet(ent *keyEntry, key uint32) {
 	}
 }
 
-// foldRuns folds the prefix scanQuiet scanned, evs.
+// foldRuns folds the prefix scanQuiet scanned, evs, and reports whether a
+// TTL sweep ran after it.
 //
 //desis:hotpath
-func (e *Engine) foldRuns(evs []event.Event) {
+func (e *Engine) foldRuns(evs []event.Event) (swept bool) {
 	sc := e.scratch
 	touched := sc.touched[:sc.keys]
 	if len(touched) == 0 {
-		return
+		return false
 	}
 	// Scatter: lay the values out key by key, each key's in stream order.
 	total := int32(0)
@@ -409,7 +414,6 @@ func (e *Engine) foldRuns(evs []event.Event) {
 			sc.vals[p] = v
 		}
 	}
-	sc.finite = finite
 	// Fold: one pass per key, group and context; the work counters move
 	// once for the whole prefix.
 	var events, calcs uint64
@@ -420,7 +424,7 @@ func (e *Engine) foldRuns(evs []event.Event) {
 		at += r.n
 		for _, g := range ent.groups {
 			if g.feedFrom == nil {
-				calcs += g.fold(run, r.last, r.newest)
+				calcs += g.fold(run, finite, r.last, r.newest)
 				events += uint64(r.n)
 			}
 		}
@@ -430,9 +434,7 @@ func (e *Engine) foldRuns(evs []event.Event) {
 	}
 	e.stats.events.Add(events)
 	e.stats.calculations.Add(calcs)
-	if e.ttl > 0 {
-		e.maybeSweep(uint32(total))
-	}
+	return e.ttl > 0 && e.maybeSweep(uint32(total))
 }
 
 // checkQuiet asserts that the bounds kept for a key are the ones its groups

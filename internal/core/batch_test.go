@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -24,6 +25,7 @@ type batchScenario struct {
 	popts   plan.Options
 	cfg     Config // callbacks are the runner's
 	slices  bool   // slice-emitting mode (OnSlice)
+	clock   bool   // sweeps paced by a SweepClock, one per run, instead of the engine's counter
 	evs     []event.Event
 	// actions run before the event at their index; batches never straddle
 	// one, and also end after ends[i] events.
@@ -100,6 +102,9 @@ func runBatchScenario(t testing.TB, sc *batchScenario, chunk int) batchTrace {
 			tr.partials = append(tr.partials, formatPartial(p, e.Stats()))
 			e.RecyclePartial(p)
 		}
+	}
+	if sc.clock {
+		cfg.SweepClock = &SweepClock{}
 	}
 	e = NewFromPlan(p, cfg)
 	feed := func(evs []event.Event) {
@@ -285,6 +290,17 @@ func batchScenarios(t testing.TB) []*batchScenario {
 			advTo:   0,
 		},
 		{
+			// The configuration ParallelEngine gives its shards: with the
+			// period below the prefix length a sweep falls due inside a
+			// prefix, and it parks the idle key whose event ended the scan.
+			name:    "shared-sweep-clock",
+			queries: []string{"*tumbling(25ms) count,sum", "*session(10ms) count"},
+			cfg:     Config{InstanceTTL: 30, InstanceShards: 1, InstanceSweepEvery: 8},
+			clock:   true,
+			evs:     batchStream{seed: 8, n: 20000, keys: 12, gapKey: 2, gapMs: 200, gapEach: 500}.build(),
+			advTo:   0,
+		},
+		{
 			name:    "reorder-horizon",
 			queries: []string{"sliding(400ms,100ms) sum,max key=0", "tumbling(100ms) average key=1", "session(50ms) count key=2"},
 			cfg:     Config{ReorderHorizon: 120},
@@ -364,6 +380,59 @@ func TestProcessBatchEqualsProcess(t *testing.T) {
 	}
 }
 
+// TestProcessBatchWhileSharedClockTicks is the part of a shared sweep clock
+// the scenarios cannot stage: other engines move the clock while this one
+// scans, so a sweep falls due short of the prefix limit and may park the very
+// key whose event ended the scan. Parking is invisible in what an engine
+// emits, so whenever the sweeps land, the batch-fed evicting engine must
+// answer like a resident one fed event by event.
+func TestProcessBatchWhileSharedClockTicks(t *testing.T) {
+	sc := *scenarioNamed(t, "shared-sweep-clock")
+	sc.cfg, sc.clock, sc.advTo = Config{}, false, 30000
+	want := runBatchScenario(t, &sc, 0)
+
+	clock := &SweepClock{}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				// About an engine's pace: the clock is short of the period
+				// when a scan starts and past it when the fold ends.
+				clock.Advance(1)
+				runtime.Gosched()
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	sc.cfg = Config{InstanceTTL: 30, InstanceShards: 1, InstanceSweepEvery: 8, SweepClock: clock}
+	// Where the sweeps land is up to the scheduler: a few rounds at two
+	// batch sizes make an early one all but certain.
+	for round := 0; round < 4; round++ {
+		chunk := []int{512, 64}[round%2]
+		got := runBatchScenario(t, &sc, chunk)
+		if got.inst.Revived == 0 {
+			t.Fatal("nothing was parked and revived")
+		}
+		got.inst = want.inst // the lifecycle counters are what differs
+		diffTraces(t, fmt.Sprintf("round %d, batches of %d", round, chunk), got, want)
+	}
+}
+
+func scenarioNamed(t testing.TB, name string) *batchScenario {
+	t.Helper()
+	for _, sc := range batchScenarios(t) {
+		if sc.name == name {
+			return sc
+		}
+	}
+	t.Fatalf("no scenario %q", name)
+	return nil
+}
+
 // TestBatchScenariosCoverTheirShapes keeps the scenarios honest: each must
 // reach the machinery it is named for.
 func TestBatchScenariosCoverTheirShapes(t *testing.T) {
@@ -392,6 +461,9 @@ func TestBatchScenariosCoverTheirShapes(t *testing.T) {
 	if tr := runBatchScenario(t, byName["templates-ttl"], 512); tr.inst.Revived == 0 || tr.inst.Evicted == 0 {
 		t.Errorf("templates-ttl: instance stats %+v, want evictions and revivals", tr.inst)
 	}
+	if tr := runBatchScenario(t, byName["shared-sweep-clock"], 512); tr.inst.Revived == 0 {
+		t.Errorf("shared-sweep-clock: instance stats %+v, want revivals", tr.inst)
+	}
 	if tr := runBatchScenario(t, byName["reorder-horizon"], 512); tr.stats.LateCommits == 0 || tr.stats.LateDropped == 0 {
 		t.Errorf("reorder-horizon: stats %+v, want late commits and drops", tr.stats)
 	}
@@ -416,6 +488,7 @@ func FuzzProcessBatchSplit(f *testing.F) {
 	f.Add([]byte("\x00\x10\x00\x21\x20\x01\x42\x30\x00\x08\x40\x00\x11\x50\x01\x02\x60\x00"), uint8(0))
 	f.Add(bytes.Repeat([]byte{0x21, 0x90, 0x00, 0x02, 0x07, 0x00, 0x10, 0xf0, 0x01}, 40), uint8(1))
 	f.Add(bytes.Repeat([]byte{0x01, 0x05, 0x00, 0x41, 0x85, 0x00, 0x82, 0x33, 0x00}, 60), uint8(2))
+	f.Add(bytes.Repeat([]byte{0x01, 0x05, 0x00, 0x41, 0x85, 0x00, 0x82, 0x33, 0x00, 0x23, 0x10, 0x00}, 60), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		if len(data) > 3*4096 {
 			return
@@ -423,6 +496,7 @@ func FuzzProcessBatchSplit(f *testing.F) {
 		sc := &batchScenario{name: "fuzz", queries: fuzzBatchQueries, slices: mode&1 != 0}
 		if mode&2 != 0 {
 			sc.cfg = Config{InstanceTTL: 12, InstanceShards: 2, InstanceSweepEvery: 4}
+			sc.clock = mode&4 != 0
 		}
 		now := int64(0)
 		for ; len(data) >= 3; data = data[3:] {

@@ -367,7 +367,7 @@ func (g *groupState) process(ev event.Event) {
 		g.flushPending()
 	}
 	one := [1]float64{ev.Value}
-	if calcs := g.fold(one[:], ev.Time, ev.Time); calcs > 0 {
+	if calcs := g.fold(one[:], false, ev.Time, ev.Time); calcs > 0 {
 		g.e.stats.calculations.Add(calcs)
 	}
 	g.e.stats.events.Add(1)
@@ -381,7 +381,8 @@ func (g *groupState) process(ev event.Event) {
 // none of which is a punctuation for the group: the values (in stream
 // order) go into the open slice of every context they match, and the
 // bookkeeping a loop over the events would leave behind is written once —
-// last is the time of the run's last event, newest its greatest. It returns
+// last is the time of the run's last event, newest its greatest; finite
+// promises that no value is an infinity or a NaN (see matching). It returns
 // the logical operator executions, which the caller adds to the work
 // counters together with the events. process calls it with a run of one
 // after the event's punctuations fired; Engine.foldRuns with the run a quiet
@@ -390,8 +391,13 @@ func (g *groupState) process(ev event.Event) {
 // loses nothing.
 //
 //desis:hotpath
-func (g *groupState) fold(vals []float64, last, newest int64) (calcs uint64) {
+func (g *groupState) fold(vals []float64, finite bool, last, newest int64) (calcs uint64) {
 	if len(vals) == 1 {
+		// A run of one skips the run machinery (two calls and their loop
+		// set-up per context). Without this the Process loop measured
+		// 40.1 against 30.4 ns/event on four keys, 33.2 against 25.2 on one
+		// and 53.3 against 44.4 with a punctuation every eight events
+		// (BenchmarkEngineProcessLoop, minimum of nine alternated runs).
 		v := vals[0]
 		for i := range g.contexts {
 			if g.contexts[i].Matches(v) {
@@ -401,7 +407,7 @@ func (g *groupState) fold(vals []float64, last, newest int64) (calcs uint64) {
 		}
 	} else {
 		for i := range g.contexts {
-			if run := g.e.matching(g.contexts[i], vals); len(run) > 0 {
+			if run := g.e.matching(g.contexts[i], vals, finite); len(run) > 0 {
 				g.cur.aggs[i].AddRun(run)
 				calcs += uint64(len(run)) * g.logicalOps
 			}

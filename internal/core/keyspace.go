@@ -100,12 +100,12 @@ func (e *Engine) orderedGroups() []*groupState {
 
 // maybeSweep advances the sweep clock by n ingested events (one from
 // Process, a quiet prefix's count from ProcessBatch, which cuts its prefixes
-// so the per-engine counter never passes the period inside one) and, every
+// at untilSweep so the clock does not pass the period inside one) and, every
 // InstanceSweepEvery events, scans a bounded batch of one shard for keys
-// idle past the TTL.
+// idle past the TTL. It reports whether it did.
 //
 //desis:hotpath
-func (e *Engine) maybeSweep(n uint32) {
+func (e *Engine) maybeSweep(n uint32) bool {
 	if c := e.sweepClock; c != nil {
 		// Shared clock: sweep when the global tick count — total events
 		// across every engine on the clock — advanced a full period since
@@ -113,20 +113,33 @@ func (e *Engine) maybeSweep(n uint32) {
 		// skewed shard load.
 		tick := c.Advance(uint64(n))
 		if tick-e.lastSweepTick < uint64(e.sweepEvery) {
-			return
+			return false
 		}
 		e.lastSweepTick = tick
-		//lint:ignore hotalloc amortised cold path: one bounded shard scan every InstanceSweepEvery shared ticks; eviction snapshots reuse the engine's scratch buffer
-		e.sweepStep()
-		return
+	} else {
+		e.sweepTick += n
+		if e.sweepTick < e.sweepEvery {
+			return false
+		}
+		e.sweepTick = 0
 	}
-	e.sweepTick += n
-	if e.sweepTick < e.sweepEvery {
-		return
-	}
-	e.sweepTick = 0
-	//lint:ignore hotalloc amortised cold path: one bounded shard scan every InstanceSweepEvery events; eviction snapshots reuse the engine's scratch buffer
+	//lint:ignore hotalloc amortised cold path: one bounded shard scan every InstanceSweepEvery ticks; eviction snapshots reuse the engine's scratch buffer
 	e.sweepStep()
+	return true
+}
+
+// untilSweep is how many more events the sweep clock takes before a sweep
+// falls due, at least one. Under a shared clock that is a reading: other
+// engines keep ticking, so the sweep may come due earlier (never later) than
+// it says, and a prefix cut here then runs it up to its own length late.
+func (e *Engine) untilSweep() int {
+	if c := e.sweepClock; c != nil {
+		if gone := c.Now() - e.lastSweepTick; gone < uint64(e.sweepEvery) {
+			return int(uint64(e.sweepEvery) - gone)
+		}
+		return 1
+	}
+	return int(e.sweepEvery - e.sweepTick)
 }
 
 // sweepStep examines up to sweepBatch keys of the cursor shard and evicts
