@@ -22,9 +22,11 @@
 //  3. Implementation side — message.Conn.Send implementations must not
 //     retain the message or anything it references after returning (the
 //     documented Conn contract: callers recycle the payload buffers as soon
-//     as Send returns). Inside any `Send(*message.Message) error` method the
-//     analyzer flags message-rooted references escaping to fields, globals,
-//     indexed locations, channels, or goroutines.
+//     as Send returns). Inside any `Send(*message.Message) error` method —
+//     and any `SendBuffered`, the queueing send of message.BufferedSender,
+//     which encodes into the connection's buffer under the same contract —
+//     the analyzer flags message-rooted references escaping to fields,
+//     globals, indexed locations, channels, or goroutines.
 //
 // The analysis is intentionally conservative in what it tracks (single
 // function, syntactic aliasing) and precise in what it reports: every
@@ -430,9 +432,10 @@ func holdsRefsDepth(t types.Type, depth int) bool {
 // --- implementation side: Conn.Send retention ------------------------------
 
 // isConnSend reports whether fd is a concrete `Send(*message.Message) error`
-// method — the shape of a message.Conn implementation.
+// or `SendBuffered(*message.Message) error` method — the shape of a
+// message.Conn or message.BufferedSender implementation.
 func isConnSend(info *types.Info, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || fd.Name.Name != "Send" {
+	if fd.Recv == nil || (fd.Name.Name != "Send" && fd.Name.Name != "SendBuffered") {
 		return false
 	}
 	obj, ok := info.Defs[fd.Name].(*types.Func)

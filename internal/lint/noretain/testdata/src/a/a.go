@@ -177,3 +177,16 @@ func (c *copyConn) Send(m *message.Message) error {
 	c.buf = encode(m, c.buf[:0])
 	return nil
 }
+
+type queueConn struct {
+	queued []*message.Message
+	buf    []byte
+}
+
+// SendBuffered is held to Send's contract: queueing the encoding is fine,
+// queueing the message is not.
+func (c *queueConn) SendBuffered(m *message.Message) error {
+	c.buf = encode(m, c.buf)
+	c.queued = append(c.queued, m) // want `stores message contents outside its own call frame`
+	return nil
+}

@@ -16,6 +16,16 @@ import (
 // corrupt length prefixes.
 const maxFrame = 64 << 20
 
+const (
+	// flushAt is the queued size at which SendBuffered writes on its own, so
+	// a sender that never reaches a flush point holds a bounded buffer.
+	flushAt = 1 << 16
+	// keepBuf is the largest write or read buffer a connection keeps between
+	// frames; one oversized frame (a plan, a stats snapshot) does not pin its
+	// memory for the connection's lifetime.
+	keepBuf = 1 << 20
+)
+
 // ErrTimeout is returned (wrapped) by RecvTimeout when no complete frame
 // arrived within the configured deadline — the §3.2 liveness condition.
 // Callers distinguish it from io.EOF (peer closed cleanly) and from decode
@@ -26,22 +36,62 @@ var ErrTimeout = errors.New("message: receive timed out")
 // frame limit; the stream is unrecoverable past this point.
 var ErrFrameTooLarge = errors.New("message: frame exceeds limit")
 
-// TCPConn is a Conn over a TCP socket with 4-byte length framing. Send is
-// safe for concurrent use; Recv/RecvTimeout must be called from a single
-// reader goroutine.
+// BufferedSender is the optional write-coalescing side of a Conn: a sender
+// that produces a burst of frames queues them and flushes once, when its
+// unit of work is done or it is about to block, so the burst costs one write
+// instead of one per frame. Nodes find it by type assertion (Buffered); a
+// Conn without it — a pipe, a batcher, any wrapper that embeds Conn — keeps
+// one transmission per Send.
+type BufferedSender interface {
+	// SendBuffered encodes m behind the frames already queued, under the
+	// same no-retention contract as Conn.Send. The frame reaches the peer no
+	// later than the next Flush or Send on the connection.
+	SendBuffered(m *Message) error
+	// Flush transmits everything queued.
+	Flush() error
+}
+
+// Buffered returns c's write-coalescing side, or an adapter that transmits
+// on every SendBuffered when c has none.
+func Buffered(c Conn) BufferedSender {
+	if b, ok := c.(BufferedSender); ok {
+		return b
+	}
+	return unbuffered{c}
+}
+
+// unbuffered adapts a plain Conn: nothing is ever queued, so there is
+// nothing to flush.
+type unbuffered struct{ c Conn }
+
+func (u unbuffered) SendBuffered(m *Message) error { return u.c.Send(m) }
+func (u unbuffered) Flush() error                  { return nil }
+
+// TCPConn is a Conn over a TCP socket with 4-byte length framing. Send,
+// SendBuffered and Flush are safe for concurrent use; Recv/RecvTimeout and
+// InputBuffered must be called from a single reader goroutine.
 type TCPConn struct {
 	c     net.Conn
 	codec Codec
 	r     *bufio.Reader
-	w     *bufio.Writer
-	wmu   sync.Mutex
-	sent  atomic.Uint64
+	// rbuf holds the payload of the frame being decoded; codecs keep no
+	// alias into it (TestDecodeKeepsNoAlias), so the next frame reuses it.
+	rbuf []byte
+	rhdr [4]byte // a local array would escape through io.ReadFull and allocate
+
+	wmu sync.Mutex
+	// wbuf holds the length-prefixed frames queued since the last flush.
+	wbuf []byte
+	// werr is the first write failure (or the close): a failed write leaves
+	// the stream mid-frame, so every later send fails with it.
+	werr error
+	sent atomic.Uint64
 
 	// rdArmed tracks whether a read deadline is currently set on the
 	// socket, so an untimed Recv after a RecvTimeout clears it. Only the
 	// reader goroutine touches it.
 	rdArmed bool
-	// writeTimeout bounds each Send (and the final flush in Close); zero
+	// writeTimeout bounds each flush (and the final one in Close); zero
 	// means no write deadline.
 	writeTimeout atomic.Int64
 }
@@ -53,7 +103,9 @@ func NewTCPConn(c net.Conn, codec Codec) *TCPConn {
 		c:     c,
 		codec: codec,
 		r:     bufio.NewReaderSize(c, 1<<16),
-		w:     bufio.NewWriterSize(c, 1<<16),
+		// Sized for a full buffer up front: queueing reallocates nothing on
+		// the way to the first flush.
+		wbuf: make([]byte, 0, flushAt),
 	}
 }
 
@@ -66,40 +118,79 @@ func Dial(addr string, codec Codec) (*TCPConn, error) {
 	return NewTCPConn(c, codec), nil
 }
 
-// SetWriteTimeout bounds every subsequent Send (and the final flush in
-// Close) with a write deadline, so a stalled peer cannot block a sender
+// SetWriteTimeout bounds every subsequent flush (Send's, and the final one
+// in Close) with a write deadline, so a stalled peer cannot block a sender
 // forever. Zero disables the deadline. Safe for concurrent use.
 func (t *TCPConn) SetWriteTimeout(d time.Duration) { t.writeTimeout.Store(int64(d)) }
 
-// Send implements Conn. It is safe for concurrent use.
+// Send implements Conn: SendBuffered, then Flush.
 func (t *TCPConn) Send(m *Message) error {
-	payload, err := t.codec.Append(nil, m)
-	if err != nil {
+	if err := t.SendBuffered(m); err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	return t.Flush()
+}
+
+// SendBuffered implements BufferedSender. The frame is encoded straight into
+// the connection's write buffer and its length prefix filled in place; the
+// buffer is written out when it passes flushAt.
+func (t *TCPConn) SendBuffered(m *Message) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
+	if t.werr != nil {
+		return t.werr
+	}
+	start := len(t.wbuf)
+	buf, err := t.codec.Append(append(t.wbuf, 0, 0, 0, 0), m)
+	if err != nil {
+		return err // t.wbuf still ends at start: no torn frame is queued
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	t.wbuf = buf
+	if len(buf) >= flushAt {
+		return t.flushLocked()
+	}
+	return nil
+}
+
+// Flush implements BufferedSender: one write for everything queued.
+func (t *TCPConn) Flush() error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	return t.flushLocked()
+}
+
+func (t *TCPConn) flushLocked() error {
+	if t.werr != nil {
+		return t.werr
+	}
+	if len(t.wbuf) == 0 {
+		return nil
+	}
 	if d := time.Duration(t.writeTimeout.Load()); d > 0 {
 		_ = t.c.SetWriteDeadline(time.Now().Add(d))
 	}
-	if _, err := t.w.Write(hdr[:]); err != nil {
+	n, err := t.c.Write(t.wbuf)
+	if err != nil {
+		t.werr = err
 		return err
 	}
-	if _, err := t.w.Write(payload); err != nil {
-		return err
+	t.sent.Add(uint64(n))
+	if cap(t.wbuf) > keepBuf {
+		t.wbuf = nil
 	}
-	if err := t.w.Flush(); err != nil {
-		return err
-	}
-	t.sent.Add(uint64(len(payload)) + 4)
+	t.wbuf = t.wbuf[:0]
 	return nil
 }
 
 // Recv implements Conn. It blocks until a full frame arrives or the peer
 // closes (io.EOF).
 func (t *TCPConn) Recv() (*Message, error) { return t.RecvTimeout(0) }
+
+// InputBuffered reports how many received bytes are waiting in the read
+// buffer. Zero means the next Recv has to wait for the socket, which makes
+// it the moment to Flush whatever handling the previous frames queued.
+func (t *TCPConn) InputBuffered() int { return t.r.Buffered() }
 
 // RecvTimeout is Recv bounded by a read deadline on the socket: if no
 // complete frame arrives within d the error wraps ErrTimeout. A
@@ -120,15 +211,17 @@ func (t *TCPConn) RecvTimeout(d time.Duration) (*Message, error) {
 		}
 		t.rdArmed = false
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(t.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(t.r, t.rhdr[:]); err != nil {
 		return nil, t.classify(err, d)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(t.rhdr[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(t.rbuf) || cap(t.rbuf) > keepBuf {
+		t.rbuf = make([]byte, n)
+	}
+	payload := t.rbuf[:n]
 	if _, err := io.ReadFull(t.r, payload); err != nil {
 		return nil, t.classify(err, d)
 	}
@@ -147,18 +240,21 @@ func (t *TCPConn) classify(err error, d time.Duration) error {
 	return err
 }
 
-// Close implements Conn.
+// Close implements Conn: it flushes what is queued and closes the socket.
+// A failed final flush is lost data, so its error is returned beside the
+// socket's.
 func (t *TCPConn) Close() error {
 	t.wmu.Lock()
-	if d := time.Duration(t.writeTimeout.Load()); d > 0 {
-		_ = t.c.SetWriteDeadline(time.Now().Add(d))
+	err := t.flushLocked()
+	if t.werr == nil {
+		t.werr = net.ErrClosed
 	}
-	t.w.Flush()
 	t.wmu.Unlock()
-	return t.c.Close()
+	return errors.Join(err, t.c.Close())
 }
 
-// BytesSent implements Conn.
+// BytesSent implements Conn. Bytes count once they are written to the
+// socket, so frames still queued are not in it.
 func (t *TCPConn) BytesSent() uint64 { return t.sent.Load() }
 
 // Listener accepts Desis node connections.
@@ -192,4 +288,5 @@ func (l *Listener) Addr() string { return l.l.Addr().String() }
 func (l *Listener) Close() error { return l.l.Close() }
 
 var _ Conn = (*TCPConn)(nil)
+var _ BufferedSender = (*TCPConn)(nil)
 var _ Conn = (*Pipe)(nil)

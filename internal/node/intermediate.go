@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -14,10 +15,16 @@ import (
 // its parent. It merges aligned slice partials (the intermediate incremental
 // aggregation of §5.1), relays raw event batches of RootOnly groups
 // preserving their origin, and forwards the merged watermark.
+//
+// What the merger emits is queued on the parent link and flushed before the
+// call that caused it returns, so a caller that pumps messages into Handle
+// sees every output on the wire when Handle returns. IntermediateServer
+// defers that flush across a child's burst (handleQueued, flushParent).
 type Intermediate struct {
 	id     uint32
 	merger *Merger
 	parent message.Conn
+	up     message.BufferedSender // parent's sending side
 	mu     sync.Mutex
 	err    error
 }
@@ -25,7 +32,7 @@ type Intermediate struct {
 // NewIntermediate builds an intermediate node expecting the given children,
 // sending to parent.
 func NewIntermediate(id uint32, children []uint32, parent message.Conn) *Intermediate {
-	n := &Intermediate{id: id, parent: parent}
+	n := &Intermediate{id: id, parent: parent, up: message.Buffered(parent)}
 	n.merger = NewMerger(children)
 	n.merger.Out = func(p *core.SlicePartial) {
 		n.send(&message.Message{Kind: message.KindPartial, From: n.id, Partial: p})
@@ -45,11 +52,28 @@ func (n *Intermediate) send(m *message.Message) {
 	if n.err != nil {
 		return
 	}
-	n.err = n.parent.Send(m)
+	n.err = n.up.SendBuffered(m)
+}
+
+// flush puts what the merger queued on the wire.
+func (n *Intermediate) flush() {
+	if n.err == nil {
+		n.err = n.up.Flush()
+	}
 }
 
 // Handle dispatches one message from a child.
 func (n *Intermediate) Handle(m *message.Message) error {
+	err := n.handle(m)
+	n.flush()
+	if err == nil {
+		err = n.err
+	}
+	return err
+}
+
+// handle is Handle without the flush.
+func (n *Intermediate) handle(m *message.Message) error {
 	switch m.Kind {
 	case message.KindPartial:
 		n.merger.HandlePartial(m.From, m.Partial)
@@ -61,7 +85,7 @@ func (n *Intermediate) Handle(m *message.Message) error {
 		// Unbatch in order under the same (caller-held) lock; the merged
 		// output re-batches on this node's own uplink if it is batching too.
 		for _, f := range m.Batch.Frames {
-			if err := n.Handle(f); err != nil {
+			if err := n.handle(f); err != nil {
 				return err
 			}
 		}
@@ -80,10 +104,34 @@ func (n *Intermediate) HandleLocked(m *message.Message) error {
 	return n.Handle(m)
 }
 
+// handleQueued is HandleLocked without the flush, for a pump that calls
+// flushParent before it blocks for its child's next message.
+func (n *Intermediate) handleQueued(m *message.Message) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.handle(m)
+}
+
+// flushParent flushes the parent link outside the node's mutex, so one
+// child's write does not hold up the merging of another's messages.
+func (n *Intermediate) flushParent() {
+	if err := n.up.Flush(); err != nil {
+		n.mu.Lock()
+		if n.err == nil {
+			n.err = err
+		}
+		n.mu.Unlock()
+	}
+}
+
 // AddChild and RemoveChild adjust the expected child set at runtime (§3.2).
-// They are unsynchronised; concurrent servers use the Locked variants.
-func (n *Intermediate) AddChild(id uint32)    { n.merger.AddChild(id) }
-func (n *Intermediate) RemoveChild(id uint32) { n.merger.RemoveChild(id) }
+// They are unsynchronised; concurrent servers use the Locked variants. A
+// departure can complete slices that waited for the child, hence the flush.
+func (n *Intermediate) AddChild(id uint32) { n.merger.AddChild(id) }
+func (n *Intermediate) RemoveChild(id uint32) {
+	n.merger.RemoveChild(id)
+	n.flush()
+}
 
 // AddChildLocked and RemoveChildLocked take the node's mutex, for use
 // alongside HandleLocked from concurrent per-child goroutines.
@@ -96,7 +144,7 @@ func (n *Intermediate) AddChildLocked(id uint32) {
 func (n *Intermediate) RemoveChildLocked(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.merger.RemoveChild(id)
+	n.RemoveChild(id)
 }
 
 // AttachTelemetry instruments the merger with reg, labelling trace events
@@ -118,11 +166,12 @@ func (n *Intermediate) Digest() *telemetry.LoadDigest {
 	}
 }
 
-// Close announces a clean departure and closes the parent connection.
+// Close announces a clean departure and closes the parent connection. The
+// goodbye's Send is also the final flush, so its error is reported.
 func (n *Intermediate) Close() error {
-	_ = n.parent.Send(&message.Message{Kind: message.KindGoodbye, From: n.id})
-	if err := n.parent.Close(); err != nil {
-		return err
+	err := errors.Join(n.parent.Send(&message.Message{Kind: message.KindGoodbye, From: n.id}), n.parent.Close())
+	if n.err != nil {
+		return n.err
 	}
-	return n.err
+	return err
 }

@@ -7,6 +7,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -29,8 +30,12 @@ import (
 // (ResyncPlan), and both funnel through the engine's one reconciliation
 // path.
 type Local struct {
-	id      uint32
-	conn    message.Conn
+	id   uint32
+	conn message.Conn
+	// up is conn's sending side: everything one Process or AdvanceTo call
+	// produces is queued on it and flushed once at the end of the call, so
+	// over TCP a burst of closed slices leaves in one write.
+	up      message.BufferedSender
 	engine  *core.Engine
 	forward map[uint32]bool // keys needed by RootOnly groups
 	buf     []event.Event
@@ -78,7 +83,7 @@ func NewLocalFromPlanTuned(id uint32, p *plan.Plan, parent message.Conn, batchSi
 	if batchSize <= 0 {
 		batchSize = 256
 	}
-	l := &Local{id: id, conn: parent, forward: make(map[uint32]bool), batchSz: batchSize}
+	l := &Local{id: id, conn: parent, up: message.Buffered(parent), forward: make(map[uint32]bool), batchSz: batchSize}
 	l.engine = core.NewFromPlan(p, core.Config{
 		Placement:      core.DistributedOnly,
 		OnSlice:        l.sendPartial,
@@ -134,9 +139,9 @@ func (l *Local) sendPartial(p *core.SlicePartial) {
 		l.engine.RecyclePartial(p)
 		return // nothing to contribute; watermarks carry progress
 	}
-	err := l.conn.Send(&message.Message{Kind: message.KindPartial, From: l.id, Partial: p})
-	// Send encodes synchronously (the Conn contract forbids retaining the
-	// message), so the partial's buffers can feed the next slice.
+	err := l.up.SendBuffered(&message.Message{Kind: message.KindPartial, From: l.id, Partial: p})
+	// SendBuffered encodes synchronously (the Conn contract forbids retaining
+	// the message), so the partial's buffers can feed the next slice.
 	l.engine.RecyclePartial(p)
 	l.err = err
 }
@@ -159,18 +164,26 @@ func (l *Local) Process(evs []event.Event) error {
 	}
 	l.engine.ProcessBatch(evs)
 	l.wm.Store(wm)
+	l.flush()
 	return l.err
 }
 
+// flush ends a unit of work: what it queued goes on the wire.
+func (l *Local) flush() {
+	if l.err == nil {
+		l.err = l.up.Flush()
+	}
+}
+
 // flushForward ships the collected RootOnly events. The buffer is reused:
-// every Conn encodes before Send returns (the Conn contract, which the
+// every Conn encodes before a send returns (the Conn contract, which the
 // noretain analyzer holds the implementations to), and event batches are not
 // batchable, so the batcher sends them synchronously too.
 func (l *Local) flushForward() {
 	if len(l.buf) == 0 || l.err != nil {
 		return
 	}
-	l.err = l.conn.Send(&message.Message{Kind: message.KindEventBatch, From: l.id, Events: l.buf})
+	l.err = l.up.SendBuffered(&message.Message{Kind: message.KindEventBatch, From: l.id, Events: l.buf})
 	l.buf = l.buf[:0]
 }
 
@@ -187,7 +200,8 @@ func (l *Local) AdvanceTo(t int64) error {
 	if l.err != nil {
 		return l.err
 	}
-	l.err = l.conn.Send(&message.Message{Kind: message.KindWatermark, From: l.id, Watermark: wm})
+	l.err = l.up.SendBuffered(&message.Message{Kind: message.KindWatermark, From: l.id, Watermark: wm})
+	l.flush()
 	return l.err
 }
 
@@ -228,13 +242,11 @@ func (l *Local) Digest() *telemetry.LoadDigest {
 func (l *Local) Close() error {
 	l.flushForward()
 	// Announce a deliberate departure so the parent finishes immediately
-	// instead of holding a reconnect grace period (best effort).
-	_ = l.conn.Send(&message.Message{Kind: message.KindGoodbye, From: l.id})
-	if err := l.conn.Close(); err != nil {
-		return err
-	}
+	// instead of holding a reconnect grace period. The goodbye's Send is also
+	// the final flush, so its failure is lost data and is reported.
+	err := errors.Join(l.conn.Send(&message.Message{Kind: message.KindGoodbye, From: l.id}), l.conn.Close())
 	if l.err != nil {
 		return fmt.Errorf("node: local %d: %w", l.id, l.err)
 	}
-	return nil
+	return err
 }

@@ -28,7 +28,11 @@ type Merger struct {
 	// OutWatermark receives the merged (minimum) watermark, monotone.
 	OutWatermark func(int64)
 
-	children  map[uint32]*childState
+	children map[uint32]*childState
+	// joining, while non-nil, collects the distinct children seen so far and
+	// hold is how many of them end the start-up hold (Hold).
+	joining   map[uint32]bool
+	hold      int
 	pending   map[mergeKey]*mergeEntry
 	watermark int64
 	maxEnd    int64 // newest slice end seen, for final flushes
@@ -90,9 +94,28 @@ func (m *Merger) AttachTelemetry(reg *telemetry.Registry, traceName string) {
 	m.traceName = traceName
 }
 
+// Hold keeps the merger from forwarding anything until n distinct children
+// have joined. A server that is told how many children to expect must not
+// take the first one's slices for complete: forwarded with one contributor,
+// they would make the merger drop the sibling's as duplicates, and the first
+// child's watermark alone would close their windows. What arrives during the
+// hold merges as usual and stays pending, also when the child that sent it
+// has already left again.
+func (m *Merger) Hold(n int) {
+	if n > len(m.children) {
+		m.hold, m.joining = n, make(map[uint32]bool)
+	}
+}
+
 // AddChild registers a child joining at runtime (§3.2).
 func (m *Merger) AddChild(id uint32) {
 	m.children[id] = &childState{watermark: m.watermark}
+	if m.joining != nil {
+		if m.joining[id] = true; len(m.joining) >= m.hold {
+			m.joining = nil
+			m.advance() // slices complete by now leave with the watermark
+		}
+	}
 }
 
 // RemoveChild drops a child (node loss / removal): slices waiting for it can
@@ -101,6 +124,9 @@ func (m *Merger) AddChild(id uint32) {
 // newest slice end, so downstream windows close.
 func (m *Merger) RemoveChild(id uint32) {
 	delete(m.children, id)
+	if m.joining != nil {
+		return // its siblings are still to come; what it sent waits for them
+	}
 	if len(m.children) == 0 {
 		if m.maxEnd > m.watermark {
 			m.watermark = m.maxEnd
@@ -153,7 +179,7 @@ func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 		e.from[from] = true
 		mergePartial(e.p, p)
 	}
-	if len(e.from) >= len(m.children) {
+	if len(e.from) >= len(m.children) && m.joining == nil {
 		delete(m.pending, k)
 		m.emitted[k] = true
 		m.emitEntry(e)
@@ -182,6 +208,9 @@ func (m *Merger) HandleEvents(from uint32, evs []event.Event) {
 }
 
 func (m *Merger) advance() {
+	if m.joining != nil {
+		return
+	}
 	min := int64(-1)
 	first := true
 	for _, c := range m.children {

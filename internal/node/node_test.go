@@ -114,6 +114,35 @@ func TestMergerAddChild(t *testing.T) {
 	}
 }
 
+// TestMergerHoldsUntilAllJoined: a merger told to expect two children takes
+// nothing the first one sends for complete — not its slices, not its
+// watermark, not even its departure — until the second has joined.
+func TestMergerHoldsUntilAllJoined(t *testing.T) {
+	m := NewMerger(nil)
+	m.Hold(2)
+	var out []*core.SlicePartial
+	var wms []int64
+	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
+	m.OutWatermark = func(w int64) { wms = append(wms, w) }
+
+	m.AddChild(1)
+	m.HandlePartial(1, mkPartial(0, 0, 100, 90, 1, 1))
+	m.HandleWatermark(1, 100)
+	m.RemoveChild(1) // streamed everything and left before its sibling came
+	if len(out) != 0 || len(wms) != 0 {
+		t.Fatalf("forwarded %d partials and watermarks %v with one of two children seen", len(out), wms)
+	}
+	m.AddChild(2)
+	m.HandlePartial(2, mkPartial(0, 0, 100, 95, 2, 1))
+	if len(out) != 1 || out[0].Aggs[0].SumV != 3 {
+		t.Fatalf("after the second child's partial: %v, want one partial with sum 3", out)
+	}
+	m.HandleWatermark(2, 100)
+	if len(wms) != 1 || wms[0] != 100 {
+		t.Fatalf("watermarks %v, want [100]", wms)
+	}
+}
+
 // --- Cluster vs central-engine equivalence ---
 
 // splitStream deals a global stream round-robin to n locals; marker events

@@ -191,6 +191,13 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 		})
 	}()
 	waitUntil(t, 10*time.Second, "root watermark 1000", func() bool { return root.Watermark() >= 1000 })
+	// The gauges checked below come from heartbeat digests, and a child only
+	// heartbeats once it has been idle for a period: wait for both.
+	waitUntil(t, 10*time.Second, "a heartbeat digest from both children", func() bool {
+		root.mu.Lock()
+		defer root.mu.Unlock()
+		return len(root.loads) == 2
+	})
 
 	// Cut the survivor's link once (reconnects pass through), then freeze
 	// the victim for good: stats requests to it will never be answered.

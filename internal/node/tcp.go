@@ -150,6 +150,7 @@ func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout
 	}
 	p := plan.FromGroups(groups, plan.Options{Decentralized: true, Optimize: !opts.NoOptimize})
 	s.root = NewRootFromPlan(p, nil, opts.OnResult)
+	s.root.merger.Hold(nChildren)
 	s.root.AttachTelemetry(s.tel, "root")
 	go s.acceptLoop()
 	return s, nil
@@ -580,6 +581,7 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 		done:     make(chan struct{}),
 	}
 	s.inter = NewIntermediate(id, nil, up)
+	s.inter.merger.Hold(nChildren)
 	s.inter.AttachTelemetry(tel, fmt.Sprintf("inter.%d", id))
 	up.AttachTelemetry(tel)
 	up.SetEpochFn(func() uint64 {
@@ -728,6 +730,12 @@ func (s *IntermediateServer) serveChild(conn *message.TCPConn) {
 	evicted := false
 	if err == nil {
 		for {
+			// Flush before block: whatever this child's burst made the
+			// merger emit leaves in one write, and nothing waits behind a
+			// child that has gone silent.
+			if conn.InputBuffered() == 0 {
+				s.inter.flushParent()
+			}
 			m, rerr := conn.RecvTimeout(s.timeout)
 			if rerr != nil {
 				evicted = errors.Is(rerr, message.ErrTimeout)
@@ -753,8 +761,9 @@ func (s *IntermediateServer) serveChild(conn *message.TCPConn) {
 				}
 				continue
 			}
-			_ = s.inter.HandleLocked(m)
+			_ = s.inter.handleQueued(m)
 		}
+		s.inter.flushParent() // the read failed with frames still buffered
 	}
 	conn.Close()
 

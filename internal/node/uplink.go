@@ -152,6 +152,10 @@ type uplink struct {
 	// silent-loss window, and the parent's merger drops the duplicated
 	// overlap — per contained partial, when a replayed frame is a batch.
 	replay []*message.Message
+	// unflushed counts the ring's frames queued on the connection since its
+	// last flush. It stays at or below ReplayDepth/2, so a flush that fails
+	// loses nothing the reconnect's replay does not resend.
+	unflushed int
 
 	// batcher, when batching is enabled, sits between Send and the raw
 	// connection: data frames are cloned into its queue and transmitted by
@@ -398,23 +402,25 @@ func (u *uplink) sendReplay(conn *message.TCPConn) error {
 	frames := append([]*message.Message(nil), u.replay...)
 	u.mu.Unlock()
 	for _, f := range frames {
-		if err := conn.Send(f); err != nil {
+		if err := conn.SendBuffered(f); err != nil {
 			return err
 		}
 	}
-	return nil
+	return conn.Flush()
 }
 
-// record retains a data frame in the replay ring. Only partials, watermarks
+// record retains a data frame in the replay ring and reports whether the
+// connection may hold the frame unflushed: only while the ring covers it and
+// fewer than ReplayDepth/2 such frames are waiting. Only partials, watermarks
 // and their batches are retained: they are idempotent at the parent, raw
 // event batches are not. Lone partial frames are deep-cloned so the caller
 // can recycle their buffers (the Conn contract — the batcher's cut-through
 // path forwards the caller's frame untouched). A KindBatch frame is always
 // assembled by the batcher's pump from clones it made at enqueue time and is
 // never touched again, so it is retained as-is.
-func (u *uplink) record(m *message.Message) {
+func (u *uplink) record(m *message.Message) (hold bool) {
 	if u.opts.ReplayDepth <= 0 {
-		return
+		return false
 	}
 	switch m.Kind {
 	case message.KindPartial, message.KindWatermark, message.KindBatch:
@@ -426,9 +432,9 @@ func (u *uplink) record(m *message.Message) {
 		// the handshake, heartbeats are ephemeral, and raw event batches
 		// are not idempotent at the parent. A new kind must choose a side
 		// here explicitly.
-		return
+		return false
 	default:
-		return
+		return false
 	}
 	c := *m
 	if c.Partial != nil {
@@ -441,9 +447,12 @@ func (u *uplink) record(m *message.Message) {
 	} else {
 		u.replay = append(u.replay, &c)
 	}
+	u.unflushed++
+	hold = u.unflushed < u.opts.ReplayDepth/2
 	tel, n := u.telReplay, len(u.replay)
 	u.mu.Unlock()
 	tel.Set(int64(n))
+	return hold
 }
 
 // accountRetired folds a retired connection's byte count into the running
@@ -463,21 +472,77 @@ func (u *uplink) Send(m *message.Message) error {
 	if u.batcher != nil {
 		return u.batcher.Send(m)
 	}
-	return u.sendDirect(m)
+	return u.transmit(m, true)
 }
 
-// sendDirect is the supervised transmission path under the batcher (or the
-// whole path when batching is off).
-func (u *uplink) sendDirect(m *message.Message) error {
+// SendBuffered implements message.BufferedSender: m is queued on the live
+// connection and leaves with the next Flush or Send — or at once, when the
+// replay ring does not cover it (DESIGN.md §5c, write coalescing). With
+// batching enabled the batcher's pump owns the wire, so this is Send.
+func (u *uplink) SendBuffered(m *message.Message) error {
+	if u.batcher != nil {
+		return u.batcher.Send(m)
+	}
+	return u.transmit(m, false)
+}
+
+// Flush implements message.BufferedSender. A flush that fails reconnects,
+// and the reconnect's replay resends every frame the flush lost. With
+// batching enabled nothing is ever queued here, and the caller must not wait
+// on a link only the pump is entitled to block on.
+func (u *uplink) Flush() error {
+	if u.batcher != nil {
+		return nil
+	}
 	conn, gen, err := u.current()
 	if err != nil {
 		return err
 	}
+	if ferr := u.flushConn(conn); ferr != nil {
+		_, _, err = u.fail(gen, ferr)
+	}
+	return err
+}
+
+// flushConn flushes conn. The count of unflushed frames restarts before the
+// write, not after: a frame queued while the write is in flight is counted
+// again instead of missed, and what a failed write can lose — at most
+// ReplayDepth/2 frames from either side of the restart — still fits the
+// ring.
+func (u *uplink) flushConn(conn *message.TCPConn) error {
+	u.mu.Lock()
+	u.unflushed = 0
+	u.mu.Unlock()
+	return conn.Flush()
+}
+
+// sendDirect is the transmission path under the batcher.
+func (u *uplink) sendDirect(m *message.Message) error { return u.transmit(m, true) }
+
+// transmit is the supervised path to the wire: it queues m on the live
+// connection, flushes when asked to or when m may not wait there, and on a
+// link failure reconnects and sends m again.
+func (u *uplink) transmit(m *message.Message, flush bool) error {
+	conn, gen, err := u.current()
+	if err != nil {
+		return err
+	}
+	// Recorded before it is queued: a frame that sits in the connection's
+	// buffer when another goroutine's flush fails must already be in the ring
+	// that reconnect replays. (After a reconnect m may therefore arrive twice,
+	// once replayed and once resent below; the parent dedups.)
+	if !u.record(m) {
+		flush = true
+	}
 	for {
-		if err := conn.Send(m); err == nil {
-			u.record(m)
+		err := conn.SendBuffered(m)
+		if err == nil && flush {
+			err = u.flushConn(conn)
+		}
+		if err == nil {
 			return nil
-		} else if conn, gen, err = u.fail(gen, err); err != nil {
+		}
+		if conn, gen, err = u.fail(gen, err); err != nil {
 			return err
 		}
 	}
@@ -513,7 +578,8 @@ func (u *uplink) Recv() (*message.Message, error) {
 }
 
 // Close implements message.Conn: it flushes and closes the live connection
-// and marks the uplink down so in-flight reconnects abort.
+// and marks the uplink down so in-flight reconnects abort. The error of a
+// failed final flush is returned: those frames are lost.
 func (u *uplink) Close() error {
 	u.mu.Lock()
 	if u.closed {
@@ -557,10 +623,13 @@ func (u *uplink) BytesSent() uint64 {
 	return total
 }
 
-// heartbeatLoop sends KindHeartbeat whenever a full period elapsed with no
-// other traffic, so an idle-but-alive child is never evicted by the
-// parent's liveness timeout (§3.2). One goroutine and one ticker per
-// uplink, regardless of message volume.
+// heartbeatLoop sends KindHeartbeat whenever a full period elapsed with
+// nothing written to the socket, so an idle-but-alive child is never evicted
+// by the parent's liveness timeout (§3.2). BytesSent counts flushed bytes
+// only, so frames queued and never flushed do not pass for traffic — and the
+// heartbeat's Send flushes them, which bounds a stranded frame to one
+// period. One goroutine and one ticker per uplink, regardless of message
+// volume.
 func (u *uplink) heartbeatLoop() {
 	defer close(u.hbDone)
 	t := time.NewTicker(u.opts.Heartbeat)
@@ -574,7 +643,7 @@ func (u *uplink) heartbeatLoop() {
 		}
 		if cur := u.BytesSent(); cur != last {
 			last = cur
-			continue // the uplink carried traffic this period; stay quiet
+			continue // the socket carried traffic this period; stay quiet
 		}
 		if err := u.Send(&message.Message{Kind: message.KindHeartbeat, From: u.id, Load: u.digest()}); err != nil {
 			return // terminal: uplink down or closed
@@ -604,3 +673,4 @@ func (u *uplink) digest() *telemetry.LoadDigest {
 }
 
 var _ message.Conn = (*uplink)(nil)
+var _ message.BufferedSender = (*uplink)(nil)
