@@ -141,6 +141,16 @@ func appendPrefixRow(prefix []operator.Agg, nctx int, ops operator.Op, rec *slic
 	return prefix
 }
 
+// regrowPrefix restarts a prefix sweep at ring position base: the identity
+// row, then one row per slice of closed[base:].
+func regrowPrefix(prefix []operator.Agg, nctx int, ops operator.Op, closed []sliceRec, base int) []operator.Agg {
+	prefix = identityRow(prefix[:0], nctx, ops)
+	for i := base; i < len(closed); i++ {
+		prefix = appendPrefixRow(prefix, nctx, ops, &closed[i])
+	}
+	return prefix
+}
+
 // insertPrefixRow repairs a prefix sweep (rows are folds of
 // closed[base .. base+j)) after a slice carrying delta was inserted at
 // ring position pos >= base: one identity row is appended and every row

@@ -33,12 +33,24 @@ const dabaBuildRate = 8
 // build lag directly. No operation ever walks the whole ring, which is
 // what flattens the p999 assembly-latency tail.
 //
+// A sweep answers the windows that span its boundary. Windows end at the
+// ring's tail unless a reorder horizon defers emission, and then they end a
+// horizon's worth of slices behind it; a boundary at the tail would lie
+// beyond every one of them. So a build starts its boundary where the last
+// window ended (lag) and pays for the slices from there to the tail up
+// front — one prefix row each, bounded by the horizon and not by the ring.
+//
 // Like sliceIndex, the index is derived state: rebuilt lazily whenever it
 // falls out of step with the ring, never serialized.
 type dabaIndex struct {
 	ops  operator.Op // decomposable mask the partials are folded under
 	nctx int         // lanes: one per selection context
 	n    int         // ring length the index currently mirrors
+	// lag is how far the last queried window ended before the ring's tail:
+	// 0 when windows emit as their boundary closes, the horizon's worth of
+	// slices when emission is deferred (Config.ReorderHorizon). A build
+	// puts its boundary that far back, where the next windows will end.
+	lag int
 
 	// Active sweep A. suffix is a view into curStore whose end coincides
 	// with the store's end; dropFront advances the view in O(1).
@@ -96,33 +108,36 @@ func (x *dabaIndex) appendSlice(closed []sliceRec) {
 	}
 	x.n = n
 	if !x.building {
-		x.startBuild(n)
+		x.startBuild(closed)
 	}
 	x.buildStep(closed, dabaBuildRate)
 	if x.building && x.bNext < 0 {
 		x.swap()
-		x.startBuild(x.n)
+		x.startBuild(closed)
 	}
 	x.check(closed)
 }
 
-// startBuild begins a fresh suffix sweep over the current ring [0, n).
-func (x *dabaIndex) startBuild(n int) {
+// startBuild begins a fresh sweep over the current ring: a suffix to build
+// over [0, bHi) and the prefix over [bHi, n), with bHi lag slices behind the
+// tail and never behind the active boundary.
+func (x *dabaIndex) startBuild(closed []sliceRec) {
+	n := len(closed)
 	if n == 0 {
 		x.building = false
 		return
 	}
 	x.building = true
-	x.bHi = n
-	x.bNext = n - 1
+	x.bHi = max(n-x.lag, x.f1)
+	x.bNext = x.bHi - 1
 	x.bOff = 0
-	need := n * x.nctx
+	need := x.bHi * x.nctx
 	if cap(x.bStore) < need {
 		x.bStore = make([]operator.Agg, need)
 	} else {
 		x.bStore = x.bStore[:need]
 	}
-	x.bPrefix = identityRow(x.bPrefix[:0], x.nctx, x.ops)
+	x.bPrefix = regrowPrefix(x.bPrefix, x.nctx, x.ops, closed, x.bHi)
 }
 
 // buildStep fills up to k rows of B, right to left: row i is
@@ -199,6 +214,7 @@ func (x *dabaIndex) query(closed []sliceRec, ctx, lo, hi int, dst *operator.Agg)
 	if x.n != len(closed) {
 		x.resetTo(len(closed))
 	}
+	x.lag = x.n - hi
 	if lo >= x.s0 && lo <= x.f1 && hi >= x.f1 && hi <= x.n {
 		if lo < x.f1 {
 			dst.Merge(&x.suffix[(lo-x.s0)*x.nctx+ctx])

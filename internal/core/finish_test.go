@@ -141,3 +141,79 @@ func TestQuantileEmissionAllocs(t *testing.T) {
 		t.Fatalf("steady-state emission allocates %.2f times per slide for %.0f windows, want one []FuncValue each", avg, perStep)
 	}
 }
+
+// TestHintedQuantilesOracle runs sliding quantile windows whose selection is
+// hinted with the previous window's value (FinishValues) over a stream built
+// to leave the hints wrong: the level of the values jumps, so the last answer
+// lies outside the next window's range; late commits under a reorder horizon
+// change windows after their neighbours emitted; a silence longer than every
+// window empties them, so the hint skips windows; and a restore in mid-stream
+// drops the hints altogether. A hint is only ever a first pivot, so none of
+// this may show: every result must equal the sorting oracle's.
+func TestHintedQuantilesOracle(t *testing.T) {
+	var queries []query.Query
+	for i, s := range []string{
+		"sliding(1s,100ms) median key=0",
+		"sliding(2s,100ms) quantile(0.9) key=0",
+		"sliding(1500ms,100ms) median,quantile(0.99) key=0",
+		"sliding(3s,100ms) quantile(0.01),max key=0",
+		"sliding(1200ms,100ms) median,min key=0 value>=2 value<40",
+	} {
+		q := query.MustParse(s)
+		q.ID = uint64(i + 1)
+		queries = append(queries, q)
+	}
+	const horizon = 250
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		evs, advTo := disorderedStream(rng, 12000, horizon)
+		level, shift := 0.0, int64(0)
+		for i := range evs {
+			if rng.Intn(900) == 0 {
+				level = float64(rng.Intn(9)-4) * 16 // beyond the spread of one level's values
+			}
+			if i == len(evs)/3 {
+				shift = 5000 // a silence longer than the longest window
+			}
+			evs[i].Time += shift
+			evs[i].Value = level + float64(rng.Intn(64))/8
+		}
+		advTo += shift
+		sorted := append([]event.Event(nil), evs...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+		want := naiveResults(queries, sorted, advTo)
+		for _, asm := range []AssemblyKind{AssemblyTwoStacks, AssemblyDABA, AssemblyNaive} {
+			t.Run(fmt.Sprintf("seed=%d/%v", seed, asm), func(t *testing.T) {
+				cfg := Config{Assembly: asm, ReorderHorizon: horizon}
+				groups, err := query.Analyze(queries, query.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := New(groups, cfg)
+				cut := len(evs) * 2 / 3
+				e.ProcessBatch(evs[:cut])
+				got := e.Results()
+				lateBefore := e.Stats().LateCommits
+				groups, err = query.Analyze(queries, query.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err = Restore(groups, cfg, e.Snapshot(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.ProcessBatch(evs[cut:])
+				e.AdvanceTo(advTo)
+				st := e.Stats()
+				if st.LateDropped != 0 {
+					t.Fatalf("%d late events dropped; all disorder was within the horizon", st.LateDropped)
+				}
+				// The late-commit counter is not part of a snapshot: it restarts.
+				if lateBefore == 0 || st.LateCommits == 0 {
+					t.Fatalf("late commits: %d before the restore, %d after; want some on both sides", lateBefore, st.LateCommits)
+				}
+				compareResults(t, append(got, e.Results()...), want)
+			})
+		}
+	}
+}

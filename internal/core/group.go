@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -40,6 +41,11 @@ type member struct {
 	// by the closing marker (same timestamp as the window start) must not
 	// leak into the next window; the sequence filter excludes it.
 	udOpenSeq uint64
+	// hints holds, per function, the value it had in the member's previous
+	// window: the first pivot of the next window's rank selection (see
+	// FinishValues, NewHints). Derived state: never snapshotted, and never
+	// invalidated — any value is a valid pivot.
+	hints []float64
 }
 
 // groupState is the runtime of one query-group: the shared slice stream and
@@ -202,6 +208,7 @@ func (g *groupState) addMember(gq query.GroupQuery) int {
 		ops:        operator.Union(gq.Funcs) | operator.OpCount,
 		regTime:    g.lastPunct,
 		regCount:   g.count,
+		hints:      NewHints(gq.Funcs),
 	})
 	switch gq.Type {
 	case query.Tumbling:
@@ -940,15 +947,39 @@ func (g *groupState) emitResult(m *member, start, end int64) {
 		Start:   start,
 		End:     end,
 		Count:   g.fin.Agg.CountV,
-		Values:  FinishValues(&g.fin, m.Funcs),
+		Values:  FinishValues(&g.fin, m.Funcs, m.hints),
 	})
 }
 
+// NewHints returns the selection hints a member with these functions keeps
+// for FinishValues: one slot per function when any of them selects a rank
+// (median, quantile), nil otherwise. The slots start at zero, which is as
+// valid a first hint as any.
+func NewHints(funcs []operator.FuncSpec) []float64 {
+	if operator.Union(funcs)&operator.OpNDSort == 0 {
+		return nil
+	}
+	return make([]float64, len(funcs))
+}
+
 // FinishValues evaluates a member's functions over the window f holds.
-func FinishValues(f *operator.WindowFinisher, funcs []operator.FuncSpec) []FuncValue {
+// hints is nil or one slot per function that the member keeps from window
+// to window (NewHints): each function's last value goes in as the hint of its rank
+// selection and the new value comes back out. Consecutive windows of a
+// sliding query share all but one slice, so the selection pays for the
+// difference. A slot left stale by a late commit, a plan delta or a restore
+// is still a valid hint (operator.RunSelector.Select), so nothing resets it.
+func FinishValues(f *operator.WindowFinisher, funcs []operator.FuncSpec, hints []float64) []FuncValue {
 	values := make([]FuncValue, len(funcs))
 	for i, spec := range funcs {
-		v, ok := f.Eval(spec)
+		hint := math.NaN()
+		if hints != nil {
+			hint = hints[i]
+		}
+		v, ok := f.Eval(spec, hint)
+		if ok && hints != nil {
+			hints[i] = v
+		}
 		values[i] = FuncValue{Spec: spec, Value: v, OK: ok}
 	}
 	return values

@@ -13,10 +13,10 @@ import (
 // The scheme is the two-stacks sliding-window aggregation of Tangwongsan et
 // al. ("In-Order Sliding-Window Aggregation in Worst-Case Constant Time"),
 // adapted to the many-windows-one-ring setting of Wu et al.'s factor
-// windows: because every concurrent window of a query-group ends at the
-// ring's current tail, one *suffix* sweep frozen at a flip point plus an
-// incrementally grown *prefix* over the slices appended since serves every
-// window of every member:
+// windows: because the concurrent windows of a query-group end at or near
+// the ring's current tail, one *suffix* sweep frozen at a flip point plus an
+// incrementally grown *prefix* over the slices from there on serves every
+// window of every member that spans the flip point:
 //
 //		closed:  [ s0 ........ f1 ........ n )
 //		          |-- suffix --|-- prefix --|
@@ -25,15 +25,18 @@ import (
 //	    one merge per slice, frozen until the next flip;
 //	  - prefix[j] = fold(closed[f1 .. f1+j)), extended by one merge per
 //	    context whenever a slice closes;
-//	  - a window covering [lo, n) with lo <= f1 is suffix[lo] ⊕ prefix[n-f1]:
-//	    two merges, however many slices it spans.
+//	  - a window covering [lo, hi) with lo <= f1 <= hi is
+//	    suffix[lo] ⊕ prefix[hi-f1]: two merges, however many slices it spans.
+//	    hi is the tail n when a window emits as its boundary closes, and
+//	    trails it by the horizon's worth of slices when emission is deferred
+//	    (Config.ReorderHorizon).
 //
-// Windows that start after the flip point (lo > f1) fold their slices
-// directly — identical to the naive path — and charge the fold length to
-// missCost; once the accumulated misses would pay for rebuilding the
-// suffix over the whole retained ring, the index flips. The rebuild is
-// thereby amortized against the folds it replaces, giving O(1) amortized
-// merges per emitted window and O(1) merges per closed slice.
+// Windows that do not span the flip point (lo > f1, or hi < f1) fold their
+// slices directly — identical to the naive path — and charge the fold length
+// to missCost; once the accumulated misses would pay for one merge per
+// retained slice, the index flips at the end of the window that tipped it.
+// The rebuild is thereby amortized against the folds it replaces, giving
+// O(1) amortized merges per emitted window and O(1) merges per closed slice.
 //
 // Only decomposable operators live in the index (the mask strips OpNDSort);
 // non-decomposable value runs are gathered per window from the same [lo,
@@ -121,21 +124,24 @@ func (x *sliceIndex) dropFront(k int) {
 	x.check(nil)
 }
 
-// flip freezes a fresh suffix sweep over the whole retained ring and resets
-// the prefix: after a flip every window ending at the ring's tail is a hit.
-func (x *sliceIndex) flip(closed []sliceRec) {
+// flip moves the flip point to ring position hi: a fresh suffix sweep frozen
+// over closed[0:hi) and the prefix regrown over closed[hi:n), one merge per
+// retained slice in all. hi is the end of the window that paid for the flip
+// — the ring's tail when windows emit as their boundary closes, behind it
+// when emission is deferred by a reorder horizon — so after a flip every
+// window ending at or beyond it is a hit.
+func (x *sliceIndex) flip(closed []sliceRec, hi int) {
 	n := len(closed)
 	x.n = n
-	x.s0, x.f1 = 0, n
+	x.s0, x.f1 = 0, hi
 	x.missCost = 0
-	x.prefix = identityRow(x.prefix[:0], x.nctx, x.ops)
-	need := n * x.nctx
+	need := hi * x.nctx
 	if cap(x.suffix) < need {
 		x.suffix = make([]operator.Agg, need)
 	} else {
 		x.suffix = x.suffix[:need]
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := hi - 1; i >= 0; i-- {
 		rec := &closed[i]
 		for c := 0; c < x.nctx; c++ {
 			s := &x.suffix[i*x.nctx+c]
@@ -143,11 +149,12 @@ func (x *sliceIndex) flip(closed []sliceRec) {
 			if c < len(rec.aggs) {
 				s.Merge(&rec.aggs[c])
 			}
-			if i+1 < n {
+			if i+1 < hi {
 				s.Merge(&x.suffix[(i+1)*x.nctx+c])
 			}
 		}
 	}
+	x.prefix = regrowPrefix(x.prefix, x.nctx, x.ops, closed, hi)
 	x.check(closed)
 }
 
@@ -225,12 +232,11 @@ func (x *sliceIndex) query(closed []sliceRec, ctx, lo, hi int, dst *operator.Agg
 		return
 	}
 	span := hi - lo
-	if hi == len(closed) && x.missCost+span >= len(closed) {
-		// The misses since the last flip now pay for a rebuild.
-		x.flip(closed)
-		if lo < x.f1 {
-			dst.Merge(&x.suffix[(lo-x.s0)*x.nctx+ctx])
-		}
+	if x.missCost+span >= len(closed) {
+		// The misses since the last flip now pay for a rebuild, which puts
+		// the flip point at this window's end: the window is suffix[lo].
+		x.flip(closed, hi)
+		dst.Merge(&x.suffix[lo*x.nctx+ctx])
 		return
 	}
 	x.missCost += span

@@ -241,3 +241,58 @@ func TestAssemblySnapshotRoundTrip(t *testing.T) {
 		t.Logf("no pruning occurred in round-trip run (threshold %d)", DefaultPruneThreshold)
 	}
 }
+
+// TestAssemblyMergesUnderDeferredEmission bounds what a window costs in
+// merges when a reorder horizon defers emission, index upkeep and late-commit
+// repairs included. Deferred windows end a horizon's worth of slices (20
+// here) behind the ring's tail. An index that only places its boundary at
+// the tail spans them by accident or not at all: two-stacks never flipped
+// again after the first prune, DABA-Lite's sweeps came too late whenever a
+// build (an eighth of the ring in appends) outran the deferral, and every
+// window folded every slice it covers — 45 and 34 merges a window on this
+// shape, against 4 and 5 with the boundary where the windows end. The late
+// share is kept low because repairs are priced per late event, twice under
+// DABA-Lite (two sweeps), and would drown the figure the test is after.
+func TestAssemblyMergesUnderDeferredEmission(t *testing.T) {
+	funcs := []string{"sum", "count", "average", "min", "max", "sum,count", "min,max", "average,max"}
+	var queries []query.Query
+	for i := 0; i < 16; i++ {
+		q := query.MustParse(fmt.Sprintf("sliding(%ds,100ms) %s key=0", i/2+1, funcs[i%len(funcs)]))
+		q.ID = uint64(i + 1)
+		queries = append(queries, q)
+	}
+	rng := rand.New(rand.NewSource(3))
+	evs := make([]event.Event, 60_000) // a minute at one event per millisecond
+	for i := range evs {
+		evs[i] = event.Event{Time: int64(i), Value: float64(rng.Intn(400)) / 4}
+		if i > 3000 && rng.Intn(50) == 0 {
+			evs[i].Time -= 1 + rng.Int63n(1000) // late, inside the horizon
+		}
+	}
+	want := runEngine(t, queries, evs, 0, Config{Assembly: AssemblyNaive, ReorderHorizon: 2000})
+	for _, asm := range []AssemblyKind{AssemblyTwoStacks, AssemblyDABA} {
+		groups, err := query.Analyze(queries, query.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := 0
+		var got []Result
+		e := New(groups, Config{Assembly: asm, ReorderHorizon: 2000, OnResult: func(r Result) {
+			windows++
+			got = append(got, r)
+		}})
+		e.ProcessBatch(evs[:10_000]) // past the first prune
+		windows = 0
+		operator.CountMerges(true)
+		e.ProcessBatch(evs[10_000:])
+		merges := operator.MergeCalls()
+		operator.CountMerges(false)
+		if st := e.Stats(); st.LateCommits == 0 || st.Pruned == 0 {
+			t.Fatalf("%v: %d late commits, %d slices pruned: the run must exercise both repair and pruning", asm, st.LateCommits, st.Pruned)
+		}
+		if per := float64(merges) / float64(windows); per > 8 {
+			t.Errorf("%v: %.1f merges per window over %d deferred windows, want at most 8", asm, per, windows)
+		}
+		compareResults(t, got, want)
+	}
+}

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"desis/internal/core"
@@ -32,7 +34,7 @@ type rootGroup struct {
 	cal        window.Calendar
 	buffer     []*core.SlicePartial // arrived, waiting for the watermark
 	store      []*core.SlicePartial // processed, sorted by Start
-	dirty      bool
+	take       []*core.SlicePartial // scratch: the partials one watermark matured, empty between calls
 	sess       map[int32]*sessCand
 	uds        map[int32]*udState
 	started    bool
@@ -40,6 +42,7 @@ type rootGroup struct {
 	fin        operator.WindowFinisher // scratch aggregate and value runs of the window being assembled
 	reg        []int64                 // per-member registration time (runtime AddQuery)
 	removed    []bool                  // per-member removal flag (indices stay stable)
+	hints      [][]float64             // per-member selection hints (core.NewHints)
 }
 
 // sessCand is the open global session of one session query, tracked from
@@ -129,6 +132,7 @@ func (rg *rootGroup) registerMember(idx int, regTime int64) {
 	}
 	rg.reg = append(rg.reg, regTime)
 	rg.removed = append(rg.removed, false)
+	rg.hints = append(rg.hints, core.NewHints(gq.Funcs))
 }
 
 // SyncGroup reconciles the assembler with a group's catalog entry after a
@@ -185,7 +189,7 @@ func (a *Assembler) AdvanceTo(w int64) {
 func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
 	// Mature partials, in (End, Start) order so session activity tracking
 	// sees a coherent timeline.
-	var take []*core.SlicePartial
+	take := rg.take[:0]
 	rest := rg.buffer[:0]
 	for _, p := range rg.buffer {
 		if p.End <= w {
@@ -198,12 +202,15 @@ func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
 	// and the buffer must not keep the recycled pointers reachable past len.
 	clear(rg.buffer[len(rest):])
 	rg.buffer = rest
-	sort.Slice(take, func(i, j int) bool {
-		if take[i].End != take[j].End {
-			return take[i].End < take[j].End
+	slices.SortFunc(take, func(p, q *core.SlicePartial) int {
+		if c := cmp.Compare(p.End, q.End); c != 0 {
+			return c
 		}
-		return take[i].Start < take[j].Start
+		return cmp.Compare(p.Start, q.Start)
 	})
+	// In-order partials extend the store in place; only one that starts
+	// before the store's last entry makes it owe a sort.
+	unsorted := false
 	for _, p := range take {
 		if !rg.started {
 			rg.started = true
@@ -221,12 +228,15 @@ func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
 				us.barStart, us.barEnd, us.barSet = p.Start, p.End, true
 			}
 		}
+		if n := len(rg.store); n > 0 && p.Start < rg.store[n-1].Start {
+			unsorted = true
+		}
 		rg.store = append(rg.store, p)
-		rg.dirty = true
 	}
-	if rg.dirty {
-		sort.Slice(rg.store, func(i, j int) bool { return rg.store[i].Start < rg.store[j].Start })
-		rg.dirty = false
+	clear(take) // the store owns them now
+	rg.take = take[:0]
+	if unsorted {
+		slices.SortFunc(rg.store, func(p, q *core.SlicePartial) int { return cmp.Compare(p.Start, q.Start) })
 	}
 	if !rg.started {
 		return
@@ -347,7 +357,7 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 		Start:   ws,
 		End:     we,
 		Count:   rg.fin.Agg.CountV,
-		Values:  core.FinishValues(&rg.fin, m.Funcs),
+		Values:  core.FinishValues(&rg.fin, m.Funcs, rg.hints[idx]),
 	})
 }
 

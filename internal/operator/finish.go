@@ -61,10 +61,13 @@ func (f *WindowFinisher) AddRun(values []float64) {
 // the window is empty and the function has no defined value. Min and max
 // come from Agg when it folded the decomposable sort and from the run
 // endpoints otherwise (see Begin), where they are the elements the merged
-// sequence would hold first and last.
+// sequence would hold first and last. hint warm-starts the rank selection
+// of median and quantile (see RunSelector.Select) and is ignored otherwise:
+// the value the same function had in the query's previous window, NaN for
+// none.
 //
 //desis:hotpath
-func (f *WindowFinisher) Eval(spec FuncSpec) (v float64, ok bool) {
+func (f *WindowFinisher) Eval(spec FuncSpec, hint float64) (v float64, ok bool) {
 	switch spec.Func {
 	case Min:
 		if f.Agg.Ops&OpDSort != 0 || f.n == 0 {
@@ -89,18 +92,18 @@ func (f *WindowFinisher) Eval(spec FuncSpec) (v float64, ok bool) {
 		}
 		return v, true
 	case Median:
-		return f.quantile(0.5)
+		return f.quantile(0.5, hint)
 	case Quantile:
-		return f.quantile(spec.Arg)
+		return f.quantile(spec.Arg, hint)
 	}
 	return f.Agg.Eval(spec)
 }
 
-func (f *WindowFinisher) quantile(q float64) (float64, bool) {
+func (f *WindowFinisher) quantile(q, hint float64) (float64, bool) {
 	if f.n == 0 {
 		return 0, false
 	}
-	return f.sel.Select(f.runs, NearestRank(q, f.n)), true
+	return f.sel.Select(f.runs, NearestRank(q, f.n), hint), true
 }
 
 // MergedAgg returns the window's aggregate with the value runs merged into

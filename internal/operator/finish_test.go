@@ -26,7 +26,9 @@ func fillWindow(f *WindowFinisher, memberOps, groupOps Op, slices []Agg) {
 }
 
 // TestWindowFinisherMatchesMergedEval checks Eval against the path it
-// replaced, which survives as MergedAgg: merge the runs, then Agg.Eval.
+// replaced, which survives as MergedAgg: merge the runs, then Agg.Eval. The
+// hint is whatever the previous function returned, or none: it must not
+// show in the value.
 func TestWindowFinisherMatchesMergedEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
@@ -52,8 +54,12 @@ func TestWindowFinisherMatchesMergedEval(t *testing.T) {
 		fillWindow(&f, memberOps, groupOps, slices)
 		fillWindow(&merged, memberOps, groupOps, slices)
 		agg := merged.MergedAgg()
+		hint := math.NaN()
 		for _, spec := range specs {
-			gv, gok := f.Eval(spec)
+			gv, gok := f.Eval(spec, hint)
+			if trial%2 == 0 {
+				hint = gv
+			}
 			wv, wok := agg.Eval(spec)
 			if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
 				t.Fatalf("trial %d (%v, %d slices) %v: Eval = %v,%v; merged Agg.Eval = %v,%v",
@@ -87,7 +93,7 @@ func TestWindowFinisherSteadyState(t *testing.T) {
 	window := func() {
 		fillWindow(&f, OpNDSort|OpDSort|OpCount, groupOps, slices)
 		for _, spec := range []FuncSpec{{Func: Median}, {Func: Quantile, Arg: 0.99}, {Func: Min}, {Func: Max}} {
-			benchSink, _ = f.Eval(spec)
+			benchSink, _ = f.Eval(spec, benchSink)
 		}
 	}
 	window()
@@ -97,7 +103,7 @@ func TestWindowFinisherSteadyState(t *testing.T) {
 	if f.merger != nil {
 		t.Fatal("the default path created the run merger")
 	}
-	if got, _ := f.Eval(FuncSpec{Func: Quantile, Arg: 0.99}); got != all[NearestRank(0.99, len(all))-1] {
+	if got, _ := f.Eval(FuncSpec{Func: Quantile, Arg: 0.99}, benchSink); got != all[NearestRank(0.99, len(all))-1] {
 		t.Fatalf("quantile(0.99) = %v, sorted concatenation holds %v", got, all[NearestRank(0.99, len(all))-1])
 	}
 	if agg := f.MergedAgg(); len(agg.Values) != len(all) || agg.Ops&OpNDSort == 0 || f.merger == nil {

@@ -8,19 +8,35 @@ import (
 	"testing"
 )
 
-// checkAllRanks compares Select at every rank, bit for bit, with the element
-// the full merge holds there.
-func checkAllRanks(t *testing.T, name string, runs [][]float64) {
+var noHint = math.NaN()
+
+// fixedHints are guesses that owe nothing to the runs: no guess, values
+// that mostly occur in no run, both zeros and both infinities.
+var fixedHints = []float64{noHint, 0.5, -2.5, 1e300, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+
+// checkAllRanks compares Select at every rank, cold and under every hint,
+// bit for bit with the element the full merge holds there. The hints are the
+// fixed ones plus guesses near the answer: the answer itself, the elements
+// one rank and a tenth of the ranks away, and the extremes. A rank tries one
+// hint in every stride, a different one from its neighbours.
+func checkAllRanks(t *testing.T, name string, runs [][]float64, stride int) {
 	t.Helper()
 	var m RunMerger
 	var s RunSelector
 	// The merge result may alias an input run, which Select only reads.
 	merged := m.Merge(runs)
-	for r := 1; r <= len(merged); r++ {
-		got, want := s.Select(runs, r), merged[r-1]
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: rank %d of %d: Select = %v (%#x), merge holds %v (%#x)",
-				name, r, len(merged), got, math.Float64bits(got), want, math.Float64bits(want))
+	n := len(merged)
+	for r := 1; r <= n; r++ {
+		want := merged[r-1]
+		hints := append([]float64{want, merged[max(r-2, 0)], merged[min(r, n-1)],
+			merged[max(r-1-n/10, 0)], merged[min(r-1+n/10, n-1)], merged[0], merged[n-1]}, fixedHints...)
+		for i := r % stride; i < len(hints); i += stride {
+			hint := hints[i]
+			got := s.Select(runs, r, hint)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: rank %d of %d, hint %v: Select = %v (%#x), merge holds %v (%#x)",
+					name, r, n, hint, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }
@@ -43,13 +59,13 @@ func TestRunSelectEdges(t *testing.T) {
 		},
 	}
 	for name, runs := range cases {
-		checkAllRanks(t, name, runs)
+		checkAllRanks(t, name, runs, 1)
 	}
 }
 
 // TestRunSelectDifferential draws run sets of 1 to 64 runs with skewed
 // lengths from value domains that range from all-distinct to nearly
-// all-equal, and checks every rank against the merge.
+// all-equal, and checks every rank against the merge, cold and hinted.
 func TestRunSelectDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	special := []float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1)}
@@ -79,18 +95,66 @@ func TestRunSelectDifferential(t *testing.T) {
 			sort.Float64s(r)
 			runs[i] = r
 		}
-		checkAllRanks(t, fmt.Sprintf("trial %d (k=%d domain=%d)", trial, k, domain), runs)
+		checkAllRanks(t, fmt.Sprintf("trial %d (k=%d domain=%d)", trial, k, domain), runs, 5)
 	}
 }
 
 // TestRunSelectNaNTerminates pins the one promise made for NaN input: the
-// selection returns (see the Agg doc comment for what is left unspecified).
+// selection returns, hinted or not (see the Agg doc comment for what is left
+// unspecified).
 func TestRunSelectNaNTerminates(t *testing.T) {
 	nan := math.NaN()
 	runs := [][]float64{{nan, 1, 5, nan, 3}, {nan, nan}, {2, nan, 4}, {nan}}
 	var s RunSelector
 	for r := 1; r <= 11; r++ {
-		s.Select(runs, r)
+		for _, hint := range append([]float64{1, 2.5, 5}, fixedHints...) {
+			s.Select(runs, r, hint)
+		}
+	}
+}
+
+// TestRunSelectSliding steps a window of k runs over a list of runs the way
+// a sliding quantile query steps over slices, hinting every selection with
+// the previous window's answer for the same quantile. Empty windows skip a
+// step and leave the hint stale, as an empty window leaves the member's.
+func TestRunSelectSliding(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	quantiles := []float64{0.01, 0.5, 0.9, 0.99, 1}
+	for trial := 0; trial < 40; trial++ {
+		domain := []int{2, 16, 1 << 20}[trial%3]
+		list := make([][]float64, 60+rng.Intn(60))
+		level := 0.0
+		for i := range list {
+			r := make([]float64, rng.Intn(5)*rng.Intn(40))
+			if rng.Intn(20) == 0 {
+				level += float64(rng.Intn(domain)) - float64(domain/2) // the stream's level jumps
+			}
+			for j := range r {
+				r[j] = level + float64(rng.Intn(domain))
+			}
+			sort.Float64s(r)
+			list[i] = r
+		}
+		k := 1 + rng.Intn(50)
+		var m RunMerger
+		var s RunSelector
+		hints := make([]float64, len(quantiles)) // zero, as a member's start out
+		for at := 0; at+k <= len(list); at++ {
+			runs := list[at : at+k]
+			merged := m.Merge(runs)
+			if len(merged) == 0 {
+				continue
+			}
+			for i, q := range quantiles {
+				rank := NearestRank(q, len(merged))
+				got, want := s.Select(runs, rank, hints[i]), merged[rank-1]
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d window %d of %d runs, q=%g, hint %v: Select = %v, merge holds %v",
+						trial, at, k, q, hints[i], got, want)
+				}
+				hints[i] = got
+			}
+		}
 	}
 }
 
@@ -103,7 +167,7 @@ func TestRunSelectRankOutOfRange(t *testing.T) {
 					t.Errorf("rank %d of 3 values did not panic", rank)
 				}
 			}()
-			s.Select([][]float64{{1, 2}, {3}}, rank)
+			s.Select([][]float64{{1, 2}, {3}}, rank, noHint)
 		}()
 	}
 }
@@ -128,32 +192,58 @@ func TestNearestRank(t *testing.T) {
 }
 
 // FuzzRunSelect turns bytes into runs (a zero byte starts a new run, any
-// other byte is a value, so duplicates and empty runs are common) and checks
-// every rank against sort.Float64s over the concatenation.
+// other byte is a value, so duplicates and empty runs are common; four byte
+// values stand for NaN, -0 and the infinities) and a float into the hint. On
+// NaN-free runs every rank must equal the merge's element bit for bit, cold
+// and hinted; on runs holding NaN, which are not ascending, every selection
+// must return.
 func FuzzRunSelect(f *testing.F) {
-	f.Add([]byte{3, 1, 2, 0, 2, 2, 0, 0, 9})
-	f.Add([]byte{5})
-	f.Add([]byte{0, 0, 7, 7, 7, 0, 7})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{3, 1, 2, 0, 2, 2, 0, 0, 9}, 2.0)
+	f.Add([]byte{5}, noHint)
+	f.Add([]byte{0, 0, 7, 7, 7, 0, 7}, 7.0)
+	f.Add([]byte{0x81, 1, 0xff, 0, 0x81, 0x81, 0, 0x7f, 0x82, 1}, math.Copysign(0, -1))
+	f.Add([]byte{4, 0x80, 1, 0, 0x80, 0, 9, 2, 0x80}, 3.5)
+	f.Fuzz(func(t *testing.T, data []byte, hint float64) {
 		runs := [][]float64{nil}
-		var all []float64
+		hasNaN := false
 		for _, b := range data {
-			if b == 0 {
+			v := float64(int8(b))
+			switch b {
+			case 0:
 				runs = append(runs, nil)
 				continue
+			case 0x80:
+				v, hasNaN = math.NaN(), true
+			case 0x81:
+				v = math.Copysign(0, -1)
+			case 0x7f:
+				v = math.Inf(1)
+			case 0x82:
+				v = math.Inf(-1)
 			}
-			v := float64(int8(b))
 			runs[len(runs)-1] = append(runs[len(runs)-1], v)
-			all = append(all, v)
 		}
+		total := 0
 		for _, r := range runs {
 			sort.Float64s(r)
+			total += len(r)
 		}
-		sort.Float64s(all)
 		var s RunSelector
-		for r := 1; r <= len(all); r++ {
-			if got := s.Select(runs, r); got != all[r-1] {
-				t.Fatalf("rank %d of %v: Select = %v, sorted concatenation holds %v", r, runs, got, all[r-1])
+		if hasNaN {
+			for r := 1; r <= total; r++ {
+				s.Select(runs, r, noHint)
+				s.Select(runs, r, hint)
+			}
+			return
+		}
+		var m RunMerger
+		merged := m.Merge(runs)
+		for r := 1; r <= total; r++ {
+			want := math.Float64bits(merged[r-1])
+			cold, hinted := s.Select(runs, r, noHint), s.Select(runs, r, hint)
+			if math.Float64bits(cold) != want || math.Float64bits(hinted) != want {
+				t.Fatalf("rank %d of %v: Select = %v cold and %v with hint %v, the merge holds %v",
+					r, runs, cold, hinted, hint, merged[r-1])
 			}
 		}
 	})
@@ -189,9 +279,39 @@ func BenchmarkRunSelect(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					benchSink = s.Select(runs, rank)
+					benchSink = s.Select(runs, rank, noHint)
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkRunSelectSliding prices the selection of a sliding quantile
+// window: a window of k runs steps over a longer list one run at a time, as
+// a query with a slide of one slice does. cold selects from scratch; warm
+// hints each selection with the previous window's answer, which is what the
+// engine and the root do.
+func BenchmarkRunSelectSliding(b *testing.B) {
+	for _, k := range []int{10, 50} {
+		list := benchRuns(k+64, 100)
+		for _, q := range []float64{0.5, 0.99} {
+			rank := NearestRank(q, k*100)
+			for _, mode := range []string{"cold", "warm"} {
+				b.Run(fmt.Sprintf("runs=%d/q=%g/%s", k, q, mode), func(b *testing.B) {
+					var s RunSelector
+					hint := noHint
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						at := i % 64
+						v := s.Select(list[at:at+k], rank, hint)
+						if mode == "warm" {
+							hint = v
+						}
+						benchSink = v
+					}
+				})
+			}
 		}
 	}
 }
