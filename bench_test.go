@@ -9,6 +9,7 @@
 package desis_test
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -281,15 +282,22 @@ func runIngest(b *testing.B, sh ingestShape, batched bool) {
 			evs[i].Time += sh.span
 		}
 	}
-	lap() // instantiate templates, start every group
+	benchLaps(b, len(evs), lap)
+}
+
+// benchLaps runs lap, which processes perLap events, once to warm up
+// (instantiate templates, start every group, grow buffers) and then until
+// b.N events are done, and reports the time per event.
+func benchLaps(b *testing.B, perLap int, lap func()) {
+	lap()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for done := 0; done < b.N; done += len(evs) {
+	for done := 0; done < b.N; done += perLap {
 		lap()
 	}
 	b.StopTimer()
-	laps := (b.N + len(evs) - 1) / len(evs)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(laps*len(evs)), "ns/event")
+	laps := (b.N + perLap - 1) / perLap
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(laps*perLap), "ns/event")
 }
 
 // BenchmarkEngineProcessBatch measures batch ingest per event on the shape
@@ -438,5 +446,67 @@ func BenchmarkPublicEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Process(s.Next())
+	}
+}
+
+// reorderShapes lists the Reorderer's inputs, one event per millisecond and
+// about 200 events pending in each: the stream the run is for, the `late`
+// workload's mix, and the one that never extends the run twice in a row.
+func reorderShapes() []reorderShape {
+	const n = 1 << 16
+	inOrder := make([]desis.Event, n)
+	for i := range inOrder {
+		inOrder[i] = desis.Event{Time: int64(i), Value: float64(i & 127)}
+	}
+	// The benchmark's lateSpec: 10 % of events 1..1000 ms back, 0.5 %
+	// 5..10 s back, behind a 200 ms buffer and a 2 s horizon, so ~2 % are
+	// stragglers, ~8 % are forwarded and the far ones are dropped.
+	rng := rand.New(rand.NewSource(7))
+	late := append([]desis.Event(nil), inOrder...)
+	for i := 12_000; i < n; i++ {
+		switch u := rng.Float64(); {
+		case u < 0.005:
+			late[i].Time -= 5000 + rng.Int63n(5000)
+		case u < 0.105:
+			late[i].Time -= 1 + rng.Int63n(1000)
+		}
+	}
+	// Blocks of 200 timestamps, each block descending: one arrival per
+	// block extends the run, the other 199 go through the heap.
+	descending := make([]desis.Event, n)
+	for i := range descending {
+		descending[i] = desis.Event{Time: int64(i/200*200 + 199 - i%200), Value: float64(i & 127)}
+	}
+	return []reorderShape{
+		{name: "in-order", lateness: 200, evs: inOrder},
+		{name: "10pct-late", lateness: 2200, horizon: 2000, evs: late},
+		{name: "descending", lateness: 200, evs: descending},
+	}
+}
+
+type reorderShape struct {
+	name              string
+	lateness, horizon int64
+	evs               []desis.Event
+}
+
+var reorderSink int64
+
+// BenchmarkReorderer measures Reorderer.Process per event into a sink that
+// discards, laps shifted in event time like the ingest benchmarks.
+func BenchmarkReorderer(b *testing.B) {
+	for _, sh := range reorderShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			r := desis.NewReordererWithHorizon(sh.lateness, sh.horizon, func(ev desis.Event) { reorderSink += ev.Time })
+			evs, span := sh.evs, int64(len(sh.evs))
+			benchLaps(b, len(evs), func() {
+				for _, ev := range evs {
+					r.Process(ev)
+				}
+				for i := range evs {
+					evs[i].Time += span
+				}
+			})
+		})
 	}
 }

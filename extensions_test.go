@@ -108,32 +108,28 @@ func TestParallelEngineCallback(t *testing.T) {
 
 // --- Reorderer (out-of-order ingestion) ---
 
-func TestReordererSortsWithinLateness(t *testing.T) {
-	var got []desis.Event
-	r := desis.NewReorderer(100, func(ev desis.Event) { got = append(got, ev) })
-	rng := rand.New(rand.NewSource(9))
-	// Generate an in-order stream, then jitter each timestamp's arrival
-	// position by less than the lateness bound.
-	n := 2000
-	evs := make([]desis.Event, n)
-	for i := range evs {
-		evs[i] = desis.Event{Time: int64(i * 2), Value: float64(i)}
+// TestReordererSteadyStateAllocatesNothing: once the buffer has reached its
+// steady size, a lap of the `late` workload's mix (in-order arrivals,
+// stragglers, forwarded and dropped events) allocates nothing.
+func TestReordererSteadyStateAllocatesNothing(t *testing.T) {
+	sh := reorderShapes()[1]
+	if sh.name != "10pct-late" {
+		t.Fatalf("shape 1 is %q", sh.name)
 	}
-	shuffled := blockShuffle(rng, evs, 40) // displacement < 40 pos * 2ms < lateness
-	for _, ev := range shuffled {
-		r.Process(ev)
-	}
-	r.Flush()
-	if r.Dropped() != 0 {
-		t.Fatalf("dropped %d events within lateness bound", r.Dropped())
-	}
-	if len(got) != n {
-		t.Fatalf("released %d events, want %d", len(got), n)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time < got[i-1].Time {
-			t.Fatalf("output out of order at %d: %d < %d", i, got[i].Time, got[i-1].Time)
+	var sink int64
+	r := desis.NewReordererWithHorizon(sh.lateness, sh.horizon, func(ev desis.Event) { sink += ev.Time })
+	lap := func() {
+		for i := range sh.evs {
+			r.Process(sh.evs[i])
+			sh.evs[i].Time += int64(len(sh.evs))
 		}
+	}
+	lap()
+	if avg := testing.AllocsPerRun(5, lap); avg != 0 {
+		t.Fatalf("%.1f allocations per lap of %d events, want 0", avg, len(sh.evs))
+	}
+	if r.Dropped() == 0 || r.Pending() < 100 {
+		t.Fatalf("shape lost its mix: dropped %d, pending %d", r.Dropped(), r.Pending())
 	}
 }
 
