@@ -263,10 +263,11 @@ func Fig12(cfg Config, median bool, id string) (*Table, error) {
 	var interLat latencySamples
 	for _, p := range emitted {
 		m.HandlePartial(1, p)
-		q := *p
-		q.Aggs = append([]operator.Agg(nil), p.Aggs...)
+		// A deep copy: the merger releases the second contribution to the
+		// decode pool, which must not share storage with p.
+		q := p.Clone()
 		t0 := time.Now()
-		m.HandlePartial(2, &q)
+		m.HandlePartial(2, q)
 		interLat.record(time.Since(t0), 1)
 	}
 	t.Add("Desis", 1, float64(interLat.mean().Nanoseconds())/1000)

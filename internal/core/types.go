@@ -78,8 +78,8 @@ type SlicePartial struct {
 }
 
 // Clone returns a deep copy sharing no memory with p, safe to retain after p
-// is recycled. Used by the supervised uplink's replay buffer, which must not
-// hold references into the engine's partial pool.
+// is recycled. Used by the uplink batcher's queue, which must not hold
+// references into the engine's partial pool.
 func (p *SlicePartial) Clone() *SlicePartial {
 	c := *p
 	c.Aggs = make([]operator.Agg, len(p.Aggs))

@@ -1,13 +1,14 @@
 // Package noretain enforces the engine's pooling and wire contracts:
 //
 //  1. Caller side — a value released to a pool must not be used again.
-//     Releasing calls are Engine.RecyclePartial, the groupState pool
-//     helpers, and sync.Pool.Put: after the call, the argument (and any
-//     local alias of it) is recycled storage, so every later read, store,
-//     or re-release in the function is flagged. Reassigning the variable
-//     kills the tracking; a release followed by return/break/continue does
-//     not taint statements after the enclosing block; uses in sibling
-//     branches of the same if/switch are not "after" the release.
+//     Releasing calls are Engine.RecyclePartial, message.ReleasePartial, the
+//     groupState pool helpers, and sync.Pool.Put: after the call, the
+//     argument (and any local alias of it) is recycled storage, so every
+//     later read, store, or re-release in the function is flagged.
+//     Reassigning the variable kills the tracking; a release followed by
+//     return/break/continue does not taint statements after the enclosing
+//     block; uses in sibling branches of the same if/switch are not "after"
+//     the release.
 //
 //  2. Truncation side — the in-place filter idiom
 //     (`kept := s[:0]; … kept = append(kept, v) …; owner = kept`) publishes
@@ -54,7 +55,8 @@ var releaseFuncs = map[string]string{
 	"(*desis/internal/core.Engine).RecyclePartial":     "Engine.RecyclePartial",
 	"(*desis/internal/core.groupState).recyclePartial": "recyclePartial",
 	"(*desis/internal/core.groupState).recycleAggs":    "recycleAggs",
-	"(*sync.Pool).Put": "sync.Pool.Put",
+	"desis/internal/message.ReleasePartial":            "message.ReleasePartial",
+	"(*sync.Pool).Put":                                 "sync.Pool.Put",
 }
 
 // messageType is the parameter type identifying a Conn.Send implementation.

@@ -28,6 +28,11 @@ func doubleRecycle(e *core.Engine, p *core.SlicePartial) {
 	e.RecyclePartial(p) // want `p is read after being released by Engine.RecyclePartial`
 }
 
+func readAfterReleasePartial(p *core.SlicePartial) int64 {
+	message.ReleasePartial(p)
+	return p.End // want `p is read after being released by message.ReleasePartial`
+}
+
 func poolPut(pool *sync.Pool, buf *[64]byte) {
 	pool.Put(buf)
 	_ = buf[0] // want `buf is read after being released by sync.Pool.Put`

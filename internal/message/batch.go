@@ -378,7 +378,7 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 			prevW += r.varint()
 			b.Frames = append(b.Frames, &Message{Kind: KindWatermark, From: from, Watermark: prevW})
 		} else {
-			p := &core.SlicePartial{}
+			p := newPartial()
 			partials = append(partials, p)
 			b.Frames = append(b.Frames, &Message{Kind: KindPartial, From: from, Partial: p})
 		}
@@ -442,7 +442,7 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		p.Aggs = make([]operator.Agg, nAggs)
+		p.Aggs = resize(p.Aggs, nAggs)
 	}
 	for _, p := range partials {
 		for i := range p.Aggs {
@@ -503,9 +503,7 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if nEPs > 0 {
-			p.EPs = make([]core.EP, nEPs)
-		}
+		p.EPs = resize(p.EPs, nEPs)
 	}
 	for _, p := range partials {
 		for i := range p.EPs {

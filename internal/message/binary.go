@@ -282,24 +282,17 @@ func (r *reader) u64() uint64 {
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *reader) partial() *core.SlicePartial {
-	p := &core.SlicePartial{
-		Group:     r.u32(),
-		ID:        r.u64(),
-		Start:     int64(r.u64()),
-		End:       int64(r.u64()),
-		LastEvent: int64(r.u64()),
-		Ingested:  int64(r.u64()),
-	}
+	p := newPartial()
+	p.Group = r.u32()
+	p.ID = r.u64()
+	p.Start = int64(r.u64())
+	p.End = int64(r.u64())
+	p.LastEvent = int64(r.u64())
+	p.Ingested = int64(r.u64())
 	nAggs := r.u32()
 	for i := uint32(0); i < nAggs && r.err == nil; i++ {
-		var a operator.Agg
-		rest, err := operator.DecodeAgg(r.buf, &a)
-		if err != nil {
-			r.err = err
-			return nil
-		}
-		r.buf = rest
-		p.Aggs = append(p.Aggs, a)
+		p.Aggs = resize(p.Aggs, len(p.Aggs)+1)
+		r.buf, r.err = operator.DecodeAgg(r.buf, &p.Aggs[len(p.Aggs)-1])
 	}
 	nEPs := r.u32()
 	for i := uint32(0); i < nEPs && r.err == nil; i++ {

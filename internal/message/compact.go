@@ -163,7 +163,7 @@ func (Compact) Decode(buf []byte) (*Message, error) {
 			m.Events = append(m.Events, e)
 		}
 	case KindPartial:
-		p := &core.SlicePartial{}
+		p := newPartial()
 		p.Group = uint32(r.uvarint())
 		p.ID = r.uvarint()
 		p.Start = r.varint()
@@ -172,7 +172,8 @@ func (Compact) Decode(buf []byte) (*Message, error) {
 		p.Ingested = r.varint()
 		nAggs := int(r.uvarint())
 		for i := 0; i < nAggs && r.err == nil; i++ {
-			p.Aggs = append(p.Aggs, r.agg())
+			p.Aggs = resize(p.Aggs, len(p.Aggs)+1)
+			r.agg(&p.Aggs[len(p.Aggs)-1])
 		}
 		nEPs := int(r.uvarint())
 		for i := 0; i < nEPs && r.err == nil; i++ {
@@ -263,8 +264,8 @@ func (r *varReader) f64() float64 {
 	return v
 }
 
-func (r *varReader) agg() operator.Agg {
-	var a operator.Agg
+// agg decodes one aggregate row into a, reusing its Values storage.
+func (r *varReader) agg(a *operator.Agg) {
 	a.Reset(operator.Op(r.u8()))
 	if a.Ops&operator.OpCount != 0 {
 		a.CountV = r.varint()
@@ -286,5 +287,4 @@ func (r *varReader) agg() operator.Agg {
 		}
 		a.Sorted = true
 	}
-	return a
 }

@@ -34,6 +34,49 @@ func recycledPartial(t *testing.T) *core.SlicePartial {
 	return p
 }
 
+// mustPanicNaming runs f and requires a panic whose message holds want and
+// the slice id.
+func mustPanicNaming(t *testing.T, want string, id uint64, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, want) || !strings.Contains(msg, fmt.Sprintf("slice id %d", id)) {
+			t.Fatalf("panic %q does not report %q for slice id %d", msg, want, id)
+		}
+	}()
+	f()
+}
+
+// TestReleasedPartialPoisoned: a decoded partial given back with
+// ReleasePartial is pool storage — encoding it or releasing it again panics
+// naming its slice id, and the pool's next decode re-issues it clean.
+func TestReleasedPartialPoisoned(t *testing.T) {
+	buf, err := Binary{}.Append(nil, &Message{Kind: KindPartial, Partial: samplePartial()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Binary{}.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.Partial
+	id := p.ID
+	ReleasePartial(p)
+	mustPanicNaming(t, "use of recycled SlicePartial", id, func() {
+		Binary{}.Append(nil, &Message{Kind: KindPartial, Partial: p})
+	})
+	mustPanicNaming(t, "double recycle of SlicePartial", id, func() { ReleasePartial(p) })
+	// A fresh decode may hand the same storage out again, unpoisoned.
+	m, err = Binary{}.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Binary{}).Append(nil, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEncodeRecycledPartialPanics: encoding a partial its producer already
 // recycled must panic in every codec, naming the offending slice id —
 // serializing pool-owned storage would ship torn data.

@@ -131,6 +131,18 @@ func (t *TCPConn) Send(m *Message) error {
 	return t.Flush()
 }
 
+// AppendFrame appends m's wire frame — the 4-byte little-endian length
+// prefix the receiving TCPConn reads, then codec's encoding of m — to buf.
+// On an encoding error buf comes back at its old length.
+func AppendFrame(buf []byte, codec Codec, m *Message) ([]byte, error) {
+	out, err := codec.Append(append(buf, 0, 0, 0, 0), m)
+	if err != nil {
+		return buf, err
+	}
+	binary.LittleEndian.PutUint32(out[len(buf):], uint32(len(out)-len(buf)-4))
+	return out, nil
+}
+
 // SendBuffered implements BufferedSender. The frame is encoded straight into
 // the connection's write buffer and its length prefix filled in place; the
 // buffer is written out when it passes flushAt.
@@ -140,14 +152,30 @@ func (t *TCPConn) SendBuffered(m *Message) error {
 	if t.werr != nil {
 		return t.werr
 	}
-	start := len(t.wbuf)
-	buf, err := t.codec.Append(append(t.wbuf, 0, 0, 0, 0), m)
+	buf, err := AppendFrame(t.wbuf, t.codec, m)
 	if err != nil {
-		return err // t.wbuf still ends at start: no torn frame is queued
+		return err // t.wbuf still ends where it did: no torn frame is queued
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	t.wbuf = buf
-	if len(buf) >= flushAt {
+	return t.queuedLocked()
+}
+
+// SendFrame queues a frame that AppendFrame built with this connection's
+// codec, like SendBuffered but without encoding again: the bytes are copied,
+// so the caller may reuse frame once SendFrame returns.
+func (t *TCPConn) SendFrame(frame []byte) error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	if t.werr != nil {
+		return t.werr
+	}
+	t.wbuf = append(t.wbuf, frame...)
+	return t.queuedLocked()
+}
+
+// queuedLocked writes the queue out once it has passed flushAt.
+func (t *TCPConn) queuedLocked() error {
+	if len(t.wbuf) >= flushAt {
 		return t.flushLocked()
 	}
 	return nil
@@ -198,18 +226,20 @@ func (t *TCPConn) InputBuffered() int { return t.r.Buffered() }
 // frame, so a peer trickling a partial frame slower than d also times out.
 // No goroutines or timers are allocated — the deadline is enforced by the
 // kernel via SetReadDeadline, O(1) state per connection regardless of how
-// many messages are received.
+// many messages are received — and it is armed only when the frame is not
+// already in the read buffer: the frames of one burst arrive in one socket
+// read, and all but the first are decoded without a clock read or a
+// deadline update.
 func (t *TCPConn) RecvTimeout(d time.Duration) (*Message, error) {
-	if d > 0 {
-		if err := t.c.SetReadDeadline(time.Now().Add(d)); err != nil {
-			return nil, err
-		}
-		t.rdArmed = true
-	} else if t.rdArmed {
+	if d <= 0 && t.rdArmed {
 		if err := t.c.SetReadDeadline(time.Time{}); err != nil {
 			return nil, err
 		}
 		t.rdArmed = false
+	}
+	armed := false
+	if err := t.armFor(len(t.rhdr), d, &armed); err != nil {
+		return nil, err
 	}
 	if _, err := io.ReadFull(t.r, t.rhdr[:]); err != nil {
 		return nil, t.classify(err, d)
@@ -222,10 +252,29 @@ func (t *TCPConn) RecvTimeout(d time.Duration) (*Message, error) {
 		t.rbuf = make([]byte, n)
 	}
 	payload := t.rbuf[:n]
+	if err := t.armFor(int(n), d, &armed); err != nil {
+		return nil, err
+	}
 	if _, err := io.ReadFull(t.r, payload); err != nil {
 		return nil, t.classify(err, d)
 	}
 	return t.codec.Decode(payload)
+}
+
+// armFor sets the read deadline d from now when reading need more bytes has
+// to wait on the socket, unless this receive already set it: one deadline
+// then covers every socket read of the frame. Reads the buffer can satisfy
+// never reach the socket, so a deadline left from an earlier frame is
+// harmless to them.
+func (t *TCPConn) armFor(need int, d time.Duration, armed *bool) error {
+	if d <= 0 || *armed || t.r.Buffered() >= need {
+		return nil
+	}
+	if err := t.c.SetReadDeadline(time.Now().Add(d)); err != nil {
+		return err
+	}
+	*armed, t.rdArmed = true, true
+	return nil
 }
 
 // classify maps a transport read error to the protocol taxonomy: deadline

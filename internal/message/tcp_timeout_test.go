@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,8 +76,9 @@ func rawServerConn(t *testing.T) (raw net.Conn, server *TCPConn) {
 
 // TestRecvTimeoutSemantics pins the error taxonomy of RecvTimeout: an idle
 // link times out with ErrTimeout (and recovers once traffic resumes), a clean
-// close is io.EOF, a trickled partial frame still times out, a death mid-frame
-// is io.ErrUnexpectedEOF, and an oversized length prefix is ErrFrameTooLarge.
+// close is io.EOF, a trickled partial frame still times out (also when each
+// byte arrives inside the deadline), a death mid-frame is
+// io.ErrUnexpectedEOF, and an oversized length prefix is ErrFrameTooLarge.
 func TestRecvTimeoutSemantics(t *testing.T) {
 	t.Run("idle times out then recovers", func(t *testing.T) {
 		client, server := tcpPair(t)
@@ -127,6 +129,39 @@ func TestRecvTimeoutSemantics(t *testing.T) {
 		}
 	})
 
+	t.Run("steady trickle times out as a whole", func(t *testing.T) {
+		raw, server := rawServerConn(t)
+		// Every byte arrives well inside the deadline, the frame as a whole
+		// would take two seconds: one deadline must cover all its reads.
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], 100)
+		raw.Write(hdr[:])
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			tick := time.NewTicker(20 * time.Millisecond)
+			defer tick.Stop()
+			for i := 0; i < 100; i++ {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
+				raw.Write([]byte{byte(i)})
+			}
+		}()
+		start := time.Now()
+		_, err := server.RecvTimeout(150 * time.Millisecond)
+		close(stop)
+		<-done
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("got %v, want ErrTimeout", err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("timed out after %v: the deadline was re-armed while the frame trickled in", el)
+		}
+	})
+
 	t.Run("death mid-frame is unexpected EOF", func(t *testing.T) {
 		raw, server := rawServerConn(t)
 		var hdr [4]byte
@@ -148,6 +183,52 @@ func TestRecvTimeoutSemantics(t *testing.T) {
 			t.Fatalf("got %v, want ErrFrameTooLarge", err)
 		}
 	})
+}
+
+// deadlineCounter counts the read deadlines set on a connection.
+type deadlineCounter struct {
+	net.Conn
+	armed atomic.Int64
+}
+
+func (c *deadlineCounter) SetReadDeadline(t time.Time) error {
+	c.armed.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestRecvTimeoutArmsPerRead: a burst that arrives in one socket read is
+// received with one read deadline, not one per frame — the frames already
+// in the read buffer never wait on the socket.
+func TestRecvTimeoutArmsPerRead(t *testing.T) {
+	a, b := net.Pipe()
+	dc := &deadlineCounter{Conn: b}
+	server := NewTCPConn(dc, Binary{})
+	t.Cleanup(func() { a.Close(); server.Close() })
+	const n = 100
+	var burst []byte
+	for i := 0; i < n; i++ {
+		var err error
+		if burst, err = AppendFrame(burst, Binary{}, &Message{Kind: KindWatermark, From: 1, Watermark: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := a.Write(burst) // one write: net.Pipe hands it to one read
+		wrote <- err
+	}()
+	for i := 0; i < n; i++ {
+		m, err := server.RecvTimeout(5 * time.Second)
+		if err != nil || m.Watermark != int64(i) {
+			t.Fatalf("frame %d: %+v, %v", i, m, err)
+		}
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if got := dc.armed.Load(); got > 2 {
+		t.Fatalf("%d frames in one write armed %d read deadlines, want at most 2", n, got)
+	}
 }
 
 // TestRecvTimeoutNoGoroutinePerMessage asserts the deadline mechanism is O(1)

@@ -187,7 +187,7 @@ func (Text) Decode(buf []byte) (*Message, error) {
 		if len(hf) != 6 {
 			return nil, fmt.Errorf("message: malformed text partial header %q", parts[0])
 		}
-		p := &core.SlicePartial{}
+		p := newPartial()
 		g, err := strconv.ParseUint(hf[0], 10, 32)
 		if err != nil {
 			return nil, err
@@ -216,12 +216,13 @@ func (Text) Decode(buf []byte) (*Message, error) {
 			if len(f) < 6 {
 				return nil, fmt.Errorf("message: malformed text agg %q", rec)
 			}
-			var a operator.Agg
 			ops, err := strconv.ParseUint(f[0], 10, 8)
 			if err != nil {
 				return nil, err
 			}
-			a.Ops = operator.Op(ops)
+			p.Aggs = resize(p.Aggs, len(p.Aggs)+1)
+			a := &p.Aggs[len(p.Aggs)-1]
+			a.Reset(operator.Op(ops))
 			if a.CountV, err = strconv.ParseInt(f[1], 10, 64); err != nil {
 				return nil, err
 			}
@@ -245,7 +246,6 @@ func (Text) Decode(buf []byte) (*Message, error) {
 				a.Values = append(a.Values, v)
 			}
 			a.Sorted = true
-			p.Aggs = append(p.Aggs, a)
 		}
 		for _, rec := range strings.Split(parts[2], ";") {
 			if rec == "" {

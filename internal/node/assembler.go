@@ -7,6 +7,8 @@ import (
 	"sort"
 
 	"desis/internal/core"
+	"desis/internal/invariant"
+	"desis/internal/message"
 	"desis/internal/operator"
 	"desis/internal/query"
 	"desis/internal/telemetry"
@@ -168,10 +170,13 @@ func (a *Assembler) RemoveMember(groupID uint32, idx int) {
 	delete(rg.uds, int32(idx))
 }
 
-// AddPartial buffers a merged partial until the watermark matures it.
+// AddPartial buffers a merged partial until the watermark matures it. The
+// assembler owns p from here: prune releases it to the decode pool once no
+// window can need it.
 func (a *Assembler) AddPartial(p *core.SlicePartial) {
 	rg, ok := a.states[p.Group]
 	if !ok {
+		message.ReleasePartial(p)
 		return
 	}
 	rg.buffer = append(rg.buffer, p)
@@ -332,6 +337,9 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 	us := rg.uds[int32(idx)]
 	for i := lo; i < len(rg.store); i++ {
 		p := rg.store[i]
+		if invariant.Enabled {
+			invariant.AssertPartialLive(p)
+		}
 		if p.Start >= we {
 			break
 		}
@@ -384,10 +392,15 @@ func (a *Assembler) prune(rg *rootGroup, w int64) {
 	}
 	n := 0
 	for n < len(rg.store) && rg.store[n].Start < tNeed {
+		message.ReleasePartial(rg.store[n])
 		n++
 	}
 	if n > 0 {
-		rg.store = append(rg.store[:0], rg.store[n:]...)
+		kept := copy(rg.store, rg.store[n:])
+		// Zero the vacated tail: the released partials are pool storage now
+		// and must not stay reachable past len.
+		clear(rg.store[kept:])
+		rg.store = rg.store[:kept]
 	}
 }
 

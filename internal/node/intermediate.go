@@ -36,6 +36,9 @@ func NewIntermediate(id uint32, children []uint32, parent message.Conn) *Interme
 	n.merger = NewMerger(children)
 	n.merger.Out = func(p *core.SlicePartial) {
 		n.send(&message.Message{Kind: message.KindPartial, From: n.id, Partial: p})
+		// The send encoded p (the Conn contract): the merged partial goes back
+		// to the decode pool.
+		message.ReleasePartial(p)
 	}
 	n.merger.OutEvents = func(from uint32, evs []event.Event) {
 		// Preserve the origin id: the root orders RootOnly events per
@@ -62,7 +65,8 @@ func (n *Intermediate) flush() {
 	}
 }
 
-// Handle dispatches one message from a child.
+// Handle dispatches one message from a child, taking ownership of the
+// partials it carries (see Merger).
 func (n *Intermediate) Handle(m *message.Message) error {
 	err := n.handle(m)
 	n.flush()

@@ -1,12 +1,14 @@
 package node
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/invariant"
+	"desis/internal/message"
 	"desis/internal/operator"
 	"desis/internal/telemetry"
 )
@@ -20,8 +22,14 @@ import (
 // unmerged once the watermark passes them. Raw event batches (RootOnly
 // groups) pass through. The merger is single-threaded: the owner pumps
 // messages into Handle.
+//
+// The merger owns every partial handed to HandlePartial: a duplicate or
+// stale one is released to the decode pool at once (message.ReleasePartial),
+// a contributor right after it merged into its slice's first partial, and
+// that first partial — the merged result — passes to Out, which owns it
+// from then on.
 type Merger struct {
-	// Out receives merged partials.
+	// Out receives merged partials, and with each the duty to release it.
 	Out func(*core.SlicePartial)
 	// OutEvents receives forwarded raw-event batches.
 	OutEvents func(from uint32, evs []event.Event)
@@ -42,6 +50,9 @@ type Merger struct {
 	// completed slice are dropped instead of re-merged. Entries are
 	// garbage-collected as the watermark advances.
 	emitted map[mergeKey]bool
+	// free holds emitted entries for reuse, their contributor lists keeping
+	// capacity; flush is flushUpTo's scratch, empty between calls.
+	free, flush []*mergeEntry
 
 	// Telemetry (nil-safe no-ops when unattached): merge latency is the
 	// time from a slice extent's first contribution to its emission, and
@@ -63,9 +74,10 @@ type mergeKey struct {
 
 type mergeEntry struct {
 	p *core.SlicePartial
-	// from records which children contributed, so a duplicate delivery (a
+	// from lists the children that contributed, so a duplicate delivery (a
 	// reconnecting child replaying recent frames, §3.2) merges exactly once.
-	from map[uint32]bool
+	// Fan-in is small: a scan of a reused slice beats a set.
+	from []uint32
 	// t0 is when the first contribution arrived; zero when latency
 	// telemetry is unattached (no time.Now on the unobserved path).
 	t0 time.Time
@@ -145,7 +157,7 @@ func (m *Merger) RemoveChild(id uint32) {
 // intermediate slice in the paper's terms.
 func (m *Merger) NumChildren() int { return len(m.children) }
 
-// HandlePartial merges one child partial.
+// HandlePartial merges one child partial, taking ownership of p.
 func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 	// The merger retains p (as a pending merge base); receiving a partial
 	// its producer already recycled is an ownership bug (debug builds panic
@@ -159,6 +171,7 @@ func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 	// child's partial always precedes the child watermark that covers it.
 	if p.End <= m.watermark || m.emitted[k] {
 		m.telDups.Inc()
+		message.ReleasePartial(p)
 		return
 	}
 	if p.End > m.maxEnd {
@@ -166,24 +179,41 @@ func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 	}
 	e, ok := m.pending[k]
 	if !ok {
-		e = &mergeEntry{p: p, from: map[uint32]bool{from: true}}
-		if m.telMergeLat != nil {
-			e.t0 = time.Now()
-		}
+		e = m.newEntry(p)
 		m.pending[k] = e
 	} else {
-		if e.from[from] {
+		if slices.Contains(e.from, from) {
 			m.telDups.Inc()
+			message.ReleasePartial(p)
 			return // duplicate contribution from a replayed frame
 		}
-		e.from[from] = true
 		mergePartial(e.p, p)
+		message.ReleasePartial(p)
 	}
+	e.from = append(e.from, from)
 	if len(e.from) >= len(m.children) && m.joining == nil {
 		delete(m.pending, k)
 		m.emitted[k] = true
 		m.emitEntry(e)
 	}
+}
+
+// newEntry starts the merge of p's slice with a recycled entry when there is
+// one.
+func (m *Merger) newEntry(p *core.SlicePartial) *mergeEntry {
+	var e *mergeEntry
+	if n := len(m.free); n > 0 {
+		e = m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+	} else {
+		e = &mergeEntry{}
+	}
+	e.p = p
+	if m.telMergeLat != nil {
+		e.t0 = time.Now()
+	}
+	return e
 }
 
 // HandleWatermark advances a child's watermark; when the minimum over all
@@ -244,24 +274,27 @@ func (m *Merger) gcEmitted() {
 // a matching extent simply had no such slice (dynamic punctuation
 // misalignment, or a removed node).
 func (m *Merger) flushUpTo(w int64) {
-	var flush []*mergeEntry
+	flush := m.flush[:0]
 	for k, e := range m.pending {
 		if k.end <= w {
 			flush = append(flush, e)
 			delete(m.pending, k)
 		}
 	}
-	sort.Slice(flush, func(i, j int) bool {
-		if flush[i].p.End != flush[j].p.End {
-			return flush[i].p.End < flush[j].p.End
+	slices.SortFunc(flush, func(a, b *mergeEntry) int {
+		if c := cmp.Compare(a.p.End, b.p.End); c != 0 {
+			return c
 		}
-		return flush[i].p.Start < flush[j].p.Start
+		return cmp.Compare(a.p.Start, b.p.Start)
 	})
 	for _, e := range flush {
 		m.emitEntry(e)
 	}
+	clear(flush)
+	m.flush = flush[:0]
 }
 
+// emitEntry forwards e's merged partial and recycles e.
 func (m *Merger) emitEntry(e *mergeEntry) {
 	if !e.t0.IsZero() {
 		m.telMergeLat.Record(time.Since(e.t0))
@@ -269,7 +302,10 @@ func (m *Merger) emitEntry(e *mergeEntry) {
 	if telemetry.TraceEnabled {
 		telemetry.TraceSlice(telemetry.TraceMerge, m.traceName, uint64(e.p.Group), e.p.ID, e.p.Start, e.p.End)
 	}
-	m.emit(e.p)
+	p := e.p
+	*e = mergeEntry{from: e.from[:0]}
+	m.free = append(m.free, e)
+	m.emit(p)
 }
 
 func (m *Merger) emit(p *core.SlicePartial) {
@@ -288,6 +324,10 @@ func (m *Merger) Watermark() int64 { return m.watermark }
 // mergePartial folds src into dst: aggregates merge pairwise per selection
 // context, EPs concatenate, and LastEvent takes the maximum.
 func mergePartial(dst, src *core.SlicePartial) {
+	if invariant.Enabled {
+		invariant.AssertPartialLive(dst)
+		invariant.AssertPartialLive(src)
+	}
 	for len(dst.Aggs) < len(src.Aggs) {
 		a := operator.NewAgg(src.Aggs[len(dst.Aggs)].Ops)
 		a.Finish()

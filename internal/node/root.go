@@ -84,7 +84,9 @@ func (r *Root) History() *plan.History { return r.hist }
 // Epoch returns the current plan epoch.
 func (r *Root) Epoch() uint64 { return r.hist.Epoch() }
 
-// Handle dispatches one message from a child.
+// Handle dispatches one message from a child, taking ownership of the
+// partials it carries: the merger and then the assembler release them to
+// the decode pool when they are done with them.
 func (r *Root) Handle(m *message.Message) error {
 	switch m.Kind {
 	case message.KindPartial:

@@ -59,8 +59,8 @@ type DialOptions struct {
 	// deadline when heartbeats are disabled); negative disables it.
 	WriteTimeout time.Duration
 	// ReplayDepth is how many recent partial/watermark frames the uplink
-	// retains (as deep copies) and replays after a reconnect. A link that
-	// dies can silently swallow frames the kernel had already accepted;
+	// retains (as their encoded bytes) and replays after a reconnect. A link
+	// that dies can silently swallow frames the kernel had already accepted;
 	// replaying the tail restores them, and the parent's merger dedups the
 	// overlap, so partials are effectively exactly-once across reconnects.
 	// Zero means the default (64); negative disables replay. Raw event
@@ -145,13 +145,17 @@ type uplink struct {
 	// in-band by Recv so the single downstream consumer applies resyncs in
 	// order with ordinary control traffic.
 	pending []*message.Message
-	// replay is a bounded ring of deep-copied recent partial/watermark
-	// frames (whole KindBatch frames when batching). A dying socket can
-	// accept frames into kernel buffers and then lose them without an error
-	// ever surfacing; retransmitting the tail on reconnect closes that
-	// silent-loss window, and the parent's merger drops the duplicated
-	// overlap — per contained partial, when a replayed frame is a batch.
-	replay []*message.Message
+	// replay is a ring of ReplayDepth slots holding the wire frames (length
+	// prefix included) of the most recent partial/watermark frames — whole
+	// KindBatch frames when batching. A dying socket can accept frames into
+	// kernel buffers and then lose them without an error ever surfacing;
+	// retransmitting the tail on reconnect closes that silent-loss window,
+	// and the parent's merger drops the duplicated overlap — per contained
+	// partial, when a replayed frame is a batch. Slots are encoded in place
+	// and keep their capacity; head is the next slot written and filled
+	// how many slots hold a frame.
+	replay       [][]byte
+	head, filled int
 	// unflushed counts the ring's frames queued on the connection since its
 	// last flush. It stays at or below ReplayDepth/2, so a flush that fails
 	// loses nothing the reconnect's replay does not resend.
@@ -159,8 +163,8 @@ type uplink struct {
 
 	// batcher, when batching is enabled, sits between Send and the raw
 	// connection: data frames are cloned into its queue and transmitted by
-	// its pump through sendDirect, so everything reaching the wire (and the
-	// replay ring) is batcher-owned memory.
+	// its pump through sendDirect, which records them in the replay ring like
+	// any other data frame.
 	batcher *message.Batcher
 
 	closeCh chan struct{}
@@ -192,6 +196,7 @@ func dialUplink(addr string, id uint32, opts DialOptions) (*uplink, *plan.Plan, 
 		opts:    opts.withDefaults(),
 		closeCh: make(chan struct{}),
 	}
+	u.replay = make([][]byte, max(u.opts.ReplayDepth, 0))
 	u.cond = sync.NewCond(&u.mu)
 	conn, resync, err := u.handshake()
 	if err != nil {
@@ -394,33 +399,43 @@ func (u *uplink) redial() (*message.TCPConn, *message.Message, error) {
 	return nil, nil, fmt.Errorf("gave up after %d attempts: %w", u.opts.Retry.MaxRetries, lastErr)
 }
 
-// sendReplay retransmits the recorded frame tail on a fresh connection,
-// restoring anything the dead socket silently swallowed. The parent dedups
-// the overlap (merger contributor sets; watermarks are monotone).
+// sendReplay retransmits the recorded frame tail, oldest first, on a fresh
+// connection, restoring anything the dead socket silently swallowed. The
+// parent dedups the overlap (merger contributor sets; watermarks are
+// monotone). The slots are queued under u.mu, which keeps record from
+// overwriting one while it is copied, and leave in one write.
 func (u *uplink) sendReplay(conn *message.TCPConn) error {
 	u.mu.Lock()
-	frames := append([]*message.Message(nil), u.replay...)
+	var err error
+	for i := u.filled; i > 0 && err == nil; i-- {
+		err = conn.SendFrame(u.replay[(u.head-i+len(u.replay))%len(u.replay)])
+	}
 	u.mu.Unlock()
-	for _, f := range frames {
-		if err := conn.SendBuffered(f); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	return conn.Flush()
 }
 
-// record retains a data frame in the replay ring and reports whether the
-// connection may hold the frame unflushed: only while the ring covers it and
-// fewer than ReplayDepth/2 such frames are waiting. Only partials, watermarks
-// and their batches are retained: they are idempotent at the parent, raw
-// event batches are not. Lone partial frames are deep-cloned so the caller
-// can recycle their buffers (the Conn contract — the batcher's cut-through
-// path forwards the caller's frame untouched). A KindBatch frame is always
-// assembled by the batcher's pump from clones it made at enqueue time and is
-// never touched again, so it is retained as-is.
-func (u *uplink) record(m *message.Message) (hold bool) {
-	if u.opts.ReplayDepth <= 0 {
-		return false
+// replaySlotKeep is the largest slot capacity the replay ring reuses: an
+// outsized batch frame does not pin its memory once smaller frames follow.
+const replaySlotKeep = 64 << 10
+
+// record encodes a data frame into the replay ring's next slot and queues
+// the same bytes on conn, both under u.mu: a frame waiting in conn's buffer
+// when another goroutine's flush fails is therefore always in the ring the
+// reconnect replays. Only partials, watermarks and their batches are
+// recorded: they are idempotent at the parent, raw event batches are not.
+// The ring holds bytes, not the message, so the caller may recycle m's
+// buffers once the send returns (the Conn contract).
+//
+// recorded reports whether m went this way; if not, nothing was queued.
+// hold reports whether conn may keep the frame unflushed: only while fewer
+// than ReplayDepth/2 recorded frames are waiting. err is the encoding error
+// when m was not recorded, the connection's when it was.
+func (u *uplink) record(conn *message.TCPConn, m *message.Message) (recorded, hold bool, err error) {
+	if len(u.replay) == 0 {
+		return false, false, nil
 	}
 	switch m.Kind {
 	case message.KindPartial, message.KindWatermark, message.KindBatch:
@@ -432,27 +447,29 @@ func (u *uplink) record(m *message.Message) (hold bool) {
 		// the handshake, heartbeats are ephemeral, and raw event batches
 		// are not idempotent at the parent. A new kind must choose a side
 		// here explicitly.
-		return false
+		return false, false, nil
 	default:
-		return false
-	}
-	c := *m
-	if c.Partial != nil {
-		c.Partial = c.Partial.Clone()
+		return false, false, nil
 	}
 	u.mu.Lock()
-	if len(u.replay) >= u.opts.ReplayDepth {
-		copy(u.replay, u.replay[1:])
-		u.replay[len(u.replay)-1] = &c
-	} else {
-		u.replay = append(u.replay, &c)
+	defer u.mu.Unlock()
+	slot := u.replay[u.head]
+	if cap(slot) > replaySlotKeep {
+		slot = nil
 	}
+	frame, err := message.AppendFrame(slot[:0], u.opts.Codec, m)
+	if err != nil {
+		// The failed encode wrote over the oldest frame: it leaves the ring.
+		u.replay[u.head] = nil
+		u.filled = min(u.filled, len(u.replay)-1)
+		return false, false, err
+	}
+	u.replay[u.head] = frame
+	u.head = (u.head + 1) % len(u.replay)
+	u.filled = min(u.filled+1, len(u.replay))
 	u.unflushed++
-	hold = u.unflushed < u.opts.ReplayDepth/2
-	tel, n := u.telReplay, len(u.replay)
-	u.mu.Unlock()
-	tel.Set(int64(n))
-	return hold
+	u.telReplay.Set(int64(u.filled))
+	return true, u.unflushed < len(u.replay)/2, conn.SendFrame(frame)
 }
 
 // accountRetired folds a retired connection's byte count into the running
@@ -520,22 +537,25 @@ func (u *uplink) flushConn(conn *message.TCPConn) error {
 func (u *uplink) sendDirect(m *message.Message) error { return u.transmit(m, true) }
 
 // transmit is the supervised path to the wire: it queues m on the live
-// connection, flushes when asked to or when m may not wait there, and on a
-// link failure reconnects and sends m again.
+// connection — through the replay ring when m is a data frame — flushes when
+// asked to or when m may not wait there, and on a link failure reconnects
+// and sends m again. (After a reconnect m may therefore arrive twice, once
+// replayed and once resent; the parent dedups.)
 func (u *uplink) transmit(m *message.Message, flush bool) error {
 	conn, gen, err := u.current()
 	if err != nil {
 		return err
 	}
-	// Recorded before it is queued: a frame that sits in the connection's
-	// buffer when another goroutine's flush fails must already be in the ring
-	// that reconnect replays. (After a reconnect m may therefore arrive twice,
-	// once replayed and once resent below; the parent dedups.)
-	if !u.record(m) {
-		flush = true
+	recorded, hold, err := u.record(conn, m)
+	switch {
+	case recorded:
+		flush = flush || !hold
+	case err != nil:
+		return err // m does not encode; nothing was queued
+	default:
+		flush, err = true, conn.SendBuffered(m)
 	}
 	for {
-		err := conn.SendBuffered(m)
 		if err == nil && flush {
 			err = u.flushConn(conn)
 		}
@@ -545,6 +565,7 @@ func (u *uplink) transmit(m *message.Message, flush bool) error {
 		if conn, gen, err = u.fail(gen, err); err != nil {
 			return err
 		}
+		err = conn.SendBuffered(m)
 	}
 }
 
@@ -658,7 +679,7 @@ func (u *uplink) heartbeatLoop() {
 func (u *uplink) digest() *telemetry.LoadDigest {
 	u.mu.Lock()
 	fn := u.digestFn
-	replayLen := len(u.replay)
+	replayLen := u.filled
 	u.mu.Unlock()
 	if fn == nil {
 		return nil
