@@ -65,6 +65,7 @@ type batchScratch struct {
 	payload  []byte
 	partials []*core.SlicePartial
 	dict     []uint32
+	col      []float64
 	comp     bytes.Buffer
 	fw       *flate.Writer
 }
@@ -168,8 +169,10 @@ func inflateBytes(p []byte) ([]byte, error) {
 //	  slice id column (varint delta)
 //	  Start column (varint delta), End-Start, LastEvent-Start, Ingested
 //	  agg count per partial (uvarint), then the ops byte of every agg
-//	  per-operator state columns: counts, sums, products, min/max pairs,
-//	  retained-value runs — each contiguous over all aggs that carry the op
+//	  per-operator state columns, each contiguous over all aggs that carry
+//	  the op: counts (varint), then float columns (f64col.go) of sums,
+//	  products and min/max pairs, then the retained-value run lengths
+//	  (uvarint) and one float column of all retained values
 //	  EP count per partial (uvarint), then the EP field columns
 //
 //desis:hotpath
@@ -272,38 +275,46 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 			}
 		}
 	}
+	// Float columns are gathered into the scratch and written as scaled
+	// integers where that is lossless (f64col.go).
+	col := s.col[:0]
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpSum != 0 {
-				buf = appendF64(buf, p.Aggs[i].SumV)
+				col = append(col, p.Aggs[i].SumV)
 			}
 		}
 	}
+	buf = appendF64Column(buf, col)
+	col = col[:0]
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpMult != 0 {
-				buf = appendF64(buf, p.Aggs[i].ProdV)
+				col = append(col, p.Aggs[i].ProdV)
 			}
 		}
 	}
+	buf = appendF64Column(buf, col)
+	col = col[:0]
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpDSort != 0 {
-				buf = appendF64(buf, p.Aggs[i].MinV)
-				buf = appendF64(buf, p.Aggs[i].MaxV)
+				col = append(col, p.Aggs[i].MinV, p.Aggs[i].MaxV)
 			}
 		}
 	}
+	buf = appendF64Column(buf, col)
+	col = col[:0]
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpNDSort != 0 {
 				buf = binary.AppendUvarint(buf, uint64(len(p.Aggs[i].Values)))
-				for _, v := range p.Aggs[i].Values {
-					buf = appendF64(buf, v)
-				}
+				col = append(col, p.Aggs[i].Values...)
 			}
 		}
 	}
+	buf = appendF64Column(buf, col)
+	s.col = col
 
 	// EP columns.
 	for _, p := range partials {
@@ -355,33 +366,49 @@ func dictFind(dict []uint32, g uint32) int {
 
 func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 	r := varReader{buf: payload}
-	n := int(r.uvarint())
+	claimed := r.uvarint()
+	if r.err != nil {
+		return nil, r.err
+	}
 	// Every frame owns at least one bitmap bit, so a count the buffer
 	// cannot have carried is hostile.
-	if n < 0 || n > len(payload)*8 {
-		return nil, fmt.Errorf("message: batch claims %d frames in %d bytes", n, len(payload))
+	if claimed > uint64(len(r.buf))*8 {
+		return nil, fmt.Errorf("message: batch claims %d frames in %d bytes", claimed, len(payload))
 	}
-	bitmap := make([]byte, (n+7)/8)
-	if r.err == nil {
-		if len(r.buf) < len(bitmap) {
-			r.err = fmt.Errorf("message: truncated batch bitmap")
-		} else {
-			copy(bitmap, r.buf)
-			r.buf = r.buf[len(bitmap):]
+	n := int(claimed)
+	if len(r.buf) < (n+7)/8 {
+		return nil, fmt.Errorf("message: truncated batch bitmap")
+	}
+	bitmap := r.buf[:(n+7)/8]
+	r.buf = r.buf[len(bitmap):]
+	nW := 0
+	for i := 0; i < n; i++ {
+		if bitmap[i/8]&(1<<(i%8)) != 0 {
+			nW++
 		}
 	}
-	b := &Batch{Frames: make([]*Message, 0, n)}
-	var partials []*core.SlicePartial
+	// A watermark costs at least its delta byte and a partial at least
+	// eight: its six scalar columns plus its agg and EP counts. A frame mix
+	// the rest of the body cannot carry is rejected before anything is
+	// sized from it.
+	if nP := n - nW; nW+8*nP > len(r.buf) {
+		return nil, fmt.Errorf("message: batch claims %d watermarks and %d partials in %d bytes", nW, nP, len(r.buf))
+	}
+	msgs := make([]Message, n)
+	b := &Batch{Frames: make([]*Message, n)}
+	partials := make([]*core.SlicePartial, 0, n-nW)
 	prevW := int64(0)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := range msgs {
+		m := &msgs[i]
+		m.From = from
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
 			prevW += r.varint()
-			b.Frames = append(b.Frames, &Message{Kind: KindWatermark, From: from, Watermark: prevW})
+			m.Kind, m.Watermark = KindWatermark, prevW
 		} else {
-			p := newPartial()
-			partials = append(partials, p)
-			b.Frames = append(b.Frames, &Message{Kind: KindPartial, From: from, Partial: p})
+			m.Kind, m.Partial = KindPartial, newPartial()
+			partials = append(partials, m.Partial)
 		}
+		b.Frames[i] = m
 	}
 	if len(partials) == 0 {
 		if r.err != nil {
@@ -390,11 +417,11 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 		return b, nil
 	}
 
-	nDict := int(r.uvarint())
-	if nDict <= 0 || nDict > len(partials) {
-		if r.err == nil {
-			r.err = fmt.Errorf("message: batch group dictionary of %d for %d partials", nDict, len(partials))
-		}
+	nDict := r.uvarint()
+	if r.err == nil && (nDict == 0 || nDict > uint64(len(partials))) {
+		r.err = fmt.Errorf("message: batch group dictionary of %d for %d partials", nDict, len(partials))
+	}
+	if r.err != nil {
 		return nil, r.err
 	}
 	dict := make([]uint32, nDict)
@@ -402,7 +429,7 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 		dict[i] = uint32(r.uvarint())
 	}
 	for _, p := range partials {
-		idx := int(r.uvarint())
+		idx := r.uvarint()
 		if r.err == nil && idx >= nDict {
 			r.err = fmt.Errorf("message: batch group index %d out of dictionary", idx)
 		}
@@ -432,21 +459,29 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 		p.Ingested = r.varint()
 	}
 
+	// Every agg consumes at least its ops byte downstream.
+	total := 0
 	for _, p := range partials {
-		// Every agg consumes at least its ops byte downstream, so a count
-		// beyond the remaining buffer is hostile.
-		nAggs := int(r.uvarint())
-		if r.err == nil && nAggs > len(r.buf) {
-			r.err = fmt.Errorf("message: batch claims %d aggs in %d bytes", nAggs, len(r.buf))
-		}
+		nAggs := r.count(&total, 1, "aggs")
 		if r.err != nil {
 			return nil, r.err
 		}
 		p.Aggs = resize(p.Aggs, nAggs)
 	}
+	var nSum, nMult, nDSort int
 	for _, p := range partials {
 		for i := range p.Aggs {
-			p.Aggs[i].Reset(operator.Op(r.u8()))
+			a := &p.Aggs[i]
+			a.Reset(operator.Op(r.u8()))
+			if a.Ops&operator.OpSum != 0 {
+				nSum++
+			}
+			if a.Ops&operator.OpMult != 0 {
+				nMult++
+			}
+			if a.Ops&operator.OpDSort != 0 {
+				nDSort++
+			}
 		}
 	}
 	for _, p := range partials {
@@ -456,50 +491,57 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 			}
 		}
 	}
+	col := r.f64Column(nSum)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpSum != 0 {
-				p.Aggs[i].SumV = r.f64()
+				p.Aggs[i].SumV = col.next(&r)
 			}
 		}
 	}
+	col = r.f64Column(nMult)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpMult != 0 {
-				p.Aggs[i].ProdV = r.f64()
+				p.Aggs[i].ProdV = col.next(&r)
 			}
 		}
 	}
+	col = r.f64Column(2 * nDSort)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpDSort != 0 {
-				p.Aggs[i].MinV = r.f64()
-				p.Aggs[i].MaxV = r.f64()
+				p.Aggs[i].MinV = col.next(&r)
+				p.Aggs[i].MaxV = col.next(&r)
 			}
 		}
 	}
+	// Every retained value costs at least one byte of the column; the
+	// bound is on the running total, so n aggs cannot each claim the
+	// whole remaining buffer.
+	total = 0
 	for _, p := range partials {
 		for i := range p.Aggs {
-			if p.Aggs[i].Ops&operator.OpNDSort == 0 {
-				continue
+			if p.Aggs[i].Ops&operator.OpNDSort != 0 {
+				p.Aggs[i].Values = resize(p.Aggs[i].Values, r.count(&total, 1, "retained values"))
+				p.Aggs[i].Sorted = true
 			}
-			nv := int(r.uvarint())
-			if r.err == nil && nv > len(r.buf)/8 {
-				r.err = fmt.Errorf("message: batch claims %d retained values in %d bytes", nv, len(r.buf))
+		}
+	}
+	col = r.f64Column(total)
+	for _, p := range partials {
+		for i := range p.Aggs {
+			vs := p.Aggs[i].Values
+			for j := 0; j < len(vs) && r.err == nil; j++ {
+				vs[j] = col.next(&r)
 			}
-			for j := 0; j < nv && r.err == nil; j++ {
-				p.Aggs[i].Values = append(p.Aggs[i].Values, r.f64())
-			}
-			p.Aggs[i].Sorted = true
 		}
 	}
 
+	// Each EP consumes at least one byte in each of its four field columns.
+	total = 0
 	for _, p := range partials {
-		// Each EP consumes at least one byte per field column.
-		nEPs := int(r.uvarint())
-		if r.err == nil && nEPs > len(r.buf) {
-			r.err = fmt.Errorf("message: batch claims %d EPs in %d bytes", nEPs, len(r.buf))
-		}
+		nEPs := r.count(&total, 4, "EPs")
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -529,6 +571,23 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 		return nil, r.err
 	}
 	return b, nil
+}
+
+// count reads an element count and adds it to *total, the running number
+// of elements the rest of the buffer must still carry at cost bytes or
+// more each. A claim beyond that is hostile: it sets r.err and returns 0
+// before anything is sized from it.
+func (r *varReader) count(total *int, cost int, what string) int {
+	v := r.uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if room := len(r.buf)/cost - *total; room < 0 || v > uint64(room) {
+		r.err = fmt.Errorf("message: batch claims %d more %s in %d bytes", v, what, len(r.buf))
+		return 0
+	}
+	*total += int(v)
+	return int(v)
 }
 
 // estimateFrameSize is the batcher's cheap upper-bound guess of a frame's

@@ -1,8 +1,11 @@
 package message
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,8 +18,26 @@ import (
 )
 
 // randomBatch builds a batch resembling a local node's uplink stream:
-// monotone slice ids and times per group, interleaved watermarks.
+// monotone slice ids and times per group, interleaved watermarks. Its
+// values are full-precision floats, so every float column takes the raw
+// path.
 func randomBatch(rng *rand.Rand, nFrames int) *Batch {
+	return randomBatchOf(rng, nFrames, func() float64 { return rng.NormFloat64() * 100 })
+}
+
+// randomQuantBatch is randomBatch over quantized values — quarters below
+// 100, one-decimal or integer values, one kind per batch — so the float
+// columns take the scaled path (sums of one-decimal values still go raw).
+func randomQuantBatch(rng *rand.Rand, nFrames int) *Batch {
+	quant := []func() float64{
+		func() float64 { return float64(rng.Intn(400)) / 4 },
+		func() float64 { return float64(rng.Intn(2000)-1000) / 10 },
+		func() float64 { return float64(rng.Intn(1 << 20)) },
+	}[rng.Intn(3)]
+	return randomBatchOf(rng, nFrames, quant)
+}
+
+func randomBatchOf(rng *rand.Rand, nFrames int, value func() float64) *Batch {
 	b := &Batch{}
 	groups := 1 + rng.Intn(3)
 	ids := make([]uint64, groups)
@@ -48,7 +69,7 @@ func randomBatch(rng *rand.Rand, nFrames int) *Batch {
 		for c := 0; c < nCtx; c++ {
 			a := operator.NewAgg(ops)
 			for e := rng.Intn(6); e > 0; e-- {
-				a.Add(rng.NormFloat64() * 100)
+				a.Add(value())
 			}
 			a.Finish()
 			p.Aggs = append(p.Aggs, a)
@@ -67,12 +88,16 @@ func randomBatch(rng *rand.Rand, nFrames int) *Batch {
 
 // TestBatchCrossCodec is the cross-codec property test: the same batch
 // encoded by Binary, Compact and Text must decode to identical frame
-// sequences under every codec, compressed or not.
+// sequences under every codec, compressed or not, with raw or scaled float
+// columns.
 func TestBatchCrossCodec(t *testing.T) {
 	codecs := []Codec{Binary{}, Compact{}, Text{}}
-	f := func(seed int64, n uint8, compress bool) bool {
+	f := func(seed int64, n uint8, compress, quant bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		batch := randomBatch(rng, int(n)%40)
+		if quant {
+			batch = randomQuantBatch(rng, int(n)%40)
+		}
 		m := &Message{Kind: KindBatch, From: rng.Uint32(), Batch: batch}
 		m.Batch.Compress = compress
 		var decoded []*Message
@@ -472,6 +497,13 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge claimed frame count
 	f.Add([]byte{batchFlagDeflate, 0x01})          // broken flate stream
+	for _, n := range []int{1, 5, 40} {
+		buf, err := Binary{}.Append(nil, &Message{Kind: KindBatch, From: 7, Batch: randomQuantBatch(rng, n)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf[5:])
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		b, err := decodeBatchBody(body, 7)
 		if err != nil {
@@ -504,19 +536,116 @@ func TestAppendBatchBodySteadyStateAllocs(t *testing.T) {
 		t.Skip("desis_invariants builds trade allocations for verification")
 	}
 	rng := rand.New(rand.NewSource(7))
-	b := randomBatch(rng, 40)
-	buf, err := appendBatchBody(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = buf[:0]
-	if avg := testing.AllocsPerRun(100, func() {
-		var err error
-		buf, err = appendBatchBody(buf[:0], b)
+	for _, b := range []*Batch{randomBatch(rng, 40), randomQuantBatch(rng, 40)} {
+		buf, err := appendBatchBody(nil, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("appendBatchBody allocates %.1f times per batch in steady state, want 0", avg)
+		if avg := testing.AllocsPerRun(100, func() {
+			var err error
+			buf, err = appendBatchBody(buf[:0], b)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("appendBatchBody allocates %.1f times per batch in steady state, want 0", avg)
+		}
+	}
+}
+
+// TestDecodeHostileBatchBounded checks a hostile body cannot make the
+// decoder allocate far beyond its own size: a frame count the body cannot
+// carry is refused before anything is sized from it, the largest admissible
+// partial count stays within a fixed multiple of the body, and so do
+// retained-value counts that each fit the body but not together.
+func TestDecodeHostileBatchBounded(t *testing.T) {
+	const size = 64 << 10
+	pad := func(b []byte) []byte { return append(b, make([]byte, size-len(b))...) }
+	claim := func(frames int) []byte { // flags, count, then all partials, all zero
+		return pad(binary.AppendUvarint([]byte{0}, uint64(frames)))
+	}
+	// The largest n whose partials the rest of the body can carry at their
+	// minimum of 8 bytes each after the bitmap.
+	admissible := 0
+	for n := 0; ; n++ {
+		if len(binary.AppendUvarint(nil, uint64(n)))+(n+7)/8+8*n > size-1 {
+			break
+		}
+		admissible = n
+	}
+	// k zero partials with one retained-value agg each, every one claiming
+	// a tenth as many values as the body has bytes: each fits the body even
+	// at eight bytes a value, all of them together do not.
+	const k = 1024
+	runs := binary.AppendUvarint([]byte{0}, k)
+	runs = append(runs, make([]byte, k/8)...) // bitmap: all partials
+	runs = append(runs, 1, 0)                 // dictionary: group 0
+	runs = append(runs, make([]byte, 6*k)...) // index, id, time and ingested columns
+	runs = append(runs, bytes.Repeat([]byte{1}, k)...)
+	runs = append(runs, bytes.Repeat([]byte{byte(operator.OpNDSort)}, k)...)
+	for i := 0; i < k; i++ {
+		runs = binary.AppendUvarint(runs, size/10)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"all-zero claim", claim(465976)},
+		{"largest admissible partial count", claim(admissible)},
+		{"retained-value counts", pad(runs)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decodeBatchBody(c.body, 7)
+			runtime.ReadMemStats(&after)
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("err=%v, allocated %d bytes (%.1f× the body)", err, alloc, float64(alloc)/size)
+			if alloc > 64*size {
+				t.Errorf("decoding a %d-byte body allocated %d bytes, want ≤ 64×", size, alloc)
+			}
+		})
+	}
+}
+
+// TestBatchQuantileColumnBytes guards the scaled float columns on a batch
+// shaped like a throttled intermediate link: 16 groups, count, sum, min/max
+// and ~12 retained quarter values per partial. The retained values must
+// cost at most 2.5 bytes each (a raw float64 costs 8).
+func TestBatchQuantileColumnBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	withValues, without := &Batch{}, &Batch{}
+	nValues := 0
+	for slice := 0; slice < 8; slice++ {
+		for g := 0; g < 16; g++ {
+			a := operator.NewAgg(operator.OpCount | operator.OpSum | operator.OpDSort | operator.OpNDSort)
+			for e := 8 + rng.Intn(9); e > 0; e-- {
+				a.Add(float64(rng.Intn(400)) / 4)
+			}
+			a.Finish()
+			nValues += len(a.Values)
+			p := &core.SlicePartial{
+				Group: uint32(g), ID: uint64(slice + 1),
+				Start: int64(slice) * 100, End: int64(slice+1) * 100, LastEvent: int64(slice)*100 + 99,
+				Ingested: a.CountV, Aggs: []operator.Agg{a},
+			}
+			withValues.Frames = append(withValues.Frames, &Message{Kind: KindPartial, Partial: p})
+			bare := p.Clone()
+			bare.Aggs[0].Values = nil
+			without.Frames = append(without.Frames, &Message{Kind: KindPartial, Partial: bare})
+		}
+	}
+	full, err := appendBatchBody(nil, withValues)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, err := appendBatchBody(nil, without)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perValue := float64(len(full)-len(rest)) / float64(nValues)
+	t.Logf("%d partials, %d retained values: body %d bytes, %.2f B per retained value", len(withValues.Frames), nValues, len(full), perValue)
+	if perValue > 2.5 {
+		t.Errorf("retained quarter values cost %.2f bytes each, want ≤ 2.5", perValue)
 	}
 }

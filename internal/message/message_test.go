@@ -269,17 +269,11 @@ func partialsEqual(a, b *core.SlicePartial) bool {
 	}
 	for i := range a.Aggs {
 		x, y := &a.Aggs[i], &b.Aggs[i]
-		if x.Ops != y.Ops || x.CountV != y.CountV || x.SumV != y.SumV ||
-			x.ProdV != y.ProdV || x.MinV != y.MinV || x.MaxV != y.MaxV {
+		// Floats compare by bits: -0 and NaN payloads must survive too.
+		if x.Ops != y.Ops || x.CountV != y.CountV ||
+			!sameBits([]float64{x.SumV, x.ProdV, x.MinV, x.MaxV}, []float64{y.SumV, y.ProdV, y.MinV, y.MaxV}) ||
+			!sameBits(x.Values, y.Values) {
 			return false
-		}
-		if len(x.Values) != len(y.Values) {
-			return false
-		}
-		for j := range x.Values {
-			if x.Values[j] != y.Values[j] {
-				return false
-			}
 		}
 	}
 	for i := range a.EPs {
