@@ -100,9 +100,9 @@ func BenchmarkAblationShardedRoot(b *testing.B)         { runFigure(b, "ablation
 // assembles all 32 windows.
 func BenchmarkAssemblySliding(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		asm  core.AssemblyKind
-	}{{"swag", core.AssemblyTwoStacks}, {"daba", core.AssemblyDABA}, {"naive", core.AssemblyNaive}} {
+		name  string
+		naive bool
+	}{{"swag", false}, {"naive", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var qs []query.Query
 			for i := 0; i < 32; i++ {
@@ -116,7 +116,7 @@ func BenchmarkAssemblySliding(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := core.New(groups, core.Config{OnResult: func(core.Result) {}, Assembly: mode.asm})
+			e := core.New(groups, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: mode.naive})
 			s := gen.NewStream(gen.StreamConfig{Seed: 21, Keys: 1, IntervalMS: 1})
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -134,9 +134,9 @@ func BenchmarkAssemblySliding(b *testing.B) {
 // merge execute per punctuation.
 func BenchmarkAssemblyManyQueries(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		asm  core.AssemblyKind
-	}{{"swag", core.AssemblyTwoStacks}, {"daba", core.AssemblyDABA}, {"naive", core.AssemblyNaive}} {
+		name  string
+		naive bool
+	}{{"swag", false}, {"naive", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var qs []query.Query
 			for i := 0; i < 64; i++ {
@@ -154,7 +154,7 @@ func BenchmarkAssemblyManyQueries(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := core.New(groups, core.Config{OnResult: func(core.Result) {}, Assembly: mode.asm})
+			e := core.New(groups, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: mode.naive})
 			s := gen.NewStream(gen.StreamConfig{Seed: 21, Keys: 1, IntervalMS: 1})
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -81,19 +81,6 @@ func main() {
 				fmt.Printf("latency p99 unbatched=%.1fus batched=%.1fus overhead=%.1f%%\n",
 					r.Latency.UnbatchedP99Usec, r.Latency.BatchedP99Usec, 100*r.Latency.P99Overhead)
 			}
-		case "latency":
-			var r *bench.LatencyReport
-			if r, err = bench.RunLatencyReport(cfg); err == nil {
-				rep = r
-				for _, p := range r.Points {
-					for _, s := range p.Strategies {
-						fmt.Printf("windows=%-3d %-10s %.0f ev/s p50=%.1fus p99=%.1fus p999=%.1fus max=%.1fus\n",
-							p.Windows, s.Assembly, s.EventsPerSec, s.P50Usec, s.P99Usec, s.P999Usec, s.MaxUsec)
-					}
-					fmt.Printf("windows=%-3d p999 improvement (two-stacks/daba) %.2fx match=%v\n",
-						p.Windows, p.P999Improvement, p.ResultsMatch)
-				}
-			}
 		case "cardinality":
 			var r *bench.CardinalityReport
 			if r, err = bench.RunCardinalityReport(cfg); err == nil {
@@ -117,7 +104,7 @@ func main() {
 				fmt.Printf("all hashes equal: %v\n", r.AllHashesEqual)
 			}
 		default:
-			fmt.Fprintln(os.Stderr, "desis-bench: -out only applies to -exp ablation-assembly, plan-churn, wire, latency, cardinality, or factor")
+			fmt.Fprintln(os.Stderr, "desis-bench: -out only applies to -exp ablation-assembly, plan-churn, wire, cardinality, or factor")
 			os.Exit(2)
 		}
 		if err != nil {

@@ -62,7 +62,6 @@ func main() {
 	batchCompress := flag.String("batch-compress", "off", "batch body compression: off | on | auto (auto probes the link and backs off when incompressible)")
 	instanceTTL := flag.Duration("instance-ttl", 0, "park group instances of keys idle this long in event time; 0 keeps every instance resident (intermediate, local)")
 	instanceShards := flag.Int("instance-shards", 0, "key→instance map shard count; 0 selects the engine default (intermediate, local)")
-	assembly := flag.String("assembly", "two-stacks", "window-assembly index: two-stacks | daba | naive (intermediate, local)")
 	optimize := flag.Bool("optimize", true, "factor-window plan optimizer (root); -optimize=false ablates it for the whole tree")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/stats and /debug/pprof/ over HTTP at this address (any role); empty disables")
 	var queries queryList
@@ -78,15 +77,9 @@ func main() {
 	// DialOptions) and the debug server; the root's registry lives in its
 	// server, so runRoot wires its own debug endpoint.
 	opts := dialOpts(codec, *heartbeat, *retries, *replay)
-	asm, asmErr := core.ParseAssemblyKind(*assembly)
-	if asmErr != nil {
-		fmt.Fprintln(os.Stderr, "desis-node:", asmErr)
-		os.Exit(1)
-	}
 	opts.Tuning = node.EngineTuning{
 		InstanceTTL:    instanceTTL.Milliseconds(),
 		InstanceShards: *instanceShards,
-		Assembly:       asm,
 	}
 	if *batch {
 		mode, err := parseCompressMode(*batchCompress)

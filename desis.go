@@ -100,20 +100,6 @@ type Result = core.Result
 // FuncValue is one evaluated aggregation function inside a Result.
 type FuncValue = core.FuncValue
 
-// AssemblyKind selects the window-assembly strategy (see Options.Assembly).
-type AssemblyKind = core.AssemblyKind
-
-// The assembly strategies.
-const (
-	AssemblyTwoStacks = core.AssemblyTwoStacks
-	AssemblyDABA      = core.AssemblyDABA
-	AssemblyNaive     = core.AssemblyNaive
-)
-
-// ParseAssemblyKind maps the flag spellings ("two-stacks", "daba",
-// "naive") onto the enum.
-func ParseAssemblyKind(s string) (AssemblyKind, error) { return core.ParseAssemblyKind(s) }
-
 // ParseQuery reads either query syntax: the compact mini-language
 // ("sliding(10s,2s) sum,quantile(0.9) key=1 value>=80") or, when the input
 // starts with SELECT, the SQL-style form
@@ -155,17 +141,6 @@ type Options struct {
 	// the paper): events identical in (time, value) within one slice are
 	// processed once.
 	Dedup bool
-	// Assembly selects the window-assembly strategy: AssemblyTwoStacks
-	// (default, O(1) amortized merges with periodic rebuild bursts),
-	// AssemblyDABA (DABA-Lite, worst-case O(1) merges, flat latency
-	// tails), or AssemblyNaive (re-fold every covering slice, the
-	// ablation baseline). See desis-bench -exp latency for the tradeoff.
-	Assembly AssemblyKind
-	// NaiveAssembly is the deprecated spelling of Assembly =
-	// AssemblyNaive, kept so existing ablation callers compile; it is
-	// consulted only when Assembly is left at its default. Setting it
-	// together with a conflicting explicit Assembly is a config error.
-	NaiveAssembly bool
 	// Optimize controls the factor-window plan optimizer. The zero value
 	// (OptimizeOn) enables it; set OptimizeOff to force every query onto
 	// raw slices (ablation, and the off leg of desis-bench -exp factor).
@@ -204,11 +179,6 @@ func (o Options) optimizeOn() bool { return o.Optimize != OptimizeOff }
 // validate rejects contradictory option combinations up-front, against the
 // query set the engine is being built for.
 func (o Options) validate(queries []Query) error {
-	if o.NaiveAssembly && o.Assembly != AssemblyTwoStacks && o.Assembly != AssemblyNaive {
-		// The deprecated flag used to be silently ignored here, leaving the
-		// caller benchmarking a different strategy than requested.
-		return fmt.Errorf("desis: Options.NaiveAssembly conflicts with Options.Assembly=%v; set only Assembly", o.Assembly)
-	}
 	if o.ReorderHorizon > 0 && len(queries) > 0 {
 		// The horizon only repairs fixed time windows without deduplication
 		// (see Config.ReorderHorizon): if no configured query has such a
@@ -230,13 +200,8 @@ func (o Options) validate(queries []Query) error {
 }
 
 func (o Options) coreConfig() core.Config {
-	assembly := o.Assembly
-	if assembly == AssemblyTwoStacks && o.NaiveAssembly {
-		assembly = AssemblyNaive
-	}
 	return core.Config{
 		OnResult:       o.OnResult,
-		Assembly:       assembly,
 		ReorderHorizon: o.ReorderHorizon.Milliseconds(),
 		PruneThreshold: o.PruneThreshold,
 		InstanceTTL:    o.InstanceTTL.Milliseconds(),

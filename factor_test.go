@@ -7,14 +7,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"desis/internal/core"
 )
 
 // Factor-optimizer differential tests: the rewrite must be invisible in the
-// results. Every workload here runs twice — Optimize on and off — under each
-// assembly strategy, with out-of-order input and mid-stream plan churn, and
-// the two result sets must match exactly. Values are small integers and the
-// workloads avoid product/geomean, so every aggregate is exact in float64
-// and the comparison is bitwise, not approximate.
+// results. Every workload here runs twice — Optimize on and off — under the
+// two-stacks index and the naive reference, with out-of-order input and
+// mid-stream plan churn, and the two result sets must match exactly. Values
+// are small integers and the workloads avoid product/geomean, so every
+// aggregate is exact in float64 and the comparison is bitwise, not
+// approximate.
 
 // factorWorkload is one randomized correlated-window workload: a divisibility
 // chain (base tumbling → medium sliding → long sliding) the optimizer can
@@ -91,12 +94,19 @@ func buildFactorWorkload(rng *rand.Rand, ooo bool) factorWorkload {
 	return w
 }
 
-// runFactor replays the workload through one engine configuration.
-func runFactor(t *testing.T, w factorWorkload, opts Options) ([]Result, string) {
+// runFactor replays the workload through one engine configuration; naive
+// swaps the assembly index for the reference re-fold.
+func runFactor(t *testing.T, w factorWorkload, opts Options, naive bool) ([]Result, string) {
 	t.Helper()
 	e, err := NewEngine(w.queries, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
+	}
+	if naive {
+		// The reference lives below the facade: rebuild on the same plan.
+		cfg := opts.coreConfig()
+		cfg.NaiveAssembly = true
+		e.e = core.NewFromPlan(e.e.Plan().Clone(), cfg)
 	}
 	third := len(w.events) / 3
 	e.ProcessBatch(w.events[:third])
@@ -166,24 +176,24 @@ func compareExact(t *testing.T, got, want []Result) {
 // TestFactorRewriteDifferential proves the rewrite invisible: randomized
 // correlated workloads with out-of-order input and mid-stream plan churn
 // produce bitwise-identical results with the optimizer on and off, under
-// every assembly strategy.
+// the two-stacks index and the naive reference.
 func TestFactorRewriteDifferential(t *testing.T) {
-	assemblies := []AssemblyKind{AssemblyTwoStacks, AssemblyDABA, AssemblyNaive}
 	for seed := int64(0); seed < 6; seed++ {
-		for _, asm := range assemblies {
+		for _, asm := range []string{"two-stacks", "naive"} {
 			for _, ooo := range []bool{false, true} {
 				seed, asm, ooo := seed, asm, ooo
-				t.Run(fmt.Sprintf("seed=%d/%v/ooo=%v", seed, asm, ooo), func(t *testing.T) {
+				t.Run(fmt.Sprintf("seed=%d/%s/ooo=%v", seed, asm, ooo), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					w := buildFactorWorkload(rng, ooo)
-					opts := Options{Assembly: asm}
+					var opts Options
 					if ooo {
 						opts.ReorderHorizon = time.Duration(4*w.base) * time.Millisecond
 					}
 					off := opts
 					off.Optimize = OptimizeOff
-					want, offPlan := runFactor(t, w, off)
-					got, onPlan := runFactor(t, w, opts)
+					naive := asm == "naive"
+					want, offPlan := runFactor(t, w, off, naive)
+					got, onPlan := runFactor(t, w, opts, naive)
 					if strings.Contains(offPlan, "fed-from") {
 						t.Fatalf("unoptimized plan contains fed groups:\n%s", offPlan)
 					}

@@ -70,11 +70,7 @@ func assemblyRun(qs []query.Query, events int, naive bool) (evPerSec, winPerSec,
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	asm := core.AssemblyTwoStacks
-	if naive {
-		asm = core.AssemblyNaive
-	}
-	e := core.New(groups, core.Config{OnResult: func(core.Result) {}, Assembly: asm})
+	e := core.New(groups, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: naive})
 	s := gen.NewStream(gen.StreamConfig{Seed: 21, Keys: 1, IntervalMS: 1})
 	evs := s.Events(events)
 	runtime.GC()

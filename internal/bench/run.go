@@ -67,7 +67,6 @@ var Experiments = []Experiment{
 	{"ablation-codecs", "binary vs compact vs text wire codecs", one(AblationCodecs)},
 	{"ablation-shardedroot", "single vs key-sharded root engines", one(AblationShardedRoot)},
 	{"ablation-assembly", "amortized window assembly vs per-window slice re-fold", one(AblationAssembly)},
-	{"latency", "assembly-latency tails: two-stacks vs DABA-Lite vs naive", one(Latency)},
 	{"plan-churn", "plan-delta add/remove throughput and reconnect resync bytes", one(PlanChurn)},
 	{"wire", "adaptive uplink batching: throttled-link efficiency and fast-link latency", one(Wire)},
 	{"cardinality", "idle-key bytes and ingest tail with instance eviction on/off", one(Cardinality)},

@@ -1,60 +1,12 @@
 package core
 
-import (
-	"fmt"
+import "desis/internal/operator"
 
-	"desis/internal/operator"
-)
-
-// AssemblyKind selects the strategy a group uses to fold closed slices
-// into window results. All strategies are result-identical (the swag
-// differential tests prove it three ways); they differ in the cost model
-// of the merges:
-//
-//   - AssemblyTwoStacks (default): O(1) amortized merges per emission via
-//     the two-stacks prefix/suffix index (swag.go). Suffix rebuilds batch
-//     many merges into one emission — fastest on average, with periodic
-//     latency spikes.
-//   - AssemblyDABA: worst-case O(1) merges per slice close and per
-//     emission via DABA-Lite (daba.go). The rebuild is spread over the
-//     appends between flips, so no emission pays a burst.
-//   - AssemblyNaive: fold every covering slice per window. O(slices) per
-//     emission; the ablation baseline.
-type AssemblyKind uint8
-
-const (
-	AssemblyTwoStacks AssemblyKind = iota
-	AssemblyDABA
-	AssemblyNaive
-)
-
-func (k AssemblyKind) String() string {
-	switch k {
-	case AssemblyTwoStacks:
-		return "two-stacks"
-	case AssemblyDABA:
-		return "daba"
-	case AssemblyNaive:
-		return "naive"
-	}
-	return fmt.Sprintf("AssemblyKind(%d)", uint8(k))
-}
-
-// ParseAssemblyKind maps the flag/config spellings onto the enum.
-func ParseAssemblyKind(s string) (AssemblyKind, error) {
-	switch s {
-	case "two-stacks", "twostacks", "swag", "":
-		return AssemblyTwoStacks, nil
-	case "daba", "daba-lite":
-		return AssemblyDABA, nil
-	case "naive":
-		return AssemblyNaive, nil
-	}
-	return 0, fmt.Errorf("unknown assembly strategy %q (want two-stacks, daba, or naive)", s)
-}
-
-// assemblyIndex is the strategy seam between a group's closed-slice ring
-// and window assembly. An index maintains derived pre-aggregates over the
+// assemblyIndex is the seam between a group's closed-slice ring and window
+// assembly. Production groups run the two-stacks index (sliceIndex,
+// swag.go); naiveIndex re-folds every covering slice and is the reference
+// the differential tests and the ablation benchmark substitute for it
+// (Config.NaiveAssembly). An index maintains derived pre-aggregates over the
 // decomposable operators (the mask strips OpNDSort) in per-context lanes
 // and answers range folds [lo, hi) over the ring.
 //
@@ -75,8 +27,8 @@ func ParseAssemblyKind(s string) (AssemblyKind, error) {
 //     repairs only the rows covering pos — or restarts coverage if it
 //     cannot.
 //
-// Implementations are single-writer, owned by one groupState; the
-// sliceinvariant analyzer pins their writer sets.
+// An index is single-writer, owned by one groupState; the sliceinvariant
+// analyzer pins sliceIndex's writer set.
 type assemblyIndex interface {
 	configure(nctx int, ops operator.Op, n int)
 	appendSlice(closed []sliceRec)
@@ -85,22 +37,19 @@ type assemblyIndex interface {
 	commitLate(closed []sliceRec, pos int, inserted bool, delta []operator.Agg)
 }
 
-// newAssemblyIndex constructs the index for a strategy. Unknown kinds fall
-// back to two-stacks (the zero value of Config.Assembly).
-func newAssemblyIndex(kind AssemblyKind) assemblyIndex {
-	switch kind {
-	case AssemblyDABA:
-		return &dabaIndex{}
-	case AssemblyNaive:
+// newAssemblyIndex constructs a group's index: two-stacks, or the naive
+// reference when naive is set.
+func newAssemblyIndex(naive bool) assemblyIndex {
+	if naive {
 		return naiveIndex{}
 	}
 	return &sliceIndex{}
 }
 
-// naiveIndex is the ablation strategy: no derived state, every query folds
-// its covering slices directly. All maintenance calls are no-ops, so the
-// ring lifecycle (closeSlice, prune, commitLate) runs unconditionally
-// regardless of strategy.
+// naiveIndex is the reference: no derived state, every query folds its
+// covering slices directly. All maintenance calls are no-ops, so the ring
+// lifecycle (closeSlice, prune, commitLate) runs unconditionally whichever
+// index is in place.
 type naiveIndex struct{}
 
 func (naiveIndex) configure(int, operator.Op, int) {}

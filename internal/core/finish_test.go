@@ -12,10 +12,11 @@ import (
 	"desis/internal/query"
 )
 
-// Every assembly strategy finishes windows through operator.WindowFinisher,
-// so comparing strategies with each other (TestAssemblyDifferential) cannot
-// see a fault in it. These tests compare against naiveResults, which sorts
-// each window's events and shares no code with the engine.
+// The two-stacks index and the naive reference both finish windows through
+// operator.WindowFinisher, so comparing them with each other
+// (TestAssemblyDifferential) cannot see a fault in it. These tests compare
+// against naiveResults, which sorts each window's events and shares no code
+// with the engine.
 
 // finishQueries mixes, in one group, the members that take their answer from
 // the slices' value runs — quantiles by rank selection, min and max by run
@@ -75,13 +76,13 @@ func TestWindowFinishOracle(t *testing.T) {
 			sorted := append([]event.Event(nil), evs...)
 			sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
 			want := naiveResults(queries, sorted, advTo)
-			for _, asm := range []AssemblyKind{AssemblyTwoStacks, AssemblyDABA, AssemblyNaive} {
-				t.Run(fmt.Sprintf("horizon=%d/seed=%d/%v", horizon, seed, asm), func(t *testing.T) {
+			for _, asm := range assemblies {
+				t.Run(fmt.Sprintf("horizon=%d/seed=%d/%s", horizon, seed, asm.name), func(t *testing.T) {
 					groups, err := query.Analyze(queries, query.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					e := New(groups, Config{Assembly: asm, ReorderHorizon: horizon})
+					e := New(groups, Config{NaiveAssembly: asm.naive, ReorderHorizon: horizon})
 					e.ProcessBatch(evs)
 					e.AdvanceTo(advTo)
 					st := e.Stats()
@@ -182,9 +183,9 @@ func TestHintedQuantilesOracle(t *testing.T) {
 		sorted := append([]event.Event(nil), evs...)
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
 		want := naiveResults(queries, sorted, advTo)
-		for _, asm := range []AssemblyKind{AssemblyTwoStacks, AssemblyDABA, AssemblyNaive} {
-			t.Run(fmt.Sprintf("seed=%d/%v", seed, asm), func(t *testing.T) {
-				cfg := Config{Assembly: asm, ReorderHorizon: horizon}
+		for _, asm := range assemblies {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, asm.name), func(t *testing.T) {
+				cfg := Config{NaiveAssembly: asm.naive, ReorderHorizon: horizon}
 				groups, err := query.Analyze(queries, query.Options{})
 				if err != nil {
 					t.Fatal(err)

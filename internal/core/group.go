@@ -75,7 +75,7 @@ type groupState struct {
 	nextSliceID   uint64
 
 	closed  []sliceRec    // closed slices, monotone in start and startCount
-	idx     assemblyIndex // pre-aggregates over closed (assembly.go strategy seam)
+	idx     assemblyIndex // pre-aggregates over closed (assembly.go index seam)
 	pending *SlicePartial
 	fin     operator.WindowFinisher // scratch aggregate and value runs of the window being assembled
 
@@ -179,7 +179,7 @@ func newGroupShell(e *Engine, g *query.Group) *groupState {
 			gs.feedPeriod = g.FeedPeriod
 		}
 	}
-	gs.idx = newAssemblyIndex(e.cfg.Assembly)
+	gs.idx = newAssemblyIndex(e.cfg.NaiveAssembly)
 	gs.refreshOOO()
 	// The callbacks close over gs once; per-punctuation state (the current
 	// boundary) travels through gs fields rather than fresh captures.

@@ -10,14 +10,20 @@ import (
 	"desis/internal/query"
 )
 
-// The assembly indexes (swag.go, daba.go) must be pure optimizations: for
-// any query mix over any stream, the engine answers identically under every
-// Config.Assembly strategy. These tests run randomized workloads through
-// three engines — two-stacks (default), DABA-Lite, and the naive one
-// re-folding every covering slice — and require matching results. Sum- and
-// product-derived functions compare with the usual float tolerance (the
-// indexes fold slices in different association orders); order statistics
-// are exact.
+// The two-stacks assembly index (swag.go) must be a pure optimization: for
+// any query mix over any stream, the engine answers identically to the naive
+// reference (Config.NaiveAssembly) that re-folds every covering slice. These
+// tests run randomized workloads through both engines and require matching
+// results. Sum- and product-derived functions compare with the usual float
+// tolerance (the index folds slices in a different association order); order
+// statistics are exact.
+
+// assemblies are the two legs the differential tests run: the production
+// two-stacks index and the naive reference.
+var assemblies = []struct {
+	name  string
+	naive bool
+}{{"two-stacks", false}, {"naive", true}}
 
 // randomFuncs draws 1–3 aggregation functions covering every operator class.
 func randomFuncs(rng *rand.Rand) []operator.FuncSpec {
@@ -121,19 +127,17 @@ func randomAssemblyStream(rng *rand.Rand, n int) ([]event.Event, int64) {
 	return evs, t + 10_000
 }
 
-func differentialConfigs(seed int64) (indexed, daba, naive Config) {
-	// Odd seeds prune aggressively so the indexes' dropFront/reset paths run;
-	// even seeds keep the default retention. All engines must prune alike —
+func differentialConfigs(seed int64) (indexed, naive Config) {
+	// Odd seeds prune aggressively so the index's dropFront/reset paths run;
+	// even seeds keep the default retention. Both engines must prune alike —
 	// pruning itself is correctness-neutral, but identical retention keeps
 	// the engines' emission order trivially comparable.
 	if seed%2 == 1 {
 		indexed.PruneThreshold = 8
-		daba.PruneThreshold = 8
 		naive.PruneThreshold = 8
 	}
-	daba.Assembly = AssemblyDABA
-	naive.Assembly = AssemblyNaive
-	return indexed, daba, naive
+	naive.NaiveAssembly = true
+	return indexed, naive
 }
 
 func TestAssemblyDifferential(t *testing.T) {
@@ -151,10 +155,9 @@ func TestAssemblyDifferential(t *testing.T) {
 				queries = append(queries, q)
 			}
 			evs, advTo := randomAssemblyStream(rng, 2000)
-			idxCfg, dabaCfg, naiveCfg := differentialConfigs(seed)
+			idxCfg, naiveCfg := differentialConfigs(seed)
 			want := runEngine(t, queries, evs, advTo, naiveCfg)
 			compareResults(t, runEngine(t, queries, evs, advTo, idxCfg), want)
-			compareResults(t, runEngine(t, queries, evs, advTo, dabaCfg), want)
 		})
 	}
 }
@@ -176,7 +179,7 @@ func TestAssemblyDifferentialRuntimeAdd(t *testing.T) {
 				added = append(added, randomQuery(rng, uint64(100+i)))
 			}
 			evs, advTo := randomAssemblyStream(rng, 2000)
-			idxCfg, dabaCfg, naiveCfg := differentialConfigs(seed)
+			idxCfg, naiveCfg := differentialConfigs(seed)
 
 			run := func(cfg Config) []Result {
 				groups, err := query.Analyze(initial, query.Options{})
@@ -196,7 +199,6 @@ func TestAssemblyDifferentialRuntimeAdd(t *testing.T) {
 			}
 			want := run(naiveCfg)
 			compareResults(t, run(idxCfg), want)
-			compareResults(t, run(dabaCfg), want)
 		})
 	}
 }
@@ -247,12 +249,10 @@ func TestAssemblySnapshotRoundTrip(t *testing.T) {
 // repairs included. Deferred windows end a horizon's worth of slices (20
 // here) behind the ring's tail. An index that only places its boundary at
 // the tail spans them by accident or not at all: two-stacks never flipped
-// again after the first prune, DABA-Lite's sweeps came too late whenever a
-// build (an eighth of the ring in appends) outran the deferral, and every
-// window folded every slice it covers — 45 and 34 merges a window on this
-// shape, against 4 and 5 with the boundary where the windows end. The late
-// share is kept low because repairs are priced per late event, twice under
-// DABA-Lite (two sweeps), and would drown the figure the test is after.
+// again after the first prune, and every window folded every slice it
+// covers — 45 merges a window on this shape, against 4 with the boundary
+// where the windows end. The late share is kept low because repairs are
+// priced per late event and would drown the figure the test is after.
 func TestAssemblyMergesUnderDeferredEmission(t *testing.T) {
 	funcs := []string{"sum", "count", "average", "min", "max", "sum,count", "min,max", "average,max"}
 	var queries []query.Query
@@ -269,30 +269,28 @@ func TestAssemblyMergesUnderDeferredEmission(t *testing.T) {
 			evs[i].Time -= 1 + rng.Int63n(1000) // late, inside the horizon
 		}
 	}
-	want := runEngine(t, queries, evs, 0, Config{Assembly: AssemblyNaive, ReorderHorizon: 2000})
-	for _, asm := range []AssemblyKind{AssemblyTwoStacks, AssemblyDABA} {
-		groups, err := query.Analyze(queries, query.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		windows := 0
-		var got []Result
-		e := New(groups, Config{Assembly: asm, ReorderHorizon: 2000, OnResult: func(r Result) {
-			windows++
-			got = append(got, r)
-		}})
-		e.ProcessBatch(evs[:10_000]) // past the first prune
-		windows = 0
-		operator.CountMerges(true)
-		e.ProcessBatch(evs[10_000:])
-		merges := operator.MergeCalls()
-		operator.CountMerges(false)
-		if st := e.Stats(); st.LateCommits == 0 || st.Pruned == 0 {
-			t.Fatalf("%v: %d late commits, %d slices pruned: the run must exercise both repair and pruning", asm, st.LateCommits, st.Pruned)
-		}
-		if per := float64(merges) / float64(windows); per > 8 {
-			t.Errorf("%v: %.1f merges per window over %d deferred windows, want at most 8", asm, per, windows)
-		}
-		compareResults(t, got, want)
+	want := runEngine(t, queries, evs, 0, Config{NaiveAssembly: true, ReorderHorizon: 2000})
+	groups, err := query.Analyze(queries, query.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	windows := 0
+	var got []Result
+	e := New(groups, Config{ReorderHorizon: 2000, OnResult: func(r Result) {
+		windows++
+		got = append(got, r)
+	}})
+	e.ProcessBatch(evs[:10_000]) // past the first prune
+	windows = 0
+	operator.CountMerges(true)
+	e.ProcessBatch(evs[10_000:])
+	merges := operator.MergeCalls()
+	operator.CountMerges(false)
+	if st := e.Stats(); st.LateCommits == 0 || st.Pruned == 0 {
+		t.Fatalf("%d late commits, %d slices pruned: the run must exercise both repair and pruning", st.LateCommits, st.Pruned)
+	}
+	if per := float64(merges) / float64(windows); per > 8 {
+		t.Errorf("%.1f merges per window over %d deferred windows, want at most 8", per, windows)
+	}
+	compareResults(t, got, want)
 }

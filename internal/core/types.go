@@ -177,11 +177,10 @@ type Config struct {
 	// re-derives the next boundary on every event — the strategy of the
 	// baseline systems, kept for the ablation benchmark.
 	PerEventBoundaryCheck bool
-	// Assembly selects the window-assembly strategy (see AssemblyKind):
-	// two-stacks (default, O(1) amortized), DABA-Lite (worst-case O(1),
-	// no rebuild bursts), or naive per-window re-folding (the ablation
-	// baseline, the seed behavior).
-	Assembly AssemblyKind
+	// NaiveAssembly replaces the two-stacks assembly index (swag.go) with
+	// per-window re-folding of every covering slice — kept for the
+	// ablation benchmark and as the tests' reference.
+	NaiveAssembly bool
 	// ReorderHorizon, when positive, admits events up to this many
 	// event-time milliseconds behind a group's last punctuation: the late
 	// event commits into the already-closed slice covering it (or a slice

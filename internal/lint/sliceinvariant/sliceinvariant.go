@@ -1,11 +1,9 @@
 // Package sliceinvariant enforces the engine's slicing contracts: the
-// structural invariants the assembly indexes (two-stacks in
-// internal/core/swag.go, DABA-Lite in internal/core/daba.go) and the
-// closed-slice ring rest on are only maintained if mutation stays
-// confined to the documented mutation points. The analyzer guards the state
-// fields of core.groupState, core.sliceRec, core.sliceIndex, core.dabaIndex,
-// the identity
-// fields of core.SlicePartial, the shared query.Group descriptor, and the
+// structural invariants the assembly index (two-stacks in
+// internal/core/swag.go) and the closed-slice ring rest on are only
+// maintained if mutation stays confined to the documented mutation points.
+// The analyzer guards the state fields of core.groupState, core.sliceRec,
+// core.sliceIndex, the identity fields of core.SlicePartial, the shared query.Group descriptor, and the
 // epoch-versioned plan.Plan catalog, and the key-space tier's sharded
 // instance maps and free lists (internal/core/keyspace.go), and the quiet
 // bounds, runs and key memo of batch ingest (internal/core/batch.go): every
@@ -68,11 +66,6 @@ var DefaultRules = []Rule{
 		Type:          corePkg + ".sliceIndex",
 		AllowRecvType: corePkg + ".sliceIndex",
 		Message:       "the prefix/suffix assembly index is derived state owned by its own methods (swag.go); mutate the ring and let the index rebuild",
-	},
-	{
-		Type:          corePkg + ".dabaIndex",
-		AllowRecvType: corePkg + ".dabaIndex",
-		Message:       "the DABA-Lite sweeps are derived state owned by their own methods (daba.go); mutate the ring and let appendSlice/commitLate keep the sweeps in step",
 	},
 	{
 		Type:   corePkg + ".groupState",

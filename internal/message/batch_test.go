@@ -547,7 +547,8 @@ func TestAppendBatchBodySteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-		}); avg != 0 {
+		}); avg != 0 && !raceBuild {
+			// Under -race the scratch pool drops puts, so it never stays warm.
 			t.Fatalf("appendBatchBody allocates %.1f times per batch in steady state, want 0", avg)
 		}
 	}
