@@ -3,6 +3,9 @@
 //
 //	desis-gen -n 20 -keys 4                 # human-readable text
 //	desis-gen -n 1000000 -format binary > events.bin
+//
+// The binary format is a run of columnar event batches of up to 1024
+// events, each as event.AppendBatch writes it on the wire.
 package main
 
 import (

@@ -78,7 +78,7 @@ func main() {
 	}
 
 	localBytes, interBytes := cl.NetworkBytes()
-	raw := uint64(perLocal * cl.NumLocals() * 21) // 21 bytes per encoded event
+	raw := uint64(perLocal * cl.NumLocals() * 21) // an event's four fields at full width
 	fmt.Printf("\nwindows answered:     %d\n", results)
 	fmt.Printf("raw stream volume:    %d bytes\n", raw)
 	fmt.Printf("local layer sent:     %d bytes (%.2f%% of raw)\n", localBytes, 100*float64(localBytes)/float64(raw))

@@ -8,6 +8,9 @@ package event
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 )
 
 // Marker values for the Marker field of an Event. A non-zero marker delimits
@@ -38,68 +41,112 @@ type Event struct {
 	Value float64
 }
 
-// EncodedSize is the number of bytes Append writes per event.
-const EncodedSize = 8 + 4 + 1 + 8
-
-// Append appends the binary encoding of e to buf and returns the extended
-// slice. The layout is little-endian: time int64, key uint32, marker uint8,
-// value float64.
-func (e Event) Append(buf []byte) []byte {
-	var tmp [EncodedSize]byte
-	binary.LittleEndian.PutUint64(tmp[0:8], uint64(e.Time))
-	binary.LittleEndian.PutUint32(tmp[8:12], e.Key)
-	tmp[12] = e.Marker
-	binary.LittleEndian.PutUint64(tmp[13:21], mathFloat64bits(e.Value))
-	return append(buf, tmp[:]...)
+// batchScratch stages one column at a time for AppendBatch and DecodeBatch.
+// Scratches recycle through a sync.Pool, so encoding allocates nothing in
+// steady state.
+type batchScratch struct {
+	ints []int64
+	vals []float64
 }
 
-// Decode reads one event from buf, which must hold at least EncodedSize
-// bytes. It returns the event and the remaining bytes.
-func Decode(buf []byte) (Event, []byte, error) {
-	if len(buf) < EncodedSize {
-		return Event{}, buf, fmt.Errorf("event: short buffer: %d bytes, need %d", len(buf), EncodedSize)
-	}
-	e := Event{
-		Time:   int64(binary.LittleEndian.Uint64(buf[0:8])),
-		Key:    binary.LittleEndian.Uint32(buf[8:12]),
-		Marker: buf[12],
-		Value:  mathFloat64frombits(binary.LittleEndian.Uint64(buf[13:21])),
-	}
-	return e, buf[EncodedSize:], nil
-}
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// AppendBatch appends a length-prefixed batch of events to buf.
+// AppendBatch appends the columnar encoding of events to buf:
+//
+//	uvarint n
+//	int column: times, each as its difference to the event before it
+//	            (the first against 0)
+//	int column: keys
+//	int column: markers
+//	float column: values
+//
+// The columns are those of column.go; the batch is written the same way on
+// the wire, by desis-gen and in the benchmark's codec ledger line.
+//
+//desis:hotpath
 func AppendBatch(buf []byte, events []Event) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(events)))
-	buf = append(buf, tmp[:]...)
-	for _, e := range events {
-		buf = e.Append(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(events)))
+	if len(events) == 0 {
+		return buf
 	}
+	s := scratchPool.Get().(*batchScratch)
+	ints := slices.Grow(s.ints[:0], len(events))[:len(events)]
+	prev := int64(0)
+	for i := range events {
+		ints[i] = events[i].Time - prev
+		prev = events[i].Time
+	}
+	buf = AppendIntColumn(buf, ints)
+	for i := range events {
+		ints[i] = int64(events[i].Key)
+	}
+	buf = AppendIntColumn(buf, ints)
+	for i := range events {
+		ints[i] = int64(events[i].Marker)
+	}
+	buf = AppendIntColumn(buf, ints)
+	vals := slices.Grow(s.vals[:0], len(events))[:len(events)]
+	for i := range events {
+		vals[i] = events[i].Value
+	}
+	buf = AppendF64Column(buf, vals)
+	s.ints, s.vals = ints, vals
+	scratchPool.Put(s)
 	return buf
 }
 
 // DecodeBatch decodes a batch written by AppendBatch, appending events to dst
-// (which may be nil) to let callers reuse buffers.
+// (which may be nil) to let callers reuse buffers. It returns the bytes after
+// the batch; on error dst comes back at its original length.
 func DecodeBatch(buf []byte, dst []Event) ([]Event, []byte, error) {
-	if len(buf) < 4 {
-		return dst, buf, fmt.Errorf("event: short batch header: %d bytes", len(buf))
+	r := Reader{Buf: buf}
+	claimed := r.Uvarint()
+	if r.Err != nil {
+		return dst, buf, fmt.Errorf("event: bad batch header: %w", r.Err)
 	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	buf = buf[4:]
-	if uint64(len(buf)) < uint64(n)*EncodedSize {
-		return dst, buf, fmt.Errorf("event: short batch body: %d events declared, %d bytes left", n, len(buf))
+	// The value column writes at least one byte per event, while a run in
+	// the int columns may carry any number of events in a few bytes: the
+	// float column alone is what lets a claim beyond the bytes left be
+	// refused before anything is sized from it.
+	if claimed > uint64(len(r.Buf)) {
+		return dst, buf, fmt.Errorf("event: batch claims %d events in %d bytes", claimed, len(r.Buf))
 	}
-	for i := uint32(0); i < n; i++ {
-		var e Event
-		var err error
-		e, buf, err = Decode(buf)
-		if err != nil {
-			return dst, buf, err
+	n, base := int(claimed), len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	evs := dst[base:]
+	s := scratchPool.Get().(*batchScratch)
+	ints := slices.Grow(s.ints[:0], n)[:n]
+	r.IntColumn(ints)
+	prev := int64(0)
+	for i := range evs {
+		prev += ints[i]
+		evs[i].Time = prev
+	}
+	r.IntColumn(ints)
+	for i := range evs {
+		if uint64(ints[i]) > math.MaxUint32 && r.Err == nil {
+			r.Err = fmt.Errorf("event: key %d out of range", ints[i])
 		}
-		dst = append(dst, e)
+		evs[i].Key = uint32(ints[i])
 	}
-	return dst, buf, nil
+	r.IntColumn(ints)
+	for i := range evs {
+		if uint64(ints[i]) > math.MaxUint8 && r.Err == nil {
+			r.Err = fmt.Errorf("event: marker %d out of range", ints[i])
+		}
+		evs[i].Marker = uint8(ints[i])
+	}
+	vals := slices.Grow(s.vals[:0], n)[:n]
+	r.F64Column(vals)
+	for i := range evs {
+		evs[i].Value = vals[i]
+	}
+	s.ints, s.vals = ints, vals
+	scratchPool.Put(s)
+	if r.Err != nil {
+		return dst[:base], buf, r.Err
+	}
+	return dst, r.Buf, nil
 }
 
 // String renders the event for logs and test failures.

@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"desis/internal/core"
+	"desis/internal/event"
 	"desis/internal/invariant"
 	"desis/internal/operator"
 )
@@ -65,9 +67,12 @@ type batchScratch struct {
 	payload  []byte
 	partials []*core.SlicePartial
 	dict     []uint32
-	col      []float64
-	comp     bytes.Buffer
-	fw       *flate.Writer
+	// ints and col stage one int or float column at a time, for the encoder
+	// and the decoder alike.
+	ints []int64
+	col  []float64
+	comp bytes.Buffer
+	fw   *flate.Writer
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -158,33 +163,54 @@ func inflateBytes(p []byte) ([]byte, error) {
 	return out, nil
 }
 
-// appendBatchPayload writes the uncompressed columnar payload:
+// maxBatchItems caps the frames, aggregate rows and EPs one batch carries
+// together; the Batcher cuts its batches at it. An int column may carry any
+// number of equal values in a few bytes, so no bound read off the body's
+// size can admit every legitimate batch. The cap bounds what a hostile body
+// makes the decoder allocate instead: about 2 MB however small the body,
+// which is 33× a 64 KiB body (TestDecodeHostileBatchBounded).
+const maxBatchItems = 1 << 13
+
+// batchItems is what m counts against maxBatchItems.
+func batchItems(m *Message) int {
+	if m.Kind != KindPartial || m.Partial == nil {
+		return 1
+	}
+	return 1 + len(m.Partial.Aggs) + len(m.Partial.EPs)
+}
+
+// appendBatchPayload writes the uncompressed columnar payload, a sequence
+// of the int and float columns of package event (column.go):
 //
 //	uvarint nFrames
 //	kind bitmap, ceil(n/8) bytes — bit i set: frame i is a watermark
-//	watermark column: varint deltas between consecutive watermark values
+//	int column of watermark deltas
 //	partial columns, over the partial frames in order:
 //	  group dictionary: uvarint nGroups, then the group ids (uvarint)
-//	  per-partial dictionary index (uvarint)
-//	  slice id column (varint delta)
-//	  Start column (varint delta), End-Start, LastEvent-Start, Ingested
-//	  agg count per partial (uvarint), then the ops byte of every agg
-//	  per-operator state columns, each contiguous over all aggs that carry
-//	  the op: counts (varint), then float columns (f64col.go) of sums,
-//	  products and min/max pairs, then the retained-value run lengths
-//	  (uvarint) and one float column of all retained values
-//	  EP count per partial (uvarint), then the EP field columns
+//	  int columns: dictionary index, slice id delta, Start delta,
+//	    End−Start, End−LastEvent, Ingested, agg count
+//	  int column of the ops of every agg, then per-operator columns, each
+//	  contiguous over all aggs that carry the op: an int column of counts,
+//	  float columns of sums, products and min/max pairs, an int column of
+//	  retained-value run lengths and one float column of all retained values
+//	  int column of EP counts, then int columns of the EP fields QueryIdx,
+//	  Start, End−Start and GapStart
+//
+// A column that holds one value throughout (End−Start, End−LastEvent, the
+// agg count and ops of a stream's partials) costs a few bytes per batch.
 //
 //desis:hotpath
 func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(b.Frames)))
 	partials := s.partials[:0]
+	s.ints, s.col = s.ints[:0], s.col[:0]
 	// The kind bitmap is built in place inside buf: zeroed bytes first, then
 	// bits set as the frames classify, so no staging slice is needed.
 	bitmapOff := len(buf)
 	for i := 0; i < (len(b.Frames)+7)/8; i++ {
 		buf = append(buf, 0)
 	}
+	items := 0
 	for i, f := range b.Frames {
 		switch f.Kind {
 		case KindPartial:
@@ -202,16 +228,20 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 			//lint:ignore hotalloc cold path: the Batcher only enqueues Batchable kinds, so this is a local invariant violation
 			return nil, fmt.Errorf("message: batch frame %d: kind %d is not batchable", i, f.Kind)
 		}
+		items += batchItems(f)
+	}
+	if items > maxBatchItems {
+		s.stashPartials(partials)
+		//lint:ignore hotalloc cold path: the Batcher cuts its batches at maxBatchItems
+		return nil, fmt.Errorf("message: batch of %d items exceeds %d", items, maxBatchItems)
 	}
 
-	// Watermark column.
-	prevW := int64(0)
 	for _, f := range b.Frames {
 		if f.Kind == KindWatermark {
-			buf = binary.AppendVarint(buf, f.Watermark-prevW)
-			prevW = f.Watermark
+			s.ints = append(s.ints, f.Watermark)
 		}
 	}
+	buf = s.deltaColumn(buf)
 
 	if len(partials) == 0 {
 		s.stashPartials(partials)
@@ -219,9 +249,9 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 	}
 
 	// Group dictionary: first-appearance order, so the common one-group
-	// stream pays one dictionary entry and an all-zero index column. A
-	// linear scan replaces the old map: batches carry a handful of groups,
-	// and the scan keeps the dictionary allocation-free.
+	// stream pays one dictionary entry and a one-run index column. A linear
+	// scan keeps the dictionary allocation-free: batches carry a handful of
+	// groups.
 	dict := s.dict[:0]
 	for _, p := range partials {
 		if dictFind(dict, p.Group) < 0 {
@@ -234,114 +264,150 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(g))
 	}
 	for _, p := range partials {
-		buf = binary.AppendUvarint(buf, uint64(dictFind(dict, p.Group)))
+		s.ints = append(s.ints, int64(dictFind(dict, p.Group)))
 	}
+	buf = s.intColumn(buf)
 
-	// Slice id and time columns, delta-coded against the previous partial.
-	prev := int64(0)
+	// Slice id and Start, delta-coded against the previous partial; the
+	// other times against the partial's own bounds.
 	for _, p := range partials {
-		buf = binary.AppendVarint(buf, int64(p.ID)-prev)
-		prev = int64(p.ID)
+		s.ints = append(s.ints, int64(p.ID))
 	}
-	prev = 0
+	buf = s.deltaColumn(buf)
 	for _, p := range partials {
-		buf = binary.AppendVarint(buf, p.Start-prev)
-		prev = p.Start
+		s.ints = append(s.ints, p.Start)
 	}
+	buf = s.deltaColumn(buf)
 	for _, p := range partials {
-		buf = binary.AppendVarint(buf, p.End-p.Start)
+		s.ints = append(s.ints, p.End-p.Start)
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
-		buf = binary.AppendVarint(buf, p.LastEvent-p.Start)
+		s.ints = append(s.ints, p.End-p.LastEvent)
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
-		buf = binary.AppendVarint(buf, p.Ingested)
+		s.ints = append(s.ints, p.Ingested)
 	}
+	buf = s.intColumn(buf)
 
-	// Aggregate columns: the ops bytes first, then one contiguous column
-	// per operator over every agg (in partial order) that carries it.
+	// Aggregate columns: agg counts and ops first, then one contiguous
+	// column per operator over every agg (in partial order) that carries it.
 	for _, p := range partials {
-		buf = binary.AppendUvarint(buf, uint64(len(p.Aggs)))
+		s.ints = append(s.ints, int64(len(p.Aggs)))
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		for i := range p.Aggs {
-			buf = append(buf, byte(p.Aggs[i].Ops))
+			s.ints = append(s.ints, int64(p.Aggs[i].Ops))
 		}
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpCount != 0 {
-				buf = binary.AppendVarint(buf, p.Aggs[i].CountV)
+				s.ints = append(s.ints, p.Aggs[i].CountV)
 			}
 		}
 	}
-	// Float columns are gathered into the scratch and written as scaled
-	// integers where that is lossless (f64col.go).
-	col := s.col[:0]
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpSum != 0 {
-				col = append(col, p.Aggs[i].SumV)
+				s.col = append(s.col, p.Aggs[i].SumV)
 			}
 		}
 	}
-	buf = appendF64Column(buf, col)
-	col = col[:0]
+	buf = s.f64Column(buf)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpMult != 0 {
-				col = append(col, p.Aggs[i].ProdV)
+				s.col = append(s.col, p.Aggs[i].ProdV)
 			}
 		}
 	}
-	buf = appendF64Column(buf, col)
-	col = col[:0]
+	buf = s.f64Column(buf)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpDSort != 0 {
-				col = append(col, p.Aggs[i].MinV, p.Aggs[i].MaxV)
+				s.col = append(s.col, p.Aggs[i].MinV, p.Aggs[i].MaxV)
 			}
 		}
 	}
-	buf = appendF64Column(buf, col)
-	col = col[:0]
+	buf = s.f64Column(buf)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpNDSort != 0 {
-				buf = binary.AppendUvarint(buf, uint64(len(p.Aggs[i].Values)))
-				col = append(col, p.Aggs[i].Values...)
+				s.ints = append(s.ints, int64(len(p.Aggs[i].Values)))
+				s.col = append(s.col, p.Aggs[i].Values...)
 			}
 		}
 	}
-	buf = appendF64Column(buf, col)
-	s.col = col
+	buf = s.intColumn(buf)
+	buf = s.f64Column(buf)
 
 	// EP columns.
 	for _, p := range partials {
-		buf = binary.AppendUvarint(buf, uint64(len(p.EPs)))
+		s.ints = append(s.ints, int64(len(p.EPs)))
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		for _, ep := range p.EPs {
-			buf = binary.AppendUvarint(buf, uint64(ep.QueryIdx))
+			s.ints = append(s.ints, int64(ep.QueryIdx))
 		}
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		for _, ep := range p.EPs {
-			buf = binary.AppendVarint(buf, ep.Start)
+			s.ints = append(s.ints, ep.Start)
 		}
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		for _, ep := range p.EPs {
-			buf = binary.AppendVarint(buf, ep.End-ep.Start)
+			s.ints = append(s.ints, ep.End-ep.Start)
 		}
 	}
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		for _, ep := range p.EPs {
-			buf = binary.AppendVarint(buf, ep.GapStart)
+			s.ints = append(s.ints, ep.GapStart)
 		}
 	}
+	buf = s.intColumn(buf)
 	s.stashPartials(partials)
 	return buf, nil
+}
+
+// intColumn writes the staged ints as one int column and empties the stage.
+//
+//desis:hotpath
+func (s *batchScratch) intColumn(buf []byte) []byte {
+	buf = event.AppendIntColumn(buf, s.ints)
+	s.ints = s.ints[:0]
+	return buf
+}
+
+// deltaColumn is intColumn over the differences between consecutive staged
+// ints, the first against 0.
+//
+//desis:hotpath
+func (s *batchScratch) deltaColumn(buf []byte) []byte {
+	prev := int64(0)
+	for i, v := range s.ints {
+		s.ints[i], prev = v-prev, v
+	}
+	return s.intColumn(buf)
+}
+
+// f64Column writes the staged floats as one float column and empties the
+// stage.
+//
+//desis:hotpath
+func (s *batchScratch) f64Column(buf []byte) []byte {
+	buf = event.AppendF64Column(buf, s.col)
+	s.col = s.col[:0]
+	return buf
 }
 
 // stashPartials zeroes and stores back the partial work list so a pooled
@@ -365,44 +431,64 @@ func dictFind(dict []uint32, g uint32) int {
 }
 
 func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
-	r := varReader{buf: payload}
-	claimed := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	s := scratchPool.Get().(*batchScratch)
+	b, err := s.decode(payload, from)
+	scratchPool.Put(s)
+	return b, err
+}
+
+// readInts reads an int column of n values into the scratch; the slice is
+// valid until the next read.
+func (s *batchScratch) readInts(r *event.Reader, n int) []int64 {
+	s.ints = slices.Grow(s.ints[:0], n)[:n]
+	r.IntColumn(s.ints)
+	return s.ints
+}
+
+// readF64s is readInts for a float column.
+func (s *batchScratch) readF64s(r *event.Reader, n int) []float64 {
+	s.col = slices.Grow(s.col[:0], n)[:n]
+	r.F64Column(s.col)
+	return s.col
+}
+
+// decode parses a payload written by appendBatchPayload. Claimed counts are
+// checked before anything is sized from them: frames, aggregate rows and
+// EPs together against maxBatchItems (and frames also against the bitmap
+// bits the body holds), retained values against the bytes left, since the
+// float column writes at least one byte per value.
+func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
+	r := event.Reader{Buf: payload}
+	claimed := r.Uvarint()
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	// Every frame owns at least one bitmap bit, so a count the buffer
-	// cannot have carried is hostile.
-	if claimed > uint64(len(r.buf))*8 {
+	if claimed > uint64(len(r.Buf))*8 || claimed > maxBatchItems {
 		return nil, fmt.Errorf("message: batch claims %d frames in %d bytes", claimed, len(payload))
 	}
 	n := int(claimed)
-	if len(r.buf) < (n+7)/8 {
+	if len(r.Buf) < (n+7)/8 {
 		return nil, fmt.Errorf("message: truncated batch bitmap")
 	}
-	bitmap := r.buf[:(n+7)/8]
-	r.buf = r.buf[len(bitmap):]
+	bitmap := r.Buf[:(n+7)/8]
+	r.Buf = r.Buf[len(bitmap):]
 	nW := 0
 	for i := 0; i < n; i++ {
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
 			nW++
 		}
 	}
-	// A watermark costs at least its delta byte and a partial at least
-	// eight: its six scalar columns plus its agg and EP counts. A frame mix
-	// the rest of the body cannot carry is rejected before anything is
-	// sized from it.
-	if nP := n - nW; nW+8*nP > len(r.buf) {
-		return nil, fmt.Errorf("message: batch claims %d watermarks and %d partials in %d bytes", nW, nP, len(r.buf))
-	}
 	msgs := make([]Message, n)
 	b := &Batch{Frames: make([]*Message, n)}
 	partials := make([]*core.SlicePartial, 0, n-nW)
-	prevW := int64(0)
+	wms := s.readInts(&r, nW)
+	prevW, w := int64(0), 0
 	for i := range msgs {
 		m := &msgs[i]
 		m.From = from
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			prevW += r.varint()
+			prevW += wms[w]
+			w++
 			m.Kind, m.Watermark = KindWatermark, prevW
 		} else {
 			m.Kind, m.Partial = KindPartial, newPartial()
@@ -410,69 +496,80 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 		}
 		b.Frames[i] = m
 	}
+	if r.Err != nil {
+		return nil, r.Err
+	}
 	if len(partials) == 0 {
-		if r.err != nil {
-			return nil, r.err
-		}
 		return b, nil
 	}
+	nP := len(partials)
 
-	nDict := r.uvarint()
-	if r.err == nil && (nDict == 0 || nDict > uint64(len(partials))) {
-		r.err = fmt.Errorf("message: batch group dictionary of %d for %d partials", nDict, len(partials))
+	nDict := r.Uvarint()
+	if r.Err == nil && (nDict == 0 || nDict > uint64(nP)) {
+		r.Err = fmt.Errorf("message: batch group dictionary of %d for %d partials", nDict, nP)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	dict := make([]uint32, nDict)
 	for i := range dict {
-		dict[i] = uint32(r.uvarint())
+		dict[i] = uint32(r.Uvarint())
 	}
-	for _, p := range partials {
-		idx := r.uvarint()
-		if r.err == nil && idx >= nDict {
-			r.err = fmt.Errorf("message: batch group index %d out of dictionary", idx)
+	for i, idx := range s.readInts(&r, nP) {
+		if r.Err == nil && uint64(idx) >= nDict {
+			r.Err = fmt.Errorf("message: batch group index %d out of dictionary", idx)
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		p.Group = dict[idx]
+		partials[i].Group = dict[idx]
 	}
 
 	prev := int64(0)
-	for _, p := range partials {
-		prev += r.varint()
-		p.ID = uint64(prev)
+	for i, d := range s.readInts(&r, nP) {
+		prev += d
+		partials[i].ID = uint64(prev)
 	}
 	prev = 0
-	for _, p := range partials {
-		prev += r.varint()
-		p.Start = prev
+	for i, d := range s.readInts(&r, nP) {
+		prev += d
+		partials[i].Start = prev
 	}
-	for _, p := range partials {
-		p.End = p.Start + r.varint()
+	for i, d := range s.readInts(&r, nP) {
+		partials[i].End = partials[i].Start + d
 	}
-	for _, p := range partials {
-		p.LastEvent = p.Start + r.varint()
+	for i, d := range s.readInts(&r, nP) {
+		partials[i].LastEvent = partials[i].End - d
 	}
-	for _, p := range partials {
-		p.Ingested = r.varint()
+	for i, v := range s.readInts(&r, nP) {
+		partials[i].Ingested = v
 	}
 
-	// Every agg consumes at least its ops byte downstream.
-	total := 0
-	for _, p := range partials {
-		nAggs := r.count(&total, 1, "aggs")
-		if r.err != nil {
-			return nil, r.err
+	items := n
+	for i, c := range s.readInts(&r, nP) {
+		if r.Err == nil && (c < 0 || c > int64(maxBatchItems-items)) {
+			r.Err = fmt.Errorf("message: batch claims %d more aggs with %d items already", c, items)
 		}
-		p.Aggs = resize(p.Aggs, nAggs)
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		items += int(c)
+		partials[i].Aggs = resize(partials[i].Aggs, int(c))
 	}
-	var nSum, nMult, nDSort int
+	ops := s.readInts(&r, items-n)
+	var nCount, nSum, nMult, nDSort, nNDSort, k int
 	for _, p := range partials {
 		for i := range p.Aggs {
+			op := ops[k]
+			k++
+			if r.Err == nil && uint64(op) > 0xff {
+				r.Err = fmt.Errorf("message: batch agg ops %#x", op)
+			}
 			a := &p.Aggs[i]
-			a.Reset(operator.Op(r.u8()))
+			a.Reset(operator.Op(op))
+			if a.Ops&operator.OpCount != 0 {
+				nCount++
+			}
 			if a.Ops&operator.OpSum != 0 {
 				nSum++
 			}
@@ -482,112 +579,132 @@ func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
 			if a.Ops&operator.OpDSort != 0 {
 				nDSort++
 			}
+			if a.Ops&operator.OpNDSort != 0 {
+				nNDSort++
+			}
 		}
 	}
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	k = 0
+	counts := s.readInts(&r, nCount)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpCount != 0 {
-				p.Aggs[i].CountV = r.varint()
+				p.Aggs[i].CountV = counts[k]
+				k++
 			}
 		}
 	}
-	col := r.f64Column(nSum)
+	k = 0
+	sums := s.readF64s(&r, nSum)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpSum != 0 {
-				p.Aggs[i].SumV = col.next(&r)
+				p.Aggs[i].SumV = sums[k]
+				k++
 			}
 		}
 	}
-	col = r.f64Column(nMult)
+	k = 0
+	prods := s.readF64s(&r, nMult)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpMult != 0 {
-				p.Aggs[i].ProdV = col.next(&r)
+				p.Aggs[i].ProdV = prods[k]
+				k++
 			}
 		}
 	}
-	col = r.f64Column(2 * nDSort)
+	k = 0
+	minMax := s.readF64s(&r, 2*nDSort)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpDSort != 0 {
-				p.Aggs[i].MinV = col.next(&r)
-				p.Aggs[i].MaxV = col.next(&r)
+				p.Aggs[i].MinV, p.Aggs[i].MaxV = minMax[k], minMax[k+1]
+				k += 2
 			}
 		}
 	}
-	// Every retained value costs at least one byte of the column; the
-	// bound is on the running total, so n aggs cannot each claim the
+	// Every retained value costs at least one byte of its float column;
+	// the bound is on the running total, so n aggs cannot each claim the
 	// whole remaining buffer.
-	total = 0
+	total, k := 0, 0
+	lens := s.readInts(&r, nNDSort)
 	for _, p := range partials {
 		for i := range p.Aggs {
-			if p.Aggs[i].Ops&operator.OpNDSort != 0 {
-				p.Aggs[i].Values = resize(p.Aggs[i].Values, r.count(&total, 1, "retained values"))
-				p.Aggs[i].Sorted = true
+			if p.Aggs[i].Ops&operator.OpNDSort == 0 {
+				continue
 			}
+			l := lens[k]
+			k++
+			if r.Err == nil && (l < 0 || l > int64(len(r.Buf)-total)) {
+				r.Err = fmt.Errorf("message: batch claims %d more retained values in %d bytes", l, len(r.Buf))
+			}
+			if r.Err != nil {
+				return nil, r.Err
+			}
+			total += int(l)
+			p.Aggs[i].Values = resize(p.Aggs[i].Values, int(l))
+			p.Aggs[i].Sorted = true
 		}
 	}
-	col = r.f64Column(total)
+	vals := s.readF64s(&r, total)
 	for _, p := range partials {
 		for i := range p.Aggs {
-			vs := p.Aggs[i].Values
-			for j := 0; j < len(vs) && r.err == nil; j++ {
-				vs[j] = col.next(&r)
-			}
+			vals = vals[copy(p.Aggs[i].Values, vals):]
 		}
 	}
 
-	// Each EP consumes at least one byte in each of its four field columns.
-	total = 0
-	for _, p := range partials {
-		nEPs := r.count(&total, 4, "EPs")
-		if r.err != nil {
-			return nil, r.err
+	nEPs := 0
+	for i, c := range s.readInts(&r, nP) {
+		if r.Err == nil && (c < 0 || c > int64(maxBatchItems-items)) {
+			r.Err = fmt.Errorf("message: batch claims %d more EPs with %d items already", c, items)
 		}
-		p.EPs = resize(p.EPs, nEPs)
-	}
-	for _, p := range partials {
-		for i := range p.EPs {
-			p.EPs[i].QueryIdx = int32(r.uvarint())
+		if r.Err != nil {
+			return nil, r.Err
 		}
+		items += int(c)
+		nEPs += int(c)
+		partials[i].EPs = resize(partials[i].EPs, int(c))
 	}
-	for _, p := range partials {
-		for i := range p.EPs {
-			p.EPs[i].Start = r.varint()
-		}
-	}
+	k = 0
+	qs := s.readInts(&r, nEPs)
 	for _, p := range partials {
 		for i := range p.EPs {
-			p.EPs[i].End = p.EPs[i].Start + r.varint()
+			p.EPs[i].QueryIdx = int32(qs[k])
+			k++
 		}
 	}
+	k = 0
+	starts := s.readInts(&r, nEPs)
 	for _, p := range partials {
 		for i := range p.EPs {
-			p.EPs[i].GapStart = r.varint()
+			p.EPs[i].Start = starts[k]
+			k++
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	k = 0
+	spans := s.readInts(&r, nEPs)
+	for _, p := range partials {
+		for i := range p.EPs {
+			p.EPs[i].End = p.EPs[i].Start + spans[k]
+			k++
+		}
+	}
+	k = 0
+	gaps := s.readInts(&r, nEPs)
+	for _, p := range partials {
+		for i := range p.EPs {
+			p.EPs[i].GapStart = gaps[k]
+			k++
+		}
+	}
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return b, nil
-}
-
-// count reads an element count and adds it to *total, the running number
-// of elements the rest of the buffer must still carry at cost bytes or
-// more each. A claim beyond that is hostile: it sets r.err and returns 0
-// before anything is sized from it.
-func (r *varReader) count(total *int, cost int, what string) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if room := len(r.buf)/cost - *total; room < 0 || v > uint64(room) {
-		r.err = fmt.Errorf("message: batch claims %d more %s in %d bytes", v, what, len(r.buf))
-		return 0
-	}
-	*total += int(v)
-	return int(v)
 }
 
 // estimateFrameSize is the batcher's cheap upper-bound guess of a frame's

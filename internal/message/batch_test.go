@@ -1,7 +1,6 @@
 package message
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"desis/internal/core"
+	"desis/internal/event"
 	"desis/internal/invariant"
 	"desis/internal/operator"
 	"desis/internal/telemetry"
@@ -273,6 +273,66 @@ func TestBatcherAdaptiveFill(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBatcherCutsAtItemCap checks the batcher never builds a batch the
+// decoder would refuse: frames join a batch only while its frames, aggs
+// and EPs stay within maxBatchItems, and a frame past the cap on its own
+// travels unbatched.
+func TestBatcherCutsAtItemCap(t *testing.T) {
+	wide := func(id uint64, aggs int) *Message {
+		p := &core.SlicePartial{ID: id, Start: int64(id) * 100, End: int64(id+1) * 100}
+		for i := 0; i < aggs; i++ {
+			p.Aggs = append(p.Aggs, operator.NewAgg(operator.OpCount))
+		}
+		return &Message{Kind: KindPartial, From: 1, Partial: p}
+	}
+	var mu sync.Mutex
+	var sent []*Message
+	send := func(m *Message) error {
+		if _, err := (Binary{}).Append(nil, m); err != nil {
+			return err
+		}
+		mu.Lock()
+		sent = append(sent, m)
+		mu.Unlock()
+		return nil
+	}
+	b := NewBatcher(send, 1, BatcherOptions{NoCutThrough: true})
+	for i := 0; i < 40; i++ {
+		if err := b.Send(wide(uint64(i), 1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Send(wide(40, maxBatchItems)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	frames := 0
+	for _, m := range sent {
+		if m.Kind != KindBatch {
+			frames++
+			continue
+		}
+		items := 0
+		for _, f := range m.Batch.Frames {
+			items += batchItems(f)
+		}
+		if items > maxBatchItems {
+			t.Errorf("batch of %d frames carries %d items, cap %d", len(m.Batch.Frames), items, maxBatchItems)
+		}
+		frames += len(m.Batch.Frames)
+	}
+	if frames != 41 {
+		t.Errorf("sent %d frames, want 41", frames)
+	}
+	if last := sent[len(sent)-1]; last.Kind != KindPartial {
+		t.Errorf("the frame past the cap travelled as kind %d, want a lone partial", last.Kind)
+	}
 }
 
 // TestBatcherControlFlushesFirst checks that a non-batchable frame flushes
@@ -557,53 +617,88 @@ func TestAppendBatchBodySteadyStateAllocs(t *testing.T) {
 // TestDecodeHostileBatchBounded checks a hostile body cannot make the
 // decoder allocate far beyond its own size: a frame count the body cannot
 // carry is refused before anything is sized from it, the largest admissible
-// partial count stays within a fixed multiple of the body, and so do
-// retained-value counts that each fit the body but not together.
+// partial count stays within a fixed multiple of a 64 KiB body, and so do
+// retained-value counts that each fit the body but not together. Int
+// columns of runs carry any count in a few bytes, so there the bound is
+// absolute (maxBatchItems): an all-runs body at the cap decodes within the
+// same budget, and one past it is refused. An event body is bounded by its
+// float column, which costs a byte per value at least.
 func TestDecodeHostileBatchBounded(t *testing.T) {
 	const size = 64 << 10
 	pad := func(b []byte) []byte { return append(b, make([]byte, size-len(b))...) }
 	claim := func(frames int) []byte { // flags, count, then all partials, all zero
 		return pad(binary.AppendUvarint([]byte{0}, uint64(frames)))
 	}
-	// The largest n whose partials the rest of the body can carry at their
-	// minimum of 8 bytes each after the bitmap.
-	admissible := 0
-	for n := 0; ; n++ {
-		if len(binary.AppendUvarint(nil, uint64(n)))+(n+7)/8+8*n > size-1 {
-			break
+	plain := func(b []byte, k int, v int64) []byte { // an int column of k plain values
+		b = append(b, event.IntColPlain)
+		for i := 0; i < k; i++ {
+			b = binary.AppendVarint(b, v)
 		}
-		admissible = n
+		return b
+	}
+	runOf := func(b []byte, k int, v int64) []byte { // an int column of one run
+		return binary.AppendUvarint(binary.AppendVarint(append(b, event.IntColRuns), v), uint64(k))
 	}
 	// k zero partials with one retained-value agg each, every one claiming
 	// a tenth as many values as the body has bytes: each fits the body even
 	// at eight bytes a value, all of them together do not.
 	const k = 1024
-	runs := binary.AppendUvarint([]byte{0}, k)
-	runs = append(runs, make([]byte, k/8)...) // bitmap: all partials
-	runs = append(runs, 1, 0)                 // dictionary: group 0
-	runs = append(runs, make([]byte, 6*k)...) // index, id, time and ingested columns
-	runs = append(runs, bytes.Repeat([]byte{1}, k)...)
-	runs = append(runs, bytes.Repeat([]byte{byte(operator.OpNDSort)}, k)...)
-	for i := 0; i < k; i++ {
-		runs = binary.AppendUvarint(runs, size/10)
+	retained := binary.AppendUvarint([]byte{0}, k)
+	retained = append(retained, make([]byte, k/8)...) // bitmap: all partials
+	retained = append(retained, 1, 0)                 // dictionary: group 0
+	for c := 0; c < 6; c++ {                          // index, id, time and ingested columns
+		retained = plain(retained, k, 0)
 	}
+	retained = plain(retained, k, 1)                        // one agg each
+	retained = plain(retained, k, int64(operator.OpNDSort)) // its ops
+	retained = plain(retained, k, size/10)                  // retained-value counts
+	// n partials in one run per column, each with one count-only agg: a
+	// valid body of a few hundred bytes whatever n is.
+	allRuns := func(n int) []byte {
+		b := binary.AppendUvarint([]byte{0}, uint64(n))
+		b = append(b, make([]byte, (n+7)/8)...)
+		b = append(b, 1, 0)
+		b = runOf(b, n, 0)   // dictionary index
+		b = runOf(b, n, 1)   // slice id delta
+		b = runOf(b, n, 100) // Start delta
+		b = runOf(b, n, 100) // End−Start
+		b = runOf(b, n, 1)   // End−LastEvent
+		b = runOf(b, n, 5)   // Ingested
+		b = runOf(b, n, 1)   // agg count
+		b = runOf(b, n, int64(operator.OpCount))
+		b = runOf(b, n, 5) // counts
+		return runOf(b, n, 0)
+	}
+	atCap := allRuns(maxBatchItems / 2)
+	if _, err := decodeBatchBody(atCap, 7); err != nil {
+		t.Fatalf("all-runs body at the cap refused: %v", err)
+	}
+	events := binary.AppendUvarint([]byte{byte(KindEventBatch), 7, 0, 0, 0}, 1<<20)
+	events = runOf(runOf(runOf(events, 1<<20, 1), 1<<20, 1), 1<<20, 0)
+	events = append(events, make([]byte, 64-len(events))...)
+	batch := func(b []byte) error { _, err := decodeBatchBody(b, 7); return err }
+	frame := func(b []byte) error { _, err := Binary{}.Decode(b); return err }
 	for _, c := range []struct {
-		name string
-		body []byte
+		name   string
+		body   []byte
+		decode func([]byte) error
 	}{
-		{"all-zero claim", claim(465976)},
-		{"largest admissible partial count", claim(admissible)},
-		{"retained-value counts", pad(runs)},
+		{"all-zero claim", claim(465976), batch},
+		{"largest admissible partial count", claim(maxBatchItems), batch},
+		{"retained-value counts", pad(retained), batch},
+		{"all-runs body at the cap", atCap, batch},
+		{"all-runs body past the cap", allRuns(maxBatchItems + 1), batch},
+		{"event body claiming 2^20 events in 64 bytes", events, frame},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := decodeBatchBody(c.body, 7)
+			err := c.decode(c.body)
 			runtime.ReadMemStats(&after)
 			alloc := after.TotalAlloc - before.TotalAlloc
-			t.Logf("err=%v, allocated %d bytes (%.1f× the body)", err, alloc, float64(alloc)/size)
+			t.Logf("err=%v, allocated %d bytes (%.1f× a %d-byte body)", err, alloc, float64(alloc)/size, size)
 			if alloc > 64*size {
-				t.Errorf("decoding a %d-byte body allocated %d bytes, want ≤ 64×", size, alloc)
+				t.Errorf("decoding allocated %d bytes, want ≤ 64× %d", alloc, size)
 			}
 		})
 	}

@@ -355,9 +355,17 @@ func (b *Batcher) run() {
 			b.mu.Unlock()
 			return
 		}
-		n, bytes := 0, 0
+		// A frame joins while the batch is under its size caps and within
+		// the decoder's item cap; the first one always goes, and travels
+		// alone, unbatched, if it is too big to share.
+		n, bytes, items := 0, 0, 0
 		for n < len(b.queue) && n < b.opts.MaxFrames && (n == 0 || bytes < b.opts.MaxBytes) {
+			k := batchItems(b.queue[n])
+			if n > 0 && items+k > maxBatchItems {
+				break
+			}
 			bytes += estimateFrameSize(b.queue[n])
+			items += k
 			n++
 		}
 		capped := n < len(b.queue)

@@ -3,7 +3,6 @@ package message
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"desis/internal/core"
 	"desis/internal/event"
@@ -12,12 +11,11 @@ import (
 	"desis/internal/telemetry"
 )
 
-// Compact is a varint/delta codec for constrained links: event batches are
-// delta-encoded in time (timestamps in a batch are near-monotone, so deltas
-// are tiny), and all ids/counters use unsigned varints. Values stay as raw
-// IEEE 754 — sensor values do not compress losslessly. On the synthetic
-// sensor stream, event batches shrink to roughly half the Binary size,
-// which directly moves the bandwidth ceiling of Figure 13b.
+// Compact is a varint/delta codec for constrained links: headers, ids and
+// counters of single partials use varints, and times are delta-coded.
+// Event and partial batches are columnar in every codec, so Compact shares
+// those bodies with Binary byte for byte and differs only in the frame
+// header.
 //
 // Compact handles the data-plane kinds (events, partials, watermarks,
 // hello/heartbeat); control messages fall back to Binary framing inside a
@@ -58,15 +56,7 @@ func (Compact) Append(buf []byte, m *Message) ([]byte, error) {
 	case KindWatermark:
 		buf = binary.AppendVarint(buf, m.Watermark)
 	case KindEventBatch:
-		buf = binary.AppendUvarint(buf, uint64(len(m.Events)))
-		prev := int64(0)
-		for _, e := range m.Events {
-			buf = binary.AppendVarint(buf, e.Time-prev)
-			prev = e.Time
-			buf = binary.AppendUvarint(buf, uint64(e.Key))
-			buf = append(buf, e.Marker)
-			buf = appendF64(buf, e.Value)
-		}
+		buf = event.AppendBatch(buf, m.Events)
 	case KindPartial:
 		p := m.Partial
 		invariant.AssertPartialLive(p)
@@ -89,7 +79,7 @@ func (Compact) Append(buf []byte, m *Message) ([]byte, error) {
 		}
 	case KindBatch:
 		// The columnar batch body is already varint/delta-coded; Binary and
-		// Compact share it verbatim.
+		// Compact share it verbatim, as they share the event batch body.
 		var err error
 		if buf, err = appendBatchBody(buf, m.Batch); err != nil {
 			return nil, err
@@ -132,66 +122,58 @@ func (Compact) Decode(buf []byte) (*Message, error) {
 	if buf[0] == compactFallback {
 		return Binary{}.Decode(buf[1:])
 	}
-	r := varReader{buf: buf}
+	r := event.Reader{Buf: buf}
 	m := &Message{}
-	m.Kind = Kind(r.u8())
-	m.From = uint32(r.uvarint())
+	m.Kind = Kind(r.U8())
+	m.From = uint32(r.Uvarint())
 	switch m.Kind {
 	case KindHello:
-		m.Epoch = r.uvarint()
+		m.Epoch = r.Uvarint()
 	case KindGoodbye:
 	case KindHeartbeat:
-		if r.u8() == 1 && r.err == nil {
-			d, rest, err := telemetry.DecodeLoadDigest(r.buf)
+		if r.U8() == 1 && r.Err == nil {
+			d, rest, err := telemetry.DecodeLoadDigest(r.Buf)
 			if err != nil {
 				return nil, err
 			}
-			m.Load, r.buf = d, rest
+			m.Load, r.Buf = d, rest
 		}
 	case KindWatermark:
-		m.Watermark = r.varint()
+		m.Watermark = r.Varint()
 	case KindEventBatch:
-		n := int(r.uvarint())
-		prev := int64(0)
-		for i := 0; i < n && r.err == nil; i++ {
-			var e event.Event
-			prev += r.varint()
-			e.Time = prev
-			e.Key = uint32(r.uvarint())
-			e.Marker = r.u8()
-			e.Value = r.f64()
-			m.Events = append(m.Events, e)
+		if r.Err == nil {
+			m.Events, r.Buf, r.Err = event.DecodeBatch(r.Buf, nil)
 		}
 	case KindPartial:
 		p := newPartial()
-		p.Group = uint32(r.uvarint())
-		p.ID = r.uvarint()
-		p.Start = r.varint()
-		p.End = p.Start + r.varint()
-		p.LastEvent = p.Start + r.varint()
-		p.Ingested = r.varint()
-		nAggs := int(r.uvarint())
-		for i := 0; i < nAggs && r.err == nil; i++ {
+		p.Group = uint32(r.Uvarint())
+		p.ID = r.Uvarint()
+		p.Start = r.Varint()
+		p.End = p.Start + r.Varint()
+		p.LastEvent = p.Start + r.Varint()
+		p.Ingested = r.Varint()
+		nAggs := int(r.Uvarint())
+		for i := 0; i < nAggs && r.Err == nil; i++ {
 			p.Aggs = resize(p.Aggs, len(p.Aggs)+1)
-			r.agg(&p.Aggs[len(p.Aggs)-1])
+			readCompactAgg(&r, &p.Aggs[len(p.Aggs)-1])
 		}
-		nEPs := int(r.uvarint())
-		for i := 0; i < nEPs && r.err == nil; i++ {
+		nEPs := int(r.Uvarint())
+		for i := 0; i < nEPs && r.Err == nil; i++ {
 			var ep core.EP
-			ep.QueryIdx = int32(r.uvarint())
-			ep.Start = r.varint()
-			ep.End = ep.Start + r.varint()
-			ep.GapStart = r.varint()
+			ep.QueryIdx = int32(r.Uvarint())
+			ep.Start = r.Varint()
+			ep.End = ep.Start + r.Varint()
+			ep.GapStart = r.Varint()
 			p.EPs = append(p.EPs, ep)
 		}
 		m.Partial = p
 	case KindBatch:
-		if r.err == nil {
-			b, err := decodeBatchBody(r.buf, m.From)
+		if r.Err == nil {
+			b, err := decodeBatchBody(r.Buf, m.From)
 			if err != nil {
 				return nil, err
 			}
-			m.Batch, r.buf = b, nil
+			m.Batch, r.Buf = b, nil
 		}
 	case KindPlanState, KindPlanDelta, KindPlanDump, KindAddQuery, KindRemoveQuery, KindResult, KindStatsDump:
 		// Control kinds travel only inside the compactFallback envelope
@@ -200,90 +182,33 @@ func (Compact) Decode(buf []byte) (*Message, error) {
 	default:
 		return nil, fmt.Errorf("message: compact codec cannot decode kind %d", m.Kind)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return m, nil
 }
 
-// varReader is a cursor over varint-encoded bytes with sticky errors.
-type varReader struct {
-	buf []byte
-	err error
-}
-
-func (r *varReader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 1 {
-		r.err = fmt.Errorf("message: truncated compact message")
-		return 0
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b
-}
-
-func (r *varReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = fmt.Errorf("message: bad uvarint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *varReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.err = fmt.Errorf("message: bad varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *varReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.err = fmt.Errorf("message: truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
-}
-
-// agg decodes one aggregate row into a, reusing its Values storage.
-func (r *varReader) agg(a *operator.Agg) {
-	a.Reset(operator.Op(r.u8()))
+// readCompactAgg decodes one aggregate row into a, reusing its Values
+// storage.
+func readCompactAgg(r *event.Reader, a *operator.Agg) {
+	a.Reset(operator.Op(r.U8()))
 	if a.Ops&operator.OpCount != 0 {
-		a.CountV = r.varint()
+		a.CountV = r.Varint()
 	}
 	if a.Ops&operator.OpSum != 0 {
-		a.SumV = r.f64()
+		a.SumV = r.F64()
 	}
 	if a.Ops&operator.OpMult != 0 {
-		a.ProdV = r.f64()
+		a.ProdV = r.F64()
 	}
 	if a.Ops&operator.OpDSort != 0 {
-		a.MinV = r.f64()
-		a.MaxV = r.f64()
+		a.MinV = r.F64()
+		a.MaxV = r.F64()
 	}
 	if a.Ops&operator.OpNDSort != 0 {
-		n := int(r.uvarint())
-		for i := 0; i < n && r.err == nil; i++ {
-			a.Values = append(a.Values, r.f64())
+		n := int(r.Uvarint())
+		for i := 0; i < n && r.Err == nil; i++ {
+			a.Values = append(a.Values, r.F64())
 		}
 		a.Sorted = true
 	}

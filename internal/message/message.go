@@ -29,7 +29,9 @@ const (
 	// the handshake reply for fresh or too-stale children.
 	KindPlanState
 	// KindEventBatch carries raw events: local-node input, forwarding in
-	// centralized systems, and RootOnly groups in Desis.
+	// centralized systems, and RootOnly groups in Desis. Every codec but
+	// Text writes the columnar body of event.AppendBatch: int columns of
+	// time deltas, keys and markers, then a float column of values.
 	KindEventBatch
 	// KindPartial carries one per-slice partial result upward.
 	KindPartial
