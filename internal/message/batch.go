@@ -52,6 +52,13 @@ const batchFlagDeflate = 0x01
 // cannot balloon memory; it matches the TCP transport's frame cap.
 const maxBatchPayload = 64 << 20
 
+// maxInflateRatio caps a deflated body's inflated size at this multiple of
+// its compressed size, so a small hostile body cannot make the decoder
+// allocate more than a few dozen times its own size (inflate buffers plus
+// the payload decode, DESIGN.md §8). The encoder sends the raw body whenever
+// deflate would beat the cap, so no batch it writes is refused.
+const maxInflateRatio = 4
+
 // minDeflateSize is the body size below which compression is never
 // attempted — tiny batches cannot amortize the flate header.
 const minDeflateSize = 256
@@ -99,9 +106,10 @@ func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
 		if b.probe != nil {
 			b.probe.observe(len(payload), len(comp))
 		}
-		// Keep the compressed body only when it clearly wins; a marginal
-		// saving is not worth the receiver's inflate pass.
-		if len(comp) < len(payload)*15/16 {
+		// Keep the compressed body only when it clearly wins, since a
+		// marginal saving is not worth the receiver's inflate pass, and
+		// when the receiver's inflate cap admits it.
+		if len(comp) < len(payload)*15/16 && len(payload) <= maxInflateRatio*len(comp) {
 			buf = append(buf, batchFlagDeflate)
 			buf = append(buf, comp...)
 			scratchPool.Put(s)
@@ -150,15 +158,18 @@ func (s *batchScratch) deflate(p []byte) []byte {
 	return s.comp.Bytes()
 }
 
+// inflateBytes inflates p, refusing output beyond maxInflateRatio times
+// len(p) or maxBatchPayload, whichever is smaller.
 func inflateBytes(p []byte) ([]byte, error) {
+	limit := min(maxInflateRatio*len(p), maxBatchPayload)
 	r := flate.NewReader(bytes.NewReader(p))
 	defer r.Close()
-	out, err := io.ReadAll(io.LimitReader(r, maxBatchPayload+1))
+	out, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(out) > maxBatchPayload {
-		return nil, fmt.Errorf("inflated body exceeds %d bytes", maxBatchPayload)
+	if len(out) > limit {
+		return nil, fmt.Errorf("inflated body exceeds %d bytes (%d× its %d compressed bytes)", limit, maxInflateRatio, len(p))
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package message
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -557,6 +559,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge claimed frame count
 	f.Add([]byte{batchFlagDeflate, 0x01})          // broken flate stream
+	// A deflated body, whatever the encoder decides for the seeds above.
+	payload, err := appendBatchPayload(nil, new(batchScratch), randomQuantBatch(rng, 40))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte{batchFlagDeflate}, new(batchScratch).deflate(payload)...))
 	for _, n := range []int{1, 5, 40} {
 		buf, err := Binary{}.Append(nil, &Message{Kind: KindBatch, From: 7, Batch: randomQuantBatch(rng, n)})
 		if err != nil {
@@ -676,6 +684,15 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 	events := binary.AppendUvarint([]byte{byte(KindEventBatch), 7, 0, 0, 0}, 1<<20)
 	events = runOf(runOf(runOf(events, 1<<20, 1), 1<<20, 1), 1<<20, 0)
 	events = append(events, make([]byte, 64-len(events))...)
+	// 63 MiB of zeros deflate to about 64 KiB: a body that inflates 1000×.
+	var bomb bytes.Buffer
+	bomb.WriteByte(batchFlagDeflate)
+	fw, _ := flate.NewWriter(&bomb, flate.BestCompression)
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 63; i++ {
+		fw.Write(zeros)
+	}
+	fw.Close()
 	batch := func(b []byte) error { _, err := decodeBatchBody(b, 7); return err }
 	frame := func(b []byte) error { _, err := Binary{}.Decode(b); return err }
 	for _, c := range []struct {
@@ -689,6 +706,8 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 		{"all-runs body at the cap", atCap, batch},
 		{"all-runs body past the cap", allRuns(maxBatchItems + 1), batch},
 		{"event body claiming 2^20 events in 64 bytes", events, frame},
+		{"deflated body of 63 MiB of zeros", bomb.Bytes(), batch},
+		{"deflated body of 63 MiB of zeros in a frame", append([]byte{byte(KindBatch), 7, 0, 0, 0}, bomb.Bytes()...), frame},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats

@@ -362,6 +362,7 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 	}
 	a.onResult(core.Result{
 		QueryID: m.ID,
+		Key:     rg.g.Key,
 		Start:   ws,
 		End:     we,
 		Count:   rg.fin.Agg.CountV,

@@ -17,17 +17,18 @@ import (
 // tests cannot see a fault in the window finisher, because the central
 // engine finishes its windows through the same code; here the central
 // engine only vouches for which windows exist, and every value is recomputed
-// from the raw events.
+// from the raw events. The queries watch key 3, so a result that drops its
+// key fails too.
 func TestRootAssemblerOracle(t *testing.T) {
 	var queries []query.Query
 	for i, s := range []string{
-		"sliding(1s,100ms) median key=0",
-		"sliding(2s,200ms) quantile(0.9) key=0",
-		"sliding(1500ms,300ms) median,quantile(0.99) key=0",
-		"sliding(800ms,200ms) min key=0",
-		"tumbling(700ms) average,max key=0",
-		"sliding(1s,250ms) sum,count key=0",
-		"sliding(1200ms,100ms) median,max key=0 value>=2 value<6",
+		"sliding(1s,100ms) median key=3",
+		"sliding(2s,200ms) quantile(0.9) key=3",
+		"sliding(1500ms,300ms) median,quantile(0.99) key=3",
+		"sliding(800ms,200ms) min key=3",
+		"tumbling(700ms) average,max key=3",
+		"sliding(1s,250ms) sum,count key=3",
+		"sliding(1200ms,100ms) median,max key=3 value>=2 value<6",
 	} {
 		q := query.MustParse(s)
 		q.ID = uint64(i + 1)
@@ -44,7 +45,7 @@ func TestRootAssemblerOracle(t *testing.T) {
 		for i := range evs {
 			tm += int64(rng.Intn(5))
 			// Eighths: sums are exact in any merge order, duplicates frequent.
-			evs[i] = event.Event{Time: tm, Value: float64(rng.Intn(64)) / 8}
+			evs[i] = event.Event{Time: tm, Key: 3, Value: float64(rng.Intn(64)) / 8}
 		}
 		adv := tm + 5000
 		got := clusterResults(t, queries, evs, adv, 2, 0)
@@ -66,14 +67,14 @@ func bruteForceWindow(q query.Query, start, end int64, evs []event.Event) core.R
 	var vals []float64
 	sum := 0.0
 	for _, ev := range evs {
-		if ev.Time >= start && ev.Time < end && q.Pred.Matches(ev.Value) {
+		if ev.Key == q.Key && ev.Time >= start && ev.Time < end && q.Pred.Matches(ev.Value) {
 			vals = append(vals, ev.Value)
 			sum += ev.Value
 		}
 	}
 	sort.Float64s(vals)
 	n := len(vals)
-	r := core.Result{QueryID: q.ID, Start: start, End: end, Count: int64(n)}
+	r := core.Result{QueryID: q.ID, Key: q.Key, Start: start, End: end, Count: int64(n)}
 	for _, spec := range q.Funcs {
 		fv := core.FuncValue{Spec: spec, OK: n > 0}
 		switch {

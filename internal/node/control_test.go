@@ -20,15 +20,15 @@ func TestTCPRuntimeControl(t *testing.T) {
 
 	var mu sync.Mutex
 	perQuery := map[uint64]int{}
-	root, err := ServeRoot("127.0.0.1:0", []query.Query{base}, 1, 5*time.Second, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", []query.Query{base}, 1, 5*time.Second, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		perQuery[r.QueryID]++
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := ServeIntermediate("127.0.0.1:0", root.Addr(), 1001, 1, 5*time.Second, nil)
+	inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 1, 5*time.Second, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTCPRuntimeControl(t *testing.T) {
 		controlErr <- Control(root.Addr(), nil, nil, 2)
 	}()
 
-	err = RunLocalTCP(inter.Addr(), 1, 64, nil, func(l *LocalSession) error {
+	err = RunLocalTCPOptions(inter.Addr(), 1, 64, DialOptions{}, func(l *LocalSession) error {
 		feed := func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if err := l.Process([]event.Event{{Time: int64(i * 10), Value: 1}}); err != nil {
@@ -135,7 +135,7 @@ func TestTCPRuntimeControl(t *testing.T) {
 func TestControlRejectsBadCommands(t *testing.T) {
 	base := query.MustParse("tumbling(100ms) sum key=0")
 	base.ID = 1
-	root, err := ServeRoot("127.0.0.1:0", []query.Query{base}, 1, time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", []query.Query{base}, 1, time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

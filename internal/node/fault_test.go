@@ -18,11 +18,11 @@ func faultRoot(t *testing.T, nChildren int, timeout time.Duration) (*RootServer,
 	queries[0].ID = 1
 	var mu sync.Mutex
 	var results []core.Result
-	root, err := ServeRoot("127.0.0.1:0", queries, nChildren, timeout, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, nChildren, timeout, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

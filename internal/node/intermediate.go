@@ -128,27 +128,21 @@ func (n *Intermediate) flushParent() {
 	}
 }
 
-// AddChild and RemoveChild adjust the expected child set at runtime (§3.2).
-// They are unsynchronised; concurrent servers use the Locked variants. A
-// departure can complete slices that waited for the child, hence the flush.
-func (n *Intermediate) AddChild(id uint32) { n.merger.AddChild(id) }
-func (n *Intermediate) RemoveChild(id uint32) {
-	n.merger.RemoveChild(id)
-	n.flush()
-}
-
-// AddChildLocked and RemoveChildLocked take the node's mutex, for use
-// alongside HandleLocked from concurrent per-child goroutines.
-func (n *Intermediate) AddChildLocked(id uint32) {
+// AddChild and RemoveChild adjust the expected child set at runtime (§3.2)
+// under the node's mutex, so concurrent per-child goroutines may call them
+// alongside HandleLocked. A departure can complete slices that waited for
+// the child, hence the flush.
+func (n *Intermediate) AddChild(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.merger.AddChild(id)
 }
 
-func (n *Intermediate) RemoveChildLocked(id uint32) {
+func (n *Intermediate) RemoveChild(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.RemoveChild(id)
+	n.merger.RemoveChild(id)
+	n.flush()
 }
 
 // AttachTelemetry instruments the merger with reg, labelling trace events

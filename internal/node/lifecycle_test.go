@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,11 +59,11 @@ func TestHeartbeatKeepsIdleChildAlive(t *testing.T) {
 	queries[0].ID = 1
 	var mu sync.Mutex
 	var results []core.Result
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, 3*hb, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 3*hb, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,21 +125,70 @@ func dialRawChild(t *testing.T, addr string, id uint32) *rawChild {
 
 func (c *rawChild) watermark(id uint32, w int64) {
 	c.t.Helper()
-	if err := c.conn.Send(&message.Message{Kind: message.KindWatermark, From: id, Watermark: w}); err != nil {
-		c.t.Fatal(err)
-	}
+	c.send(&message.Message{Kind: message.KindWatermark, From: id, Watermark: w})
 }
 
 func (c *rawChild) goodbye(id uint32) {
 	c.t.Helper()
-	if err := c.conn.Send(&message.Message{Kind: message.KindGoodbye, From: id}); err != nil {
+	c.send(&message.Message{Kind: message.KindGoodbye, From: id})
+}
+
+func (c *rawChild) send(m *message.Message) {
+	c.t.Helper()
+	if err := c.conn.Send(m); err != nil {
 		c.t.Fatal(err)
 	}
 }
 
+// lifecycleParent is the parent a lifecycle case runs against: its address
+// and its verdict, eviction set and plan epoch.
+type lifecycleParent struct {
+	addr    string
+	wait    func() error
+	evicted func() []uint32
+	epoch   func() uint64
+}
+
+// lifecycleParents start a parent expecting two children under the given
+// liveness timeout: a root, and an intermediate under a root.
+var lifecycleParents = []struct {
+	name  string
+	start func(t *testing.T, queries []query.Query, timeout time.Duration) lifecycleParent
+}{
+	{"root", func(t *testing.T, queries []query.Query, timeout time.Duration) lifecycleParent {
+		root, err := ServeRootOptions("127.0.0.1:0", queries, 2, timeout, RootServeOptions{OnResult: func(core.Result) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { root.Close() })
+		return lifecycleParent{root.Addr(), root.Wait, root.Evicted, func() uint64 {
+			root.mu.Lock()
+			defer root.mu.Unlock()
+			return root.root.Epoch()
+		}}
+	}},
+	{"intermediate", func(t *testing.T, queries []query.Query, timeout time.Duration) lifecycleParent {
+		root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 10*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { root.Close() })
+		inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 2, timeout, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lifecycleParent{inter.Addr(), inter.Wait, inter.Evicted, func() uint64 {
+			inter.mu.Lock()
+			defer inter.mu.Unlock()
+			return inter.hist.Epoch()
+		}}
+	}},
+}
+
 // TestChildIDLifecycle is the table-driven duplicate/reconnect/eviction
-// matrix: each case scripts child id 1 against a root that also has a
-// well-behaved holder child, then checks Wait's verdict and the eviction set.
+// matrix, run against both parents: each case scripts child id 1 against a
+// parent that also has a well-behaved holder child, then checks Wait's
+// verdict, the eviction set, and that the plan epoch did not move.
 func TestChildIDLifecycle(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -147,6 +197,8 @@ func TestChildIDLifecycle(t *testing.T) {
 		// test harness around it.
 		script      func(t *testing.T, addr string)
 		wantEvicted []uint32
+		// wantErr is a substring of the child-stream error Wait reports.
+		wantErr string
 	}{
 		{
 			name:    "disconnect then sequential reconnect",
@@ -191,58 +243,89 @@ func TestChildIDLifecycle(t *testing.T) {
 			},
 			wantEvicted: []uint32{1},
 		},
+		{
+			name:    "child sends a kind its parent cannot handle",
+			timeout: 400 * time.Millisecond,
+			script: func(t *testing.T, addr string) {
+				c := dialRawChild(t, addr, 1)
+				c.send(&message.Message{Kind: message.KindPlanDump, From: 1})
+				c.goodbye(1)
+				c.conn.Close()
+			},
+			wantErr: "cannot handle message kind",
+		},
+		{
+			name:    "child sends KindAddQuery on its data stream",
+			timeout: 400 * time.Millisecond,
+			script: func(t *testing.T, addr string) {
+				q := query.MustParse("tumbling(200ms) count key=0")
+				q.ID = 2
+				c := dialRawChild(t, addr, 1)
+				c.send(&message.Message{Kind: message.KindAddQuery, From: 1, Queries: []query.Query{q}})
+				c.goodbye(1)
+				c.conn.Close()
+			},
+			wantErr: "cannot handle message kind",
+		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
-			queries[0].ID = 1
-			root, err := ServeRoot("127.0.0.1:0", queries, 2, tc.timeout, nil, func(core.Result) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer root.Close()
-			holder := dialRawChild(t, root.Addr(), 99)
-			hbStop := make(chan struct{})
-			var hbWG sync.WaitGroup
-			hbWG.Add(1)
-			go func() { // keep the holder alive across slow scripts
-				defer hbWG.Done()
-				tick := time.NewTicker(tc.timeout / 4)
-				defer tick.Stop()
-				for {
-					select {
-					case <-hbStop:
-						return
-					case <-tick.C:
-						_ = holder.conn.Send(&message.Message{Kind: message.KindHeartbeat, From: 99})
+			for _, pt := range lifecycleParents {
+				t.Run(pt.name, func(t *testing.T) {
+					queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
+					queries[0].ID = 1
+					parent := pt.start(t, queries, tc.timeout)
+					epoch := parent.epoch()
+					holder := dialRawChild(t, parent.addr, 99)
+					hbStop := make(chan struct{})
+					var hbWG sync.WaitGroup
+					hbWG.Add(1)
+					go func() { // keep the holder alive across slow scripts
+						defer hbWG.Done()
+						tick := time.NewTicker(tc.timeout / 4)
+						defer tick.Stop()
+						for {
+							select {
+							case <-hbStop:
+								return
+							case <-tick.C:
+								_ = holder.conn.Send(&message.Message{Kind: message.KindHeartbeat, From: 99})
+							}
+						}
+					}()
+
+					tc.script(t, parent.addr)
+
+					close(hbStop)
+					hbWG.Wait()
+					holder.goodbye(99)
+					holder.conn.Close()
+
+					err := parent.wait()
+					if got := parent.epoch(); got != epoch {
+						t.Errorf("plan epoch moved from %d to %d", epoch, got)
 					}
-				}
-			}()
-
-			tc.script(t, root.Addr())
-
-			close(hbStop)
-			hbWG.Wait()
-			holder.goodbye(99)
-			holder.conn.Close()
-
-			err = root.Wait()
-			if len(tc.wantEvicted) == 0 {
-				if err != nil {
-					t.Fatalf("Wait: %v, want nil", err)
-				}
-				if ev := root.Evicted(); len(ev) != 0 {
-					t.Fatalf("evicted %v, want none", ev)
-				}
-				return
-			}
-			var ee *EvictionError
-			if !errors.As(err, &ee) {
-				t.Fatalf("Wait: %v, want EvictionError", err)
-			}
-			if fmt.Sprint(ee.IDs) != fmt.Sprint(tc.wantEvicted) {
-				t.Fatalf("evicted %v, want %v", ee.IDs, tc.wantEvicted)
+					if ev := parent.evicted(); fmt.Sprint(ev) != fmt.Sprint(tc.wantEvicted) {
+						t.Errorf("Evicted() = %v, want %v", ev, tc.wantEvicted)
+					}
+					var ee *EvictionError
+					switch {
+					case len(tc.wantEvicted) > 0:
+						if !errors.As(err, &ee) {
+							t.Fatalf("Wait: %v, want EvictionError", err)
+						}
+						if fmt.Sprint(ee.IDs) != fmt.Sprint(tc.wantEvicted) {
+							t.Fatalf("evicted %v, want %v", ee.IDs, tc.wantEvicted)
+						}
+					case tc.wantErr != "":
+						if err == nil || errors.As(err, &ee) || !strings.Contains(err.Error(), tc.wantErr) {
+							t.Fatalf("Wait: %v, want a child-stream error containing %q", err, tc.wantErr)
+						}
+					case err != nil:
+						t.Fatalf("Wait: %v, want nil", err)
+					}
+				})
 			}
 		})
 	}
@@ -257,11 +340,11 @@ func TestUplinkReconnectResumes(t *testing.T) {
 	queries[0].ID = 1
 	var mu sync.Mutex
 	var results []core.Result
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, time.Second, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, time.Second, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +405,7 @@ func TestUplinkReconnectResumes(t *testing.T) {
 func TestUplinkRetriesExhausted(t *testing.T) {
 	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
 	queries[0].ID = 1
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,44 +223,74 @@ func clusterResults(t *testing.T, queries []query.Query, evs []event.Event, advT
 	return c.Results()
 }
 
+// resultKey names a window result up to its values: query, key and bounds.
 func resultKey(r core.Result) string {
-	return fmt.Sprintf("q%d[%d,%d)", r.QueryID, r.Start, r.End)
+	return fmt.Sprintf("q%d k%d [%d,%d)", r.QueryID, r.Key, r.Start, r.End)
 }
 
+// compareResultSets checks that got and want are the same multiset of
+// results on (QueryID, Key, Start, End, Count, values): a duplicated window
+// or a wrong key fails it as surely as a wrong value.
 func compareResultSets(t *testing.T, got, want []core.Result) {
 	t.Helper()
-	key := func(rs []core.Result) map[string]core.Result {
-		m := make(map[string]core.Result, len(rs))
+	byKey := func(rs []core.Result) map[string][]core.Result {
+		m := make(map[string][]core.Result, len(rs))
 		for _, r := range rs {
-			m[resultKey(r)] = r
+			m[resultKey(r)] = append(m[resultKey(r)], r)
 		}
 		return m
 	}
-	gm, wm := key(got), key(want)
-	for k, w := range wm {
-		g, ok := gm[k]
-		if !ok {
-			t.Errorf("missing result %s (want count %d)", k, w.Count)
+	gm, wm := byKey(got), byKey(want)
+	for k, ws := range wm {
+		gs := gm[k]
+		if len(gs) != len(ws) {
+			t.Errorf("%s: %d results, want %d (want count %d)", k, len(gs), len(ws), ws[0].Count)
 			continue
 		}
-		if g.Count != w.Count {
-			t.Errorf("%s: count = %d, want %d", k, g.Count, w.Count)
-		}
-		for i := range w.Values {
-			if g.Values[i].OK != w.Values[i].OK {
-				t.Errorf("%s %v: ok = %v, want %v", k, w.Values[i].Spec, g.Values[i].OK, w.Values[i].OK)
-				continue
+		// Each wanted result claims one equal, unclaimed result.
+		used := make([]bool, len(gs))
+		for _, w := range ws {
+			diff := "no result left unclaimed"
+			for j, g := range gs {
+				if used[j] {
+					continue
+				}
+				if diff = resultDiff(g, w); diff == "" {
+					used[j] = true
+					break
+				}
 			}
-			if w.Values[i].OK && math.Abs(g.Values[i].Value-w.Values[i].Value) > 1e-9*(1+math.Abs(w.Values[i].Value)) {
-				t.Errorf("%s %v: value = %g, want %g", k, w.Values[i].Spec, g.Values[i].Value, w.Values[i].Value)
+			if diff != "" {
+				t.Errorf("%s: %s", k, diff)
 			}
 		}
 	}
-	for k := range gm {
+	for k, gs := range gm {
 		if _, ok := wm[k]; !ok {
-			t.Errorf("extra result %s (count %d)", k, gm[k].Count)
+			t.Errorf("extra result %s (count %d)", k, gs[0].Count)
 		}
 	}
+}
+
+// resultDiff describes how g's count and values differ from w's, or returns
+// "" when they agree (values to a relative 1e-9).
+func resultDiff(g, w core.Result) string {
+	if g.Count != w.Count {
+		return fmt.Sprintf("count = %d, want %d", g.Count, w.Count)
+	}
+	if len(g.Values) != len(w.Values) {
+		return fmt.Sprintf("%d values, want %d", len(g.Values), len(w.Values))
+	}
+	for i, wv := range w.Values {
+		gv := g.Values[i]
+		if gv.OK != wv.OK {
+			return fmt.Sprintf("%v: ok = %v, want %v", wv.Spec, gv.OK, wv.OK)
+		}
+		if wv.OK && math.Abs(gv.Value-wv.Value) > 1e-9*(1+math.Abs(wv.Value)) {
+			return fmt.Sprintf("%v: value = %g, want %g", wv.Spec, gv.Value, wv.Value)
+		}
+	}
+	return ""
 }
 
 // globalStream builds a strictly increasing timeline with occasional

@@ -85,7 +85,7 @@ func TestStaleEpochReconnectResync(t *testing.T) {
 
 	var mu sync.Mutex
 	wins := map[uint64]map[int64]float64{} // query id → window start → value
-	root, err := ServeRoot("127.0.0.1:0", []query.Query{base}, 2, 5*time.Second, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", []query.Query{base}, 2, 5*time.Second, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, v := range r.Values {
@@ -98,7 +98,7 @@ func TestStaleEpochReconnectResync(t *testing.T) {
 				m[r.Start] = v.Value
 			}
 		}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

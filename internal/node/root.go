@@ -34,15 +34,6 @@ type Root struct {
 	wm       int64
 }
 
-// NewRoot builds a root for the analyzed groups, expecting the given child
-// node ids. It takes ownership of the group pointers (they become the
-// authoritative plan's catalog). The factor-window optimizer is left on; use
-// NewRootFromPlan to control it.
-func NewRoot(groups []*query.Group, children []uint32, onResult func(core.Result)) *Root {
-	p := plan.FromGroups(groups, plan.Options{Decentralized: true, Optimize: true})
-	return NewRootFromPlan(p, children, onResult)
-}
-
 // NewRootFromPlan builds a root around an already-wrapped execution plan,
 // taking ownership of it. The plan's Optimize flag governs how future deltas
 // place: it must match the flag the groups were analyzed under, or delta
@@ -105,21 +96,9 @@ func (r *Root) Handle(m *message.Message) error {
 			}
 		}
 	case message.KindHello, message.KindHeartbeat, message.KindGoodbye:
-	case message.KindAddQuery:
-		for _, q := range m.Queries {
-			if err := r.AddQuery(q); err != nil {
-				return err
-			}
-		}
-	case message.KindRemoveQuery:
-		return r.RemoveQuery(m.QueryID)
-	case message.KindPlanDelta:
-		for _, d := range m.Deltas {
-			if err := r.Apply(d); err != nil {
-				return err
-			}
-		}
 	default:
+		// Plan changes reach the root through Apply (or RootServer's control
+		// clients), never on a child's data stream.
 		return fmt.Errorf("node: root cannot handle message kind %d", m.Kind)
 	}
 	return nil

@@ -50,12 +50,12 @@ func TestClusterStatsMatchSingleEngine(t *testing.T) {
 		t.Fatalf("reference engine produced no activity: %+v", want.Counters)
 	}
 
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, 10*time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 10*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	inter, err := ServeIntermediate("127.0.0.1:0", root.Addr(), 1001, 3, 10*time.Second, nil)
+	inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 3, 10*time.Second, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClusterStatsMatchSingleEngine(t *testing.T) {
 	errs := make(chan error, 3)
 	for li := 0; li < 3; li++ {
 		go func(li int) {
-			errs <- RunLocalTCP(inter.Addr(), uint32(1+li), 64, nil, func(l *LocalSession) error {
+			errs <- RunLocalTCPOptions(inter.Addr(), uint32(1+li), 64, DialOptions{}, func(l *LocalSession) error {
 				for i := li; i < len(evs); i += 3 {
 					if err := l.Process(evs[i : i+1]); err != nil {
 						return err
@@ -146,7 +146,7 @@ func statsDiff(want, got *telemetry.Snapshot, groups []*query.Group) string {
 func TestFaultStatsSurviveDeadChild(t *testing.T) {
 	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
 	queries[0].ID = 1
-	root, err := ServeRoot("127.0.0.1:0", queries, 2, 30*time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 2, 30*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -24,15 +23,15 @@ func TestTCPTopologyEndToEnd(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []core.Result
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, 5*time.Second, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 5*time.Second, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		got = append(got, r)
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := ServeIntermediate("127.0.0.1:0", root.Addr(), 1001, 2, 5*time.Second, nil)
+	inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 2, 5*time.Second, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestTCPTopologyEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(li int) {
 			defer wg.Done()
-			err := RunLocalTCP(inter.Addr(), uint32(1+li), 64, nil, func(l *LocalSession) error {
+			err := RunLocalTCPOptions(inter.Addr(), uint32(1+li), 64, DialOptions{}, func(l *LocalSession) error {
 				for i := li; i < len(evs); i += 2 {
 					if err := l.Process(evs[i : i+1]); err != nil {
 						return err
@@ -85,28 +84,7 @@ func TestTCPTopologyEndToEnd(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != len(want) {
-		t.Fatalf("got %d results over TCP, want %d", len(got), len(want))
-	}
-	wm := map[string]core.Result{}
-	for _, r := range want {
-		wm[resultKey(r)] = r
-	}
-	for _, g := range got {
-		w, ok := wm[resultKey(g)]
-		if !ok {
-			t.Errorf("unexpected result %s", resultKey(g))
-			continue
-		}
-		if g.Count != w.Count {
-			t.Errorf("%s: count %d, want %d", resultKey(g), g.Count, w.Count)
-		}
-		for i := range w.Values {
-			if w.Values[i].OK && math.Abs(g.Values[i].Value-w.Values[i].Value) > 1e-9 {
-				t.Errorf("%s %v: %g, want %g", resultKey(g), w.Values[i].Spec, g.Values[i].Value, w.Values[i].Value)
-			}
-		}
-	}
+	compareResultSets(t, got, want)
 }
 
 // TestTCPChildTimeout exercises the §3.2 liveness timeout: a child that
@@ -116,18 +94,18 @@ func TestTCPChildTimeout(t *testing.T) {
 	queries[0].ID = 1
 	var mu sync.Mutex
 	n := 0
-	root, err := ServeRoot("127.0.0.1:0", queries, 2, 300*time.Millisecond, nil, func(core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 2, 300*time.Millisecond, RootServeOptions{OnResult: func(core.Result) {
 		mu.Lock()
 		n++
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A healthy local.
 	done := make(chan error, 1)
 	go func() {
-		done <- RunLocalTCP(root.Addr(), 1, 64, nil, func(l *LocalSession) error {
+		done <- RunLocalTCPOptions(root.Addr(), 1, 64, DialOptions{}, func(l *LocalSession) error {
 			for i := 0; i < 1000; i++ {
 				if err := l.Process([]event.Event{{Time: int64(i), Value: 1}}); err != nil {
 					return err
@@ -138,7 +116,7 @@ func TestTCPChildTimeout(t *testing.T) {
 	}()
 	// A silent child: says hello, then nothing.
 	go func() {
-		_ = RunLocalTCP(root.Addr(), 2, 64, nil, func(l *LocalSession) error {
+		_ = RunLocalTCPOptions(root.Addr(), 2, 64, DialOptions{}, func(l *LocalSession) error {
 			time.Sleep(2 * time.Second)
 			return nil
 		})

@@ -104,6 +104,9 @@ func (o DialOptions) withDefaults() DialOptions {
 	if o.ReplayDepth == 0 {
 		o.ReplayDepth = 64
 	}
+	if o.Telemetry == nil {
+		o.Telemetry = telemetry.NewRegistry()
+	}
 	return o
 }
 
