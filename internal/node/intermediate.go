@@ -25,8 +25,12 @@ type Intermediate struct {
 	merger *Merger
 	parent message.Conn
 	up     message.BufferedSender // parent's sending side
-	mu     sync.Mutex
-	err    error
+	// out is the one Message every merger output fills, as single-threaded
+	// as the merger: the Conn contract forbids retaining it, so a send
+	// allocates none.
+	out message.Message
+	mu  sync.Mutex
+	err error
 }
 
 // NewIntermediate builds an intermediate node expecting the given children,
@@ -35,7 +39,8 @@ func NewIntermediate(id uint32, children []uint32, parent message.Conn) *Interme
 	n := &Intermediate{id: id, parent: parent, up: message.Buffered(parent)}
 	n.merger = NewMerger(children)
 	n.merger.Out = func(p *core.SlicePartial) {
-		n.send(&message.Message{Kind: message.KindPartial, From: n.id, Partial: p})
+		n.out = message.Message{Kind: message.KindPartial, From: n.id, Partial: p}
+		n.send()
 		// The send encoded p (the Conn contract): the merged partial goes back
 		// to the decode pool.
 		message.ReleasePartial(p)
@@ -43,19 +48,22 @@ func NewIntermediate(id uint32, children []uint32, parent message.Conn) *Interme
 	n.merger.OutEvents = func(from uint32, evs []event.Event) {
 		// Preserve the origin id: the root orders RootOnly events per
 		// originating stream.
-		n.send(&message.Message{Kind: message.KindEventBatch, From: from, Events: evs})
+		n.out = message.Message{Kind: message.KindEventBatch, From: from, Events: evs}
+		n.send()
 	}
 	n.merger.OutWatermark = func(w int64) {
-		n.send(&message.Message{Kind: message.KindWatermark, From: n.id, Watermark: w})
+		n.out = message.Message{Kind: message.KindWatermark, From: n.id, Watermark: w}
+		n.send()
 	}
 	return n
 }
 
-func (n *Intermediate) send(m *message.Message) {
-	if n.err != nil {
-		return
+// send queues n.out on the parent link and drops its payload references.
+func (n *Intermediate) send() {
+	if n.err == nil {
+		n.err = n.up.SendBuffered(&n.out)
 	}
-	n.err = n.up.SendBuffered(m)
+	n.out.Partial, n.out.Events = nil, nil
 }
 
 // flush puts what the merger queued on the wire.
@@ -168,6 +176,10 @@ func (n *Intermediate) Digest() *telemetry.LoadDigest {
 // goodbye's Send is also the final flush, so its error is reported.
 func (n *Intermediate) Close() error {
 	err := errors.Join(n.parent.Send(&message.Message{Kind: message.KindGoodbye, From: n.id}), n.parent.Close())
+	// An evicted child's pump may still be flushing (flushParent), so n.err
+	// is read under the lock that pump writes it under.
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.err != nil {
 		return n.err
 	}

@@ -35,7 +35,10 @@ type Local struct {
 	// up is conn's sending side: everything one Process or AdvanceTo call
 	// produces is queued on it and flushed once at the end of the call, so
 	// over TCP a burst of closed slices leaves in one write.
-	up      message.BufferedSender
+	up message.BufferedSender
+	// out is the one Message every send fills: the Conn contract forbids
+	// retaining it, so a send allocates none.
+	out     message.Message
 	engine  *core.Engine
 	forward map[uint32]bool // keys needed by RootOnly groups
 	buf     []event.Event
@@ -126,11 +129,12 @@ func (l *Local) sendPartial(p *core.SlicePartial) {
 		l.engine.RecyclePartial(p)
 		return // nothing to contribute; watermarks carry progress
 	}
-	err := l.up.SendBuffered(&message.Message{Kind: message.KindPartial, From: l.id, Partial: p})
-	// SendBuffered encodes synchronously (the Conn contract forbids retaining
+	l.out = message.Message{Kind: message.KindPartial, From: l.id, Partial: p}
+	l.err = l.up.SendBuffered(&l.out)
+	l.out.Partial = nil
+	// SendBuffered encoded synchronously (the Conn contract forbids retaining
 	// the message), so the partial's buffers can feed the next slice.
 	l.engine.RecyclePartial(p)
-	l.err = err
 }
 
 // Process ingests a batch of in-order events from this node's data stream:
@@ -170,7 +174,9 @@ func (l *Local) flushForward() {
 	if len(l.buf) == 0 || l.err != nil {
 		return
 	}
-	l.err = l.up.SendBuffered(&message.Message{Kind: message.KindEventBatch, From: l.id, Events: l.buf})
+	l.out = message.Message{Kind: message.KindEventBatch, From: l.id, Events: l.buf}
+	l.err = l.up.SendBuffered(&l.out)
+	l.out.Events = nil
 	l.buf = l.buf[:0]
 }
 
@@ -187,7 +193,8 @@ func (l *Local) AdvanceTo(t int64) error {
 	if l.err != nil {
 		return l.err
 	}
-	l.err = l.up.SendBuffered(&message.Message{Kind: message.KindWatermark, From: l.id, Watermark: wm})
+	l.out = message.Message{Kind: message.KindWatermark, From: l.id, Watermark: wm}
+	l.err = l.up.SendBuffered(&l.out)
 	l.flush()
 	return l.err
 }

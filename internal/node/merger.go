@@ -39,37 +39,117 @@ type Merger struct {
 	children map[uint32]*childState
 	// joining, while non-nil, collects the distinct children seen so far and
 	// hold is how many of them end the start-up hold (Hold).
-	joining   map[uint32]bool
-	hold      int
-	pending   map[mergeKey]*mergeEntry
+	joining map[uint32]bool
+	hold    int
+	// runs holds, per group, the extents the watermark has not passed yet
+	// (extentRun); pending counts their slots that still wait for children.
+	// Group ids come off the wire, so they key a map rather than index a
+	// slice that would need a bound.
+	runs      map[uint32]*extentRun
+	pending   int
 	watermark int64
 	maxEnd    int64 // newest slice end seen, for final flushes
 	sent      int64
-	// emitted remembers extents forwarded before the watermark passed them
-	// (all children contributed early), so replayed duplicates of a
-	// completed slice are dropped instead of re-merged. Entries are
-	// garbage-collected as the watermark advances.
-	emitted map[mergeKey]bool
 	// free holds emitted entries for reuse, their contributor lists keeping
 	// capacity; flush is flushUpTo's scratch, empty between calls.
 	free, flush []*mergeEntry
+	// started counts entries begun, so merge.latency times one in
+	// mergeLatencySample of them.
+	started uint64
 
 	// Telemetry (nil-safe no-ops when unattached): merge latency is the
 	// time from a slice extent's first contribution to its emission, and
 	// the dup counter makes replayed-frame drops visible — a reconnect
-	// storm shows up here, not as silently diverging counts.
+	// storm shows up here, not as silently diverging counts. The pending
+	// gauge is what waits for a child, set at every watermark step.
 	telMergeLat *telemetry.Histogram
 	telDups     *telemetry.Counter
+	telPending  *telemetry.Gauge
 	traceName   string
 }
+
+// mergeLatencySample is the share of merged slices merge.latency times: one
+// in this many, the first always included. Two clock reads and a histogram
+// record per slice cost 4.4 % of the TCP tree's CPU (DESIGN.md §7).
+const mergeLatencySample = 64
 
 type childState struct {
 	watermark int64
 }
 
-type mergeKey struct {
-	group      uint32
+// extentRun is one group's live slice extents, ordered by (End, Start):
+// slots[head:] are live, slots[:head] were popped by the watermark. Children
+// mostly send extents in that order, so a new one usually appends.
+//
+// The merge identity is the extent, not the slice id: ids count per (node,
+// group), so two children's ids for one aligned slice differ, and misaligned
+// dynamic slices share none.
+type extentRun struct {
+	slots []extentSlot
+	head  int
+	// idle counts the watermark steps that left the run empty since it last
+	// gained an extent; past maxIdleSteps the run is dropped.
+	idle int
+}
+
+// maxIdleSteps is how many watermark steps an empty run is kept: long enough
+// that a live group's run keeps its capacity between slices, short enough
+// that group ids no child sends again (a removed query's, or a hostile
+// child's) do not pile up.
+const maxIdleSteps = 64
+
+// extentSlot is one live extent. e is its pending merge; nil marks an extent
+// forwarded before the watermark passed it (every child contributed early),
+// kept as a tombstone so replayed duplicates are dropped instead of merged
+// again.
+type extentSlot struct {
 	start, end int64
+	e          *mergeEntry
+}
+
+func cmpSlot(s, t extentSlot) int {
+	if c := cmp.Compare(s.end, t.end); c != 0 {
+		return c
+	}
+	return cmp.Compare(s.start, t.start)
+}
+
+// find returns where [start,end) sits in the run and whether it is there;
+// when it is not, the index is where it belongs. The tail is checked first:
+// an in-order extent costs no search.
+func (r *extentRun) find(start, end int64) (int, bool) {
+	k := extentSlot{start: start, end: end}
+	n := len(r.slots)
+	if n == r.head {
+		return n, false
+	}
+	if c := cmpSlot(r.slots[n-1], k); c <= 0 {
+		if c == 0 {
+			return n - 1, true
+		}
+		return n, false
+	}
+	i, ok := slices.BinarySearchFunc(r.slots[r.head:n-1], k, cmpSlot)
+	return r.head + i, ok
+}
+
+// popUpTo appends the pending entries of every slot with End <= w to flush,
+// drops the tombstones among them, and returns the grown flush.
+func (r *extentRun) popUpTo(w int64, flush []*mergeEntry) []*mergeEntry {
+	i := r.head
+	for ; i < len(r.slots) && r.slots[i].end <= w; i++ {
+		if e := r.slots[i].e; e != nil {
+			flush = append(flush, e)
+		}
+	}
+	switch n := len(r.slots); {
+	case i == n:
+		r.slots, i = r.slots[:0], 0
+	case 2*i >= n:
+		r.slots, i = r.slots[:copy(r.slots, r.slots[i:])], 0
+	}
+	r.head = i
+	return flush
 }
 
 type mergeEntry struct {
@@ -78,8 +158,8 @@ type mergeEntry struct {
 	// reconnecting child replaying recent frames, §3.2) merges exactly once.
 	// Fan-in is small: a scan of a reused slice beats a set.
 	from []uint32
-	// t0 is when the first contribution arrived; zero when latency
-	// telemetry is unattached (no time.Now on the unobserved path).
+	// t0 is when the first contribution arrived; zero when the entry is not
+	// sampled or latency telemetry is unattached.
 	t0 time.Time
 }
 
@@ -87,8 +167,7 @@ type mergeEntry struct {
 func NewMerger(children []uint32) *Merger {
 	m := &Merger{
 		children: make(map[uint32]*childState),
-		pending:  make(map[mergeKey]*mergeEntry),
-		emitted:  make(map[mergeKey]bool),
+		runs:     make(map[uint32]*extentRun),
 	}
 	for _, id := range children {
 		m.children[id] = &childState{watermark: -1}
@@ -97,11 +176,13 @@ func NewMerger(children []uint32) *Merger {
 }
 
 // AttachTelemetry registers the merger's instruments (merge.latency,
-// merge.dup_dropped) in reg and labels trace events with traceName.
+// merge.dup_dropped, merge.pending) in reg and labels trace events with
+// traceName.
 func (m *Merger) AttachTelemetry(reg *telemetry.Registry, traceName string) {
 	if reg != nil {
 		m.telMergeLat = reg.Histogram("merge.latency")
 		m.telDups = reg.Counter("merge.dup_dropped")
+		m.telPending = reg.Gauge("merge.pending")
 	}
 	m.traceName = traceName
 }
@@ -143,8 +224,8 @@ func (m *Merger) RemoveChild(id uint32) {
 		if m.maxEnd > m.watermark {
 			m.watermark = m.maxEnd
 		}
-		m.gcEmitted()
 		m.flushUpTo(m.watermark)
+		m.telPending.Set(int64(m.pending))
 		if m.OutWatermark != nil {
 			m.OutWatermark(m.watermark)
 		}
@@ -163,39 +244,55 @@ func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 	// its producer already recycled is an ownership bug (debug builds panic
 	// here with the slice id).
 	invariant.AssertPartialLive(p)
-	k := mergeKey{p.Group, p.Start, p.End}
 	// A reconnecting child replays its recent frames (at-least-once
-	// delivery); anything the watermark already passed was flushed, and
-	// anything in emitted was forwarded early — drop both instead of
+	// delivery); anything the watermark already passed was flushed, and a
+	// tombstoned extent was forwarded early — drop both instead of
 	// double-merging. On an ordered, fault-free link neither case occurs: a
 	// child's partial always precedes the child watermark that covers it.
-	if p.End <= m.watermark || m.emitted[k] {
-		m.telDups.Inc()
-		message.ReleasePartial(p)
+	if p.End <= m.watermark {
+		m.dropDup(p)
 		return
 	}
-	if p.End > m.maxEnd {
-		m.maxEnd = p.End
+	r := m.runs[p.Group]
+	if r == nil {
+		r = &extentRun{}
+		m.runs[p.Group] = r
 	}
-	e, ok := m.pending[k]
-	if !ok {
+	i, found := r.find(p.Start, p.End)
+	var e *mergeEntry
+	switch {
+	case !found:
+		if p.End > m.maxEnd {
+			m.maxEnd = p.End
+		}
 		e = m.newEntry(p)
-		m.pending[k] = e
-	} else {
+		r.slots = slices.Insert(r.slots, i, extentSlot{start: p.Start, end: p.End, e: e})
+		r.idle = 0
+		m.pending++
+	case r.slots[i].e == nil:
+		m.dropDup(p)
+		return
+	default:
+		e = r.slots[i].e
 		if slices.Contains(e.from, from) {
-			m.telDups.Inc()
-			message.ReleasePartial(p)
-			return // duplicate contribution from a replayed frame
+			m.dropDup(p) // duplicate contribution from a replayed frame
+			return
 		}
 		mergePartial(e.p, p)
 		message.ReleasePartial(p)
 	}
 	e.from = append(e.from, from)
 	if len(e.from) >= len(m.children) && m.joining == nil {
-		delete(m.pending, k)
-		m.emitted[k] = true
+		r.slots[i].e = nil
+		m.pending--
 		m.emitEntry(e)
 	}
+}
+
+// dropDup counts and releases a replayed partial.
+func (m *Merger) dropDup(p *core.SlicePartial) {
+	m.telDups.Inc()
+	message.ReleasePartial(p)
 }
 
 // newEntry starts the merge of p's slice with a recycled entry when there is
@@ -210,9 +307,10 @@ func (m *Merger) newEntry(p *core.SlicePartial) *mergeEntry {
 		e = &mergeEntry{}
 	}
 	e.p = p
-	if m.telMergeLat != nil {
+	if m.telMergeLat != nil && m.started%mergeLatencySample == 0 {
 		e.t0 = time.Now()
 	}
+	m.started++
 	return e
 }
 
@@ -237,6 +335,8 @@ func (m *Merger) HandleEvents(from uint32, evs []event.Event) {
 	}
 }
 
+// advance moves the merged watermark to the minimum over the children when
+// that has grown, flushing what it passed, and sets the pending gauge.
 func (m *Merger) advance() {
 	if m.joining != nil {
 		return
@@ -249,43 +349,37 @@ func (m *Merger) advance() {
 			first = false
 		}
 	}
-	if first || min <= m.watermark {
-		return
-	}
-	m.watermark = min
-	m.gcEmitted()
-	m.flushUpTo(min)
-	if m.OutWatermark != nil {
-		m.OutWatermark(min)
-	}
-}
-
-// gcEmitted drops early-emit records the watermark has passed; duplicates of
-// those extents are rejected by the watermark check alone.
-func (m *Merger) gcEmitted() {
-	for k := range m.emitted {
-		if k.end <= m.watermark {
-			delete(m.emitted, k)
+	if !first && min > m.watermark {
+		m.watermark = min
+		m.flushUpTo(min)
+		if m.OutWatermark != nil {
+			m.OutWatermark(min)
 		}
 	}
+	m.telPending.Set(int64(m.pending))
 }
 
-// flushUpTo emits pending slices the watermark has passed: children without
-// a matching extent simply had no such slice (dynamic punctuation
-// misalignment, or a removed node).
+// flushUpTo emits pending slices the watermark has passed, in (End, Start,
+// group) order: children without a matching extent simply had no such slice
+// (dynamic punctuation misalignment, or a removed node).
 func (m *Merger) flushUpTo(w int64) {
 	flush := m.flush[:0]
-	for k, e := range m.pending {
-		if k.end <= w {
-			flush = append(flush, e)
-			delete(m.pending, k)
+	for g, r := range m.runs {
+		if flush = r.popUpTo(w, flush); len(r.slots) == 0 {
+			if r.idle++; r.idle > maxIdleSteps {
+				delete(m.runs, g)
+			}
 		}
 	}
+	m.pending -= len(flush)
 	slices.SortFunc(flush, func(a, b *mergeEntry) int {
 		if c := cmp.Compare(a.p.End, b.p.End); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.p.Start, b.p.Start)
+		if c := cmp.Compare(a.p.Start, b.p.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.p.Group, b.p.Group)
 	})
 	for _, e := range flush {
 		m.emitEntry(e)

@@ -12,6 +12,7 @@ import (
 	"desis/internal/message"
 	"desis/internal/operator"
 	"desis/internal/query"
+	"desis/internal/telemetry"
 )
 
 // --- Merger unit tests ---
@@ -111,6 +112,61 @@ func TestMergerAddChild(t *testing.T) {
 	m.HandlePartial(2, mkPartial(0, 0, 100, 90, 2, 1))
 	if len(out) != 1 {
 		t.Fatal("merge did not complete with new child")
+	}
+}
+
+// TestMergerPendingGauge: merge.pending counts the slices waiting for a
+// child. A child that sends partials but never advances holds the merged
+// watermark, so its slices pile up while its sibling's watermarks step on;
+// removing it flushes them and the gauge returns to 0.
+func TestMergerPendingGauge(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := NewMerger([]uint32{1, 2})
+	m.AttachTelemetry(reg, "inter")
+	out := 0
+	m.Out = func(*core.SlicePartial) { out++ }
+	g := reg.Gauge("merge.pending")
+	for i := int64(0); i < 5; i++ {
+		m.HandlePartial(2, mkPartial(0, i*100, (i+1)*100, i*100+90, 1, 1))
+		m.HandleWatermark(1, (i+1)*100)
+		if got := g.Load(); got != i+1 {
+			t.Fatalf("after %d slices from the stalled child: merge.pending = %d, want %d", i+1, got, i+1)
+		}
+	}
+	m.RemoveChild(2)
+	if got := g.Load(); got != 0 || out != 5 {
+		t.Fatalf("after RemoveChild: merge.pending = %d and %d partials forwarded, want 0 and 5", got, out)
+	}
+}
+
+// TestMergerLatencySampled: merge.latency times one merged slice in
+// mergeLatencySample, starting with the first.
+func TestMergerLatencySampled(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := NewMerger([]uint32{1})
+	m.AttachTelemetry(reg, "inter")
+	for i := int64(0); i <= 2*mergeLatencySample; i++ {
+		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, i*100+90, 1, 1))
+		if want := uint64(1 + i/mergeLatencySample); reg.Histogram("merge.latency").Count() != want {
+			t.Fatalf("after %d merged slices: %d latency samples, want %d", i+1, reg.Histogram("merge.latency").Count(), want)
+		}
+	}
+}
+
+// TestMergerDropsIdleRuns: a group no child sends again (a removed query's,
+// or an id a hostile child made up) keeps no state past maxIdleSteps
+// watermark steps, while a group that keeps sending keeps its run.
+func TestMergerDropsIdleRuns(t *testing.T) {
+	m := NewMerger([]uint32{1})
+	for g := uint32(1); g <= 1000; g++ {
+		m.HandlePartial(1, mkPartial(g, 0, 100, 90, 1, 1))
+	}
+	for i := int64(1); i <= maxIdleSteps+1; i++ {
+		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, i*100+90, 1, 1))
+		m.HandleWatermark(1, (i+1)*100)
+	}
+	if len(m.runs) != 1 || m.runs[0] == nil {
+		t.Fatalf("%d extent runs after %d watermark steps without partials for 1000 groups, want group 0's alone", len(m.runs), maxIdleSteps+1)
 	}
 }
 

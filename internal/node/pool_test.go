@@ -33,24 +33,15 @@ func TestAssemblerPruneClearsTail(t *testing.T) {
 	}
 }
 
-// TestMergerSteadyStateAllocs holds the merge step to zero allocations per
-// partial once warm: a two-child merger fed aligned and misaligned slices and
-// watermarks recycles its entries, contributor lists and flush scratch, and
-// every partial goes back to the decode pool. Partials come from decoding,
-// as in a running node; what decoding itself allocates (the Message) is
-// measured alone and is the whole budget.
-func TestMergerSteadyStateAllocs(t *testing.T) {
-	m := NewMerger([]uint32{1, 2})
-	emitted := 0
-	m.Out = func(p *core.SlicePartial) {
-		emitted++
-		message.ReleasePartial(p)
-	}
+// partialDecoder returns a function that encodes a one-event partial with
+// the given sender and extent and decodes it, so the partial comes from the
+// decode pool as in a running node. Each call allocates one Message.
+func partialDecoder(t *testing.T) func(from uint32, start, end int64) *core.SlicePartial {
 	codec := message.Binary{}
 	src := mkPartial(0, 0, 0, 0, 1, 1)
 	in := &message.Message{Kind: message.KindPartial, Partial: src}
 	var buf []byte
-	decode := func(from uint32, start, end int64) *core.SlicePartial {
+	return func(from uint32, start, end int64) *core.SlicePartial {
 		in.From, src.Start, src.End, src.LastEvent = from, start, end, end-1
 		var err error
 		if buf, err = codec.Append(buf[:0], in); err != nil {
@@ -62,6 +53,35 @@ func TestMergerSteadyStateAllocs(t *testing.T) {
 		}
 		return got.Partial
 	}
+}
+
+// TestMergerSteadyStateAllocs holds the merge step to zero allocations per
+// partial once warm: a two-child merger fed aligned and misaligned slices and
+// watermarks recycles its entries, contributor lists, extent runs and flush
+// scratch, and every partial goes back to the decode pool. Partials come
+// from decoding, as in a running node; what decoding itself allocates (the
+// Message) is measured alone and is the whole budget. Both TCP servers
+// attach telemetry, so the merger is held to it with a registry too.
+func TestMergerSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		reg  *telemetry.Registry
+	}{{"bare", nil}, {"telemetry", telemetry.NewRegistry()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMerger([]uint32{1, 2})
+			m.AttachTelemetry(tc.reg, "inter")
+			mergerSteadyStateAllocs(t, m)
+		})
+	}
+}
+
+func mergerSteadyStateAllocs(t *testing.T, m *Merger) {
+	emitted := 0
+	m.Out = func(p *core.SlicePartial) {
+		emitted++
+		message.ReleasePartial(p)
+	}
+	decode := partialDecoder(t)
 	// Odd slices are cut differently by the two children, so they do not
 	// merge and leave through the watermark's flush instead.
 	var slice int64

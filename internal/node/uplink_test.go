@@ -10,9 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"desis/internal/core"
+	"desis/internal/event"
+	"desis/internal/invariant"
 	"desis/internal/message"
 	"desis/internal/plan"
 	"desis/internal/query"
+	"desis/internal/telemetry"
 )
 
 // fakeParent is a raw TCP parent for uplink tests: it answers every hello
@@ -175,5 +179,100 @@ func TestUplinkSendBufferedAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(200, send); a != 0 {
 		t.Errorf("SendBuffered(partial)+Flush on a warm uplink: %v allocs, want 0", a)
+	}
+}
+
+// TestLocalSendPartialAllocs: a warm Local over a TCP uplink sends each closed
+// slice's partial and its watermark without allocating — the Message it
+// fills is its own, reused for every send.
+func TestLocalSendPartialAllocs(t *testing.T) {
+	addr := fakeParent(t, func(c net.Conn) { _, _ = io.Copy(io.Discard, c) })
+	u, p, err := dialUplink(addr, 1, DialOptions{Heartbeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	l := NewLocalFromPlan(1, p, u, 0)
+	// One event per 100 ms tumbling slice; the advance past its end closes
+	// the slice, so every step sends one partial and one watermark.
+	evs := make([]event.Event, 1)
+	var at int64
+	step := func() {
+		evs[0] = event.Event{Time: at + 10, Key: 0, Value: 1}
+		at += 100
+		if err := l.Process(evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AdvanceTo(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*len(u.replay); i++ {
+		step()
+	}
+	before := l.Stats().Slices
+	a := testing.AllocsPerRun(200, step)
+	if l.Stats().Slices-before < 200 {
+		t.Fatalf("closed %d slices in 201 steps, want one per step", l.Stats().Slices-before)
+	}
+	if raceBuild || invariant.Enabled || telemetry.TraceEnabled {
+		return // the race detector's pool drops items; the poison registry and tracing allocate
+	}
+	if a != 0 {
+		t.Errorf("Local sending one partial and one watermark: %v allocs, want 0", a)
+	}
+}
+
+// TestIntermediateOutAllocs: a warm Intermediate over a TCP uplink sends the
+// merged partial and the merged watermark without allocating. Its input comes
+// from decoding, as in a running node; decoding alone is the whole budget.
+func TestIntermediateOutAllocs(t *testing.T) {
+	addr := fakeParent(t, func(c net.Conn) { _, _ = io.Copy(io.Discard, c) })
+	u, _, err := dialUplink(addr, 1001, DialOptions{Heartbeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	n := NewIntermediate(1001, []uint32{1, 2}, u)
+	decode := partialDecoder(t)
+	wm := &message.Message{Kind: message.KindWatermark}
+	in := &message.Message{Kind: message.KindPartial}
+	handle := func(m *message.Message) {
+		if err := n.Handle(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var at int64
+	step := func(merge bool) {
+		p1, p2 := decode(1, at, at+100), decode(2, at, at+100)
+		at += 100
+		if !merge {
+			message.ReleasePartial(p1)
+			message.ReleasePartial(p2)
+			return
+		}
+		for i, p := range [2]*core.SlicePartial{p1, p2} {
+			in.From, in.Partial = uint32(1+i), p
+			handle(in)
+		}
+		for from := uint32(1); from <= 2; from++ {
+			wm.From, wm.Watermark = from, at
+			handle(wm)
+		}
+	}
+	for i := 0; i < 2*len(u.replay); i++ {
+		step(true)
+	}
+	sent := n.merger.PartialsSent()
+	handled := testing.AllocsPerRun(200, func() { step(true) })
+	decodeOnly := testing.AllocsPerRun(200, func() { step(false) })
+	if got := n.merger.PartialsSent() - sent; got < 200 {
+		t.Fatalf("sent %d merged partials in 201 steps, want one per step", got)
+	}
+	if raceBuild || invariant.Enabled || telemetry.TraceEnabled {
+		return // the race detector's pool drops items; the poison registry and tracing allocate
+	}
+	if handled > decodeOnly {
+		t.Errorf("decode+merge+send step: %v allocs, decode alone %v: the intermediate allocates per sent partial or watermark", handled, decodeOnly)
 	}
 }
