@@ -2,7 +2,6 @@ package desis
 
 import (
 	"desis/internal/core"
-	"desis/internal/message"
 	"desis/internal/node"
 	"desis/internal/query"
 )
@@ -17,12 +16,6 @@ type ClusterOptions struct {
 	// OnResult streams final window results from the root; when nil they
 	// accumulate for Results.
 	OnResult func(Result)
-	// TextWire switches the wire codec from binary to strings, for
-	// protocol experiments.
-	TextWire bool
-	// CompactWire switches to the varint/delta codec, roughly halving
-	// event traffic on constrained links. Ignored when TextWire is set.
-	CompactWire bool
 	// BandwidthBytesPerSec throttles every link, modelling constrained
 	// networks; zero is unlimited.
 	BandwidthBytesPerSec float64
@@ -57,13 +50,6 @@ func NewCluster(queries []Query, opts ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var codec message.Codec
-	switch {
-	case opts.TextWire:
-		codec = message.Text{}
-	case opts.CompactWire:
-		codec = message.Compact{}
-	}
 	var onResult func(core.Result)
 	if opts.OnResult != nil {
 		onResult = func(r core.Result) { opts.OnResult(r) }
@@ -71,7 +57,6 @@ func NewCluster(queries []Query, opts ClusterOptions) (*Cluster, error) {
 	return &Cluster{c: node.NewCluster(groups, node.ClusterConfig{
 		Locals:        opts.Locals,
 		Intermediates: opts.Intermediates,
-		Codec:         codec,
 		Bandwidth:     opts.BandwidthBytesPerSec,
 		Batch:         opts.Batch,
 		NoOptimize:    !optimize,

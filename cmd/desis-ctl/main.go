@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"desis/internal/message"
 	"desis/internal/node"
 	"desis/internal/plan"
 	"desis/internal/query"
@@ -34,13 +33,7 @@ func main() {
 	remove := flag.Uint64("remove", 0, "id of a running query to remove")
 	dumpPlan := flag.Bool("plan", false, "dump the root's live execution plan")
 	stats := flag.Bool("stats", false, "dump a merged cluster-wide telemetry snapshot")
-	text := flag.Bool("text", false, "use the string wire codec")
 	flag.Parse()
-
-	var codec message.Codec = message.Binary{}
-	if *text {
-		codec = message.Text{}
-	}
 
 	var err error
 	switch {
@@ -48,12 +41,12 @@ func main() {
 		err = fmt.Errorf("use either -add or -remove, not both")
 	case *dumpPlan:
 		var p *plan.Plan
-		if p, err = node.FetchPlan(*root, codec); err == nil {
+		if p, err = node.FetchPlan(*root); err == nil {
 			fmt.Print(p.Describe())
 		}
 	case *stats:
 		var s *telemetry.Snapshot
-		if s, err = node.FetchStats(*root, codec); err == nil {
+		if s, err = node.FetchStats(*root); err == nil {
 			s.Format(os.Stdout)
 		}
 	case *add != "":
@@ -66,12 +59,12 @@ func main() {
 			break
 		}
 		q.ID = *addID
-		err = node.Control(*root, codec, &q, 0)
+		err = node.Control(*root, &q, 0)
 		if err == nil {
 			fmt.Printf("added query %d: %s\n", q.ID, q)
 		}
 	case *remove != 0:
-		err = node.Control(*root, codec, nil, *remove)
+		err = node.Control(*root, nil, *remove)
 		if err == nil {
 			fmt.Printf("removed query %d\n", *remove)
 		}

@@ -47,7 +47,6 @@ func main() {
 	id := flag.Uint("id", 1, "node id (intermediate, local)")
 	children := flag.Int("children", 1, "number of expected children (root, intermediate)")
 	timeout := flag.Duration("timeout", 30*time.Second, "child liveness timeout (§3.2); 0 disables")
-	text := flag.Bool("text", false, "use the string wire codec instead of binary")
 	events := flag.Int("events", 1_000_000, "events to replay (local)")
 	seed := flag.Int64("seed", 1, "stream seed (local)")
 	keys := flag.Int("keys", 10, "distinct keys in the stream (local)")
@@ -59,7 +58,6 @@ func main() {
 	batch := flag.Bool("batch", false, "coalesce uplink partials/watermarks into adaptive columnar batch frames (intermediate, local)")
 	batchBytes := flag.Int("batch-bytes", 0, "approximate cap on one batch frame's body in bytes; 0 selects the default (with -batch)")
 	batchFrames := flag.Int("batch-frames", 0, "cap on frames coalesced into one batch; 0 selects the default (with -batch)")
-	batchCompress := flag.String("batch-compress", "off", "batch body compression: off | on | auto (auto probes the link and backs off when incompressible)")
 	instanceTTL := flag.Duration("instance-ttl", 0, "park group instances of keys idle this long in event time; 0 keeps every instance resident (intermediate, local)")
 	instanceShards := flag.Int("instance-shards", 0, "key→instance map shard count; 0 selects the engine default (intermediate, local)")
 	optimize := flag.Bool("optimize", true, "factor-window plan optimizer (root); -optimize=false ablates it for the whole tree")
@@ -68,31 +66,17 @@ func main() {
 	flag.Var(&queries, "query", "query in the textual language (repeatable, root only)")
 	flag.Parse()
 
-	var codec message.Codec = message.Binary{}
-	if *text {
-		codec = message.Text{}
-	}
-
 	// Intermediates and locals share one registry between the node (via
 	// DialOptions) and the debug server; the root's registry lives in its
 	// server, so runRoot wires its own debug endpoint.
-	opts := dialOpts(codec, *heartbeat, *retries, *replay)
+	opts := dialOpts(*heartbeat, *retries, *replay)
 	opts.Tuning = node.EngineTuning{
 		InstanceTTL:    instanceTTL.Milliseconds(),
 		InstanceShards: *instanceShards,
 	}
 	if *batch {
-		mode, err := parseCompressMode(*batchCompress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "desis-node:", err)
-			os.Exit(1)
-		}
 		opts.Batch = true
-		opts.BatchOptions = message.BatcherOptions{
-			MaxBytes:  *batchBytes,
-			MaxFrames: *batchFrames,
-			Compress:  mode,
-		}
+		opts.BatchOptions = message.BatcherOptions{MaxBytes: *batchBytes, MaxFrames: *batchFrames}
 	}
 	if *debugAddr != "" && *role != "root" {
 		opts.Telemetry = telemetry.NewRegistry()
@@ -102,7 +86,7 @@ func main() {
 	var err error
 	switch *role {
 	case "root":
-		err = runRoot(*listen, queries, *children, *timeout, codec, *quiet, *debugAddr, *optimize)
+		err = runRoot(*listen, queries, *children, *timeout, *quiet, *debugAddr, *optimize)
 	case "intermediate":
 		err = runIntermediate(*listen, *parent, uint32(*id), *children, *timeout, opts)
 	case "local":
@@ -128,13 +112,12 @@ func serveDebug(addr string, reg *telemetry.Registry) {
 	}()
 }
 
-func runRoot(listen string, queries []query.Query, children int, timeout time.Duration, codec message.Codec, quiet bool, debugAddr string, optimize bool) error {
+func runRoot(listen string, queries []query.Query, children int, timeout time.Duration, quiet bool, debugAddr string, optimize bool) error {
 	if len(queries) == 0 {
 		return fmt.Errorf("root needs at least one -query")
 	}
 	windows := 0
 	srv, err := node.ServeRootOptions(listen, queries, children, timeout, node.RootServeOptions{
-		Codec:      codec,
 		NoOptimize: !optimize,
 		OnResult: func(r core.Result) {
 			windows++
@@ -165,24 +148,10 @@ func runRoot(listen string, queries []query.Query, children int, timeout time.Du
 	return nil
 }
 
-// parseCompressMode maps the -batch-compress flag to a message.CompressMode.
-func parseCompressMode(s string) (message.CompressMode, error) {
-	switch s {
-	case "off":
-		return message.CompressOff, nil
-	case "on":
-		return message.CompressOn, nil
-	case "auto":
-		return message.CompressAuto, nil
-	}
-	return 0, fmt.Errorf("unknown -batch-compress %q (want off, on, or auto)", s)
-}
-
 // dialOpts assembles the supervised-uplink configuration shared by
 // intermediate and local roles.
-func dialOpts(codec message.Codec, heartbeat time.Duration, retries, replay int) node.DialOptions {
+func dialOpts(heartbeat time.Duration, retries, replay int) node.DialOptions {
 	return node.DialOptions{
-		Codec:       codec,
 		Heartbeat:   heartbeat,
 		Retry:       node.RetryPolicy{MaxRetries: retries},
 		ReplayDepth: replay,

@@ -21,8 +21,6 @@ type CentralConfig struct {
 	// Intermediates relay (CentralCluster) or merge (DiscoCluster); zero
 	// connects locals directly to the root.
 	Intermediates int
-	// Codec defaults to message.Binary{}; Disco defaults to message.Text{}.
-	Codec message.Codec
 	// Bandwidth throttles each link in bytes/second; zero is unlimited.
 	Bandwidth float64
 	// Buffer is the per-link queue depth (default 256).
@@ -31,12 +29,9 @@ type CentralConfig struct {
 	BatchSize int
 }
 
-func (c *CentralConfig) defaults(codec message.Codec) {
+func (c *CentralConfig) defaults() {
 	if c.Locals <= 0 {
 		c.Locals = 1
-	}
-	if c.Codec == nil {
-		c.Codec = codec
 	}
 	if c.Buffer <= 0 {
 		c.Buffer = 256
@@ -109,7 +104,7 @@ func (l *fwdLocal) advance(t int64) error {
 
 // NewCentralCluster deploys sys at the root of the topology.
 func NewCentralCluster(sys System, cfg CentralConfig) *CentralCluster {
-	cfg.defaults(message.Binary{})
+	cfg.defaults()
 	c := &CentralCluster{cfg: cfg, sys: sys}
 
 	// The feeder keys both event streams and watermarks by ORIGIN local id
@@ -129,9 +124,9 @@ func NewCentralCluster(sys System, cfg CentralConfig) *CentralCluster {
 
 	newPipe := func() (*message.Pipe, *message.Pipe) {
 		if cfg.Bandwidth > 0 {
-			return message.NewThrottledPipe(cfg.Codec, cfg.Buffer, cfg.Bandwidth)
+			return message.NewThrottledPipe(message.Binary{}, cfg.Buffer, cfg.Bandwidth)
 		}
-		return message.NewPipe(cfg.Codec, cfg.Buffer)
+		return message.NewPipe(message.Binary{}, cfg.Buffer)
 	}
 
 	// relay pumps child->parent verbatim; byte accounting via the uplink.

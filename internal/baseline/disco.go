@@ -41,7 +41,7 @@ type DiscoCluster struct {
 // NewDiscoCluster builds the topology. Every query must be a fixed
 // time-based window.
 func NewDiscoCluster(queries []query.Query, cfg CentralConfig) (*DiscoCluster, error) {
-	cfg.defaults(message.Text{})
+	cfg.defaults()
 	for _, q := range queries {
 		if q.Measure != query.Time || (q.Type != query.Tumbling && q.Type != query.Sliding) {
 			return nil, fmt.Errorf("baseline: disco supports fixed time-based windows, got %v", q)
@@ -54,9 +54,9 @@ func NewDiscoCluster(queries []query.Query, cfg CentralConfig) (*DiscoCluster, e
 
 	newPipe := func() (*message.Pipe, *message.Pipe) {
 		if cfg.Bandwidth > 0 {
-			return message.NewThrottledPipe(cfg.Codec, cfg.Buffer, cfg.Bandwidth)
+			return message.NewThrottledPipe(Text{}, cfg.Buffer, cfg.Bandwidth)
 		}
-		return message.NewPipe(cfg.Codec, cfg.Buffer)
+		return message.NewPipe(Text{}, cfg.Buffer)
 	}
 
 	// Root merges per-window partials from its direct children and

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"desis/internal/baseline"
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/gen"
@@ -100,9 +101,9 @@ func AblationPartialGranularity(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationCodecs compares the three wire codecs on both traffic classes:
-// raw event batches (what centralized systems and RootOnly groups ship) and
-// slice partials (Desis' decomposable traffic).
+// AblationCodecs compares Desis' binary codec with Disco's string codec on
+// both traffic classes: raw event batches (what centralized systems and
+// RootOnly groups ship) and slice partials (Desis' decomposable traffic).
 func AblationCodecs(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{ID: "ablation-codecs", Title: "Wire codecs: bytes per message class", XLabel: "class (0=event batch, 1=partial)", YLabel: "bytes"}
@@ -119,7 +120,7 @@ func AblationCodecs(cfg Config) (*Table, error) {
 		Group: 3, ID: 12345, Start: 1_000_000, End: 1_001_000, LastEvent: 1_000_990,
 		Ingested: 1000, Aggs: []operator.Agg{agg},
 	}}
-	codecs := []message.Codec{message.Binary{}, message.Compact{}, message.Text{}}
+	codecs := []message.Codec{message.Binary{}, baseline.Text{}}
 	for _, c := range codecs {
 		b, err := c.Append(nil, batch)
 		if err != nil {

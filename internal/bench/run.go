@@ -64,7 +64,7 @@ var Experiments = []Experiment{
 	{"ablation-opsharing", "operator sharing vs per-function execution", one(AblationOperatorSharing)},
 	{"ablation-granularity", "per-slice vs per-window partials", one(AblationPartialGranularity)},
 	{"ablation-sortedbatches", "sorted-run merge vs root-side sort", one(AblationSortedBatches)},
-	{"ablation-codecs", "binary vs compact vs text wire codecs", one(AblationCodecs)},
+	{"ablation-codecs", "binary vs text (Disco) wire codecs", one(AblationCodecs)},
 	{"ablation-shardedroot", "single vs key-sharded root engines", one(AblationShardedRoot)},
 	{"ablation-assembly", "amortized window assembly vs per-window slice re-fold", one(AblationAssembly)},
 	{"plan-churn", "plan-delta add/remove throughput and reconnect resync bytes", one(PlanChurn)},

@@ -80,11 +80,10 @@ func runWireLeg(qs []query.Query, batch bool, bandwidth float64, events int) (de
 		return deployRun{}, err
 	}
 	c := node.NewCluster(groups, node.ClusterConfig{
-		Locals:       1,
-		Bandwidth:    bandwidth,
-		Batch:        batch,
-		BatchOptions: message.BatcherOptions{Compress: message.CompressAuto},
-		OnResult:     func(core.Result) {},
+		Locals:    1,
+		Bandwidth: bandwidth,
+		Batch:     batch,
+		OnResult:  func(core.Result) {},
 	})
 	return runDeployment(c, gen.StreamConfig{Seed: 11, IntervalMS: 1}, events)
 }

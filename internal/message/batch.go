@@ -1,11 +1,8 @@
 package message
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
@@ -23,9 +20,8 @@ import (
 // dictionary-coded, and the operator state of all partials is laid out as
 // contiguous per-operator columns (all counts, then all sums, ...). Values
 // of the same column are near-identical across consecutive slices of a
-// stream, so the deltas are tiny and the optional flate stage sees long
-// runs of similar bytes — this is what lets a throttled uplink ship events
-// instead of frame headers (§6.5.2, Figure 13b).
+// stream, so the deltas are tiny and runs collapse — this is what lets a
+// throttled uplink ship events instead of frame headers (§6.5.2, Figure 13b).
 //
 // Within a batch the producer's frame order is preserved, and producers
 // emit a slice partial strictly before any watermark covering it, so
@@ -36,142 +32,50 @@ type Batch struct {
 	// Per-frame From fields are not encoded; decoding stamps every frame
 	// with the batch's From.
 	Frames []*Message
-	// Compress asks the encoder to deflate the body when it helps (the
-	// smaller of raw/deflated is sent; the choice is flagged on the wire).
-	// Decoding does not reconstruct this hint.
-	Compress bool
-	// probe, when attached by a Batcher, gates compression adaptively with
-	// a measured per-link ratio probe instead of the static Compress flag.
-	probe *compressProbe
 }
 
-// batch body flags.
-const batchFlagDeflate = 0x01
-
-// maxBatchPayload bounds the decoded (decompressed) body so hostile frames
-// cannot balloon memory; it matches the TCP transport's frame cap.
-const maxBatchPayload = 64 << 20
-
-// maxInflateRatio caps a deflated body's inflated size at this multiple of
-// its compressed size, so a small hostile body cannot make the decoder
-// allocate more than a few dozen times its own size (inflate buffers plus
-// the payload decode, DESIGN.md §8). The encoder sends the raw body whenever
-// deflate would beat the cap, so no batch it writes is refused.
-const maxInflateRatio = 4
-
-// minDeflateSize is the body size below which compression is never
-// attempted — tiny batches cannot amortize the flate header.
-const minDeflateSize = 256
-
-// batchScratch holds the encoder's reusable state: the staging payload,
-// the partial/dictionary work lists, and the deflate machinery (a
-// flate.Writer is ~600 KiB of window state — reallocating it per batch
-// dwarfed the batch itself). Scratches recycle through a sync.Pool rather
-// than living on the Batcher because replayed KindBatch frames are
-// re-encoded by whichever goroutine is reconnecting, concurrently with the
-// pump encoding fresh batches.
+// batchScratch holds the encoder's and decoder's reusable staging space:
+// the partial/dictionary work lists and one column at a time. Scratches
+// recycle through a sync.Pool rather than living on the Batcher because
+// replayed KindBatch frames are re-encoded by whichever goroutine is
+// reconnecting, concurrently with the pump encoding fresh batches.
 type batchScratch struct {
-	payload  []byte
 	partials []*core.SlicePartial
 	dict     []uint32
 	// ints and col stage one int or float column at a time, for the encoder
 	// and the decoder alike.
 	ints []int64
 	col  []float64
-	comp bytes.Buffer
-	fw   *flate.Writer
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// appendBatchBody appends the columnar encoding of b (flags byte plus
-// payload) shared by the Binary and Compact codecs. Steady-state it
-// allocates nothing: all staging space comes from the scratch pool.
+// appendBatchBody appends the columnar encoding of b: a flags byte, always
+// zero, then the payload. Steady-state it allocates nothing beyond growing
+// buf: all staging space comes from the scratch pool.
 //
 //desis:hotpath
 func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
 	s := scratchPool.Get().(*batchScratch)
-	payload, err := appendBatchPayload(s.payload[:0], s, b)
-	s.payload = payload // keep the grown buffer for the next batch
+	buf, err := appendBatchPayload(append(buf, 0), s, b)
+	scratchPool.Put(s)
 	if err != nil {
-		scratchPool.Put(s)
 		return nil, err
 	}
-	try := b.Compress
-	if b.probe != nil {
-		try = b.probe.shouldTry()
-	}
-	if try && len(payload) >= minDeflateSize {
-		comp := s.deflate(payload)
-		if b.probe != nil {
-			b.probe.observe(len(payload), len(comp))
-		}
-		// Keep the compressed body only when it clearly wins, since a
-		// marginal saving is not worth the receiver's inflate pass, and
-		// when the receiver's inflate cap admits it.
-		if len(comp) < len(payload)*15/16 && len(payload) <= maxInflateRatio*len(comp) {
-			buf = append(buf, batchFlagDeflate)
-			buf = append(buf, comp...)
-			scratchPool.Put(s)
-			return buf, nil
-		}
-	}
-	buf = append(buf, 0)
-	buf = append(buf, payload...)
-	scratchPool.Put(s)
 	return buf, nil
 }
 
 // decodeBatchBody parses a columnar batch body (flags byte plus payload),
-// stamping every decoded frame with the batch sender from.
+// stamping every decoded frame with the batch sender from. The flags byte is
+// reserved: a nonzero one (a deflated body from an older peer) is refused.
 func decodeBatchBody(buf []byte, from uint32) (*Batch, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("message: empty batch body")
 	}
-	flags, payload := buf[0], buf[1:]
-	if flags&^batchFlagDeflate != 0 {
-		return nil, fmt.Errorf("message: unknown batch flags %#x", flags)
+	if buf[0] != 0 {
+		return nil, fmt.Errorf("message: unknown batch flags %#x", buf[0])
 	}
-	if flags&batchFlagDeflate != 0 {
-		var err error
-		payload, err = inflateBytes(payload)
-		if err != nil {
-			return nil, fmt.Errorf("message: bad batch compression: %w", err)
-		}
-	}
-	return decodeBatchPayload(payload, from)
-}
-
-// deflate compresses p into the scratch's reused buffer and window state;
-// the returned slice is valid until the scratch's next deflate.
-//
-//desis:hotpath
-func (s *batchScratch) deflate(p []byte) []byte {
-	s.comp.Reset()
-	if s.fw == nil {
-		s.fw, _ = flate.NewWriter(&s.comp, flate.BestSpeed)
-	} else {
-		s.fw.Reset(&s.comp)
-	}
-	s.fw.Write(p)
-	s.fw.Close()
-	return s.comp.Bytes()
-}
-
-// inflateBytes inflates p, refusing output beyond maxInflateRatio times
-// len(p) or maxBatchPayload, whichever is smaller.
-func inflateBytes(p []byte) ([]byte, error) {
-	limit := min(maxInflateRatio*len(p), maxBatchPayload)
-	r := flate.NewReader(bytes.NewReader(p))
-	defer r.Close()
-	out, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > limit {
-		return nil, fmt.Errorf("inflated body exceeds %d bytes (%d× its %d compressed bytes)", limit, maxInflateRatio, len(p))
-	}
-	return out, nil
+	return decodeBatchPayload(buf[1:], from)
 }
 
 // maxBatchItems caps the frames, aggregate rows and EPs one batch carries
@@ -190,7 +94,7 @@ func batchItems(m *Message) int {
 	return 1 + len(m.Partial.Aggs) + len(m.Partial.EPs)
 }
 
-// appendBatchPayload writes the uncompressed columnar payload, a sequence
+// appendBatchPayload writes the columnar payload, a sequence
 // of the int and float columns of package event (column.go):
 //
 //	uvarint nFrames

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,23 @@ import (
 	"desis/internal/operator"
 	"desis/internal/telemetry"
 )
+
+// deflateFlag is the flags byte older peers wrote before a deflated batch
+// body; the decoder refuses it.
+const deflateFlag = 0x01
+
+// deflatedBody is a batch body the way older peers deflated one: the
+// deflate flag, then payload repeated n times and deflated.
+func deflatedBody(payload []byte, n int) []byte {
+	var b bytes.Buffer
+	b.WriteByte(deflateFlag)
+	fw, _ := flate.NewWriter(&b, flate.BestCompression)
+	for i := 0; i < n; i++ {
+		fw.Write(payload)
+	}
+	fw.Close()
+	return b.Bytes()
+}
 
 // randomBatch builds a batch resembling a local node's uplink stream:
 // monotone slice ids and times per group, interleaved watermarks. Its
@@ -88,56 +106,50 @@ func randomBatchOf(rng *rand.Rand, nFrames int, value func() float64) *Batch {
 	return b
 }
 
-// TestBatchCrossCodec is the cross-codec property test: the same batch
-// encoded by Binary, Compact and Text must decode to identical frame
-// sequences under every codec, compressed or not, with raw or scaled float
-// columns.
+// TestBatchCrossCodec checks the batch body against the single-frame
+// encoding: frames sent as one KindBatch and the same frames sent one by one
+// must decode to identical frame sequences, with raw or scaled float columns.
 func TestBatchCrossCodec(t *testing.T) {
-	codecs := []Codec{Binary{}, Compact{}, Text{}}
-	f := func(seed int64, n uint8, compress, quant bool) bool {
+	f := func(seed int64, n uint8, quant bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		batch := randomBatch(rng, int(n)%40)
 		if quant {
 			batch = randomQuantBatch(rng, int(n)%40)
 		}
 		m := &Message{Kind: KindBatch, From: rng.Uint32(), Batch: batch}
-		m.Batch.Compress = compress
-		var decoded []*Message
-		for _, c := range codecs {
-			buf, err := c.Append(nil, m)
-			if err != nil {
-				t.Logf("%s: append: %v", c.Name(), err)
-				return false
-			}
-			got, err := c.Decode(buf)
-			if err != nil {
-				t.Logf("%s: decode: %v", c.Name(), err)
-				return false
-			}
-			if got.Kind != KindBatch || got.From != m.From || got.Batch == nil {
-				return false
-			}
-			if len(got.Batch.Frames) != len(batch.Frames) {
-				return false
-			}
-			for i, fr := range got.Batch.Frames {
-				// Decoded frames carry the batch sender id.
-				want := *batch.Frames[i]
-				want.From = m.From
-				if !messagesEqual(fr, &want) {
-					t.Logf("%s: frame %d mismatch:\n got %+v\nwant %+v", c.Name(), i, fr, &want)
-					return false
-				}
-			}
-			decoded = append(decoded, got.Batch.Frames...)
+		buf, err := Binary{}.Append(nil, m)
+		if err != nil {
+			t.Logf("append: %v", err)
+			return false
 		}
-		// All codecs agree with each other frame by frame.
-		per := len(batch.Frames)
-		for i := 0; i < per; i++ {
-			for c := 1; c < len(codecs); c++ {
-				if !messagesEqual(decoded[i], decoded[c*per+i]) {
-					return false
-				}
+		got, err := Binary{}.Decode(buf)
+		if err != nil {
+			t.Logf("decode: %v", err)
+			return false
+		}
+		if got.Kind != KindBatch || got.From != m.From || got.Batch == nil {
+			return false
+		}
+		if len(got.Batch.Frames) != len(batch.Frames) {
+			return false
+		}
+		for i, fr := range got.Batch.Frames {
+			// Decoded frames carry the batch sender id.
+			want := *batch.Frames[i]
+			want.From = m.From
+			single, err := Binary{}.Append(nil, &want)
+			if err != nil {
+				t.Logf("frame %d: append: %v", i, err)
+				return false
+			}
+			alone, err := Binary{}.Decode(single)
+			if err != nil {
+				t.Logf("frame %d: decode: %v", i, err)
+				return false
+			}
+			if !messagesEqual(fr, &want) || !messagesEqual(fr, alone) {
+				t.Logf("frame %d mismatch:\n batched %+v\n   alone %+v\n    want %+v", i, fr, alone, &want)
+				return false
 			}
 		}
 		return true
@@ -148,13 +160,12 @@ func TestBatchCrossCodec(t *testing.T) {
 }
 
 // TestBatchColumnarSmaller checks that the columnar layout beats the
-// concatenation of individual Compact frames on a realistic uplink run, and
-// that deflate shrinks it further.
+// concatenation of individual Binary frames on a realistic uplink run.
 func TestBatchColumnarSmaller(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	batch := randomBatch(rng, 256)
 	m := &Message{Kind: KindBatch, From: 1, Batch: batch}
-	batched, err := Compact{}.Append(nil, m)
+	batched, err := Binary{}.Append(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +173,7 @@ func TestBatchColumnarSmaller(t *testing.T) {
 	for _, f := range batch.Frames {
 		fm := *f
 		fm.From = 1
-		buf, err := Compact{}.Append(nil, &fm)
+		buf, err := Binary{}.Append(nil, &fm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,15 +182,7 @@ func TestBatchColumnarSmaller(t *testing.T) {
 	if len(batched) >= single {
 		t.Errorf("columnar batch %d bytes, individual frames %d", len(batched), single)
 	}
-	m.Batch.Compress = true
-	compressed, err := Compact{}.Append(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compressed) >= len(batched) {
-		t.Errorf("deflated batch %d bytes, raw columnar %d", len(compressed), len(batched))
-	}
-	t.Logf("individual=%d columnar=%d deflated=%d", single, len(batched), len(compressed))
+	t.Logf("individual=%d columnar=%d", single, len(batched))
 }
 
 // TestBatchRejectsUnbatchable verifies control frames cannot ride in a batch.
@@ -187,10 +190,8 @@ func TestBatchRejectsUnbatchable(t *testing.T) {
 	m := &Message{Kind: KindBatch, From: 1, Batch: &Batch{Frames: []*Message{
 		{Kind: KindHello, From: 1},
 	}}}
-	for _, c := range []Codec{Binary{}, Compact{}, Text{}} {
-		if _, err := c.Append(nil, m); err == nil {
-			t.Errorf("%s: encoding a batch with a control frame succeeded", c.Name())
-		}
+	if _, err := (Binary{}).Append(nil, m); err == nil {
+		t.Error("encoding a batch with a control frame succeeded")
 	}
 }
 
@@ -479,35 +480,6 @@ func TestBatcherClonesPartials(t *testing.T) {
 	}
 }
 
-// TestBatcherCompressionProbe checks CompressAuto backs off on
-// incompressible payloads and engages on compressible ones.
-func TestBatcherCompressionProbe(t *testing.T) {
-	p := newCompressProbe(CompressAuto)
-	if !p.shouldTry() {
-		t.Fatal("fresh auto probe must try once")
-	}
-	p.observe(1000, 990) // incompressible
-	tried := 0
-	for i := 0; i < probeInterval; i++ {
-		if p.shouldTry() {
-			tried++
-		}
-	}
-	if tried != 0 {
-		t.Errorf("probe tried %d times during backoff", tried)
-	}
-	if !p.shouldTry() {
-		t.Error("probe never re-probed after backoff")
-	}
-	p.observe(1000, 400) // compressible now
-	if !p.shouldTry() {
-		t.Error("probe inactive despite winning ratio")
-	}
-	if r := p.ratioMilli.Load(); r != 400 {
-		t.Errorf("ratio %d, want 400", r)
-	}
-}
-
 // TestBatcherTelemetry checks the instruments move.
 func TestBatcherTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -537,34 +509,30 @@ func TestBatcherTelemetry(t *testing.T) {
 }
 
 // FuzzDecodeBatch throws arbitrary bytes at the columnar batch decoder:
-// hostile input must error, never panic or balloon memory, and whatever
-// decodes must re-encode and re-decode to the same frames.
+// hostile input must error, never panic or balloon memory, a body whose
+// flags byte is not zero is refused, and whatever decodes must re-encode and
+// re-decode to the same frames.
 func FuzzDecodeBatch(f *testing.F) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{0, 1, 5, 40} {
-		b := randomBatch(rng, n)
-		m := &Message{Kind: KindBatch, From: 7, Batch: b}
-		buf, err := Binary{}.Append(nil, m)
+		buf, err := Binary{}.Append(nil, &Message{Kind: KindBatch, From: 7, Batch: randomBatch(rng, n)})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf[5:]) // the batch body without the kind/from header
-		m.Batch.Compress = true
-		buf, err = Binary{}.Append(nil, m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf[5:])
+		// The same payload deflated the way older peers sent it, which must
+		// be refused.
+		f.Add(deflatedBody(buf[6:], 1))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge claimed frame count
-	f.Add([]byte{batchFlagDeflate, 0x01})          // broken flate stream
-	// A deflated body, whatever the encoder decides for the seeds above.
+	f.Add([]byte{deflateFlag, 0x01})               // broken flate stream
+	// A body deflated the way older peers did, which must be refused.
 	payload, err := appendBatchPayload(nil, new(batchScratch), randomQuantBatch(rng, 40))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte{batchFlagDeflate}, new(batchScratch).deflate(payload)...))
+	f.Add(deflatedBody(payload, 1))
 	for _, n := range []int{1, 5, 40} {
 		buf, err := Binary{}.Append(nil, &Message{Kind: KindBatch, From: 7, Batch: randomQuantBatch(rng, n)})
 		if err != nil {
@@ -576,6 +544,9 @@ func FuzzDecodeBatch(f *testing.F) {
 		b, err := decodeBatchBody(body, 7)
 		if err != nil {
 			return
+		}
+		if body[0] != 0 {
+			t.Fatalf("body with flags %#x decoded", body[0])
 		}
 		enc, err := appendBatchBody(nil, b)
 		if err != nil {
@@ -630,7 +601,8 @@ func TestAppendBatchBodySteadyStateAllocs(t *testing.T) {
 // columns of runs carry any count in a few bytes, so there the bound is
 // absolute (maxBatchItems): an all-runs body at the cap decodes within the
 // same budget, and one past it is refused. An event body is bounded by its
-// float column, which costs a byte per value at least.
+// float column, which costs a byte per value at least. A deflate bomb, the
+// kind of body older peers could send, is refused by its flags byte.
 func TestDecodeHostileBatchBounded(t *testing.T) {
 	const size = 64 << 10
 	pad := func(b []byte) []byte { return append(b, make([]byte, size-len(b))...) }
@@ -684,15 +656,9 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 	events := binary.AppendUvarint([]byte{byte(KindEventBatch), 7, 0, 0, 0}, 1<<20)
 	events = runOf(runOf(runOf(events, 1<<20, 1), 1<<20, 1), 1<<20, 0)
 	events = append(events, make([]byte, 64-len(events))...)
-	// 63 MiB of zeros deflate to about 64 KiB: a body that inflates 1000×.
-	var bomb bytes.Buffer
-	bomb.WriteByte(batchFlagDeflate)
-	fw, _ := flate.NewWriter(&bomb, flate.BestCompression)
-	zeros := make([]byte, 1<<20)
-	for i := 0; i < 63; i++ {
-		fw.Write(zeros)
-	}
-	fw.Close()
+	// 63 MiB of zeros deflate to about 64 KiB: a body that would inflate
+	// 1000× if the decoder still inflated.
+	bomb := deflatedBody(make([]byte, 1<<20), 63)
 	batch := func(b []byte) error { _, err := decodeBatchBody(b, 7); return err }
 	frame := func(b []byte) error { _, err := Binary{}.Decode(b); return err }
 	for _, c := range []struct {
@@ -706,8 +672,8 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 		{"all-runs body at the cap", atCap, batch},
 		{"all-runs body past the cap", allRuns(maxBatchItems + 1), batch},
 		{"event body claiming 2^20 events in 64 bytes", events, frame},
-		{"deflated body of 63 MiB of zeros", bomb.Bytes(), batch},
-		{"deflated body of 63 MiB of zeros in a frame", append([]byte{byte(KindBatch), 7, 0, 0, 0}, bomb.Bytes()...), frame},
+		{"deflated body of 63 MiB of zeros", bomb, batch},
+		{"deflated body of 63 MiB of zeros in a frame", append([]byte{byte(KindBatch), 7, 0, 0, 0}, bomb...), frame},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -718,6 +684,9 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 			t.Logf("err=%v, allocated %d bytes (%.1f× a %d-byte body)", err, alloc, float64(alloc)/size, size)
 			if alloc > 64*size {
 				t.Errorf("decoding allocated %d bytes, want ≤ 64× %d", alloc, size)
+			}
+			if strings.HasPrefix(c.name, "deflated") && (err == nil || !strings.Contains(err.Error(), "unknown batch flags")) {
+				t.Errorf("deflated body: err %v, want unknown batch flags", err)
 			}
 		})
 	}

@@ -9,103 +9,18 @@ import (
 	"desis/internal/telemetry"
 )
 
-// CompressMode selects a Batcher's compression policy for batch bodies.
-type CompressMode uint8
-
-// Compression policies.
-const (
-	// CompressOff never deflates.
-	CompressOff CompressMode = iota
-	// CompressOn asks for deflate on every batch (the encoder still keeps
-	// the raw body when compression does not pay).
-	CompressOn
-	// CompressAuto probes the link periodically: compression stays enabled
-	// while the measured ratio keeps beating the threshold, and a link whose
-	// payload does not compress re-probes only occasionally, so incompressible
-	// streams pay (almost) no deflate CPU.
-	CompressAuto
-)
-
-// compressProbe is the per-link ratio probe behind CompressAuto. The encoder
-// consults shouldTry before deflating and reports every measured outcome to
-// observe, so the decision always reflects this link's actual payload.
-type compressProbe struct {
-	mode CompressMode
-
-	mu        sync.Mutex
-	active    bool
-	countdown int // batches until the next probe while inactive
-
-	// ratioMilli is the last measured compressed/raw ratio ×1000, atomic so
-	// telemetry mirrors read it without the probe lock.
-	ratioMilli atomic.Int64
-	gauge      *telemetry.Gauge
-}
-
-// probeInterval is how many batches an inactive CompressAuto probe skips
-// between deflate attempts.
-const probeInterval = 32
-
-// compressKeepRatioMilli is the measured ratio (×1000) below which the
-// adaptive probe keeps compression enabled.
-const compressKeepRatioMilli = 900
-
-func newCompressProbe(mode CompressMode) *compressProbe {
-	return &compressProbe{mode: mode, active: mode == CompressOn}
-}
-
-func (c *compressProbe) shouldTry() bool {
-	switch c.mode {
-	case CompressOn:
-		return true
-	case CompressAuto:
-	default:
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.active {
-		return true
-	}
-	if c.countdown > 0 {
-		c.countdown--
-		return false
-	}
-	return true // probe batch
-}
-
-func (c *compressProbe) observe(rawLen, compLen int) {
-	if rawLen <= 0 {
-		return
-	}
-	ratio := int64(compLen) * 1000 / int64(rawLen)
-	c.ratioMilli.Store(ratio)
-	c.gauge.Set(ratio)
-	if c.mode != CompressAuto {
-		return
-	}
-	c.mu.Lock()
-	c.active = ratio <= compressKeepRatioMilli
-	if !c.active {
-		c.countdown = probeInterval
-	}
-	c.mu.Unlock()
-}
-
 // BatcherOptions shapes a Batcher.
 type BatcherOptions struct {
 	// MaxFrames caps the frames coalesced into one batch (default 512).
 	MaxFrames int
-	// MaxBytes caps the approximate pre-compression body size of one batch
-	// (default 256 KiB). Kept modest so a slow link transmits each frame
-	// well inside the parent's liveness timeout.
+	// MaxBytes caps the approximate body size of one batch (default
+	// 256 KiB). Kept modest so a slow link transmits each frame well inside
+	// the parent's liveness timeout.
 	MaxBytes int
 	// Queue bounds the pending-frame queue (default 4096); a full queue
 	// blocks Send, which is the backpressure that makes throughput
 	// measurements sustainable.
 	Queue int
-	// Compress selects the body compression policy (default CompressOff).
-	Compress CompressMode
 	// NoCutThrough disables the synchronous fast path: every batchable frame
 	// queues behind the pump even when the link measures fast. Useful when
 	// per-transmission cost dominates regardless of speed (energy-constrained
@@ -157,8 +72,6 @@ type Batcher struct {
 	from uint32
 	opts BatcherOptions
 
-	probe *compressProbe
-
 	// sendNanos is the EWMA of recent transmission times (α=1/4, atomic so
 	// Send's fast-path check stays lock-cheap). Starts at zero: a fresh link
 	// is assumed fast until a send proves otherwise.
@@ -189,11 +102,10 @@ type Batcher struct {
 // frames, from the caller's). from stamps the batches' sender id.
 func NewBatcher(send func(*Message) error, from uint32, opts BatcherOptions) *Batcher {
 	b := &Batcher{
-		send:  send,
-		from:  from,
-		opts:  opts.withDefaults(),
-		probe: newCompressProbe(opts.Compress),
-		done:  make(chan struct{}),
+		send: send,
+		from: from,
+		opts: opts.withDefaults(),
+		done: make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
 	b.pumpCond = sync.NewCond(&b.mu)
@@ -201,8 +113,8 @@ func NewBatcher(send func(*Message) error, from uint32, opts BatcherOptions) *Ba
 	return b
 }
 
-// AttachTelemetry mirrors the batcher's fill, flush-reason, queue-depth and
-// compression-ratio signals into reg.
+// AttachTelemetry mirrors the batcher's fill, flush-reason and queue-depth
+// signals into reg.
 func (b *Batcher) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -214,7 +126,6 @@ func (b *Batcher) AttachTelemetry(reg *telemetry.Registry) {
 	b.telFlushDrain = reg.Counter("batch.flush.drain")
 	b.telFlushControl = reg.Counter("batch.flush.control")
 	b.telQueue = reg.Gauge("batch.queue_depth")
-	b.probe.gauge = reg.Gauge("batch.compression_ratio_milli")
 	b.mu.Unlock()
 }
 
@@ -387,7 +298,7 @@ func (b *Batcher) run() {
 			// to the unbatched protocol when there is nothing to coalesce.
 			m = frames[0]
 		} else {
-			m = &Message{Kind: KindBatch, From: b.from, Batch: &Batch{Frames: frames, probe: b.probe}}
+			m = &Message{Kind: KindBatch, From: b.from, Batch: &Batch{Frames: frames}}
 		}
 		start := time.Now()
 		err := b.send(m)

@@ -1,11 +1,11 @@
 // Package message is Desis' message manager (§3.1): the wire protocol and
-// transports that connect the nodes of a decentralized topology. It offers a
-// binary codec, a Disco-style textual codec (Disco "uses strings to send
-// events and messages between nodes", §6.4.1 — the reason for its higher
-// network overhead in Figure 11b), an in-process pipe transport with exact
-// byte accounting, a bandwidth-throttled pipe that emulates constrained
-// links such as the Raspberry-Pi cluster's 1 GbE (§6.5.2), and a TCP
-// transport for real deployments.
+// transports that connect the nodes of a decentralized topology. It offers
+// the binary codec every Desis node speaks, an in-process pipe transport
+// with exact byte accounting, a bandwidth-throttled pipe that emulates
+// constrained links such as the Raspberry-Pi cluster's 1 GbE (§6.5.2), and a
+// TCP transport for real deployments. The pipes and transports take any
+// Codec; the Disco baseline's string codec (Disco "uses strings to send
+// events and messages between nodes", §6.4.1) lives in internal/baseline.
 package message
 
 import (
@@ -29,9 +29,9 @@ const (
 	// the handshake reply for fresh or too-stale children.
 	KindPlanState
 	// KindEventBatch carries raw events: local-node input, forwarding in
-	// centralized systems, and RootOnly groups in Desis. Every codec but
-	// Text writes the columnar body of event.AppendBatch: int columns of
-	// time deltas, keys and markers, then a float column of values.
+	// centralized systems, and RootOnly groups in Desis. Binary writes the
+	// columnar body of event.AppendBatch: int columns of time deltas, keys
+	// and markers, then a float column of values.
 	KindEventBatch
 	// KindPartial carries one per-slice partial result upward.
 	KindPartial

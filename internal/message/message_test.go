@@ -1,6 +1,7 @@
 package message
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"reflect"
@@ -289,31 +290,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	checkRoundTrip(t, Binary{}, controlMessages())
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	checkRoundTrip(t, Text{}, sampleMessages())
-}
-
-func TestTextLargerThanBinary(t *testing.T) {
-	// The premise of Figure 11b: string encoding costs more bytes.
-	var batch []event.Event
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		batch = append(batch, event.Event{Time: int64(1700000000000 + i), Key: uint32(i % 10), Value: rng.Float64() * 1000})
-	}
-	m := &Message{Kind: KindEventBatch, From: 1, Events: batch}
-	bin, err := Binary{}.Append(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txt, err := Text{}.Append(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(txt) <= len(bin) {
-		t.Errorf("text %d bytes <= binary %d bytes", len(txt), len(bin))
-	}
-}
-
 func TestBinaryDecodeTruncated(t *testing.T) {
 	for _, m := range append(sampleMessages(), controlMessages()...) {
 		buf, err := Binary{}.Append(nil, m)
@@ -331,6 +307,46 @@ func TestBinaryDecodeTruncated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBinaryDecode throws arbitrary bytes at Binary.Decode, the decoder of
+// every frame a TCP node reads, across every kind: hostile input must error,
+// never panic or balloon memory, and whatever decodes must re-encode, and
+// that encoding must decode to a message that encodes to the same bytes
+// (compared as bytes, so a decoded NaN counts as equal to itself).
+func FuzzBinaryDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	batch := &Message{Kind: KindBatch, From: 6, Batch: randomQuantBatch(rng, 24)}
+	for _, m := range append(append(sampleMessages(), batch), controlMessages()...) {
+		buf, err := Binary{}.Append(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{byte(KindBatch), 1, 0, 0, 0, deflateFlag, 0x01})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		m, err := Binary{}.Decode(buf)
+		if err != nil {
+			return
+		}
+		enc, err := Binary{}.Append(nil, m)
+		if err != nil {
+			t.Fatalf("re-encode of decoded kind %d failed: %v", m.Kind, err)
+		}
+		m2, err := Binary{}.Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode of own kind %d encoding failed: %v", m.Kind, err)
+		}
+		enc2, err := Binary{}.Append(nil, m2)
+		if err != nil {
+			t.Fatalf("second re-encode of kind %d failed: %v", m.Kind, err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("kind %d changed across re-encode:\n%x\n%x", m.Kind, enc, enc2)
+		}
+	})
 }
 
 func TestPipeSendRecv(t *testing.T) {

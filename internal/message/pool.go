@@ -7,11 +7,11 @@ import (
 	"desis/internal/invariant"
 )
 
-// partialPool holds the partials every decoder fills: Binary, Compact and
-// Text frames and the KindBatch body all draw from it, and the node that
-// consumes a decoded partial gives it back with ReleasePartial. A released
-// partial keeps the capacity of its Aggs (with each row's Values) and EPs,
-// so a steady stream of frames decodes without allocating partial storage.
+// partialPool holds the partials every decoder fills: Binary frames and the
+// KindBatch body draw from it, and the node that consumes a decoded partial
+// gives it back with ReleasePartial. A released partial keeps the capacity
+// of its Aggs (with each row's Values) and EPs, so a steady stream of frames
+// decodes without allocating partial storage.
 // The pool is one for the process: in-process topologies decode on one tier
 // what another tier released.
 var partialPool = sync.Pool{New: func() any { return new(core.SlicePartial) }}

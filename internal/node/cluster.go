@@ -18,8 +18,6 @@ type ClusterConfig struct {
 	// Intermediates is the number of intermediate nodes; zero connects the
 	// locals directly to the root. Locals spread round-robin.
 	Intermediates int
-	// Codec is the wire codec; nil means message.Binary{}.
-	Codec message.Codec
 	// Bandwidth throttles every link to this many bytes per second; zero
 	// means unlimited. Used to model the 1 GbE Raspberry-Pi links (§6.5.2).
 	Bandwidth float64
@@ -81,9 +79,6 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 	if cfg.Locals <= 0 {
 		cfg.Locals = 1
 	}
-	if cfg.Codec == nil {
-		cfg.Codec = message.Binary{}
-	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 256
 	}
@@ -100,9 +95,9 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 
 	newPipe := func() (*message.Pipe, *message.Pipe) {
 		if cfg.Bandwidth > 0 {
-			return message.NewThrottledPipe(cfg.Codec, cfg.Buffer, cfg.Bandwidth)
+			return message.NewThrottledPipe(message.Binary{}, cfg.Buffer, cfg.Bandwidth)
 		}
-		return message.NewPipe(cfg.Codec, cfg.Buffer)
+		return message.NewPipe(message.Binary{}, cfg.Buffer)
 	}
 
 	localID := func(i int) uint32 { return uint32(1 + i) }

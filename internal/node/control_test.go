@@ -42,7 +42,7 @@ func TestTCPRuntimeControl(t *testing.T) {
 		<-phase2
 		added := query.MustParse("tumbling(200ms) count key=0")
 		added.ID = 2
-		controlErr <- Control(root.Addr(), nil, &added, 0)
+		controlErr <- Control(root.Addr(), &added, 0)
 		<-removed
 		// Removal is immediate (matching the engine's semantics), and the
 		// control plane is not ordered against the data plane: wait for the
@@ -54,7 +54,7 @@ func TestTCPRuntimeControl(t *testing.T) {
 				return
 			}
 		}
-		controlErr <- Control(root.Addr(), nil, nil, 2)
+		controlErr <- Control(root.Addr(), nil, 2)
 	}()
 
 	err = RunLocalTCPOptions(inter.Addr(), 1, 64, DialOptions{}, func(l *LocalSession) error {
@@ -141,12 +141,12 @@ func TestControlRejectsBadCommands(t *testing.T) {
 	}
 	defer root.Close()
 	// Removing an unknown query fails: the root closes without ack.
-	if err := Control(root.Addr(), nil, nil, 999); err == nil {
+	if err := Control(root.Addr(), nil, 999); err == nil {
 		t.Error("removing unknown query succeeded")
 	}
 	// Adding an invalid query fails.
 	bad := query.Query{ID: 7, Pred: query.All(), Type: query.Tumbling} // no funcs
-	if err := Control(root.Addr(), nil, &bad, 0); err == nil {
+	if err := Control(root.Addr(), &bad, 0); err == nil {
 		t.Error("invalid query accepted")
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"desis/internal/core"
 	"desis/internal/event"
-	"desis/internal/message"
 	"desis/internal/operator"
 	"desis/internal/query"
 	"desis/internal/telemetry"
@@ -585,50 +583,5 @@ func TestClusterRemoveQuery(t *testing.T) {
 	}
 	if err := c.RemoveQuery(99); err == nil {
 		t.Error("removing unknown query succeeded")
-	}
-}
-
-// --- Codec choice on the wire ---
-
-func TestClusterTextCodecWorks(t *testing.T) {
-	// A median query ships every value, the traffic class where Disco's
-	// string encoding costs the most (Figure 11b).
-	q := query.MustParse("tumbling(100ms) median key=0")
-	q.ID = 1
-	groups, err := query.Analyze([]query.Query{q}, query.Options{Decentralized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(codec message.Codec) (uint64, []core.Result) {
-		c := NewCluster(groups, ClusterConfig{Locals: 2, Codec: codec})
-		for i := 0; i < 100; i++ {
-			ev := event.Event{Time: int64(i * 5), Value: float64(i) * 1.2345678901234567}
-			if err := c.Push(i%2, []event.Event{ev}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.AdvanceAll(2000); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		local, _ := c.NetworkBytes()
-		rs := c.Results()
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
-		return local, rs
-	}
-	binBytes, binRes := run(message.Binary{})
-	txtBytes, txtRes := run(message.Text{})
-	if len(binRes) == 0 || len(binRes) != len(txtRes) {
-		t.Fatalf("results: binary %d, text %d", len(binRes), len(txtRes))
-	}
-	for i := range binRes {
-		if binRes[i].Values[0].Value != txtRes[i].Values[0].Value {
-			t.Errorf("window %d: binary %g, text %g", i, binRes[i].Values[0].Value, txtRes[i].Values[0].Value)
-		}
-	}
-	if txtBytes <= binBytes {
-		t.Errorf("text codec %d bytes <= binary %d bytes", txtBytes, binBytes)
 	}
 }

@@ -160,15 +160,15 @@ func TestStaleEpochReconnectResync(t *testing.T) {
 	// tombstone the resync must replay faithfully.
 	added := query.MustParse("tumbling(200ms) sum key=0")
 	added.ID = 2
-	if err := Control(root.Addr(), nil, &added, 0); err != nil {
+	if err := Control(root.Addr(), &added, 0); err != nil {
 		t.Fatal(err)
 	}
 	ephemeral := query.MustParse("sliding(300ms,100ms) max key=0")
 	ephemeral.ID = 3
-	if err := Control(root.Addr(), nil, &ephemeral, 0); err != nil {
+	if err := Control(root.Addr(), &ephemeral, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Control(root.Addr(), nil, nil, 3); err != nil {
+	if err := Control(root.Addr(), nil, 3); err != nil {
 		t.Fatal(err)
 	}
 

@@ -92,7 +92,7 @@ func TestClusterStatsMatchSingleEngine(t *testing.T) {
 	var got *telemetry.Snapshot
 	diff := "never fetched"
 	waitUntil(t, 15*time.Second, "merged stats to match the single engine ("+diff+")", func() bool {
-		s, err := FetchStats(root.Addr(), nil)
+		s, err := FetchStats(root.Addr())
 		if err != nil {
 			diff = err.Error()
 			return false
@@ -211,7 +211,7 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 	var got *telemetry.Snapshot
 	waitUntil(t, 20*time.Second, "stats reporting the survivor's reconnect", func() bool {
 		start := time.Now()
-		s, err := FetchStats(root.Addr(), nil)
+		s, err := FetchStats(root.Addr())
 		if elapsed := time.Since(start); elapsed > statsWait+3*time.Second {
 			t.Fatalf("stats pull took %v, want under the %v collection deadline (plus slack)", elapsed, statsWait)
 		}

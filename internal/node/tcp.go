@@ -79,8 +79,6 @@ type RootServer struct {
 
 // RootServeOptions carries the optional knobs of a root server.
 type RootServeOptions struct {
-	// Codec is the wire codec; nil means message.Binary{}.
-	Codec message.Codec
 	// OnResult receives final window results.
 	OnResult func(core.Result)
 	// NoOptimize disables the factor-window plan optimizer. Children adopt
@@ -93,15 +91,11 @@ type RootServeOptions struct {
 // children; Wait returns once they have all connected and disconnected. A
 // zero timeout disables the liveness check.
 func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout time.Duration, opts RootServeOptions) (*RootServer, error) {
-	codec := opts.Codec
-	if codec == nil {
-		codec = message.Binary{}
-	}
 	groups, err := query.Analyze(queries, query.Options{Decentralized: true, Optimize: !opts.NoOptimize})
 	if err != nil {
 		return nil, err
 	}
-	l, err := message.Listen(addr, codec)
+	l, err := message.Listen(addr, message.Binary{})
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +263,7 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 	if err != nil {
 		return nil, err
 	}
-	l, err := message.Listen(addr, opts.Codec)
+	l, err := message.Listen(addr, message.Binary{})
 	if err != nil {
 		up.Close()
 		return nil, err
@@ -529,19 +523,19 @@ func RunLocalTCPOptions(parentAddr string, id uint32, batchSize int, opts DialOp
 
 // Control connects to a root as a control client and applies one command:
 // a non-nil addQuery adds it; otherwise removeID is removed.
-func Control(rootAddr string, codec message.Codec, addQuery *query.Query, removeID uint64) error {
+func Control(rootAddr string, addQuery *query.Query, removeID uint64) error {
 	m := &message.Message{Kind: message.KindRemoveQuery, QueryID: removeID}
 	if addQuery != nil {
 		m = &message.Message{Kind: message.KindAddQuery, Queries: []query.Query{*addQuery}}
 	}
-	_, err := ask(rootAddr, codec, m, message.KindHello)
+	_, err := ask(rootAddr, m, message.KindHello)
 	return err
 }
 
 // FetchPlan connects to a root as a control client and retrieves its live
 // execution plan (catalog, epoch, placements).
-func FetchPlan(rootAddr string, codec message.Codec) (*plan.Plan, error) {
-	reply, err := ask(rootAddr, codec, &message.Message{Kind: message.KindPlanDump}, message.KindPlanState)
+func FetchPlan(rootAddr string) (*plan.Plan, error) {
+	reply, err := ask(rootAddr, &message.Message{Kind: message.KindPlanDump}, message.KindPlanState)
 	if err != nil {
 		return nil, err
 	}
@@ -554,8 +548,8 @@ func FetchPlan(rootAddr string, codec message.Codec) (*plan.Plan, error) {
 // FetchStats connects to a root as a control client and retrieves the
 // cluster-wide telemetry snapshot: the root's own instruments merged with
 // every reachable node's (cmd/desis-ctl -stats).
-func FetchStats(rootAddr string, codec message.Codec) (*telemetry.Snapshot, error) {
-	reply, err := ask(rootAddr, codec, &message.Message{Kind: message.KindStatsDump}, message.KindStatsDump)
+func FetchStats(rootAddr string) (*telemetry.Snapshot, error) {
+	reply, err := ask(rootAddr, &message.Message{Kind: message.KindStatsDump}, message.KindStatsDump)
 	if err != nil {
 		return nil, err
 	}
@@ -568,11 +562,8 @@ func FetchStats(rootAddr string, codec message.Codec) (*telemetry.Snapshot, erro
 // ask dials rootAddr as a control client, sends m and returns the root's
 // reply, which must be of kind want. The root closes the connection without
 // a reply when it rejects the command.
-func ask(rootAddr string, codec message.Codec, m *message.Message, want message.Kind) (*message.Message, error) {
-	if codec == nil {
-		codec = message.Binary{}
-	}
-	conn, err := message.Dial(rootAddr, codec)
+func ask(rootAddr string, m *message.Message, want message.Kind) (*message.Message, error) {
+	conn, err := message.Dial(rootAddr, message.Binary{})
 	if err != nil {
 		return nil, err
 	}

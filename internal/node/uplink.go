@@ -47,8 +47,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // DialOptions configures a child's connection to its parent (locals and
 // intermediates).
 type DialOptions struct {
-	// Codec is the wire codec; nil means message.Binary{}.
-	Codec message.Codec
 	// Retry shapes the reconnect loop; the zero value uses defaults.
 	Retry RetryPolicy
 	// Heartbeat is the idle-uplink heartbeat period (§3.2 liveness). Zero
@@ -88,9 +86,6 @@ type DialOptions struct {
 }
 
 func (o DialOptions) withDefaults() DialOptions {
-	if o.Codec == nil {
-		o.Codec = message.Binary{}
-	}
 	o.Retry = o.Retry.withDefaults()
 	if o.Heartbeat == 0 {
 		o.Heartbeat = HeartbeatInterval
@@ -227,7 +222,7 @@ func (u *uplink) SetEpochFn(fn func() uint64) {
 
 // AttachTelemetry mirrors the uplink's reconnect count and replay-ring
 // occupancy into reg (uplink.reconnects, uplink.replay_occupancy), plus the
-// batcher's fill/flush/compression instruments when batching is enabled.
+// batcher's fill/flush/queue instruments when batching is enabled.
 func (u *uplink) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -266,7 +261,7 @@ func (u *uplink) startHeartbeats() {
 // plan resync down — an epoch diff (KindPlanDelta) or the full plan
 // (KindPlanState).
 func (u *uplink) handshake() (*message.TCPConn, *message.Message, error) {
-	conn, err := message.Dial(u.addr, u.opts.Codec)
+	conn, err := message.Dial(u.addr, message.Binary{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -460,7 +455,7 @@ func (u *uplink) record(conn *message.TCPConn, m *message.Message) (recorded, ho
 	if cap(slot) > replaySlotKeep {
 		slot = nil
 	}
-	frame, err := message.AppendFrame(slot[:0], u.opts.Codec, m)
+	frame, err := message.AppendFrame(slot[:0], message.Binary{}, m)
 	if err != nil {
 		// The failed encode wrote over the oldest frame: it leaves the ring.
 		u.replay[u.head] = nil
