@@ -25,12 +25,6 @@ type ClusterOptions struct {
 	// headers (DESIGN.md §8). Fast links keep a cut-through path whose
 	// wire is byte-identical to the unbatched protocol.
 	Batch bool
-	// Optimize controls the factor-window plan optimizer, exactly as
-	// Options.Optimize does for a single engine: the zero value runs with
-	// it on, OptimizeOff disables it on every tier. The setting is baked
-	// into the topology's shared plan lineage so delta replays place
-	// identically everywhere.
-	Optimize OptimizeMode
 }
 
 // Cluster is an in-process decentralized Desis topology: local nodes slice
@@ -42,11 +36,11 @@ type Cluster struct {
 }
 
 // NewCluster analyzes the queries with decentralized placement (count-based
-// windows evaluate on the root) and builds the topology.
+// windows evaluate on the root) and builds the topology. The factor-window
+// optimizer is single-engine only: a tree's plan holds no fed groups.
 func NewCluster(queries []Query, opts ClusterOptions) (*Cluster, error) {
 	queries = assignIDs(queries)
-	optimize := opts.Optimize != OptimizeOff
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true, Optimize: optimize})
+	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +53,6 @@ func NewCluster(queries []Query, opts ClusterOptions) (*Cluster, error) {
 		Intermediates: opts.Intermediates,
 		Bandwidth:     opts.BandwidthBytesPerSec,
 		Batch:         opts.Batch,
-		NoOptimize:    !optimize,
 		OnResult:      onResult,
 	})}, nil
 }

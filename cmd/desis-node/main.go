@@ -59,8 +59,6 @@ func main() {
 	batchBytes := flag.Int("batch-bytes", 0, "approximate cap on one batch frame's body in bytes; 0 selects the default (with -batch)")
 	batchFrames := flag.Int("batch-frames", 0, "cap on frames coalesced into one batch; 0 selects the default (with -batch)")
 	instanceTTL := flag.Duration("instance-ttl", 0, "park group instances of keys idle this long in event time; 0 keeps every instance resident (intermediate, local)")
-	instanceShards := flag.Int("instance-shards", 0, "key→instance map shard count; 0 selects the engine default (intermediate, local)")
-	optimize := flag.Bool("optimize", true, "factor-window plan optimizer (root); -optimize=false ablates it for the whole tree")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/stats and /debug/pprof/ over HTTP at this address (any role); empty disables")
 	var queries queryList
 	flag.Var(&queries, "query", "query in the textual language (repeatable, root only)")
@@ -70,10 +68,7 @@ func main() {
 	// DialOptions) and the debug server; the root's registry lives in its
 	// server, so runRoot wires its own debug endpoint.
 	opts := dialOpts(*heartbeat, *retries, *replay)
-	opts.Tuning = node.EngineTuning{
-		InstanceTTL:    instanceTTL.Milliseconds(),
-		InstanceShards: *instanceShards,
-	}
+	opts.Tuning = node.EngineTuning{InstanceTTL: instanceTTL.Milliseconds()}
 	if *batch {
 		opts.Batch = true
 		opts.BatchOptions = message.BatcherOptions{MaxBytes: *batchBytes, MaxFrames: *batchFrames}
@@ -86,7 +81,7 @@ func main() {
 	var err error
 	switch *role {
 	case "root":
-		err = runRoot(*listen, queries, *children, *timeout, *quiet, *debugAddr, *optimize)
+		err = runRoot(*listen, queries, *children, *timeout, *quiet, *debugAddr)
 	case "intermediate":
 		err = runIntermediate(*listen, *parent, uint32(*id), *children, *timeout, opts)
 	case "local":
@@ -112,13 +107,12 @@ func serveDebug(addr string, reg *telemetry.Registry) {
 	}()
 }
 
-func runRoot(listen string, queries []query.Query, children int, timeout time.Duration, quiet bool, debugAddr string, optimize bool) error {
+func runRoot(listen string, queries []query.Query, children int, timeout time.Duration, quiet bool, debugAddr string) error {
 	if len(queries) == 0 {
 		return fmt.Errorf("root needs at least one -query")
 	}
 	windows := 0
 	srv, err := node.ServeRootOptions(listen, queries, children, timeout, node.RootServeOptions{
-		NoOptimize: !optimize,
 		OnResult: func(r core.Result) {
 			windows++
 			if quiet {

@@ -154,10 +154,6 @@ type Options struct {
 	// forward immediately instead of buffering. Zero keeps strict
 	// in-order semantics.
 	ReorderHorizon time.Duration
-	// PruneThreshold is how many closed slices a query-group retains
-	// before pruning ones no open window can need; 0 selects the default
-	// (64). Stats.Pruned counts what retention dropped.
-	PruneThreshold int
 	// InstanceTTL, when positive, evicts group instances of keys idle for
 	// this long (event time): their state is parked as a compact snapshot
 	// and revived on the key's next event, with window results identical
@@ -165,9 +161,6 @@ type Options struct {
 	// group-by (key=*) cardinality this bounds memory by the active key
 	// set instead of every key ever seen.
 	InstanceTTL time.Duration
-	// InstanceShards is the shard count of the engine's key→instance
-	// maps; 0 selects the default (16).
-	InstanceShards int
 	// Telemetry, when non-nil, instruments the engine with per-group
 	// counters and latency histograms readable while it runs (see
 	// NewTelemetry). Shards of a ParallelEngine share the registry.
@@ -203,9 +196,7 @@ func (o Options) coreConfig() core.Config {
 	return core.Config{
 		OnResult:       o.OnResult,
 		ReorderHorizon: o.ReorderHorizon.Milliseconds(),
-		PruneThreshold: o.PruneThreshold,
 		InstanceTTL:    o.InstanceTTL.Milliseconds(),
-		InstanceShards: o.InstanceShards,
 		Optimize:       o.optimizeOn(),
 		Telemetry:      o.Telemetry.registry(),
 	}

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"desis/internal/core"
+	"desis/internal/plan"
+	"desis/internal/query"
 )
 
 // Factor-optimizer differential tests: the rewrite must be invisible in the
@@ -261,4 +263,99 @@ func TestFactorSnapshotRoundTrip(t *testing.T) {
 	e2.AdvanceTo(w.advTo)
 	got := append(partial, e2.Results()...)
 	compareExact(t, got, want)
+}
+
+// benchFactorQueries is BENCH_factor.json's correlated chain; one optimized
+// engine places two of its groups fed.
+var benchFactorQueries = []string{
+	"tumbling(1000ms) sum key=0",
+	"sliding(60000ms,10000ms) sum,average key=0",
+	"sliding(600000ms,60000ms) min key=0",
+	"sliding(120000ms,10000ms) max key=0",
+}
+
+// TestTreeHoldsNoFedGroups: factor rewriting is single-engine only. On the
+// chain that one optimized engine rewrites into two fed groups, a cluster's
+// plan, a runtime add of a query the engine would feed, and a decentralized
+// plan built with Optimize set all hold zero fed groups, and the cluster's
+// windows equal the optimized engine's. internal/node's test of the same
+// name checks every tier of the in-process and the TCP tree.
+func TestTreeHoldsNoFedGroups(t *testing.T) {
+	var qs []Query
+	for i, s := range benchFactorQueries {
+		q := MustParseQuery(s)
+		q.ID = uint64(i + 1)
+		qs = append(qs, q)
+	}
+	added := MustParseQuery("sliding(300000ms,60000ms) sum key=0")
+	added.ID = 5
+
+	eng, err := NewEngine(qs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(eng.e.Plan().FedGroups()); n != 2 {
+		t.Fatalf("optimized engine holds %d fed groups, want 2:\n%s", n, eng.DescribePlan())
+	}
+	id, err := eng.AddQuery(added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, _, ok := eng.e.Plan().Lookup(id); !ok || !g.Fed() {
+		t.Fatalf("the engine placed the added query outside a fed group:\n%s", eng.DescribePlan())
+	}
+
+	c, err := NewCluster(qs, ClusterOptions{Locals: 2, Intermediates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddQuery(added); err != nil {
+		t.Fatal(err)
+	}
+	if p := c.c.Root().History().Plan(); len(p.FedGroups()) != 0 || p.Optimize {
+		t.Errorf("cluster plan holds fed groups or the optimizer flag:\n%s", p.Describe())
+	}
+
+	groups, err := query.Analyze(qs, query.Options{Decentralized: true, Optimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range groups {
+		if g.Fed() {
+			t.Errorf("query.Analyze with decentralized placement fed group %d", g.ID)
+		}
+	}
+	p, err := plan.New(qs, plan.Options{Decentralized: true, Optimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Apply(p.AddDelta(added)); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.FedGroups()) != 0 || p.Optimize {
+		t.Errorf("decentralized plan.New kept the optimizer:\n%s", p.Describe())
+	}
+
+	// Half an hour of events, one every 100 ms, alternating between the
+	// locals; small integer values keep every aggregate exact.
+	const end = 1_800_000
+	for ts := int64(0); ts < end; ts += 100 {
+		ev := Event{Time: ts, Value: float64(ts / 100 % 7)}
+		eng.Process(ev)
+		if err := c.Push(int(ts/100%2), []Event{ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.AdvanceTo(end)
+	if err := c.AdvanceAll(end); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Results()
+	if len(want) == 0 {
+		t.Fatal("the engine emitted no windows")
+	}
+	compareExact(t, c.Results(), want)
 }

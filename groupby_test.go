@@ -189,7 +189,7 @@ func TestParallelEngineWithTTLMatchesResidentEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := desis.NewParallelEngine(queries(), 3, desis.Options{InstanceTTL: 30 * time.Millisecond, InstanceShards: 2})
+	par, err := desis.NewParallelEngine(queries(), 3, desis.Options{InstanceTTL: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,12 @@ import (
 // identical to the unrewritten plan's — with length/period merges per
 // emission instead of length/slice.
 //
-// The machinery is active only in store mode (Config.OnSlice == nil). On a
-// slice-emitting local node feedFrom stays nil and a fed group degrades to
-// an ordinary raw-ingesting group: it slices and ships partials like any
-// other, which is end-to-end correct and keeps the node tier unchanged.
+// The machinery is active only in store mode (Config.OnSlice == nil). A
+// decentralized plan holds no fed groups (query.PlaceIn never rewrites under
+// decentralized placement), so a tree's locals never see one; a single-engine
+// plan run slice-emitting (Config.OnSlice set) leaves feedFrom nil and a fed
+// group degrades to an ordinary raw-ingesting group that slices and emits
+// partials like any other.
 
 // fedActive reports whether this engine turns feed annotations into tap
 // machinery. Slice-emitting mode ships raw slices instead.

@@ -226,8 +226,8 @@ type Config struct {
 	// from another group's super-slices (see internal/query/factor.go). Like
 	// Decentralized, it is only consulted by the groups-based constructors
 	// (New, Restore) when they wrap the groups into a plan; NewFromPlan
-	// callers carry the flag in the plan itself, where it rides the wire so
-	// every tier of a topology replays deltas identically.
+	// callers carry the flag in the plan itself. A decentralized plan
+	// ignores it.
 	Optimize bool
 	// Placement gates which groups of the plan this engine materialises.
 	Placement PlacementFilter

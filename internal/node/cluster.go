@@ -32,11 +32,6 @@ type ClusterConfig struct {
 	// the caps; the zero value uses the batcher defaults.
 	Batch        bool
 	BatchOptions message.BatcherOptions
-	// NoOptimize disables the factor-window plan optimizer on every tier
-	// (ablation switch); the default runs with it on. The flag must be
-	// uniform across the topology — it is baked into the one plan lineage
-	// all nodes share, so delta replays place identically everywhere.
-	NoOptimize bool
 	// OnResult receives final window results; nil accumulates them for
 	// Results.
 	OnResult func(core.Result)
@@ -125,9 +120,9 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 		}
 	}
 	// One plan lineage for the whole topology: the root takes the original,
-	// every local a clone, so optimizer placement and epochs stay locked
-	// together across tiers.
-	p := plan.FromGroups(groups, plan.Options{Decentralized: true, Optimize: !cfg.NoOptimize})
+	// every local a clone, so placement and epochs stay locked together
+	// across tiers.
+	p := plan.FromGroups(groups, plan.Options{Decentralized: true})
 	c.root = NewRootFromPlan(p, rootChildren, collect)
 
 	// Intermediates and their upward links.

@@ -139,7 +139,8 @@ func (n *Intermediate) flushParent() {
 // AddChild and RemoveChild adjust the expected child set at runtime (§3.2)
 // under the node's mutex, so concurrent per-child goroutines may call them
 // alongside HandleLocked. A departure can complete slices that waited for
-// the child, hence the flush.
+// the child; RemoveChild only queues them, and the caller puts them on the
+// wire with flushParent once it holds no lock.
 func (n *Intermediate) AddChild(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -150,7 +151,6 @@ func (n *Intermediate) RemoveChild(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.merger.RemoveChild(id)
-	n.flush()
 }
 
 // AttachTelemetry instruments the merger with reg, labelling trace events

@@ -3,8 +3,10 @@ package node
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -449,5 +451,79 @@ func TestUplinkRetriesExhausted(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("local never gave up after exhausting its retry budget")
+	}
+}
+
+// stalledParent is a parent link whose Flush blocks until release closes, as
+// a slow or stalled uplink's write would. SendBuffered only counts frames.
+type stalledParent struct {
+	entered, release chan struct{}
+	once             sync.Once
+	queued           atomic.Int64
+}
+
+func (p *stalledParent) SendBuffered(*message.Message) error { p.queued.Add(1); return nil }
+
+func (p *stalledParent) Flush() error {
+	p.once.Do(func() { close(p.entered) })
+	<-p.release
+	return nil
+}
+
+func (p *stalledParent) Send(m *message.Message) error {
+	_ = p.SendBuffered(m)
+	return p.Flush()
+}
+
+func (p *stalledParent) Recv() (*message.Message, error) {
+	<-p.release
+	return nil, io.EOF
+}
+
+func (p *stalledParent) Close() error      { return nil }
+func (p *stalledParent) BytesSent() uint64 { return 0 }
+
+// TestDepartureFlushesOutsideNodeLock: a departing child's pump ships what
+// its departure completed, and a stalled parent link holds up only that
+// pump. A sibling's message still merges while the departing pump's flush
+// blocks, which it cannot when the flush runs under the node's mutex.
+func TestDepartureFlushesOutsideNodeLock(t *testing.T) {
+	parent := &stalledParent{entered: make(chan struct{}), release: make(chan struct{})}
+	n := NewIntermediate(100, []uint32{1, 2}, parent)
+	for _, m := range []*message.Message{
+		{Kind: message.KindPartial, From: 2, Partial: mkPartial(0, 0, 100, 90, 2, 1)},
+		{Kind: message.KindWatermark, From: 2, Watermark: 100},
+	} {
+		if err := n.handleQueued(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	departed := make(chan struct{})
+	t.Cleanup(func() {
+		close(parent.release)
+		<-departed
+	})
+	go func() {
+		// IntermediateServer.serveChild's order: depart, which removes the
+		// child under the child set's lock, then the flush.
+		n.RemoveChild(1)
+		n.flushParent()
+		close(departed)
+	}()
+	<-parent.entered
+	if parent.queued.Load() == 0 {
+		t.Fatal("the departure completed nothing for the parent")
+	}
+	sibling := make(chan error, 1)
+	go func() {
+		sibling <- n.handleQueued(&message.Message{Kind: message.KindWatermark, From: 2, Watermark: 200})
+	}()
+	select {
+	case err := <-sibling:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a sibling's message waited on the departing child's flush to the parent")
 	}
 }

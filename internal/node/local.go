@@ -64,9 +64,6 @@ type EngineTuning struct {
 	// that every watermark revives the whole key space (idle keys owe
 	// empty windows), so set the TTL well above the watermark cadence.
 	InstanceTTL int64
-	// InstanceShards is the key→instance map shard count; 0 selects the
-	// engine default.
-	InstanceShards int
 }
 
 // NewLocalFromPlanTuned is NewLocalFromPlan with explicit engine tuning.
@@ -76,10 +73,9 @@ func NewLocalFromPlanTuned(id uint32, p *plan.Plan, parent message.Conn, batchSi
 	}
 	l := &Local{id: id, conn: parent, up: message.Buffered(parent), forward: make(map[uint32]bool), batchSz: batchSize}
 	l.engine = core.NewFromPlan(p, core.Config{
-		Placement:      core.DistributedOnly,
-		OnSlice:        l.sendPartial,
-		InstanceTTL:    tune.InstanceTTL,
-		InstanceShards: tune.InstanceShards,
+		Placement:   core.DistributedOnly,
+		OnSlice:     l.sendPartial,
+		InstanceTTL: tune.InstanceTTL,
 	})
 	l.rebuildForward()
 	return l

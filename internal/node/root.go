@@ -35,9 +35,7 @@ type Root struct {
 }
 
 // NewRootFromPlan builds a root around an already-wrapped execution plan,
-// taking ownership of it. The plan's Optimize flag governs how future deltas
-// place: it must match the flag the groups were analyzed under, or delta
-// replay would diverge across tiers.
+// taking ownership of it.
 func NewRootFromPlan(p *plan.Plan, children []uint32, onResult func(core.Result)) *Root {
 	r := &Root{
 		hist:     plan.NewHistory(p),

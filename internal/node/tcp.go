@@ -81,17 +81,13 @@ type RootServer struct {
 type RootServeOptions struct {
 	// OnResult receives final window results.
 	OnResult func(core.Result)
-	// NoOptimize disables the factor-window plan optimizer. Children adopt
-	// the root's plan at handshake, so the setting propagates to the whole
-	// tree automatically.
-	NoOptimize bool
 }
 
 // ServeRootOptions starts a root node on addr. It expects nChildren direct
 // children; Wait returns once they have all connected and disconnected. A
 // zero timeout disables the liveness check.
 func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout time.Duration, opts RootServeOptions) (*RootServer, error) {
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true, Optimize: !opts.NoOptimize})
+	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +95,7 @@ func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout
 	if err != nil {
 		return nil, err
 	}
-	root := NewRootFromPlan(plan.FromGroups(groups, plan.Options{Decentralized: true, Optimize: !opts.NoOptimize}), nil, opts.OnResult)
+	root := NewRootFromPlan(plan.FromGroups(groups, plan.Options{Decentralized: true}), nil, opts.OnResult)
 	root.merger.Hold(nChildren)
 	s := &RootServer{
 		childSet: newChildSet(l, telemetry.NewRegistry(), root.History(), nChildren, timeout, root.AddChild, root.RemoveChild),
@@ -250,7 +246,7 @@ type IntermediateServer struct {
 	inter  *Intermediate
 	parent *uplink
 	// epoch mirrors hist's epoch for the uplink's re-handshake, which may
-	// run inside a flush that depart issues under mu.
+	// run inside a child pump's flush while another goroutine holds mu.
 	epoch atomic.Uint64
 }
 
@@ -357,6 +353,7 @@ func (s *IntermediateServer) serveChild(conn *message.TCPConn, hello *message.Me
 	}
 	id := hello.From
 	if !s.admit(conn, hello) {
+		s.inter.flushParent() // the departure may have completed slices
 		return
 	}
 	for {
@@ -368,8 +365,10 @@ func (s *IntermediateServer) serveChild(conn *message.TCPConn, hello *message.Me
 		}
 		m, err := conn.RecvTimeout(s.timeout)
 		if err != nil {
-			s.inter.flushParent() // the read failed with frames still buffered
+			// depart runs under the child set's lock and may complete slices
+			// that waited for this child: flush after it, outside every lock.
 			s.depart(id, conn, err)
+			s.inter.flushParent()
 			return
 		}
 		if s.route(id, conn, m) {

@@ -1,14 +1,13 @@
 package plan
 
 import (
-	"bytes"
 	"testing"
 
 	"desis/internal/query"
 )
 
 // factorPlan builds an optimized plan with a depth-3 feed chain plus raw
-// bystanders — the richest shape Clone/Restrict/DecodePlan must preserve.
+// bystanders — the richest shape Clone and Restrict must preserve.
 func factorPlan(t *testing.T) *Plan {
 	t.Helper()
 	qs := []query.Query{
@@ -29,15 +28,16 @@ func factorPlan(t *testing.T) *Plan {
 }
 
 // TestCloneThenMutateDifferential pins Clone against every field added since
-// the wire format learned to carry plans: mutating the original through
-// deltas (which exercises the touched slate, the catalog index, mask
-// widening, and optimizer placement) must leave the clone's encoded bytes
-// byte-for-byte unchanged, and vice versa.
+// plans learned to replicate: mutating the original through deltas (which
+// exercises the touched slate, the catalog index, mask widening, and
+// optimizer placement) must leave the clone's catalog unchanged, and vice
+// versa.
 func TestCloneThenMutateDifferential(t *testing.T) {
 	p := factorPlan(t)
 	p.Warm() // populate the lazy catalog index before cloning
 	c := p.Clone()
-	before := AppendPlan(nil, c)
+	twin := p.Clone()
+	before := c.Describe()
 
 	// Mutate the original: an eligible add (optimizer placement, feeder mask
 	// widening) and a remove (touched slate, tombstones).
@@ -47,58 +47,26 @@ func TestCloneThenMutateDifferential(t *testing.T) {
 	if err := p.Apply(p.RemoveDelta(1)); err != nil {
 		t.Fatalf("remove on original: %v", err)
 	}
-	if after := AppendPlan(nil, c); !bytes.Equal(before, after) {
-		t.Fatal("mutating the original changed the clone's encoding: Clone shares state")
+	if after := c.Describe(); after != before {
+		t.Fatalf("mutating the original changed the clone: Clone shares state\n got:\n%s\nwant:\n%s", after, before)
 	}
 
-	// And the reverse: mutate the clone, original's encoding must hold.
-	orig := AppendPlan(nil, p)
+	// And the reverse: mutate the clone, the original must hold.
+	orig := p.Describe()
 	if err := c.Apply(c.AddDelta(q(t, 7, "tumbling(1s) min key=2"))); err != nil {
 		t.Fatalf("add on clone: %v", err)
 	}
-	if got := AppendPlan(nil, p); !bytes.Equal(orig, got) {
-		t.Fatal("mutating the clone changed the original's encoding")
+	if got := p.Describe(); got != orig {
+		t.Fatalf("mutating the clone changed the original\n got:\n%s\nwant:\n%s", got, orig)
 	}
 
-	// The clone must stay delta-capable and reach the same catalog a fresh
-	// plan reaches: determinism across replicas is what Clone exists for.
-	fresh, _, err := DecodePlan(before)
-	if err != nil {
-		t.Fatalf("DecodePlan: %v", err)
+	// The clone must stay delta-capable and reach the same catalog a twin
+	// clone reaches: determinism across replicas is what Clone exists for.
+	if err := twin.Apply(twin.AddDelta(q(t, 7, "tumbling(1s) min key=2"))); err != nil {
+		t.Fatalf("add on twin: %v", err)
 	}
-	if err := fresh.Apply(fresh.AddDelta(q(t, 7, "tumbling(1s) min key=2"))); err != nil {
-		t.Fatalf("add on decoded plan: %v", err)
-	}
-	if got, want := fresh.Describe(), c.Describe(); got != want {
-		t.Errorf("decoded plan diverged from clone after identical delta:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestWireRoundTripCarriesOptimizerState: AppendPlan → DecodePlan must
-// preserve the Optimize flag and the per-group feed topology — a tier that
-// dropped either would place future deltas differently and diverge.
-func TestWireRoundTripCarriesOptimizerState(t *testing.T) {
-	p := factorPlan(t)
-	buf := AppendPlan(nil, p)
-	d, rest, err := DecodePlan(buf)
-	if err != nil {
-		t.Fatalf("DecodePlan: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes after decode", len(rest))
-	}
-	if got, want := d.Describe(), p.Describe(); got != want {
-		t.Errorf("round-trip changed the catalog:\n got:\n%s\nwant:\n%s", got, want)
-	}
-	if !d.Optimize {
-		t.Error("round-trip dropped Options.Optimize")
-	}
-	if got, want := len(d.FedGroups()), len(p.FedGroups()); got != want {
-		t.Errorf("round-trip kept %d fed groups, want %d", got, want)
-	}
-	// Re-encoding the decoded plan is a fixed point.
-	if again := AppendPlan(nil, d); !bytes.Equal(buf, again) {
-		t.Error("re-encoding the decoded plan produced different bytes")
+	if got, want := twin.Describe(), c.Describe(); got != want {
+		t.Errorf("twin diverged from clone after identical delta:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -1,31 +1,23 @@
 package plan
 
-import (
-	"fmt"
-
-	"desis/internal/operator"
-	"desis/internal/query"
-)
+import "desis/internal/query"
 
 // Plan-level half of the factor-window optimizer (ROADMAP item 3). The
 // decision itself — eligibility, cost model, fed-group placement — lives in
 // internal/query's placement fold (query/factor.go), because a catalog built
 // up-front by Analyze and one built by replaying deltas must agree on every
-// feed edge; this file holds what only the plan layer can do: validating
-// feed annotations arriving off the wire and answering feed-edge lookups for
-// plan holders.
+// feed edge; this file answers feed-edge lookups for plan holders.
 //
-// How the rewrite stays safe to roll out live: a fed group is ordinary plan
-// state. It is created (or joined) by the same deterministic admission fold
-// as every other group, so it rides the existing delta/epoch machinery — the
-// root mints one add delta, every tier replays it, and all of them derive
-// the identical feed edge. The engine turns the annotation into runtime
-// behavior (tapping the feeder, appending super-slices); flipping
-// Options.Optimize only changes how *future* queries place, never the
-// meaning of groups already in the catalog.
+// The rewrite is single-engine only. A fed group is ordinary plan state,
+// created (or joined) by the same deterministic admission fold as every
+// other group, so a runtime add replays identically on every holder; the
+// engine turns the annotation into tap machinery. A decentralized plan never
+// takes the factor branch (a slice-emitting local cannot tap a feeder), and
+// its wire form carries no feed annotations. Flipping Options.Optimize only
+// changes how future queries place, never the meaning of groups already in
+// the catalog.
 
-// Feeder resolves the group feeding g, or nil when g is not fed (or the
-// catalog lacks the feeder, which validateFeeds rejects for decoded plans).
+// Feeder resolves the group feeding g, or nil when g is not fed.
 func (p *Plan) Feeder(g *query.Group) *query.Group {
 	if !g.Fed() {
 		return nil
@@ -42,56 +34,4 @@ func (p *Plan) FedGroups() []*query.Group {
 		}
 	}
 	return fed
-}
-
-// validateFeeds cross-checks the feed annotations of a received catalog, the
-// same spirit as DecodePlan's operator-mask check: a malformed feed edge
-// would make the engine assemble windows from the wrong partials, so reject
-// it at the trust boundary. Feeders precede their fed groups in catalog
-// order (they exist before the rewrite that targets them), every fed group
-// holds exactly one context, and the feeder's wire mask must cover the fed
-// group's: its slices are what the super-slices are merged from.
-func validateFeeds(p *Plan) error {
-	seen := make(map[uint32]*query.Group, len(p.Groups))
-	for _, g := range p.Groups {
-		if prev := seen[g.ID]; prev != nil {
-			return fmt.Errorf("plan: duplicate group id %d on the wire", g.ID)
-		}
-		seen[g.ID] = g
-		if !g.Fed() {
-			if g.FeedPeriod < 0 || g.FeedFrom != 0 || g.FeedCtx != 0 {
-				return fmt.Errorf("plan: group %d carries feed annotations without a feed period", g.ID)
-			}
-			continue
-		}
-		f := seen[g.FeedFrom]
-		if f == nil {
-			return fmt.Errorf("plan: fed group %d references feeder %d, which does not precede it", g.ID, g.FeedFrom)
-		}
-		if f.Key != g.Key || f.Placement != g.Placement {
-			return fmt.Errorf("plan: fed group %d and feeder %d disagree on key or placement", g.ID, g.FeedFrom)
-		}
-		if len(g.Contexts) != 1 {
-			return fmt.Errorf("plan: fed group %d holds %d contexts, want exactly 1", g.ID, len(g.Contexts))
-		}
-		if g.FeedCtx < 0 || g.FeedCtx >= len(f.Contexts) {
-			return fmt.Errorf("plan: fed group %d references context %d of feeder %d's %d", g.ID, g.FeedCtx, f.ID, len(f.Contexts))
-		}
-		if !f.Contexts[g.FeedCtx].Equal(g.Contexts[0]) {
-			return fmt.Errorf("plan: fed group %d's context differs from feeder %d context %d", g.ID, f.ID, g.FeedCtx)
-		}
-		if g.Dedup || f.Dedup {
-			return fmt.Errorf("plan: fed group %d involves deduplication, which factor feeding excludes", g.ID)
-		}
-		if g.Ops&operator.OpNDSort != 0 {
-			return fmt.Errorf("plan: fed group %d carries the non-decomposable sort", g.ID)
-		}
-		if missing := g.Ops &^ (f.Ops &^ operator.OpNDSort); missing != 0 {
-			return fmt.Errorf("plan: feeder %d mask %v does not cover fed group %d's %v", f.ID, f.Ops, g.ID, g.Ops)
-		}
-		if f.Fed() && g.FeedPeriod%f.FeedPeriod != 0 {
-			return fmt.Errorf("plan: fed group %d period %d is not a multiple of feeder %d's %d", g.ID, g.FeedPeriod, f.ID, f.FeedPeriod)
-		}
-	}
-	return nil
 }

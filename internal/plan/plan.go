@@ -31,11 +31,10 @@ type Options struct {
 	Decentralized bool
 	// Dedup enables the deduplication operator on all formed groups.
 	Dedup bool
-	// Optimize enables the factor-window optimizer: the admission fold may
-	// place eligible queries into fed groups that assemble from another
-	// group's super-slices (see optimize.go). The flag rides the plan (and
-	// its wire form), so every holder replaying the same deltas derives the
-	// same rewrites.
+	// Optimize enables the factor-window optimizer on a single-engine plan:
+	// the admission fold may place eligible queries into fed groups that
+	// assemble from another group's super-slices (see optimize.go). A
+	// decentralized plan records it as false and never holds a fed group.
 	Optimize bool
 	// Shards is the shard count of the key→shard routing map; 0 or 1 means
 	// unsharded.
@@ -199,7 +198,7 @@ func New(queries []query.Query, opts Options) (*Plan, error) {
 	p := &Plan{
 		Decentralized: opts.Decentralized,
 		Dedup:         opts.Dedup,
-		Optimize:      opts.Optimize,
+		Optimize:      opts.Optimize && !opts.Decentralized,
 		Shards:        opts.Shards,
 		Shard:         -1,
 	}
@@ -218,7 +217,7 @@ func FromGroups(groups []*query.Group, opts Options) *Plan {
 	return &Plan{
 		Decentralized: opts.Decentralized,
 		Dedup:         opts.Dedup,
-		Optimize:      opts.Optimize,
+		Optimize:      opts.Optimize && !opts.Decentralized,
 		Shards:        opts.Shards,
 		Shard:         -1,
 		Groups:        groups,

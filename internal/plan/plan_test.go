@@ -360,8 +360,9 @@ func TestWireRejectsBadCatalog(t *testing.T) {
 	// Zero the group's operator masks: the live member's union is no longer
 	// covered, which the decoder must refuse.
 	bad := append([]byte(nil), good...)
-	// Layout: epoch(8) flags(2) shards(4) shard(4) ngroups(4) id(4) key(4)
-	// placement(1) dedup(1) ops(8) logical(8).
+	// Layout: epoch(8) decentralized(1) dedup(1) shards(4) shard(4)
+	// ngroups(4), then per group id(4) key(4) placement(1) dedup(1) ops(8)
+	// logical(8).
 	maskOff := 8 + 2 + 4 + 4 + 4 + 4 + 4 + 1 + 1
 	for i := 0; i < 16; i++ {
 		bad[maskOff+i] = 0

@@ -79,12 +79,13 @@ func DecodeDelta(buf []byte) (Delta, []byte, error) {
 	return d, r.buf, r.err
 }
 
-// AppendPlan appends the full wire form of the plan to buf.
+// AppendPlan appends the full wire form of the plan to buf. Only
+// decentralized plans travel, and those hold no fed groups, so the form
+// carries neither the Optimize flag nor feed annotations.
 func AppendPlan(buf []byte, p *Plan) []byte {
 	buf = wu64(buf, p.Epoch)
 	buf = wbool(buf, p.Decentralized)
 	buf = wbool(buf, p.Dedup)
-	buf = wbool(buf, p.Optimize)
 	buf = wu32(buf, uint32(p.Shards))
 	buf = wu32(buf, uint32(int32(p.Shard)))
 	buf = wu32(buf, uint32(len(p.Groups)))
@@ -95,9 +96,6 @@ func AppendPlan(buf []byte, p *Plan) []byte {
 		buf = wbool(buf, g.Dedup)
 		buf = wu64(buf, uint64(g.Ops))
 		buf = wu64(buf, uint64(g.LogicalOps))
-		buf = wu32(buf, g.FeedFrom)
-		buf = wu32(buf, uint32(g.FeedCtx))
-		buf = wu64(buf, uint64(g.FeedPeriod))
 		buf = wu32(buf, uint32(len(g.Contexts)))
 		for _, c := range g.Contexts {
 			buf = wf64(buf, c.Min)
@@ -123,31 +121,28 @@ func AppendPlan(buf []byte, p *Plan) []byte {
 }
 
 // DecodePlan reads a full plan, returning the remaining buffer. Decoded
-// groups are cross-checked: the live members' operator union must be covered
-// by the group's wire mask.
+// groups are cross-checked: group ids are unique, and the live members'
+// operator union must be covered by the group's wire mask.
 func DecodePlan(buf []byte) (*Plan, []byte, error) {
 	r := &wireReader{buf: buf}
 	p := &Plan{
 		Epoch:         r.u64(),
 		Decentralized: r.bool(),
 		Dedup:         r.bool(),
-		Optimize:      r.bool(),
 		Shards:        int(r.u32()),
 		Shard:         int(int32(r.u32())),
 	}
 	ng := int(r.u32())
+	seen := make(map[uint32]bool)
 	for i := 0; i < ng && r.err == nil; i++ {
 		g := &query.Group{
 			ID:         r.u32(),
 			Key:        r.u32(),
 			Placement:  query.Placement(r.u8()),
 			Dedup:      r.bool(),
-			Ops:        operator.Op(r.u64()),
-			LogicalOps: operator.Op(r.u64()),
+			Ops:        r.op(),
+			LogicalOps: r.op(),
 		}
-		g.FeedFrom = r.u32()
-		g.FeedCtx = int(r.u32())
-		g.FeedPeriod = int64(r.u64())
 		nc := int(r.u32())
 		for j := 0; j < nc && r.err == nil; j++ {
 			g.Contexts = append(g.Contexts, query.Predicate{Min: r.f64(), Max: r.f64()})
@@ -165,7 +160,10 @@ func DecodePlan(buf []byte) (*Plan, []byte, error) {
 		if r.err == nil {
 			if logical, _ := opsOf(g); logical&^g.LogicalOps != 0 {
 				r.err = fmt.Errorf("plan: group %d wire mask %v does not cover live members (%v)", g.ID, g.LogicalOps, logical)
+			} else if seen[g.ID] {
+				r.err = fmt.Errorf("plan: duplicate group id %d on the wire", g.ID)
 			}
+			seen[g.ID] = true
 		}
 		p.Groups = append(p.Groups, g)
 	}
@@ -179,9 +177,6 @@ func DecodePlan(buf []byte) (*Plan, []byte, error) {
 	}
 	if r.err != nil {
 		return nil, nil, r.err
-	}
-	if err := validateFeeds(p); err != nil {
-		return nil, nil, err
 	}
 	return p, r.buf, nil
 }
@@ -253,8 +248,20 @@ func (r *wireReader) u64() uint64 {
 
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// op reads an operator mask, which travels as 8 bytes wider than the mask.
+func (r *wireReader) op() operator.Op {
+	v := r.u64()
+	if uint64(operator.Op(v)) != v && r.err == nil {
+		r.err = fmt.Errorf("plan: operator mask %#x out of range", v)
+	}
+	return operator.Op(v)
+}
+
 func (r *wireReader) bool() bool {
 	b := r.take(1)
+	if b != nil && b[0] > 1 {
+		r.err = fmt.Errorf("plan: bool byte %d on the wire", b[0])
+	}
 	return b != nil && b[0] == 1
 }
 

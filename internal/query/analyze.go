@@ -87,11 +87,12 @@ type Options struct {
 	Decentralized bool
 	// Dedup enables the deduplication operator on all produced groups.
 	Dedup bool
-	// Optimize enables the factor-window optimizer (factor.go): eligible
-	// queries are placed in fed groups that assemble from another group's
-	// super-slices instead of from raw slices. Both settings produce the
-	// same results; the flag must agree across every node of a topology so
-	// delta replay derives identical catalogs.
+	// Optimize enables the factor-window optimizer (factor.go) on a single
+	// engine: eligible queries are placed in fed groups that assemble from
+	// another group's super-slices instead of from raw slices. Both settings
+	// produce the same results. Decentralized placement ignores it: a
+	// slice-emitting local cannot tap a feeder, so a fed group there would
+	// only slice the same events a second time.
 	Optimize bool
 }
 
@@ -210,7 +211,7 @@ func PlaceIn(bucket []*Group, nextGroupID uint32, q Query, opts Options) (g *Gro
 	if err := q.Validate(); err != nil {
 		return nil, 0, false, err
 	}
-	if opts.Optimize {
+	if opts.Optimize && !opts.Decentralized {
 		if fg, fmember, fcreated, ok := placeFactor(bucket, nextGroupID, q, opts); ok {
 			return fg, fmember, fcreated, nil
 		}
