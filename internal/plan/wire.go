@@ -248,7 +248,8 @@ func (r *wireReader) u64() uint64 {
 
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// op reads an operator mask, which travels as 8 bytes wider than the mask.
+// op reads an operator mask. The wire gives it 8 bytes, more than
+// operator.Op holds, so a value with bits beyond the mask is refused.
 func (r *wireReader) op() operator.Op {
 	v := r.u64()
 	if uint64(operator.Op(v)) != v && r.err == nil {
