@@ -22,8 +22,8 @@ type ClusterOptions struct {
 	// Batch coalesces each upward link's partials and watermarks into
 	// columnar batch frames sized by the link's observed drain rate — the
 	// knob that lets a throttled uplink ship events instead of frame
-	// headers (DESIGN.md §8). Fast links keep a cut-through path whose
-	// wire is byte-identical to the unbatched protocol.
+	// headers (DESIGN.md §8). A frame that finds the link idle travels
+	// alone, as an ordinary unbatched frame.
 	Batch bool
 }
 

@@ -20,7 +20,6 @@ import (
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/gen"
-	"desis/internal/message"
 	"desis/internal/node"
 	"desis/internal/query"
 	"desis/internal/telemetry"
@@ -54,10 +53,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-window output (root)")
 	heartbeat := flag.Duration("heartbeat", node.HeartbeatInterval, "idle-uplink heartbeat period (intermediate, local); negative disables")
 	retries := flag.Int("reconnect-retries", 8, "uplink reconnect attempts before giving up (intermediate, local)")
-	replay := flag.Int("replay-depth", 0, "partial/watermark frames replayed after a reconnect; 0 selects the default, negative disables (intermediate, local)")
 	batch := flag.Bool("batch", false, "coalesce uplink partials/watermarks into adaptive columnar batch frames (intermediate, local)")
-	batchBytes := flag.Int("batch-bytes", 0, "approximate cap on one batch frame's body in bytes; 0 selects the default (with -batch)")
-	batchFrames := flag.Int("batch-frames", 0, "cap on frames coalesced into one batch; 0 selects the default (with -batch)")
 	instanceTTL := flag.Duration("instance-ttl", 0, "park group instances of keys idle this long in event time; 0 keeps every instance resident (intermediate, local)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/stats and /debug/pprof/ over HTTP at this address (any role); empty disables")
 	var queries queryList
@@ -67,11 +63,11 @@ func main() {
 	// Intermediates and locals share one registry between the node (via
 	// DialOptions) and the debug server; the root's registry lives in its
 	// server, so runRoot wires its own debug endpoint.
-	opts := dialOpts(*heartbeat, *retries, *replay)
-	opts.Tuning = node.EngineTuning{InstanceTTL: instanceTTL.Milliseconds()}
-	if *batch {
-		opts.Batch = true
-		opts.BatchOptions = message.BatcherOptions{MaxBytes: *batchBytes, MaxFrames: *batchFrames}
+	opts := node.DialOptions{
+		Heartbeat: *heartbeat,
+		Retry:     node.RetryPolicy{MaxRetries: *retries},
+		Batch:     *batch,
+		Tuning:    node.EngineTuning{InstanceTTL: instanceTTL.Milliseconds()},
 	}
 	if *debugAddr != "" && *role != "root" {
 		opts.Telemetry = telemetry.NewRegistry()
@@ -140,16 +136,6 @@ func runRoot(listen string, queries []query.Query, children int, timeout time.Du
 	}
 	fmt.Fprintf(os.Stderr, "root done: %d windows answered\n", windows)
 	return nil
-}
-
-// dialOpts assembles the supervised-uplink configuration shared by
-// intermediate and local roles.
-func dialOpts(heartbeat time.Duration, retries, replay int) node.DialOptions {
-	return node.DialOptions{
-		Heartbeat:   heartbeat,
-		Retry:       node.RetryPolicy{MaxRetries: retries},
-		ReplayDepth: replay,
-	}
 }
 
 func runIntermediate(listen, parent string, id uint32, children int, timeout time.Duration, opts node.DialOptions) error {

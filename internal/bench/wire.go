@@ -15,8 +15,8 @@ import (
 
 // The wire experiment measures the adaptive uplink batcher: how many events
 // one Mbps of (throttled) uplink carries with and without columnar batching,
-// and what the batcher costs in per-partial latency when the link is fast and
-// it stays in cut-through mode.
+// and what the batcher's pump costs in per-partial latency when the link is
+// fast.
 
 // WirePoint is one throttled-link measurement: the same workload pushed
 // through identical clusters, unbatched and batched.
@@ -39,8 +39,8 @@ type WirePoint struct {
 }
 
 // WireLatency is the unthrottled-link leg: per-partial delivery latency
-// through a raw pipe versus the same pipe behind the batcher (which must stay
-// in cut-through mode on a fast link).
+// through a raw pipe versus the same pipe behind the batcher, whose pump
+// adds a goroutine hop to every frame.
 type WireLatency struct {
 	Samples          int     `json:"samples"`
 	UnbatchedP50Usec float64 `json:"unbatched_p50_usec"`
@@ -103,7 +103,7 @@ func latencyPartial(id uint64) *core.SlicePartial {
 
 // wireLatencyLeg measures per-partial delivery latency over an unthrottled
 // pipe, optionally behind the batcher. The producer is paced well below link
-// capacity, so the batcher's adaptive mode must stay cut-through and the
+// capacity, so each partial finds the pump idle and travels alone: the
 // measured latency is the per-frame cost, not queueing under overload.
 func wireLatencyLeg(batch bool, samples int) (p50, p99 float64, err error) {
 	a, b := message.NewPipe(message.Binary{}, 256)

@@ -36,7 +36,7 @@ type Batch struct {
 
 // batchScratch holds the encoder's and decoder's reusable staging space:
 // the partial/dictionary work lists and one column at a time. Scratches
-// recycle through a sync.Pool rather than living on the Batcher because
+// recycle through a sync.Pool rather than living on the BatchingConn because
 // replayed KindBatch frames are re-encoded by whichever goroutine is
 // reconnecting, concurrently with the pump encoding fresh batches.
 type batchScratch struct {
@@ -79,7 +79,7 @@ func decodeBatchBody(buf []byte, from uint32) (*Batch, error) {
 }
 
 // maxBatchItems caps the frames, aggregate rows and EPs one batch carries
-// together; the Batcher cuts its batches at it. An int column may carry any
+// together; BatchingConn cuts its batches at it. An int column may carry any
 // number of equal values in a few bytes, so no bound read off the body's
 // size can admit every legitimate batch. The cap bounds what a hostile body
 // makes the decoder allocate instead: about 2 MB however small the body,
@@ -140,14 +140,14 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 			buf[bitmapOff+i/8] |= 1 << (i % 8)
 		default:
 			s.stashPartials(partials)
-			//lint:ignore hotalloc cold path: the Batcher only enqueues Batchable kinds, so this is a local invariant violation
+			//lint:ignore hotalloc cold path: BatchingConn only enqueues Batchable kinds, so this is a local invariant violation
 			return nil, fmt.Errorf("message: batch frame %d: kind %d is not batchable", i, f.Kind)
 		}
 		items += batchItems(f)
 	}
 	if items > maxBatchItems {
 		s.stashPartials(partials)
-		//lint:ignore hotalloc cold path: the Batcher cuts its batches at maxBatchItems
+		//lint:ignore hotalloc cold path: BatchingConn cuts its batches at maxBatchItems
 		return nil, fmt.Errorf("message: batch of %d items exceeds %d", items, maxBatchItems)
 	}
 

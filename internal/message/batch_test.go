@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -195,6 +196,49 @@ func TestBatchRejectsUnbatchable(t *testing.T) {
 	}
 }
 
+// sendConn is a Conn whose Send is the function itself; it receives nothing.
+type sendConn func(*Message) error
+
+func (f sendConn) Send(m *Message) error { return f(m) }
+func (sendConn) Recv() (*Message, error) { return nil, io.EOF }
+func (sendConn) Close() error            { return nil }
+func (sendConn) BytesSent() uint64       { return 0 }
+
+// TestBatchingConnSendDoesNotWaitForLink checks that a batchable Send on an
+// idle conn queues the frame for the pump and returns while the link still
+// holds the transmission: the caller never waits on the wire.
+func TestBatchingConnSendDoesNotWaitForLink(t *testing.T) {
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var got []Kind
+	c := NewBatchingConn(sendConn(func(m *Message) error {
+		<-release
+		mu.Lock()
+		got = append(got, m.Kind)
+		mu.Unlock()
+		return nil
+	}), 1, BatcherOptions{})
+	sent := make(chan error, 1)
+	go func() { sent <- c.Send(&Message{Kind: KindPartial, From: 1, Partial: samplePartial()}) }()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Send on an idle conn waited for the link")
+	}
+	close(release)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 1 || got[0] != KindPartial {
+		t.Errorf("link carried %v, want one lone partial", got)
+	}
+}
+
 // TestBatcherAdaptiveFill drives a batcher over a blocking link and checks
 // the self-clocking behavior: a slow link amortizes many frames per flush,
 // a fast link stays near one frame per flush.
@@ -220,7 +264,7 @@ func TestBatcherAdaptiveFill(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 			return nil
 		}
-		b := NewBatcher(slow, 1, BatcherOptions{})
+		b := NewBatchingConn(sendConn(slow), 1, BatcherOptions{})
 		for i := 0; i < 200; i++ {
 			if err := b.Send(&Message{Kind: KindPartial, From: 1, Partial: makePartial(uint64(i))}); err != nil {
 				t.Fatal(err)
@@ -256,12 +300,12 @@ func TestBatcherAdaptiveFill(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}
-		b := NewBatcher(fast, 1, BatcherOptions{})
+		b := NewBatchingConn(sendConn(fast), 1, BatcherOptions{})
 		for i := 0; i < 100; i++ {
 			if err := b.Send(&Message{Kind: KindPartial, From: 1, Partial: makePartial(uint64(i))}); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Flush(); err != nil { // producer paced slower than the link
+			if err := b.flush(); err != nil { // producer paced slower than the link
 				t.Fatal(err)
 			}
 		}
@@ -301,7 +345,7 @@ func TestBatcherCutsAtItemCap(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	b := NewBatcher(send, 1, BatcherOptions{NoCutThrough: true})
+	b := NewBatchingConn(sendConn(send), 1, BatcherOptions{})
 	for i := 0; i < 40; i++ {
 		if err := b.Send(wide(uint64(i), 1000)); err != nil {
 			t.Fatal(err)
@@ -340,8 +384,7 @@ func TestBatcherCutsAtItemCap(t *testing.T) {
 
 // TestBatcherControlFlushesFirst checks that a non-batchable frame flushes
 // the queued data frames before travelling itself, preserving order. The
-// first transmission is held open (on its own goroutine — an idle batcher
-// sends cut-through on the caller's thread) so later frames queue behind it.
+// first transmission is held open so later frames queue behind it.
 func TestBatcherControlFlushesFirst(t *testing.T) {
 	var mu sync.Mutex
 	var order []Kind
@@ -368,10 +411,10 @@ func TestBatcherControlFlushesFirst(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	b := NewBatcher(send, 1, BatcherOptions{})
-	p := samplePartial()
-	firstDone := make(chan error, 1)
-	go func() { firstDone <- b.Send(&Message{Kind: KindPartial, From: 1, Partial: p}) }()
+	b := NewBatchingConn(sendConn(send), 1, BatcherOptions{})
+	if err := b.Send(&Message{Kind: KindPartial, From: 1, Partial: samplePartial()}); err != nil {
+		t.Fatal(err)
+	}
 	<-entered // the partial owns the link now
 	if err := b.Send(&Message{Kind: KindWatermark, From: 1, Watermark: 5}); err != nil {
 		t.Fatal(err)
@@ -380,9 +423,6 @@ func TestBatcherControlFlushesFirst(t *testing.T) {
 	go func() { done <- b.Send(&Message{Kind: KindGoodbye, From: 1}) }()
 	time.Sleep(20 * time.Millisecond)
 	close(gate)
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +446,11 @@ func TestBatcherControlFlushesFirst(t *testing.T) {
 // surfaces on later Sends and Flushes.
 func TestBatcherStickyError(t *testing.T) {
 	boom := errors.New("boom")
-	b := NewBatcher(func(*Message) error { return boom }, 1, BatcherOptions{})
+	b := NewBatchingConn(sendConn(func(*Message) error { return boom }), 1, BatcherOptions{})
 	_ = b.Send(&Message{Kind: KindWatermark, From: 1, Watermark: 1})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := b.Flush(); err != nil {
+		if err := b.flush(); err != nil {
 			if !errors.Is(err, boom) {
 				t.Fatalf("sticky error %v, want %v", err, boom)
 			}
@@ -428,9 +468,8 @@ func TestBatcherStickyError(t *testing.T) {
 }
 
 // TestBatcherClonesPartials checks the Conn contract: the caller may
-// recycle a partial as soon as Send returns, even when transmission is
-// deferred. A held watermark occupies the link first so the partial takes
-// the queued (asynchronous) path.
+// recycle a partial as soon as Send returns, while it still waits in the
+// queue: a held watermark occupies the link first.
 func TestBatcherClonesPartials(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{})
@@ -451,9 +490,10 @@ func TestBatcherClonesPartials(t *testing.T) {
 		}
 		return nil
 	}
-	b := NewBatcher(send, 1, BatcherOptions{})
-	wmDone := make(chan error, 1)
-	go func() { wmDone <- b.Send(&Message{Kind: KindWatermark, From: 1, Watermark: 1}) }()
+	b := NewBatchingConn(sendConn(send), 1, BatcherOptions{})
+	if err := b.Send(&Message{Kind: KindWatermark, From: 1, Watermark: 1}); err != nil {
+		t.Fatal(err)
+	}
 	<-entered
 	p := samplePartial()
 	if err := b.Send(&Message{Kind: KindPartial, From: 1, Partial: p}); err != nil {
@@ -464,9 +504,6 @@ func TestBatcherClonesPartials(t *testing.T) {
 	p.ID = 999999
 	p.Aggs[0].SumV = -1
 	close(release)
-	if err := <-wmDone; err != nil {
-		t.Fatal(err)
-	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +520,7 @@ func TestBatcherClonesPartials(t *testing.T) {
 // TestBatcherTelemetry checks the instruments move.
 func TestBatcherTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	b := NewBatcher(func(*Message) error { return nil }, 1, BatcherOptions{})
+	b := NewBatchingConn(sendConn(func(*Message) error { return nil }), 1, BatcherOptions{})
 	b.AttachTelemetry(reg)
 	for i := 0; i < 10; i++ {
 		if err := b.Send(&Message{Kind: KindWatermark, From: 1, Watermark: int64(i)}); err != nil {

@@ -88,10 +88,10 @@ type Throttle struct {
 	burst float64
 }
 
-// throttleMaxFrame is the burst floor: one maximum-size data frame (the
-// batcher's MaxBytes default) must always be instantly admittable, so the
+// throttleMaxFrame is the burst floor: one maximum-size data frame (a
+// BatchingConn's byte cap) must always be instantly admittable, so the
 // bucket never models a link slower than its largest frame.
-const throttleMaxFrame = 256 << 10
+const throttleMaxFrame = batchMaxBytes
 
 // NewThrottle returns a limiter admitting bytesPerSecond on average with a
 // burst of ~100ms of the rate (floored at one maximum frame). A fixed burst

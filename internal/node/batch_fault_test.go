@@ -19,11 +19,12 @@ import (
 // of windows, so the batcher's pump blocks inside the supervised send while
 // the burst accumulates behind it; healing the proxy lets the reconnect
 // replay the ring (redelivering phase-1 frames the root already merged) and
-// then drain the backlog as MaxFrames-capped batches, which are themselves
-// recorded in the ring. The second outage forces a second replay — this time
-// redelivering those KindBatch frames whose partials the root has also
-// already merged. A lost frame leaves a window short, a double-merged replay
-// inflates it; exact per-window sums catch both.
+// then drain the backlog as one batch (the outage's 11-frame burst, less
+// any frame already in flight), which is itself recorded in the ring. The
+// second outage forces a second replay — this time redelivering those
+// KindBatch frames whose partials the root has also already merged. A lost
+// frame leaves a window short, a double-merged replay inflates it; exact
+// per-window sums catch both.
 func TestFaultSeverMidBatchReplay(t *testing.T) {
 	const hb = 50 * time.Millisecond
 	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
@@ -45,16 +46,14 @@ func TestFaultSeverMidBatchReplay(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	// NoCutThrough sends every partial through the pump, so an outage blocks
-	// the pump (not the session) and the backlog coalesces; MaxFrames 4 makes
-	// one 11-frame burst span several batches.
+	// Every partial goes through the pump, so an outage blocks the pump (not
+	// the session) and the backlog coalesces.
 	reg := telemetry.NewRegistry()
 	opts := DialOptions{
-		Heartbeat:    hb,
-		Retry:        RetryPolicy{MaxRetries: 200, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond},
-		Batch:        true,
-		BatchOptions: message.BatcherOptions{MaxFrames: 4, NoCutThrough: true},
-		Telemetry:    reg,
+		Heartbeat: hb,
+		Retry:     RetryPolicy{MaxRetries: 200, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond},
+		Batch:     true,
+		Telemetry: reg,
 	}
 	phase2 := make(chan struct{})
 	phase2sent := make(chan struct{})

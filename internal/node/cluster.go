@@ -9,6 +9,7 @@ import (
 	"desis/internal/message"
 	"desis/internal/plan"
 	"desis/internal/query"
+	"desis/internal/telemetry"
 )
 
 // ClusterConfig shapes an in-process topology.
@@ -26,12 +27,10 @@ type ClusterConfig struct {
 	Buffer int
 	// BatchSize coalesces forwarded raw events (default 256).
 	BatchSize int
-	// Batch wraps every upward link in a message.Batcher: partials and
+	// Batch wraps every upward link in a message.BatchingConn: partials and
 	// watermarks coalesce into columnar KindBatch frames sized by the link's
-	// observed drain rate (§4-style uplink amortisation). BatchOptions tunes
-	// the caps; the zero value uses the batcher defaults.
-	Batch        bool
-	BatchOptions message.BatcherOptions
+	// observed drain rate (§4-style uplink amortisation).
+	Batch bool
 	// OnResult receives final window results; nil accumulates them for
 	// Results.
 	OnResult func(core.Result)
@@ -98,16 +97,6 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 	localID := func(i int) uint32 { return uint32(1 + i) }
 	interID := func(i int) uint32 { return uint32(1001 + i) }
 
-	// upLink optionally wraps an upward pipe end in the adaptive batcher; the
-	// wrapper passes Recv/BytesSent through, so downward control traffic and
-	// byte accounting are unaffected.
-	upLink := func(conn message.Conn, id uint32) message.Conn {
-		if !cfg.Batch {
-			return conn
-		}
-		return message.NewBatchingConn(conn, id, cfg.BatchOptions)
-	}
-
 	// Root's children: the intermediates, or the locals when there are none.
 	var rootChildren []uint32
 	if cfg.Intermediates > 0 {
@@ -128,7 +117,7 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 	// Intermediates and their upward links.
 	for i := 0; i < cfg.Intermediates; i++ {
 		up, rootSide := newPipe()
-		upConn := upLink(up, interID(i))
+		upConn := batching(up, interID(i), cfg.Batch, nil)
 		c.interConns = append(c.interConns, upConn)
 		var children []uint32
 		for j := 0; j < cfg.Locals; j++ {
@@ -145,7 +134,7 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 	// Locals and their upward links.
 	for i := 0; i < cfg.Locals; i++ {
 		up, parentSide := newPipe()
-		upConn := upLink(up, localID(i))
+		upConn := batching(up, localID(i), cfg.Batch, nil)
 		c.localConns = append(c.localConns, upConn)
 		c.locals = append(c.locals, NewLocalFromPlan(localID(i), p.Clone(), upConn, cfg.BatchSize))
 		if cfg.Intermediates > 0 {
@@ -155,6 +144,20 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 		}
 	}
 	return c
+}
+
+// batching is the link a node sends through: up itself, or up wrapped in a
+// message.BatchingConn reporting to reg (when non-nil) if batch is set. The
+// wrapper passes Recv/BytesSent through, so downward control traffic and
+// byte accounting are unaffected. The in-process cluster and the TCP nodes
+// attach batching the same way.
+func batching(up message.Conn, id uint32, batch bool, reg *telemetry.Registry) message.Conn {
+	if !batch {
+		return up
+	}
+	b := message.NewBatchingConn(up, id, message.BatcherOptions{})
+	b.AttachTelemetry(reg)
+	return b
 }
 
 // pumpToRoot drains a connection into the root until EOF, broadcasting

@@ -129,7 +129,7 @@ func TestHeartbeatFlushesQueuedFrames(t *testing.T) {
 
 // TestFaultSeverWithUnflushedFrames cuts the link between a burst that
 // closed more slices than the replay ring holds and the burst's flush. The
-// uplink flushed on its own every ReplayDepth/2 frames, so everything older
+// uplink flushed on its own every replayDepth/2 frames, so everything older
 // than the ring was written before the cut and the unflushed tail is in the
 // ring: after the reconnect every window is there exactly once. (The cut
 // waits for the written frames to arrive: a link that dies with more than a
@@ -142,7 +142,7 @@ func TestFaultSeverWithUnflushedFrames(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	const slices = 100 // > the default ReplayDepth of 64, and not a multiple of 32
+	const slices = 100 // > replayDepth (64), and not a multiple of 32
 	opts := DialOptions{
 		Heartbeat: 50 * time.Millisecond,
 		Retry:     RetryPolicy{MaxRetries: 200, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond},
@@ -162,8 +162,8 @@ func TestFaultSeverWithUnflushedFrames(t *testing.T) {
 			up.mu.Lock()
 			unflushed := up.unflushed
 			up.mu.Unlock()
-			if unflushed == 0 || unflushed >= up.opts.ReplayDepth/2 {
-				t.Errorf("unflushed frames before the cut: %d, want in (0, %d)", unflushed, up.opts.ReplayDepth/2)
+			if unflushed == 0 || unflushed >= replayDepth/2 {
+				t.Errorf("unflushed frames before the cut: %d, want in (0, %d)", unflushed, replayDepth/2)
 			}
 			// One child, so the root's merger forwards each partial as it
 			// arrives: its count is the number of frames delivered. (Every

@@ -265,7 +265,7 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 		return nil, err
 	}
 	tel := opts.Telemetry
-	inter := NewIntermediate(id, nil, up)
+	inter := NewIntermediate(id, nil, batching(up, id, opts.Batch, tel))
 	inter.merger.Hold(nChildren)
 	inter.AttachTelemetry(tel, fmt.Sprintf("inter.%d", id))
 	s := &IntermediateServer{
@@ -479,7 +479,7 @@ func RunLocalTCPOptions(parentAddr string, id uint32, batchSize int, opts DialOp
 		return err
 	}
 	tel := opts.Telemetry
-	session := &LocalSession{l: NewLocalFromPlanTuned(id, p, up, batchSize, opts.Tuning)}
+	session := &LocalSession{l: NewLocalFromPlanTuned(id, p, batching(up, id, opts.Batch, tel), batchSize, opts.Tuning)}
 	session.epoch.Store(session.l.Epoch())
 	session.l.AttachTelemetry(tel)
 	up.AttachTelemetry(tel)

@@ -56,25 +56,13 @@ type DialOptions struct {
 	// child forever. Zero derives 4× the effective heartbeat period (or no
 	// deadline when heartbeats are disabled); negative disables it.
 	WriteTimeout time.Duration
-	// ReplayDepth is how many recent partial/watermark frames the uplink
-	// retains (as their encoded bytes) and replays after a reconnect. A link
-	// that dies can silently swallow frames the kernel had already accepted;
-	// replaying the tail restores them, and the parent's merger dedups the
-	// overlap, so partials are effectively exactly-once across reconnects.
-	// Zero means the default (64); negative disables replay. Raw event
-	// batches are never replayed (the parent cannot dedup them).
-	ReplayDepth int
 	// HandshakeTimeout bounds the hello/query-set exchange (default 5s).
 	HandshakeTimeout time.Duration
-	// Batch enables adaptive uplink batching: outgoing partial/watermark
-	// frames coalesce into columnar KindBatch frames whose size follows the
-	// link's backpressure (message.Batcher). Control traffic flushes the
-	// open batch and travels unbatched, so ordering and heartbeat liveness
-	// are unaffected.
+	// Batch wraps the uplink in a message.BatchingConn: outgoing
+	// partial/watermark frames coalesce into columnar KindBatch frames whose
+	// size follows the link's backpressure. Control traffic flushes the open
+	// batch and travels unbatched, so ordering is unaffected.
 	Batch bool
-	// BatchOptions shapes the batcher when Batch is set; the zero value
-	// uses the message package defaults.
-	BatchOptions message.BatcherOptions
 	// Telemetry, when non-nil, is the registry this node registers its
 	// instruments in (engine counters, uplink reconnects, merge latency).
 	// Nil means the node creates a private registry — stats dumps always
@@ -95,9 +83,6 @@ func (o DialOptions) withDefaults() DialOptions {
 	}
 	if o.HandshakeTimeout <= 0 {
 		o.HandshakeTimeout = 5 * time.Second
-	}
-	if o.ReplayDepth == 0 {
-		o.ReplayDepth = 64
 	}
 	if o.Telemetry == nil {
 		o.Telemetry = telemetry.NewRegistry()
@@ -143,7 +128,7 @@ type uplink struct {
 	// in-band by Recv so the single downstream consumer applies resyncs in
 	// order with ordinary control traffic.
 	pending []*message.Message
-	// replay is a ring of ReplayDepth slots holding the wire frames (length
+	// replay is a ring of replayDepth slots holding the wire frames (length
 	// prefix included) of the most recent partial/watermark frames — whole
 	// KindBatch frames when batching. A dying socket can accept frames into
 	// kernel buffers and then lose them without an error ever surfacing;
@@ -152,18 +137,12 @@ type uplink struct {
 	// partial, when a replayed frame is a batch. Slots are encoded in place
 	// and keep their capacity; head is the next slot written and filled
 	// how many slots hold a frame.
-	replay       [][]byte
+	replay       [replayDepth][]byte
 	head, filled int
 	// unflushed counts the ring's frames queued on the connection since its
-	// last flush. It stays at or below ReplayDepth/2, so a flush that fails
+	// last flush. It stays at or below replayDepth/2, so a flush that fails
 	// loses nothing the reconnect's replay does not resend.
 	unflushed int
-
-	// batcher, when batching is enabled, sits between Send and the raw
-	// connection: data frames are cloned into its queue and transmitted by
-	// its pump through sendDirect, which records them in the replay ring like
-	// any other data frame.
-	batcher *message.Batcher
 
 	closeCh chan struct{}
 	hbDone  chan struct{}
@@ -194,7 +173,6 @@ func dialUplink(addr string, id uint32, opts DialOptions) (*uplink, *plan.Plan, 
 		opts:    opts.withDefaults(),
 		closeCh: make(chan struct{}),
 	}
-	u.replay = make([][]byte, max(u.opts.ReplayDepth, 0))
 	u.cond = sync.NewCond(&u.mu)
 	conn, resync, err := u.handshake()
 	if err != nil {
@@ -205,9 +183,6 @@ func dialUplink(addr string, id uint32, opts DialOptions) (*uplink, *plan.Plan, 
 		return nil, nil, fmt.Errorf("node: handshake with %s: expected full plan for a fresh child, got kind %d", addr, resync.Kind)
 	}
 	u.conn = conn
-	if u.opts.Batch {
-		u.batcher = message.NewBatcher(u.sendDirect, id, u.opts.BatchOptions)
-	}
 	return u, resync.Plan, nil
 }
 
@@ -221,8 +196,7 @@ func (u *uplink) SetEpochFn(fn func() uint64) {
 }
 
 // AttachTelemetry mirrors the uplink's reconnect count and replay-ring
-// occupancy into reg (uplink.reconnects, uplink.replay_occupancy), plus the
-// batcher's fill/flush/queue instruments when batching is enabled.
+// occupancy into reg (uplink.reconnects, uplink.replay_occupancy).
 func (u *uplink) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -230,11 +204,7 @@ func (u *uplink) AttachTelemetry(reg *telemetry.Registry) {
 	u.mu.Lock()
 	u.telReconnects = reg.Counter("uplink.reconnects")
 	u.telReplay = reg.Gauge("uplink.replay_occupancy")
-	b := u.batcher
 	u.mu.Unlock()
-	if b != nil {
-		b.AttachTelemetry(reg)
-	}
 }
 
 // SetDigestFn installs the callback building the node-level part of the
@@ -415,6 +385,14 @@ func (u *uplink) sendReplay(conn *message.TCPConn) error {
 	return conn.Flush()
 }
 
+// replayDepth is how many recent partial/watermark frames the uplink retains
+// (as their encoded bytes) and replays after a reconnect. A link that dies
+// can silently swallow frames the kernel had already accepted; replaying the
+// tail restores them, and the parent's merger dedups the overlap, so
+// partials are effectively exactly-once across reconnects. Raw event batches
+// are never replayed (the parent cannot dedup them).
+const replayDepth = 64
+
 // replaySlotKeep is the largest slot capacity the replay ring reuses: an
 // outsized batch frame does not pin its memory once smaller frames follow.
 const replaySlotKeep = 64 << 10
@@ -429,12 +407,9 @@ const replaySlotKeep = 64 << 10
 //
 // recorded reports whether m went this way; if not, nothing was queued.
 // hold reports whether conn may keep the frame unflushed: only while fewer
-// than ReplayDepth/2 recorded frames are waiting. err is the encoding error
+// than replayDepth/2 recorded frames are waiting. err is the encoding error
 // when m was not recorded, the connection's when it was.
 func (u *uplink) record(conn *message.TCPConn, m *message.Message) (recorded, hold bool, err error) {
-	if len(u.replay) == 0 {
-		return false, false, nil
-	}
 	switch m.Kind {
 	case message.KindPartial, message.KindWatermark, message.KindBatch:
 	case message.KindHello, message.KindPlanState, message.KindEventBatch,
@@ -480,35 +455,16 @@ func (u *uplink) accountRetired(c *message.TCPConn) {
 
 // Send implements message.Conn: it transmits m, transparently reconnecting
 // and retransmitting on link failure until the retry budget is exhausted.
-// With batching enabled, data frames detour through the batcher's queue and
-// reach the wire via sendDirect on the batcher's pump; control frames flush
-// the open batch first and stay synchronous.
-func (u *uplink) Send(m *message.Message) error {
-	if u.batcher != nil {
-		return u.batcher.Send(m)
-	}
-	return u.transmit(m, true)
-}
+func (u *uplink) Send(m *message.Message) error { return u.transmit(m, true) }
 
 // SendBuffered implements message.BufferedSender: m is queued on the live
 // connection and leaves with the next Flush or Send — or at once, when the
-// replay ring does not cover it (DESIGN.md §5c, write coalescing). With
-// batching enabled the batcher's pump owns the wire, so this is Send.
-func (u *uplink) SendBuffered(m *message.Message) error {
-	if u.batcher != nil {
-		return u.batcher.Send(m)
-	}
-	return u.transmit(m, false)
-}
+// replay ring does not cover it (DESIGN.md §5c, write coalescing).
+func (u *uplink) SendBuffered(m *message.Message) error { return u.transmit(m, false) }
 
 // Flush implements message.BufferedSender. A flush that fails reconnects,
-// and the reconnect's replay resends every frame the flush lost. With
-// batching enabled nothing is ever queued here, and the caller must not wait
-// on a link only the pump is entitled to block on.
+// and the reconnect's replay resends every frame the flush lost.
 func (u *uplink) Flush() error {
-	if u.batcher != nil {
-		return nil
-	}
 	conn, gen, err := u.current()
 	if err != nil {
 		return err
@@ -522,7 +478,7 @@ func (u *uplink) Flush() error {
 // flushConn flushes conn. The count of unflushed frames restarts before the
 // write, not after: a frame queued while the write is in flight is counted
 // again instead of missed, and what a failed write can lose — at most
-// ReplayDepth/2 frames from either side of the restart — still fits the
+// replayDepth/2 frames from either side of the restart — still fits the
 // ring.
 func (u *uplink) flushConn(conn *message.TCPConn) error {
 	u.mu.Lock()
@@ -530,9 +486,6 @@ func (u *uplink) flushConn(conn *message.TCPConn) error {
 	u.mu.Unlock()
 	return conn.Flush()
 }
-
-// sendDirect is the transmission path under the batcher.
-func (u *uplink) sendDirect(m *message.Message) error { return u.transmit(m, true) }
 
 // transmit is the supervised path to the wire: it queues m on the live
 // connection — through the replay ring when m is a data frame — flushes when
@@ -618,12 +571,6 @@ func (u *uplink) Close() error {
 		// Close the socket before waiting for the heartbeat loop: a
 		// heartbeat Send blocked on a stalled peer is released by the close.
 		err = conn.Close()
-	}
-	if u.batcher != nil {
-		// A graceful shutdown (goodbye through Send) already flushed the
-		// queue; this only stops the pump, whose in-flight transmission, if
-		// any, was just released by the socket close.
-		_ = u.batcher.Close()
 	}
 	if u.hbDone != nil {
 		<-u.hbDone

@@ -77,14 +77,17 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 // TestUplinkReplayRingEncoded: after more data frames than the ring holds, a
-// reconnect replays exactly the last ReplayDepth of them — byte for byte the
+// reconnect replays exactly the last replayDepth of them — byte for byte the
 // frames the dead connection carried, oldest first — and nothing else.
 func TestUplinkReplayRingEncoded(t *testing.T) {
+	// More than two rings' worth, and not a multiple of the replayDepth/2
+	// flush stride.
+	const n = 150
 	// One slot per connection the test makes, and room for every frame it
 	// sends on one: the handlers never block on the test.
 	conns := make(chan chan []byte, 2)
 	addr := fakeParent(t, func(c net.Conn) {
-		frames := make(chan []byte, 64)
+		frames := make(chan []byte, n)
 		conns <- frames
 		defer close(frames)
 		for {
@@ -95,8 +98,7 @@ func TestUplinkReplayRingEncoded(t *testing.T) {
 			frames <- f
 		}
 	})
-	const depth, n = 8, 21
-	u, _, err := dialUplink(addr, 1, DialOptions{Heartbeat: -1, ReplayDepth: depth})
+	u, _, err := dialUplink(addr, 1, DialOptions{Heartbeat: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +143,9 @@ func TestUplinkReplayRingEncoded(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := <-conns
-	for i, want := range sent[n-depth:] {
+	for i, want := range sent[n-replayDepth:] {
 		if got := next(second); !bytes.Equal(got, want) {
-			t.Fatalf("replayed frame %d differs from frame %d of the dead link:\n got %x\nwant %x", i, n-depth+i, got, want)
+			t.Fatalf("replayed frame %d differs from frame %d of the dead link:\n got %x\nwant %x", i, n-replayDepth+i, got, want)
 		}
 	}
 	if err := u.Send(&message.Message{Kind: message.KindHeartbeat, From: 1}); err != nil {
@@ -151,7 +153,7 @@ func TestUplinkReplayRingEncoded(t *testing.T) {
 	}
 	m, err := message.Binary{}.Decode(next(second))
 	if err != nil || m.Kind != message.KindHeartbeat {
-		t.Fatalf("frame after the replay: %+v, %v; want the heartbeat (the ring replayed more than %d frames)", m, err, depth)
+		t.Fatalf("frame after the replay: %+v, %v; want the heartbeat (the ring replayed more than %d frames)", m, err, replayDepth)
 	}
 }
 
