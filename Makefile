@@ -7,8 +7,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# benchmark/ is its own module, so the root ./... skips it; test it too so an
+# API change that breaks its build fails here, as in CI.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -112,11 +112,11 @@ func BenchmarkAssemblySliding(b *testing.B) {
 					Funcs: []operator.FuncSpec{{Func: operator.Average}},
 				})
 			}
-			groups, err := query.Analyze(qs, query.Options{})
+			p, err := plan.New(qs, plan.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := core.New(groups, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: mode.naive})
+			e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: mode.naive})
 			s := gen.NewStream(gen.StreamConfig{Seed: 21, Keys: 1, IntervalMS: 1})
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -150,11 +150,11 @@ func BenchmarkAssemblyManyQueries(b *testing.B) {
 					Funcs: []operator.FuncSpec{f},
 				})
 			}
-			groups, err := query.Analyze(qs, query.Options{})
+			p, err := plan.New(qs, plan.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := core.New(groups, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: mode.naive})
+			e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: mode.naive})
 			s := gen.NewStream(gen.StreamConfig{Seed: 21, Keys: 1, IntervalMS: 1})
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -172,11 +172,11 @@ func BenchmarkAssemblyManyQueries(b *testing.B) {
 // concurrent tumbling windows sharing one query-group.
 func BenchmarkEngineProcess(b *testing.B) {
 	qs := gen.TumblingSweep(100, 1000, 10000, operator.Average)
-	groups, err := query.Analyze(qs, query.Options{})
+	p, err := plan.New(qs, plan.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := core.New(groups, core.Config{OnResult: func(core.Result) {}})
+	e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}})
 	s := gen.NewStream(gen.StreamConfig{Seed: 1, IntervalMS: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -327,11 +327,11 @@ func BenchmarkEngineProcessQuantiles(b *testing.B) {
 			Funcs: []operator.FuncSpec{{Func: operator.Quantile, Arg: float64(i+1) / 101}},
 		})
 	}
-	groups, err := query.Analyze(qs, query.Options{})
+	p, err := plan.New(qs, plan.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := core.New(groups, core.Config{OnResult: func(core.Result) {}})
+	e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}})
 	s := gen.NewStream(gen.StreamConfig{Seed: 1, IntervalMS: 1})
 	b.ReportAllocs()
 	b.ResetTimer()

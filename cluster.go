@@ -3,7 +3,7 @@ package desis
 import (
 	"desis/internal/core"
 	"desis/internal/node"
-	"desis/internal/query"
+	"desis/internal/plan"
 )
 
 // ClusterOptions shapes an in-process decentralized deployment.
@@ -39,8 +39,7 @@ type Cluster struct {
 // windows evaluate on the root) and builds the topology. The factor-window
 // optimizer is single-engine only: a tree's plan holds no fed groups.
 func NewCluster(queries []Query, opts ClusterOptions) (*Cluster, error) {
-	queries = assignIDs(queries)
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
+	p, err := plan.New(assignIDs(queries), plan.Options{Decentralized: true})
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +47,7 @@ func NewCluster(queries []Query, opts ClusterOptions) (*Cluster, error) {
 	if opts.OnResult != nil {
 		onResult = func(r core.Result) { opts.OnResult(r) }
 	}
-	return &Cluster{c: node.NewCluster(groups, node.ClusterConfig{
+	return &Cluster{c: node.NewCluster(p, node.ClusterConfig{
 		Locals:        opts.Locals,
 		Intermediates: opts.Intermediates,
 		Bandwidth:     opts.BandwidthBytesPerSec,

@@ -54,7 +54,7 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", node.HeartbeatInterval, "idle-uplink heartbeat period (intermediate, local); negative disables")
 	retries := flag.Int("reconnect-retries", 8, "uplink reconnect attempts before giving up (intermediate, local)")
 	batch := flag.Bool("batch", false, "coalesce uplink partials/watermarks into adaptive columnar batch frames (intermediate, local)")
-	instanceTTL := flag.Duration("instance-ttl", 0, "park group instances of keys idle this long in event time; 0 keeps every instance resident (intermediate, local)")
+	instanceTTL := flag.Duration("instance-ttl", 0, "park group instances of keys idle this long in event time; 0 keeps every instance resident (local)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/stats and /debug/pprof/ over HTTP at this address (any role); empty disables")
 	var queries queryList
 	flag.Var(&queries, "query", "query in the textual language (repeatable, root only)")
@@ -64,10 +64,10 @@ func main() {
 	// DialOptions) and the debug server; the root's registry lives in its
 	// server, so runRoot wires its own debug endpoint.
 	opts := node.DialOptions{
-		Heartbeat: *heartbeat,
-		Retry:     node.RetryPolicy{MaxRetries: *retries},
-		Batch:     *batch,
-		Tuning:    node.EngineTuning{InstanceTTL: instanceTTL.Milliseconds()},
+		Heartbeat:   *heartbeat,
+		Retry:       node.RetryPolicy{MaxRetries: *retries},
+		Batch:       *batch,
+		InstanceTTL: instanceTTL.Milliseconds(),
 	}
 	if *debugAddr != "" && *role != "root" {
 		opts.Telemetry = telemetry.NewRegistry()

@@ -197,7 +197,6 @@ func (o Options) coreConfig() core.Config {
 		OnResult:       o.OnResult,
 		ReorderHorizon: o.ReorderHorizon.Milliseconds(),
 		InstanceTTL:    o.InstanceTTL.Milliseconds(),
-		Optimize:       o.optimizeOn(),
 		Telemetry:      o.Telemetry.registry(),
 	}
 }
@@ -306,18 +305,25 @@ func (e *Engine) InstanceStats() InstanceStats { return e.e.InstanceStats() }
 func (e *Engine) Snapshot() []byte { return e.e.Snapshot(nil) }
 
 // RestoreEngine rebuilds an engine from the exact query set (same queries,
-// ids, and order) and a snapshot taken by Snapshot, resuming precisely
-// where the checkpoint was cut.
+// ids, and order, including queries added at runtime before the snapshot)
+// and a snapshot taken by Snapshot, resuming precisely where the checkpoint
+// was cut. Group-by templates (key=*) cannot be restored: a snapshot does not
+// carry the per-key catalog their instances grew.
 func RestoreEngine(queries []Query, opts Options, snapshot []byte) (*Engine, error) {
 	queries = assignIDs(queries)
+	for _, q := range queries {
+		if q.AnyKey {
+			return nil, fmt.Errorf("desis: RestoreEngine: query %d is a group-by template (key=*); a snapshot does not carry the per-key catalog, so engines with templates cannot be restored", q.ID)
+		}
+	}
 	if err := opts.validate(queries); err != nil {
 		return nil, err
 	}
-	groups, err := query.Analyze(queries, query.Options{Dedup: opts.Dedup, Optimize: opts.optimizeOn()})
+	p, err := plan.New(queries, plan.Options{Dedup: opts.Dedup, Optimize: opts.optimizeOn()})
 	if err != nil {
 		return nil, err
 	}
-	e, err := core.Restore(groups, opts.coreConfig(), snapshot)
+	e, err := core.RestoreFromPlan(p, opts.coreConfig(), snapshot)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package desis_test
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -265,5 +266,96 @@ func TestFacadeSnapshotRestore(t *testing.T) {
 	}
 	if _, err := desis.RestoreEngine(qs, desis.Options{}, []byte("junk")); err == nil {
 		t.Error("junk snapshot accepted")
+	}
+}
+
+// TestRestoreEngineAfterAddQuery: a snapshot cut after runtime AddQuery calls
+// restores from the query set that includes the added queries. The rebuilt
+// catalog is at epoch 0 while the snapshot was cut at epoch 2, so the restore
+// checks the groups, not the epoch.
+func TestRestoreEngineAfterAddQuery(t *testing.T) {
+	base := desis.MustParseQuery("tumbling(100ms) average key=0")
+	base.ID = 1
+	joins := desis.MustParseQuery("sliding(200ms,100ms) max key=0") // base's group
+	joins.ID = 2
+	fresh := desis.MustParseQuery("tumbling(50ms) sum key=1") // a new group
+	fresh.ID = 3
+	ev := func(i int) desis.Event {
+		return desis.Event{Time: int64(i), Key: uint32(i % 2), Value: float64(i % 17)}
+	}
+	run := func(e *desis.Engine, from, to int) {
+		for i := from; i < to; i++ {
+			e.Process(ev(i))
+		}
+	}
+	build := func() *desis.Engine {
+		e, err := desis.NewEngine([]desis.Query{base}, desis.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(e, 0, 250)
+		for _, q := range []desis.Query{joins, fresh} {
+			if _, err := e.AddQuery(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(e, 250, 550)
+		return e
+	}
+
+	ref := build()
+	run(ref, 550, 1000)
+	ref.AdvanceTo(1000)
+	want := ref.Results()
+
+	eng := build()
+	got := eng.Results()
+	restored, err := desis.RestoreEngine([]desis.Query{base, joins, fresh}, desis.Options{}, eng.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(restored, 550, 1000)
+	restored.AdvanceTo(1000)
+	got = append(got, restored.Results()...)
+	perQuery := map[uint64]int{}
+	for _, r := range want {
+		perQuery[r.QueryID]++
+	}
+	if perQuery[2] == 0 || perQuery[3] == 0 {
+		t.Fatalf("the added queries answered no windows: %v", perQuery)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d windows, want %d", len(got), len(want))
+	}
+	for _, rs := range [][]desis.Result{got, want} {
+		sort.Slice(rs, func(i, j int) bool {
+			if rs[i].QueryID != rs[j].QueryID {
+				return rs[i].QueryID < rs[j].QueryID
+			}
+			return rs[i].Start < rs[j].Start
+		})
+	}
+	for i := range want {
+		if g, w := got[i], want[i]; g.QueryID != w.QueryID || g.Start != w.Start || g.Count != w.Count || g.Values[0].Value != w.Values[0].Value {
+			t.Fatalf("window %d: got %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// TestRestoreEngineRefusesTemplates: a snapshot does not carry the per-key
+// catalog a group-by template grew, so RestoreEngine refuses a key=* query
+// set up front and says so.
+func TestRestoreEngineRefusesTemplates(t *testing.T) {
+	qs := []desis.Query{desis.MustParseQuery("tumbling(100ms) sum key=*")}
+	eng, err := desis.NewEngine(qs, desis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		eng.Process(desis.Event{Time: int64(i), Key: uint32(i % 3), Value: 1})
+	}
+	_, err = desis.RestoreEngine(qs, desis.Options{}, eng.Snapshot())
+	if err == nil || !strings.Contains(err.Error(), "per-key catalog") {
+		t.Errorf("err = %v, want a refusal naming the per-key catalog", err)
 	}
 }

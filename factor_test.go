@@ -10,7 +10,6 @@ import (
 
 	"desis/internal/core"
 	"desis/internal/plan"
-	"desis/internal/query"
 )
 
 // Factor-optimizer differential tests: the rewrite must be invisible in the
@@ -316,15 +315,6 @@ func TestTreeHoldsNoFedGroups(t *testing.T) {
 		t.Errorf("cluster plan holds fed groups or the optimizer flag:\n%s", p.Describe())
 	}
 
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true, Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range groups {
-		if g.Fed() {
-			t.Errorf("query.Analyze with decentralized placement fed group %d", g.ID)
-		}
-	}
 	p, err := plan.New(qs, plan.Options{Decentralized: true, Optimize: true})
 	if err != nil {
 		t.Fatal(err)

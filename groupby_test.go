@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"desis"
+	"desis/internal/node"
 )
 
 // TestGroupByTemplate: a key=* query instantiates per observed key and
@@ -138,6 +140,52 @@ func TestGroupByRejectedByCluster(t *testing.T) {
 	tmpl.ID = 1
 	if _, err := desis.NewCluster([]desis.Query{tmpl}, desis.ClusterOptions{Locals: 2}); err == nil {
 		t.Error("cluster accepted a group-by template")
+	}
+}
+
+// TestTreeRefusesTemplates: a tree refuses group-by templates in one place,
+// the decentralized plan's add path. Both tree constructors reject a key=*
+// query up front, and a runtime add of one is refused on either kind of root
+// without moving its plan.
+func TestTreeRefusesTemplates(t *testing.T) {
+	base := desis.MustParseQuery("tumbling(100ms) sum key=0")
+	base.ID = 1
+	tmpl := desis.MustParseQuery("tumbling(100ms) sum key=*")
+	tmpl.ID = 2
+	const want = "group-by templates (key=*) are not supported in decentralized deployments"
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", what, err, want)
+		}
+	}
+
+	_, err := desis.NewCluster([]desis.Query{base, tmpl}, desis.ClusterOptions{Locals: 1})
+	refused("NewCluster", err)
+	srv, err := node.ServeRootOptions("127.0.0.1:0", []desis.Query{base, tmpl}, 1, 0, node.RootServeOptions{})
+	if err == nil {
+		srv.Close()
+	}
+	refused("ServeRootOptions", err)
+
+	cl, err := desis.NewCluster([]desis.Query{base}, desis.ClusterOptions{Locals: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("Cluster.AddQuery", cl.AddQuery(tmpl))
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err = node.ServeRootOptions("127.0.0.1:0", []desis.Query{base}, 1, 0, node.RootServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	refused("RootServer.AddQuery", srv.AddQuery(tmpl))
+	if p, err := node.FetchPlan(srv.Addr()); err != nil {
+		t.Fatal(err)
+	} else if p.Epoch != 0 || len(p.Templates) != 0 {
+		t.Errorf("a refused add moved the root's plan:\n%s", p.Describe())
 	}
 }
 

@@ -19,6 +19,7 @@ package baseline
 import (
 	"desis/internal/core"
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -48,11 +49,11 @@ type Desis struct {
 
 // NewDesis builds the Desis system for the queries.
 func NewDesis(queries []query.Query) (*Desis, error) {
-	groups, err := query.Analyze(queries, query.Options{})
+	p, err := plan.New(queries, plan.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &Desis{e: core.New(groups, core.Config{})}, nil
+	return &Desis{e: core.NewFromPlan(p, core.Config{})}, nil
 }
 
 // Name implements System.

@@ -403,11 +403,7 @@ func TestDiscoSendsMoreThanDesisPerSlice(t *testing.T) {
 	runDeployment(t, dc, evs, 10000)
 	discoLocal, _ := dc.NetworkBytes()
 
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	desisBytes := desisClusterBytes(t, groups, evs)
+	desisBytes := desisClusterBytes(t, qs, evs)
 	if discoLocal < 3*desisBytes {
 		t.Errorf("disco local bytes %d not well above desis %d", discoLocal, desisBytes)
 	}

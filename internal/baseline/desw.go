@@ -7,6 +7,7 @@ import (
 
 	"desis/internal/core"
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -63,11 +64,11 @@ func newPartitioned(name string, queries []query.Query, splitMeasure bool) (*par
 	s := &partitioned{name: name, byKey: make(map[uint32][]*core.Engine)}
 	for _, k := range order {
 		qs := parts[k]
-		groups, err := query.Analyze(qs, query.Options{})
+		p, err := plan.New(qs, plan.Options{})
 		if err != nil {
 			return nil, err
 		}
-		e := core.New(groups, core.Config{OnResult: func(r core.Result) {
+		e := core.NewFromPlan(p, core.Config{OnResult: func(r core.Result) {
 			s.results = append(s.results, r)
 		}})
 		s.engines = append(s.engines, e)

@@ -10,6 +10,7 @@ import (
 	"desis/internal/event"
 	"desis/internal/message"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -272,11 +273,11 @@ func newDiscoLocal(id uint32, queries []query.Query, parent message.Conn) (*disc
 	}
 	for _, k := range order {
 		qs := parts[k]
-		groups, err := query.Analyze(qs, query.Options{})
+		p, err := plan.New(qs, plan.Options{})
 		if err != nil {
 			return nil, err
 		}
-		e := core.New(groups, core.Config{OnWindowAgg: l.sendWindow})
+		e := core.NewFromPlan(p, core.Config{OnWindowAgg: l.sendWindow})
 		l.engines = append(l.engines, e)
 		l.byKey[qs[0].Key] = append(l.byKey[qs[0].Key], e)
 	}

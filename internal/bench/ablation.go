@@ -11,6 +11,7 @@ import (
 	"desis/internal/gen"
 	"desis/internal/message"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -23,16 +24,16 @@ func AblationCalendar(cfg Config) (*Table, error) {
 	sc := gen.StreamConfig{Seed: 9, Keys: 1, IntervalMS: 1}
 	for _, w := range cfg.WindowCounts {
 		qs := gen.TumblingSweep(w, 1000, 10000, operator.Average)
-		groups, err := query.Analyze(qs, query.Options{})
-		if err != nil {
-			return nil, err
-		}
 		events := scaleEvents(cfg.Events, 1)
 		for _, mode := range []struct {
 			name    string
 			perSlow bool
 		}{{"calendar", false}, {"per-event-check", true}} {
-			e := core.New(groups, core.Config{PerEventBoundaryCheck: mode.perSlow})
+			p, err := plan.New(qs, plan.Options{})
+			if err != nil {
+				return nil, err
+			}
+			e := core.NewFromPlan(p, core.Config{PerEventBoundaryCheck: mode.perSlow})
 			s := gen.NewStream(sc)
 			evs := s.Events(events)
 			start := time.Now()
@@ -155,11 +156,11 @@ func AblationShardedRoot(cfg Config) (*Table, error) {
 		sc := gen.StreamConfig{Seed: 13, Keys: 16, IntervalMS: 1}
 		evs, drain := stream(sc, events)
 		// Single engine.
-		groups, err := query.Analyze(qs, query.Options{})
+		p, err := plan.New(qs, plan.Options{})
 		if err != nil {
 			return nil, err
 		}
-		e := core.New(groups, core.Config{OnResult: func(core.Result) {}})
+		e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}})
 		start := time.Now()
 		e.ProcessBatch(evs)
 		e.AdvanceTo(drain) // both variants include the drain
@@ -192,12 +193,12 @@ func shardedRate(qs []query.Query, evs []event.Event, drain int64, n int) (float
 				part = append(part, q)
 			}
 		}
-		groups, err := query.Analyze(part, query.Options{})
+		p, err := plan.New(part, plan.Options{})
 		if err != nil {
 			return 0, err
 		}
 		sh := &shard{
-			e:  core.New(groups, core.Config{OnResult: func(core.Result) {}}),
+			e:  core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}}),
 			ch: make(chan []event.Event, 32),
 		}
 		shards[i] = sh

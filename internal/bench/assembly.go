@@ -7,6 +7,7 @@ import (
 	"desis/internal/core"
 	"desis/internal/gen"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -66,11 +67,11 @@ func assemblyQueries(n int) []query.Query {
 // assemblyRun measures one engine configuration: events/s, windows/s, and
 // allocations per event.
 func assemblyRun(qs []query.Query, events int, naive bool) (evPerSec, winPerSec, allocsPerEv float64, err error) {
-	groups, err := query.Analyze(qs, query.Options{})
+	p, err := plan.New(qs, plan.Options{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	e := core.New(groups, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: naive})
+	e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}, NaiveAssembly: naive})
 	s := gen.NewStream(gen.StreamConfig{Seed: 21, Keys: 1, IntervalMS: 1})
 	evs := s.Events(events)
 	runtime.GC()

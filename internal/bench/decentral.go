@@ -10,6 +10,7 @@ import (
 	"desis/internal/event"
 	"desis/internal/gen"
 	"desis/internal/node"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -23,11 +24,11 @@ type DeployFactory struct {
 
 // DesisDeploy builds the Desis node.Cluster.
 func DesisDeploy(qs []query.Query, locals, inters int, bandwidth float64) (baseline.Deployment, error) {
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true})
+	p, err := plan.New(qs, plan.Options{Decentralized: true})
 	if err != nil {
 		return nil, err
 	}
-	return node.NewCluster(groups, node.ClusterConfig{
+	return node.NewCluster(p, node.ClusterConfig{
 		Locals: locals, Intermediates: inters, Bandwidth: bandwidth,
 		OnResult: func(core.Result) {}, // discard; throughput runs don't inspect results
 	}), nil

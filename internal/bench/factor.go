@@ -7,6 +7,7 @@ import (
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -84,15 +85,14 @@ func factorQueries() []query.Query {
 // is exact in float64 and the result hash is independent of merge order.
 func factorRun(events int, naive, optimize bool) (evPerSec, winPerSec float64, merges, windows, hash uint64, err error) {
 	qs := factorQueries()
-	groups, err := query.Analyze(qs, query.Options{Optimize: optimize})
+	p, err := plan.New(qs, plan.Options{Optimize: optimize})
 	if err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
 	var h uint64
 	var wins uint64
-	e := core.New(groups, core.Config{
+	e := core.NewFromPlan(p, core.Config{
 		NaiveAssembly: naive,
-		Optimize:      optimize,
 		OnResult: func(r core.Result) {
 			h += cardinalityResultHash(r)
 			wins++

@@ -7,17 +7,18 @@ import (
 	"desis/internal/gen"
 	"desis/internal/node"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
 // localSliceRate measures a local node's engine in slice-emitting mode:
 // events per second of slicing + incremental aggregation.
 func localSliceRate(qs []query.Query, sc gen.StreamConfig, events int) (float64, error) {
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true})
+	p, err := plan.New(qs, plan.Options{Decentralized: true})
 	if err != nil {
 		return 0, err
 	}
-	e := core.New(groups, core.Config{OnSlice: func(*core.SlicePartial) {}})
+	e := core.NewFromPlan(p, core.Config{OnSlice: func(*core.SlicePartial) {}})
 	s := gen.NewStream(sc)
 	evs := s.Events(events)
 	start := time.Now()
@@ -79,13 +80,13 @@ func mergeRate(children, nSlices, eventsPerSlice, ctxs int, ops operator.Op) flo
 // assembleRate measures the root assembly stage over the same synthetic
 // slice stream: partials in, windows out.
 func assembleRate(qs []query.Query, nSlices, eventsPerSlice int) (float64, error) {
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true})
+	p, err := plan.New(qs, plan.Options{Decentralized: true})
 	if err != nil {
 		return 0, err
 	}
 	results := 0
-	asm := node.NewAssembler(groups, func(core.Result) { results++ })
-	g := groups[0]
+	asm := node.NewAssembler(p.Groups, func(core.Result) { results++ })
+	g := p.Groups[0]
 	partials := make([]*core.SlicePartial, nSlices)
 	for i := range partials {
 		aggs := make([]operator.Agg, len(g.Contexts))
@@ -231,14 +232,14 @@ func Fig12(cfg Config, median bool, id string) (*Table, error) {
 	events := cfg.Events / 2
 
 	// Desis stages.
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true})
+	pl, err := plan.New(qs, plan.Options{Decentralized: true})
 	if err != nil {
 		return nil, err
 	}
 	// Local: duration of Process calls that close a slice.
 	var localLat latencySamples
 	var emitted []*core.SlicePartial
-	e := core.New(groups, core.Config{OnSlice: func(p *core.SlicePartial) {
+	e := core.NewFromPlan(pl, core.Config{OnSlice: func(p *core.SlicePartial) {
 		cp := *p
 		cp.Aggs = append([]operator.Agg(nil), p.Aggs...)
 		emitted = append(emitted, &cp)
@@ -273,7 +274,7 @@ func Fig12(cfg Config, median bool, id string) (*Table, error) {
 	t.Add("Desis", 1, float64(interLat.mean().Nanoseconds())/1000)
 
 	// Root: assembly latency per window.
-	asm := node.NewAssembler(groups, func(core.Result) {})
+	asm := node.NewAssembler(pl.Groups, func(core.Result) {})
 	var rootLat latencySamples
 	for _, p := range emitted {
 		asm.AddPartial(p)

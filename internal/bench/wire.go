@@ -10,6 +10,7 @@ import (
 	"desis/internal/message"
 	"desis/internal/node"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -75,11 +76,11 @@ func wireQueries(n, keys int) []query.Query {
 // runWireLeg pushes the workload through one cluster configuration and
 // reports the ingest rate and local-layer wire bytes.
 func runWireLeg(qs []query.Query, batch bool, bandwidth float64, events int) (deployRun, error) {
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true})
+	p, err := plan.New(qs, plan.Options{Decentralized: true})
 	if err != nil {
 		return deployRun{}, err
 	}
-	c := node.NewCluster(groups, node.ClusterConfig{
+	c := node.NewCluster(p, node.ClusterConfig{
 		Locals:    1,
 		Bandwidth: bandwidth,
 		Batch:     batch,

@@ -7,6 +7,7 @@ import (
 	"desis/internal/core"
 	"desis/internal/gen"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -40,11 +41,11 @@ func TestMultiqueryWorkloadSmoke(t *testing.T) {
 		}
 		qs = append(qs, q)
 	}
-	groups, err := query.Analyze(qs, query.Options{})
+	p, err := plan.New(qs, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(groups, core.Config{OnResult: func(core.Result) {}})
+	e := core.NewFromPlan(p, core.Config{OnResult: func(core.Result) {}})
 	s := gen.NewStream(gen.StreamConfig{Seed: 7, Keys: 1, IntervalMS: 1, GapEvery: 50_000, GapMS: 2000})
 	start := time.Now()
 	const n = 150_000

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -12,14 +13,11 @@ import (
 func TestDeduplicationOperator(t *testing.T) {
 	q := query.MustParse("tumbling(100ms) sum,count key=0")
 	q.ID = 1
-	groups, err := query.Analyze([]query.Query{q}, query.Options{Dedup: true})
-	if err != nil {
-		t.Fatal(err)
+	p := mustPlan(t, []query.Query{q}, plan.Options{Dedup: true})
+	if !p.Groups[0].Dedup {
+		t.Fatal("plan dropped the dedup flag")
 	}
-	if !groups[0].Dedup {
-		t.Fatal("analyzer dropped the dedup flag")
-	}
-	e := New(groups, Config{})
+	e := NewFromPlan(p, Config{})
 	// Each logical event arrives three times (e.g. at-least-once delivery).
 	for i := 0; i < 50; i++ {
 		ev := event.Event{Time: int64(i * 2), Value: float64(i)}
@@ -45,11 +43,7 @@ func TestDeduplicationOperator(t *testing.T) {
 func TestDeduplicationScopeIsSlice(t *testing.T) {
 	q := query.MustParse("tumbling(10ms) count key=0")
 	q.ID = 1
-	groups, err := query.Analyze([]query.Query{q}, query.Options{Dedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{Dedup: true}), Config{})
 	e.Process(event.Event{Time: 1, Value: 5})
 	e.Process(event.Event{Time: 1, Value: 5}) // dup in slice 1: dropped
 	e.Process(event.Event{Time: 11, Value: 5})
@@ -70,11 +64,7 @@ func TestDeduplicationScopeIsSlice(t *testing.T) {
 func TestNoDedupByDefault(t *testing.T) {
 	q := query.MustParse("tumbling(100ms) count key=0")
 	q.ID = 1
-	groups, err := query.Analyze([]query.Query{q}, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	ev := event.Event{Time: 1, Value: 5}
 	e.Process(ev)
 	e.Process(ev)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -19,11 +20,7 @@ func TestSliceStoreBounded(t *testing.T) {
 	for i := range queries {
 		queries[i].ID = uint64(i + 1)
 	}
-	groups, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{OnResult: func(Result) {}})
+	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{OnResult: func(Result) {}})
 	rng := rand.New(rand.NewSource(1))
 	tm := int64(0)
 	for i := 0; i < 200_000; i++ {
@@ -45,11 +42,7 @@ func TestSliceStoreBounded(t *testing.T) {
 func TestCountSliceStoreBounded(t *testing.T) {
 	q := query.MustParse("sliding(64ev,16ev) sum key=0")
 	q.ID = 1
-	groups, err := query.Analyze([]query.Query{q}, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{OnResult: func(Result) {}})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{OnResult: func(Result) {}})
 	for i := 0; i < 100_000; i++ {
 		e.Process(event.Event{Time: int64(i), Value: 1})
 	}
@@ -63,8 +56,7 @@ func TestCountSliceStoreBounded(t *testing.T) {
 func TestUnroutedKeysDropped(t *testing.T) {
 	q := query.MustParse("tumbling(100ms) sum key=1")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	for i := 0; i < 100; i++ {
 		e.Process(event.Event{Time: int64(i * 10), Key: 9, Value: 1})
 	}
@@ -79,7 +71,7 @@ func TestUnroutedKeysDropped(t *testing.T) {
 
 // TestEmptyEngine: no queries is a valid (if pointless) configuration.
 func TestEmptyEngine(t *testing.T) {
-	e := New(nil, Config{})
+	e := NewFromPlan(mustPlan(t, nil, plan.Options{}), Config{})
 	e.Process(event.Event{Time: 1, Value: 2})
 	e.AdvanceTo(100)
 	if rs := e.Results(); len(rs) != 0 {
@@ -92,8 +84,7 @@ func TestEmptyEngine(t *testing.T) {
 func TestMarkerWithoutUserDefinedQueries(t *testing.T) {
 	q := query.MustParse("tumbling(100ms) count key=0")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	e.Process(event.Event{Time: 10, Value: 1})
 	e.Process(event.Event{Time: 20, Marker: event.MarkerBoundary})
 	e.Process(event.Event{Time: 30, Value: 1})
@@ -109,8 +100,7 @@ func TestMarkerWithoutUserDefinedQueries(t *testing.T) {
 func TestDuplicateTimestamps(t *testing.T) {
 	q := query.MustParse("tumbling(10ms) count key=0")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	for i := 0; i < 5; i++ {
 		e.Process(event.Event{Time: 5, Value: float64(i)})
 	}
@@ -132,8 +122,7 @@ func TestDuplicateTimestamps(t *testing.T) {
 func TestAdvanceToIdempotent(t *testing.T) {
 	q := query.MustParse("tumbling(100ms) count key=0")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	for i := 0; i < 30; i++ {
 		e.Process(event.Event{Time: int64(i * 10), Value: 1})
 	}
@@ -155,8 +144,7 @@ func TestAdvanceToIdempotent(t *testing.T) {
 func TestSessionAcrossLongSilence(t *testing.T) {
 	q := query.MustParse("session(100ms) count key=0")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	e.Process(event.Event{Time: 0, Value: 1})
 	e.Process(event.Event{Time: 50, Value: 1})
 	e.AdvanceTo(1_000_000) // closes [0, 150)

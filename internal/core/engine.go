@@ -91,16 +91,6 @@ type engineStats struct {
 	instLive, instEvicted, instRevived atomic.Int64
 }
 
-// New builds an engine for an analyzed group set, wrapping it into a plan at
-// epoch 0 (legacy construction path; the engine takes ownership of the
-// groups).
-func New(groups []*groupOf, cfg Config) *Engine {
-	return NewFromPlan(plan.FromGroups(groups, plan.Options{
-		Decentralized: cfg.Decentralized,
-		Optimize:      cfg.Optimize,
-	}), cfg)
-}
-
 // NewFromPlan builds an engine from an execution plan, taking ownership of
 // it. Config.Placement selects which groups of the plan this engine
 // materialises (a local node runs the distributed groups, the root engine

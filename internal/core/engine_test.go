@@ -10,6 +10,7 @@ import (
 
 	"desis/internal/event"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -17,11 +18,7 @@ import (
 // advances to advTo, returning the emitted results.
 func runEngine(t *testing.T, queries []query.Query, evs []event.Event, advTo int64, cfg Config) []Result {
 	t.Helper()
-	groups, err := query.Analyze(queries, query.Options{Decentralized: cfg.Decentralized})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	e := New(groups, cfg)
+	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), cfg)
 	e.ProcessBatch(evs)
 	if advTo > 0 {
 		e.AdvanceTo(advTo)
@@ -201,10 +198,7 @@ func TestFiveWindowTypesShareOneGroup(t *testing.T) {
 	for i := range queries {
 		queries[i].ID = uint64(i + 1)
 	}
-	groups, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := mustPlan(t, queries, plan.Options{}).Groups
 	if len(groups) != 1 {
 		t.Fatalf("expected one query-group, got %d", len(groups))
 	}
@@ -229,10 +223,7 @@ func TestPredicateContexts(t *testing.T) {
 	slow := query.MustParse("tumbling(100ms) average key=0 value<25")
 	slow.ID = 2
 	queries := []query.Query{fast, slow}
-	groups, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := mustPlan(t, queries, plan.Options{}).Groups
 	if len(groups) != 1 || len(groups[0].Contexts) != 2 {
 		t.Fatalf("grouping: %v", groups)
 	}
@@ -291,11 +282,7 @@ func TestCalculationSharing(t *testing.T) {
 	avg.ID = 1
 	sum := query.MustParse("tumbling(100ms) sum key=0")
 	sum.ID = 2
-	groups, err := query.Analyze([]query.Query{avg, sum}, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{avg, sum}, plan.Options{}), Config{})
 	e.ProcessBatch(evenStream(100, 1))
 	if got := e.Stats().Calculations; got != 200 {
 		t.Errorf("calculations = %d, want 200 (2 per event)", got)
@@ -307,11 +294,7 @@ func TestCalculationSharing(t *testing.T) {
 		q.ID = uint64(i + 1)
 		qs = append(qs, q)
 	}
-	groups, err = query.Analyze(qs, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e = New(groups, Config{})
+	e = NewFromPlan(mustPlan(t, qs, plan.Options{}), Config{})
 	e.ProcessBatch(evenStream(100, 1))
 	if got := e.Stats().Calculations; got != 100 {
 		t.Errorf("quantile calculations = %d, want 100 (1 per event)", got)
@@ -327,11 +310,7 @@ func TestSliceCountStat(t *testing.T) {
 		q.ID = uint64(i)
 		qs = append(qs, q)
 	}
-	groups, err := query.Analyze(qs, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, qs, plan.Options{}), Config{})
 	for i := 0; i <= 600; i++ {
 		e.Process(event.Event{Time: int64(i), Value: 1})
 	}
@@ -344,11 +323,7 @@ func TestSliceCountStat(t *testing.T) {
 func TestAddQueryAtRuntime(t *testing.T) {
 	base := query.MustParse("tumbling(100ms) sum key=0")
 	base.ID = 1
-	groups, err := query.Analyze([]query.Query{base}, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{base}, plan.Options{}), Config{})
 	evs := evenStream(30, 10) // t = 0..290
 	e.ProcessBatch(evs[:15])  // up to t=140
 	added := query.MustParse("tumbling(100ms) median key=0")
@@ -387,8 +362,7 @@ func TestAddQueryAtRuntime(t *testing.T) {
 func TestAddQueryNewGroupAndKey(t *testing.T) {
 	base := query.MustParse("tumbling(100ms) sum key=0")
 	base.ID = 1
-	groups, _ := query.Analyze([]query.Query{base}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{base}, plan.Options{}), Config{})
 	other := query.MustParse("tumbling(100ms) sum key=9")
 	other.ID = 2
 	if _, err := e.AddQuery(other); err != nil {
@@ -413,7 +387,7 @@ func TestAddQueryNewGroupAndKey(t *testing.T) {
 }
 
 func TestAddQueryInvalid(t *testing.T) {
-	e := New(nil, Config{})
+	e := NewFromPlan(mustPlan(t, nil, plan.Options{}), Config{})
 	if _, err := e.AddQuery(query.Query{}); err == nil {
 		t.Error("invalid query accepted")
 	}
@@ -424,8 +398,7 @@ func TestRemoveQuery(t *testing.T) {
 	a.ID = 1
 	b := query.MustParse("tumbling(50ms) count key=0")
 	b.ID = 2
-	groups, _ := query.Analyze([]query.Query{a, b}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{a, b}, plan.Options{}), Config{})
 	e.ProcessBatch(evenStream(12, 10)) // t=0..110
 	if err := e.RemoveQuery(2); err != nil {
 		t.Fatal(err)
@@ -466,11 +439,11 @@ func TestEngineRandomWorkloadQuick(t *testing.T) {
 }
 
 func runEngineQuiet(queries []query.Query, evs []event.Event, advTo int64) []Result {
-	groups, err := query.Analyze(queries, query.Options{})
+	p, err := plan.New(queries, plan.Options{})
 	if err != nil {
 		panic(err)
 	}
-	e := New(groups, Config{})
+	e := NewFromPlan(p, Config{})
 	e.ProcessBatch(evs)
 	e.AdvanceTo(advTo)
 	return e.Results()

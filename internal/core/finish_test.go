@@ -9,6 +9,7 @@ import (
 	"desis/internal/event"
 	"desis/internal/invariant"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -61,10 +62,7 @@ func gridStream(rng *rand.Rand, n int, horizon int64) ([]event.Event, int64) {
 func TestWindowFinishOracle(t *testing.T) {
 	for _, horizon := range []int64{0, 250} {
 		queries := finishQueries(t, horizon == 0)
-		groups, err := query.Analyze(queries, query.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		groups := mustPlan(t, queries, plan.Options{}).Groups
 		for _, g := range groups {
 			if g.Ops&operator.OpNDSort == 0 || g.Ops&operator.OpDSort != 0 {
 				t.Fatalf("group %d ops = %v: want the non-decomposable sort in place of the decomposable one", g.ID, g.Ops)
@@ -78,11 +76,7 @@ func TestWindowFinishOracle(t *testing.T) {
 			want := naiveResults(queries, sorted, advTo)
 			for _, asm := range assemblies {
 				t.Run(fmt.Sprintf("horizon=%d/seed=%d/%s", horizon, seed, asm.name), func(t *testing.T) {
-					groups, err := query.Analyze(queries, query.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					e := New(groups, Config{NaiveAssembly: asm.naive, ReorderHorizon: horizon})
+					e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{NaiveAssembly: asm.naive, ReorderHorizon: horizon})
 					e.ProcessBatch(evs)
 					e.AdvanceTo(advTo)
 					st := e.Stats()
@@ -116,12 +110,8 @@ func TestQuantileEmissionAllocs(t *testing.T) {
 		q.ID = uint64(i + 1)
 		queries = append(queries, q)
 	}
-	groups, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	windows := 0
-	e := New(groups, Config{OnResult: func(Result) { windows++ }})
+	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{OnResult: func(Result) { windows++ }})
 	tm := int64(0)
 	step := func() { // one slide: every member emits one window
 		for i := 0; i < 100; i++ {
@@ -186,20 +176,12 @@ func TestHintedQuantilesOracle(t *testing.T) {
 		for _, asm := range assemblies {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, asm.name), func(t *testing.T) {
 				cfg := Config{NaiveAssembly: asm.naive, ReorderHorizon: horizon}
-				groups, err := query.Analyze(queries, query.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := New(groups, cfg)
+				e := NewFromPlan(mustPlan(t, queries, plan.Options{}), cfg)
 				cut := len(evs) * 2 / 3
 				e.ProcessBatch(evs[:cut])
 				got := e.Results()
 				lateBefore := e.Stats().LateCommits
-				groups, err = query.Analyze(queries, query.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err = Restore(groups, cfg, e.Snapshot(nil))
+				e, err := RestoreFromPlan(mustPlan(t, queries, plan.Options{}), cfg, e.Snapshot(nil))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -18,12 +19,8 @@ func emitPartials(t *testing.T) (*Engine, []*SlicePartial) {
 	t.Helper()
 	q := query.MustParse("tumbling(100ms) sum key=0")
 	q.ID = 1
-	groups, err := query.Analyze([]query.Query{q}, query.Options{Decentralized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ps []*SlicePartial
-	e := New(groups, Config{OnSlice: func(p *SlicePartial) { ps = append(ps, p) }})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{Decentralized: true}), Config{OnSlice: func(p *SlicePartial) { ps = append(ps, p) }})
 	e.ProcessBatch([]event.Event{{Time: 0, Value: 1}, {Time: 150, Value: 2}})
 	e.AdvanceTo(400)
 	if len(ps) == 0 {

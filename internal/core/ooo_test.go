@@ -8,6 +8,7 @@ import (
 
 	"desis/internal/event"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -86,11 +87,7 @@ func TestOOOCommitDifferential(t *testing.T) {
 				want := runEngine(t, queries, sorted, advTo, Config{})
 
 				for _, asm := range assemblies {
-					groups, err := query.Analyze(queries, query.Options{})
-					if err != nil {
-						t.Fatalf("Analyze: %v", err)
-					}
-					e := New(groups, Config{NaiveAssembly: asm.naive, ReorderHorizon: horizon})
+					e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{NaiveAssembly: asm.naive, ReorderHorizon: horizon})
 					e.ProcessBatch(evs)
 					e.AdvanceTo(advTo)
 					st := e.Stats()
@@ -131,11 +128,7 @@ func TestOOOCommitInsertsSlice(t *testing.T) {
 	const advTo = 20_000
 
 	for _, asm := range assemblies {
-		groups, err := query.Analyze(qs, query.Options{})
-		if err != nil {
-			t.Fatalf("Analyze: %v", err)
-		}
-		e := New(groups, Config{NaiveAssembly: asm.naive, ReorderHorizon: 300})
+		e := NewFromPlan(mustPlan(t, qs, plan.Options{}), Config{NaiveAssembly: asm.naive, ReorderHorizon: 300})
 		for _, ev := range evs {
 			e.Process(ev)
 		}

@@ -8,7 +8,7 @@ import (
 	"desis/internal/query"
 )
 
-func mustPlan(t *testing.T, queries []query.Query, opts plan.Options) *plan.Plan {
+func mustPlan(t testing.TB, queries []query.Query, opts plan.Options) *plan.Plan {
 	t.Helper()
 	p, err := plan.New(queries, opts)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"desis/internal/event"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -20,12 +21,9 @@ func TestSliceEmitMode(t *testing.T) {
 	for i := range queries {
 		queries[i].ID = uint64(i + 1)
 	}
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var partials []*SlicePartial
-	e := New(groups, Config{OnSlice: func(p *SlicePartial) {
+	pl := mustPlan(t, queries, plan.Options{Decentralized: true})
+	e := NewFromPlan(pl, Config{OnSlice: func(p *SlicePartial) {
 		cp := *p
 		cp.Aggs = append([]operator.Agg(nil), p.Aggs...)
 		cp.EPs = append([]EP(nil), p.EPs...)
@@ -65,7 +63,7 @@ func TestSliceEmitMode(t *testing.T) {
 				p.Start, p.End, p.Events(), p.Ingested)
 		}
 		for _, ep := range p.EPs {
-			gq := groups[0].Queries[ep.QueryIdx]
+			gq := pl.Groups[0].Queries[ep.QueryIdx]
 			switch gq.Type {
 			case query.Session:
 				sessEPs = append(sessEPs, epRec{ep.Start, ep.End, ep.GapStart})
@@ -103,9 +101,8 @@ func TestSliceEmitMode(t *testing.T) {
 func TestSliceEmitSkipsEmpty(t *testing.T) {
 	q := query.MustParse("tumbling(10ms) sum key=0")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{Decentralized: true})
 	n := 0
-	e := New(groups, Config{OnSlice: func(p *SlicePartial) {
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{Decentralized: true}), Config{OnSlice: func(p *SlicePartial) {
 		if p.Ingested == 0 && len(p.EPs) == 0 {
 			t.Errorf("empty partial [%d,%d) emitted", p.Start, p.End)
 		}

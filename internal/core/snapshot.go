@@ -30,8 +30,11 @@ const snapshotMagic = 0x44455349 // "DESI"
 // revived key would re-admit duplicates its slice already saw; v5: per-group
 // out-of-order commit state — the emission frontier and deferred window
 // boundaries, see Config.ReorderHorizon; v6: per-group factor-feed state —
-// the super production bound and count-axis accumulator, see factor.go).
-const snapshotVersion = 6
+// the super production bound and count-axis accumulator, see factor.go; v7:
+// slice sequence numbers and each member's udOpenSeq, without which a
+// restored user-defined window takes in a zero-span slice its closing marker
+// cut at the window's start time).
+const snapshotVersion = 7
 
 // Snapshot appends a serialised checkpoint of the engine's complete mutable
 // state to buf. The engine must be quiescent (no concurrent Process). The
@@ -70,6 +73,7 @@ func (g *groupState) snapshot(buf []byte) []byte {
 		buf = appendBool(buf, m.removed)
 		buf = appendU64s(buf, uint64(m.regTime))
 		buf = appendU64s(buf, uint64(m.regCount))
+		buf = appendU64s(buf, m.udOpenSeq)
 	}
 	// Open slice.
 	buf = appendSlice(buf, &g.cur)
@@ -119,6 +123,7 @@ func (g *groupState) snapshot(buf []byte) []byte {
 }
 
 func appendSlice(buf []byte, s *sliceRec) []byte {
+	buf = appendU64s(buf, s.seq)
 	buf = appendU64s(buf, uint64(s.start))
 	buf = appendU64s(buf, uint64(s.end))
 	buf = appendU64s(buf, uint64(s.startCount))
@@ -141,25 +146,16 @@ func appendDynamic(buf []byte, entries []windowDynamicState) []byte {
 	return buf
 }
 
-// Restore rebuilds an engine from groups (the same set, in the same order,
-// as when the snapshot was taken — persist the queries with the snapshot)
-// and a checkpoint produced by Snapshot. The snapshot's plan epoch is not
-// checked here: callers re-analyzing a persisted query set start at epoch 0
-// regardless of how many deltas produced the catalog. RestoreFromPlan is the
-// strict variant.
-func Restore(groups []*groupOf, cfg Config, snap []byte) (*Engine, error) {
-	return restore(New(groups, cfg), snap, false)
-}
-
 // RestoreFromPlan rebuilds an engine from an execution plan and a checkpoint
-// produced by Snapshot on an engine at the same plan epoch. It takes
-// ownership of the plan and fails when the epochs diverge — the guarantee a
-// decentralized restore needs before resuming a delta stream.
+// produced by Snapshot, taking ownership of the plan. A plan with history
+// (Epoch > 0) must be at the snapshot's epoch — the guarantee a
+// decentralized restore needs before resuming a delta stream. A plan at
+// epoch 0 is a catalog re-analyzed from a persisted query set, which starts
+// at epoch 0 however many deltas produced the catalog the snapshot was cut
+// under; its epoch is not checked, and a catalog that differs fails the
+// group-by-group checks instead.
 func RestoreFromPlan(p *plan.Plan, cfg Config, snap []byte) (*Engine, error) {
-	return restore(NewFromPlan(p, cfg), snap, true)
-}
-
-func restore(e *Engine, snap []byte, checkEpoch bool) (*Engine, error) {
+	e := NewFromPlan(p, cfg)
 	r := &snapReader{buf: snap}
 	if r.u32() != snapshotMagic {
 		return nil, fmt.Errorf("core: not a snapshot")
@@ -168,8 +164,8 @@ func restore(e *Engine, snap []byte, checkEpoch bool) (*Engine, error) {
 		return nil, fmt.Errorf("core: snapshot version %d, want %d", v, snapshotVersion)
 	}
 	epoch := r.u64()
-	if checkEpoch && r.err == nil && epoch != e.plan.Epoch {
-		return nil, fmt.Errorf("core: snapshot cut at plan epoch %d, engine plan at %d", epoch, e.plan.Epoch)
+	if p.Epoch > 0 && r.err == nil && epoch != p.Epoch {
+		return nil, fmt.Errorf("core: snapshot cut at plan epoch %d, engine plan at %d", epoch, p.Epoch)
 	}
 	e.stats.events.Store(r.u64())
 	e.stats.calculations.Store(r.u64())
@@ -229,6 +225,7 @@ func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
 		removed := r.bool()
 		g.members[i].regTime = int64(r.u64())
 		g.members[i].regCount = int64(r.u64())
+		g.members[i].udOpenSeq = r.u64()
 		if removed && !g.members[i].removed {
 			g.removeMember(i)
 		}
@@ -273,6 +270,7 @@ func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
 }
 
 func readSlice(r *snapReader, s *sliceRec) error {
+	s.seq = r.u64()
 	s.start = int64(r.u64())
 	s.end = int64(r.u64())
 	s.startCount = int64(r.u64())

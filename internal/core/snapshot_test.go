@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -27,31 +29,19 @@ func TestSnapshotRestoreContinuation(t *testing.T) {
 	adv := evs[len(evs)-1].Time + 2000
 
 	// Uninterrupted run.
-	groups, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := New(groups, Config{})
+	ref := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{})
 	ref.ProcessBatch(evs)
 	ref.AdvanceTo(adv)
 	want := ref.Results()
 
 	// Interrupted run: snapshot at several cut points.
 	for _, cut := range []int{0, 1, 137, 250, 499} {
-		groups2, err := query.Analyze(queries, query.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e1 := New(groups2, Config{})
+		e1 := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{})
 		e1.ProcessBatch(evs[:cut])
 		first := e1.Results()
 		snap := e1.Snapshot(nil)
 
-		groups3, err := query.Analyze(queries, query.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2, err := Restore(groups3, Config{}, snap)
+		e2, err := RestoreFromPlan(mustPlan(t, queries, plan.Options{}), Config{}, snap)
 		if err != nil {
 			t.Fatalf("cut %d: Restore: %v", cut, err)
 		}
@@ -76,16 +66,11 @@ func TestSnapshotRestoreQuick(t *testing.T) {
 
 		want := runEngineQuiet(queries, evs, adv)
 
-		groups, err := query.Analyze(queries, query.Options{})
-		if err != nil {
-			return false
-		}
-		e1 := New(groups, Config{})
+		e1 := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{})
 		e1.ProcessBatch(evs[:cut])
 		first := e1.Results()
 		snap := e1.Snapshot(nil)
-		groups2, _ := query.Analyze(queries, query.Options{})
-		e2, err := Restore(groups2, Config{}, snap)
+		e2, err := RestoreFromPlan(mustPlan(t, queries, plan.Options{}), Config{}, snap)
 		if err != nil {
 			return false
 		}
@@ -101,12 +86,10 @@ func TestSnapshotRestoreQuick(t *testing.T) {
 func TestSnapshotPreservesStats(t *testing.T) {
 	q := query.MustParse("tumbling(50ms) average key=0")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	e.ProcessBatch(evenStream(100, 5))
 	st := e.Stats()
-	groups2, _ := query.Analyze([]query.Query{q}, query.Options{})
-	e2, err := Restore(groups2, Config{}, e.Snapshot(nil))
+	e2, err := RestoreFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{}, e.Snapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,28 +101,25 @@ func TestSnapshotPreservesStats(t *testing.T) {
 func TestRestoreRejectsGarbage(t *testing.T) {
 	q := query.MustParse("tumbling(50ms) sum key=0")
 	q.ID = 1
-	groups, _ := query.Analyze([]query.Query{q}, query.Options{})
-	if _, err := Restore(groups, Config{}, []byte("not a snapshot")); err == nil {
+	if _, err := RestoreFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{}, []byte("not a snapshot")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Restore(groups, Config{}, nil); err == nil {
+	if _, err := RestoreFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{}, nil); err == nil {
 		t.Error("empty snapshot accepted")
 	}
 	// Truncations must error, not panic.
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
 	e.ProcessBatch(evenStream(50, 7))
 	snap := e.Snapshot(nil)
 	for i := 0; i < len(snap); i += 13 {
-		groups2, _ := query.Analyze([]query.Query{q}, query.Options{})
-		if _, err := Restore(groups2, Config{}, snap[:i]); err == nil {
+		if _, err := RestoreFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{}, snap[:i]); err == nil {
 			t.Fatalf("truncated snapshot of %d/%d bytes accepted", i, len(snap))
 		}
 	}
 	// Mismatched group set.
 	other := query.MustParse("tumbling(50ms) sum key=5")
 	other.ID = 9
-	groups3, _ := query.Analyze([]query.Query{q, other}, query.Options{})
-	if _, err := Restore(groups3, Config{}, snap); err == nil {
+	if _, err := RestoreFromPlan(mustPlan(t, []query.Query{q, other}, plan.Options{}), Config{}, snap); err == nil {
 		t.Error("snapshot restored onto a different group set")
 	}
 }
@@ -149,14 +129,12 @@ func TestSnapshotWithRemovedQuery(t *testing.T) {
 	a.ID = 1
 	b := query.MustParse("tumbling(100ms) count key=0")
 	b.ID = 2
-	groups, _ := query.Analyze([]query.Query{a, b}, query.Options{})
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{a, b}, plan.Options{}), Config{})
 	e.ProcessBatch(evenStream(30, 5))
 	if err := e.RemoveQuery(2); err != nil {
 		t.Fatal(err)
 	}
-	groups2, _ := query.Analyze([]query.Query{a, b}, query.Options{})
-	e2, err := Restore(groups2, Config{}, e.Snapshot(nil))
+	e2, err := RestoreFromPlan(mustPlan(t, []query.Query{a, b}, plan.Options{}), Config{}, e.Snapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +143,39 @@ func TestSnapshotWithRemovedQuery(t *testing.T) {
 	for _, r := range e2.Results() {
 		if r.QueryID == 2 && r.End > 150 {
 			t.Errorf("removed query revived after restore: %v", r)
+		}
+	}
+}
+
+// TestSnapshotUserDefinedZeroSpanSlice: two markers at one timestamp cut a
+// zero-span slice holding the events between them. The user-defined window
+// the second marker opens excludes that slice by sequence number, so a
+// restored engine must know the slices' numbers and where the window opened.
+func TestSnapshotUserDefinedZeroSpanSlice(t *testing.T) {
+	q := query.MustParse("userdefined sum key=0")
+	q.ID = 1
+	evs := []event.Event{
+		{Time: 10, Value: 1},
+		{Time: 20, Marker: event.MarkerBoundary},
+		{Time: 20, Value: 5}, // alone in [20,20)
+		{Time: 20, Marker: event.MarkerBoundary},
+		{Time: 30, Value: 2},
+		{Time: 40, Value: 3},
+		{Time: 50, Marker: event.MarkerBoundary},
+	}
+	want := runEngineQuiet([]query.Query{q}, evs, 60)
+	for cut := 4; cut < len(evs); cut++ {
+		e1 := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
+		e1.ProcessBatch(evs[:cut])
+		got := e1.Results()
+		e2, err := RestoreFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{}, e1.Snapshot(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2.ProcessBatch(evs[cut:])
+		e2.AdvanceTo(60)
+		if got = append(got, e2.Results()...); !resultsEqual(got, want) {
+			t.Errorf("cut %d: got %v, want %v", cut, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"desis/internal/event"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -182,11 +183,7 @@ func TestAssemblyDifferentialRuntimeAdd(t *testing.T) {
 			idxCfg, naiveCfg := differentialConfigs(seed)
 
 			run := func(cfg Config) []Result {
-				groups, err := query.Analyze(initial, query.Options{})
-				if err != nil {
-					t.Fatalf("Analyze: %v", err)
-				}
-				e := New(groups, cfg)
+				e := NewFromPlan(mustPlan(t, initial, plan.Options{}), cfg)
 				e.ProcessBatch(evs[:len(evs)/2])
 				for _, q := range added {
 					if _, err := e.AddQuery(q); err != nil {
@@ -213,25 +210,17 @@ func TestAssemblySnapshotRoundTrip(t *testing.T) {
 		queries = append(queries, randomQuery(rng, uint64(i+1)))
 	}
 	evs, advTo := randomAssemblyStream(rng, 2000)
-	groups, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
 
-	full := New(groups, Config{})
+	full := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{})
 	full.ProcessBatch(evs)
 	full.AdvanceTo(advTo)
 	want := full.Results()
 
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{})
 	e.ProcessBatch(evs[:len(evs)/2])
 	partial := e.Results()
 	snap := e.Snapshot(nil)
-	groups2, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	e2, err := Restore(groups2, Config{}, snap)
+	e2, err := RestoreFromPlan(mustPlan(t, queries, plan.Options{}), Config{}, snap)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -270,13 +259,9 @@ func TestAssemblyMergesUnderDeferredEmission(t *testing.T) {
 		}
 	}
 	want := runEngine(t, queries, evs, 0, Config{NaiveAssembly: true, ReorderHorizon: 2000})
-	groups, err := query.Analyze(queries, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	windows := 0
 	var got []Result
-	e := New(groups, Config{ReorderHorizon: 2000, OnResult: func(r Result) {
+	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{ReorderHorizon: 2000, OnResult: func(r Result) {
 		windows++
 		got = append(got, r)
 	}})

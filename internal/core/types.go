@@ -216,19 +216,6 @@ type Config struct {
 	// sweep steps; 0 selects DefaultInstanceSweepEvery. Only meaningful
 	// with InstanceTTL set.
 	InstanceSweepEvery int
-	// Decentralized applies the decentralized placement rules when queries
-	// are added at runtime (count-based windows are RootOnly, §5.2). Only
-	// consulted by the legacy New constructor when it wraps groups into a
-	// plan; NewFromPlan callers encode placement in the plan itself.
-	Decentralized bool
-	// Optimize enables the factor-window optimizer for queries added at
-	// runtime: eligible correlated windows place into fed groups assembled
-	// from another group's super-slices (see internal/query/factor.go). Like
-	// Decentralized, it is only consulted by the groups-based constructors
-	// (New, Restore) when they wrap the groups into a plan; NewFromPlan
-	// callers carry the flag in the plan itself. A decentralized plan
-	// ignores it.
-	Optimize bool
 	// Placement gates which groups of the plan this engine materialises.
 	Placement PlacementFilter
 	// Telemetry, when non-nil, attaches the engine to a telemetry registry

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -18,11 +19,7 @@ func TestUserDefinedStreamOrderAtEqualTimestamps(t *testing.T) {
 	// A sliding window shares the group, forcing extra slice cuts.
 	sl := query.MustParse("sliding(33ms,21ms) sum key=0")
 	sl.ID = 2
-	groups, err := query.Analyze([]query.Query{ud, sl}, query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(groups, Config{})
+	e := NewFromPlan(mustPlan(t, []query.Query{ud, sl}, plan.Options{}), Config{})
 	evs := []event.Event{
 		{Time: 38, Value: 1},                      // opens trip 1
 		{Time: 38, Marker: event.MarkerBoundary},  // closes trip 1 = [38,38) holding the event

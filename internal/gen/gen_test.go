@@ -5,6 +5,7 @@ import (
 
 	"desis/internal/event"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -88,8 +89,8 @@ func TestQueriesValidAndDeterministic(t *testing.T) {
 			t.Fatalf("query %d not deterministic", i)
 		}
 	}
-	if _, err := query.Analyze(a, query.Options{Decentralized: true}); err != nil {
-		t.Fatalf("generated mix does not analyze: %v", err)
+	if _, err := plan.New(a, plan.Options{Decentralized: true}); err != nil {
+		t.Fatalf("generated mix does not plan: %v", err)
 	}
 }
 

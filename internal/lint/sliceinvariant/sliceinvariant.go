@@ -145,8 +145,8 @@ var DefaultRules = []Rule{
 	},
 	{
 		Type: "desis/internal/query.Group",
-		// Group descriptors are forged by query.Analyze/Place and evolved
-		// only by the plan package's delta application (including the wire
+		// Group descriptors are forged by query.PlaceIn and evolved only
+		// by the plan package's delta application (including the wire
 		// decoder materialising a received plan), so every node derives the
 		// same groups from the same delta sequence.
 		AllowPkgs: []string{"desis/internal/query", planPkg},

@@ -9,6 +9,7 @@ import (
 
 	"desis/internal/core"
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -18,12 +19,12 @@ func recycledPartial(t *testing.T) *core.SlicePartial {
 	t.Helper()
 	q := query.MustParse("tumbling(100ms) sum key=0")
 	q.ID = 1
-	groups, err := query.Analyze([]query.Query{q}, query.Options{Decentralized: true})
+	pl, err := plan.New([]query.Query{q}, plan.Options{Decentralized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ps []*core.SlicePartial
-	e := core.New(groups, core.Config{OnSlice: func(p *core.SlicePartial) { ps = append(ps, p) }})
+	e := core.NewFromPlan(pl, core.Config{OnSlice: func(p *core.SlicePartial) { ps = append(ps, p) }})
 	e.ProcessBatch([]event.Event{{Time: 0, Value: 1}, {Time: 150, Value: 2}})
 	e.AdvanceTo(400)
 	if len(ps) == 0 {

@@ -67,9 +67,10 @@ type Cluster struct {
 	advanced int64 // highest AdvanceAll target, for WaitRoot
 }
 
-// NewCluster analyzes nothing — pass groups from query.Analyze with
-// Decentralized: true so count-based windows route to the root.
-func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
+// NewCluster builds the topology around p, which must be decentralized
+// (plan.Options.Decentralized) so count-based windows route to the root. The
+// root takes ownership of p.
+func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 	if cfg.Locals <= 0 {
 		cfg.Locals = 1
 	}
@@ -111,7 +112,6 @@ func NewCluster(groups []*query.Group, cfg ClusterConfig) *Cluster {
 	// One plan lineage for the whole topology: the root takes the original,
 	// every local a clone, so placement and epochs stay locked together
 	// across tiers.
-	p := plan.FromGroups(groups, plan.Options{Decentralized: true})
 	c.root = NewRootFromPlan(p, rootChildren, collect)
 
 	// Intermediates and their upward links.

@@ -37,11 +37,11 @@ func TestTreeHoldsNoFedGroups(t *testing.T) {
 		}
 	}
 
-	groups, err := query.Analyze(qs, query.Options{Decentralized: true, Optimize: true})
+	p, err := plan.New(qs, plan.Options{Decentralized: true, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(groups, ClusterConfig{Locals: 2, Intermediates: 1})
+	c := NewCluster(p, ClusterConfig{Locals: 2, Intermediates: 1})
 	if err := c.AddQuery(added); err != nil {
 		t.Fatal(err)
 	}

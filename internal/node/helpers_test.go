@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -21,11 +22,11 @@ func mustQuery(t *testing.T, s string) query.Query {
 
 func analyzeT(t *testing.T, queries []query.Query) []*query.Group {
 	t.Helper()
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
+	p, err := plan.New(queries, plan.Options{Decentralized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return groups
+	return p.Groups
 }
 
 // feedCluster splits the global stream across the cluster's locals, pushes

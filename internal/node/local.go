@@ -51,23 +51,13 @@ type Local struct {
 }
 
 // NewLocalFromPlan builds a local node from an execution plan (e.g. one
-// received in a handshake), taking ownership of it.
+// received in a handshake), taking ownership of it. Its engine keeps every
+// group instance resident; a TCP local takes DialOptions.InstanceTTL.
 func NewLocalFromPlan(id uint32, p *plan.Plan, parent message.Conn, batchSize int) *Local {
-	return NewLocalFromPlanTuned(id, p, parent, batchSize, EngineTuning{})
+	return newLocal(id, p, parent, batchSize, 0)
 }
 
-// EngineTuning carries the engine knobs a node deployment exposes; the zero
-// value selects the engine defaults (no instance eviction).
-type EngineTuning struct {
-	// InstanceTTL parks group instances of keys idle this many event-time
-	// milliseconds (core.Config.InstanceTTL); 0 disables eviction. Note
-	// that every watermark revives the whole key space (idle keys owe
-	// empty windows), so set the TTL well above the watermark cadence.
-	InstanceTTL int64
-}
-
-// NewLocalFromPlanTuned is NewLocalFromPlan with explicit engine tuning.
-func NewLocalFromPlanTuned(id uint32, p *plan.Plan, parent message.Conn, batchSize int, tune EngineTuning) *Local {
+func newLocal(id uint32, p *plan.Plan, parent message.Conn, batchSize int, instanceTTL int64) *Local {
 	if batchSize <= 0 {
 		batchSize = 256
 	}
@@ -75,7 +65,7 @@ func NewLocalFromPlanTuned(id uint32, p *plan.Plan, parent message.Conn, batchSi
 	l.engine = core.NewFromPlan(p, core.Config{
 		Placement:   core.DistributedOnly,
 		OnSlice:     l.sendPartial,
-		InstanceTTL: tune.InstanceTTL,
+		InstanceTTL: instanceTTL,
 	})
 	l.rebuildForward()
 	return l

@@ -9,6 +9,7 @@ import (
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/operator"
+	"desis/internal/plan"
 	"desis/internal/query"
 	"desis/internal/telemetry"
 )
@@ -221,11 +222,11 @@ func splitStream(evs []event.Event, n int) [][]event.Event {
 // centralResults runs the plain central engine over the global stream.
 func centralResults(t *testing.T, queries []query.Query, evs []event.Event, advTo int64) []core.Result {
 	t.Helper()
-	groups, err := query.Analyze(queries, query.Options{})
+	p, err := plan.New(queries, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(groups, core.Config{})
+	e := core.NewFromPlan(p, core.Config{})
 	e.ProcessBatch(evs)
 	e.AdvanceTo(advTo)
 	return e.Results()
@@ -234,11 +235,11 @@ func centralResults(t *testing.T, queries []query.Query, evs []event.Event, advT
 // clusterResults runs the same queries on an in-process topology.
 func clusterResults(t *testing.T, queries []query.Query, evs []event.Event, advTo int64, locals, inters int) []core.Result {
 	t.Helper()
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
+	p, err := plan.New(queries, plan.Options{Decentralized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(groups, ClusterConfig{Locals: locals, Intermediates: inters})
+	c := NewCluster(p, ClusterConfig{Locals: locals, Intermediates: inters})
 	streams := splitStream(evs, locals)
 	// Push in chunks with watermark advances in between, as generators do.
 	const chunk = 40
@@ -447,11 +448,11 @@ func TestClusterNetworkReduction(t *testing.T) {
 	run := func(spec string) uint64 {
 		q := query.MustParse(spec)
 		q.ID = 1
-		groups, err := query.Analyze([]query.Query{q}, query.Options{Decentralized: true})
+		p, err := plan.New([]query.Query{q}, plan.Options{Decentralized: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewCluster(groups, ClusterConfig{Locals: 2, Intermediates: 1})
+		c := NewCluster(p, ClusterConfig{Locals: 2, Intermediates: 1})
 		streams := splitStream(evs, 2)
 		for i, s := range streams {
 			if err := c.Push(i, s); err != nil {
@@ -489,11 +490,11 @@ func TestClusterNetworkReduction(t *testing.T) {
 func TestClusterAddRemoveQuery(t *testing.T) {
 	base := query.MustParse("tumbling(100ms) sum key=0")
 	base.ID = 1
-	groups, err := query.Analyze([]query.Query{base}, query.Options{Decentralized: true})
+	p, err := plan.New([]query.Query{base}, plan.Options{Decentralized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(groups, ClusterConfig{Locals: 2, Intermediates: 1})
+	c := NewCluster(p, ClusterConfig{Locals: 2, Intermediates: 1})
 	evs := make([]event.Event, 0, 60)
 	for i := 0; i < 60; i++ {
 		evs = append(evs, event.Event{Time: int64(i * 10), Value: 1})
@@ -549,11 +550,11 @@ func TestClusterRemoveQuery(t *testing.T) {
 	a.ID = 1
 	b := query.MustParse("tumbling(100ms) count key=0")
 	b.ID = 2
-	groups, err := query.Analyze([]query.Query{a, b}, query.Options{Decentralized: true})
+	p, err := plan.New([]query.Query{a, b}, plan.Options{Decentralized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(groups, ClusterConfig{Locals: 2})
+	c := NewCluster(p, ClusterConfig{Locals: 2})
 	push := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ev := []event.Event{{Time: int64(i * 10), Value: 2}}

@@ -131,9 +131,6 @@ func (r *Root) Watermark() int64 { return r.wm }
 // the single mutation path — AddQuery and RemoveQuery mint deltas and funnel
 // through here, as do deltas applied by the in-process Cluster.
 func (r *Root) Apply(d plan.Delta) error {
-	if d.Kind == plan.DeltaAddQuery && d.Query.AnyKey {
-		return fmt.Errorf("node: group-by templates (key=*) are not supported in decentralized deployments")
-	}
 	if err := r.hist.Apply(d); err != nil {
 		return err
 	}

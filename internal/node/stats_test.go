@@ -8,6 +8,7 @@ import (
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/message"
+	"desis/internal/plan"
 	"desis/internal/query"
 	"desis/internal/telemetry"
 )
@@ -36,12 +37,12 @@ func TestClusterStatsMatchSingleEngine(t *testing.T) {
 	}
 
 	// Single-engine reference over the identical analyzed groups.
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
+	p, err := plan.New(queries, plan.Options{Decentralized: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := telemetry.NewRegistry()
-	eng := core.New(groups, core.Config{})
+	eng := core.NewFromPlan(p, core.Config{})
 	eng.AttachTelemetry(ref)
 	eng.ProcessBatch(evs)
 	eng.AdvanceTo(horizon)
@@ -98,7 +99,7 @@ func TestClusterStatsMatchSingleEngine(t *testing.T) {
 			return false
 		}
 		got = s
-		diff = statsDiff(want, got, groups)
+		diff = statsDiff(want, got, p.Groups)
 		return diff == ""
 	})
 	if diff != "" {

@@ -83,11 +83,12 @@ type RootServeOptions struct {
 	OnResult func(core.Result)
 }
 
-// ServeRootOptions starts a root node on addr. It expects nChildren direct
-// children; Wait returns once they have all connected and disconnected. A
-// zero timeout disables the liveness check.
+// ServeRootOptions starts a root node on addr, serving the decentralized plan
+// of queries (each with a unique non-zero id; no key=* templates). It expects
+// nChildren direct children; Wait returns once they have all connected and
+// disconnected. A zero timeout disables the liveness check.
 func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout time.Duration, opts RootServeOptions) (*RootServer, error) {
-	groups, err := query.Analyze(queries, query.Options{Decentralized: true})
+	p, err := plan.New(queries, plan.Options{Decentralized: true})
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout
 	if err != nil {
 		return nil, err
 	}
-	root := NewRootFromPlan(plan.FromGroups(groups, plan.Options{Decentralized: true}), nil, opts.OnResult)
+	root := NewRootFromPlan(p, nil, opts.OnResult)
 	root.merger.Hold(nChildren)
 	s := &RootServer{
 		childSet: newChildSet(l, telemetry.NewRegistry(), root.History(), nChildren, timeout, root.AddChild, root.RemoveChild),
@@ -479,7 +480,7 @@ func RunLocalTCPOptions(parentAddr string, id uint32, batchSize int, opts DialOp
 		return err
 	}
 	tel := opts.Telemetry
-	session := &LocalSession{l: NewLocalFromPlanTuned(id, p, batching(up, id, opts.Batch, tel), batchSize, opts.Tuning)}
+	session := &LocalSession{l: newLocal(id, p, batching(up, id, opts.Batch, tel), batchSize, opts.InstanceTTL)}
 	session.epoch.Store(session.l.Epoch())
 	session.l.AttachTelemetry(tel)
 	up.AttachTelemetry(tel)

@@ -7,6 +7,7 @@ import (
 
 	"desis/internal/core"
 	"desis/internal/event"
+	"desis/internal/plan"
 	"desis/internal/query"
 )
 
@@ -73,11 +74,11 @@ func TestTCPTopologyEndToEnd(t *testing.T) {
 	}
 
 	// Central reference.
-	groups, err := query.Analyze(queries, query.Options{})
+	p, err := plan.New(queries, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.New(groups, core.Config{})
+	e := core.NewFromPlan(p, core.Config{})
 	e.ProcessBatch(evs)
 	e.AdvanceTo(5000)
 	want := e.Results()
@@ -142,4 +143,31 @@ func TestTCPChildTimeout(t *testing.T) {
 		}
 	}
 	root.Close()
+}
+
+// TestServeRootRejectsDuplicateQueryIDs: the TCP root builds its catalog
+// with plan.New, so it refuses a repeated query id — with two queries under
+// id 7, one RemoveQuery(7) would retire both — and a zero one.
+func TestServeRootRejectsDuplicateQueryIDs(t *testing.T) {
+	a := mustQuery(t, "tumbling(100ms) sum key=0")
+	b := mustQuery(t, "tumbling(200ms) max key=1")
+	for _, id := range []uint64{7, 0} {
+		a.ID, b.ID = 7, id
+		if srv, err := ServeRootOptions("127.0.0.1:0", []query.Query{a, b}, 1, 0, RootServeOptions{}); err == nil {
+			srv.Close()
+			t.Errorf("root accepted query ids 7 and %d", id)
+		}
+	}
+	b.ID = 8
+	srv, err := ServeRootOptions("127.0.0.1:0", []query.Query{a, b}, 1, 0, RootServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.RemoveQuery(7); err != nil {
+		t.Fatal(err)
+	}
+	if g, _, ok := srv.root.History().Plan().Lookup(8); !ok || g.Key != 1 {
+		t.Errorf("removing query 7 retired query 8 too")
+	}
 }

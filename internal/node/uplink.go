@@ -68,9 +68,12 @@ type DialOptions struct {
 	// Nil means the node creates a private registry — stats dumps always
 	// answer; supply one to also serve it locally (e.g. -debug-addr).
 	Telemetry *telemetry.Registry
-	// Tuning carries engine knobs (instance TTL eviction, instance-map
-	// sharding) into the node's embedded engine.
-	Tuning EngineTuning
+	// InstanceTTL parks a local's group instances of keys idle this many
+	// event-time milliseconds (core.Config.InstanceTTL); 0 keeps every
+	// instance resident. Every watermark revives the whole key space (idle
+	// keys owe empty windows), so set it well above the watermark cadence.
+	// An intermediate runs no engine and ignores it.
+	InstanceTTL int64
 }
 
 func (o DialOptions) withDefaults() DialOptions {

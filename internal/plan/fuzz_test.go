@@ -20,23 +20,37 @@ func FuzzDecodePlan(f *testing.F) {
 		qq.ID = id
 		return qq
 	}
-	// A tree plan with several keys and a RootOnly count group, a template
-	// instantiated on two keys, and two removals: one leaves a tombstone
-	// beside a live member whose group keeps the widened quantile mask.
+	// A tree plan with several keys and a RootOnly count group, and two
+	// removals: one leaves a tombstone beside a live member whose group keeps
+	// the widened quantile mask.
 	tree, err := New([]query.Query{
 		mk("tumbling(1s) average key=3 value>=80", 1),
 		mk("sliding(10s,2s) sum,quantile(0.9) key=1", 2),
 		mk("tumbling(1s) sum key=1", 3),
 		mk("tumbling(100ev) count key=2", 4),
 		mk("session(5s) median key=0", 5),
-		mk("tumbling(1s) max key=*", 7),
 	}, Options{Decentralized: true, Shards: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, d := range []Delta{tree.InstantiateDelta(7, 5), tree.InstantiateDelta(7, 8), tree.RemoveDelta(2), tree.RemoveDelta(5)} {
+	for _, d := range []Delta{tree.RemoveDelta(2), tree.RemoveDelta(5)} {
 		d.Epoch = tree.Epoch + 1
 		if err := tree.Apply(d); err != nil {
+			f.Fatal(err)
+		}
+	}
+	// A sharded single-engine plan with a template instantiated on two keys
+	// (a tree plan holds no templates).
+	sharded, err := New([]query.Query{
+		mk("tumbling(1s) sum key=1", 3),
+		mk("tumbling(1s) max key=*", 7),
+	}, Options{Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range []Delta{sharded.InstantiateDelta(7, 5), sharded.InstantiateDelta(7, 8)} {
+		d.Epoch = sharded.Epoch + 1
+		if err := sharded.Apply(d); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -49,7 +63,7 @@ func FuzzDecodePlan(f *testing.F) {
 		tree.RemoveDelta(3),
 		tree.InstantiateDelta(7, 11),
 	}
-	for _, p := range []*Plan{tree, plain} {
+	for _, p := range []*Plan{tree, plain, sharded} {
 		f.Add(AppendPlan(nil, p))
 		for _, d := range deltas {
 			d.Epoch = p.Epoch + 1

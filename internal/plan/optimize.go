@@ -5,7 +5,7 @@ import "desis/internal/query"
 // Plan-level half of the factor-window optimizer (ROADMAP item 3). The
 // decision itself — eligibility, cost model, fed-group placement — lives in
 // internal/query's placement fold (query/factor.go), because a catalog built
-// up-front by Analyze and one built by replaying deltas must agree on every
+// up-front by New and one built by replaying deltas must agree on every
 // feed edge; this file answers feed-edge lookups for plan holders.
 //
 // The rewrite is single-engine only. A fed group is ordinary plan state,

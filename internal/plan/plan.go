@@ -211,19 +211,6 @@ func New(queries []query.Query, opts Options) (*Plan, error) {
 	return p, nil
 }
 
-// FromGroups wraps an existing analyzed group set (e.g. from query.Analyze)
-// into a plan at epoch 0, taking ownership of the group pointers.
-func FromGroups(groups []*query.Group, opts Options) *Plan {
-	return &Plan{
-		Decentralized: opts.Decentralized,
-		Dedup:         opts.Dedup,
-		Optimize:      opts.Optimize && !opts.Decentralized,
-		Shards:        opts.Shards,
-		Shard:         -1,
-		Groups:        groups,
-	}
-}
-
 // queryOpts maps the plan's options onto the analyzer's.
 func (p *Plan) queryOpts() query.Options {
 	return query.Options{Decentralized: p.Decentralized, Dedup: p.Dedup, Optimize: p.Optimize}
@@ -349,6 +336,11 @@ func (p *Plan) applyAdd(q query.Query) error {
 	ix := p.index()
 	p.touched = p.touched[:0]
 	if q.AnyKey {
+		if p.Decentralized {
+			// A template instantiates on whichever engine first sees a
+			// key; across a tree's tiers the catalogs would diverge.
+			return fmt.Errorf("plan: query %d: group-by templates (key=*) are not supported in decentralized deployments", q.ID)
+		}
 		probe := q
 		probe.AnyKey = false
 		if err := probe.Validate(); err != nil {

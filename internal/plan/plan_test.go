@@ -295,7 +295,7 @@ func TestWireRoundTrip(t *testing.T) {
 		q(t, 2, "sliding(10s,2s) sum,quantile(0.9) key=1"),
 		q(t, 3, "tumbling(1s) sum key=3"),
 		q(t, 7, "tumbling(1s) max key=*"),
-	}, Options{Decentralized: true, Shards: 2})
+	}, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ type GroupQuery struct {
 // Group is a query-group (§4.1): a set of queries between which partial
 // results are shared and in which every event is processed exactly once.
 type Group struct {
-	// ID is assigned by the analyzer, dense from zero.
+	// ID is assigned at admission, dense from zero.
 	ID uint32
 	// Key is the event key all queries of the group select.
 	Key uint32
@@ -78,7 +78,7 @@ type Group struct {
 	FeedPeriod int64
 }
 
-// Options configures the analyzer.
+// Options configures placement (PlaceIn).
 type Options struct {
 	// Decentralized routes count-based windows into RootOnly groups,
 	// because only the root observes the global event order that
@@ -94,34 +94,6 @@ type Options struct {
 	// slice-emitting local cannot tap a feeder, so a fed group there would
 	// only slice the same events a second time.
 	Optimize bool
-}
-
-// Analyze validates the queries and forms query-groups: queries share a
-// group when they have the same key and their selection predicates are
-// pairwise equal or non-overlapping, and (in decentralized mode) when they
-// agree on placement. Within a group, equal predicates share one selection
-// context.
-//
-// Analyze is a fold over Place: a catalog built up-front is identical —
-// group ids, context indices, member indices, operator masks — to one built
-// by admitting the same queries one at a time, which is the invariant the
-// execution plan's delta protocol relies on.
-func Analyze(queries []Query, opts Options) ([]*Group, error) {
-	var groups []*Group
-	for i := range queries {
-		q := queries[i]
-		if q.AnyKey {
-			return nil, fmt.Errorf("query %d: group-by templates (key=*) are instantiated at runtime; register them with the engine's AddTemplate (use Split to separate them)", q.ID)
-		}
-		g, _, created, err := Place(groups, q, opts)
-		if err != nil {
-			return nil, err
-		}
-		if created {
-			groups = append(groups, g)
-		}
-	}
-	return groups, nil
 }
 
 // place finds a group of the bucket that can accept predicate p and returns
@@ -155,23 +127,9 @@ func place(bucket []*Group, p Predicate) (*Group, int) {
 	return nil, 0
 }
 
-// Split separates group-by templates (AnyKey) from concrete queries:
-// Analyze takes the concrete ones, the engine's AddTemplate the rest.
-func Split(queries []Query) (concrete, templates []Query) {
-	for _, q := range queries {
-		if q.AnyKey {
-			templates = append(templates, q)
-		} else {
-			concrete = append(concrete, q)
-		}
-	}
-	return concrete, templates
-}
-
 // PlacementOf returns where q's windows run under opts (§5.2): count-based
 // windows land on the root of a decentralized topology, everything else is
-// distributed. It is the bucket key Place groups candidates by, exposed so
-// indexed callers (plan.Plan) can select the bucket without a catalog scan.
+// distributed. With the key it selects the bucket PlaceIn admits into.
 func PlacementOf(q Query, opts Options) Placement {
 	if opts.Decentralized && q.Measure == Count {
 		return RootOnly
@@ -179,34 +137,19 @@ func PlacementOf(q Query, opts Options) Placement {
 	return Distributed
 }
 
-// Place adds a query to an existing group set at runtime, following the same
-// rules as Analyze. It mutates the set deterministically — every node of a
-// topology applying the same Place calls in the same order derives identical
+// PlaceIn admits q into a group set: queries share a group when they have the
+// same key and their selection predicates are pairwise equal or
+// non-overlapping, and (in decentralized mode) when they agree on placement.
+// Within a group, equal predicates share one selection context. bucket must
+// hold, in catalog order, exactly the groups matching (q.Key,
+// PlacementOf(q, opts)), and nextGroupID must be one past the largest group
+// id in the whole set. It mutates the set deterministically: every node of a
+// topology admitting the same queries in the same order derives identical
 // group ids, context indices, and member indices, which the wire protocol
 // relies on. It returns the (possibly new) group, the member index within
-// it, and whether a new group was created. The new group, if any, must be
-// appended to the caller's set.
-func Place(groups []*Group, q Query, opts Options) (g *Group, member int, created bool, err error) {
-	placement := PlacementOf(q, opts)
-	var bucket []*Group
-	var nextID uint32
-	for _, cand := range groups {
-		if cand.ID >= nextID {
-			nextID = cand.ID + 1
-		}
-		if cand.Key == q.Key && cand.Placement == placement {
-			bucket = append(bucket, cand)
-		}
-	}
-	return PlaceIn(bucket, nextID, q, opts)
-}
-
-// PlaceIn is Place with the candidate scan hoisted out: bucket must hold, in
-// catalog order, exactly the groups matching (q.Key, PlacementOf(q, opts)),
-// and nextGroupID must be one past the largest group id in the whole set.
-// Callers that maintain an index over their catalog (plan.Plan) use it to
-// make admission cost independent of catalog size; the produced groups are
-// identical to Place's.
+// it, and whether a new group was created; the caller appends a new group
+// to its set. plan.Plan is the one caller: it keeps the buckets indexed, so
+// admission cost is independent of catalog size.
 func PlaceIn(bucket []*Group, nextGroupID uint32, q Query, opts Options) (g *Group, member int, created bool, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, 0, false, err
@@ -231,34 +174,6 @@ func PlaceIn(bucket []*Group, nextGroupID uint32, q Query, opts Options) (g *Gro
 	g.Queries = append(g.Queries, GroupQuery{Query: q, Ctx: ctx})
 	RefreshOps(bucket, g)
 	return g, len(g.Queries) - 1, created, nil
-}
-
-// Lookup finds a live (non-tombstoned) query by ID inside a set of groups;
-// used by runtime query removal. It returns the group, the index within it,
-// and whether it exists.
-func Lookup(groups []*Group, id uint64) (*Group, int, bool) {
-	for _, g := range groups {
-		for i, gq := range g.Queries {
-			if gq.ID == id && !gq.Removed {
-				return g, i, true
-			}
-		}
-	}
-	return nil, 0, false
-}
-
-// NextID returns an ID one larger than any query in groups, for assigning
-// IDs to queries added at runtime.
-func NextID(groups []*Group) uint64 {
-	var max uint64
-	for _, g := range groups {
-		for _, gq := range g.Queries {
-			if gq.ID > max {
-				max = gq.ID
-			}
-		}
-	}
-	return max + 1
 }
 
 // String summarises the group for logs.

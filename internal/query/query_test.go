@@ -1,7 +1,6 @@
 package query
 
 import (
-	"strings"
 	"testing"
 
 	"desis/internal/operator"
@@ -82,144 +81,6 @@ func TestPredicateOverlap(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSharesAcrossFunctionsAndTypes(t *testing.T) {
-	// Five queries with different window types and functions but one key:
-	// all land in one query-group (Fig 3 of the paper).
-	queries := []Query{
-		tumbling(1, 0, 1000, operator.Max),
-		{ID: 2, Pred: All(), Type: Sliding, Length: 2000, Slide: 500, Funcs: []operator.FuncSpec{{Func: operator.Median}}},
-		{ID: 3, Pred: All(), Type: Session, Gap: 300, Funcs: []operator.FuncSpec{{Func: operator.Sum}}},
-		{ID: 4, Pred: All(), Type: UserDefined, Funcs: []operator.FuncSpec{{Func: operator.Count}}},
-		{ID: 5, Pred: All(), Type: Tumbling, Measure: Count, Length: 100, Funcs: []operator.FuncSpec{{Func: operator.Average}}},
-	}
-	groups, err := Analyze(queries, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 1 {
-		t.Fatalf("got %d groups, want 1", len(groups))
-	}
-	g := groups[0]
-	if len(g.Queries) != 5 || len(g.Contexts) != 1 {
-		t.Fatalf("group = %v", g)
-	}
-	// max+median share ndsort; sum, count from avg; forced count.
-	want := operator.OpNDSort | operator.OpSum | operator.OpCount
-	if g.Ops != want {
-		t.Errorf("group ops = %v, want %v", g.Ops, want)
-	}
-}
-
-func TestAnalyzeSplitsKeys(t *testing.T) {
-	queries := []Query{
-		tumbling(1, 0, 1000, operator.Sum),
-		tumbling(2, 1, 1000, operator.Sum),
-	}
-	groups, err := Analyze(queries, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2 (distinct keys)", len(groups))
-	}
-}
-
-func TestAnalyzePredicates(t *testing.T) {
-	speedFast := tumbling(1, 0, 1000, operator.Sum)
-	speedFast.Pred = Above(80)
-	speedSlow := tumbling(2, 0, 1000, operator.Sum)
-	speedSlow.Pred = Below(25)
-	speedFast2 := tumbling(3, 0, 1000, operator.Average)
-	speedFast2.Pred = Above(80)
-	overlapping := tumbling(4, 0, 1000, operator.Sum)
-	overlapping.Pred = Above(50)
-
-	groups, err := Analyze([]Query{speedFast, speedSlow, speedFast2, overlapping}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Non-overlapping predicates share a group with two contexts (§4.2.3);
-	// equal predicates share a context; the partially overlapping one is
-	// exiled to its own group.
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
-	}
-	g := groups[0]
-	if len(g.Contexts) != 2 || len(g.Queries) != 3 {
-		t.Fatalf("first group: %v", g)
-	}
-	if g.Queries[0].Ctx != g.Queries[2].Ctx {
-		t.Error("equal predicates did not share a context")
-	}
-	if g.Queries[0].Ctx == g.Queries[1].Ctx {
-		t.Error("disjoint predicates share a context")
-	}
-	if len(groups[1].Queries) != 1 || groups[1].Queries[0].ID != 4 {
-		t.Fatalf("second group: %v", groups[1])
-	}
-}
-
-func TestAnalyzeDecentralizedCountPlacement(t *testing.T) {
-	timeQ := tumbling(1, 0, 1000, operator.Sum)
-	countQ := Query{ID: 2, Pred: All(), Type: Tumbling, Measure: Count, Length: 100, Funcs: []operator.FuncSpec{{Func: operator.Sum}}}
-	groups, err := Analyze([]Query{timeQ, countQ}, Options{Decentralized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2 (count-based separated)", len(groups))
-	}
-	var sawRoot, sawDist bool
-	for _, g := range groups {
-		switch g.Placement {
-		case RootOnly:
-			sawRoot = true
-			if g.Queries[0].ID != 2 {
-				t.Error("wrong query routed to root")
-			}
-		case Distributed:
-			sawDist = true
-		}
-	}
-	if !sawRoot || !sawDist {
-		t.Errorf("placements: root=%v dist=%v", sawRoot, sawDist)
-	}
-	// Centralized mode shares across measures.
-	groups, err = Analyze([]Query{timeQ, countQ}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 1 {
-		t.Errorf("central mode: got %d groups, want 1", len(groups))
-	}
-}
-
-func TestAnalyzeRejectsInvalid(t *testing.T) {
-	if _, err := Analyze([]Query{{Pred: All(), Type: Tumbling}}, Options{}); err == nil {
-		t.Error("invalid query accepted")
-	}
-}
-
-func TestLookupAndNextID(t *testing.T) {
-	groups, err := Analyze([]Query{
-		tumbling(7, 0, 1000, operator.Sum),
-		tumbling(9, 1, 1000, operator.Sum),
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, i, ok := Lookup(groups, 9)
-	if !ok || g.Queries[i].ID != 9 {
-		t.Fatalf("Lookup(9) = %v, %d, %v", g, i, ok)
-	}
-	if _, _, ok := Lookup(groups, 42); ok {
-		t.Error("Lookup(42) found a ghost")
-	}
-	if id := NextID(groups); id != 10 {
-		t.Errorf("NextID = %d, want 10", id)
-	}
-}
-
 func TestParse(t *testing.T) {
 	q, err := Parse("tumbling(1s) average key=3 value>=80")
 	if err != nil {
@@ -295,12 +156,5 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		if q.String() != again.String() {
 			t.Errorf("round trip changed %q -> %q", q.String(), again.String())
 		}
-	}
-}
-
-func TestGroupString(t *testing.T) {
-	groups, _ := Analyze([]Query{tumbling(1, 0, 1000, operator.Sum)}, Options{})
-	if !strings.Contains(groups[0].String(), "key=0") {
-		t.Errorf("String() = %q", groups[0].String())
 	}
 }
