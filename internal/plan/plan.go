@@ -102,8 +102,8 @@ type bucketKey struct {
 // keep a built index coherent instead of rebuilding it.
 type catalogIndex struct {
 	// buckets holds, per (key, placement) and in catalog order, the groups a
-	// new query of that bucket may join — the exact candidate set Place
-	// would gather by scanning.
+	// new query of that bucket may join: the candidate set query.PlaceIn
+	// takes.
 	buckets map[bucketKey][]*query.Group
 	// nextGroup is one past the largest group id in the catalog.
 	nextGroup uint32
@@ -367,7 +367,7 @@ func (p *Plan) applyAdd(q query.Query) error {
 
 // placeIndexed admits q into the catalog through the index's candidate
 // bucket instead of a full scan, appending a created group to the catalog
-// and the index. It produces exactly the groups query.Place would.
+// and the index.
 func (p *Plan) placeIndexed(q query.Query) (*query.Group, error) {
 	ix := p.index()
 	bk := bucketKey{key: q.Key, placement: query.PlacementOf(q, p.queryOpts())}
