@@ -7,8 +7,10 @@ import "desis/internal/operator"
 // swag.go); naiveIndex re-folds every covering slice and is the reference
 // the differential tests and the ablation benchmark substitute for it
 // (Config.NaiveAssembly). An index maintains derived pre-aggregates over the
-// decomposable operators (the mask strips OpNDSort) in per-context lanes
-// and answers range folds [lo, hi) over the ring.
+// decomposable operators in per-context lanes and answers range folds
+// [lo, hi) over the ring. The mask (groupState.indexOps) holds no OpNDSort,
+// and holds OpDSort when the group sorts: a sorting group's ring slices
+// carry min and max from their run endpoints.
 //
 // Contract:
 //   - configure re-targets lanes/mask, invalidating derived state when
@@ -130,7 +132,7 @@ func insertPrefixRow(prefix []operator.Agg, base, nctx int, ops operator.Op, pos
 // position pos < f1. Positions >= pos shifted right by one, so the sweep's
 // extent becomes [s0', f1+1). Returns the updated storage and bounds.
 //
-// Index rows carry only decomposable state (the mask strips OpNDSort), so
+// Index rows carry only decomposable state (the mask holds no OpNDSort), so
 // whole-struct row assignment is safe: Values and scratch are nil.
 func insertSuffixRow(suffix []operator.Agg, s0, f1, nctx int, ops operator.Op, pos int, delta []operator.Agg) ([]operator.Agg, int, int) {
 	if pos < s0 {

@@ -112,7 +112,7 @@ func (g *groupState) produceSuper(d *groupState, lo, hi int64) {
 		return
 	}
 	row := d.newAggs()
-	g.idx.configure(len(g.contexts), g.ops&^operator.OpNDSort, len(g.closed))
+	g.idx.configure(len(g.contexts), g.indexOps(), len(g.closed))
 	g.idx.query(g.closed, d.feedCtx, loIdx, hiIdx, &row[0])
 	row[0].Finish()
 	ingested := g.closed[hiIdx-1].endCount - g.closed[loIdx].startCount
@@ -140,7 +140,7 @@ func (g *groupState) acceptSuper(lo, hi, ingested, lastEvent int64, row []operat
 		//lint:ignore hotalloc debug-build verification: compiled out of release builds
 		g.checkRing()
 	}
-	g.idx.configure(len(g.contexts), g.ops&^operator.OpNDSort, len(g.closed)-1)
+	g.idx.configure(len(g.contexts), g.indexOps(), len(g.closed)-1)
 	g.idx.appendSlice(g.closed)
 	g.e.stats.slices.Add(1)
 	g.telSlices.Inc()

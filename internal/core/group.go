@@ -586,9 +586,7 @@ func (g *groupState) insertLateSlice(t int64, pos int) int {
 	seq := g.nextSliceID
 	g.nextSliceID++
 	aggs := g.newAggs()
-	for i := range aggs {
-		aggs[i].Finish()
-	}
+	finishAggs(aggs)
 	g.closed = append(g.closed, sliceRec{})
 	copy(g.closed[at+1:], g.closed[at:])
 	g.closed[at] = sliceRec{
@@ -607,7 +605,7 @@ func (g *groupState) insertLateSlice(t int64, pos int) int {
 // stream-order by definition, and count windows are disabled under a
 // reorder horizon.
 func (g *groupState) applyLate(pos int, inserted bool, ev event.Event) {
-	idxOps := g.ops &^ operator.OpNDSort
+	idxOps := g.indexOps()
 	for len(g.lateDelta) < len(g.contexts) {
 		g.lateDelta = append(g.lateDelta, operator.Agg{})
 	}
@@ -623,11 +621,7 @@ func (g *groupState) applyLate(pos int, inserted bool, ev event.Event) {
 		if c < len(rec.aggs) && g.contexts[c].Matches(ev.Value) {
 			d.Add(ev.Value)
 			rec.aggs[c].AddLate(ev.Value)
-			if !rec.aggs[c].Sorted {
-				// A restored row re-enters unsorted (readSlice clears the
-				// flag); re-finish so the run merge stays valid.
-				rec.aggs[c].Finish()
-			}
+			setEndpoints(&rec.aggs[c])
 			g.e.stats.calculations.Add(g.logicalOps)
 		}
 	}
@@ -687,6 +681,42 @@ func (g *groupState) endDynamic(idx int, start, end, gapStart int64) {
 	})
 }
 
+// indexOps is the mask the assembly index folds under: the group's
+// decomposable operators, plus OpDSort when the group sorts. A sorting
+// group's ring slices carry min and max from their run endpoints
+// (setEndpoints), so min/max members fold them in two index merges like any
+// other decomposable function instead of reading every covering run.
+func (g *groupState) indexOps() operator.Op {
+	ops := g.ops &^ operator.OpNDSort
+	if g.ops&operator.OpNDSort != 0 {
+		ops |= operator.OpDSort
+	}
+	return ops
+}
+
+// finishAggs completes a slice's aggregates as it enters the ring: the runs
+// are sorted once and their endpoints recorded.
+//
+//desis:hotpath
+func finishAggs(aggs []operator.Agg) {
+	for i := range aggs {
+		aggs[i].Finish()
+		setEndpoints(&aggs[i])
+	}
+}
+
+// setEndpoints records a finished aggregate's min and max as the first and
+// last values of its sorted run, when the sharing rule (§4.2.2) dropped the
+// decomposable sort that would otherwise maintain them. Only the engine's
+// ring reads the two fields (indexOps); they do not travel on the wire.
+//
+//desis:hotpath
+func setEndpoints(a *operator.Agg) {
+	if a.Ops&operator.OpDSort == 0 && len(a.Values) > 0 {
+		a.MinV, a.MaxV = a.Values[0], a.Values[len(a.Values)-1]
+	}
+}
+
 // closeSlice terminates the open slice at time-axis position b (no-op when
 // the slice is empty on both axes), stores or stages it, and opens the next
 // one.
@@ -704,9 +734,7 @@ func (g *groupState) closeSlice(b int64) {
 	g.cur.endCount = g.count
 	g.cur.seq = g.nextSliceID
 	g.nextSliceID++
-	for i := range g.cur.aggs {
-		g.cur.aggs[i].Finish()
-	}
+	finishAggs(g.cur.aggs)
 	g.e.stats.slices.Add(1)
 	g.telSlices.Inc()
 	if telemetry.TraceEnabled {
@@ -720,7 +748,7 @@ func (g *groupState) closeSlice(b int64) {
 			//lint:ignore hotalloc debug-build verification: the ring invariants box their Assertf args, and invariant.Enabled compiles this call out of release builds
 			g.checkRing()
 		}
-		g.idx.configure(len(g.contexts), g.ops&^operator.OpNDSort, len(g.closed)-1)
+		g.idx.configure(len(g.contexts), g.indexOps(), len(g.closed)-1)
 		g.idx.appendSlice(g.closed)
 	}
 	g.cur = sliceRec{start: b, startCount: g.count, lastEvent: g.lastEventTime, aggs: g.newAggs()}
@@ -901,12 +929,13 @@ func (g *groupState) beginAssembly() time.Time {
 }
 
 // assembleRange starts the window finisher for member m and hands it
-// closed[lo:hi]: the decomposable operators folded through the
-// pre-aggregation index (O(1) amortized merges), and the slices' value runs
-// when the member reads them.
+// closed[lo:hi]: the decomposable operators, min and max included, folded
+// through the pre-aggregation index (O(1) amortized merges), and the
+// slices' value runs when the member selects a rank.
 func (g *groupState) assembleRange(m *member, lo, hi int) {
-	g.fin.Begin(m.ops, g.ops)
-	g.idx.configure(len(g.contexts), g.ops&^operator.OpNDSort, len(g.closed))
+	ops := g.indexOps()
+	g.fin.Begin(m.ops, ops)
+	g.idx.configure(len(g.contexts), ops, len(g.closed))
 	g.idx.query(g.closed, m.Ctx, lo, hi, &g.fin.Agg)
 	if g.fin.ReadsRuns() {
 		for i := lo; i < hi; i++ {

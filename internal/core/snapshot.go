@@ -230,14 +230,14 @@ func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
 			g.removeMember(i)
 		}
 	}
-	if err := readSlice(r, &g.cur); err != nil {
+	if err := readSlice(r, &g.cur, false); err != nil {
 		return err
 	}
 	nc := int(r.u32())
 	g.closed = g.closed[:0]
 	for i := 0; i < nc && r.err == nil; i++ {
 		var s sliceRec
-		if err := readSlice(r, &s); err != nil {
+		if err := readSlice(r, &s, true); err != nil {
 			return err
 		}
 		g.closed = append(g.closed, s)
@@ -269,7 +269,11 @@ func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
 	return r.err
 }
 
-func readSlice(r *snapReader, s *sliceRec) error {
+// readSlice decodes one slice record. A closed slice was finished before the
+// snapshot was cut and comes back finished, with its run endpoints set as
+// closeSlice sets them; the open slice is mid-accumulation and comes back
+// unsorted.
+func readSlice(r *snapReader, s *sliceRec, closed bool) error {
 	s.seq = r.u64()
 	s.start = int64(r.u64())
 	s.end = int64(r.u64())
@@ -285,8 +289,13 @@ func readSlice(r *snapReader, s *sliceRec) error {
 			return err
 		}
 		r.buf = rest
-		// Open-slice aggregates are mid-accumulation: not sorted yet.
-		s.aggs[i].Sorted = false
+	}
+	if closed {
+		finishAggs(s.aggs)
+	} else {
+		for i := range s.aggs {
+			s.aggs[i].Sorted = false
+		}
 	}
 	return r.err
 }

@@ -38,10 +38,13 @@ import (
 // The rebuild is thereby amortized against the folds it replaces, giving
 // O(1) amortized merges per emitted window and O(1) merges per closed slice.
 //
-// Only decomposable operators live in the index (the mask strips OpNDSort);
-// non-decomposable value runs are gathered per window from the same [lo,
-// hi) range and handed to operator.WindowFinisher, which selects the ranks
-// it needs over them without merging.
+// Only decomposable operators live in the index: the mask holds no OpNDSort,
+// and holds OpDSort when the group sorts, because a sorting group's ring
+// slices carry min and max from their run endpoints (setEndpoints), so min
+// and max members take two merges here too. Non-decomposable value runs are
+// gathered per window from the same [lo, hi) range and handed to
+// operator.WindowFinisher, which selects the ranks median and quantile
+// members need over them without merging.
 //
 // The index is derived state: it is rebuilt lazily whenever it falls out of
 // step with the ring (snapshot restore, operator-mask widening, context

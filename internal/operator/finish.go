@@ -4,10 +4,11 @@ package operator
 // things assembly gathers for it: the decomposable scratch aggregate (sum,
 // count, product, min/max folded from the covering slices) and the list of
 // the slices' retained value runs (§4.2.2). The value runs are never merged
-// on this path — min and max read run endpoints, median and quantile select
-// their rank over the runs (RunSelector) — so finishing a window allocates
-// nothing and retains no window-sized buffer. The single-node engine and the
-// root assembler both finish windows through it.
+// on this path — median and quantile select their rank over the runs
+// (RunSelector), and min and max read run endpoints when the slices carry no
+// min/max fields — so finishing a window allocates nothing and retains no
+// window-sized buffer. The single-node engine and the root assembler both
+// finish windows through it.
 //
 // Per window: Begin, fold the covering slices into Agg, AddRun each
 // covering slice's values when the member reads them, then Eval per
@@ -23,11 +24,14 @@ type WindowFinisher struct {
 	merger    *RunMerger // MergedAgg only
 }
 
-// Begin starts a window for a member needing memberOps in a group whose
-// slices execute groupOps. When the group runs the non-decomposable sort in
-// place of the decomposable one (§4.2.2's sharing rule) its slices maintain
-// no min/max fields, so a member's min/max read the value runs too. Agg
-// folds everything the runs do not answer.
+// Begin starts a window for a member needing memberOps over slices whose
+// aggregates carry the fields of groupOps. When groupOps lacks OpDSort the
+// slices hold no min/max fields — the partials a root receives from a group
+// that runs the non-decomposable sort in place of the decomposable one
+// (§4.2.2's sharing rule) — so a member's min/max read the value runs too.
+// The engine passes its index mask instead, which carries OpDSort for such a
+// group because its ring slices record their run endpoints; there min/max
+// fold into Agg. Agg folds everything the runs do not answer.
 //
 //desis:hotpath
 func (f *WindowFinisher) Begin(memberOps, groupOps Op) {
