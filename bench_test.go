@@ -373,7 +373,7 @@ func BenchmarkPartialCodec(b *testing.B) {
 	}
 	agg.Finish()
 	m := &message.Message{Kind: message.KindPartial, From: 1, Partial: &core.SlicePartial{
-		Group: 0, ID: 9, Start: 0, End: 1000, LastEvent: 990, Ingested: 100,
+		Group: 0, ID: 9, Start: 0, End: 1000, Ingested: 100,
 		Aggs: []operator.Agg{agg},
 	}}
 	codec := message.Binary{}

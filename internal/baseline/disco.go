@@ -291,7 +291,7 @@ func (l *discoLocal) sendWindow(queryID uint64, start, end int64, agg *operator.
 	cp := *agg
 	cp.Values = append([]float64(nil), agg.Values...)
 	p := &core.SlicePartial{
-		ID: queryID, Start: start, End: end, LastEvent: l.wm,
+		ID: queryID, Start: start, End: end,
 		Ingested: cp.CountV, Aggs: []operator.Agg{cp},
 	}
 	l.err = l.conn.Send(&message.Message{Kind: message.KindPartial, From: l.id, Partial: p})

@@ -34,7 +34,7 @@ func (Text) Append(buf []byte, m *message.Message) ([]byte, error) {
 		buf = strconv.AppendInt(buf, m.Watermark, 10)
 	case message.KindPartial:
 		p := m.Partial
-		buf = fmt.Appendf(buf, "%d,%d,%d,%d,%d,%d|", p.Group, p.ID, p.Start, p.End, p.LastEvent, p.Ingested)
+		buf = fmt.Appendf(buf, "%d,%d,%d,%d,%d|", p.Group, p.ID, p.Start, p.End, p.Ingested)
 		for i := range p.Aggs {
 			a := &p.Aggs[i]
 			buf = fmt.Appendf(buf, "%d,%d,%v,%v,%v,%v", a.Ops, a.CountV, a.SumV, a.ProdV, a.MinV, a.MaxV)
@@ -45,7 +45,7 @@ func (Text) Append(buf []byte, m *message.Message) ([]byte, error) {
 		}
 		buf = append(buf, '|')
 		for _, ep := range p.EPs {
-			buf = fmt.Appendf(buf, "%d,%d,%d,%d;", ep.QueryIdx, ep.Start, ep.End, ep.GapStart)
+			buf = fmt.Appendf(buf, "%d,%d,%d;", ep.QueryIdx, ep.Start, ep.End)
 		}
 	default:
 		return nil, fmt.Errorf("baseline: text codec cannot encode kind %d", m.Kind)
@@ -98,10 +98,10 @@ func decodeTextPartial(s string) (*core.SlicePartial, error) {
 	if len(sections) != 3 {
 		return nil, fmt.Errorf("baseline: malformed text partial %q", s)
 	}
-	h := parseTextRecord(sections[0], 6, 6)
+	h := parseTextRecord(sections[0], 5, 5)
 	p := &core.SlicePartial{
 		Group: uint32(h.uint(0, 32)), ID: h.uint(1, 64),
-		Start: h.int(2, 64), End: h.int(3, 64), LastEvent: h.int(4, 64), Ingested: h.int(5, 64),
+		Start: h.int(2, 64), End: h.int(3, 64), Ingested: h.int(4, 64),
 	}
 	if h.err != nil {
 		return nil, h.err
@@ -120,8 +120,8 @@ func decodeTextPartial(s string) (*core.SlicePartial, error) {
 		p.Aggs = append(p.Aggs, a)
 	}
 	for _, rec := range textRecords(sections[2]) {
-		r := parseTextRecord(rec, 4, 4)
-		ep := core.EP{QueryIdx: int32(r.int(0, 32)), Start: r.int(1, 64), End: r.int(2, 64), GapStart: r.int(3, 64)}
+		r := parseTextRecord(rec, 3, 3)
+		ep := core.EP{QueryIdx: int32(r.int(0, 32)), Start: r.int(1, 64), End: r.int(2, 64)}
 		if r.err != nil {
 			return nil, r.err
 		}

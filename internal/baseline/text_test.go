@@ -27,11 +27,11 @@ func textPartial() *core.SlicePartial {
 	}
 	a.Finish()
 	return &core.SlicePartial{
-		Group: 4, ID: 1 << 40, Start: -1000, End: 2000, LastEvent: 1999, Ingested: 7,
+		Group: 4, ID: 1 << 40, Start: -1000, End: 2000, Ingested: 7,
 		Aggs: []operator.Agg{q, a},
 		EPs: []core.EP{
-			{QueryIdx: 0, Start: 0, End: 2000, GapStart: 1999},
-			{QueryIdx: 3, Start: -1000, End: 1500, GapStart: 1400},
+			{QueryIdx: 0, Start: 0, End: 2000},
+			{QueryIdx: 3, Start: -1000, End: 1500},
 		},
 	}
 }
@@ -41,7 +41,7 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 
 func textPartialsEqual(a, b *core.SlicePartial) bool {
 	if a.Group != b.Group || a.ID != b.ID || a.Start != b.Start || a.End != b.End ||
-		a.LastEvent != b.LastEvent || a.Ingested != b.Ingested ||
+		a.Ingested != b.Ingested ||
 		len(a.Aggs) != len(b.Aggs) || !slices.Equal(a.EPs, b.EPs) {
 		return false
 	}

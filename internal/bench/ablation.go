@@ -118,7 +118,7 @@ func AblationCodecs(cfg Config) (*Table, error) {
 	}
 	agg.Finish()
 	partial := &message.Message{Kind: message.KindPartial, From: 1, Partial: &core.SlicePartial{
-		Group: 3, ID: 12345, Start: 1_000_000, End: 1_001_000, LastEvent: 1_000_990,
+		Group: 3, ID: 12345, Start: 1_000_000, End: 1_001_000,
 		Ingested: 1000, Aggs: []operator.Agg{agg},
 	}}
 	codecs := []message.Codec{message.Binary{}, baseline.Text{}}

@@ -56,9 +56,8 @@ func mergeRate(children, nSlices, eventsPerSlice, ctxs int, ops operator.Op) flo
 			out[c] = &core.SlicePartial{
 				Group: 0, ID: uint64(sliceID),
 				Start: int64(sliceID * 100), End: int64((sliceID + 1) * 100),
-				LastEvent: int64(sliceID*100 + 90),
-				Ingested:  int64(eventsPerSlice / children),
-				Aggs:      aggs,
+				Ingested: int64(eventsPerSlice / children),
+				Aggs:     aggs,
 			}
 		}
 		return out
@@ -100,8 +99,8 @@ func assembleRate(qs []query.Query, nSlices, eventsPerSlice int) (float64, error
 		partials[i] = &core.SlicePartial{
 			Group: g.ID, ID: uint64(i),
 			Start: int64(i * 1000), End: int64((i + 1) * 1000),
-			LastEvent: int64(i*1000 + 900), Ingested: int64(eventsPerSlice),
-			Aggs: aggs,
+			Ingested: int64(eventsPerSlice),
+			Aggs:     aggs,
 		}
 	}
 	start := time.Now()

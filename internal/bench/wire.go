@@ -97,8 +97,8 @@ func latencyPartial(id uint64) *core.SlicePartial {
 	return &core.SlicePartial{
 		Group: 0, ID: id,
 		Start: int64(id) * 100, End: int64(id+1) * 100,
-		LastEvent: int64(id)*100 + 50, Ingested: 1,
-		Aggs: []operator.Agg{a},
+		Ingested: 1,
+		Aggs:     []operator.Agg{a},
 	}
 }
 

@@ -71,7 +71,7 @@ func formatResult(r Result, s Stats) string {
 
 func formatPartial(p *SlicePartial, s Stats) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "g%d #%d [%d,%d) last%d in%d", p.Group, p.ID, p.Start, p.End, p.LastEvent, p.Ingested)
+	fmt.Fprintf(&b, "g%d #%d [%d,%d) in%d", p.Group, p.ID, p.Start, p.End, p.Ingested)
 	for i := range p.Aggs {
 		a := &p.Aggs[i]
 		fmt.Fprintf(&b, " {%v n%d s%x p%x lo%x hi%x", a.Ops, a.CountV,

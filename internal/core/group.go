@@ -185,8 +185,8 @@ func newGroupShell(e *Engine, g *query.Group) *groupState {
 	// boundary) travels through gs fields rather than fresh captures.
 	gs.onTimeEnd = func(idx int, start int64) { gs.assembleTime(idx, start, gs.curBound) }
 	gs.onCountEnd = func(idx int, start int64) { gs.assembleCount(idx, start, gs.count) }
-	gs.onSessEnd = func(idx int, start, end int64) { gs.endDynamic(idx, start, end, gs.sessions.LastEvent()) }
-	gs.onMarkerEnd = func(idx int, start, end int64) { gs.endDynamic(idx, start, end, 0) }
+	gs.onSessEnd = gs.endDynamic
+	gs.onMarkerEnd = gs.endDynamic
 	gs.onUDOpen = func(idx int) { gs.members[idx].udOpenSeq = gs.nextSliceID }
 	return gs
 }
@@ -666,7 +666,7 @@ func (g *groupState) punctuateCount(t int64) {
 // endDynamic handles the end of a session or user-defined window: assembled
 // locally in store mode, or recorded as an EP on the outgoing slice partial
 // in slice-emitting mode (§5.1.2).
-func (g *groupState) endDynamic(idx int, start, end, gapStart int64) {
+func (g *groupState) endDynamic(idx int, start, end int64) {
 	if g.e.cfg.OnSlice == nil {
 		t0 := g.beginAssembly()
 		g.assembleTime(idx, start, end)
@@ -676,9 +676,7 @@ func (g *groupState) endDynamic(idx int, start, end, gapStart int64) {
 	if g.pending == nil {
 		g.pending = g.emptyPartial(end)
 	}
-	g.pending.EPs = append(g.pending.EPs, EP{
-		QueryIdx: int32(idx), Start: start, End: end, GapStart: gapStart,
-	})
+	g.pending.EPs = append(g.pending.EPs, EP{QueryIdx: int32(idx), Start: start, End: end})
 }
 
 // indexOps is the mask the assembly index folds under: the group's
@@ -823,7 +821,6 @@ func (g *groupState) stagePartial() {
 	p.ID = g.cur.seq
 	p.Start = g.cur.start
 	p.End = g.cur.end
-	p.LastEvent = g.cur.lastEvent
 	p.Ingested = g.cur.endCount - g.cur.startCount
 	p.Aggs = g.cur.aggs
 	g.pending = p
@@ -838,7 +835,6 @@ func (g *groupState) emptyPartial(b int64) *SlicePartial {
 	p.ID = id
 	p.Start = b
 	p.End = b
-	p.LastEvent = g.lastEventTime
 	p.Aggs = g.newAggs()
 	return p
 }

@@ -47,7 +47,7 @@ func TestSliceEmitMode(t *testing.T) {
 		t.Fatal("no partials emitted")
 	}
 	var ids []uint64
-	type epRec struct{ start, end, gap int64 }
+	type epRec struct{ start, end int64 }
 	var sessEPs, udEPs []epRec
 	var total int64
 	prevEnd := int64(-1)
@@ -66,20 +66,20 @@ func TestSliceEmitMode(t *testing.T) {
 			gq := pl.Groups[0].Queries[ep.QueryIdx]
 			switch gq.Type {
 			case query.Session:
-				sessEPs = append(sessEPs, epRec{ep.Start, ep.End, ep.GapStart})
+				sessEPs = append(sessEPs, epRec{ep.Start, ep.End})
 			case query.UserDefined:
-				udEPs = append(udEPs, epRec{ep.Start, ep.End, ep.GapStart})
+				udEPs = append(udEPs, epRec{ep.Start, ep.End})
 			}
 		}
 	}
 	// Two sessions: [0,80) ended by the gap, [150,240) by the watermark.
-	wantSess := []epRec{{0, 80, 30}, {150, 240, 190}}
+	wantSess := []epRec{{0, 80}, {150, 240}}
 	if len(sessEPs) != 2 || sessEPs[0] != wantSess[0] || sessEPs[1] != wantSess[1] {
 		t.Errorf("session EPs = %v, want %v", sessEPs, wantSess)
 	}
 	// One trip closed by the marker at 180.
 	if len(udEPs) != 1 || udEPs[0].start != 0 || udEPs[0].end != 180 {
-		t.Errorf("user-defined EPs = %v, want [{0 180 _}]", udEPs)
+		t.Errorf("user-defined EPs = %v, want [{0 180}]", udEPs)
 	}
 	sawSessionEP, sawUDEP := len(sessEPs) > 0, len(udEPs) > 0
 	if total != 4 {

@@ -46,12 +46,10 @@ type EP struct {
 	// QueryIdx indexes the group's Queries slice. Groups are formed
 	// deterministically, so the index means the same on every node.
 	QueryIdx int32
-	// Start and End are the window bounds in event time.
+	// Start and End are the window bounds in event time. A session's End is
+	// its last event plus the gap, so the root unions overlapping sessions
+	// of different children into one (the gaps cover each other).
 	Start, End int64
-	// GapStart is the time of the last event before the inactivity gap for
-	// session windows (the root checks that gaps cover each other); zero
-	// for user-defined windows.
-	GapStart int64
 }
 
 // SlicePartial is the per-slice partial result a local or intermediate node
@@ -64,12 +62,9 @@ type SlicePartial struct {
 	ID uint64
 	// Start and End bound the slice in event time.
 	Start, End int64
-	// LastEvent is the time of the newest event the producing node had
-	// seen when the slice closed; it doubles as the node's watermark.
-	LastEvent int64
 	// Ingested is the number of events the slice ingested before selection
-	// predicates, i.e. the activity signal session reconstruction needs —
-	// an event can extend a session even when every predicate rejects it.
+	// predicates; a local ships no partial that ingested nothing and
+	// carries no EP.
 	Ingested int64
 	// Aggs holds the partial aggregate per selection context.
 	Aggs []operator.Agg

@@ -103,16 +103,16 @@ func batchItems(m *Message) int {
 //	partial columns, over the partial frames in order:
 //	  group dictionary: uvarint nGroups, then the group ids (uvarint)
 //	  int columns: dictionary index, slice id delta, Start delta,
-//	    End−Start, End−LastEvent, Ingested, agg count
+//	    End−Start, Ingested, agg count
 //	  int column of the ops of every agg, then per-operator columns, each
 //	  contiguous over all aggs that carry the op: an int column of counts,
 //	  float columns of sums, products and min/max pairs, an int column of
 //	  retained-value run lengths and one float column of all retained values
 //	  int column of EP counts, then int columns of the EP fields QueryIdx,
-//	  Start, End−Start and GapStart
+//	  Start and End−Start
 //
-// A column that holds one value throughout (End−Start, End−LastEvent, the
-// agg count and ops of a stream's partials) costs a few bytes per batch.
+// A column that holds one value throughout (End−Start, the agg count and
+// ops of a stream's partials) costs a few bytes per batch.
 //
 //desis:hotpath
 func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
@@ -198,10 +198,6 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 	}
 	buf = s.intColumn(buf)
 	for _, p := range partials {
-		s.ints = append(s.ints, p.End-p.LastEvent)
-	}
-	buf = s.intColumn(buf)
-	for _, p := range partials {
 		s.ints = append(s.ints, p.Ingested)
 	}
 	buf = s.intColumn(buf)
@@ -281,12 +277,6 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 	for _, p := range partials {
 		for _, ep := range p.EPs {
 			s.ints = append(s.ints, ep.End-ep.Start)
-		}
-	}
-	buf = s.intColumn(buf)
-	for _, p := range partials {
-		for _, ep := range p.EPs {
-			s.ints = append(s.ints, ep.GapStart)
 		}
 	}
 	buf = s.intColumn(buf)
@@ -453,9 +443,6 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 	for i, d := range s.readInts(&r, nP) {
 		partials[i].End = partials[i].Start + d
 	}
-	for i, d := range s.readInts(&r, nP) {
-		partials[i].LastEvent = partials[i].End - d
-	}
 	for i, v := range s.readInts(&r, nP) {
 		partials[i].Ingested = v
 	}
@@ -608,14 +595,6 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 			k++
 		}
 	}
-	k = 0
-	gaps := s.readInts(&r, nEPs)
-	for _, p := range partials {
-		for i := range p.EPs {
-			p.EPs[i].GapStart = gaps[k]
-			k++
-		}
-	}
 	if r.Err != nil {
 		return nil, r.Err
 	}
@@ -629,10 +608,10 @@ func estimateFrameSize(m *Message) int {
 	if m.Kind != KindPartial || m.Partial == nil {
 		return 12
 	}
-	n := 48
+	n := 40
 	for i := range m.Partial.Aggs {
 		n += 16 + 8*len(m.Partial.Aggs[i].Values)
 	}
-	n += 28 * len(m.Partial.EPs)
+	n += 20 * len(m.Partial.EPs)
 	return n
 }

@@ -84,8 +84,7 @@ func randomBatchOf(rng *rand.Rand, nFrames int, value func() float64) *Batch {
 		p := &core.SlicePartial{
 			Group: uint32(g), ID: ids[g],
 			Start: tm, End: tm + int64(rng.Intn(500)) + 1,
-			LastEvent: tm + int64(rng.Intn(400)),
-			Ingested:  int64(rng.Intn(100)),
+			Ingested: int64(rng.Intn(100)),
 		}
 		for c := 0; c < nCtx; c++ {
 			a := operator.NewAgg(ops)
@@ -99,7 +98,6 @@ func randomBatchOf(rng *rand.Rand, nFrames int, value func() float64) *Batch {
 			p.EPs = append(p.EPs, core.EP{
 				QueryIdx: int32(rng.Intn(4)),
 				Start:    tm - 1000, End: tm,
-				GapStart: tm - int64(rng.Intn(100)),
 			})
 		}
 		b.Frames = append(b.Frames, &Message{Kind: KindPartial, Partial: p})
@@ -679,7 +677,6 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 		b = runOf(b, n, 1)   // slice id delta
 		b = runOf(b, n, 100) // Start delta
 		b = runOf(b, n, 100) // End−Start
-		b = runOf(b, n, 1)   // End−LastEvent
 		b = runOf(b, n, 5)   // Ingested
 		b = runOf(b, n, 1)   // agg count
 		b = runOf(b, n, int64(operator.OpCount))
@@ -747,7 +744,7 @@ func TestBatchQuantileColumnBytes(t *testing.T) {
 			nValues += len(a.Values)
 			p := &core.SlicePartial{
 				Group: uint32(g), ID: uint64(slice + 1),
-				Start: int64(slice) * 100, End: int64(slice+1) * 100, LastEvent: int64(slice)*100 + 99,
+				Start: int64(slice) * 100, End: int64(slice+1) * 100,
 				Ingested: a.CountV, Aggs: []operator.Agg{a},
 			}
 			withValues.Frames = append(withValues.Frames, &Message{Kind: KindPartial, Partial: p})

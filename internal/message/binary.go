@@ -183,7 +183,6 @@ func appendPartial(buf []byte, p *core.SlicePartial) []byte {
 	buf = appendU64(buf, p.ID)
 	buf = appendU64(buf, uint64(p.Start))
 	buf = appendU64(buf, uint64(p.End))
-	buf = appendU64(buf, uint64(p.LastEvent))
 	buf = appendU64(buf, uint64(p.Ingested))
 	buf = appendU32(buf, uint32(len(p.Aggs)))
 	for i := range p.Aggs {
@@ -194,7 +193,6 @@ func appendPartial(buf []byte, p *core.SlicePartial) []byte {
 		buf = appendU32(buf, uint32(ep.QueryIdx))
 		buf = appendU64(buf, uint64(ep.Start))
 		buf = appendU64(buf, uint64(ep.End))
-		buf = appendU64(buf, uint64(ep.GapStart))
 	}
 	return buf
 }
@@ -287,7 +285,6 @@ func (r *reader) partial() *core.SlicePartial {
 	p.ID = r.u64()
 	p.Start = int64(r.u64())
 	p.End = int64(r.u64())
-	p.LastEvent = int64(r.u64())
 	p.Ingested = int64(r.u64())
 	nAggs := r.u32()
 	for i := uint32(0); i < nAggs && r.err == nil; i++ {
@@ -300,7 +297,6 @@ func (r *reader) partial() *core.SlicePartial {
 			QueryIdx: int32(r.u32()),
 			Start:    int64(r.u64()),
 			End:      int64(r.u64()),
-			GapStart: int64(r.u64()),
 		})
 	}
 	if r.err != nil {

@@ -26,10 +26,10 @@ func samplePartial() *core.SlicePartial {
 	b := operator.NewAgg(operator.OpSum | operator.OpCount | operator.OpNDSort)
 	b.Finish()
 	return &core.SlicePartial{
-		Group: 2, ID: 77, Start: 1000, End: 2000, LastEvent: 1960, Ingested: 3,
+		Group: 2, ID: 77, Start: 1000, End: 2000, Ingested: 3,
 		Aggs: []operator.Agg{a, b},
 		EPs: []core.EP{
-			{QueryIdx: 1, Start: 500, End: 2000, GapStart: 1960},
+			{QueryIdx: 1, Start: 500, End: 2000},
 		},
 	}
 }
@@ -262,7 +262,7 @@ func plansEqual(a, b *plan.Plan) bool {
 
 func partialsEqual(a, b *core.SlicePartial) bool {
 	if a.Group != b.Group || a.ID != b.ID || a.Start != b.Start || a.End != b.End ||
-		a.LastEvent != b.LastEvent || a.Ingested != b.Ingested {
+		a.Ingested != b.Ingested {
 		return false
 	}
 	if len(a.Aggs) != len(b.Aggs) || len(a.EPs) != len(b.EPs) {

@@ -15,7 +15,7 @@ func randomPartialMessage(rng *rand.Rand) *Message {
 	p := &core.SlicePartial{
 		Group: uint32(rng.Intn(5)), ID: uint64(rng.Intn(1000)),
 		Start: start, End: start + 1 + rng.Int63n(500),
-		LastEvent: start + rng.Int63n(400), Ingested: rng.Int63n(100),
+		Ingested: rng.Int63n(100),
 	}
 	for c := rng.Intn(4); c > 0; c-- {
 		ops := operator.OpCount
@@ -39,7 +39,6 @@ func randomPartialMessage(rng *rand.Rand) *Message {
 		p.EPs = append(p.EPs, core.EP{
 			QueryIdx: int32(rng.Intn(4)),
 			Start:    start - rng.Int63n(1000), End: start,
-			GapStart: start - rng.Int63n(100),
 		})
 	}
 	return &Message{Kind: KindPartial, From: 3, Partial: p}

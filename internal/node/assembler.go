@@ -17,9 +17,9 @@ import (
 
 // Assembler is the root node's window-merging stage (§5.1.3): it gathers
 // merged slice partials, re-derives fixed window boundaries from the window
-// attributes, reconstructs session windows from activity extents (the gap
-// covering of §5.1.2), closes user-defined windows from EP unions and
-// watermarks, and emits final query results.
+// attributes, closes session and user-defined windows from unions of the
+// children's EPs once the watermark passes them (the gap covering of
+// §5.1.2), and emits final query results.
 type Assembler struct {
 	states   map[uint32]*rootGroup
 	onResult func(core.Result)
@@ -34,11 +34,10 @@ type rootGroup struct {
 	g          *query.Group
 	telWindows *telemetry.Counter
 	cal        window.Calendar
-	buffer     []*core.SlicePartial // arrived, waiting for the watermark
-	store      []*core.SlicePartial // processed, sorted by Start
-	take       []*core.SlicePartial // scratch: the partials one watermark matured, empty between calls
-	sess       map[int32]*sessCand
-	uds        map[int32]*udState
+	buffer     []*core.SlicePartial  // arrived, waiting for the watermark
+	store      []*core.SlicePartial  // processed, sorted by Start
+	take       []*core.SlicePartial  // scratch: the partials one watermark matured, empty between calls
+	unions     map[int32]*unionState // session and user-defined members
 	started    bool
 	lastPunct  int64
 	fin        operator.WindowFinisher // scratch aggregate and value runs of the window being assembled
@@ -47,31 +46,25 @@ type rootGroup struct {
 	hints      [][]float64             // per-member selection hints (core.NewHints)
 }
 
-// sessCand is the open global session of one session query, tracked from
-// activity extents of merged partials: a new partial whose start lies beyond
-// lastActivity+gap means the children's gaps covered each other and the
-// session ended (§5.1.2).
-type sessCand struct {
-	gap          int64
-	active       bool
-	start        int64
-	lastActivity int64
-}
-
-// udState tracks one user-defined-window query: open candidates are unions
-// of overlapping child EP intervals, closed once the watermark passes them.
-type udState struct {
+// unionState closes the windows of one session or user-defined member.
+// Every EP [Start, End) a child sends joins the union of open intervals, and
+// a union closes as one window once the watermark passes its end. For
+// sessions this is §5.1.2's "gaps covering each other": each child's EP
+// spans its own session [first event, last event + gap), and overlapping
+// child sessions belong to one global session.
+type unionState struct {
 	openStart int64
-	cands     []udCand
-	// barStart/barEnd remember the extent of the partial that carried the
-	// most recent EP: it holds pre-marker events and must not leak into
-	// the window opening at the same timestamp (stream-order membership —
-	// only zero-span partials are ambiguous by extent).
+	open      []interval // pairwise disjoint
+	// barStart/barEnd remember, for a user-defined member, the extent of
+	// the partial that carried the most recent EP: it holds pre-marker
+	// events and must not leak into the window opening at the same
+	// timestamp (stream-order membership — only zero-span partials are
+	// ambiguous by extent).
 	barStart, barEnd int64
 	barSet           bool
 }
 
-type udCand struct{ start, end int64 }
+type interval struct{ start, end int64 }
 
 // NewAssembler builds the assembly stage for the distributed groups.
 func NewAssembler(groups []*query.Group, onResult func(core.Result)) *Assembler {
@@ -99,7 +92,7 @@ func (a *Assembler) AttachTelemetry(reg *telemetry.Registry, traceName string) {
 }
 
 func (a *Assembler) installGroup(g *query.Group) {
-	rg := &rootGroup{g: g, sess: make(map[int32]*sessCand), uds: make(map[int32]*udState)}
+	rg := &rootGroup{g: g, unions: make(map[int32]*unionState)}
 	if a.tel != nil {
 		rg.telWindows = a.tel.Counter(fmt.Sprintf("group.%d.windows", g.ID))
 	}
@@ -127,10 +120,8 @@ func (rg *rootGroup) registerMember(idx int, regTime int64) {
 		if gq.Measure == query.Time {
 			rg.cal.Add(idx, gq.Length, gq.Slide)
 		}
-	case query.Session:
-		rg.sess[int32(idx)] = &sessCand{gap: gq.Gap}
-	case query.UserDefined:
-		rg.uds[int32(idx)] = &udState{openStart: regTime}
+	case query.Session, query.UserDefined:
+		rg.unions[int32(idx)] = &unionState{openStart: regTime}
 	}
 	rg.reg = append(rg.reg, regTime)
 	rg.removed = append(rg.removed, false)
@@ -166,8 +157,7 @@ func (a *Assembler) RemoveMember(groupID uint32, idx int) {
 	}
 	rg.removed[idx] = true
 	rg.cal.Remove(idx)
-	delete(rg.sess, int32(idx))
-	delete(rg.uds, int32(idx))
+	delete(rg.unions, int32(idx))
 }
 
 // AddPartial buffers a merged partial until the watermark matures it. The
@@ -183,8 +173,8 @@ func (a *Assembler) AddPartial(p *core.SlicePartial) {
 }
 
 // AdvanceTo processes everything the watermark W has matured: partials with
-// End <= W, fixed boundaries <= W, expired sessions, and user-defined
-// candidates.
+// End <= W, fixed boundaries <= W, and session and user-defined unions that
+// end at or before W.
 func (a *Assembler) AdvanceTo(w int64) {
 	for _, rg := range a.states {
 		a.advanceGroup(rg, w)
@@ -192,8 +182,8 @@ func (a *Assembler) AdvanceTo(w int64) {
 }
 
 func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
-	// Mature partials, in (End, Start) order so session activity tracking
-	// sees a coherent timeline.
+	// Mature partials, in (End, Start) order so a user-defined member's bar
+	// is the partial of its newest marker.
 	take := rg.take[:0]
 	rest := rg.buffer[:0]
 	for _, p := range rg.buffer {
@@ -220,17 +210,18 @@ func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
 		if !rg.started {
 			rg.started = true
 			rg.lastPunct = p.Start
-			for _, us := range rg.uds {
-				us.openStart = p.Start
+			for _, u := range rg.unions {
+				u.openStart = p.Start
 			}
 		}
-		if p.Ingested > 0 {
-			a.trackSessions(rg, p)
-		}
 		for _, ep := range p.EPs {
-			if us, ok := rg.uds[ep.QueryIdx]; ok {
-				addUDCandidate(us, ep.Start, ep.End)
-				us.barStart, us.barEnd, us.barSet = p.Start, p.End, true
+			u, ok := rg.unions[ep.QueryIdx]
+			if !ok {
+				continue
+			}
+			u.add(ep.Start, ep.End)
+			if rg.g.Queries[ep.QueryIdx].Type == query.UserDefined {
+				u.barStart, u.barEnd, u.barSet = p.Start, p.End, true
 			}
 		}
 		if n := len(rg.store); n > 0 && p.Start < rg.store[n-1].Start {
@@ -253,71 +244,36 @@ func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
 		})
 		rg.lastPunct = b
 	}
-	// Sessions whose gap elapsed below the watermark.
-	for idx, sc := range rg.sess {
-		if sc.active && sc.lastActivity+sc.gap <= w {
-			a.assemble(rg, int(idx), sc.start, sc.lastActivity+sc.gap)
-			sc.active = false
-		}
-	}
-	// User-defined candidates the watermark passed.
-	for idx, us := range rg.uds {
-		kept := us.cands[:0]
-		for _, c := range us.cands {
+	// Unions the watermark passed.
+	for idx, u := range rg.unions {
+		kept := u.open[:0]
+		for _, c := range u.open {
 			if c.end <= w {
 				a.assemble(rg, int(idx), c.start, c.end)
-				if c.end > us.openStart {
-					us.openStart = c.end
-				}
+				u.openStart = max(u.openStart, c.end)
 			} else {
 				kept = append(kept, c)
 			}
 		}
-		us.cands = kept
+		u.open = kept
 	}
 	a.prune(rg, w)
 }
 
-// trackSessions extends or restarts every session candidate with the
-// activity extent of one matured partial.
-func (a *Assembler) trackSessions(rg *rootGroup, p *core.SlicePartial) {
-	for idx, sc := range rg.sess {
-		if sc.active && p.Start >= sc.lastActivity+sc.gap {
-			a.assemble(rg, int(idx), sc.start, sc.lastActivity+sc.gap)
-			sc.active = false
-		}
-		if !sc.active {
-			sc.active = true
-			sc.start = p.Start
-			sc.lastActivity = p.LastEvent
-			continue
-		}
-		if p.Start < sc.start {
-			sc.start = p.Start
-		}
-		if p.LastEvent > sc.lastActivity {
-			sc.lastActivity = p.LastEvent
-		}
-	}
-}
-
-// addUDCandidate unions the EP interval [s, e) into the query's open
-// candidates; overlapping intervals from different children merge — the
-// interval form of "gaps covering each other".
-func addUDCandidate(us *udState, s, e int64) {
-	for i := range us.cands {
-		c := &us.cands[i]
+// add joins the EP interval [s, e) to the open unions. It absorbs every
+// union it overlaps, so [0,10), [20,30) and then [5,25) leave one [0,30);
+// intervals that only touch stay apart, as do consecutive user-defined
+// windows and sessions split by exactly the gap.
+func (u *unionState) add(s, e int64) {
+	kept := u.open[:0]
+	for _, c := range u.open {
 		if s < c.end && c.start < e {
-			if s < c.start {
-				c.start = s
-			}
-			if e > c.end {
-				c.end = e
-			}
-			return
+			s, e = min(s, c.start), max(e, c.end)
+		} else {
+			kept = append(kept, c)
 		}
 	}
-	us.cands = append(us.cands, udCand{start: s, end: e})
+	u.open = append(kept, interval{start: s, end: e})
 }
 
 // assemble merges the stored partials covering [ws, we) for the member at
@@ -334,7 +290,7 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 	// Merge only the fields this member's functions need (core does the
 	// same).
 	rg.fin.Begin(operator.Union(m.Funcs)|operator.OpCount, rg.g.Ops)
-	us := rg.uds[int32(idx)]
+	u := rg.unions[int32(idx)]
 	for i := lo; i < len(rg.store); i++ {
 		p := rg.store[i]
 		if invariant.Enabled {
@@ -343,8 +299,8 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 		if p.Start >= we {
 			break
 		}
-		if us != nil && us.barSet && we > us.barEnd &&
-			p.Start == p.End && p.Start == us.barStart && p.End == us.barEnd {
+		if u != nil && u.barSet && we > u.barEnd &&
+			p.Start == p.End && p.Start == u.barStart && p.End == u.barEnd {
 			// Zero-span partial cut by the marker that closed the previous
 			// user-defined window: its events precede this window.
 			continue
@@ -376,19 +332,10 @@ func (a *Assembler) prune(rg *rootGroup, w int64) {
 		return
 	}
 	tNeed := rg.cal.EarliestOpenStart(rg.lastPunct)
-	for _, sc := range rg.sess {
-		if sc.active && sc.start < tNeed {
-			tNeed = sc.start
-		}
-	}
-	for _, us := range rg.uds {
-		if us.openStart < tNeed {
-			tNeed = us.openStart
-		}
-		for _, c := range us.cands {
-			if c.start < tNeed {
-				tNeed = c.start
-			}
+	for _, u := range rg.unions {
+		tNeed = min(tNeed, u.openStart)
+		for _, c := range u.open {
+			tNeed = min(tNeed, c.start)
 		}
 	}
 	n := 0

@@ -17,7 +17,9 @@ type ClusterConfig struct {
 	// Locals is the number of local (stream-ingesting) nodes.
 	Locals int
 	// Intermediates is the number of intermediate nodes; zero connects the
-	// locals directly to the root. Locals spread round-robin.
+	// locals directly to the root. Locals spread round-robin, and there are
+	// at most as many intermediates as locals: one without children would
+	// never advance the root's watermark.
 	Intermediates int
 	// Bandwidth throttles every link to this many bytes per second; zero
 	// means unlimited. Used to model the 1 GbE Raspberry-Pi links (§6.5.2).
@@ -74,6 +76,7 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 	if cfg.Locals <= 0 {
 		cfg.Locals = 1
 	}
+	cfg.Intermediates = min(cfg.Intermediates, cfg.Locals)
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 256
 	}

@@ -28,7 +28,7 @@ func mustPanicOnRecycled(t *testing.T, id uint64, f func()) {
 
 // releasedPartial is a partial already given back to the decode pool.
 func releasedPartial(id uint64) *core.SlicePartial {
-	p := mkPartial(0, 0, 100, 90, 1, 1)
+	p := mkPartial(0, 0, 100, 1, 1)
 	p.ID = id
 	message.ReleasePartial(p)
 	return p
@@ -39,7 +39,7 @@ func releasedPartial(id uint64) *core.SlicePartial {
 func TestMergeReleasedPartialPanics(t *testing.T) {
 	m := NewMerger([]uint32{1, 2})
 	mustPanicOnRecycled(t, 41, func() { m.HandlePartial(1, releasedPartial(41)) })
-	mustPanicOnRecycled(t, 42, func() { mergePartial(mkPartial(0, 0, 100, 90, 1, 1), releasedPartial(42)) })
+	mustPanicOnRecycled(t, 42, func() { mergePartial(mkPartial(0, 0, 100, 1, 1), releasedPartial(42)) })
 }
 
 // TestAssembleReleasedPartialPanics: a partial released while the assembler
@@ -47,7 +47,7 @@ func TestMergeReleasedPartialPanics(t *testing.T) {
 func TestAssembleReleasedPartialPanics(t *testing.T) {
 	groups := analyzeT(t, []query.Query{mustQuery(t, "tumbling(100ms) sum key=0")})
 	asm := NewAssembler(groups, func(core.Result) {})
-	p := mkPartial(groups[0].ID, 0, 100, 90, 1, 1)
+	p := mkPartial(groups[0].ID, 0, 100, 1, 1)
 	p.ID = 43
 	asm.AddPartial(p)
 	message.ReleasePartial(p) // an ownership bug: the assembler owns p

@@ -491,7 +491,7 @@ func TestDepartureFlushesOutsideNodeLock(t *testing.T) {
 	parent := &stalledParent{entered: make(chan struct{}), release: make(chan struct{})}
 	n := NewIntermediate(100, []uint32{1, 2}, parent)
 	for _, m := range []*message.Message{
-		{Kind: message.KindPartial, From: 2, Partial: mkPartial(0, 0, 100, 90, 2, 1)},
+		{Kind: message.KindPartial, From: 2, Partial: mkPartial(0, 0, 100, 2, 1)},
 		{Kind: message.KindWatermark, From: 2, Watermark: 100},
 	} {
 		if err := n.handleQueued(m); err != nil {

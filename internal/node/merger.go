@@ -416,7 +416,7 @@ func (m *Merger) PartialsSent() int64 { return m.sent }
 func (m *Merger) Watermark() int64 { return m.watermark }
 
 // mergePartial folds src into dst: aggregates merge pairwise per selection
-// context, EPs concatenate, and LastEvent takes the maximum.
+// context and EPs concatenate.
 func mergePartial(dst, src *core.SlicePartial) {
 	if invariant.Enabled {
 		invariant.AssertPartialLive(dst)
@@ -432,7 +432,4 @@ func mergePartial(dst, src *core.SlicePartial) {
 	}
 	dst.EPs = append(dst.EPs, src.EPs...)
 	dst.Ingested += src.Ingested
-	if src.LastEvent > dst.LastEvent {
-		dst.LastEvent = src.LastEvent
-	}
 }

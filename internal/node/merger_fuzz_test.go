@@ -45,11 +45,11 @@ func fuzzPartial(f fuzzFrame) *core.SlicePartial {
 	a.Add(v / 3)
 	a.Finish()
 	p := &core.SlicePartial{
-		Group: f.group, Start: f.start, End: f.end, LastEvent: f.end - 1 - int64(f.val%5),
+		Group: f.group, Start: f.start, End: f.end,
 		Ingested: 1 + int64(f.val%3), Aggs: []operator.Agg{a},
 	}
 	if f.val%4 == 0 {
-		p.EPs = []core.EP{{QueryIdx: int32(f.val % 2), Start: f.start, End: f.end, GapStart: f.start + int64(f.val%7)}}
+		p.EPs = []core.EP{{QueryIdx: int32(f.val % 2), Start: f.start, End: f.end}}
 	}
 	return p
 }
@@ -64,7 +64,7 @@ type mergerOutput struct {
 }
 
 func describePartial(p *core.SlicePartial) string {
-	s := fmt.Sprintf("g%d [%d,%d) ingested=%d last=%d eps=%v", p.Group, p.Start, p.End, p.Ingested, p.LastEvent, p.EPs)
+	s := fmt.Sprintf("g%d [%d,%d) ingested=%d eps=%v", p.Group, p.Start, p.End, p.Ingested, p.EPs)
 	for _, a := range p.Aggs {
 		s += fmt.Sprintf(" agg{ops=%d n=%d sum=%x min=%x max=%x}", a.Ops, a.CountV,
 			math.Float64bits(a.SumV), math.Float64bits(a.MinV), math.Float64bits(a.MaxV))

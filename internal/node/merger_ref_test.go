@@ -327,7 +327,7 @@ func (m *refMerger) PartialsSent() int64 { return m.sent }
 func (m *refMerger) Watermark() int64 { return m.watermark }
 
 // refMergePartial folds src into dst: aggregates merge pairwise per selection
-// context, EPs concatenate, and LastEvent takes the maximum.
+// context and EPs concatenate.
 func refMergePartial(dst, src *core.SlicePartial) {
 	if invariant.Enabled {
 		invariant.AssertPartialLive(dst)
@@ -343,7 +343,4 @@ func refMergePartial(dst, src *core.SlicePartial) {
 	}
 	dst.EPs = append(dst.EPs, src.EPs...)
 	dst.Ingested += src.Ingested
-	if src.LastEvent > dst.LastEvent {
-		dst.LastEvent = src.LastEvent
-	}
 }

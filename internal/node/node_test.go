@@ -16,13 +16,13 @@ import (
 
 // --- Merger unit tests ---
 
-func mkPartial(group uint32, start, end, last int64, sum float64, n int64) *core.SlicePartial {
+func mkPartial(group uint32, start, end int64, sum float64, n int64) *core.SlicePartial {
 	a := operator.NewAgg(operator.OpSum | operator.OpCount)
 	a.SumV = sum
 	a.CountV = n
 	a.Finish()
 	return &core.SlicePartial{
-		Group: group, Start: start, End: end, LastEvent: last, Ingested: n,
+		Group: group, Start: start, End: end, Ingested: n,
 		Aggs: []operator.Agg{a},
 	}
 }
@@ -31,16 +31,16 @@ func TestMergerAlignedSlices(t *testing.T) {
 	m := NewMerger([]uint32{1, 2})
 	var out []*core.SlicePartial
 	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
-	m.HandlePartial(1, mkPartial(0, 0, 100, 90, 10, 2))
+	m.HandlePartial(1, mkPartial(0, 0, 100, 10, 2))
 	if len(out) != 0 {
 		t.Fatal("emitted before all children reported")
 	}
-	m.HandlePartial(2, mkPartial(0, 0, 100, 95, 20, 3))
+	m.HandlePartial(2, mkPartial(0, 0, 100, 20, 3))
 	if len(out) != 1 {
 		t.Fatalf("emitted %d partials, want 1", len(out))
 	}
 	p := out[0]
-	if p.Aggs[0].SumV != 30 || p.Aggs[0].CountV != 5 || p.Ingested != 5 || p.LastEvent != 95 {
+	if p.Aggs[0].SumV != 30 || p.Aggs[0].CountV != 5 || p.Ingested != 5 {
 		t.Errorf("merged partial = %+v", p)
 	}
 }
@@ -52,9 +52,9 @@ func TestMergerWatermarkFlushesMisaligned(t *testing.T) {
 	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
 	m.OutWatermark = func(w int64) { wms = append(wms, w) }
 	// Child 1 cut at a session start (dynamic): extents differ.
-	m.HandlePartial(1, mkPartial(0, 0, 60, 50, 5, 1))
-	m.HandlePartial(1, mkPartial(0, 60, 100, 90, 7, 1))
-	m.HandlePartial(2, mkPartial(0, 0, 100, 80, 9, 2))
+	m.HandlePartial(1, mkPartial(0, 0, 60, 5, 1))
+	m.HandlePartial(1, mkPartial(0, 60, 100, 7, 1))
+	m.HandlePartial(2, mkPartial(0, 0, 100, 9, 2))
 	if len(out) != 0 {
 		t.Fatal("misaligned slices merged")
 	}
@@ -82,8 +82,8 @@ func TestMergerRemoveChildUnblocks(t *testing.T) {
 	m := NewMerger([]uint32{1, 2, 3})
 	var out []*core.SlicePartial
 	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
-	m.HandlePartial(1, mkPartial(0, 0, 100, 90, 1, 1))
-	m.HandlePartial(2, mkPartial(0, 0, 100, 90, 2, 1))
+	m.HandlePartial(1, mkPartial(0, 0, 100, 1, 1))
+	m.HandlePartial(2, mkPartial(0, 0, 100, 2, 1))
 	m.HandleWatermark(1, 100)
 	m.HandleWatermark(2, 100)
 	if len(out) != 0 {
@@ -104,11 +104,11 @@ func TestMergerAddChild(t *testing.T) {
 	var out []*core.SlicePartial
 	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
 	m.AddChild(2)
-	m.HandlePartial(1, mkPartial(0, 0, 100, 90, 1, 1))
+	m.HandlePartial(1, mkPartial(0, 0, 100, 1, 1))
 	if len(out) != 0 {
 		t.Fatal("merge completed without new child")
 	}
-	m.HandlePartial(2, mkPartial(0, 0, 100, 90, 2, 1))
+	m.HandlePartial(2, mkPartial(0, 0, 100, 2, 1))
 	if len(out) != 1 {
 		t.Fatal("merge did not complete with new child")
 	}
@@ -126,7 +126,7 @@ func TestMergerPendingGauge(t *testing.T) {
 	m.Out = func(*core.SlicePartial) { out++ }
 	g := reg.Gauge("merge.pending")
 	for i := int64(0); i < 5; i++ {
-		m.HandlePartial(2, mkPartial(0, i*100, (i+1)*100, i*100+90, 1, 1))
+		m.HandlePartial(2, mkPartial(0, i*100, (i+1)*100, 1, 1))
 		m.HandleWatermark(1, (i+1)*100)
 		if got := g.Load(); got != i+1 {
 			t.Fatalf("after %d slices from the stalled child: merge.pending = %d, want %d", i+1, got, i+1)
@@ -145,7 +145,7 @@ func TestMergerLatencySampled(t *testing.T) {
 	m := NewMerger([]uint32{1})
 	m.AttachTelemetry(reg, "inter")
 	for i := int64(0); i <= 2*mergeLatencySample; i++ {
-		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, i*100+90, 1, 1))
+		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, 1, 1))
 		if want := uint64(1 + i/mergeLatencySample); reg.Histogram("merge.latency").Count() != want {
 			t.Fatalf("after %d merged slices: %d latency samples, want %d", i+1, reg.Histogram("merge.latency").Count(), want)
 		}
@@ -158,10 +158,10 @@ func TestMergerLatencySampled(t *testing.T) {
 func TestMergerDropsIdleRuns(t *testing.T) {
 	m := NewMerger([]uint32{1})
 	for g := uint32(1); g <= 1000; g++ {
-		m.HandlePartial(1, mkPartial(g, 0, 100, 90, 1, 1))
+		m.HandlePartial(1, mkPartial(g, 0, 100, 1, 1))
 	}
 	for i := int64(1); i <= maxIdleSteps+1; i++ {
-		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, i*100+90, 1, 1))
+		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, 1, 1))
 		m.HandleWatermark(1, (i+1)*100)
 	}
 	if len(m.runs) != 1 || m.runs[0] == nil {
@@ -181,14 +181,14 @@ func TestMergerHoldsUntilAllJoined(t *testing.T) {
 	m.OutWatermark = func(w int64) { wms = append(wms, w) }
 
 	m.AddChild(1)
-	m.HandlePartial(1, mkPartial(0, 0, 100, 90, 1, 1))
+	m.HandlePartial(1, mkPartial(0, 0, 100, 1, 1))
 	m.HandleWatermark(1, 100)
 	m.RemoveChild(1) // streamed everything and left before its sibling came
 	if len(out) != 0 || len(wms) != 0 {
 		t.Fatalf("forwarded %d partials and watermarks %v with one of two children seen", len(out), wms)
 	}
 	m.AddChild(2)
-	m.HandlePartial(2, mkPartial(0, 0, 100, 95, 2, 1))
+	m.HandlePartial(2, mkPartial(0, 0, 100, 2, 1))
 	if len(out) != 1 || out[0].Aggs[0].SumV != 3 {
 		t.Fatalf("after the second child's partial: %v, want one partial with sum 3", out)
 	}

@@ -19,7 +19,7 @@ func TestAssemblerPruneClearsTail(t *testing.T) {
 	g := groups[0].ID
 	const n = 100 // prune runs once the store holds 64
 	for i := int64(0); i < n; i++ {
-		asm.AddPartial(mkPartial(g, i*100, (i+1)*100, i*100+90, 1, 1))
+		asm.AddPartial(mkPartial(g, i*100, (i+1)*100, 1, 1))
 	}
 	asm.AdvanceTo(n * 100)
 	rg := asm.states[g]
@@ -38,11 +38,11 @@ func TestAssemblerPruneClearsTail(t *testing.T) {
 // decode pool as in a running node. Each call allocates one Message.
 func partialDecoder(t *testing.T) func(from uint32, start, end int64) *core.SlicePartial {
 	codec := message.Binary{}
-	src := mkPartial(0, 0, 0, 0, 1, 1)
+	src := mkPartial(0, 0, 0, 1, 1)
 	in := &message.Message{Kind: message.KindPartial, Partial: src}
 	var buf []byte
 	return func(from uint32, start, end int64) *core.SlicePartial {
-		in.From, src.Start, src.End, src.LastEvent = from, start, end, end-1
+		in.From, src.Start, src.End = from, start, end
 		var err error
 		if buf, err = codec.Append(buf[:0], in); err != nil {
 			t.Fatal(err)

@@ -120,7 +120,7 @@ func TestUplinkReplayRingEncoded(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		m := &message.Message{Kind: message.KindWatermark, From: 1, Watermark: i}
 		if i%3 != 0 {
-			p := mkPartial(0, i*100, (i+1)*100, i*100+90, float64(i), i)
+			p := mkPartial(0, i*100, (i+1)*100, float64(i), i)
 			p.ID = uint64(i)
 			m = &message.Message{Kind: message.KindPartial, From: 1, Partial: p}
 		}
@@ -167,7 +167,7 @@ func TestUplinkSendBufferedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	m := &message.Message{Kind: message.KindPartial, From: 1, Partial: mkPartial(0, 0, 100, 90, 1, 1)}
+	m := &message.Message{Kind: message.KindPartial, From: 1, Partial: mkPartial(0, 0, 100, 1, 1)}
 	send := func() {
 		if err := u.SendBuffered(m); err != nil {
 			t.Fatal(err)
