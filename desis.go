@@ -116,23 +116,11 @@ func MustParseQuery(s string) Query {
 	return q
 }
 
-// OptimizeMode controls the factor-window plan optimizer (see
-// Options.Optimize). The zero value enables it.
-type OptimizeMode uint8
-
-const (
-	// OptimizeOn (the default) lets the planner place eligible correlated
-	// windows into factor-fed groups: when one query's length and slide are
-	// integer multiples of another query's slide (same key and predicate),
-	// the long windows assemble from the short group's merged per-period
-	// partials instead of from raw slices. Results are identical either way.
-	OptimizeOn OptimizeMode = iota
-	// OptimizeOff disables the rewrite — the ablation setting the factor
-	// benchmark compares against.
-	OptimizeOff
-)
-
-// Options configures an Engine.
+// Options configures an Engine. Every engine runs the factor-window plan
+// optimizer: when one query's length and slide are integer multiples of
+// another query's slide (same key and predicate), the long windows assemble
+// from the short group's merged per-period partials instead of from raw
+// slices. Results are identical either way.
 type Options struct {
 	// OnResult streams window results as they complete; when nil, results
 	// accumulate and are fetched with Results.
@@ -141,10 +129,6 @@ type Options struct {
 	// the paper): events identical in (time, value) within one slice are
 	// processed once.
 	Dedup bool
-	// Optimize controls the factor-window plan optimizer. The zero value
-	// (OptimizeOn) enables it; set OptimizeOff to force every query onto
-	// raw slices (ablation, and the off leg of desis-bench -exp factor).
-	Optimize OptimizeMode
 	// ReorderHorizon, when positive, lets engines commit events up to
 	// this much event time behind the slicing frontier into their
 	// already-closed slices, repairing the affected window aggregates
@@ -166,8 +150,6 @@ type Options struct {
 	// NewTelemetry). Shards of a ParallelEngine share the registry.
 	Telemetry *Telemetry
 }
-
-func (o Options) optimizeOn() bool { return o.Optimize != OptimizeOff }
 
 // validate rejects contradictory option combinations up-front, against the
 // query set the engine is being built for.
@@ -219,7 +201,7 @@ func NewEngine(queries []Query, opts Options) (*Engine, error) {
 	if err := opts.validate(queries); err != nil {
 		return nil, err
 	}
-	p, err := plan.New(queries, plan.Options{Dedup: opts.Dedup, Optimize: opts.optimizeOn()})
+	p, err := plan.New(queries, plan.Options{Dedup: opts.Dedup, Optimize: true})
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +301,7 @@ func RestoreEngine(queries []Query, opts Options, snapshot []byte) (*Engine, err
 	if err := opts.validate(queries); err != nil {
 		return nil, err
 	}
-	p, err := plan.New(queries, plan.Options{Dedup: opts.Dedup, Optimize: opts.optimizeOn()})
+	p, err := plan.New(queries, plan.Options{Dedup: opts.Dedup, Optimize: true})
 	if err != nil {
 		return nil, err
 	}

@@ -97,17 +97,24 @@ func buildFactorWorkload(rng *rand.Rand, ooo bool) factorWorkload {
 
 // runFactor replays the workload through one engine configuration; naive
 // swaps the assembly index for the reference re-fold.
-func runFactor(t *testing.T, w factorWorkload, opts Options, naive bool) ([]Result, string) {
+func runFactor(t *testing.T, w factorWorkload, opts Options, optimize, naive bool) ([]Result, string) {
 	t.Helper()
 	e, err := NewEngine(w.queries, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	if naive {
-		// The reference lives below the facade: rebuild on the same plan.
+	if naive || !optimize {
+		// The unoptimized plan and the reference assembly live below the
+		// facade: rebuild the engine on them.
+		p := e.e.Plan().Clone()
+		if !optimize {
+			if p, err = plan.New(assignIDs(w.queries), plan.Options{Dedup: opts.Dedup}); err != nil {
+				t.Fatalf("plan.New: %v", err)
+			}
+		}
 		cfg := opts.coreConfig()
-		cfg.NaiveAssembly = true
-		e.e = core.NewFromPlan(e.e.Plan().Clone(), cfg)
+		cfg.NaiveAssembly = naive
+		e.e = core.NewFromPlan(p, cfg)
 	}
 	third := len(w.events) / 3
 	e.ProcessBatch(w.events[:third])
@@ -190,11 +197,9 @@ func TestFactorRewriteDifferential(t *testing.T) {
 					if ooo {
 						opts.ReorderHorizon = time.Duration(4*w.base) * time.Millisecond
 					}
-					off := opts
-					off.Optimize = OptimizeOff
 					naive := asm == "naive"
-					want, offPlan := runFactor(t, w, off, naive)
-					got, onPlan := runFactor(t, w, opts, naive)
+					want, offPlan := runFactor(t, w, opts, false, naive)
+					got, onPlan := runFactor(t, w, opts, true, naive)
 					if strings.Contains(offPlan, "fed-from") {
 						t.Fatalf("unoptimized plan contains fed groups:\n%s", offPlan)
 					}

@@ -237,6 +237,15 @@ func (s batchStream) build() []event.Event {
 	return evs
 }
 
+// oneShard multiplies every key by the instance shard count, which routes
+// them all to shard 0.
+func oneShard(evs []event.Event) []event.Event {
+	for i := range evs {
+		evs[i].Key *= instanceShards
+	}
+	return evs
+}
+
 // mixedQueries covers, on separate keys: plain time windows, two selection
 // contexts in one group, a session, marker windows, count windows, retained
 // values, and a key with both a session and time windows; keys 7 and 8 have
@@ -285,7 +294,7 @@ func batchScenarios(t testing.TB) []*batchScenario {
 			// it arrives; idle keys park and come back inside batches.
 			name:    "templates-ttl",
 			queries: []string{"sliding(400ms,100ms) max key=0", "*tumbling(150ms) count,sum", "session(60ms) sum key=2"},
-			cfg:     Config{InstanceTTL: 300, InstanceShards: 4, InstanceSweepEvery: 16},
+			cfg:     Config{InstanceTTL: 300, InstanceSweepEvery: 16},
 			evs:     batchStream{seed: 4, n: 20000, keys: 12, gapKey: 2, gapMs: 700, gapEach: 1500}.build(),
 			advTo:   0,
 		},
@@ -293,11 +302,13 @@ func batchScenarios(t testing.TB) []*batchScenario {
 			// The configuration ParallelEngine gives its shards: with the
 			// period below the prefix length a sweep falls due inside a
 			// prefix, and it parks the idle key whose event ended the scan.
+			// Every key falls in one instance shard, so every sweep step
+			// scans that key.
 			name:    "shared-sweep-clock",
 			queries: []string{"*tumbling(25ms) count,sum", "*session(10ms) count"},
-			cfg:     Config{InstanceTTL: 30, InstanceShards: 1, InstanceSweepEvery: 8},
+			cfg:     Config{InstanceTTL: 30, InstanceSweepEvery: 8},
 			clock:   true,
-			evs:     batchStream{seed: 8, n: 20000, keys: 12, gapKey: 2, gapMs: 200, gapEach: 500}.build(),
+			evs:     oneShard(batchStream{seed: 8, n: 20000, keys: 12, gapKey: 2, gapMs: 200, gapEach: 500}.build()),
 			advTo:   0,
 		},
 		{
@@ -408,7 +419,7 @@ func TestProcessBatchWhileSharedClockTicks(t *testing.T) {
 		}
 	}()
 	defer func() { close(stop); <-done }()
-	sc.cfg = Config{InstanceTTL: 30, InstanceShards: 1, InstanceSweepEvery: 8, SweepClock: clock}
+	sc.cfg = Config{InstanceTTL: 30, InstanceSweepEvery: 8, SweepClock: clock}
 	// Where the sweeps land is up to the scheduler: a few rounds at two
 	// batch sizes make an early one all but certain.
 	for round := 0; round < 4; round++ {
@@ -495,7 +506,7 @@ func FuzzProcessBatchSplit(f *testing.F) {
 		}
 		sc := &batchScenario{name: "fuzz", queries: fuzzBatchQueries, slices: mode&1 != 0}
 		if mode&2 != 0 {
-			sc.cfg = Config{InstanceTTL: 12, InstanceShards: 2, InstanceSweepEvery: 4}
+			sc.cfg = Config{InstanceTTL: 12, InstanceSweepEvery: 4}
 			sc.clock = mode&4 != 0
 		}
 		now := int64(0)

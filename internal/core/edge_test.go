@@ -38,6 +38,33 @@ func TestSliceStoreBounded(t *testing.T) {
 	}
 }
 
+// TestSlidingRingBound holds §2.3's bound at every event of a long sliding
+// run: the closed ring never holds more than pruneThreshold slices plus the
+// longest window's (2s of 50ms slices: 40).
+func TestSlidingRingBound(t *testing.T) {
+	queries := []query.Query{
+		query.MustParse("sliding(2s,100ms) sum key=0"),
+		query.MustParse("sliding(500ms,50ms) max key=0"),
+	}
+	for i := range queries {
+		queries[i].ID = uint64(i + 1)
+	}
+	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{OnResult: func(Result) {}})
+	gs := e.orderedGroups()[0]
+	const bound = pruneThreshold + 2000/50
+	peak := 0
+	for i := 0; i < 100_000; i++ {
+		e.Process(event.Event{Time: int64(i), Value: float64(i % 7)})
+		peak = max(peak, len(gs.closed))
+	}
+	if peak > bound {
+		t.Errorf("closed ring peaked at %d slices, bound %d", peak, bound)
+	}
+	if e.Stats().Pruned == 0 {
+		t.Error("no slice was pruned over a 100 s sliding run")
+	}
+}
+
 // TestCountSliceStoreBounded does the same for count-measure windows.
 func TestCountSliceStoreBounded(t *testing.T) {
 	q := query.MustParse("sliding(64ev,16ev) sum key=0")

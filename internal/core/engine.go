@@ -24,13 +24,12 @@ import (
 // an engine built from a plan at epoch N is identical to one that started
 // earlier and applied the deltas leading to epoch N.
 type Engine struct {
-	cfg            Config
-	pruneThreshold int
-	plan           *plan.Plan
-	byID           map[uint32]*groupState
-	results        []Result
-	stats          engineStats
-	tmplKeys       map[uint32]bool // keys whose template instantiation ran
+	cfg      Config
+	plan     *plan.Plan
+	byID     map[uint32]*groupState
+	results  []Result
+	stats    engineStats
+	tmplKeys map[uint32]bool // keys whose template instantiation ran
 
 	// horizonDisabled latches when any group's shape forced its effective
 	// reorder horizon to 0 while Config.ReorderHorizon was positive — the
@@ -41,7 +40,7 @@ type Engine struct {
 	// The key-space tier (keyspace.go): instances live in hash-sharded
 	// per-key maps, idle keys park as snapshot blobs, and ordered caches
 	// the ascending-id iteration order AdvanceTo and Snapshot need.
-	shards       []instShard
+	shards       [instanceShards]instShard
 	byIDPeak     int // occupancy byID's buckets were grown for (shrinkIndexes)
 	ordered      []*groupState
 	orderedStale bool
@@ -103,15 +102,6 @@ func NewFromPlan(p *plan.Plan, cfg Config) *Engine {
 		byID:     make(map[uint32]*groupState),
 		quietGen: 1,
 	}
-	e.pruneThreshold = cfg.PruneThreshold
-	if e.pruneThreshold <= 0 {
-		e.pruneThreshold = DefaultPruneThreshold
-	}
-	nsh := cfg.InstanceShards
-	if nsh <= 0 {
-		nsh = DefaultInstanceShards
-	}
-	e.shards = make([]instShard, nsh)
 	for i := range e.shards {
 		e.shards[i] = instShard{
 			byKey:   make(map[uint32]*keyEntry),

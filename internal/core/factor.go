@@ -116,7 +116,7 @@ func (g *groupState) produceSuper(d *groupState, lo, hi int64) {
 	g.idx.query(g.closed, d.feedCtx, loIdx, hiIdx, &row[0])
 	row[0].Finish()
 	ingested := g.closed[hiIdx-1].endCount - g.closed[loIdx].startCount
-	d.acceptSuper(lo, hi, ingested, g.closed[hiIdx-1].lastEvent, row)
+	d.acceptSuper(lo, hi, ingested, row)
 }
 
 // acceptSuper appends one super-slice to the fed group's ring. Supers enter
@@ -124,7 +124,7 @@ func (g *groupState) produceSuper(d *groupState, lo, hi int64) {
 // index maintenance, slice accounting — so everything downstream (assembly,
 // pruning, late-window deferral, snapshots) treats them as ordinary slices
 // with coarse extents.
-func (g *groupState) acceptSuper(lo, hi, ingested, lastEvent int64, row []operator.Agg) {
+func (g *groupState) acceptSuper(lo, hi, ingested int64, row []operator.Agg) {
 	if !g.started {
 		g.start(lo)
 	}
@@ -133,8 +133,7 @@ func (g *groupState) acceptSuper(lo, hi, ingested, lastEvent int64, row []operat
 	g.fedCount += ingested
 	g.closed = append(g.closed, sliceRec{
 		seq: seq, start: lo, end: hi,
-		startCount: g.fedCount - ingested, endCount: g.fedCount,
-		lastEvent: lastEvent, aggs: row,
+		startCount: g.fedCount - ingested, endCount: g.fedCount, aggs: row,
 	})
 	if invariant.Enabled {
 		//lint:ignore hotalloc debug-build verification: compiled out of release builds

@@ -20,7 +20,6 @@ type sliceRec struct {
 	seq                  uint64 // creation order, monotone with position
 	start, end           int64  // event-time extent [start, end)
 	startCount, endCount int64  // count-axis extent (events ingested)
-	lastEvent            int64  // newest event time at close
 	aggs                 []operator.Agg
 }
 
@@ -271,7 +270,7 @@ func (g *groupState) start(t int64) {
 	g.started = true
 	g.lastPunct = t
 	g.lastEventTime = t
-	g.cur = sliceRec{start: t, startCount: g.count, lastEvent: t, aggs: g.newAggs()}
+	g.cur = sliceRec{start: t, startCount: g.count, aggs: g.newAggs()}
 	g.nextTimeBound = g.cal.NextBoundary(t)
 	g.nextCountID = g.countCal.NextBoundary(g.count)
 	if telemetry.TraceEnabled {
@@ -431,9 +430,6 @@ func (g *groupState) fold(vals []float64, finite bool, last, newest int64) (calc
 	if newest > g.lastEventTime {
 		g.lastEventTime = newest
 	}
-	if newest > g.cur.lastEvent {
-		g.cur.lastEvent = newest
-	}
 	g.count += int64(len(vals))
 	g.telEvents.Add(uint64(len(vals)))
 	return calcs
@@ -591,8 +587,7 @@ func (g *groupState) insertLateSlice(t int64, pos int) int {
 	copy(g.closed[at+1:], g.closed[at:])
 	g.closed[at] = sliceRec{
 		seq: seq, start: start, end: end,
-		startCount: cnt, endCount: cnt,
-		lastEvent: t, aggs: aggs,
+		startCount: cnt, endCount: cnt, aggs: aggs,
 	}
 	g.e.stats.slices.Add(1)
 	g.telSlices.Inc()
@@ -749,7 +744,7 @@ func (g *groupState) closeSlice(b int64) {
 		g.idx.configure(len(g.contexts), g.indexOps(), len(g.closed)-1)
 		g.idx.appendSlice(g.closed)
 	}
-	g.cur = sliceRec{start: b, startCount: g.count, lastEvent: g.lastEventTime, aggs: g.newAggs()}
+	g.cur = sliceRec{start: b, startCount: g.count, aggs: g.newAggs()}
 	g.lastPunct = b
 	if telemetry.TraceEnabled {
 		telemetry.TraceSlice(telemetry.TraceOpen, g.e.cfg.TraceName, uint64(g.id), g.nextSliceID, b, b)
@@ -1011,11 +1006,11 @@ func FinishValues(f *operator.WindowFinisher, funcs []operator.FuncSpec, hints [
 }
 
 // prune drops closed slices no longer covered by any open window on either
-// axis, keeping memory proportional to the longest open window (§2.3). The
-// retention threshold is Config.PruneThreshold (default 64); dropped slices
-// are counted in Stats.Pruned and their aggregate rows recycled.
+// axis, keeping memory proportional to the longest open window (§2.3). A
+// group retains pruneThreshold closed slices before it compacts; dropped
+// slices are counted in Stats.Pruned and their aggregate rows recycled.
 func (g *groupState) prune() {
-	if len(g.closed) < g.e.pruneThreshold {
+	if len(g.closed) < pruneThreshold {
 		return
 	}
 	anchor := g.lastPunct

@@ -19,9 +19,9 @@ import (
 // key's next event (or a plan delta touching it, or an AdvanceTo) restores
 // the blob, producing windows identical to a never-evicted run.
 
-// DefaultInstanceShards is the instance-map shard count selected by
-// Config.InstanceShards = 0.
-const DefaultInstanceShards = 16
+// instanceShards is the instance-map shard count. More shards shorten TTL
+// sweep steps at the cost of more (small) maps.
+const instanceShards = 16
 
 // DefaultInstanceSweepEvery is how many ingested events pass between two
 // TTL sweep steps when Config.InstanceSweepEvery = 0.
@@ -67,7 +67,7 @@ type instShard struct {
 // instShardOf routes a key to its instance-map shard, mirroring the plan's
 // key→shard map one level down.
 func (e *Engine) instShardOf(key uint32) uint32 {
-	return key % uint32(len(e.shards))
+	return key % instanceShards
 }
 
 // keyParked reports whether key currently lives as an eviction snapshot.

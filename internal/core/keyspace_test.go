@@ -77,7 +77,6 @@ func TestEvictReviveDifferential(t *testing.T) {
 	ctl := NewFromPlan(mustPlan(t, queries, plan.Options{Dedup: true}), Config{})
 	ttl := NewFromPlan(mustPlan(t, queries, plan.Options{Dedup: true}), Config{
 		InstanceTTL:        500,
-		InstanceShards:     4,
 		InstanceSweepEvery: 64,
 	})
 
@@ -140,7 +139,6 @@ func TestReviveRacesTemplateRemoval(t *testing.T) {
 	ctl := NewFromPlan(mustPlan(t, []query.Query{tmpl}, plan.Options{}), Config{})
 	ttl := NewFromPlan(mustPlan(t, []query.Query{tmpl}, plan.Options{}), Config{
 		InstanceTTL:        300,
-		InstanceShards:     2,
 		InstanceSweepEvery: 4,
 	})
 	engines := []*Engine{ctl, ttl}

@@ -33,8 +33,9 @@ const snapshotMagic = 0x44455349 // "DESI"
 // the super production bound and count-axis accumulator, see factor.go; v7:
 // slice sequence numbers and each member's udOpenSeq, without which a
 // restored user-defined window takes in a zero-span slice its closing marker
-// cut at the window's start time).
-const snapshotVersion = 7
+// cut at the window's start time; v8: slices no longer carry their newest
+// event time, which nothing read).
+const snapshotVersion = 8
 
 // Snapshot appends a serialised checkpoint of the engine's complete mutable
 // state to buf. The engine must be quiescent (no concurrent Process). The
@@ -128,7 +129,6 @@ func appendSlice(buf []byte, s *sliceRec) []byte {
 	buf = appendU64s(buf, uint64(s.end))
 	buf = appendU64s(buf, uint64(s.startCount))
 	buf = appendU64s(buf, uint64(s.endCount))
-	buf = appendU64s(buf, uint64(s.lastEvent))
 	buf = appendU32s(buf, uint32(len(s.aggs)))
 	for i := range s.aggs {
 		buf = operator.AppendAgg(buf, &s.aggs[i])
@@ -279,7 +279,6 @@ func readSlice(r *snapReader, s *sliceRec, closed bool) error {
 	s.end = int64(r.u64())
 	s.startCount = int64(r.u64())
 	s.endCount = int64(r.u64())
-	s.lastEvent = int64(r.u64())
 	n := int(r.u32())
 	s.aggs = make([]operator.Agg, n)
 	for i := 0; i < n && r.err == nil; i++ {

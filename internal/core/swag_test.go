@@ -128,17 +128,15 @@ func randomAssemblyStream(rng *rand.Rand, n int) ([]event.Event, int64) {
 	return evs, t + 10_000
 }
 
-func differentialConfigs(seed int64) (indexed, naive Config) {
-	// Odd seeds prune aggressively so the index's dropFront/reset paths run;
-	// even seeds keep the default retention. Both engines must prune alike —
-	// pruning itself is correctness-neutral, but identical retention keeps
-	// the engines' emission order trivially comparable.
+// differentialStream is the stream the assembly differentials feed. Odd
+// seeds run long enough for groups to pass pruneThreshold, so the index's
+// dropFront/reset paths run; even seeds stay short. Pruning itself is
+// correctness-neutral, and both engines retain alike.
+func differentialStream(rng *rand.Rand, seed int64) ([]event.Event, int64) {
 	if seed%2 == 1 {
-		indexed.PruneThreshold = 8
-		naive.PruneThreshold = 8
+		return randomAssemblyStream(rng, 8000)
 	}
-	naive.NaiveAssembly = true
-	return indexed, naive
+	return randomAssemblyStream(rng, 2000)
 }
 
 func TestAssemblyDifferential(t *testing.T) {
@@ -155,10 +153,9 @@ func TestAssemblyDifferential(t *testing.T) {
 				}
 				queries = append(queries, q)
 			}
-			evs, advTo := randomAssemblyStream(rng, 2000)
-			idxCfg, naiveCfg := differentialConfigs(seed)
-			want := runEngine(t, queries, evs, advTo, naiveCfg)
-			compareResults(t, runEngine(t, queries, evs, advTo, idxCfg), want)
+			evs, advTo := differentialStream(rng, seed)
+			want := runEngine(t, queries, evs, advTo, Config{NaiveAssembly: true})
+			compareResults(t, runEngine(t, queries, evs, advTo, Config{}), want)
 		})
 	}
 }
@@ -179,8 +176,7 @@ func TestAssemblyDifferentialRuntimeAdd(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				added = append(added, randomQuery(rng, uint64(100+i)))
 			}
-			evs, advTo := randomAssemblyStream(rng, 2000)
-			idxCfg, naiveCfg := differentialConfigs(seed)
+			evs, advTo := differentialStream(rng, seed)
 
 			run := func(cfg Config) []Result {
 				e := NewFromPlan(mustPlan(t, initial, plan.Options{}), cfg)
@@ -194,22 +190,23 @@ func TestAssemblyDifferentialRuntimeAdd(t *testing.T) {
 				e.AdvanceTo(advTo)
 				return e.Results()
 			}
-			want := run(naiveCfg)
-			compareResults(t, run(idxCfg), want)
+			want := run(Config{NaiveAssembly: true})
+			compareResults(t, run(Config{}), want)
 		})
 	}
 }
 
 // TestAssemblySnapshotRoundTrip checkpoints an indexed engine mid-stream and
 // restores it: the index is derived state, rebuilt lazily after restore, so
-// the resumed engine must continue identically to an uninterrupted one.
+// the resumed engine must continue identically to an uninterrupted one. The
+// stream is long enough that rings are pruned on both sides of the cut.
 func TestAssemblySnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var queries []query.Query
 	for i := 0; i < 8; i++ {
 		queries = append(queries, randomQuery(rng, uint64(i+1)))
 	}
-	evs, advTo := randomAssemblyStream(rng, 2000)
+	evs, advTo := randomAssemblyStream(rng, 8000)
 
 	full := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{})
 	full.ProcessBatch(evs)
@@ -219,6 +216,7 @@ func TestAssemblySnapshotRoundTrip(t *testing.T) {
 	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), Config{})
 	e.ProcessBatch(evs[:len(evs)/2])
 	partial := e.Results()
+	before := e.Stats().Pruned
 	snap := e.Snapshot(nil)
 	e2, err := RestoreFromPlan(mustPlan(t, queries, plan.Options{}), Config{}, snap)
 	if err != nil {
@@ -228,8 +226,8 @@ func TestAssemblySnapshotRoundTrip(t *testing.T) {
 	e2.AdvanceTo(advTo)
 	got := append(partial, e2.Results()...)
 	compareResults(t, got, want)
-	if s := e2.Stats(); s.Pruned == 0 {
-		t.Logf("no pruning occurred in round-trip run (threshold %d)", DefaultPruneThreshold)
+	if after := e2.Stats().Pruned; before == 0 || after == before {
+		t.Fatalf("pruned %d slices before the snapshot and %d after it: both sides must prune (threshold %d)", before, after-before, pruneThreshold)
 	}
 }
 

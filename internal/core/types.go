@@ -109,7 +109,7 @@ type Stats struct {
 	// Windows is the number of window results emitted.
 	Windows uint64
 	// Pruned is the number of closed slices dropped by retention pruning
-	// (see Config.PruneThreshold).
+	// (§2.3; see pruneThreshold).
 	Pruned uint64
 	// LateCommits is the number of out-of-order events committed into
 	// already-closed slices (see Config.ReorderHorizon).
@@ -121,9 +121,9 @@ type Stats struct {
 	LateDropped uint64
 }
 
-// DefaultPruneThreshold is the closed-slice count below which a group skips
-// retention pruning (Config.PruneThreshold = 0 selects it).
-const DefaultPruneThreshold = 64
+// pruneThreshold is the closed-slice count below which a group skips
+// retention pruning. Larger values trade memory for fewer compactions.
+const pruneThreshold = 64
 
 // PlacementFilter selects which groups of the execution plan an engine
 // materialises. The plan itself is always held complete, so runtime deltas
@@ -153,7 +153,9 @@ func (f PlacementFilter) accepts(p query.Placement) bool {
 	return true
 }
 
-// Config configures an Engine.
+// Config configures an Engine. A group prunes once it holds 64 closed
+// slices, and key instances live in 16 map shards; both are constants
+// (pruneThreshold, instanceShards), not settings.
 type Config struct {
 	// OnResult receives window results as they are produced. When nil,
 	// results accumulate and are retrieved with Results.
@@ -192,21 +194,12 @@ type Config struct {
 	// one clock across shards so sweep cadence stays uniform under skewed
 	// shard load. Only meaningful with InstanceTTL set.
 	SweepClock *SweepClock
-	// PruneThreshold is the closed-slice count a group retains before
-	// pruning slices no open window can need; 0 selects
-	// DefaultPruneThreshold. Larger values trade memory for fewer
-	// compactions.
-	PruneThreshold int
 	// InstanceTTL, when positive, evicts keys idle for this many
 	// event-time milliseconds: their group instances are serialised into a
 	// compact snapshot and dropped, to be revived on the key's next event
 	// (or plan delta, or AdvanceTo) with windows identical to a
 	// never-evicted run. 0 disables eviction. See keyspace.go.
 	InstanceTTL int64
-	// InstanceShards is the shard count of the engine's key→instance maps;
-	// 0 selects DefaultInstanceShards. More shards shorten TTL sweep steps
-	// at the cost of more (small) maps.
-	InstanceShards int
 	// InstanceSweepEvery is how many ingested events pass between two TTL
 	// sweep steps; 0 selects DefaultInstanceSweepEvery. Only meaningful
 	// with InstanceTTL set.
@@ -219,7 +212,8 @@ type Config struct {
 	// histogram. Nil costs one predictable branch per instrumented site.
 	Telemetry *telemetry.Registry
 	// TraceName labels this engine's slice-lifecycle trace events (the
-	// node= field) under the desis_trace build tag; unused otherwise.
+	// node= field) under the desis_trace build tag; unused otherwise. A
+	// local's engine is "local.<id>", the root's "root".
 	TraceName string
 }
 

@@ -12,7 +12,12 @@ import (
 	"desis/internal/telemetry"
 )
 
-// ClusterConfig shapes an in-process topology.
+// linkBuffer is the per-link queue depth in messages; the bound provides
+// backpressure for sustainable-throughput measurement.
+const linkBuffer = 256
+
+// ClusterConfig shapes an in-process topology. Every link queues linkBuffer
+// messages, and locals coalesce forwarded raw events 256 to a frame.
 type ClusterConfig struct {
 	// Locals is the number of local (stream-ingesting) nodes.
 	Locals int
@@ -24,11 +29,6 @@ type ClusterConfig struct {
 	// Bandwidth throttles every link to this many bytes per second; zero
 	// means unlimited. Used to model the 1 GbE Raspberry-Pi links (§6.5.2).
 	Bandwidth float64
-	// Buffer is the per-link queue depth in messages (default 256); the
-	// bound provides backpressure for sustainable-throughput measurement.
-	Buffer int
-	// BatchSize coalesces forwarded raw events (default 256).
-	BatchSize int
 	// Batch wraps every upward link in a message.BatchingConn: partials and
 	// watermarks coalesce into columnar KindBatch frames sized by the link's
 	// observed drain rate (§4-style uplink amortisation).
@@ -77,9 +77,6 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 		cfg.Locals = 1
 	}
 	cfg.Intermediates = min(cfg.Intermediates, cfg.Locals)
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 256
-	}
 	c := &Cluster{cfg: cfg}
 	c.wmCond = sync.NewCond(&c.rootMu)
 	collect := cfg.OnResult
@@ -93,9 +90,9 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 
 	newPipe := func() (*message.Pipe, *message.Pipe) {
 		if cfg.Bandwidth > 0 {
-			return message.NewThrottledPipe(message.Binary{}, cfg.Buffer, cfg.Bandwidth)
+			return message.NewThrottledPipe(message.Binary{}, linkBuffer, cfg.Bandwidth)
 		}
-		return message.NewPipe(message.Binary{}, cfg.Buffer)
+		return message.NewPipe(message.Binary{}, linkBuffer)
 	}
 
 	localID := func(i int) uint32 { return uint32(1 + i) }
@@ -139,7 +136,7 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 		up, parentSide := newPipe()
 		upConn := batching(up, localID(i), cfg.Batch, nil)
 		c.localConns = append(c.localConns, upConn)
-		c.locals = append(c.locals, NewLocalFromPlan(localID(i), p.Clone(), upConn, cfg.BatchSize))
+		c.locals = append(c.locals, NewLocalFromPlan(localID(i), p.Clone(), upConn, 0))
 		if cfg.Intermediates > 0 {
 			c.pumpToIntermediate(i%cfg.Intermediates, parentSide)
 		} else {

@@ -66,6 +66,7 @@ func newLocal(id uint32, p *plan.Plan, parent message.Conn, batchSize int, insta
 		Placement:   core.DistributedOnly,
 		OnSlice:     l.sendPartial,
 		InstanceTTL: instanceTTL,
+		TraceName:   fmt.Sprintf("local.%d", id),
 	})
 	l.rebuildForward()
 	return l

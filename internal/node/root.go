@@ -46,7 +46,7 @@ func NewRootFromPlan(p *plan.Plan, children []uint32, onResult func(core.Result)
 	// applies each delta to both, keeping the epochs locked together. The
 	// placement filter materialises only the RootOnly groups; the assembler
 	// handles the distributed ones.
-	r.eng = core.NewFromPlan(p.Clone(), core.Config{OnResult: onResult, Placement: core.RootOnlyGroups})
+	r.eng = core.NewFromPlan(p.Clone(), core.Config{OnResult: onResult, Placement: core.RootOnlyGroups, TraceName: "root"})
 	r.asm = NewAssembler(p.Groups, onResult)
 	r.merger = NewMerger(children)
 	r.merger.Out = r.asm.AddPartial

@@ -44,20 +44,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
+// handshakeTimeout bounds a child's hello/plan-resync exchange.
+const handshakeTimeout = 5 * time.Second
+
 // DialOptions configures a child's connection to its parent (locals and
-// intermediates).
+// intermediates). Sends on the uplink time out after four heartbeat periods,
+// or never when heartbeats are disabled; the handshake after 5 s.
 type DialOptions struct {
 	// Retry shapes the reconnect loop; the zero value uses defaults.
 	Retry RetryPolicy
 	// Heartbeat is the idle-uplink heartbeat period (§3.2 liveness). Zero
 	// means HeartbeatInterval; negative disables heartbeats.
 	Heartbeat time.Duration
-	// WriteTimeout bounds each Send so a stalled parent cannot block the
-	// child forever. Zero derives 4× the effective heartbeat period (or no
-	// deadline when heartbeats are disabled); negative disables it.
-	WriteTimeout time.Duration
-	// HandshakeTimeout bounds the hello/query-set exchange (default 5s).
-	HandshakeTimeout time.Duration
 	// Batch wraps the uplink in a message.BatchingConn: outgoing
 	// partial/watermark frames coalesce into columnar KindBatch frames whose
 	// size follows the link's backpressure. Control traffic flushes the open
@@ -80,12 +78,6 @@ func (o DialOptions) withDefaults() DialOptions {
 	o.Retry = o.Retry.withDefaults()
 	if o.Heartbeat == 0 {
 		o.Heartbeat = HeartbeatInterval
-	}
-	if o.WriteTimeout == 0 && o.Heartbeat > 0 {
-		o.WriteTimeout = 4 * o.Heartbeat
-	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 5 * time.Second
 	}
 	if o.Telemetry == nil {
 		o.Telemetry = telemetry.NewRegistry()
@@ -238,8 +230,9 @@ func (u *uplink) handshake() (*message.TCPConn, *message.Message, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if u.opts.WriteTimeout > 0 {
-		conn.SetWriteTimeout(u.opts.WriteTimeout)
+	if u.opts.Heartbeat > 0 {
+		// A stalled parent cannot block the child past four heartbeats.
+		conn.SetWriteTimeout(4 * u.opts.Heartbeat)
 	}
 	epoch := uint64(message.NoEpoch)
 	u.mu.Lock()
@@ -252,7 +245,7 @@ func (u *uplink) handshake() (*message.TCPConn, *message.Message, error) {
 		conn.Close()
 		return nil, nil, err
 	}
-	resync, err := conn.RecvTimeout(u.opts.HandshakeTimeout)
+	resync, err := conn.RecvTimeout(handshakeTimeout)
 	if err != nil {
 		conn.Close()
 		return nil, nil, fmt.Errorf("node: handshake with %s: %w", u.addr, err)

@@ -30,11 +30,11 @@ func SetTraceWriter(w io.Writer) {
 
 // TraceSlice emits one structured lifecycle event as a logfmt line:
 //
-//	desis_trace t=1718040201123456789 node=local-2 ev=close group=3 slice=41 start=5000 end=6000
+//	desis_trace t=1718040201123456789 node=local.2 ev=close group=3 slice=41 start=5000 end=6000
 //
 // t is wall-clock nanoseconds; start/end are the slice's event-time
-// bounds; node identifies the tier ("root", "inter-…", "local-…", or ""
-// for a standalone engine). The write is mutex-serialized so concurrent
+// bounds; node identifies the tier ("root", "inter.<id>", "local.<id>", or
+// "" for a standalone engine). The write is mutex-serialized so concurrent
 // shards interleave whole lines, never bytes.
 func TraceSlice(ev TraceEvent, node string, group uint64, slice uint64, start, end int64) {
 	traceMu.Lock()

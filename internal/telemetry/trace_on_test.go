@@ -17,7 +17,7 @@ func TestTraceEmitsLogfmtLines(t *testing.T) {
 	SetTraceWriter(&buf)
 	defer SetTraceWriter(nil)
 
-	TraceSlice(TraceOpen, "local-1", 3, 41, 5000, 6000)
+	TraceSlice(TraceOpen, "local.1", 3, 41, 5000, 6000)
 	TraceSlice(TraceAssemble, "root", 3, 41, 5000, 6000)
 
 	out := buf.String()
@@ -25,7 +25,7 @@ func TestTraceEmitsLogfmtLines(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
-	for _, want := range []string{"ev=open", "node=local-1", "group=3", "slice=41", "start=5000", "end=6000"} {
+	for _, want := range []string{"ev=open", "node=local.1", "group=3", "slice=41", "start=5000", "end=6000"} {
 		if !strings.Contains(lines[0], want) {
 			t.Errorf("line %q missing %q", lines[0], want)
 		}

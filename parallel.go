@@ -60,7 +60,7 @@ func NewParallelEngine(queries []Query, n int, opts Options) (*ParallelEngine, e
 	if err := opts.validate(queries); err != nil {
 		return nil, err
 	}
-	master, err := plan.New(queries, plan.Options{Dedup: opts.Dedup, Shards: n, Optimize: opts.optimizeOn()})
+	master, err := plan.New(queries, plan.Options{Dedup: opts.Dedup, Shards: n, Optimize: true})
 	if err != nil {
 		return nil, err
 	}
