@@ -134,14 +134,15 @@ func TestQuantileEmissionAllocs(t *testing.T) {
 	}
 }
 
-// TestHintedQuantilesOracle runs sliding quantile windows whose selection is
-// hinted with the previous window's value (FinishValues) over a stream built
-// to leave the hints wrong: the level of the values jumps, so the last answer
-// lies outside the next window's range; late commits under a reorder horizon
-// change windows after their neighbours emitted; a silence longer than every
-// window empties them, so the hint skips windows; and a restore in mid-stream
-// drops the hints altogether. A hint is only ever a first pivot, so none of
-// this may show: every result must equal the sorting oracle's.
+// TestHintedQuantilesOracle runs sliding quantile windows whose selection
+// starts from the member's memo of the previous window (FinishValues) over a
+// stream built to leave the memos wrong: the level of the values jumps, so
+// the last answer lies outside the next window's range and the walk from it
+// exceeds its bound; late commits under a reorder horizon grow slices the
+// memo knows after their neighbours emitted; a silence longer than every
+// window empties them, so the next window shares no slice with the memo;
+// and a restore in mid-stream drops the memos altogether. None of this may
+// show: every result must equal the sorting oracle's.
 func TestHintedQuantilesOracle(t *testing.T) {
 	var queries []query.Query
 	for i, s := range []string{

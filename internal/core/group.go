@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -40,11 +39,11 @@ type member struct {
 	// by the closing marker (same timestamp as the window start) must not
 	// leak into the next window; the sequence filter excludes it.
 	udOpenSeq uint64
-	// hints holds, per function, the value it had in the member's previous
-	// window: the first pivot of the next window's rank selection (see
-	// FinishValues, NewHints). Derived state: never snapshotted, and never
-	// invalidated — any value is a valid pivot.
-	hints []float64
+	// memos carries, per function, the rank selection of the member's
+	// previous window into the next (operator.SelectMemo, keyed by slice
+	// seq). Derived state: never snapshotted, and never invalidated — a
+	// run a late commit grew is searched again by its length.
+	memos []operator.SelectMemo
 }
 
 // groupState is the runtime of one query-group: the shared slice stream and
@@ -207,7 +206,7 @@ func (g *groupState) addMember(gq query.GroupQuery) int {
 		ops:        operator.Union(gq.Funcs) | operator.OpCount,
 		regTime:    g.lastPunct,
 		regCount:   g.count,
-		hints:      NewHints(gq.Funcs),
+		memos:      operator.NewSelectMemos(gq.Funcs),
 	})
 	switch gq.Type {
 	case query.Tumbling:
@@ -930,7 +929,7 @@ func (g *groupState) assembleRange(m *member, lo, hi int) {
 	g.idx.query(g.closed, m.Ctx, lo, hi, &g.fin.Agg)
 	if g.fin.ReadsRuns() {
 		for i := lo; i < hi; i++ {
-			g.fin.AddRun(g.closed[i].aggs[m.Ctx].Values)
+			g.fin.AddRun(g.closed[i].seq, g.closed[i].aggs[m.Ctx].Values)
 		}
 	}
 }
@@ -967,39 +966,24 @@ func (g *groupState) emitResult(m *member, start, end int64) {
 		Start:   start,
 		End:     end,
 		Count:   g.fin.Agg.CountV,
-		Values:  FinishValues(&g.fin, m.Funcs, m.hints),
+		Values:  FinishValues(&g.fin, m.Funcs, m.memos),
 	})
 }
 
-// NewHints returns the selection hints a member with these functions keeps
-// for FinishValues: one slot per function when any of them selects a rank
-// (median, quantile), nil otherwise. The slots start at zero, which is as
-// valid a first hint as any.
-func NewHints(funcs []operator.FuncSpec) []float64 {
-	if operator.Union(funcs)&operator.OpNDSort == 0 {
-		return nil
-	}
-	return make([]float64, len(funcs))
-}
-
 // FinishValues evaluates a member's functions over the window f holds.
-// hints is nil or one slot per function that the member keeps from window
-// to window (NewHints): each function's last value goes in as the hint of its rank
-// selection and the new value comes back out. Consecutive windows of a
-// sliding query share all but one slice, so the selection pays for the
-// difference. A slot left stale by a late commit, a plan delta or a restore
-// is still a valid hint (operator.RunSelector.Select), so nothing resets it.
-func FinishValues(f *operator.WindowFinisher, funcs []operator.FuncSpec, hints []float64) []FuncValue {
+// memos is nil or the member's operator.NewSelectMemos, kept from window to
+// window: each rank selection starts from where the function's last answer
+// sat, so consecutive windows of a sliding query, which share all but a few
+// slices, pay for the difference. An empty window leaves the memo as it
+// was.
+func FinishValues(f *operator.WindowFinisher, funcs []operator.FuncSpec, memos []operator.SelectMemo) []FuncValue {
 	values := make([]FuncValue, len(funcs))
 	for i, spec := range funcs {
-		hint := math.NaN()
-		if hints != nil {
-			hint = hints[i]
+		var memo *operator.SelectMemo
+		if memos != nil {
+			memo = &memos[i]
 		}
-		v, ok := f.Eval(spec, hint)
-		if ok && hints != nil {
-			hints[i] = v
-		}
+		v, ok := f.Eval(spec, memo)
 		values[i] = FuncValue{Spec: spec, Value: v, OK: ok}
 	}
 	return values

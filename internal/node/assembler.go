@@ -35,7 +35,7 @@ type rootGroup struct {
 	telWindows *telemetry.Counter
 	cal        window.Calendar
 	buffer     []*core.SlicePartial  // arrived, waiting for the watermark
-	store      []*core.SlicePartial  // processed, sorted by Start
+	store      []storedPartial       // processed, sorted by Start
 	take       []*core.SlicePartial  // scratch: the partials one watermark matured, empty between calls
 	unions     map[int32]*unionState // session and user-defined members
 	started    bool
@@ -43,7 +43,17 @@ type rootGroup struct {
 	fin        operator.WindowFinisher // scratch aggregate and value runs of the window being assembled
 	reg        []int64                 // per-member registration time (runtime AddQuery)
 	removed    []bool                  // per-member removal flag (indices stay stable)
-	hints      [][]float64             // per-member selection hints (core.NewHints)
+	memos      [][]operator.SelectMemo // per-member rank selection memos (operator.NewSelectMemos)
+	stored     uint64                  // partials stored so far: the next storedPartial.key
+}
+
+// storedPartial is a matured partial in a group's store with the key that
+// names its value runs to the selection memos. Partials with equal extents
+// (two children's session EPs) are different runs, so the key counts the
+// group's stored partials instead of reading the extent.
+type storedPartial struct {
+	*core.SlicePartial
+	key uint64
 }
 
 // unionState closes the windows of one session or user-defined member.
@@ -125,7 +135,7 @@ func (rg *rootGroup) registerMember(idx int, regTime int64) {
 	}
 	rg.reg = append(rg.reg, regTime)
 	rg.removed = append(rg.removed, false)
-	rg.hints = append(rg.hints, core.NewHints(gq.Funcs))
+	rg.memos = append(rg.memos, operator.NewSelectMemos(gq.Funcs))
 }
 
 // SyncGroup reconciles the assembler with a group's catalog entry after a
@@ -227,12 +237,13 @@ func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
 		if n := len(rg.store); n > 0 && p.Start < rg.store[n-1].Start {
 			unsorted = true
 		}
-		rg.store = append(rg.store, p)
+		rg.store = append(rg.store, storedPartial{p, rg.stored})
+		rg.stored++
 	}
 	clear(take) // the store owns them now
 	rg.take = take[:0]
 	if unsorted {
-		slices.SortFunc(rg.store, func(p, q *core.SlicePartial) int { return cmp.Compare(p.Start, q.Start) })
+		slices.SortFunc(rg.store, func(p, q storedPartial) int { return cmp.Compare(p.Start, q.Start) })
 	}
 	if !rg.started {
 		return
@@ -292,7 +303,7 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 	rg.fin.Begin(operator.Union(m.Funcs)|operator.OpCount, rg.g.Ops)
 	u := rg.unions[int32(idx)]
 	for i := lo; i < len(rg.store); i++ {
-		p := rg.store[i]
+		p := rg.store[i].SlicePartial
 		if invariant.Enabled {
 			invariant.AssertPartialLive(p)
 		}
@@ -308,7 +319,7 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 		if p.End <= we && m.Ctx < len(p.Aggs) {
 			rg.fin.Agg.Merge(&p.Aggs[m.Ctx])
 			if rg.fin.ReadsRuns() {
-				rg.fin.AddRun(p.Aggs[m.Ctx].Values)
+				rg.fin.AddRun(rg.store[i].key, p.Aggs[m.Ctx].Values)
 			}
 		}
 	}
@@ -322,7 +333,7 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 		Start:   ws,
 		End:     we,
 		Count:   rg.fin.Agg.CountV,
-		Values:  core.FinishValues(&rg.fin, m.Funcs, rg.hints[idx]),
+		Values:  core.FinishValues(&rg.fin, m.Funcs, rg.memos[idx]),
 	})
 }
 
@@ -340,7 +351,7 @@ func (a *Assembler) prune(rg *rootGroup, w int64) {
 	}
 	n := 0
 	for n < len(rg.store) && rg.store[n].Start < tNeed {
-		message.ReleasePartial(rg.store[n])
+		message.ReleasePartial(rg.store[n].SlicePartial)
 		n++
 	}
 	if n > 0 {

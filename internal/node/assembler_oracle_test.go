@@ -107,3 +107,54 @@ func bruteForceWindow(q query.Query, start, end int64, evs []event.Event) core.R
 	}
 	return r
 }
+
+// TestRootSelectionKeysOracle runs sliding quantile members beside a
+// session member on two locals that share the stream round-robin. Each
+// local cuts a slice where its own session ends, so the root stores partials
+// that start together and end apart, and the sliding windows select over
+// both. The root's selection memos must tell such partials apart although
+// their extents begin alike: every sliding window must equal a sort of its
+// raw events. The session member only cuts the slices; its own windows wait
+// for ROADMAP item 1 (cause B) and are not checked.
+func TestRootSelectionKeysOracle(t *testing.T) {
+	var queries []query.Query
+	for i, s := range []string{
+		"session(30ms) count key=1",
+		"sliding(400ms,50ms) median,quantile(0.9) key=1",
+		"sliding(200ms,50ms) quantile(0.25) key=1",
+	} {
+		q := query.MustParse(s)
+		q.ID = uint64(i + 1)
+		queries = append(queries, q)
+	}
+	byID := make(map[uint64]query.Query)
+	for _, q := range queries {
+		byID[q.ID] = q
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var evs []event.Event
+		tm := int64(5)
+		for len(evs) < 3000 {
+			// A burst of a few events, then a pause that often outlasts the
+			// session gap.
+			for n := 1 + rng.Intn(12); n > 0; n-- {
+				tm += int64(rng.Intn(4))
+				evs = append(evs, event.Event{Time: tm, Key: 1, Value: float64(rng.Intn(64)) / 8})
+			}
+			tm += int64(rng.Intn(60))
+		}
+		adv := tm + 5000
+		var got, want []core.Result
+		for _, r := range clusterResults(t, queries, evs, adv, 2, 0) {
+			if r.QueryID != queries[0].ID {
+				got = append(got, r)
+				want = append(want, bruteForceWindow(byID[r.QueryID], r.Start, r.End, evs))
+			}
+		}
+		if len(got) < 100 {
+			t.Fatalf("seed %d: %d sliding windows", seed, len(got))
+		}
+		compareResultSets(t, got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"io"
 	"sync"
 
@@ -113,6 +114,7 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 	// every local a clone, so placement and epochs stay locked together
 	// across tiers.
 	c.root = NewRootFromPlan(p, rootChildren, collect)
+	c.root.AttachTelemetry(nil, "root")
 
 	// Intermediates and their upward links.
 	for i := 0; i < cfg.Intermediates; i++ {
@@ -126,6 +128,7 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 			}
 		}
 		inter := NewIntermediate(interID(i), children, upConn)
+		inter.AttachTelemetry(nil, fmt.Sprintf("inter.%d", interID(i)))
 		c.inters = append(c.inters, inter)
 		c.interPumps = append(c.interPumps, &sync.WaitGroup{})
 		c.pumpToRoot(rootSide)

@@ -27,7 +27,7 @@ func TestAssemblerPruneClearsTail(t *testing.T) {
 		t.Fatalf("store holds %d partials after the watermark passed all %d: prune never dropped any", len(rg.store), n)
 	}
 	for i, p := range rg.store[len(rg.store):cap(rg.store)] {
-		if p != nil {
+		if p.SlicePartial != nil {
 			t.Fatalf("store slot %d past len still references pruned partial %d", len(rg.store)+i, p.ID)
 		}
 	}

@@ -4,6 +4,7 @@ package node
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,9 +13,11 @@ import (
 	"desis/internal/telemetry"
 )
 
-// TestTraceNamesLocals reads two locals' slice-lifecycle trace: every close
-// and ship line names the local that cut or shipped the slice, so a trace
-// from several locals tells them apart.
+// TestTraceNamesLocals reads the slice-lifecycle trace of two locals under
+// one intermediate: every close and ship line names the local that cut or
+// shipped the slice, every merge line the intermediate or the root that
+// merged it, and every assemble line the root, so a trace from several
+// nodes tells them apart.
 func TestTraceNamesLocals(t *testing.T) {
 	var buf bytes.Buffer
 	telemetry.SetTraceWriter(&buf)
@@ -24,23 +27,35 @@ func TestTraceNamesLocals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedCluster(t, NewCluster(p, ClusterConfig{Locals: 2}), stepEvents(0, 1000, 10), 2000)
+	feedCluster(t, NewCluster(p, ClusterConfig{Locals: 2, Intermediates: 1}), stepEvents(0, 1000, 10), 2000)
 	telemetry.SetTraceWriter(nil) // orders every traced write before the read
 
+	names := map[string][]string{
+		"ev=close":    {"node=local.1", "node=local.2"},
+		"ev=ship":     {"node=local.1", "node=local.2"},
+		"ev=merge":    {"node=inter.1001", "node=root"},
+		"ev=assemble": {"node=root"},
+	}
 	seen := map[string]int{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		f := strings.Fields(line)
-		if len(f) < 4 || (f[3] != "ev=close" && f[3] != "ev=ship") {
+		if len(f) < 4 {
 			continue
 		}
-		if f[2] != "node=local.1" && f[2] != "node=local.2" {
-			t.Fatalf("%s line names no local: %q", f[3], line)
+		want, ok := names[f[3]]
+		if !ok {
+			continue
+		}
+		if !slices.Contains(want, f[2]) {
+			t.Fatalf("%s line names none of %v: %q", f[3], want, line)
 		}
 		seen[f[2]+" "+f[3]]++
 	}
-	for _, want := range []string{"node=local.1 ev=close", "node=local.1 ev=ship", "node=local.2 ev=close", "node=local.2 ev=ship"} {
-		if seen[want] == 0 {
-			t.Errorf("no %q line in the trace; saw %v", want, seen)
+	for ev, nodes := range names {
+		for _, node := range nodes {
+			if want := node + " " + ev; seen[want] == 0 {
+				t.Errorf("no %q line in the trace; saw %v", want, seen)
+			}
 		}
 	}
 }

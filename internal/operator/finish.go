@@ -11,15 +11,16 @@ package operator
 // finish windows through it.
 //
 // Per window: Begin, fold the covering slices into Agg, AddRun each
-// covering slice's values when the member reads them, then Eval per
-// function.
+// covering slice's values under its key when the member reads them, then
+// Eval per function.
 type WindowFinisher struct {
 	// Agg is the decomposable scratch the caller folds slices into.
 	Agg Agg
 
 	readsRuns bool // the member's operators include OpNDSort
 	runs      [][]float64
-	n         int // total values across runs
+	keys      []uint64 // keys[i] names runs[i] (SelectMemo)
+	n         int      // total values across runs
 	sel       RunSelector
 	merger    *RunMerger // MergedAgg only
 }
@@ -43,6 +44,7 @@ func (f *WindowFinisher) Begin(memberOps, groupOps Op) {
 	f.Agg.Sorted = true
 	f.readsRuns = memberOps&OpNDSort != 0
 	f.runs = f.runs[:0]
+	f.keys = f.keys[:0]
 	f.n = 0
 }
 
@@ -50,13 +52,16 @@ func (f *WindowFinisher) Begin(memberOps, groupOps Op) {
 // whether the caller owes an AddRun per covering slice.
 func (f *WindowFinisher) ReadsRuns() bool { return f.readsRuns }
 
-// AddRun adds one covering slice's ascending retained values. The run is
-// read until the window's last Eval and never written.
+// AddRun adds one covering slice's ascending retained values under key,
+// which names the slice for the selection memos (see SelectMemo): no other
+// slice the member's windows cover may share it while this one lives. The
+// run is read until the window's last Eval and never written.
 //
 //desis:hotpath
-func (f *WindowFinisher) AddRun(values []float64) {
+func (f *WindowFinisher) AddRun(key uint64, values []float64) {
 	if len(values) > 0 {
 		f.runs = append(f.runs, values)
+		f.keys = append(f.keys, key)
 		f.n += len(values)
 	}
 }
@@ -65,13 +70,13 @@ func (f *WindowFinisher) AddRun(values []float64) {
 // the window is empty and the function has no defined value. Min and max
 // come from Agg when it folded the decomposable sort and from the run
 // endpoints otherwise (see Begin), where they are the elements the merged
-// sequence would hold first and last. hint warm-starts the rank selection
-// of median and quantile (see RunSelector.Select) and is ignored otherwise:
-// the value the same function had in the query's previous window, NaN for
-// none.
+// sequence would hold first and last. memo warm-starts the rank selection
+// of median and quantile and is ignored otherwise: the same function's
+// memo, carried from the query's previous window to this one (see
+// RunSelector.Select), or nil to select cold.
 //
 //desis:hotpath
-func (f *WindowFinisher) Eval(spec FuncSpec, hint float64) (v float64, ok bool) {
+func (f *WindowFinisher) Eval(spec FuncSpec, memo *SelectMemo) (v float64, ok bool) {
 	switch spec.Func {
 	case Min:
 		if f.Agg.Ops&OpDSort != 0 || f.n == 0 {
@@ -96,18 +101,18 @@ func (f *WindowFinisher) Eval(spec FuncSpec, hint float64) (v float64, ok bool) 
 		}
 		return v, true
 	case Median:
-		return f.quantile(0.5, hint)
+		return f.quantile(0.5, memo)
 	case Quantile:
-		return f.quantile(spec.Arg, hint)
+		return f.quantile(spec.Arg, memo)
 	}
 	return f.Agg.Eval(spec)
 }
 
-func (f *WindowFinisher) quantile(q, hint float64) (float64, bool) {
+func (f *WindowFinisher) quantile(q float64, memo *SelectMemo) (float64, bool) {
 	if f.n == 0 {
 		return 0, false
 	}
-	return f.sel.Select(f.runs, NearestRank(q, f.n), hint), true
+	return f.sel.Select(f.runs, f.keys, NearestRank(q, f.n), memo), true
 }
 
 // MergedAgg returns the window's aggregate with the value runs merged into

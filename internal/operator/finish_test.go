@@ -20,15 +20,16 @@ func fillWindow(f *WindowFinisher, memberOps, groupOps Op, slices []Agg) {
 	for i := range slices {
 		f.Agg.Merge(&slices[i])
 		if f.ReadsRuns() {
-			f.AddRun(slices[i].Values)
+			f.AddRun(uint64(i), slices[i].Values)
 		}
 	}
 }
 
 // TestWindowFinisherMatchesMergedEval checks Eval against the path it
-// replaced, which survives as MergedAgg: merge the runs, then Agg.Eval. The
-// hint is whatever the previous function returned, or none: it must not
-// show in the value.
+// replaced, which survives as MergedAgg: merge the runs, then Agg.Eval.
+// Every other trial selects through memos and evaluates each function twice,
+// the second time from the memo the first left: neither may show in the
+// value.
 func TestWindowFinisherMatchesMergedEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
@@ -54,16 +55,22 @@ func TestWindowFinisherMatchesMergedEval(t *testing.T) {
 		fillWindow(&f, memberOps, groupOps, slices)
 		fillWindow(&merged, memberOps, groupOps, slices)
 		agg := merged.MergedAgg()
-		hint := math.NaN()
-		for _, spec := range specs {
-			gv, gok := f.Eval(spec, hint)
-			if trial%2 == 0 {
-				hint = gv
+		var memos []SelectMemo
+		if trial%2 == 0 {
+			memos = NewSelectMemos(specs)
+		}
+		for i, spec := range specs {
+			var memo *SelectMemo
+			if memos != nil {
+				memo = &memos[i]
 			}
-			wv, wok := agg.Eval(spec)
-			if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
-				t.Fatalf("trial %d (%v, %d slices) %v: Eval = %v,%v; merged Agg.Eval = %v,%v",
-					trial, groupOps, len(slices), spec, gv, gok, wv, wok)
+			for pass := 0; pass < 2; pass++ {
+				gv, gok := f.Eval(spec, memo)
+				wv, wok := agg.Eval(spec)
+				if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
+					t.Fatalf("trial %d (%v, %d slices) %v, pass %d: Eval = %v,%v; merged Agg.Eval = %v,%v",
+						trial, groupOps, len(slices), spec, pass, gv, gok, wv, wok)
+				}
 			}
 		}
 		if f.merger != nil {
@@ -90,10 +97,12 @@ func TestWindowFinisherSteadyState(t *testing.T) {
 	}
 	sort.Float64s(all)
 	var f WindowFinisher
+	specs := []FuncSpec{{Func: Median}, {Func: Quantile, Arg: 0.99}, {Func: Min}, {Func: Max}}
+	memos := NewSelectMemos(specs)
 	window := func() {
 		fillWindow(&f, OpNDSort|OpDSort|OpCount, groupOps, slices)
-		for _, spec := range []FuncSpec{{Func: Median}, {Func: Quantile, Arg: 0.99}, {Func: Min}, {Func: Max}} {
-			benchSink, _ = f.Eval(spec, benchSink)
+		for i, spec := range specs {
+			benchSink, _ = f.Eval(spec, &memos[i])
 		}
 	}
 	window()
@@ -103,7 +112,7 @@ func TestWindowFinisherSteadyState(t *testing.T) {
 	if f.merger != nil {
 		t.Fatal("the default path created the run merger")
 	}
-	if got, _ := f.Eval(FuncSpec{Func: Quantile, Arg: 0.99}, benchSink); got != all[NearestRank(0.99, len(all))-1] {
+	if got, _ := f.Eval(specs[1], &memos[1]); got != all[NearestRank(0.99, len(all))-1] {
 		t.Fatalf("quantile(0.99) = %v, sorted concatenation holds %v", got, all[NearestRank(0.99, len(all))-1])
 	}
 	if agg := f.MergedAgg(); len(agg.Values) != len(all) || agg.Ops&OpNDSort == 0 || f.merger == nil {

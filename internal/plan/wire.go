@@ -36,13 +36,6 @@ func AppendQuery(buf []byte, q query.Query) []byte {
 	return buf
 }
 
-// DecodeQuery reads one query, returning the remaining buffer.
-func DecodeQuery(buf []byte) (query.Query, []byte, error) {
-	r := &wireReader{buf: buf}
-	q := r.query()
-	return q, r.buf, r.err
-}
-
 // AppendDelta appends the wire form of one delta to buf.
 func AppendDelta(buf []byte, d Delta) []byte {
 	buf = append(buf, byte(d.Kind))
