@@ -39,9 +39,9 @@ func NearestRank(q float64, n int) int {
 // is the d-th value beyond h in merge order, and a k-way walk of d steps
 // from h's positions reaches it and leaves the answer's own positions for
 // the next window. The memo also holds each run's neighbours of h, so the
-// walk reads only the runs it advances in. Past walkBound steps, pivot
-// rounds over the d values beyond h in every run take over. The state is a
-// few arrays that grow to the largest k seen.
+// walk reads only the runs it advances in. A rank more than walkBound steps
+// from h is selected cold. The state is a few arrays that grow to the
+// largest k seen.
 type RunSelector struct {
 	lo, hi []int       // candidates of run i are r[lo[i]:hi[i]]; the walk's positions
 	lt, le []int       // per round: first candidate >= pivot, first > pivot
@@ -84,7 +84,7 @@ func NewSelectMemos(funcs []FuncSpec) []SelectMemo {
 
 // walkBound is the longest walk from the memo's answer that Select takes
 // over a window of k runs: a step scans k run heads, so a walk of O(k) steps
-// costs about what pivot rounds over the runs do.
+// costs about what a cold selection does, and a longer one selects cold.
 func walkBound(k int) int { return 2*k + 16 }
 
 // Select returns the rank-th smallest value (1-based) of the ascending
@@ -127,18 +127,11 @@ func (s *RunSelector) Select(runs [][]float64, keys []uint64, rank int, memo *Se
 
 // cold selects the rank by pivot rounds over the whole runs.
 func (s *RunSelector) cold(runs [][]float64, rank int) float64 {
-	lo, hi := s.lo[:len(runs)], s.hi[:len(runs)]
+	k := len(runs)
+	lo, hi, lt, le := s.lo[:k], s.hi[:k], s.lt[:k], s.le[:k]
 	for i, r := range runs {
 		lo[i], hi[i] = 0, len(r)
 	}
-	return s.rounds(runs, rank)
-}
-
-// rounds selects the rank-th candidate of the cursors s.lo, s.hi by pivot
-// rounds.
-func (s *RunSelector) rounds(runs [][]float64, rank int) float64 {
-	k := len(runs)
-	lo, hi, lt, le := s.lo[:k], s.hi[:k], s.lt[:k], s.le[:k]
 	for {
 		// Invariant: 1 <= rank <= remaining, the sum of the cursor widths.
 		widest, width, remaining := 0, 0, 0
@@ -220,7 +213,7 @@ func at(r []float64, i int) float64 {
 }
 
 // warm selects the rank from the memo's answer, or cold where it holds
-// none, leaving the new answer's entries in s.next. exact is false when the
+// none or the rank lies past walkBound, leaving the new answer's entries in s.next. exact is false when the
 // walk met values out of order, which only a run that does not ascend
 // yields — one holding NaN (see Agg) or a malformed partial from a faulty
 // child: the positions it leaves may then be wrong even in the ascending
@@ -246,19 +239,10 @@ func (s *RunSelector) warm(runs [][]float64, keys []uint64, rank int, m *SelectM
 		below += next[i].lt
 		atOrBelow += next[i].le
 	}
-	// A rank d values beyond h lies within d values of h's position in
-	// every run. Where that is too far to walk, pivot rounds search just
-	// those candidates.
-	lo, hi := s.lo[:len(runs)], s.hi[:len(runs)]
 	switch {
 	case rank <= below:
-		d := below - rank + 1
-		if d <= walkBound(len(runs)) {
+		if d := below - rank + 1; d <= walkBound(len(runs)) {
 			return s.walkDown(runs, d, h)
-		}
-		for i, e := range next {
-			lo[i], hi[i] = max(e.lt-d, 0), e.lt
-			rank -= lo[i]
 		}
 	case rank <= atOrBelow:
 		// The rank falls among the values equal to h: read it there, in
@@ -273,16 +257,12 @@ func (s *RunSelector) warm(runs [][]float64, keys []uint64, rank int, m *SelectM
 		}
 		panic("operator: RunSelector rank beyond the values equal to h")
 	default:
-		d := rank - atOrBelow
-		if d <= walkBound(len(runs)) {
+		if d := rank - atOrBelow; d <= walkBound(len(runs)) {
 			return s.walkUp(runs, d, h)
 		}
-		for i, e := range next {
-			lo[i], hi[i] = e.le, min(e.le+d, len(runs[i]))
-		}
-		rank = d
 	}
-	return s.relocate(runs, keys, s.rounds(runs, rank)), true
+	// Too far to walk: select cold and search the answer in every run.
+	return s.relocate(runs, keys, s.cold(runs, rank)), true
 }
 
 // walkUp takes the d-th value above the memo's answer h: d steps of a k-way

@@ -125,7 +125,7 @@ func TestRunSelectDifferential(t *testing.T) {
 			sort.Float64s(r)
 			runs[i] = r
 		}
-		checkAllRanks(t, fmt.Sprintf("trial %d (k=%d domain=%d)", trial, k, domain), runs, 7)
+		checkAllRanks(t, fmt.Sprintf("trial %d (k=%d domain=%d)", trial, k, domain), runs, 5)
 	}
 }
 
@@ -534,7 +534,8 @@ func BenchmarkRunSelectSliding(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						// Wrapping around to the list's start moves the
-						// window 64 runs back: one cold selection in 64.
+						// window 64 runs back: one selection in 64 finds
+						// no run in the memo and searches every one.
 						at := i % 64
 						runs, keys := list[at:at+k], keys[at:at+k]
 						switch mode {
