@@ -55,7 +55,7 @@ func main() {
 			break
 		}
 		var q query.Query
-		if q, err = query.ParseAny(*add); err != nil {
+		if q, err = query.Parse(*add); err != nil {
 			break
 		}
 		q.ID = *addID

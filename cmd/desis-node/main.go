@@ -30,7 +30,7 @@ type queryList []query.Query
 func (q *queryList) String() string { return fmt.Sprintf("%d queries", len(*q)) }
 
 func (q *queryList) Set(s string) error {
-	parsed, err := query.ParseAny(s)
+	parsed, err := query.Parse(s)
 	if err != nil {
 		return err
 	}

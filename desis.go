@@ -100,12 +100,10 @@ type Result = core.Result
 // FuncValue is one evaluated aggregation function inside a Result.
 type FuncValue = core.FuncValue
 
-// ParseQuery reads either query syntax: the compact mini-language
-// ("sliding(10s,2s) sum,quantile(0.9) key=1 value>=80") or, when the input
-// starts with SELECT, the SQL-style form
-// ("SELECT sum(value), quantile(value, 0.9) FROM stream WHERE key = 1 AND
-// value >= 80 WINDOW SLIDING 10s SLIDE 2s").
-func ParseQuery(s string) (Query, error) { return query.ParseAny(s) }
+// ParseQuery reads a query in the compact query language, e.g.
+// "sliding(10s,2s) sum,quantile(0.9) key=1 value>=80" or
+// "tumbling(1000ev) median key=*" (a group-by template).
+func ParseQuery(s string) (Query, error) { return query.Parse(s) }
 
 // MustParseQuery is ParseQuery that panics on error.
 func MustParseQuery(s string) Query {

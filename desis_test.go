@@ -128,3 +128,23 @@ func TestStreamFacade(t *testing.T) {
 		prev = ev.Time
 	}
 }
+
+// TestParseQueryRejectsSQL: ParseQuery reads only the compact language, so
+// the SQL spellings it once accepted are errors, not silently other queries.
+func TestParseQueryRejectsSQL(t *testing.T) {
+	for _, s := range []string{
+		"SELECT avg(value), max(value) FROM stream WHERE key = 3 AND value >= 80 WINDOW TUMBLING 1s",
+		"SELECT quantile(value, 0.95) FROM s WINDOW SLIDING 10s SLIDE 2s",
+		"SELECT median(value) FROM s WHERE key = * WINDOW SESSION GAP 30s",
+		"select median(value) from s where key = * window session gap 30s",
+		"SELECT sum(value) FROM stream WINDOW TUMBLING 1000 EVENTS",
+		"SELECT max(value) FROM trips WINDOW USERDEFINED",
+		"SELECT geomean(value) FROM s WINDOW SLIDING 100 EVENTS SLIDE 10 EVENTS",
+		"SELECT sum(value) FROM s WINDOW TUMBLING 250",
+		"SELECT FROM WHERE",
+	} {
+		if q, err := desis.ParseQuery(s); err == nil {
+			t.Errorf("ParseQuery(%q) = %v, want an error", s, q)
+		}
+	}
+}

@@ -1,8 +1,7 @@
-// Sqlgroupby: the SQL-style query syntax, group-by templates (key=*), and
-// the sharded ParallelEngine — the extension features layered on top of the
-// paper's core system.
+// Groupby: group-by templates (key=*) and the sharded ParallelEngine — the
+// extension features layered on top of the paper's core system.
 //
-//	go run ./examples/sqlgroupby
+//	go run ./examples/groupby
 package main
 
 import (
@@ -18,11 +17,9 @@ import (
 func main() {
 	// One template answers per sensor: "for EVERY sensor, the per-second
 	// average and the 99th percentile over 10 seconds".
-	perSensor := desis.MustParseQuery(
-		"SELECT avg(value), count(value) FROM sensors WHERE key = * WINDOW TUMBLING 1s")
+	perSensor := desis.MustParseQuery("tumbling(1s) average,count key=*")
 	perSensor.ID = 1
-	tail := desis.MustParseQuery(
-		"SELECT quantile(value, 0.99) FROM sensors WHERE key = * WINDOW SLIDING 10s SLIDE 5s")
+	tail := desis.MustParseQuery("sliding(10s,5s) quantile(0.99) key=*")
 	tail.ID = 2
 
 	var mu sync.Mutex

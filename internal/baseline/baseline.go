@@ -73,6 +73,3 @@ func (d *Desis) Calculations() uint64 { return d.e.Stats().Calculations }
 
 // Slices implements System.
 func (d *Desis) Slices() uint64 { return d.e.Stats().Slices }
-
-// Engine exposes the wrapped engine for harness instrumentation.
-func (d *Desis) Engine() *core.Engine { return d.e }

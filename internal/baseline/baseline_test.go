@@ -158,14 +158,14 @@ func TestPartitionCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := sys.(*partitioned).NumPartitions(); n != 100 {
+	if n := len(sys.(*partitioned).engines); n != 100 {
 		t.Errorf("DeSW partitions = %d, want 100", n)
 	}
 	d, err := NewDesis(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := d.Engine().NumGroups(); n != 1 {
+	if n := len(d.e.Plan().Groups); n != 1 {
 		t.Errorf("Desis groups = %d, want 1", n)
 	}
 	// Same functions, different measures: DeSW splits, Scotty shares.
@@ -174,11 +174,11 @@ func TestPartitionCounts(t *testing.T) {
 	countQ := query.MustParse("tumbling(100ev) sum")
 	countQ.ID = 2
 	sw, _ := NewDeSW([]query.Query{timeQ, countQ})
-	if n := sw.(*partitioned).NumPartitions(); n != 2 {
+	if n := len(sw.(*partitioned).engines); n != 2 {
 		t.Errorf("DeSW measure partitions = %d, want 2", n)
 	}
 	sc, _ := NewScotty([]query.Query{timeQ, countQ})
-	if n := sc.(*partitioned).NumPartitions(); n != 1 {
+	if n := len(sc.(*partitioned).engines); n != 1 {
 		t.Errorf("Scotty measure partitions = %d, want 1", n)
 	}
 }

@@ -46,7 +46,6 @@ func (c *CentralConfig) defaults() {
 // events upward (§6.1.1: "only the root node processes events; other nodes
 // collect events ... and send data to parent nodes directly").
 type CentralCluster struct {
-	cfg    CentralConfig
 	sys    System
 	sysMu  sync.Mutex
 	feeder *eventFeeder
@@ -105,7 +104,7 @@ func (l *fwdLocal) advance(t int64) error {
 // NewCentralCluster deploys sys at the root of the topology.
 func NewCentralCluster(sys System, cfg CentralConfig) *CentralCluster {
 	cfg.defaults()
-	c := &CentralCluster{cfg: cfg, sys: sys}
+	c := &CentralCluster{sys: sys}
 
 	// The feeder keys both event streams and watermarks by ORIGIN local id
 	// — relays forward messages verbatim, preserving it.

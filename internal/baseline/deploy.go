@@ -61,12 +61,7 @@ func (f *eventFeeder) events(from uint32, evs []event.Event) {
 
 func (f *eventFeeder) watermark(from uint32, w int64) {
 	if old, ok := f.children[from]; !ok || w <= old {
-		if !ok {
-			return
-		}
-		if w <= old {
-			return
-		}
+		return
 	}
 	f.children[from] = w
 	min := int64(-1)

@@ -120,7 +120,3 @@ func (s *partitioned) Slices() uint64 {
 	}
 	return n
 }
-
-// NumPartitions reports the number of independent query-groups the system
-// maintains — DeSW's "number of individual query-groups" (§6.3).
-func (s *partitioned) NumPartitions() int { return len(s.engines) }

@@ -23,7 +23,6 @@ import (
 // fixed-size windows", and its decentralized experiments use tumbling
 // windows.
 type DiscoCluster struct {
-	cfg     CentralConfig
 	queries map[uint64]query.Query
 
 	locals     []*discoLocal
@@ -48,7 +47,7 @@ func NewDiscoCluster(queries []query.Query, cfg CentralConfig) (*DiscoCluster, e
 			return nil, fmt.Errorf("baseline: disco supports fixed time-based windows, got %v", q)
 		}
 	}
-	c := &DiscoCluster{cfg: cfg, queries: make(map[uint64]query.Query)}
+	c := &DiscoCluster{queries: make(map[uint64]query.Query)}
 	for _, q := range queries {
 		c.queries[q.ID] = q
 	}

@@ -246,9 +246,9 @@ func (e *Engine) process(ev event.Event, ent *keyEntry) {
 }
 
 // Apply mutates the engine's plan by one delta and reconciles group state
-// with the result. It is the single mutation path: AddQuery, AddTemplate,
-// RemoveQuery, and template instantiation all funnel through here, as do
-// deltas arriving over the wire in decentralized deployments.
+// with the result. It is the single mutation path: AddQuery, RemoveQuery
+// and template instantiation all funnel through here, as do deltas arriving
+// over the wire in decentralized deployments.
 func (e *Engine) Apply(d plan.Delta) error {
 	if err := e.plan.Apply(d); err != nil {
 		return err
@@ -413,15 +413,6 @@ func (e *Engine) AddQuery(q query.Query) (groupID uint32, err error) {
 	return g.ID, nil
 }
 
-// AddTemplate registers a group-by query template (AnyKey): one instance
-// per observed key is created lazily, all answering under the template's
-// query id with the concrete key in Result.Key.
-func (e *Engine) AddTemplate(q query.Query) error {
-	q.AnyKey = true
-	_, err := e.AddQuery(q)
-	return err
-}
-
 // instantiateForSeenKeys materialises a just-registered template for every
 // key whose instantiation already ran; keys not yet seen pick it up with
 // their next event.
@@ -543,8 +534,3 @@ func (e *Engine) noteHorizonDisabled() {
 		e.tel.Gauge("engine.horizon_disabled").Set(1)
 	}
 }
-
-// NumGroups reports how many query-groups the engine materialised — the
-// quantity the optimization experiments of §6.3 vary across systems.
-// Parked (evicted) instances do not count; see InstanceStats.
-func (e *Engine) NumGroups() int { return len(e.byID) }

@@ -16,6 +16,10 @@ import (
 
 // runEngine processes evs through a fresh engine for the queries and
 // advances to advTo, returning the emitted results.
+// NumGroups reports how many query-groups the engine materialised.
+// Parked (evicted) instances do not count; see InstanceStats.
+func (e *Engine) NumGroups() int { return len(e.byID) }
+
 func runEngine(t *testing.T, queries []query.Query, evs []event.Event, advTo int64, cfg Config) []Result {
 	t.Helper()
 	e := NewFromPlan(mustPlan(t, queries, plan.Options{}), cfg)

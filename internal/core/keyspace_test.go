@@ -178,8 +178,8 @@ func TestReviveRacesTemplateRemoval(t *testing.T) {
 	tmpl2 := tmpl
 	tmpl2.ID = 8
 	for _, e := range engines {
-		if err := e.AddTemplate(tmpl2); err != nil {
-			t.Fatalf("AddTemplate: %v", err)
+		if _, err := e.AddQuery(tmpl2); err != nil {
+			t.Fatalf("AddQuery(template): %v", err)
 		}
 	}
 	for tm := int64(2000); tm < 3500; tm += 10 {
@@ -230,8 +230,8 @@ func TestTemplateRemovalPrunesSeenKeys(t *testing.T) {
 	// A template registered later must not instantiate from the stale set.
 	tmpl2 := tmpl
 	tmpl2.ID = 2
-	if err := e.AddTemplate(tmpl2); err != nil {
-		t.Fatalf("AddTemplate: %v", err)
+	if _, err := e.AddQuery(tmpl2); err != nil {
+		t.Fatalf("AddQuery(template): %v", err)
 	}
 	if got := len(e.Plan().Instances); got != 0 {
 		t.Fatalf("re-added template instantiated %d stale keys, want 0", got)

@@ -12,6 +12,16 @@ import (
 // TestSliceEmitMode exercises the local-node configuration directly: slices
 // ship via OnSlice, dynamic window ends travel as EPs, and no windows are
 // assembled locally.
+// Events reports the total number of events across all contexts of the
+// partial.
+func (p *SlicePartial) Events() int64 {
+	var n int64
+	for i := range p.Aggs {
+		n += p.Aggs[i].CountV
+	}
+	return n
+}
+
 func TestSliceEmitMode(t *testing.T) {
 	queries := []query.Query{
 		query.MustParse("tumbling(100ms) average key=0"),

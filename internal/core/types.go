@@ -85,16 +85,6 @@ func (p *SlicePartial) Clone() *SlicePartial {
 	return &c
 }
 
-// Events reports the total number of events across all contexts of the
-// partial.
-func (p *SlicePartial) Events() int64 {
-	var n int64
-	for i := range p.Aggs {
-		n += p.Aggs[i].CountV
-	}
-	return n
-}
-
 // Stats counts the engine's work, matching the accounting of the paper's
 // evaluation.
 type Stats struct {
@@ -130,13 +120,12 @@ const pruneThreshold = 64
 // reconcile identically on every tier; the filter only gates local state.
 type PlacementFilter uint8
 
-// The placement filters.
+// The placement filters. The zero value materialises every group (central
+// deployments).
 const (
-	// AllGroups materialises every group (central deployments).
-	AllGroups PlacementFilter = iota
 	// DistributedOnly materialises the distributed groups — what a local
 	// node slices; root-only groups' raw events are forwarded instead.
-	DistributedOnly
+	DistributedOnly PlacementFilter = iota + 1
 	// RootOnlyGroups materialises the root-only groups — what the root's
 	// own engine evaluates over forwarded raw events.
 	RootOnlyGroups

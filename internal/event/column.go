@@ -61,20 +61,6 @@ func (r *Reader) Varint() int64 {
 	return v
 }
 
-// F64 reads one little-endian IEEE-754 word.
-func (r *Reader) F64() float64 {
-	if r.Err != nil {
-		return 0
-	}
-	if len(r.Buf) < 8 {
-		r.Err = fmt.Errorf("event: truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.Buf))
-	r.Buf = r.Buf[8:]
-	return v
-}
-
 // Int columns. A column of n values is a header uvarint, then either
 //
 //	IntColPlain: n zigzag varints, or

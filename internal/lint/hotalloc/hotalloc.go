@@ -69,7 +69,6 @@ type callSite struct {
 // funcInfo is the per-function fact: what it allocates and whom it calls.
 type funcInfo struct {
 	full    string
-	pos     token.Pos
 	hotpath bool
 	allocs  []allocSite
 	calls   []callSite
@@ -98,7 +97,6 @@ func run(pass *lint.Pass) (any, error) {
 			}
 			info := &funcInfo{
 				full:    fn.FullName(),
-				pos:     fd.Name.Pos(),
 				hotpath: lint.HasDirective(fd.Doc, "//desis:hotpath"),
 			}
 			s := &scanner{pass: pass, ignores: ignores, info: info}

@@ -72,7 +72,7 @@ func Run(t *testing.T, a *lint.Analyzer, pkgs ...string) {
 		if len(files) == 0 {
 			t.Fatalf("no Go files in fixture %s", dir)
 		}
-		pkg, err := lint.CheckPackageDeps(fset, name, dir, files, x, deps)
+		pkg, err := lint.CheckPackageDeps(fset, name, files, x, deps)
 		if err != nil {
 			t.Fatalf("type-checking fixture %s: %v", name, err)
 		}

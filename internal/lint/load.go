@@ -20,7 +20,6 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -32,7 +31,6 @@ type listedPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	DepOnly    bool
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
@@ -65,7 +63,7 @@ func (x *ExportIndex) Lookup(path string) (io.ReadCloser, error) {
 func goList(dir string, patterns []string) ([]*listedPkg, error) {
 	args := []string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,ImportMap,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,ImportMap,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -163,7 +161,7 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 		for _, f := range t.GoFiles {
 			files = append(files, filepath.Join(t.Dir, f))
 		}
-		pkg, err := CheckPackage(fset, t.ImportPath, t.Dir, files, x)
+		pkg, err := CheckPackage(fset, t.ImportPath, files, x)
 		if err != nil {
 			return nil, err
 		}
@@ -174,8 +172,8 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 
 // CheckPackage parses and type-checks one package from the given source
 // files, resolving imports through the export index.
-func CheckPackage(fset *token.FileSet, path, dir string, filenames []string, x *ExportIndex) (*Package, error) {
-	return CheckPackageDeps(fset, path, dir, filenames, x, nil)
+func CheckPackage(fset *token.FileSet, path string, filenames []string, x *ExportIndex) (*Package, error) {
+	return CheckPackageDeps(fset, path, filenames, x, nil)
 }
 
 // CheckPackageDeps is CheckPackage with an extra set of already-checked
@@ -183,7 +181,7 @@ func CheckPackage(fset *token.FileSet, path, dir string, filenames []string, x *
 // linttest uses it to let one fixture package import another (hotalloc's
 // cross-package fact propagation), which the build cache knows nothing
 // about.
-func CheckPackageDeps(fset *token.FileSet, path, dir string, filenames []string, x *ExportIndex, deps map[string]*types.Package) (*Package, error) {
+func CheckPackageDeps(fset *token.FileSet, path string, filenames []string, x *ExportIndex, deps map[string]*types.Package) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -207,7 +205,7 @@ func CheckPackageDeps(fset *token.FileSet, path, dir string, filenames []string,
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // chainImporter resolves imports from an in-memory package map first, then

@@ -26,20 +26,13 @@ import (
 // Dependency packages are analyzed with VetxOnly set; they produce facts
 // only, so no diagnostics are printed for them.
 
-// vetConfig is the package description cmd/go writes for the vet tool.
+// vetConfig is the part of the package description cmd/go writes for the
+// vet tool that desis-lint reads; decoding skips the other fields.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
-	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -94,7 +87,7 @@ func unitcheck(cfgFile string, analyzers []*Analyzer) error {
 	}
 	fset := token.NewFileSet()
 	x := &ExportIndex{exports: cfg.PackageFile, importMap: cfg.ImportMap}
-	pkg, err := CheckPackage(fset, cfg.ImportPath, cfg.Dir, cfg.GoFiles, x)
+	pkg, err := CheckPackage(fset, cfg.ImportPath, cfg.GoFiles, x)
 	if err != nil {
 		if cfg.VetxOnly || cfg.SucceedOnTypecheckFailure {
 			// Dependency-only runs must not fail the build on packages the

@@ -1,61 +1,21 @@
-// Package metrics provides the measurement instruments of §6.1: throughput
-// meters and coordinated-omission-free latency histograms.
+// Package metrics holds the latency histogram geometry of §6.1 and its
+// portable, mergeable form. internal/telemetry records into the same buckets.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
-
-// Throughput measures events per second of wall time.
-//
-// Contract: the measurement interval opens at Start, or implicitly at the
-// first Add on a zero-value meter. Start always restarts — it zeroes the
-// event count, discarding anything recorded before it. EventsPerSecond on
-// a meter that has never started (no Start, no Add) reports 0 rather than
-// dividing by the decades since the zero time.Time.
-type Throughput struct {
-	start  time.Time
-	events uint64
-}
-
-// Start begins (or restarts) the measurement, discarding prior counts.
-func (t *Throughput) Start() { t.start = time.Now(); t.events = 0 }
-
-// Add records n processed events, opening the interval if Start was never
-// called so the events are not attributed to the zero time.
-func (t *Throughput) Add(n int) {
-	if t.start.IsZero() {
-		t.start = time.Now()
-	}
-	t.events += uint64(n)
-}
-
-// EventsPerSecond reports the rate so far, or 0 before the measurement
-// has started.
-func (t *Throughput) EventsPerSecond() float64 {
-	if t.start.IsZero() {
-		return 0
-	}
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.events) / el
-}
-
-// Events reports the processed-event count.
-func (t *Throughput) Events() uint64 { return t.events }
 
 // NumBuckets is the number of logarithmic buckets in a Histogram.
 // Exported so sibling packages (internal/telemetry) can keep atomic
 // shadow arrays bucket-compatible with Histogram and merge into it.
 const NumBuckets = 512
 
-// Histogram records durations in logarithmic buckets (HDR-style, ~4%
-// resolution) so recording is allocation-free on the hot path.
+// Histogram holds durations in logarithmic buckets (HDR-style, ~4%
+// resolution). It is the arithmetic behind HistogramData: merging and
+// rendering; telemetry.Histogram does the concurrent recording.
 type Histogram struct {
 	buckets [NumBuckets]uint64
 	count   uint64
@@ -85,24 +45,6 @@ func BucketValue(i int) time.Duration {
 	return time.Duration(math.Exp2(float64(i) / 16))
 }
 
-// bucketOf and valueOf are the historical private names, kept so the
-// recording path reads the same as before the index was exported.
-func bucketOf(d time.Duration) int { return BucketIndex(d) }
-func valueOf(i int) time.Duration  { return BucketValue(i) }
-
-// Record adds one sample.
-func (h *Histogram) Record(d time.Duration) {
-	h.buckets[bucketOf(d)]++
-	h.count++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean reports the average sample.
 func (h *Histogram) Mean() time.Duration {
 	if h.count == 0 {
@@ -110,9 +52,6 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return h.sum / time.Duration(h.count)
 }
-
-// Max reports the largest sample.
-func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile reports the q-quantile with ~4% resolution. q must lie in
 // (0, 1] — q=0 has no defined rank and q>1 (or NaN) is not a quantile;
@@ -133,7 +72,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for i, c := range h.buckets {
 		seen += c
 		if seen >= rank {
-			return valueOf(i)
+			return BucketValue(i)
 		}
 	}
 	return h.max
@@ -207,41 +146,3 @@ func (d HistogramData) Merge(o HistogramData) HistogramData {
 
 // Summary renders the portable form like Histogram.String.
 func (d HistogramData) Summary() string { return Import(d).String() }
-
-// Samples is a simple exact-quantile recorder for low-volume measurements
-// (e.g. per-window latencies in short runs).
-type Samples struct {
-	v []time.Duration
-}
-
-// Record adds one sample.
-func (s *Samples) Record(d time.Duration) { s.v = append(s.v, d) }
-
-// Quantile reports the exact q-quantile.
-func (s *Samples) Quantile(q float64) time.Duration {
-	if len(s.v) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), s.v...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// Mean reports the average sample.
-func (s *Samples) Mean() time.Duration {
-	if len(s.v) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s.v {
-		sum += d
-	}
-	return sum / time.Duration(len(s.v))
-}
-
-// Count reports the number of samples.
-func (s *Samples) Count() int { return len(s.v) }

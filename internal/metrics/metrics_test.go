@@ -7,49 +7,22 @@ import (
 	"time"
 )
 
-func TestThroughput(t *testing.T) {
-	var tp Throughput
-	tp.Start()
-	tp.Add(500)
-	tp.Add(500)
-	if tp.Events() != 1000 {
-		t.Fatalf("events = %d", tp.Events())
-	}
-	time.Sleep(10 * time.Millisecond)
-	eps := tp.EventsPerSecond()
-	if eps <= 0 || eps > 1000/0.01 {
-		t.Errorf("events/s = %g out of plausible range", eps)
+// Record adds one sample. Production code records into
+// telemetry.Histogram; tests build a Histogram directly.
+func (h *Histogram) Record(d time.Duration) {
+	h.buckets[BucketIndex(d)]++
+	h.count++
+	h.sum += d
+	if d > h.max {
+		h.max = d
 	}
 }
 
-// Regression: EventsPerSecond on a never-started meter used to divide by
-// the decades elapsed since time.Time{} and silently report ≈0; Add before
-// Start used to be wiped by Start's reset without the caller noticing.
-func TestThroughputZeroValue(t *testing.T) {
-	var tp Throughput
-	if eps := tp.EventsPerSecond(); eps != 0 {
-		t.Errorf("never-started meter: events/s = %g, want 0", eps)
-	}
+// Count reports the number of samples.
+func (h *Histogram) Count() uint64 { return h.count }
 
-	// Add on a zero-value meter opens the interval implicitly.
-	var implicit Throughput
-	implicit.Add(100)
-	time.Sleep(5 * time.Millisecond)
-	if eps := implicit.EventsPerSecond(); eps <= 0 || eps > 100/0.005 {
-		t.Errorf("implicitly-started meter: events/s = %g out of plausible range", eps)
-	}
-	if implicit.Events() != 100 {
-		t.Errorf("events = %d", implicit.Events())
-	}
-
-	// Start after Add still restarts — that is its documented contract —
-	// but the count reflects only post-Start events.
-	implicit.Start()
-	implicit.Add(7)
-	if implicit.Events() != 7 {
-		t.Errorf("after restart: events = %d, want 7", implicit.Events())
-	}
-}
+// Max reports the largest sample.
+func (h *Histogram) Max() time.Duration { return h.max }
 
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
@@ -175,24 +148,5 @@ func TestBucketHelpers(t *testing.T) {
 	}
 	if !strings.Contains((&Histogram{}).String(), "n=0") {
 		t.Error("String must render on zero value")
-	}
-}
-
-func TestSamples(t *testing.T) {
-	var s Samples
-	for _, d := range []time.Duration{5, 1, 3, 2, 4} {
-		s.Record(d * time.Millisecond)
-	}
-	if s.Count() != 5 {
-		t.Fatal("count")
-	}
-	if got := s.Quantile(0.5); got != 3*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := s.Quantile(1); got != 5*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := s.Mean(); got != 3*time.Millisecond {
-		t.Errorf("mean = %v", got)
 	}
 }

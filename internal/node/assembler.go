@@ -362,12 +362,3 @@ func (a *Assembler) prune(rg *rootGroup, w int64) {
 		rg.store = rg.store[:kept]
 	}
 }
-
-// Group returns the state's group by id, for runtime query management.
-func (a *Assembler) Group(id uint32) (*query.Group, bool) {
-	rg, ok := a.states[id]
-	if !ok {
-		return nil, false
-	}
-	return rg.g, true
-}

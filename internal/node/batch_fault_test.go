@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"desis/internal/core"
-	"desis/internal/message"
 	"desis/internal/query"
 	"desis/internal/telemetry"
 )
@@ -40,7 +39,7 @@ func TestFaultSeverMidBatchReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	proxy, err := message.NewFaultProxy(root.Addr())
+	proxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

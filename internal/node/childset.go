@@ -79,14 +79,6 @@ func (c *childSet) Addr() string { return c.l.Addr() }
 // HTTP endpoint next to the listener.
 func (c *childSet) Telemetry() *telemetry.Registry { return c.tel }
 
-// Evicted returns the ids of children currently evicted by the liveness
-// timeout (a child that reconnects leaves the set).
-func (c *childSet) Evicted() []uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictedLocked()
-}
-
 func (c *childSet) evictedLocked() []uint32 {
 	ids := make([]uint32, 0, len(c.evicted))
 	for id := range c.evicted {

@@ -45,7 +45,6 @@ type ClusterConfig struct {
 // physical cluster. It is the substitution for the paper's 10-node testbed;
 // cmd/desis-node deploys the same node types over TCP.
 type Cluster struct {
-	cfg    ClusterConfig
 	locals []*Local
 	inters []*Intermediate
 	root   *Root
@@ -78,7 +77,7 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 		cfg.Locals = 1
 	}
 	cfg.Intermediates = min(cfg.Intermediates, cfg.Locals)
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{}
 	c.wmCond = sync.NewCond(&c.rootMu)
 	collect := cfg.OnResult
 	if collect == nil {
@@ -215,9 +214,6 @@ func (c *Cluster) pumpToIntermediate(idx int, conn message.Conn) {
 		}
 	}()
 }
-
-// Local returns the i-th local node, the injection point for generator data.
-func (c *Cluster) Local(i int) *Local { return c.locals[i] }
 
 // NumLocals reports the local-node count.
 func (c *Cluster) NumLocals() int { return len(c.locals) }

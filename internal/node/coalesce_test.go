@@ -136,7 +136,7 @@ func TestHeartbeatFlushesQueuedFrames(t *testing.T) {
 // ring's worth of frames in flight loses some with or without coalescing.)
 func TestFaultSeverWithUnflushedFrames(t *testing.T) {
 	root, results := faultRoot(t, 1, 5*time.Second)
-	proxy, err := message.NewFaultProxy(root.Addr())
+	proxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"desis/internal/core"
-	"desis/internal/message"
 	"desis/internal/query"
 )
 
@@ -44,7 +43,7 @@ func TestFaultKillOneOfThreeLocals(t *testing.T) {
 		timeout = 250 * time.Millisecond
 	)
 	root, results := faultRoot(t, 3, timeout)
-	proxy, err := message.NewFaultProxy(root.Addr())
+	proxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestFaultEvictThenReviveSameID(t *testing.T) {
 		timeout = 250 * time.Millisecond
 	)
 	root, results := faultRoot(t, 2, timeout)
-	proxy, err := message.NewFaultProxy(root.Addr())
+	proxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,3 +68,15 @@ func feedCluster(t *testing.T, c *Cluster, evs []event.Event, adv int64) {
 		t.Fatal(err)
 	}
 }
+
+// Evicted returns the ids of children currently evicted by the liveness
+// timeout (a child that reconnects leaves the set).
+func (c *childSet) Evicted() []uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evictedLocked()
+}
+
+// NumChildren reports the current child count — the "length" of an
+// intermediate slice in the paper's terms.
+func (m *Merger) NumChildren() int { return len(m.children) }

@@ -351,7 +351,7 @@ func TestUplinkReconnectResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	proxy, err := message.NewFaultProxy(root.Addr())
+	proxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestUplinkRetriesExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	proxy, err := message.NewFaultProxy(root.Addr())
+	proxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,18 +186,6 @@ func (l *Local) AdvanceTo(t int64) error {
 	return l.err
 }
 
-// AddQuery registers a query at runtime by minting and applying the add
-// delta locally. In-process topologies prefer Cluster.AddQuery, which mints
-// one delta at the root and applies the same delta everywhere.
-func (l *Local) AddQuery(q query.Query) error {
-	return l.Apply(l.engine.Plan().AddDelta(q))
-}
-
-// RemoveQuery unregisters a running query.
-func (l *Local) RemoveQuery(id uint64) error {
-	return l.Apply(l.engine.Plan().RemoveDelta(id))
-}
-
 // Stats exposes the underlying engine's counters.
 func (l *Local) Stats() core.Stats { return l.engine.Stats() }
 

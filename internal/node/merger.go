@@ -234,10 +234,6 @@ func (m *Merger) RemoveChild(id uint32) {
 	m.advance()
 }
 
-// NumChildren reports the current child count — the "length" of an
-// intermediate slice in the paper's terms.
-func (m *Merger) NumChildren() int { return len(m.children) }
-
 // HandlePartial merges one child partial, taking ownership of p.
 func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 	// The merger retains p (as a pending merge base); receiving a partial

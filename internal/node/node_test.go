@@ -146,8 +146,8 @@ func TestMergerLatencySampled(t *testing.T) {
 	m.AttachTelemetry(reg, "inter")
 	for i := int64(0); i <= 2*mergeLatencySample; i++ {
 		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, 1, 1))
-		if want := uint64(1 + i/mergeLatencySample); reg.Histogram("merge.latency").Count() != want {
-			t.Fatalf("after %d merged slices: %d latency samples, want %d", i+1, reg.Histogram("merge.latency").Count(), want)
+		if want := uint64(1 + i/mergeLatencySample); reg.Histogram("merge.latency").Export().Count != want {
+			t.Fatalf("after %d merged slices: %d latency samples, want %d", i+1, reg.Histogram("merge.latency").Export().Count, want)
 		}
 	}
 }

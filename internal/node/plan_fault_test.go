@@ -103,7 +103,7 @@ func TestStaleEpochReconnectResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { root.Close() })
-	proxy, err := message.NewFaultProxy(root.Addr())
+	proxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,22 +25,20 @@ import (
 // children resync by epoch diff (History.Since) instead of a full catalog
 // resend.
 type Root struct {
-	hist     *plan.History
-	merger   *Merger
-	asm      *Assembler
-	eng      *core.Engine
-	evBuf    map[uint32][]event.Event
-	onResult func(core.Result)
-	wm       int64
+	hist   *plan.History
+	merger *Merger
+	asm    *Assembler
+	eng    *core.Engine
+	evBuf  map[uint32][]event.Event
+	wm     int64
 }
 
 // NewRootFromPlan builds a root around an already-wrapped execution plan,
 // taking ownership of it.
 func NewRootFromPlan(p *plan.Plan, children []uint32, onResult func(core.Result)) *Root {
 	r := &Root{
-		hist:     plan.NewHistory(p),
-		evBuf:    make(map[uint32][]event.Event),
-		onResult: onResult,
+		hist:  plan.NewHistory(p),
+		evBuf: make(map[uint32][]event.Event),
 	}
 	// The engine holds its own plan copy of the same lineage: Root.Apply
 	// applies each delta to both, keeping the epochs locked together. The

@@ -7,7 +7,6 @@ import (
 
 	"desis/internal/core"
 	"desis/internal/event"
-	"desis/internal/message"
 	"desis/internal/plan"
 	"desis/internal/query"
 	"desis/internal/telemetry"
@@ -153,12 +152,12 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 	}
 	t.Cleanup(func() { root.Close() })
 
-	survivorProxy, err := message.NewFaultProxy(root.Addr())
+	survivorProxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer survivorProxy.Close()
-	victimProxy, err := message.NewFaultProxy(root.Addr())
+	victimProxy, err := newFaultProxy(root.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

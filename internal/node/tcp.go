@@ -422,13 +422,6 @@ func (s *LocalSession) AdvanceTo(t int64) error {
 	return s.l.AdvanceTo(t)
 }
 
-// Stats exposes the engine counters.
-func (s *LocalSession) Stats() core.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.l.Stats()
-}
-
 // Epoch reports the session's current plan epoch (what the uplink puts in
 // its re-handshake hello). Lock-free so the uplink supervisor can call it
 // while the feed goroutine holds the session lock.

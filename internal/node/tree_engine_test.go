@@ -139,7 +139,7 @@ func checkTreeEqualsEngine(t *testing.T, queries []query.Query, schedule string,
 	}
 	c := NewCluster(tp, ClusterConfig{Locals: locals, Intermediates: inters})
 	reg := telemetry.NewRegistry()
-	c.Root().AttachTelemetry(reg, "root")
+	c.root.AttachTelemetry(reg, "root")
 
 	// Events at a step's time go in after its advance: the engine admits
 	// events at its watermark, and the markers at 300 and 1000 land there.

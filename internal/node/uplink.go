@@ -211,9 +211,6 @@ func (u *uplink) SetDigestFn(fn func() *telemetry.LoadDigest) {
 	u.mu.Unlock()
 }
 
-// Reconnects reports how many times the uplink successfully re-dialed.
-func (u *uplink) Reconnects() uint64 { return u.reconnects.Load() }
-
 // startHeartbeats launches the idle-uplink heartbeat loop (when enabled).
 func (u *uplink) startHeartbeats() {
 	if u.opts.Heartbeat > 0 {

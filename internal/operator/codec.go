@@ -109,24 +109,3 @@ func DecodeAgg(buf []byte, a *Agg) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// EncodedSizeAgg returns the number of bytes AppendAgg will write for a.
-func EncodedSizeAgg(a *Agg) int {
-	n := 1
-	if a.Ops&OpCount != 0 {
-		n += 8
-	}
-	if a.Ops&OpSum != 0 {
-		n += 8
-	}
-	if a.Ops&OpMult != 0 {
-		n += 8
-	}
-	if a.Ops&OpDSort != 0 {
-		n += 16
-	}
-	if a.Ops&OpNDSort != 0 {
-		n += 4 + 8*len(a.Values)
-	}
-	return n
-}

@@ -35,8 +35,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		consumed := data[:len(data)-len(rest)]
 		enc := AppendAgg(nil, &a)
-		if len(enc) != EncodedSizeAgg(&a) {
-			t.Fatalf("EncodedSizeAgg = %d, AppendAgg wrote %d bytes", EncodedSizeAgg(&a), len(enc))
+		if len(enc) != encodedSizeAgg(&a) {
+			t.Fatalf("encodedSizeAgg = %d, AppendAgg wrote %d bytes", encodedSizeAgg(&a), len(enc))
 		}
 		if !bytes.Equal(enc, consumed) {
 			t.Fatalf("re-encode differs from consumed input:\n in  %x\n out %x", consumed, enc)

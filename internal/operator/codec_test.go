@@ -8,6 +8,27 @@ import (
 	"testing/quick"
 )
 
+// encodedSizeAgg returns the number of bytes AppendAgg must write for a.
+func encodedSizeAgg(a *Agg) int {
+	n := 1
+	if a.Ops&OpCount != 0 {
+		n += 8
+	}
+	if a.Ops&OpSum != 0 {
+		n += 8
+	}
+	if a.Ops&OpMult != 0 {
+		n += 8
+	}
+	if a.Ops&OpDSort != 0 {
+		n += 16
+	}
+	if a.Ops&OpNDSort != 0 {
+		n += 4 + 8*len(a.Values)
+	}
+	return n
+}
+
 func TestAggCodecRoundTrip(t *testing.T) {
 	masks := []Op{
 		OpSum, OpCount, OpMult, OpDSort, OpNDSort,
@@ -20,8 +41,8 @@ func TestAggCodecRoundTrip(t *testing.T) {
 		}
 		a.Finish()
 		buf := AppendAgg(nil, &a)
-		if len(buf) != EncodedSizeAgg(&a) {
-			t.Errorf("mask %v: encoded %d bytes, EncodedSizeAgg says %d", ops, len(buf), EncodedSizeAgg(&a))
+		if len(buf) != encodedSizeAgg(&a) {
+			t.Errorf("mask %v: encoded %d bytes, encodedSizeAgg says %d", ops, len(buf), encodedSizeAgg(&a))
 		}
 		var got Agg
 		rest, err := DecodeAgg(buf, &got)

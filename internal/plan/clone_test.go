@@ -91,7 +91,7 @@ func TestRestrictKeepsFeedChainsTogether(t *testing.T) {
 	for shard := 0; shard < 2; shard++ {
 		r := p.Restrict(shard)
 		for _, g := range r.FedGroups() {
-			f := r.Feeder(g)
+			f := r.GroupByID(g.FeedFrom)
 			if f == nil {
 				t.Fatalf("shard %d: fed group %d lost its feeder %d", shard, g.ID, g.FeedFrom)
 			}

@@ -13,7 +13,7 @@ import (
 // delta decoded behind a plan must apply to it (or fail) without a panic.
 func FuzzDecodePlan(f *testing.F) {
 	mk := func(text string, id uint64) query.Query {
-		qq, err := query.ParseAny(text)
+		qq, err := query.Parse(text)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -17,14 +17,6 @@ import "desis/internal/query"
 // changes how future queries place, never the meaning of groups already in
 // the catalog.
 
-// Feeder resolves the group feeding g, or nil when g is not fed.
-func (p *Plan) Feeder(g *query.Group) *query.Group {
-	if !g.Fed() {
-		return nil
-	}
-	return p.GroupByID(g.FeedFrom)
-}
-
 // FedGroups returns the fed groups of the catalog, in catalog order.
 func (p *Plan) FedGroups() []*query.Group {
 	var fed []*query.Group

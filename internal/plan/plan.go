@@ -115,9 +115,6 @@ type catalogIndex struct {
 	hosts map[uint64][]*query.Group
 	// templates holds the ids of registered templates.
 	templates map[uint64]bool
-	// maxQuery is the largest query or template id in the catalog, tombstones
-	// included (retired ids stay reserved).
-	maxQuery uint64
 	// instances marks the (template, key) pairs already materialised.
 	instances map[Instance]bool
 }
@@ -143,9 +140,6 @@ func (p *Plan) index() *catalogIndex {
 		ix.buckets[bk] = append(ix.buckets[bk], g)
 		ix.byID[g.ID] = g
 		for _, gq := range g.Queries {
-			if gq.ID > ix.maxQuery {
-				ix.maxQuery = gq.ID
-			}
 			if !gq.Removed {
 				ix.hosts[gq.ID] = appendHost(ix.hosts[gq.ID], g)
 			}
@@ -153,9 +147,6 @@ func (p *Plan) index() *catalogIndex {
 	}
 	for _, t := range p.Templates {
 		ix.templates[t.ID] = true
-		if t.ID > ix.maxQuery {
-			ix.maxQuery = t.ID
-		}
 	}
 	for _, in := range p.Instances {
 		ix.instances[in] = true
@@ -348,9 +339,6 @@ func (p *Plan) applyAdd(q query.Query) error {
 		}
 		p.Templates = append(p.Templates, q)
 		ix.templates[q.ID] = true
-		if q.ID > ix.maxQuery {
-			ix.maxQuery = q.ID
-		}
 		return nil
 	}
 	g, err := p.placeIndexed(q)
@@ -358,9 +346,6 @@ func (p *Plan) applyAdd(q query.Query) error {
 		return err
 	}
 	ix.hosts[q.ID] = appendHost(ix.hosts[q.ID], g)
-	if q.ID > ix.maxQuery {
-		ix.maxQuery = q.ID
-	}
 	p.touched = append(p.touched, g)
 	return nil
 }
@@ -428,9 +413,6 @@ func (p *Plan) applyRemove(id uint64) error {
 		// len (the retention shape the noretain analyzer pins).
 		clear(all[len(kept):])
 		p.Instances = kept
-		// A never-instantiated template leaves no tombstone behind, so its id
-		// is genuinely forgotten; re-derive the reservation ceiling.
-		ix.maxQuery = maxCatalogID(p)
 	}
 	p.touched = p.touched[:0]
 	for _, g := range ix.hosts[id] {
@@ -447,26 +429,6 @@ func (p *Plan) applyRemove(id uint64) error {
 		return fmt.Errorf("plan: no running query with id %d", id)
 	}
 	return nil
-}
-
-// maxCatalogID scans the whole catalog for the largest query or template id,
-// tombstones included; only template removal needs it (member removal leaves
-// a tombstone that keeps the id reserved).
-func maxCatalogID(p *Plan) uint64 {
-	var max uint64
-	for _, g := range p.Groups {
-		for _, gq := range g.Queries {
-			if gq.ID > max {
-				max = gq.ID
-			}
-		}
-	}
-	for _, t := range p.Templates {
-		if t.ID > max {
-			max = t.ID
-		}
-	}
-	return max
 }
 
 func (p *Plan) applyInstantiate(tid uint64, key uint32) error {
@@ -535,12 +497,6 @@ func (p *Plan) Lookup(id uint64) (*query.Group, int, bool) {
 		}
 	}
 	return nil, 0, false
-}
-
-// NextQueryID returns an id one larger than any query or template in the
-// catalog (tombstones included — retired ids are never reused).
-func (p *Plan) NextQueryID() uint64 {
-	return p.index().maxQuery + 1
 }
 
 // Clone returns a deep copy sharing no mutable memory with p. The catalog

@@ -9,7 +9,7 @@ import (
 
 func q(t *testing.T, id uint64, text string) query.Query {
 	t.Helper()
-	qq, err := query.ParseAny(text)
+	qq, err := query.Parse(text)
 	if err != nil {
 		t.Fatalf("parse %q: %v", text, err)
 	}
@@ -105,8 +105,7 @@ func TestApplyEpochDiscipline(t *testing.T) {
 }
 
 // TestRemoveTombstonesAndIDRetirement: removal keeps the member slot (stable
-// ids and indices) and retired ids stay reserved by NextQueryID but may be
-// re-admitted explicitly.
+// ids and indices), hides the retired id from Lookup, and cannot repeat.
 func TestRemoveTombstonesAndIDRetirement(t *testing.T) {
 	p, err := New([]query.Query{
 		q(t, 1, "tumbling(1s) sum key=0"),
@@ -129,9 +128,6 @@ func TestRemoveTombstonesAndIDRetirement(t *testing.T) {
 	}
 	if p.LiveQueries() != 1 {
 		t.Errorf("LiveQueries = %d, want 1", p.LiveQueries())
-	}
-	if got := p.NextQueryID(); got != 3 {
-		t.Errorf("NextQueryID = %d, want 3 (tombstoned ids stay reserved)", got)
 	}
 	if _, _, ok := p.Lookup(1); ok {
 		t.Error("Lookup found a tombstoned query")

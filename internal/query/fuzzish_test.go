@@ -2,14 +2,13 @@ package query
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 // TestParsersNeverPanicQuick throws random garbage and mutated valid inputs
-// at both parsers: they must return errors, never panic, and anything they
-// accept must Validate (templates modulo key).
+// at the parser: it must return errors, never panic, and anything it
+// accepts must Validate (templates modulo key).
 func TestParsersNeverPanicQuick(t *testing.T) {
 	valid := []string{
 		"tumbling(1s) average key=3 value>=80",
@@ -17,9 +16,9 @@ func TestParsersNeverPanicQuick(t *testing.T) {
 		"session(30s) median key=2 value<25",
 		"tumbling(1000ev) quantile(0.95) key=7",
 		"userdefined max key=*",
-		"SELECT avg(value), max(value) FROM stream WHERE key = 3 AND value >= 80 WINDOW TUMBLING 1s",
-		"SELECT quantile(value, 0.95) FROM s WINDOW SLIDING 10s SLIDE 2s",
-		"SELECT median(value) FROM s WHERE key = * WINDOW SESSION GAP 30s",
+		"tumbling(1s) average,max key=3 value>=80",
+		"sliding(10s,2s) quantile(0.95)",
+		"session(30s) median key=*",
 	}
 	alphabet := " ()*,<>=!0123456789abcdefghijklmnopqrstuvwxyzSELECTFROMWHEREWINDOW.\t"
 	f := func(seed int64) (ok bool) {
@@ -48,7 +47,7 @@ func TestParsersNeverPanicQuick(t *testing.T) {
 			}
 			s = string(b)
 		}
-		q, err := ParseAny(s)
+		q, err := Parse(s)
 		if err != nil {
 			return true
 		}
@@ -62,7 +61,7 @@ func TestParsersNeverPanicQuick(t *testing.T) {
 }
 
 // TestStringParseFixpoint: String() of anything parsed re-parses to the
-// same query, for both syntaxes' outputs.
+// same query.
 func TestStringParseFixpoint(t *testing.T) {
 	inputs := []string{
 		"tumbling(1s) average key=3 value>=80",
@@ -70,42 +69,20 @@ func TestStringParseFixpoint(t *testing.T) {
 		"session(30s) median key=2 value<25",
 		"tumbling(1000ev) quantile(0.95) key=7",
 		"userdefined max key=*",
-		"SELECT geomean(value), product(value) FROM s WINDOW TUMBLING 5s",
-		"SELECT min(value) FROM s WHERE value >= 1 AND value < 2 WINDOW SLIDING 100 EVENTS SLIDE 25 EVENTS",
+		"tumbling(5s) geomean,product",
+		"sliding(100ev,25ev) min value>=1 value<2",
 	}
 	for _, in := range inputs {
-		q, err := ParseAny(in)
+		q, err := Parse(in)
 		if err != nil {
-			t.Fatalf("ParseAny(%q): %v", in, err)
+			t.Fatalf("Parse(%q): %v", in, err)
 		}
-		again, err := ParseAny(q.String())
+		again, err := Parse(q.String())
 		if err != nil {
 			t.Fatalf("re-parse of %q (from %q): %v", q.String(), in, err)
 		}
 		if q.String() != again.String() {
 			t.Errorf("not a fixpoint: %q -> %q", q.String(), again.String())
 		}
-	}
-}
-
-// TestSQLKeywordCaseInsensitive.
-func TestSQLKeywordCaseInsensitive(t *testing.T) {
-	variants := []string{
-		"select AVG(value) from s window tumbling 1s",
-		"SeLeCt AvG(value) FrOm s WiNdOw TuMbLiNg 1s",
-	}
-	want := MustParseSQL("SELECT avg(value) FROM s WINDOW TUMBLING 1s").String()
-	for _, v := range variants {
-		q, err := ParseSQL(v)
-		if err != nil {
-			t.Errorf("ParseSQL(%q): %v", v, err)
-			continue
-		}
-		if q.String() != want {
-			t.Errorf("ParseSQL(%q) = %s, want %s", v, q.String(), want)
-		}
-	}
-	if !strings.EqualFold("TUMBLING", "tumbling") {
-		t.Fatal("sanity")
 	}
 }

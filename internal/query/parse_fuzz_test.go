@@ -1,10 +1,14 @@
 package query
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// FuzzParseQuery feeds arbitrary strings to both query syntaxes via
-// ParseAny: parsers must return errors, never panic, and anything they
-// accept must Validate and survive a String/Parse fixpoint.
+// FuzzParseQuery feeds arbitrary strings to Parse: it must return errors,
+// never panic, and anything it accepts must Validate and survive a
+// String/Parse fixpoint. The SELECT seeds are spellings of a SQL-style form
+// the parser no longer reads; an input that opens with SELECT must fail.
 func FuzzParseQuery(f *testing.F) {
 	for _, s := range []string{
 		"tumbling(1s) average key=3 value>=80",
@@ -22,9 +26,12 @@ func FuzzParseQuery(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		q, err := ParseAny(s)
+		q, err := Parse(s)
 		if err != nil {
 			return
+		}
+		if f := strings.Fields(s); strings.EqualFold(f[0], "SELECT") {
+			t.Fatalf("accepted SQL-style input %q as %v", s, q)
 		}
 		probe := q
 		probe.AnyKey = false
@@ -32,7 +39,7 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("accepted %q but it fails Validate: %v", s, verr)
 		}
 		str := q.String()
-		again, err := ParseAny(str)
+		again, err := Parse(str)
 		if err != nil {
 			t.Fatalf("String() output %q (from %q) does not re-parse: %v", str, s, err)
 		}

@@ -19,7 +19,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,14 +112,6 @@ func (h *Histogram) Record(d time.Duration) {
 			return
 		}
 	}
-}
-
-// Count reports the number of samples; 0 on nil.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Export snapshots the histogram into its portable form. The buckets are
@@ -277,27 +268,6 @@ func (s *instrumentSet) clone() *instrumentSet {
 		n.hists[k] = v
 	}
 	return n
-}
-
-// Names reports all registered instrument names, sorted, for tests and
-// debugging.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	s := r.load()
-	names := make([]string, 0, len(s.counters)+len(s.gauges)+len(s.hists))
-	for k := range s.counters {
-		names = append(names, k)
-	}
-	for k := range s.gauges {
-		names = append(names, k)
-	}
-	for k := range s.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot captures every instrument's current value without blocking

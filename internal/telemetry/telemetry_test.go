@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,34 @@ import (
 
 	"desis/internal/metrics"
 )
+
+// Count reports the number of samples; 0 on nil.
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// Names reports all registered instrument names, sorted.
+func (r *Registry) Names() []string {
+	if r == nil {
+		return nil
+	}
+	s := r.load()
+	names := make([]string, 0, len(s.counters)+len(s.gauges)+len(s.hists))
+	for k := range s.counters {
+		names = append(names, k)
+	}
+	for k := range s.gauges {
+		names = append(names, k)
+	}
+	for k := range s.hists {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
@@ -88,15 +118,23 @@ func TestSnapshotValues(t *testing.T) {
 
 func TestHistogramMatchesMetricsGeometry(t *testing.T) {
 	var ours Histogram
-	var theirs metrics.Histogram
+	var want metrics.HistogramData
+	var buckets [metrics.NumBuckets]uint64
 	for i := 1; i <= 1000; i++ {
 		d := time.Duration(i*i) * time.Microsecond
 		ours.Record(d)
-		theirs.Record(d)
+		buckets[metrics.BucketIndex(d)]++
+		want.Count++
+		want.Sum += d
+		want.Max = d
 	}
-	back := metrics.Import(ours.Export())
-	if back.String() != theirs.String() {
-		t.Errorf("atomic histogram %q diverged from metrics histogram %q", back.String(), theirs.String())
+	for i, n := range buckets {
+		if n != 0 {
+			want.Buckets = append(want.Buckets, metrics.BucketCount{Index: i, N: n})
+		}
+	}
+	if got := ours.Export(); !reflect.DeepEqual(got, want) {
+		t.Errorf("atomic histogram %q diverged from metrics geometry %q", got.Summary(), want.Summary())
 	}
 }
 
@@ -104,7 +142,7 @@ func TestSnapshotMerge(t *testing.T) {
 	a := NewSnapshot()
 	a.Counters["x"] = 1
 	a.Gauges["g"] = 5
-	var h1 metrics.Histogram
+	var h1 Histogram
 	h1.Record(time.Millisecond)
 	a.Hists["lat"] = h1.Export()
 
@@ -112,7 +150,7 @@ func TestSnapshotMerge(t *testing.T) {
 	b.Counters["x"] = 2
 	b.Counters["y"] = 7
 	b.Gauges["g"] = 3
-	var h2 metrics.Histogram
+	var h2 Histogram
 	h2.Record(4 * time.Millisecond)
 	b.Hists["lat"] = h2.Export()
 	b.Hists["other"] = h2.Export()

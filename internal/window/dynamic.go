@@ -206,12 +206,10 @@ func (u *UserDefined) Empty() bool { return len(u.entries) == 0 }
 // some registered query — a start punctuation that must cut the slice.
 func (u *UserDefined) NeedsStart() bool { return u.inactive > 0 }
 
-// Observe records a data event at t, opening windows for queries that have
-// none yet (the first window starts at the first event).
-func (u *UserDefined) Observe(t int64) { u.ObserveOpened(t, nil) }
-
-// ObserveOpened is Observe with a callback for each entry whose window this
-// event opens, so the engine can stamp the window's first slice.
+// ObserveOpened records a data event at t, opening windows for queries that
+// have none yet (the first window starts at the first event), and calls
+// opened, when non-nil, for each entry whose window this event opens, so the
+// engine can stamp the window's first slice.
 func (u *UserDefined) ObserveOpened(t int64, opened func(id int)) {
 	if u.inactive == 0 {
 		return

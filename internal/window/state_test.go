@@ -44,7 +44,7 @@ func TestUserDefinedStateRoundTrip(t *testing.T) {
 	if !u.NeedsStart() {
 		t.Fatal("fresh user-defined tracker does not need a start")
 	}
-	u.Observe(7)
+	u.ObserveOpened(7, nil)
 	if u.NeedsStart() {
 		t.Fatal("active tracker reports NeedsStart")
 	}

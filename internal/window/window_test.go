@@ -239,7 +239,7 @@ func TestSessionsRemove(t *testing.T) {
 func TestUserDefined(t *testing.T) {
 	var u UserDefined
 	u.Add(1)
-	u.Observe(10)
+	u.ObserveOpened(10, nil)
 	type closed struct{ start, end int64 }
 	var got []closed
 	u.Marker(25, func(id int, start, end int64) { got = append(got, closed{start, end}) })
@@ -275,7 +275,7 @@ func TestUserDefinedRemove(t *testing.T) {
 	u.Add(1)
 	u.Add(2)
 	u.Remove(1)
-	u.Observe(1)
+	u.ObserveOpened(1, nil)
 	calls := 0
 	u.Marker(2, func(id int, _, _ int64) {
 		if id != 2 {
