@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"desis/internal/core"
+	"desis/internal/operator"
 	"desis/internal/plan"
 )
 
@@ -269,9 +270,10 @@ func TestFactorSnapshotRoundTrip(t *testing.T) {
 	compareExact(t, got, want)
 }
 
-// benchFactorQueries is BENCH_factor.json's correlated chain; one optimized
-// engine places two of its groups fed.
-var benchFactorQueries = []string{
+// factorChainQueries is a depth-3 divisibility chain (1 s → 10 s → 60 s
+// periods) plus a second query on the middle period; one optimized engine
+// places two of its groups fed.
+var factorChainQueries = []string{
 	"tumbling(1000ms) sum key=0",
 	"sliding(60000ms,10000ms) sum,average key=0",
 	"sliding(600000ms,60000ms) min key=0",
@@ -286,7 +288,7 @@ var benchFactorQueries = []string{
 // name checks every tier of the in-process and the TCP tree.
 func TestTreeHoldsNoFedGroups(t *testing.T) {
 	var qs []Query
-	for i, s := range benchFactorQueries {
+	for i, s := range factorChainQueries {
 		q := MustParseQuery(s)
 		q.ID = uint64(i + 1)
 		qs = append(qs, q)
@@ -353,4 +355,50 @@ func TestTreeHoldsNoFedGroups(t *testing.T) {
 		t.Fatal("the engine emitted no windows")
 	}
 	compareExact(t, c.Results(), want)
+}
+
+// TestFactorRewriteWins holds the rewrite to its own cost measure (Factor
+// Windows, PAPERS.md): on the depth-3 chain under the naive reference
+// assembly, where every window re-folds its covering slices, the optimized
+// plan must at least halve the exact partial-merge count and emit the same
+// windows. An hour of events, one value in 0..99 each, keeps every
+// aggregate exact.
+func TestFactorRewriteWins(t *testing.T) {
+	var qs []Query
+	for i, s := range factorChainQueries {
+		q := MustParseQuery(s)
+		q.ID = uint64(i + 1)
+		qs = append(qs, q)
+	}
+	const n, span = 20_000, 3_600_000
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Time: 1 + int64(i)*span/n, Value: float64(i % 100)}
+	}
+	run := func(optimize bool) ([]Result, uint64) {
+		p, err := plan.New(qs, plan.Options{Optimize: optimize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs []Result
+		e := core.NewFromPlan(p, core.Config{
+			NaiveAssembly: true,
+			OnResult:      func(r core.Result) { rs = append(rs, r) },
+		})
+		operator.CountMerges(true)
+		defer operator.CountMerges(false)
+		e.ProcessBatch(evs)
+		e.AdvanceTo(span + 1_200_000)
+		return rs, operator.MergeCalls()
+	}
+	want, offMerges := run(false)
+	got, onMerges := run(true)
+	if len(want) == 0 {
+		t.Fatal("the unoptimized plan emitted no windows")
+	}
+	t.Logf("merges %d -> %d (%.1fx), %d windows", offMerges, onMerges, float64(offMerges)/float64(onMerges), len(want))
+	if onMerges == 0 || offMerges < 2*onMerges {
+		t.Errorf("the rewrite cut merges %d -> %d, want at least 2x fewer", offMerges, onMerges)
+	}
+	compareExact(t, got, want)
 }

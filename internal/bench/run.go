@@ -66,11 +66,6 @@ var Experiments = []Experiment{
 	{"ablation-sortedbatches", "sorted-run merge vs root-side sort", one(AblationSortedBatches)},
 	{"ablation-codecs", "binary vs text (Disco) wire codecs", one(AblationCodecs)},
 	{"ablation-shardedroot", "single vs key-sharded root engines", one(AblationShardedRoot)},
-	{"ablation-assembly", "amortized window assembly vs per-window slice re-fold", one(AblationAssembly)},
-	{"plan-churn", "plan-delta add/remove throughput and reconnect resync bytes", one(PlanChurn)},
-	{"wire", "adaptive uplink batching: throttled-link efficiency and fast-link latency", one(Wire)},
-	{"cardinality", "idle-key bytes and ingest tail with instance eviction on/off", one(Cardinality)},
-	{"factor", "factor-window plan rewrite: depth-3 chain, optimizer off vs on", one(Factor)},
 }
 
 // Run executes the experiment with the given id and prints its tables.

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"desis/internal/event"
@@ -124,6 +127,93 @@ func TestEvictReviveDifferential(t *testing.T) {
 	}
 	if !bytes.Equal(ttl.Snapshot(nil), ctl.Snapshot(nil)) {
 		t.Fatal("final snapshots diverged between the evicting and resident engines")
+	}
+}
+
+// TestEvictionByteBudget holds the key-space tier to what it is for: at
+// group-by scale, an idle key's parked instances must cost at most 512 heap
+// bytes and at least 5x less than keeping them resident. Both runs see the
+// same hot/cold stream (10k keys touched once, 64 of them hot, a rotating
+// cold key re-touched every 312th event so revivals happen) and must emit
+// the same windows in the same order.
+func TestEvictionByteBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("one goroutine, nothing for the race detector to check; it runs 7x slower under it")
+	}
+	const keys, hot, events = 10_000, 64, 20_000
+	type run struct {
+		heap    int64
+		windows int
+		hash    uint64
+		stats   InstanceStats
+	}
+	measure := func(ttl int64) run {
+		var qs []query.Query
+		for i, s := range []string{"tumbling(1s) sum key=0", "tumbling(1s) count,average key=0"} {
+			q := query.MustParse(s)
+			q.AnyKey = true
+			q.ID = uint64(i + 1)
+			qs = append(qs, q)
+		}
+		// Instantiate every key up front, so the run mutates no catalog
+		// state and the heap delta is the engine's own.
+		p := mustPlan(t, qs, plan.Options{})
+		for k := 0; k < keys; k++ {
+			for _, q := range qs {
+				if err := p.Apply(p.InstantiateDelta(q.ID, uint32(k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var r run
+		h := fnv.New64a()
+		cfg := Config{OnResult: func(res Result) {
+			r.windows++
+			fmt.Fprintf(h, "%v\n", res)
+		}}
+		if ttl > 0 {
+			cfg.InstanceTTL = ttl
+			cfg.InstanceSweepEvery = 256
+		}
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		e := NewFromPlan(p, cfg)
+		for k := 0; k < keys; k++ {
+			e.Process(event.Event{Time: 0, Key: uint32(k), Value: float64(k % 97)})
+		}
+		const span, reviveEvery = 5_000, events / 64
+		for i := 0; i < events; i++ {
+			ev := event.Event{Time: 1_000 + int64(i)*span/events, Key: uint32(i % hot), Value: float64(i % 113)}
+			if i%reviveEvery == reviveEvery-1 {
+				ev.Key = uint32(hot + (i/reviveEvery*37)%(keys-hot))
+			}
+			e.Process(ev)
+		}
+		r.stats = e.InstanceStats()
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(e)
+		r.heap = int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+		r.hash = h.Sum64()
+		return r
+	}
+	evict, resident := measure(500), measure(0)
+	if evict.stats.Evicted == 0 || evict.stats.Revived == 0 {
+		t.Fatalf("evicting run parked %d and revived %d instances; the budget is vacuous", evict.stats.Evicted, evict.stats.Revived)
+	}
+	if evict.windows == 0 || evict.windows != resident.windows || evict.hash != resident.hash {
+		t.Fatalf("evicting run emitted %d windows (hash %x), resident %d (hash %x)", evict.windows, evict.hash, resident.windows, resident.hash)
+	}
+	idle := float64(keys - hot)
+	parked, kept := float64(evict.heap)/idle, float64(resident.heap)/idle
+	t.Logf("bytes per idle key: %.0f evicting, %.0f resident (%.2fx); parked %d, revived %d",
+		parked, kept, kept/parked, evict.stats.Evicted, evict.stats.Revived)
+	if parked > 512 {
+		t.Errorf("an idle key costs %.0f B with eviction, budget 512 B", parked)
+	}
+	if kept < 5*parked {
+		t.Errorf("eviction cut an idle key's bytes %.0f -> %.0f, want at least 5x", kept, parked)
 	}
 }
 

@@ -164,8 +164,8 @@ type Config struct {
 	// baseline systems, kept for the ablation benchmark.
 	PerEventBoundaryCheck bool
 	// NaiveAssembly replaces the two-stacks assembly index (swag.go) with
-	// per-window re-folding of every covering slice — kept for the
-	// ablation benchmark and as the tests' reference.
+	// per-window re-folding of every covering slice — kept as the tests'
+	// reference.
 	NaiveAssembly bool
 	// ReorderHorizon, when positive, admits events up to this many
 	// event-time milliseconds behind a group's last punctuation: the late

@@ -11,7 +11,7 @@ import (
 )
 
 // TestTreeHoldsNoFedGroups: no tier of a tree holds a fed group, even when
-// its catalog is analyzed with the optimizer on. BENCH_factor.json's chain,
+// its catalog is analyzed with the optimizer on. A depth-3 factor chain,
 // which one optimized engine rewrites into two fed groups, builds the
 // in-process tree and a TCP root; a runtime add of a query a single engine
 // would feed then replays on every tier, the TCP intermediate's cached plan

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"desis/internal/core"
 	"desis/internal/event"
+	"desis/internal/gen"
 	"desis/internal/operator"
 	"desis/internal/plan"
 	"desis/internal/query"
@@ -482,6 +484,86 @@ func TestClusterNetworkReduction(t *testing.T) {
 	}
 	if medBytes < 10*avgBytes {
 		t.Errorf("median traffic %d not >> decomposable traffic %d", medBytes, avgBytes)
+	}
+}
+
+// TestClusterBatchThrottledLink pins the uplink batcher's case on a slow
+// link: 16 sliding queries (one per key; the stream carries key 0) on two
+// locals whose links are throttled to 1 Mbps (125 kB/s), so the partials of
+// a 100 ms slide queue behind the link. Batching must leave the root's
+// windows unchanged and at least halve the locals' wire bytes; outside
+// -race, where the detector's overhead can outweigh the link, it must also
+// ingest faster.
+func TestClusterBatchThrottledLink(t *testing.T) {
+	qs := make([]query.Query, 16)
+	for i := range qs {
+		qs[i] = query.MustParse(fmt.Sprintf("sliding(1000ms,100ms) sum key=%d", i))
+		qs[i].ID = uint64(i + 1)
+	}
+	const locals, perLocal = 2, 20_000
+	type leg struct {
+		results []core.Result
+		bytes   uint64
+		rate    float64
+	}
+	run := func(batch bool) leg {
+		p, err := plan.New(qs, plan.Options{Decentralized: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCluster(p, ClusterConfig{Locals: locals, Bandwidth: 125_000, Batch: batch})
+		// Each local ingests from its own goroutine, as a deployed local
+		// would, advancing every 8 batches of 512 events.
+		start := time.Now()
+		ends := make([]int64, locals)
+		errs := make(chan error, locals)
+		for i := range ends {
+			go func(i int) {
+				s := gen.NewStream(gen.StreamConfig{Seed: 11 + int64(i)*7919, IntervalMS: 1})
+				var buf []event.Event
+				for sent, batches := 0, 1; sent < perLocal; sent, batches = sent+512, batches+1 {
+					buf = s.NextBatch(buf[:0], min(512, perLocal-sent))
+					if err := c.Push(i, buf); err != nil {
+						errs <- err
+						return
+					}
+					if batches%8 == 0 {
+						if err := c.Advance(i, s.Now()); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}
+				ends[i] = s.Now()
+				errs <- nil
+			}(i)
+		}
+		for range ends {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		end := max(ends[0], ends[1])
+		if err := c.AdvanceAll(end + 120_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		local, _ := c.NetworkBytes()
+		return leg{c.Results(), local, locals * perLocal / time.Since(start).Seconds()}
+	}
+	plain, batched := run(false), run(true)
+	t.Logf("local bytes %d -> %d, events/s %.0f -> %.0f", plain.bytes, batched.bytes, plain.rate, batched.rate)
+	if len(plain.results) == 0 {
+		t.Fatal("the unbatched cluster emitted no windows")
+	}
+	compareResultSets(t, batched.results, plain.results)
+	if 2*batched.bytes > plain.bytes {
+		t.Errorf("batching sent %d local bytes against %d unbatched, want at most half", batched.bytes, plain.bytes)
+	}
+	if !raceBuild && batched.rate <= plain.rate {
+		t.Errorf("batching ingested %.0f events/s against %.0f unbatched on a throttled link", batched.rate, plain.rate)
 	}
 }
 

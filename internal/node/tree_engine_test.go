@@ -68,14 +68,15 @@ func treeEngineSchedule(name string, last int64) []int64 {
 // treeEngineSkip names the cells that fail because no tier states what its
 // watermark promises (ROADMAP item 1, cause B): a local sends w while it
 // still holds a session open below w, so sessions spread over several locals
-// split once there is more than one step; and a marker that arrives at a
-// time the watermark already reached (300 and 1000 are steps of every
-// multi-step schedule) closes a window the parent drops as a replay.
+// split once there is more than one step (mixed holds a session beside
+// sliding members, and its session splits the same way); and a marker that
+// arrives at a time the watermark already reached (300 and 1000 are steps of
+// every multi-step schedule) closes a window the parent drops as a replay.
 func treeEngineSkip(window, schedule string, locals int) bool {
 	if schedule == "one-step" {
 		return false
 	}
-	return window == "userdefined" || window == "session" && locals > 1
+	return window == "userdefined" || (window == "session" || window == "mixed") && locals > 1
 }
 
 // TestTreeEqualsEngine runs seeded streams through in-process trees and
@@ -91,6 +92,7 @@ func TestTreeEqualsEngine(t *testing.T) {
 		{"session", treeEngineQueries("session(50ms) sum key=1")},
 		{"userdefined", treeEngineQueries("userdefined sum,count key=1")},
 		{"count", treeEngineQueries("tumbling(16ev) sum key=1")},
+		{"mixed", treeEngineQueries("session(50ms) count key=1", "sliding(300ms,100ms) median key=1")},
 	}
 	schedules := []string{"one-step", "100ms", "1000ms", "markers"}
 	for _, locals := range []int{1, 2, 4} {

@@ -6,11 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Merge accounting for benchmarks: the factor-window experiment measures how
-// many partial-result merges a workload costs with the optimizer on versus
-// off. Counting is off by default (one predictable-branch load on the Merge
-// path) and exact when enabled; the counter is global, so enable it only
-// around single-workload measurement runs.
+// Merge accounting for benchmarks and tests: the benchmark ledger and the
+// factor-rewrite test count how many partial-result merges a workload costs.
+// Counting is off by default (one predictable-branch load on the Merge path)
+// and exact when enabled; the counter is global, so enable it only around
+// single-workload measurement runs.
 var (
 	countMerges atomic.Bool
 	mergeCalls  atomic.Uint64

@@ -35,6 +35,8 @@ type Options struct {
 	// the admission fold may place eligible queries into fed groups that
 	// assemble from another group's super-slices (see optimize.go). A
 	// decentralized plan records it as false and never holds a fed group.
+	// desis.Engine, ParallelEngine and benchmark/ always set it; only tests
+	// leave it false on purpose, as the unoptimized leg of a comparison.
 	Optimize bool
 	// Shards is the shard count of the key→shard routing map; 0 or 1 means
 	// unsharded.
