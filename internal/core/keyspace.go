@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"desis/internal/event"
 	"desis/internal/invariant"
 	"desis/internal/operator"
 )
@@ -202,7 +204,7 @@ func (e *Engine) shrinkIndexes(sh *instShard) {
 // and a parked key cannot be re-instantiated.
 func (e *Engine) evictKey(sh *instShard, key uint32, ent *keyEntry) {
 	buf := e.snapScratch[:0]
-	buf = appendU32s(buf, uint32(len(ent.groups)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ent.groups)))
 	for _, gs := range ent.groups {
 		invariant.Assertf(gs.pending == nil, "evicting group %d with a staged partial", gs.id)
 		buf = gs.snapshot(buf)
@@ -303,10 +305,10 @@ func (e *Engine) reviveKey(key uint32) *keyEntry {
 		return sh.byKey[key]
 	}
 	delete(sh.evicted, key)
-	r := &snapReader{buf: blob}
-	n := int(r.u32())
+	r := &event.Reader{Buf: blob}
+	n := int(r.U32())
 	for i := 0; i < n; i++ {
-		id := r.u32()
+		id := r.U32()
 		g := e.plan.GroupByID(id)
 		if g == nil {
 			// Groups never leave the catalog (removal tombstones members);
@@ -319,8 +321,8 @@ func (e *Engine) reviveKey(key uint32) *keyEntry {
 		}
 		e.install(gs)
 	}
-	if r.err != nil {
-		panic(fmt.Sprintf("core: eviction snapshot of key %d: %v", key, r.err))
+	if r.Err != nil {
+		panic(fmt.Sprintf("core: eviction snapshot of key %d: %v", key, r.Err))
 	}
 	ent := sh.byKey[key]
 	invariant.Assertf(ent != nil && len(ent.groups) == n,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"desis/internal/event"
 	"desis/internal/operator"
 	"desis/internal/plan"
 	"desis/internal/query"
@@ -46,16 +47,17 @@ const snapshotVersion = 8
 // a never-evicting engine.
 func (e *Engine) Snapshot(buf []byte) []byte {
 	e.reviveAll()
-	buf = appendU32s(buf, snapshotMagic)
-	buf = appendU32s(buf, snapshotVersion)
-	buf = appendU64s(buf, e.plan.Epoch)
-	buf = appendU64s(buf, e.stats.events.Load())
-	buf = appendU64s(buf, e.stats.calculations.Load())
-	buf = appendU64s(buf, e.stats.slices.Load())
-	buf = appendU64s(buf, e.stats.windows.Load())
-	buf = appendU64s(buf, e.stats.pruned.Load())
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, snapshotMagic)
+	buf = le.AppendUint32(buf, snapshotVersion)
+	buf = le.AppendUint64(buf, e.plan.Epoch)
+	buf = le.AppendUint64(buf, e.stats.events.Load())
+	buf = le.AppendUint64(buf, e.stats.calculations.Load())
+	buf = le.AppendUint64(buf, e.stats.slices.Load())
+	buf = le.AppendUint64(buf, e.stats.windows.Load())
+	buf = le.AppendUint64(buf, e.stats.pruned.Load())
 	ordered := e.orderedGroups()
-	buf = appendU32s(buf, uint32(len(ordered)))
+	buf = le.AppendUint32(buf, uint32(len(ordered)))
 	for _, gs := range ordered {
 		buf = gs.snapshot(buf)
 	}
@@ -63,35 +65,36 @@ func (e *Engine) Snapshot(buf []byte) []byte {
 }
 
 func (g *groupState) snapshot(buf []byte) []byte {
-	buf = appendU32s(buf, g.id)
-	buf = appendBool(buf, g.started)
-	buf = appendU64s(buf, uint64(g.lastPunct))
-	buf = appendU64s(buf, uint64(g.count))
-	buf = appendU64s(buf, uint64(g.lastEventTime))
-	buf = appendU64s(buf, g.nextSliceID)
-	buf = appendU64s(buf, uint64(len(g.members)))
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, g.id)
+	buf = event.AppendBool(buf, g.started)
+	buf = le.AppendUint64(buf, uint64(g.lastPunct))
+	buf = le.AppendUint64(buf, uint64(g.count))
+	buf = le.AppendUint64(buf, uint64(g.lastEventTime))
+	buf = le.AppendUint64(buf, g.nextSliceID)
+	buf = le.AppendUint64(buf, uint64(len(g.members)))
 	for _, m := range g.members {
-		buf = appendBool(buf, m.removed)
-		buf = appendU64s(buf, uint64(m.regTime))
-		buf = appendU64s(buf, uint64(m.regCount))
-		buf = appendU64s(buf, m.udOpenSeq)
+		buf = event.AppendBool(buf, m.removed)
+		buf = le.AppendUint64(buf, uint64(m.regTime))
+		buf = le.AppendUint64(buf, uint64(m.regCount))
+		buf = le.AppendUint64(buf, m.udOpenSeq)
 	}
 	// Open slice.
 	buf = appendSlice(buf, &g.cur)
 	// Closed slices.
-	buf = appendU32s(buf, uint32(len(g.closed)))
+	buf = le.AppendUint32(buf, uint32(len(g.closed)))
 	for i := range g.closed {
 		buf = appendSlice(buf, &g.closed[i])
 	}
 	// Dynamic trackers.
 	sess, lastEv, have := g.sessions.State()
-	buf = appendU64s(buf, uint64(lastEv))
-	buf = appendBool(buf, have)
+	buf = le.AppendUint64(buf, uint64(lastEv))
+	buf = event.AppendBool(buf, have)
 	buf = appendDynamic(buf, sess)
 	buf = appendDynamic(buf, g.ud.State())
 	// Dedup state (v4): the open slice's seen set, sorted so identical
 	// engine states serialise to identical bytes.
-	buf = appendU32s(buf, uint32(len(g.dedup)))
+	buf = le.AppendUint32(buf, uint32(len(g.dedup)))
 	if len(g.dedup) > 0 {
 		keys := make([]dedupKey, 0, len(g.dedup))
 		for k := range g.dedup {
@@ -104,32 +107,33 @@ func (g *groupState) snapshot(buf []byte) []byte {
 			return math.Float64bits(keys[i].v) < math.Float64bits(keys[j].v)
 		})
 		for _, k := range keys {
-			buf = appendU64s(buf, uint64(k.t))
-			buf = appendU64s(buf, math.Float64bits(k.v))
+			buf = le.AppendUint64(buf, uint64(k.t))
+			buf = le.AppendUint64(buf, math.Float64bits(k.v))
 		}
 	}
 	// Out-of-order commit state (v5). The assembly index itself is derived
 	// state and rebuilds lazily; only the emission frontier and the not-yet
 	// emitted boundaries must survive.
-	buf = appendU64s(buf, uint64(g.emittedBound))
-	buf = appendU32s(buf, uint32(len(g.deferred)))
+	buf = le.AppendUint64(buf, uint64(g.emittedBound))
+	buf = le.AppendUint32(buf, uint32(len(g.deferred)))
 	for _, b := range g.deferred {
-		buf = appendU64s(buf, uint64(b))
+		buf = le.AppendUint64(buf, uint64(b))
 	}
 	// Factor-feed state (v6): zero for groups that are not fed. The feed
 	// topology itself is plan state and relinks on restore/revival.
-	buf = appendU64s(buf, uint64(g.fedBound))
-	buf = appendU64s(buf, uint64(g.fedCount))
+	buf = le.AppendUint64(buf, uint64(g.fedBound))
+	buf = le.AppendUint64(buf, uint64(g.fedCount))
 	return buf
 }
 
 func appendSlice(buf []byte, s *sliceRec) []byte {
-	buf = appendU64s(buf, s.seq)
-	buf = appendU64s(buf, uint64(s.start))
-	buf = appendU64s(buf, uint64(s.end))
-	buf = appendU64s(buf, uint64(s.startCount))
-	buf = appendU64s(buf, uint64(s.endCount))
-	buf = appendU32s(buf, uint32(len(s.aggs)))
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, s.seq)
+	buf = le.AppendUint64(buf, uint64(s.start))
+	buf = le.AppendUint64(buf, uint64(s.end))
+	buf = le.AppendUint64(buf, uint64(s.startCount))
+	buf = le.AppendUint64(buf, uint64(s.endCount))
+	buf = le.AppendUint32(buf, uint32(len(s.aggs)))
 	for i := range s.aggs {
 		buf = operator.AppendAgg(buf, &s.aggs[i])
 	}
@@ -137,11 +141,12 @@ func appendSlice(buf []byte, s *sliceRec) []byte {
 }
 
 func appendDynamic(buf []byte, entries []windowDynamicState) []byte {
-	buf = appendU32s(buf, uint32(len(entries)))
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, uint32(len(entries)))
 	for _, e := range entries {
-		buf = appendU32s(buf, uint32(e.ID))
-		buf = appendBool(buf, e.Active)
-		buf = appendU64s(buf, uint64(e.Start))
+		buf = le.AppendUint32(buf, uint32(e.ID))
+		buf = event.AppendBool(buf, e.Active)
+		buf = le.AppendUint64(buf, uint64(e.Start))
 	}
 	return buf
 }
@@ -156,40 +161,40 @@ func appendDynamic(buf []byte, entries []windowDynamicState) []byte {
 // group-by-group checks instead.
 func RestoreFromPlan(p *plan.Plan, cfg Config, snap []byte) (*Engine, error) {
 	e := NewFromPlan(p, cfg)
-	r := &snapReader{buf: snap}
-	if r.u32() != snapshotMagic {
+	r := &event.Reader{Buf: snap}
+	if r.U32() != snapshotMagic {
 		return nil, fmt.Errorf("core: not a snapshot")
 	}
-	if v := r.u32(); v != snapshotVersion {
+	if v := r.U32(); v != snapshotVersion {
 		return nil, fmt.Errorf("core: snapshot version %d, want %d", v, snapshotVersion)
 	}
-	epoch := r.u64()
-	if p.Epoch > 0 && r.err == nil && epoch != p.Epoch {
+	epoch := r.U64()
+	if p.Epoch > 0 && r.Err == nil && epoch != p.Epoch {
 		return nil, fmt.Errorf("core: snapshot cut at plan epoch %d, engine plan at %d", epoch, p.Epoch)
 	}
-	e.stats.events.Store(r.u64())
-	e.stats.calculations.Store(r.u64())
-	e.stats.slices.Store(r.u64())
-	e.stats.windows.Store(r.u64())
-	e.stats.pruned.Store(r.u64())
-	n := int(r.u32())
+	e.stats.events.Store(r.U64())
+	e.stats.calculations.Store(r.U64())
+	e.stats.slices.Store(r.U64())
+	e.stats.windows.Store(r.U64())
+	e.stats.pruned.Store(r.U64())
+	n := int(r.U32())
 	ordered := e.orderedGroups()
-	if r.err == nil && n != len(ordered) {
+	if r.Err == nil && n != len(ordered) {
 		return nil, fmt.Errorf("core: snapshot has %d groups, engine has %d", n, len(ordered))
 	}
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err == nil; i++ {
 		if err := ordered[i].restore(r); err != nil {
 			return nil, err
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return e, nil
 }
 
-func (g *groupState) restore(r *snapReader) error {
-	if id := r.u32(); r.err == nil && id != g.id {
+func (g *groupState) restore(r *event.Reader) error {
+	if id := r.U32(); r.Err == nil && id != g.id {
 		return fmt.Errorf("core: snapshot group id %d, engine group %d", id, g.id)
 	}
 	return g.restoreBody(r, nil)
@@ -203,91 +208,87 @@ func (g *groupState) restore(r *snapReader) error {
 // subsequent syncGroup, exactly as a live group would have registered them
 // when the delta applied (no events intervened while parked, so the
 // registration positions agree).
-func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
-	g.started = r.bool()
-	g.lastPunct = int64(r.u64())
-	g.count = int64(r.u64())
-	g.lastEventTime = int64(r.u64())
-	g.nextSliceID = r.u64()
-	nm := int(r.u64())
-	if r.err == nil {
+func (g *groupState) restoreBody(r *event.Reader, grow []query.GroupQuery) error {
+	g.started = r.Bool()
+	g.lastPunct = int64(r.U64())
+	g.count = int64(r.U64())
+	g.lastEventTime = int64(r.U64())
+	g.nextSliceID = r.U64()
+	nm := int(r.U64())
+	if r.Err == nil {
 		if grow == nil && nm != len(g.members) {
 			return fmt.Errorf("core: snapshot has %d members, group %d has %d", nm, g.id, len(g.members))
 		}
-		if grow != nil && nm > len(grow) {
+		if grow != nil && (nm < 0 || nm > len(grow)) {
 			return fmt.Errorf("core: snapshot of group %d has %d members, catalog has %d", g.id, nm, len(grow))
 		}
 	}
-	for i := 0; i < nm && r.err == nil; i++ {
+	for i := 0; i < nm && r.Err == nil; i++ {
 		if i >= len(g.members) {
 			g.addMember(grow[i])
 		}
-		removed := r.bool()
-		g.members[i].regTime = int64(r.u64())
-		g.members[i].regCount = int64(r.u64())
-		g.members[i].udOpenSeq = r.u64()
+		removed := r.Bool()
+		g.members[i].regTime = int64(r.U64())
+		g.members[i].regCount = int64(r.U64())
+		g.members[i].udOpenSeq = r.U64()
 		if removed && !g.members[i].removed {
 			g.removeMember(i)
 		}
 	}
-	if err := readSlice(r, &g.cur, false); err != nil {
-		return err
-	}
-	nc := int(r.u32())
+	// Counts go through r.Count, each against its element's least size
+	// (a slice record is 44 bytes, a dedup key 16, a boundary 8), so a
+	// corrupt count fails before anything is sized from it.
+	readSlice(r, &g.cur, false)
+	nc := r.Count(44)
 	g.closed = g.closed[:0]
-	for i := 0; i < nc && r.err == nil; i++ {
+	for i := 0; i < nc && r.Err == nil; i++ {
 		var s sliceRec
-		if err := readSlice(r, &s, true); err != nil {
-			return err
-		}
+		readSlice(r, &s, true)
 		g.closed = append(g.closed, s)
 	}
-	lastEv := int64(r.u64())
-	have := r.bool()
+	lastEv := int64(r.U64())
+	have := r.Bool()
 	g.sessions.SetState(readDynamic(r), lastEv, have)
 	g.ud.SetState(readDynamic(r))
-	nd := int(r.u32())
+	nd := r.Count(16)
 	if nd > 0 && g.dedup == nil {
 		g.dedup = make(map[dedupKey]struct{}, nd)
 	}
-	for i := 0; i < nd && r.err == nil; i++ {
-		k := dedupKey{t: int64(r.u64()), v: math.Float64frombits(r.u64())}
+	for i := 0; i < nd; i++ {
+		k := dedupKey{t: int64(r.U64()), v: r.F64()}
 		g.dedup[k] = struct{}{}
 	}
-	g.emittedBound = int64(r.u64())
+	g.emittedBound = int64(r.U64())
 	g.deferred = g.deferred[:0]
-	for i, n := 0, int(r.u32()); i < n && r.err == nil; i++ {
-		g.deferred = append(g.deferred, int64(r.u64()))
+	for i, n := 0, r.Count(8); i < n; i++ {
+		g.deferred = append(g.deferred, int64(r.U64()))
 	}
-	g.fedBound = int64(r.u64())
-	g.fedCount = int64(r.u64())
+	g.fedBound = int64(r.U64())
+	g.fedCount = int64(r.U64())
 	g.refreshOOO()
 	if g.started {
 		g.nextTimeBound = g.cal.NextBoundary(g.lastPunct)
 		g.nextCountID = g.countCal.NextBoundary(g.count)
 	}
-	return r.err
+	return r.Err
 }
 
 // readSlice decodes one slice record. A closed slice was finished before the
 // snapshot was cut and comes back finished, with its run endpoints set as
 // closeSlice sets them; the open slice is mid-accumulation and comes back
 // unsorted.
-func readSlice(r *snapReader, s *sliceRec, closed bool) error {
-	s.seq = r.u64()
-	s.start = int64(r.u64())
-	s.end = int64(r.u64())
-	s.startCount = int64(r.u64())
-	s.endCount = int64(r.u64())
-	n := int(r.u32())
-	s.aggs = make([]operator.Agg, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		rest, err := operator.DecodeAgg(r.buf, &s.aggs[i])
-		if err != nil {
-			r.err = err
-			return err
-		}
-		r.buf = rest
+func readSlice(r *event.Reader, s *sliceRec, closed bool) {
+	s.seq = r.U64()
+	s.start = int64(r.U64())
+	s.end = int64(r.U64())
+	s.startCount = int64(r.U64())
+	s.endCount = int64(r.U64())
+	s.aggs = make([]operator.Agg, r.Count(1)) // an agg is at least its mask byte
+	for i := 0; i < len(s.aggs) && r.Err == nil; i++ {
+		operator.DecodeAgg(r, &s.aggs[i])
+	}
+	if r.Err != nil {
+		return
 	}
 	if closed {
 		finishAggs(s.aggs)
@@ -296,78 +297,18 @@ func readSlice(r *snapReader, s *sliceRec, closed bool) error {
 			s.aggs[i].Sorted = false
 		}
 	}
-	return r.err
 }
 
-func readDynamic(r *snapReader) []windowDynamicState {
-	n := int(r.u32())
+// readDynamic reads tracker entries of 13 bytes each.
+func readDynamic(r *event.Reader) []windowDynamicState {
+	n := r.Count(13)
 	out := make([]windowDynamicState, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, windowDynamicState{
-			ID:     int(r.u32()),
-			Active: r.bool(),
-			Start:  int64(r.u64()),
+			ID:     int(r.U32()),
+			Active: r.Bool(),
+			Start:  int64(r.U64()),
 		})
 	}
 	return out
-}
-
-// --- little-endian helpers ---
-
-func appendU32s(buf []byte, v uint32) []byte {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	return append(buf, t[:]...)
-}
-
-func appendU64s(buf []byte, v uint64) []byte {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	return append(buf, t[:]...)
-}
-
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-type snapReader struct {
-	buf []byte
-	err error
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.buf) < n {
-		r.err = fmt.Errorf("core: truncated snapshot")
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *snapReader) bool() bool {
-	b := r.take(1)
-	return b != nil && b[0] == 1
 }

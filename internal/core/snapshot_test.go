@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -177,5 +179,84 @@ func TestSnapshotUserDefinedZeroSpanSlice(t *testing.T) {
 		if got = append(got, e2.Results()...); !resultsEqual(got, want) {
 			t.Errorf("cut %d: got %v, want %v", cut, got, want)
 		}
+	}
+}
+
+// TestRestoreHostileSnapshotBounded: a restore sizes nothing from a count the
+// bytes left cannot hold. The input is a real one-query snapshot cut right
+// after the open slice's agg count, with that count set to 2^20: sized from
+// the count, the agg rows alone would be about 100 MB.
+func TestRestoreHostileSnapshotBounded(t *testing.T) {
+	q := query.MustParse("tumbling(50ms) sum key=0")
+	q.ID = 1
+	e := NewFromPlan(mustPlan(t, []query.Query{q}, plan.Options{}), Config{})
+	e.ProcessBatch(evenStream(50, 7))
+	snap := e.Snapshot(nil)
+	// Layout: header 56, group count 4, group id 4, started 1, four
+	// positions 32, member count 8, one member 25, then the open slice's
+	// five positions 40 and its agg count 4.
+	const countAt = 56 + 4 + 4 + 1 + 32 + 8 + 25 + 40
+	if got, want := binary.LittleEndian.Uint32(snap[countAt:]), uint32(len(e.orderedGroups()[0].cur.aggs)); got != want {
+		t.Fatalf("agg count at %d reads %d, want %d: the layout moved", countAt, got, want)
+	}
+	hostile := binary.LittleEndian.AppendUint32(append([]byte(nil), snap[:countAt]...), 1<<20)
+	p := mustPlan(t, []query.Query{q}, plan.Options{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RestoreFromPlan(p, Config{}, hostile)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte snapshot: err=%v, allocated %d bytes", len(hostile), err, alloc)
+	if err == nil {
+		t.Error("hostile snapshot restored")
+	}
+	if alloc > 1<<20 {
+		t.Errorf("restore allocated %d bytes, want under 1 MB", alloc)
+	}
+}
+
+// FuzzRestoreEngine throws arbitrary bytes at RestoreFromPlan under the
+// catalogs of the snapshot tests: no input may panic, and an engine that
+// restores must snapshot again.
+func FuzzRestoreEngine(f *testing.F) {
+	catalogs := restoreCatalogs()
+	for i, qs := range catalogs {
+		e := NewFromPlan(mustPlan(f, qs, plan.Options{}), Config{})
+		f.Add(uint8(i), e.Snapshot(nil))
+		e.ProcessBatch(randomStream(rand.New(rand.NewSource(int64(i))), 300, 2))
+		f.Add(uint8(i), e.Snapshot(nil))
+		if i == 2 {
+			if err := e.RemoveQuery(2); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(i), e.Snapshot(nil))
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, snap []byte) {
+		qs := catalogs[int(which)%len(catalogs)]
+		e, err := RestoreFromPlan(mustPlan(t, qs, plan.Options{}), Config{}, snap)
+		if err != nil {
+			return
+		}
+		_ = e.Snapshot(nil)
+	})
+}
+
+// restoreCatalogs are the query sets of the snapshot tests above.
+func restoreCatalogs() [][]query.Query {
+	parse := func(texts ...string) []query.Query {
+		qs := make([]query.Query, len(texts))
+		for i, s := range texts {
+			qs[i] = query.MustParse(s)
+			qs[i].ID = uint64(i + 1)
+		}
+		return qs
+	}
+	return [][]query.Query{
+		parse("tumbling(100ms) average key=0", "sliding(150ms,50ms) median key=0",
+			"session(60ms) count key=0", "userdefined max key=0", "tumbling(16ev) sum key=0"),
+		parse("tumbling(50ms) sum key=0"),
+		parse("tumbling(50ms) sum key=0", "tumbling(100ms) count key=0"),
+		parse("userdefined sum key=0"),
 	}
 }

@@ -2,6 +2,7 @@ package event
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -12,25 +13,116 @@ import (
 // sequence of int columns and float columns. A column's length n is known
 // to both sides from what precedes it, and an empty column is not written.
 
-// Reader is a cursor over encoded bytes with a sticky error: after the
-// first failure every read returns zero and Err keeps the failure.
+// Reader is the one decoding cursor of every binary format: event and
+// partial batches, messages, plans and deltas, aggregates, telemetry, engine
+// snapshots and eviction blobs. Fixed-width fields are little-endian. The
+// error is sticky: after the first failure every read returns zero and Err
+// keeps the failure. The fixed-width reads inline, which is why their
+// failures are sentinel errors rather than formatted ones.
 type Reader struct {
 	Buf []byte
 	Err error
 }
 
+var (
+	errTruncated = errors.New("event: truncated input")
+	errBool      = errors.New("event: bool byte other than 0 or 1")
+	errCount     = errors.New("event: count exceeds the bytes left")
+	errVarint    = errors.New("event: bad varint")
+)
+
+// fail records err unless an earlier failure already stands.
+func (r *Reader) fail(err error) {
+	if r.Err == nil {
+		r.Err = err
+	}
+}
+
+// Take reads n bytes; the slice aliases Buf.
+func (r *Reader) Take(n int) []byte {
+	if n < 0 || len(r.Buf) < n || r.Err != nil {
+		r.fail(errTruncated)
+		return nil
+	}
+	b := r.Buf[:n:n]
+	r.Buf = r.Buf[n:]
+	return b
+}
+
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	if r.Err != nil {
-		return 0
-	}
-	if len(r.Buf) < 1 {
-		r.Err = fmt.Errorf("event: truncated body")
+	if len(r.Buf) < 1 || r.Err != nil {
+		r.fail(errTruncated)
 		return 0
 	}
 	b := r.Buf[0]
 	r.Buf = r.Buf[1:]
 	return b
+}
+
+// Bool reads one byte that must be 0 or 1.
+func (r *Reader) Bool() bool {
+	b := r.U8()
+	if b > 1 {
+		r.fail(errBool)
+	}
+	return b == 1
+}
+
+// AppendBool appends b as the byte Bool reads.
+func AppendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// U32 reads a little-endian uint32.
+func (r *Reader) U32() uint32 {
+	if len(r.Buf) < 4 || r.Err != nil {
+		r.fail(errTruncated)
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(r.Buf)
+	r.Buf = r.Buf[4:]
+	return v
+}
+
+// U64 reads a little-endian uint64.
+func (r *Reader) U64() uint64 {
+	if len(r.Buf) < 8 || r.Err != nil {
+		r.fail(errTruncated)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.Buf)
+	r.Buf = r.Buf[8:]
+	return v
+}
+
+// F64 reads a float64 as its little-endian IEEE-754 bits.
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Count reads a uint32 element count and refuses one whose elements, at
+// least size bytes each, cannot fit in the bytes left. A decoder that sizes
+// allocations only from counts read here allocates at most a small
+// multiple of its input, however hostile the input is.
+func (r *Reader) Count(size int) int {
+	n := r.U32()
+	if uint64(n)*uint64(size) > uint64(len(r.Buf)) {
+		r.fail(errCount)
+		return 0
+	}
+	return int(n)
+}
+
+// String reads a uvarint length and that many bytes.
+func (r *Reader) String() string {
+	n := r.Uvarint()
+	if n > uint64(len(r.Buf)) {
+		r.fail(errTruncated)
+		return ""
+	}
+	return string(r.Take(int(n)))
 }
 
 // Uvarint reads one unsigned varint.
@@ -40,7 +132,7 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.Buf)
 	if n <= 0 {
-		r.Err = fmt.Errorf("event: bad uvarint")
+		r.fail(errVarint)
 		return 0
 	}
 	r.Buf = r.Buf[n:]
@@ -54,7 +146,7 @@ func (r *Reader) Varint() int64 {
 	}
 	v, n := binary.Varint(r.Buf)
 	if n <= 0 {
-		r.Err = fmt.Errorf("event: bad varint")
+		r.fail(errVarint)
 		return 0
 	}
 	r.Buf = r.Buf[n:]

@@ -68,14 +68,17 @@ func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
 // decodeBatchBody parses a columnar batch body (flags byte plus payload),
 // stamping every decoded frame with the batch sender from. The flags byte is
 // reserved: a nonzero one (a deflated body from an older peer) is refused.
-func decodeBatchBody(buf []byte, from uint32) (*Batch, error) {
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("message: empty batch body")
+func decodeBatchBody(r *event.Reader, from uint32) *Batch {
+	if flags := r.U8(); flags != 0 {
+		r.Err = fmt.Errorf("message: unknown batch flags %#x", flags)
 	}
-	if buf[0] != 0 {
-		return nil, fmt.Errorf("message: unknown batch flags %#x", buf[0])
+	if r.Err != nil {
+		return nil
 	}
-	return decodeBatchPayload(buf[1:], from)
+	s := scratchPool.Get().(*batchScratch)
+	b := s.decode(r, from)
+	scratchPool.Put(s)
+	return b
 }
 
 // maxBatchItems caps the frames, aggregate rows and EPs one batch carries
@@ -335,13 +338,6 @@ func dictFind(dict []uint32, g uint32) int {
 	return -1
 }
 
-func decodeBatchPayload(payload []byte, from uint32) (*Batch, error) {
-	s := scratchPool.Get().(*batchScratch)
-	b, err := s.decode(payload, from)
-	scratchPool.Put(s)
-	return b, err
-}
-
 // readInts reads an int column of n values into the scratch; the slice is
 // valid until the next read.
 func (s *batchScratch) readInts(r *event.Reader, n int) []int64 {
@@ -362,21 +358,21 @@ func (s *batchScratch) readF64s(r *event.Reader, n int) []float64 {
 // EPs together against maxBatchItems (and frames also against the bitmap
 // bits the body holds), retained values against the bytes left, since the
 // float column writes at least one byte per value.
-func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
-	r := event.Reader{Buf: payload}
+func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
+	size := len(r.Buf)
 	claimed := r.Uvarint()
 	if r.Err != nil {
-		return nil, r.Err
+		return nil
 	}
 	if claimed > uint64(len(r.Buf))*8 || claimed > maxBatchItems {
-		return nil, fmt.Errorf("message: batch claims %d frames in %d bytes", claimed, len(payload))
+		r.Err = fmt.Errorf("message: batch claims %d frames in %d bytes", claimed, size)
+		return nil
 	}
 	n := int(claimed)
-	if len(r.Buf) < (n+7)/8 {
-		return nil, fmt.Errorf("message: truncated batch bitmap")
+	bitmap := r.Take((n + 7) / 8)
+	if r.Err != nil {
+		return nil
 	}
-	bitmap := r.Buf[:(n+7)/8]
-	r.Buf = r.Buf[len(bitmap):]
 	nW := 0
 	for i := 0; i < n; i++ {
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
@@ -386,7 +382,7 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 	msgs := make([]Message, n)
 	b := &Batch{Frames: make([]*Message, n)}
 	partials := make([]*core.SlicePartial, 0, n-nW)
-	wms := s.readInts(&r, nW)
+	wms := s.readInts(r, nW)
 	prevW, w := int64(0), 0
 	for i := range msgs {
 		m := &msgs[i]
@@ -402,10 +398,10 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		b.Frames[i] = m
 	}
 	if r.Err != nil {
-		return nil, r.Err
+		return nil
 	}
 	if len(partials) == 0 {
-		return b, nil
+		return b
 	}
 	nP := len(partials)
 
@@ -414,51 +410,51 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		r.Err = fmt.Errorf("message: batch group dictionary of %d for %d partials", nDict, nP)
 	}
 	if r.Err != nil {
-		return nil, r.Err
+		return nil
 	}
 	dict := make([]uint32, nDict)
 	for i := range dict {
 		dict[i] = uint32(r.Uvarint())
 	}
-	for i, idx := range s.readInts(&r, nP) {
+	for i, idx := range s.readInts(r, nP) {
 		if r.Err == nil && uint64(idx) >= nDict {
 			r.Err = fmt.Errorf("message: batch group index %d out of dictionary", idx)
 		}
 		if r.Err != nil {
-			return nil, r.Err
+			return nil
 		}
 		partials[i].Group = dict[idx]
 	}
 
 	prev := int64(0)
-	for i, d := range s.readInts(&r, nP) {
+	for i, d := range s.readInts(r, nP) {
 		prev += d
 		partials[i].ID = uint64(prev)
 	}
 	prev = 0
-	for i, d := range s.readInts(&r, nP) {
+	for i, d := range s.readInts(r, nP) {
 		prev += d
 		partials[i].Start = prev
 	}
-	for i, d := range s.readInts(&r, nP) {
+	for i, d := range s.readInts(r, nP) {
 		partials[i].End = partials[i].Start + d
 	}
-	for i, v := range s.readInts(&r, nP) {
+	for i, v := range s.readInts(r, nP) {
 		partials[i].Ingested = v
 	}
 
 	items := n
-	for i, c := range s.readInts(&r, nP) {
+	for i, c := range s.readInts(r, nP) {
 		if r.Err == nil && (c < 0 || c > int64(maxBatchItems-items)) {
 			r.Err = fmt.Errorf("message: batch claims %d more aggs with %d items already", c, items)
 		}
 		if r.Err != nil {
-			return nil, r.Err
+			return nil
 		}
 		items += int(c)
 		partials[i].Aggs = resize(partials[i].Aggs, int(c))
 	}
-	ops := s.readInts(&r, items-n)
+	ops := s.readInts(r, items-n)
 	var nCount, nSum, nMult, nDSort, nNDSort, k int
 	for _, p := range partials {
 		for i := range p.Aggs {
@@ -487,10 +483,10 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		}
 	}
 	if r.Err != nil {
-		return nil, r.Err
+		return nil
 	}
 	k = 0
-	counts := s.readInts(&r, nCount)
+	counts := s.readInts(r, nCount)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpCount != 0 {
@@ -500,7 +496,7 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		}
 	}
 	k = 0
-	sums := s.readF64s(&r, nSum)
+	sums := s.readF64s(r, nSum)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpSum != 0 {
@@ -510,7 +506,7 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		}
 	}
 	k = 0
-	prods := s.readF64s(&r, nMult)
+	prods := s.readF64s(r, nMult)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpMult != 0 {
@@ -520,7 +516,7 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		}
 	}
 	k = 0
-	minMax := s.readF64s(&r, 2*nDSort)
+	minMax := s.readF64s(r, 2*nDSort)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpDSort != 0 {
@@ -533,7 +529,7 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 	// the bound is on the running total, so n aggs cannot each claim the
 	// whole remaining buffer.
 	total, k := 0, 0
-	lens := s.readInts(&r, nNDSort)
+	lens := s.readInts(r, nNDSort)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpNDSort == 0 {
@@ -545,14 +541,14 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 				r.Err = fmt.Errorf("message: batch claims %d more retained values in %d bytes", l, len(r.Buf))
 			}
 			if r.Err != nil {
-				return nil, r.Err
+				return nil
 			}
 			total += int(l)
 			p.Aggs[i].Values = resize(p.Aggs[i].Values, int(l))
 			p.Aggs[i].Sorted = true
 		}
 	}
-	vals := s.readF64s(&r, total)
+	vals := s.readF64s(r, total)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			vals = vals[copy(p.Aggs[i].Values, vals):]
@@ -560,19 +556,19 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 	}
 
 	nEPs := 0
-	for i, c := range s.readInts(&r, nP) {
+	for i, c := range s.readInts(r, nP) {
 		if r.Err == nil && (c < 0 || c > int64(maxBatchItems-items)) {
 			r.Err = fmt.Errorf("message: batch claims %d more EPs with %d items already", c, items)
 		}
 		if r.Err != nil {
-			return nil, r.Err
+			return nil
 		}
 		items += int(c)
 		nEPs += int(c)
 		partials[i].EPs = resize(partials[i].EPs, int(c))
 	}
 	k = 0
-	qs := s.readInts(&r, nEPs)
+	qs := s.readInts(r, nEPs)
 	for _, p := range partials {
 		for i := range p.EPs {
 			p.EPs[i].QueryIdx = int32(qs[k])
@@ -580,7 +576,7 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		}
 	}
 	k = 0
-	starts := s.readInts(&r, nEPs)
+	starts := s.readInts(r, nEPs)
 	for _, p := range partials {
 		for i := range p.EPs {
 			p.EPs[i].Start = starts[k]
@@ -588,7 +584,7 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		}
 	}
 	k = 0
-	spans := s.readInts(&r, nEPs)
+	spans := s.readInts(r, nEPs)
 	for _, p := range partials {
 		for i := range p.EPs {
 			p.EPs[i].End = p.EPs[i].Start + spans[k]
@@ -596,9 +592,9 @@ func (s *batchScratch) decode(payload []byte, from uint32) (*Batch, error) {
 		}
 	}
 	if r.Err != nil {
-		return nil, r.Err
+		return nil
 	}
-	return b, nil
+	return b
 }
 
 // estimateFrameSize is the batcher's cheap upper-bound guess of a frame's

@@ -21,6 +21,13 @@ import (
 	"desis/internal/telemetry"
 )
 
+// decodeBody decodes a whole batch body.
+func decodeBody(body []byte, from uint32) (*Batch, error) {
+	r := event.Reader{Buf: body}
+	b := decodeBatchBody(&r, from)
+	return b, r.Err
+}
+
 // deflateFlag is the flags byte older peers wrote before a deflated batch
 // body; the decoder refuses it.
 const deflateFlag = 0x01
@@ -576,7 +583,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(buf[5:])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		b, err := decodeBatchBody(body, 7)
+		b, err := decodeBody(body, 7)
 		if err != nil {
 			return
 		}
@@ -587,7 +594,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}
-		b2, err := decodeBatchBody(enc, 7)
+		b2, err := decodeBody(enc, 7)
 		if err != nil {
 			t.Fatalf("re-decode of own encoding failed: %v", err)
 		}
@@ -684,7 +691,7 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 		return runOf(b, n, 0)
 	}
 	atCap := allRuns(maxBatchItems / 2)
-	if _, err := decodeBatchBody(atCap, 7); err != nil {
+	if _, err := decodeBody(atCap, 7); err != nil {
 		t.Fatalf("all-runs body at the cap refused: %v", err)
 	}
 	events := binary.AppendUvarint([]byte{byte(KindEventBatch), 7, 0, 0, 0}, 1<<20)
@@ -693,7 +700,7 @@ func TestDecodeHostileBatchBounded(t *testing.T) {
 	// 63 MiB of zeros deflate to about 64 KiB: a body that would inflate
 	// 1000× if the decoder still inflated.
 	bomb := deflatedBody(make([]byte, 1<<20), 63)
-	batch := func(b []byte) error { _, err := decodeBatchBody(b, 7); return err }
+	batch := func(b []byte) error { _, err := decodeBody(b, 7); return err }
 	frame := func(b []byte) error { _, err := Binary{}.Decode(b); return err }
 	for _, c := range []struct {
 		name   string

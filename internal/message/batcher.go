@@ -35,9 +35,9 @@ func Batchable(k Kind) bool {
 	switch k {
 	case KindPartial, KindWatermark:
 		return true
-	case KindHello, KindPlanState, KindEventBatch, KindResult,
-		KindAddQuery, KindRemoveQuery, KindHeartbeat, KindGoodbye,
-		KindPlanDelta, KindPlanDump, KindStatsDump, KindBatch:
+	case KindHello, KindPlanState, KindEventBatch, KindAddQuery,
+		KindRemoveQuery, KindHeartbeat, KindGoodbye, KindPlanDelta,
+		KindPlanDump, KindStatsDump, KindBatch:
 		return false
 	default:
 		return false

@@ -38,8 +38,8 @@ const (
 	// KindWatermark advances the receiver's view of the sender's event
 	// time; it closes user-defined and session windows timely (§5.1.2).
 	KindWatermark
-	// KindResult carries a window result from the root to a client.
-	KindResult
+	// 6 is reserved, so every later kind keeps its value on the wire.
+	_
 	// KindAddQuery asks the root to register a query at runtime (§3.2); sent
 	// by control clients (cmd/desis-ctl). The root converts it into a plan
 	// delta and broadcasts the delta.
@@ -102,8 +102,6 @@ type Message struct {
 	Queries []query.Query
 	// QueryID is the payload of KindRemoveQuery.
 	QueryID uint64
-	// Result is the payload of KindResult.
-	Result *core.Result
 	// Deltas is the payload of KindPlanDelta, in epoch order.
 	Deltas []plan.Delta
 	// Plan is the payload of KindPlanState.

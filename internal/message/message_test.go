@@ -92,6 +92,8 @@ func controlMessages() []*Message {
 	p := samplePlan()
 	addQ := query.MustParse("userdefined max key=7")
 	addQ.ID = 4
+	anyQ := query.MustParse("tumbling(1s) sum key=*")
+	anyQ.ID = 3
 	return []*Message{
 		{Kind: KindStatsDump, From: 2},
 		{Kind: KindStatsDump, From: 0, Stats: sampleSnapshot()},
@@ -104,13 +106,8 @@ func controlMessages() []*Message {
 		{Kind: KindPlanDump, From: 0},
 		{Kind: KindAddQuery, From: 2, Queries: []query.Query{query.MustParse("userdefined max key=7")}},
 		{Kind: KindRemoveQuery, From: 2, QueryID: 42, Watermark: 99},
-		{Kind: KindResult, From: 0, Result: &core.Result{
-			QueryID: 7, Start: 0, End: 1000, Count: 12,
-			Values: []core.FuncValue{
-				{Spec: operator.FuncSpec{Func: operator.Average}, Value: 3.25, OK: true},
-				{Spec: operator.FuncSpec{Func: operator.Quantile, Arg: 0.5}, OK: false},
-			},
-		}},
+		// A group-by template: its AnyKey byte must survive the trip.
+		{Kind: KindAddQuery, From: 2, Queries: []query.Query{anyQ}},
 	}
 }
 
@@ -171,15 +168,9 @@ func messagesEqual(a, b *Message) bool {
 		return false
 	}
 	for i := range a.Queries {
-		if a.Queries[i].String() != b.Queries[i].String() || a.Queries[i].ID != b.Queries[i].ID {
+		if !queriesEqual(a.Queries[i], b.Queries[i]) {
 			return false
 		}
-	}
-	if (a.Result == nil) != (b.Result == nil) {
-		return false
-	}
-	if a.Result != nil && !reflect.DeepEqual(a.Result, b.Result) {
-		return false
 	}
 	if (a.Stats == nil) != (b.Stats == nil) {
 		return false

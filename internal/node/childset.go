@@ -45,6 +45,10 @@ type childSet struct {
 	// connections to the collection in flight.
 	statsC chan *telemetry.Snapshot
 	done   chan struct{}
+	// handlers counts the running child handlers; wait returns only after
+	// the last one has, so a handler's final flush cannot meet a closed
+	// uplink.
+	handlers sync.WaitGroup
 	// doneTimer defers the done signal while an unclean departure might
 	// still turn into a reconnect (one timer per server, not per message).
 	doneTimer *time.Timer
@@ -108,6 +112,21 @@ func (c *childSet) serveConn(conn *message.TCPConn, serve func(*message.TCPConn,
 	if err != nil {
 		conn.Close()
 		return
+	}
+	if first.Kind == message.KindHello {
+		// Count the child's handler for wait. Once the children have
+		// finished a late hello is refused: wait may already be waiting.
+		c.mu.Lock()
+		select {
+		case <-c.done:
+			c.mu.Unlock()
+			conn.Close()
+			return
+		default:
+			c.handlers.Add(1)
+		}
+		c.mu.Unlock()
+		defer c.handlers.Done()
 	}
 	serve(conn, first)
 }
@@ -327,13 +346,14 @@ func mergeChildStats(snap *telemetry.Snapshot, ch <-chan *telemetry.Snapshot, n 
 	}
 }
 
-// wait blocks until every expected child has come and gone, closes the
-// listener, and gives the verdict of DESIGN.md §5c: the first child-stream
+// wait blocks until every expected child has come and gone and its handler
+// has returned, closes the listener, and gives the verdict of DESIGN.md §5c: the first child-stream
 // error, joined with an EvictionError when children were timed out and
 // never returned.
 func (c *childSet) wait() error {
 	<-c.done
 	c.l.Close()
+	c.handlers.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	err := c.err

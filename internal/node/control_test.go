@@ -150,3 +150,35 @@ func TestControlRejectsBadCommands(t *testing.T) {
 		t.Error("invalid query accepted")
 	}
 }
+
+// TestControlRefusesGroupByTemplate: a key=* query reaches the root as a
+// group-by template, which a decentralized root refuses; it must not be
+// acked and placed as a key-0 query.
+func TestControlRefusesGroupByTemplate(t *testing.T) {
+	base := query.MustParse("tumbling(100ms) sum key=0")
+	base.ID = 1
+	root, err := ServeRootOptions("127.0.0.1:0", []query.Query{base}, 1, time.Second, RootServeOptions{OnResult: func(core.Result) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	tmpl := query.MustParse("tumbling(1s) sum key=*")
+	tmpl.ID = 3
+	if err := Control(root.Addr(), &tmpl, 0); err == nil {
+		t.Error("key=* query acked by a decentralized root")
+	}
+	p, err := FetchPlan(root.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range p.Groups {
+		for _, gq := range g.Queries {
+			if gq.ID == tmpl.ID {
+				t.Errorf("query %d placed in group %d on key %d", gq.ID, g.ID, g.Key)
+			}
+		}
+	}
+	if len(p.Templates) != 0 {
+		t.Errorf("templates %v registered", p.Templates)
+	}
+}

@@ -384,7 +384,8 @@ func (s *IntermediateServer) serveChild(conn *message.TCPConn, hello *message.Me
 }
 
 // Wait blocks until all expected children have come and gone, then closes
-// the listener and the uplink. It gives the root's verdict (the first
+// the listener and, once every child handler has made its last flush, the
+// uplink. It gives the root's verdict (the first
 // child-stream error, joined with an EvictionError), plus the uplink's
 // error unless that is the child-stream error already.
 func (s *IntermediateServer) Wait() error {

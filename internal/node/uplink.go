@@ -406,9 +406,9 @@ func (u *uplink) record(conn *message.TCPConn, m *message.Message) (recorded, ho
 	switch m.Kind {
 	case message.KindPartial, message.KindWatermark, message.KindBatch:
 	case message.KindHello, message.KindPlanState, message.KindEventBatch,
-		message.KindResult, message.KindAddQuery, message.KindRemoveQuery,
-		message.KindHeartbeat, message.KindGoodbye, message.KindPlanDelta,
-		message.KindPlanDump, message.KindStatsDump:
+		message.KindAddQuery, message.KindRemoveQuery, message.KindHeartbeat,
+		message.KindGoodbye, message.KindPlanDelta, message.KindPlanDump,
+		message.KindStatsDump:
 		// Named, not replayed (wirekind): control frames are regenerated by
 		// the handshake, heartbeats are ephemeral, and raw event batches
 		// are not idempotent at the parent. A new kind must choose a side

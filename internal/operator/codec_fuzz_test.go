@@ -3,7 +3,16 @@ package operator
 import (
 	"bytes"
 	"testing"
+
+	"desis/internal/event"
 )
+
+// decodeAgg runs DecodeAgg over buf and returns the bytes after the agg.
+func decodeAgg(buf []byte, a *Agg) ([]byte, error) {
+	r := event.Reader{Buf: buf}
+	DecodeAgg(&r, a)
+	return r.Buf, r.Err
+}
 
 // FuzzCodecRoundTrip throws arbitrary bytes at DecodeAgg: hostile input must
 // produce an error, never a panic or runaway allocation, and anything that
@@ -29,7 +38,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{byte(OpNDSort), 0xff, 0xff, 0xff, 0xff}) // huge claimed length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a Agg
-		rest, err := DecodeAgg(data, &a)
+		rest, err := decodeAgg(data, &a)
 		if err != nil {
 			return
 		}
@@ -42,7 +51,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("re-encode differs from consumed input:\n in  %x\n out %x", consumed, enc)
 		}
 		var b Agg
-		rest2, err := DecodeAgg(enc, &b)
+		rest2, err := decodeAgg(enc, &b)
 		if err != nil {
 			t.Fatalf("re-decode of own encoding failed: %v", err)
 		}

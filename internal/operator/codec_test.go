@@ -45,7 +45,7 @@ func TestAggCodecRoundTrip(t *testing.T) {
 			t.Errorf("mask %v: encoded %d bytes, encodedSizeAgg says %d", ops, len(buf), encodedSizeAgg(&a))
 		}
 		var got Agg
-		rest, err := DecodeAgg(buf, &got)
+		rest, err := decodeAgg(buf, &got)
 		if err != nil {
 			t.Fatalf("mask %v: DecodeAgg: %v", ops, err)
 		}
@@ -66,7 +66,7 @@ func TestAggCodecEmpty(t *testing.T) {
 	a := NewAgg(OpSum | OpCount | OpNDSort)
 	a.Finish()
 	var got Agg
-	rest, err := DecodeAgg(AppendAgg(nil, &a), &got)
+	rest, err := decodeAgg(AppendAgg(nil, &a), &got)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("DecodeAgg: %v, rest=%d", err, len(rest))
 	}
@@ -83,7 +83,7 @@ func TestAggCodecTruncated(t *testing.T) {
 	buf := AppendAgg(nil, &a)
 	for i := 0; i < len(buf); i++ {
 		var got Agg
-		if _, err := DecodeAgg(buf[:i], &got); err == nil {
+		if _, err := decodeAgg(buf[:i], &got); err == nil {
 			t.Fatalf("DecodeAgg of %d/%d bytes succeeded", i, len(buf))
 		}
 	}
@@ -149,7 +149,7 @@ func TestAggCodecQuick(t *testing.T) {
 		}
 		a.Finish()
 		var got Agg
-		rest, err := DecodeAgg(AppendAgg(nil, &a), &got)
+		rest, err := decodeAgg(AppendAgg(nil, &a), &got)
 		if err != nil || len(rest) != 0 {
 			return false
 		}

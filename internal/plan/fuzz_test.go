@@ -4,8 +4,23 @@ import (
 	"bytes"
 	"testing"
 
+	"desis/internal/event"
 	"desis/internal/query"
 )
+
+// decodePlan and decodeDelta decode from the front of buf and return the
+// bytes after.
+func decodePlan(buf []byte) (*Plan, []byte, error) {
+	r := event.Reader{Buf: buf}
+	p := DecodePlan(&r)
+	return p, r.Buf, r.Err
+}
+
+func decodeDelta(buf []byte) (Delta, []byte, error) {
+	r := event.Reader{Buf: buf}
+	d := DecodeDelta(&r)
+	return d, r.Buf, r.Err
+}
 
 // FuzzDecodePlan feeds arbitrary bytes to the plan and delta decoders, the
 // trust boundary a child's handshake and every relayed plan change cross.
@@ -75,19 +90,19 @@ func FuzzDecodePlan(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if d, rest, err := DecodeDelta(data); err == nil {
+		if d, rest, err := decodeDelta(data); err == nil {
 			if got, in := AppendDelta(nil, d), data[:len(data)-len(rest)]; !bytes.Equal(got, in) {
 				t.Fatalf("delta %v re-encodes to %x, decoded from %x", d, got, in)
 			}
 		}
-		p, rest, err := DecodePlan(data)
+		p, rest, err := decodePlan(data)
 		if err != nil {
 			return
 		}
 		if got, in := AppendPlan(nil, p), data[:len(data)-len(rest)]; !bytes.Equal(got, in) {
 			t.Fatalf("plan re-encodes to %x, decoded from %x", got, in)
 		}
-		d, _, err := DecodeDelta(rest)
+		d, _, err := decodeDelta(rest)
 		if err != nil {
 			return
 		}

@@ -302,7 +302,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := AppendPlan(nil, p)
-	got, rest, err := DecodePlan(buf)
+	got, rest, err := decodePlan(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	// Truncations must error, never panic.
 	for i := 0; i < len(buf); i++ {
-		if _, _, err := DecodePlan(buf[:i]); err == nil {
+		if _, _, err := decodePlan(buf[:i]); err == nil {
 			t.Fatalf("truncated plan of %d/%d bytes decoded", i, len(buf))
 		}
 	}
@@ -328,7 +328,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	for _, d := range deltas {
 		db := AppendDelta(nil, d)
-		gd, rest, err := DecodeDelta(db)
+		gd, rest, err := decodeDelta(db)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -339,7 +339,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("delta round trip: got %v, want %v", gd, d)
 		}
 		for i := 0; i < len(db); i++ {
-			if _, _, err := DecodeDelta(db[:i]); err == nil {
+			if _, _, err := decodeDelta(db[:i]); err == nil {
 				t.Fatalf("truncated delta of %d/%d bytes decoded", i, len(db))
 			}
 		}
@@ -363,7 +363,7 @@ func TestWireRejectsBadCatalog(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		bad[maskOff+i] = 0
 	}
-	if _, _, err := DecodePlan(bad); err == nil {
+	if _, _, err := decodePlan(bad); err == nil {
 		t.Error("catalog with uncovered operator mask accepted")
 	}
 	// A member pointing at a context out of bounds must be refused too.

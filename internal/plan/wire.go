@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"desis/internal/event"
 	"desis/internal/operator"
 	"desis/internal/query"
 )
@@ -17,266 +18,198 @@ import (
 // masks exactly — including state (like a post-removal widened mask) that is
 // not derivable from the live query set alone.
 
-// AppendQuery appends the wire form of one query to buf.
+// AppendQuery appends the wire form of one query to buf: the one query
+// codec, shared by plans, deltas and the message package's KindAddQuery.
 func AppendQuery(buf []byte, q query.Query) []byte {
-	buf = wu64(buf, q.ID)
-	buf = wu32(buf, q.Key)
-	buf = wbool(buf, q.AnyKey)
-	buf = wf64(buf, q.Pred.Min)
-	buf = wf64(buf, q.Pred.Max)
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, q.ID)
+	buf = le.AppendUint32(buf, q.Key)
+	buf = event.AppendBool(buf, q.AnyKey)
+	buf = le.AppendUint64(buf, math.Float64bits(q.Pred.Min))
+	buf = le.AppendUint64(buf, math.Float64bits(q.Pred.Max))
 	buf = append(buf, byte(q.Type), byte(q.Measure))
-	buf = wu64(buf, uint64(q.Length))
-	buf = wu64(buf, uint64(q.Slide))
-	buf = wu64(buf, uint64(q.Gap))
-	buf = wu32(buf, uint32(len(q.Funcs)))
+	buf = le.AppendUint64(buf, uint64(q.Length))
+	buf = le.AppendUint64(buf, uint64(q.Slide))
+	buf = le.AppendUint64(buf, uint64(q.Gap))
+	buf = le.AppendUint32(buf, uint32(len(q.Funcs)))
 	for _, f := range q.Funcs {
 		buf = append(buf, byte(f.Func))
-		buf = wf64(buf, f.Arg)
+		buf = le.AppendUint64(buf, math.Float64bits(f.Arg))
 	}
 	return buf
+}
+
+// queryWireSize is the size of a query with no functions; a function adds 9.
+const queryWireSize = 59
+
+// DecodeQuery reads one query written by AppendQuery.
+func DecodeQuery(r *event.Reader) query.Query {
+	q := query.Query{
+		ID:     r.U64(),
+		Key:    r.U32(),
+		AnyKey: r.Bool(),
+	}
+	q.Pred.Min = r.F64()
+	q.Pred.Max = r.F64()
+	q.Type = query.WindowType(r.U8())
+	q.Measure = query.Measure(r.U8())
+	q.Length = int64(r.U64())
+	q.Slide = int64(r.U64())
+	q.Gap = int64(r.U64())
+	for i, n := 0, r.Count(9); i < n; i++ {
+		q.Funcs = append(q.Funcs, operator.FuncSpec{Func: operator.Func(r.U8()), Arg: r.F64()})
+	}
+	return q
 }
 
 // AppendDelta appends the wire form of one delta to buf.
 func AppendDelta(buf []byte, d Delta) []byte {
+	le := binary.LittleEndian
 	buf = append(buf, byte(d.Kind))
-	buf = wu64(buf, d.Epoch)
+	buf = le.AppendUint64(buf, d.Epoch)
 	switch d.Kind {
 	case DeltaAddQuery:
 		buf = AppendQuery(buf, d.Query)
 	case DeltaRemoveQuery:
-		buf = wu64(buf, d.QueryID)
+		buf = le.AppendUint64(buf, d.QueryID)
 	case DeltaInstantiate:
-		buf = wu64(buf, d.QueryID)
-		buf = wu32(buf, d.Key)
+		buf = le.AppendUint64(buf, d.QueryID)
+		buf = le.AppendUint32(buf, d.Key)
 	}
 	return buf
 }
 
-// DecodeDelta reads one delta, returning the remaining buffer.
-func DecodeDelta(buf []byte) (Delta, []byte, error) {
-	r := &wireReader{buf: buf}
-	d := Delta{Kind: DeltaKind(r.u8()), Epoch: r.u64()}
+// DecodeDelta reads one delta. A failure is left in r.Err.
+func DecodeDelta(r *event.Reader) Delta {
+	d := Delta{Kind: DeltaKind(r.U8()), Epoch: r.U64()}
 	switch d.Kind {
 	case DeltaAddQuery:
-		d.Query = r.query()
+		d.Query = DecodeQuery(r)
 	case DeltaRemoveQuery:
-		d.QueryID = r.u64()
+		d.QueryID = r.U64()
 	case DeltaInstantiate:
-		d.QueryID = r.u64()
-		d.Key = r.u32()
+		d.QueryID = r.U64()
+		d.Key = r.U32()
 	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("plan: unknown delta kind %d on the wire", uint8(d.Kind))
+		if r.Err == nil {
+			r.Err = fmt.Errorf("plan: unknown delta kind %d on the wire", uint8(d.Kind))
 		}
 	}
-	return d, r.buf, r.err
+	return d
 }
 
 // AppendPlan appends the full wire form of the plan to buf. Only
 // decentralized plans travel, and those hold no fed groups, so the form
 // carries neither the Optimize flag nor feed annotations.
 func AppendPlan(buf []byte, p *Plan) []byte {
-	buf = wu64(buf, p.Epoch)
-	buf = wbool(buf, p.Decentralized)
-	buf = wbool(buf, p.Dedup)
-	buf = wu32(buf, uint32(p.Shards))
-	buf = wu32(buf, uint32(int32(p.Shard)))
-	buf = wu32(buf, uint32(len(p.Groups)))
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, p.Epoch)
+	buf = event.AppendBool(buf, p.Decentralized)
+	buf = event.AppendBool(buf, p.Dedup)
+	buf = le.AppendUint32(buf, uint32(p.Shards))
+	buf = le.AppendUint32(buf, uint32(int32(p.Shard)))
+	buf = le.AppendUint32(buf, uint32(len(p.Groups)))
 	for _, g := range p.Groups {
-		buf = wu32(buf, g.ID)
-		buf = wu32(buf, g.Key)
+		buf = le.AppendUint32(buf, g.ID)
+		buf = le.AppendUint32(buf, g.Key)
 		buf = append(buf, byte(g.Placement))
-		buf = wbool(buf, g.Dedup)
-		buf = wu64(buf, uint64(g.Ops))
-		buf = wu64(buf, uint64(g.LogicalOps))
-		buf = wu32(buf, uint32(len(g.Contexts)))
+		buf = event.AppendBool(buf, g.Dedup)
+		buf = le.AppendUint64(buf, uint64(g.Ops))
+		buf = le.AppendUint64(buf, uint64(g.LogicalOps))
+		buf = le.AppendUint32(buf, uint32(len(g.Contexts)))
 		for _, c := range g.Contexts {
-			buf = wf64(buf, c.Min)
-			buf = wf64(buf, c.Max)
+			buf = le.AppendUint64(buf, math.Float64bits(c.Min))
+			buf = le.AppendUint64(buf, math.Float64bits(c.Max))
 		}
-		buf = wu32(buf, uint32(len(g.Queries)))
+		buf = le.AppendUint32(buf, uint32(len(g.Queries)))
 		for _, gq := range g.Queries {
 			buf = AppendQuery(buf, gq.Query)
-			buf = wu32(buf, uint32(gq.Ctx))
-			buf = wbool(buf, gq.Removed)
+			buf = le.AppendUint32(buf, uint32(gq.Ctx))
+			buf = event.AppendBool(buf, gq.Removed)
 		}
 	}
-	buf = wu32(buf, uint32(len(p.Templates)))
+	buf = le.AppendUint32(buf, uint32(len(p.Templates)))
 	for _, t := range p.Templates {
 		buf = AppendQuery(buf, t)
 	}
-	buf = wu32(buf, uint32(len(p.Instances)))
+	buf = le.AppendUint32(buf, uint32(len(p.Instances)))
 	for _, in := range p.Instances {
-		buf = wu64(buf, in.TemplateID)
-		buf = wu32(buf, in.Key)
+		buf = le.AppendUint64(buf, in.TemplateID)
+		buf = le.AppendUint32(buf, in.Key)
 	}
 	return buf
 }
 
-// DecodePlan reads a full plan, returning the remaining buffer. Decoded
-// groups are cross-checked: group ids are unique, and the live members'
-// operator union must be covered by the group's wire mask.
-func DecodePlan(buf []byte) (*Plan, []byte, error) {
-	r := &wireReader{buf: buf}
+// DecodePlan reads a full plan; it returns nil and leaves the failure in
+// r.Err on malformed input. Decoded groups are cross-checked: group ids are
+// unique, and the live members' operator union must be covered by the
+// group's wire mask.
+func DecodePlan(r *event.Reader) *Plan {
 	p := &Plan{
-		Epoch:         r.u64(),
-		Decentralized: r.bool(),
-		Dedup:         r.bool(),
-		Shards:        int(r.u32()),
-		Shard:         int(int32(r.u32())),
+		Epoch:         r.U64(),
+		Decentralized: r.Bool(),
+		Dedup:         r.Bool(),
+		Shards:        int(r.U32()),
+		Shard:         int(int32(r.U32())),
 	}
-	ng := int(r.u32())
+	// Each count is checked against its element's least wire size: 34
+	// bytes for a group, 16 a context, a query plus 5 a member, 12 an
+	// instance.
+	ng := r.Count(34)
 	seen := make(map[uint32]bool)
-	for i := 0; i < ng && r.err == nil; i++ {
+	for i := 0; i < ng && r.Err == nil; i++ {
 		g := &query.Group{
-			ID:         r.u32(),
-			Key:        r.u32(),
-			Placement:  query.Placement(r.u8()),
-			Dedup:      r.bool(),
-			Ops:        r.op(),
-			LogicalOps: r.op(),
+			ID:         r.U32(),
+			Key:        r.U32(),
+			Placement:  query.Placement(r.U8()),
+			Dedup:      r.Bool(),
+			Ops:        readOp(r),
+			LogicalOps: readOp(r),
 		}
-		nc := int(r.u32())
-		for j := 0; j < nc && r.err == nil; j++ {
-			g.Contexts = append(g.Contexts, query.Predicate{Min: r.f64(), Max: r.f64()})
+		nc := r.Count(16)
+		for j := 0; j < nc; j++ {
+			g.Contexts = append(g.Contexts, query.Predicate{Min: r.F64(), Max: r.F64()})
 		}
-		nq := int(r.u32())
-		for j := 0; j < nq && r.err == nil; j++ {
-			gq := query.GroupQuery{Query: r.query()}
-			gq.Ctx = int(r.u32())
-			gq.Removed = r.bool()
-			if r.err == nil && gq.Ctx >= len(g.Contexts) {
-				r.err = fmt.Errorf("plan: group %d member q%d references context %d of %d", g.ID, gq.ID, gq.Ctx, len(g.Contexts))
+		nq := r.Count(queryWireSize + 5)
+		for j := 0; j < nq && r.Err == nil; j++ {
+			gq := query.GroupQuery{Query: DecodeQuery(r)}
+			gq.Ctx = int(r.U32())
+			gq.Removed = r.Bool()
+			if r.Err == nil && gq.Ctx >= len(g.Contexts) {
+				r.Err = fmt.Errorf("plan: group %d member q%d references context %d of %d", g.ID, gq.ID, gq.Ctx, len(g.Contexts))
 			}
 			g.Queries = append(g.Queries, gq)
 		}
-		if r.err == nil {
+		if r.Err == nil {
 			if logical, _ := opsOf(g); logical&^g.LogicalOps != 0 {
-				r.err = fmt.Errorf("plan: group %d wire mask %v does not cover live members (%v)", g.ID, g.LogicalOps, logical)
+				r.Err = fmt.Errorf("plan: group %d wire mask %v does not cover live members (%v)", g.ID, g.LogicalOps, logical)
 			} else if seen[g.ID] {
-				r.err = fmt.Errorf("plan: duplicate group id %d on the wire", g.ID)
+				r.Err = fmt.Errorf("plan: duplicate group id %d on the wire", g.ID)
 			}
 			seen[g.ID] = true
 		}
 		p.Groups = append(p.Groups, g)
 	}
-	nt := int(r.u32())
-	for i := 0; i < nt && r.err == nil; i++ {
-		p.Templates = append(p.Templates, r.query())
+	nt := r.Count(queryWireSize)
+	for i := 0; i < nt && r.Err == nil; i++ {
+		p.Templates = append(p.Templates, DecodeQuery(r))
 	}
-	ni := int(r.u32())
-	for i := 0; i < ni && r.err == nil; i++ {
-		p.Instances = append(p.Instances, Instance{TemplateID: r.u64(), Key: r.u32()})
+	ni := r.Count(12)
+	for i := 0; i < ni; i++ {
+		p.Instances = append(p.Instances, Instance{TemplateID: r.U64(), Key: r.U32()})
 	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	return p, r.buf, nil
-}
-
-// --- little-endian helpers ---
-
-func wu32(buf []byte, v uint32) []byte {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	return append(buf, t[:]...)
-}
-
-func wu64(buf []byte, v uint64) []byte {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	return append(buf, t[:]...)
-}
-
-func wf64(buf []byte, v float64) []byte { return wu64(buf, math.Float64bits(v)) }
-
-func wbool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-type wireReader struct {
-	buf []byte
-	err error
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
+	if r.Err != nil {
 		return nil
 	}
-	if len(r.buf) < n {
-		r.err = fmt.Errorf("plan: truncated wire payload: need %d bytes, have %d", n, len(r.buf))
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
+	return p
 }
 
-func (r *wireReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *wireReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *wireReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// op reads an operator mask. The wire gives it 8 bytes, more than
+// readOp reads an operator mask. The wire gives it 8 bytes, more than
 // operator.Op holds, so a value with bits beyond the mask is refused.
-func (r *wireReader) op() operator.Op {
-	v := r.u64()
-	if uint64(operator.Op(v)) != v && r.err == nil {
-		r.err = fmt.Errorf("plan: operator mask %#x out of range", v)
+func readOp(r *event.Reader) operator.Op {
+	v := r.U64()
+	if uint64(operator.Op(v)) != v && r.Err == nil {
+		r.Err = fmt.Errorf("plan: operator mask %#x out of range", v)
 	}
 	return operator.Op(v)
-}
-
-func (r *wireReader) bool() bool {
-	b := r.take(1)
-	if b != nil && b[0] > 1 {
-		r.err = fmt.Errorf("plan: bool byte %d on the wire", b[0])
-	}
-	return b != nil && b[0] == 1
-}
-
-func (r *wireReader) query() query.Query {
-	q := query.Query{
-		ID:     r.u64(),
-		Key:    r.u32(),
-		AnyKey: r.bool(),
-	}
-	q.Pred.Min = r.f64()
-	q.Pred.Max = r.f64()
-	q.Type = query.WindowType(r.u8())
-	q.Measure = query.Measure(r.u8())
-	q.Length = int64(r.u64())
-	q.Slide = int64(r.u64())
-	q.Gap = int64(r.u64())
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		f := operator.Func(r.u8())
-		arg := r.f64()
-		q.Funcs = append(q.Funcs, operator.FuncSpec{Func: f, Arg: arg})
-	}
-	return q
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"desis/internal/event"
 	"desis/internal/metrics"
 )
 
@@ -104,51 +105,6 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-type wireReader struct {
-	buf []byte
-	err error
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = fmt.Errorf("telemetry: short or corrupt uvarint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.err = fmt.Errorf("telemetry: short or corrupt varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *wireReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("telemetry: string length %d exceeds remaining %d bytes", n, len(r.buf))
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
 // AppendSnapshot appends the wire form of s to buf.
 func AppendSnapshot(buf []byte, s *Snapshot) []byte {
 	if s == nil {
@@ -195,47 +151,46 @@ func AppendSnapshot(buf []byte, s *Snapshot) []byte {
 	return buf
 }
 
-// DecodeSnapshot decodes a snapshot from the front of buf, returning the
-// remaining bytes.
-func DecodeSnapshot(buf []byte) (*Snapshot, []byte, error) {
-	r := &wireReader{buf: buf}
+// DecodeSnapshot reads a snapshot; it returns nil and leaves the failure
+// in r.Err on malformed input.
+func DecodeSnapshot(r *event.Reader) *Snapshot {
 	s := NewSnapshot()
-	n := r.uvarint()
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.string()
-		s.Counters[k] = r.uvarint()
+	n := r.Uvarint()
+	for i := uint64(0); i < n && r.Err == nil; i++ {
+		k := r.String()
+		s.Counters[k] = r.Uvarint()
 	}
-	n = r.uvarint()
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.string()
-		s.Gauges[k] = r.varint()
+	n = r.Uvarint()
+	for i := uint64(0); i < n && r.Err == nil; i++ {
+		k := r.String()
+		s.Gauges[k] = r.Varint()
 	}
-	n = r.uvarint()
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.string()
+	n = r.Uvarint()
+	for i := uint64(0); i < n && r.Err == nil; i++ {
+		k := r.String()
 		var h metrics.HistogramData
-		h.Count = r.uvarint()
-		h.Sum = time.Duration(r.varint())
-		h.Max = time.Duration(r.varint())
-		nb := r.uvarint()
+		h.Count = r.Uvarint()
+		h.Sum = time.Duration(r.Varint())
+		h.Max = time.Duration(r.Varint())
+		nb := r.Uvarint()
 		// Bound the bucket count before allocating: a histogram cannot
 		// have more distinct buckets than the geometry allows.
-		if r.err == nil && nb > metrics.NumBuckets {
-			r.err = fmt.Errorf("telemetry: %d histogram buckets exceeds %d", nb, metrics.NumBuckets)
+		if r.Err == nil && nb > metrics.NumBuckets {
+			r.Err = fmt.Errorf("telemetry: %d histogram buckets exceeds %d", nb, metrics.NumBuckets)
 		}
-		for j := uint64(0); j < nb && r.err == nil; j++ {
-			idx := r.uvarint()
-			cnt := r.uvarint()
+		for j := uint64(0); j < nb && r.Err == nil; j++ {
+			idx := r.Uvarint()
+			cnt := r.Uvarint()
 			h.Buckets = append(h.Buckets, metrics.BucketCount{Index: int(idx), N: cnt})
 		}
-		if r.err == nil {
+		if r.Err == nil {
 			s.Hists[k] = h
 		}
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if r.Err != nil {
+		return nil
 	}
-	return s, r.buf, nil
+	return s
 }
 
 // AppendLoadDigest appends the wire form of d to buf.
@@ -250,20 +205,20 @@ func AppendLoadDigest(buf []byte, d *LoadDigest) []byte {
 	return buf
 }
 
-// DecodeLoadDigest decodes a digest from the front of buf, returning the
-// remaining bytes.
-func DecodeLoadDigest(buf []byte) (*LoadDigest, []byte, error) {
-	r := &wireReader{buf: buf}
-	d := &LoadDigest{}
-	d.Epoch = r.uvarint()
-	d.Watermark = r.varint()
-	d.Events = r.uvarint()
-	d.Slices = r.uvarint()
-	d.Windows = r.uvarint()
-	d.Reconnects = r.uvarint()
-	d.ReplayLen = uint32(r.uvarint())
-	if r.err != nil {
-		return nil, nil, r.err
+// DecodeLoadDigest reads a digest; it returns nil and leaves the failure
+// in r.Err on malformed input.
+func DecodeLoadDigest(r *event.Reader) *LoadDigest {
+	d := &LoadDigest{
+		Epoch:      r.Uvarint(),
+		Watermark:  r.Varint(),
+		Events:     r.Uvarint(),
+		Slices:     r.Uvarint(),
+		Windows:    r.Uvarint(),
+		Reconnects: r.Uvarint(),
+		ReplayLen:  uint32(r.Uvarint()),
 	}
-	return d, r.buf, nil
+	if r.Err != nil {
+		return nil
+	}
+	return d
 }

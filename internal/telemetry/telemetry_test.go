@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"desis/internal/event"
 	"desis/internal/metrics"
 )
 
@@ -168,6 +169,20 @@ func TestSnapshotMerge(t *testing.T) {
 	a.Merge(nil) // must not panic
 }
 
+// decodeSnapshot and decodeLoadDigest decode from the front of buf and
+// return the bytes after.
+func decodeSnapshot(buf []byte) (*Snapshot, []byte, error) {
+	r := event.Reader{Buf: buf}
+	s := DecodeSnapshot(&r)
+	return s, r.Buf, r.Err
+}
+
+func decodeLoadDigest(buf []byte) (*LoadDigest, []byte, error) {
+	r := event.Reader{Buf: buf}
+	d := DecodeLoadDigest(&r)
+	return d, r.Buf, r.Err
+}
+
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	s := NewSnapshot()
 	s.Counters["group.1.events"] = 12345
@@ -179,7 +194,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	s.Hists["assembly"] = h.Export()
 
 	buf := AppendSnapshot(nil, s)
-	got, rest, err := DecodeSnapshot(buf)
+	got, rest, err := decodeSnapshot(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +215,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 
 	// Truncations must error, never panic or over-allocate.
 	for i := 0; i < len(buf); i++ {
-		if _, _, err := DecodeSnapshot(buf[:i]); err == nil && i < len(buf) {
+		if _, _, err := decodeSnapshot(buf[:i]); err == nil && i < len(buf) {
 			// Some prefixes decode cleanly (e.g. empty tail) — only the
 			// ones that claim more data than present must fail. The real
 			// assertion is "no panic", enforced by reaching this line.
@@ -214,7 +229,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	// Patch the bucket count (last uvarint) to a huge value.
 	hb[len(hb)-1] = 0xff
 	hb = append(hb, 0xff, 0xff, 0x7f)
-	if _, _, err := DecodeSnapshot(hb); err == nil {
+	if _, _, err := decodeSnapshot(hb); err == nil {
 		t.Error("oversized bucket count must be rejected")
 	}
 }
@@ -225,7 +240,7 @@ func TestLoadDigestWireRoundTrip(t *testing.T) {
 		Windows: 3, Reconnects: 2, ReplayLen: 128,
 	}
 	buf := AppendLoadDigest(nil, d)
-	got, rest, err := DecodeLoadDigest(buf)
+	got, rest, err := decodeLoadDigest(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +248,7 @@ func TestLoadDigestWireRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v rest=%d", got, len(rest))
 	}
 	for i := 0; i < len(buf); i++ {
-		if _, _, err := DecodeLoadDigest(buf[:i]); err == nil {
+		if _, _, err := decodeLoadDigest(buf[:i]); err == nil {
 			t.Fatalf("truncation at %d decoded", i)
 		}
 	}
