@@ -53,16 +53,16 @@ func (Text) Append(buf []byte, m *message.Message) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode implements message.Codec.
-func (Text) Decode(buf []byte) (*message.Message, error) {
+// DecodeInto implements message.Codec. Every payload is decoded fresh.
+func (Text) DecodeInto(buf []byte, m *message.Message) error {
 	head := strings.SplitN(string(buf), "|", 3)
 	if len(head) != 3 {
-		return nil, fmt.Errorf("baseline: malformed text message %q", buf)
+		return fmt.Errorf("baseline: malformed text message %q", buf)
 	}
 	h := textRecord{f: head[:2]}
-	m := &message.Message{Kind: message.Kind(h.uint(0, 8)), From: uint32(h.uint(1, 32))}
+	*m = message.Message{Kind: message.Kind(h.uint(0, 8)), From: uint32(h.uint(1, 32))}
 	if h.err != nil {
-		return nil, h.err
+		return h.err
 	}
 	rest := head[2]
 	switch m.Kind {
@@ -71,25 +71,24 @@ func (Text) Decode(buf []byte) (*message.Message, error) {
 			r := parseTextRecord(rec, 4, 4)
 			e := event.Event{Time: r.int(0, 64), Key: uint32(r.uint(1, 32)), Marker: uint8(r.uint(2, 8)), Value: r.float(3)}
 			if r.err != nil {
-				return nil, r.err
+				return r.err
 			}
 			m.Events = append(m.Events, e)
 		}
 	case message.KindWatermark:
 		r := textRecord{f: []string{rest}}
-		if m.Watermark = r.int(0, 64); r.err != nil {
-			return nil, r.err
-		}
+		m.Watermark = r.int(0, 64)
+		return r.err
 	case message.KindPartial:
 		p, err := decodeTextPartial(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.Partial = p
 	default:
-		return nil, fmt.Errorf("baseline: text codec cannot decode kind %d", m.Kind)
+		return fmt.Errorf("baseline: text codec cannot decode kind %d", m.Kind)
 	}
-	return m, nil
+	return nil
 }
 
 // decodeTextPartial parses a partial's header, aggregate and EP sections.

@@ -72,7 +72,7 @@ func TestTextRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Append(kind %d): %v", m.Kind, err)
 		}
-		got, err := Text{}.Decode(buf)
+		got, err := decodeText(buf)
 		if err != nil {
 			t.Fatalf("Decode(kind %d) of %q: %v", m.Kind, buf, err)
 		}
@@ -98,7 +98,7 @@ func TestTextRefusesOtherKinds(t *testing.T) {
 			t.Errorf("kind %d encoded as %q", k, buf)
 		}
 		for _, s := range []string{fmt.Sprintf("%d|1|", k), fmt.Sprintf("%d|1|5", k)} {
-			if m, err := (Text{}).Decode([]byte(s)); err == nil {
+			if m, err := decodeText([]byte(s)); err == nil {
 				t.Errorf("%q decoded as kind %d", s, m.Kind)
 			}
 		}
@@ -112,7 +112,7 @@ func TestTextMalformed(t *testing.T) {
 		"", "4", "4|1", "x|1|", "5|1|", "5|1|1.5", "3|1|1,2,3;", "3|1|1,2,3,x;",
 		"4|1|1,2,3,4,5|", "4|1|1,2,3,4,5,6|", "4|1|1,2,3,4,5,6|1,2,3;|", "4|1|1,2,3,4,5,6||1,2,3;",
 	} {
-		if m, err := (Text{}).Decode([]byte(s)); err == nil {
+		if m, err := decodeText([]byte(s)); err == nil {
 			t.Errorf("%q decoded as kind %d", s, m.Kind)
 		}
 	}
@@ -137,4 +137,10 @@ func TestTextLargerThanBinary(t *testing.T) {
 	if len(txt) <= len(bin) {
 		t.Errorf("text %d bytes <= binary %d bytes", len(txt), len(bin))
 	}
+}
+
+// decodeText decodes one frame into a fresh message.
+func decodeText(buf []byte) (*message.Message, error) {
+	m := new(message.Message)
+	return m, Text{}.DecodeInto(buf, m)
 }

@@ -73,16 +73,30 @@ type SlicePartial struct {
 }
 
 // Clone returns a deep copy sharing no memory with p, safe to retain after p
-// is recycled. Used by the uplink batcher's queue, which must not hold
-// references into the engine's partial pool.
+// is recycled.
 func (p *SlicePartial) Clone() *SlicePartial {
-	c := *p
-	c.Aggs = make([]operator.Agg, len(p.Aggs))
-	for i := range p.Aggs {
-		c.Aggs[i] = p.Aggs[i].CloneState()
+	c := new(SlicePartial)
+	c.CopyFrom(p)
+	return c
+}
+
+// CopyFrom sets p to a deep copy of src, refilling p's own Aggs (each row
+// with its Values) and EPs as far as their capacity reaches: p shares no
+// memory with src afterwards.
+//
+//desis:hotpath
+func (p *SlicePartial) CopyFrom(src *SlicePartial) {
+	aggs, eps := p.Aggs[:0], p.EPs[:0]
+	*p = *src
+	for i := range src.Aggs {
+		if i == cap(aggs) {
+			aggs = append(aggs, operator.Agg{})
+		}
+		aggs = aggs[:i+1]
+		aggs[i].CopyFrom(&src.Aggs[i])
 	}
-	c.EPs = append([]EP(nil), p.EPs...)
-	return &c
+	p.Aggs = aggs
+	p.EPs = append(eps, src.EPs...)
 }
 
 // Stats counts the engine's work, matching the accounting of the paper's

@@ -61,7 +61,7 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 //	float column: values
 //
 // The columns are those of column.go; the batch is written the same way on
-// the wire, by desis-gen and in the benchmark's codec ledger line.
+// the wire and in the benchmark's codec ledger line.
 //
 //desis:hotpath
 func AppendBatch(buf []byte, events []Event) []byte {

@@ -40,10 +40,10 @@ const messagePkg = "desis/internal/message"
 // types.Func full name, mapped to the package that declares it (where the
 // existence check runs).
 var DefaultRules = map[string]string{
-	"(desis/internal/message.Binary).Append": messagePkg,
-	"(desis/internal/message.Binary).Decode": messagePkg,
-	"desis/internal/message.Batchable":       messagePkg,
-	"(*desis/internal/node.uplink).record":   "desis/internal/node",
+	"(desis/internal/message.Binary).Append":     messagePkg,
+	"(desis/internal/message.Binary).DecodeInto": messagePkg,
+	"desis/internal/message.Batchable":           messagePkg,
+	"(*desis/internal/node.uplink).record":       "desis/internal/node",
 }
 
 // Analyzer checks the shipping rules table.

@@ -65,20 +65,52 @@ func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeBatchBody parses a columnar batch body (flags byte plus payload),
-// stamping every decoded frame with the batch sender from. The flags byte is
-// reserved: a nonzero one (a deflated body from an older peer) is refused.
-func decodeBatchBody(r *event.Reader, from uint32) *Batch {
+// decodeBatchBody parses a columnar batch body (flags byte plus payload)
+// into b, or into a new Batch when b is nil, stamping every decoded frame
+// with the batch sender from. b's frames, and the messages they point to,
+// are refilled. The flags byte is reserved: a nonzero one (a deflated body
+// from an older peer) is refused.
+func decodeBatchBody(r *event.Reader, from uint32, b *Batch) *Batch {
 	if flags := r.U8(); flags != 0 {
 		r.Err = fmt.Errorf("message: unknown batch flags %#x", flags)
 	}
 	if r.Err != nil {
 		return nil
 	}
+	if b == nil {
+		b = new(Batch)
+	}
 	s := scratchPool.Get().(*batchScratch)
-	b := s.decode(r, from)
+	ok := s.decode(r, from, b)
+	s.stashPartials(s.partials)
 	scratchPool.Put(s)
+	if !ok {
+		return nil
+	}
 	return b
+}
+
+// frameSlots returns frames resized to n, every entry pointing to a message
+// the decoder may overwrite: those an earlier decode left are reused, and
+// the missing ones come from one new array.
+func frameSlots(frames []*Message, n int) []*Message {
+	frames = resize(frames, n)
+	missing := 0
+	for _, f := range frames {
+		if f == nil {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return frames
+	}
+	msgs := make([]Message, missing)
+	for i, f := range frames {
+		if f == nil {
+			frames[i], msgs = &msgs[0], msgs[1:]
+		}
+	}
+	return frames
 }
 
 // maxBatchItems caps the frames, aggregate rows and EPs one batch carries
@@ -353,25 +385,26 @@ func (s *batchScratch) readF64s(r *event.Reader, n int) []float64 {
 	return s.col
 }
 
-// decode parses a payload written by appendBatchPayload. Claimed counts are
-// checked before anything is sized from them: frames, aggregate rows and
-// EPs together against maxBatchItems (and frames also against the bitmap
-// bits the body holds), retained values against the bytes left, since the
-// float column writes at least one byte per value.
-func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
+// decode parses a payload written by appendBatchPayload into b, reporting
+// whether it succeeded; the partials go through s.partials, which the caller
+// stashes. Claimed counts are checked before anything is sized from them:
+// frames, aggregate rows and EPs together against maxBatchItems (and frames
+// also against the bitmap bits the body holds), retained values against the
+// bytes left, since the float column writes at least one byte per value.
+func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 	size := len(r.Buf)
 	claimed := r.Uvarint()
 	if r.Err != nil {
-		return nil
+		return false
 	}
 	if claimed > uint64(len(r.Buf))*8 || claimed > maxBatchItems {
 		r.Err = fmt.Errorf("message: batch claims %d frames in %d bytes", claimed, size)
-		return nil
+		return false
 	}
 	n := int(claimed)
 	bitmap := r.Take((n + 7) / 8)
 	if r.Err != nil {
-		return nil
+		return false
 	}
 	nW := 0
 	for i := 0; i < n; i++ {
@@ -379,29 +412,26 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 			nW++
 		}
 	}
-	msgs := make([]Message, n)
-	b := &Batch{Frames: make([]*Message, n)}
-	partials := make([]*core.SlicePartial, 0, n-nW)
+	b.Frames = frameSlots(b.Frames, n)
+	s.partials = s.partials[:0] // stashed empty: nothing to clear
 	wms := s.readInts(r, nW)
 	prevW, w := int64(0), 0
-	for i := range msgs {
-		m := &msgs[i]
-		m.From = from
+	for i, m := range b.Frames {
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
 			prevW += wms[w]
 			w++
-			m.Kind, m.Watermark = KindWatermark, prevW
+			*m = Message{Kind: KindWatermark, From: from, Watermark: prevW}
 		} else {
-			m.Kind, m.Partial = KindPartial, newPartial()
-			partials = append(partials, m.Partial)
+			*m = Message{Kind: KindPartial, From: from, Partial: newPartial()}
+			s.partials = append(s.partials, m.Partial)
 		}
-		b.Frames[i] = m
 	}
+	partials := s.partials
 	if r.Err != nil {
-		return nil
+		return false
 	}
 	if len(partials) == 0 {
-		return b
+		return true
 	}
 	nP := len(partials)
 
@@ -410,9 +440,10 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 		r.Err = fmt.Errorf("message: batch group dictionary of %d for %d partials", nDict, nP)
 	}
 	if r.Err != nil {
-		return nil
+		return false
 	}
-	dict := make([]uint32, nDict)
+	s.dict = resize(s.dict, int(nDict))
+	dict := s.dict
 	for i := range dict {
 		dict[i] = uint32(r.Uvarint())
 	}
@@ -421,7 +452,7 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 			r.Err = fmt.Errorf("message: batch group index %d out of dictionary", idx)
 		}
 		if r.Err != nil {
-			return nil
+			return false
 		}
 		partials[i].Group = dict[idx]
 	}
@@ -449,7 +480,7 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 			r.Err = fmt.Errorf("message: batch claims %d more aggs with %d items already", c, items)
 		}
 		if r.Err != nil {
-			return nil
+			return false
 		}
 		items += int(c)
 		partials[i].Aggs = resize(partials[i].Aggs, int(c))
@@ -483,7 +514,7 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 		}
 	}
 	if r.Err != nil {
-		return nil
+		return false
 	}
 	k = 0
 	counts := s.readInts(r, nCount)
@@ -541,7 +572,7 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 				r.Err = fmt.Errorf("message: batch claims %d more retained values in %d bytes", l, len(r.Buf))
 			}
 			if r.Err != nil {
-				return nil
+				return false
 			}
 			total += int(l)
 			p.Aggs[i].Values = resize(p.Aggs[i].Values, int(l))
@@ -561,7 +592,7 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 			r.Err = fmt.Errorf("message: batch claims %d more EPs with %d items already", c, items)
 		}
 		if r.Err != nil {
-			return nil
+			return false
 		}
 		items += int(c)
 		nEPs += int(c)
@@ -592,9 +623,9 @@ func (s *batchScratch) decode(r *event.Reader, from uint32) *Batch {
 		}
 	}
 	if r.Err != nil {
-		return nil
+		return false
 	}
-	return b
+	return true
 }
 
 // estimateFrameSize is the batcher's cheap upper-bound guess of a frame's

@@ -24,7 +24,7 @@ import (
 // decodeBody decodes a whole batch body.
 func decodeBody(body []byte, from uint32) (*Batch, error) {
 	r := event.Reader{Buf: body}
-	b := decodeBatchBody(&r, from)
+	b := decodeBatchBody(&r, from, nil)
 	return b, r.Err
 }
 
@@ -339,15 +339,30 @@ func TestBatcherCutsAtItemCap(t *testing.T) {
 		}
 		return &Message{Kind: KindPartial, From: 1, Partial: p}
 	}
+	// Send may not keep the message (the Conn contract): the batcher
+	// recycles its frames once Send returns, so everything is counted here.
 	var mu sync.Mutex
-	var sent []*Message
+	var frames int
+	var lastKind Kind
 	send := func(m *Message) error {
 		if _, err := (Binary{}).Append(nil, m); err != nil {
 			return err
 		}
 		mu.Lock()
-		sent = append(sent, m)
-		mu.Unlock()
+		defer mu.Unlock()
+		lastKind = m.Kind
+		if m.Kind != KindBatch {
+			frames++
+			return nil
+		}
+		items := 0
+		for _, f := range m.Batch.Frames {
+			items += batchItems(f)
+		}
+		if items > maxBatchItems {
+			t.Errorf("batch of %d frames carries %d items, cap %d", len(m.Batch.Frames), items, maxBatchItems)
+		}
+		frames += len(m.Batch.Frames)
 		return nil
 	}
 	b := NewBatchingConn(sendConn(send), 1, BatcherOptions{})
@@ -364,26 +379,11 @@ func TestBatcherCutsAtItemCap(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	frames := 0
-	for _, m := range sent {
-		if m.Kind != KindBatch {
-			frames++
-			continue
-		}
-		items := 0
-		for _, f := range m.Batch.Frames {
-			items += batchItems(f)
-		}
-		if items > maxBatchItems {
-			t.Errorf("batch of %d frames carries %d items, cap %d", len(m.Batch.Frames), items, maxBatchItems)
-		}
-		frames += len(m.Batch.Frames)
-	}
 	if frames != 41 {
 		t.Errorf("sent %d frames, want 41", frames)
 	}
-	if last := sent[len(sent)-1]; last.Kind != KindPartial {
-		t.Errorf("the frame past the cap travelled as kind %d, want a lone partial", last.Kind)
+	if lastKind != KindPartial {
+		t.Errorf("the frame past the cap travelled as kind %d, want a lone partial", lastKind)
 	}
 }
 
@@ -488,11 +488,11 @@ func TestBatcherClonesPartials(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
+		p := m.Partial
 		if m.Kind == KindBatch {
-			got = m.Batch.Frames[0].Partial
-		} else {
-			got = m.Partial
+			p = m.Batch.Frames[0].Partial
 		}
+		got = p.Clone() // the batcher recycles p once Send returns
 		return nil
 	}
 	b := NewBatchingConn(sendConn(send), 1, BatcherOptions{})

@@ -50,7 +50,7 @@ func Batchable(k Kind) bool {
 // unbatch where they dispatch (node handlers).
 //
 // It is self-clocking rather than timer-driven. Every batchable frame is
-// cloned into a queue behind one sender goroutine, the pump, which drains
+// copied into a queue behind one sender goroutine, the pump, which drains
 // everything accumulated since its last transmission into one batch and then
 // blocks in the underlying send. While it is blocked frames pile up behind
 // it, so the next batch is larger: the batch size follows the ratio of
@@ -72,6 +72,8 @@ type BatchingConn struct {
 	cond     *sync.Cond
 	pumpCond *sync.Cond
 	queue    []*Message
+	// batch is the pump's KindBatch message; its frames are reused too.
+	batch    Message
 	inFlight bool
 	closed   bool
 	err      error
@@ -90,6 +92,7 @@ type BatchingConn struct {
 // from the caller (for control frames). from stamps outgoing batches.
 func NewBatchingConn(conn Conn, from uint32, _ BatcherOptions) *BatchingConn {
 	c := &BatchingConn{conn: conn, from: from, done: make(chan struct{})}
+	c.batch = Message{Kind: KindBatch, From: from, Batch: new(Batch)}
 	c.cond = sync.NewCond(&c.mu)
 	c.pumpCond = sync.NewCond(&c.mu)
 	go c.run()
@@ -112,11 +115,13 @@ func (c *BatchingConn) AttachTelemetry(reg *telemetry.Registry) {
 	c.mu.Unlock()
 }
 
-// Send implements Conn. A batchable frame is cloned into the pump's queue
+// Send implements Conn. A batchable frame is copied into the pump's queue
 // (the caller may recycle m as soon as Send returns) and Send returns
 // without waiting for the link, unless the queue is full; any other kind
-// flushes the queue and is transmitted synchronously. A transmission failure of an earlier batch is
-// sticky and surfaces here.
+// flushes the queue and is transmitted synchronously. A transmission failure
+// of an earlier batch is sticky and surfaces here.
+//
+//desis:hotpath
 func (c *BatchingConn) Send(m *Message) error {
 	if !Batchable(m.Kind) {
 		c.telFlushControl.Inc()
@@ -125,25 +130,52 @@ func (c *BatchingConn) Send(m *Message) error {
 		}
 		return c.conn.Send(m)
 	}
-	q := *m
-	if q.Partial != nil {
-		q.Partial = q.Partial.Clone()
-	}
+	q := queuedCopy(m)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.queue) >= batchQueue && c.err == nil && !c.closed {
 		c.cond.Wait()
 	}
-	if c.err != nil {
-		return c.err
-	}
-	if c.closed {
+	if c.err != nil || c.closed {
+		releaseQueued(q)
+		if c.err != nil {
+			return c.err
+		}
+		//lint:ignore hotalloc cold path: a send after Close is a caller bug
 		return errors.New("message: send on closed BatchingConn")
 	}
-	c.queue = append(c.queue, &q)
+	c.queue = append(c.queue, q)
 	c.telQueue.Set(int64(len(c.queue)))
 	c.pumpCond.Signal()
 	return nil
+}
+
+// queuedPool recycles the batcher's queued copies: the pump gives each back
+// once the batch that carried it is sent.
+var queuedPool = sync.Pool{New: func() any { return new(Message) }}
+
+// queuedCopy returns a pooled copy of the batchable frame m, its partial
+// drawn from the partial pool, sharing no memory with m.
+//
+//desis:hotpath
+func queuedCopy(m *Message) *Message {
+	q := queuedPool.Get().(*Message)
+	*q = Message{Kind: m.Kind, From: m.From, Watermark: m.Watermark}
+	if m.Partial != nil {
+		q.Partial = copyPartial(m.Partial)
+	}
+	return q
+}
+
+// releaseQueued gives a queued copy and its partial back to their pools.
+//
+//desis:hotpath
+func releaseQueued(q *Message) {
+	if q.Partial != nil {
+		ReleasePartial(q.Partial)
+	}
+	*q = Message{}
+	queuedPool.Put(q)
 }
 
 // flush blocks until every queued frame has been transmitted (or the pump
@@ -207,8 +239,8 @@ func (c *BatchingConn) run() {
 			n++
 		}
 		capped := n < len(c.queue)
-		frames := make([]*Message, n)
-		copy(frames, c.queue)
+		frames := append(c.batch.Batch.Frames[:0], c.queue[:n]...)
+		c.batch.Batch.Frames = frames
 		rest := copy(c.queue, c.queue[n:])
 		clear(c.queue[rest:])
 		c.queue = c.queue[:rest]
@@ -219,14 +251,21 @@ func (c *BatchingConn) run() {
 
 		m := frames[0]
 		if n > 1 {
-			m = &Message{Kind: KindBatch, From: c.from, Batch: &Batch{Frames: frames}}
+			m = &c.batch
 		}
 		err := c.conn.Send(m)
+		for _, f := range frames {
+			releaseQueued(f)
+		}
+		clear(frames)
 
 		c.mu.Lock()
 		c.inFlight = false
 		if err != nil && c.err == nil {
 			c.err = fmt.Errorf("message: batcher send: %w", err)
+			for _, q := range c.queue {
+				releaseQueued(q)
+			}
 			c.queue = nil
 		}
 		c.telFlushes.Inc()

@@ -70,12 +70,21 @@ func (Binary) Append(buf []byte, m *Message) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode implements Codec.
+// Decode parses one message from buf into fresh storage.
 func (Binary) Decode(buf []byte) (*Message, error) {
+	m := new(Message)
+	if err := (Binary{}).DecodeInto(buf, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto implements Codec. An event batch refills m's Events and a
+// KindBatch refills m's Batch; every other payload is decoded fresh.
+func (Binary) DecodeInto(buf []byte, m *Message) error {
 	r := event.Reader{Buf: buf}
-	m := &Message{}
-	m.Kind = Kind(r.U8())
-	m.From = r.U32()
+	events, batch := m.Events[:0], m.Batch
+	*m = Message{Kind: Kind(r.U8()), From: r.U32()}
 	switch m.Kind {
 	case KindHello:
 		m.Epoch = r.U64()
@@ -90,14 +99,14 @@ func (Binary) Decode(buf []byte) (*Message, error) {
 		}
 	case KindEventBatch:
 		if r.Err == nil {
-			m.Events, r.Buf, r.Err = event.DecodeBatch(r.Buf, nil)
+			m.Events, r.Buf, r.Err = event.DecodeBatch(r.Buf, events)
 		}
 	case KindPartial:
 		m.Partial = decodePartial(&r)
 	case KindWatermark:
 		m.Watermark = int64(r.U64())
 	case KindBatch:
-		m.Batch = decodeBatchBody(&r, m.From)
+		m.Batch = decodeBatchBody(&r, m.From, batch)
 	case KindAddQuery:
 		for i, n := 0, r.Count(1); i < n && r.Err == nil; i++ {
 			m.Queries = append(m.Queries, plan.DecodeQuery(&r))
@@ -112,12 +121,9 @@ func (Binary) Decode(buf []byte) (*Message, error) {
 			m.Deltas = append(m.Deltas, plan.DecodeDelta(&r))
 		}
 	default:
-		return nil, fmt.Errorf("message: cannot decode kind %d", m.Kind)
+		return fmt.Errorf("message: cannot decode kind %d", m.Kind)
 	}
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	return m, nil
+	return r.Err
 }
 
 func appendPartial(buf []byte, p *core.SlicePartial) []byte {

@@ -97,3 +97,43 @@ func TestEncodeRecycledPartialPanics(t *testing.T) {
 	}()
 	Binary{}.Append(nil, &Message{Kind: KindPartial, Partial: p})
 }
+
+// TestRecvPoisonsRetainedMessage: a checked build's connection poisons the
+// message it returned last before decoding the next, so a caller that kept
+// a received message or one of its batch frames past its next Recv reads
+// kindPoisoned, which nothing encodes, instead of a later frame.
+func TestRecvPoisonsRetainedMessage(t *testing.T) {
+	client, server := tcpPair(t)
+	pa, pb := NewPipe(Binary{}, 4)
+	for _, l := range []struct {
+		name    string
+		out, in Conn
+	}{{"tcp", client, server}, {"pipe", pa, pb}} {
+		for _, m := range []*Message{partialBatch(3), {Kind: KindWatermark, From: 4, Watermark: 9}} {
+			if err := l.out.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kept, err := l.in.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := kept.Batch.Frames[1]
+		releaseAll(kept)
+		next, err := l.in.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next == kept || next.Kind != KindWatermark || next.Watermark != 9 {
+			t.Fatalf("%s: next receive is %+v, want a fresh watermark 9", l.name, next)
+		}
+		for _, m := range []*Message{kept, frame} {
+			if m.Kind != kindPoisoned || m.Partial != nil || m.Batch != nil {
+				t.Errorf("%s: retained message reads %+v, want it poisoned", l.name, m)
+			}
+			if _, err := (Binary{}).Append(nil, m); err == nil {
+				t.Errorf("%s: a retained message encoded without error", l.name)
+			}
+		}
+	}
+}

@@ -116,13 +116,16 @@ type Message struct {
 	Batch *Batch
 }
 
-// Codec serialises messages. Implementations must be inverses:
-// Decode(Append(nil, m)) == m.
+// Codec serialises messages. Implementations must be inverses: DecodeInto
+// of Append(nil, m) fills a message equal to m.
 type Codec interface {
 	// Append appends the encoding of m to buf.
 	Append(buf []byte, m *Message) ([]byte, error)
-	// Decode parses one message from buf, which holds exactly one message.
-	Decode(buf []byte) (*Message, error)
+	// DecodeInto parses one message from buf, which holds exactly one
+	// message, into m, overwriting every field. It may refill the storage
+	// m's Events and Batch (with the frames the Batch points to) hold, so
+	// nothing else may still use them. It keeps no alias into buf.
+	DecodeInto(buf []byte, m *Message) error
 	// Name identifies the codec in logs.
 	Name() string
 }
@@ -135,7 +138,12 @@ type Conn interface {
 	// so callers may recycle the message's payload buffers.
 	Send(m *Message) error
 	// Recv blocks for the next message; it returns io.EOF after the peer
-	// closed the connection.
+	// closed the connection. The message, its Events and its Batch with
+	// every frame in it belong to the connection and stay valid only until
+	// the next Recv on it, which decodes into the same storage: a caller
+	// copies what it keeps. What the message points to beyond that passes
+	// to the caller: partials under the pool rules of ReleasePartial, and
+	// the control payloads (Plan, Deltas, Queries, Stats, Load).
 	Recv() (*Message, error)
 	// Close shuts down this side; the peer's Recv drains then returns EOF.
 	Close() error

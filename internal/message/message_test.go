@@ -111,19 +111,23 @@ func controlMessages() []*Message {
 	}
 }
 
+// checkRoundTrip decodes every message's encoding into a fresh message and
+// into one message reused across the whole list.
 func checkRoundTrip(t *testing.T, c Codec, msgs []*Message) {
 	t.Helper()
+	reused := new(Message)
 	for _, m := range msgs {
 		buf, err := c.Append(nil, m)
 		if err != nil {
 			t.Fatalf("%s: Append(kind %d): %v", c.Name(), m.Kind, err)
 		}
-		got, err := c.Decode(buf)
-		if err != nil {
-			t.Fatalf("%s: Decode(kind %d): %v", c.Name(), m.Kind, err)
-		}
-		if !messagesEqual(got, m) {
-			t.Errorf("%s kind %d: round trip mismatch:\n got %+v\nwant %+v", c.Name(), m.Kind, got, m)
+		for _, got := range []*Message{new(Message), reused} {
+			if err := c.DecodeInto(buf, got); err != nil {
+				t.Fatalf("%s: DecodeInto(kind %d): %v", c.Name(), m.Kind, err)
+			}
+			if !messagesEqual(got, m) {
+				t.Errorf("%s kind %d: round trip mismatch:\n got %+v\nwant %+v", c.Name(), m.Kind, got, m)
+			}
 		}
 	}
 }

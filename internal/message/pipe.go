@@ -13,21 +13,32 @@ import (
 // and the bounded queue provides the backpressure that sustainable
 // throughput measurements rely on (§6.1).
 type Pipe struct {
-	codec    Codec
-	out      chan<- []byte
-	in       <-chan []byte
+	codec Codec
+	out   chan<- []byte
+	in    <-chan []byte
+	// sendFree and recvFree are the free lists of encoded frames of the
+	// outgoing and incoming direction: Recv hands a frame it has decoded to
+	// its direction's list, and the sender encodes the next frame into it.
+	sendFree <-chan []byte
+	recvFree chan<- []byte
+	inbox    inbox
 	sent     atomic.Uint64
 	throttle *Throttle
 	closed   sync.Once
 }
 
+// pipeFree is the length of a direction's free list. A link whose receiver
+// keeps up holds a frame or two in flight; frames beyond the list, queued
+// while the receiver lags, are left to the collector.
+const pipeFree = 8
+
 // NewPipe returns the two connected endpoints of an in-process link using
 // the given codec, with a queue of buffer messages in each direction.
 func NewPipe(codec Codec, buffer int) (*Pipe, *Pipe) {
-	ab := make(chan []byte, buffer)
-	ba := make(chan []byte, buffer)
-	a := &Pipe{codec: codec, out: ab, in: ba}
-	b := &Pipe{codec: codec, out: ba, in: ab}
+	ab, abFree := make(chan []byte, buffer), make(chan []byte, pipeFree)
+	ba, baFree := make(chan []byte, buffer), make(chan []byte, pipeFree)
+	a := &Pipe{codec: codec, out: ab, sendFree: abFree, in: ba, recvFree: baFree}
+	b := &Pipe{codec: codec, out: ba, sendFree: baFree, in: ab, recvFree: abFree}
 	return a, b
 }
 
@@ -41,17 +52,26 @@ func NewThrottledPipe(codec Codec, buffer int, bytesPerSecond float64) (*Pipe, *
 	return a, b
 }
 
-// Send implements Conn.
+// Send implements Conn, encoding m into a frame from the free list.
+//
+//desis:hotpath
 func (p *Pipe) Send(m *Message) (err error) {
-	buf, err := p.codec.Append(nil, m)
+	var buf []byte
+	select {
+	case buf = <-p.sendFree:
+	default:
+	}
+	buf, err = p.codec.Append(buf[:0], m)
 	if err != nil {
 		return err
 	}
 	if p.throttle != nil {
 		p.throttle.Take(len(buf))
 	}
+	//lint:ignore hotalloc the deferred closure is open-coded and does not escape
 	defer func() {
 		if recover() != nil {
+			//lint:ignore hotalloc cold path: a send after Close
 			err = fmt.Errorf("message: send on closed pipe")
 		}
 	}()
@@ -60,13 +80,23 @@ func (p *Pipe) Send(m *Message) (err error) {
 	return nil
 }
 
-// Recv implements Conn.
+// Recv implements Conn. The frame goes back to the free list once decoded:
+// codecs keep no alias into it.
+//
+//desis:hotpath
 func (p *Pipe) Recv() (*Message, error) {
 	buf, ok := <-p.in
 	if !ok {
 		return nil, io.EOF
 	}
-	return p.codec.Decode(buf)
+	m, err := p.inbox.decode(p.codec, buf)
+	if cap(buf) <= keepBuf {
+		select {
+		case p.recvFree <- buf:
+		default:
+		}
+	}
+	return m, err
 }
 
 // Close implements Conn. The peer's Recv drains buffered messages, then

@@ -49,5 +49,16 @@ func resize[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]
 	}
+	//lint:ignore hotalloc growth path: reused storage grows to the largest frame seen, then stays
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// copyPartial returns a copy of p drawn from the pool, sharing no memory
+// with p; whoever ends up owning it gives it back with ReleasePartial.
+//
+//desis:hotpath
+func copyPartial(p *core.SlicePartial) *core.SlicePartial {
+	c := newPartial()
+	c.CopyFrom(p)
+	return c
 }

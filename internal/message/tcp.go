@@ -78,6 +78,8 @@ type TCPConn struct {
 	// alias into it (TestDecodeKeepsNoAlias), so the next frame reuses it.
 	rbuf []byte
 	rhdr [4]byte // a local array would escape through io.ReadFull and allocate
+	// inbox is the message Recv decodes every frame into.
+	inbox inbox
 
 	wmu sync.Mutex
 	// wbuf holds the length-prefixed frames queued since the last flush.
@@ -230,6 +232,8 @@ func (t *TCPConn) InputBuffered() int { return t.r.Buffered() }
 // already in the read buffer: the frames of one burst arrive in one socket
 // read, and all but the first are decoded without a clock read or a
 // deadline update.
+//
+//desis:hotpath
 func (t *TCPConn) RecvTimeout(d time.Duration) (*Message, error) {
 	if d <= 0 && t.rdArmed {
 		if err := t.c.SetReadDeadline(time.Time{}); err != nil {
@@ -246,9 +250,11 @@ func (t *TCPConn) RecvTimeout(d time.Duration) (*Message, error) {
 	}
 	n := binary.LittleEndian.Uint32(t.rhdr[:])
 	if n > maxFrame {
+		//lint:ignore hotalloc cold path: a corrupt length prefix ends the stream
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	if int(n) > cap(t.rbuf) || cap(t.rbuf) > keepBuf {
+		//lint:ignore hotalloc growth path: the buffer grows to the largest frame up to keepBuf, then stays
 		t.rbuf = make([]byte, n)
 	}
 	payload := t.rbuf[:n]
@@ -258,7 +264,7 @@ func (t *TCPConn) RecvTimeout(d time.Duration) (*Message, error) {
 	if _, err := io.ReadFull(t.r, payload); err != nil {
 		return nil, t.classify(err, d)
 	}
-	return t.codec.Decode(payload)
+	return t.inbox.decode(t.codec, payload)
 }
 
 // armFor sets the read deadline d from now when reading need more bytes has
@@ -283,7 +289,9 @@ func (t *TCPConn) armFor(need int, d time.Duration, armed *bool) error {
 // as io.ErrUnexpectedEOF) passes through.
 func (t *TCPConn) classify(err error, d time.Duration) error {
 	var ne net.Error
+	//lint:ignore hotalloc cold path: the read failed, which ends the stream or the wait
 	if errors.As(err, &ne) && ne.Timeout() {
+		//lint:ignore hotalloc cold path, as above
 		return fmt.Errorf("%w after %v", ErrTimeout, d)
 	}
 	return err

@@ -617,8 +617,14 @@ func TestClusterAddRemoveQuery(t *testing.T) {
 			if r.Start < 290 {
 				t.Errorf("added query answered window starting %d before registration", r.Start)
 			}
-			if r.Count != 20 && r.Values[0].Value != float64(r.Count) {
-				t.Errorf("added query window %s count %d", resultKey(r), r.Count)
+			want := 0
+			for _, e := range evs {
+				if e.Time >= r.Start && e.Time < r.End {
+					want++
+				}
+			}
+			if r.Count != int64(want) || len(r.Values) != 1 || r.Values[0].Value != float64(want) {
+				t.Errorf("added query window %s: count %d, values %v, want %d events", resultKey(r), r.Count, r.Values, want)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"desis/internal/core"
@@ -30,6 +32,9 @@ type Root struct {
 	asm    *Assembler
 	eng    *core.Engine
 	evBuf  map[uint32][]event.Event
+	// merged is advance's scratch: the RootOnly events it releases, merged
+	// in time order.
+	merged []event.Event
 	wm     int64
 }
 
@@ -104,19 +109,29 @@ func (r *Root) Handle(m *message.Message) error {
 // engine in global time order, and the assembler closes matured windows.
 func (r *Root) advance(w int64) {
 	r.wm = w
-	var merged []event.Event
+	merged := r.merged[:0]
 	for from, buf := range r.evBuf {
 		n := sort.Search(len(buf), func(i int) bool { return buf[i].Time > w })
 		if n == 0 {
 			continue
 		}
 		merged = append(merged, buf[:n]...)
-		r.evBuf[from] = buf[n:]
+		// Compact in place once the consumed prefix is at least as long as
+		// the rest, so the buffer keeps its array instead of sliding off its
+		// end and regrowing. A long unreleased tail (a lagging sibling) is
+		// resliced instead: copying it on every small advance would cost
+		// quadratic time, while this costs O(1) amortized per event.
+		if len(buf)-n <= n {
+			r.evBuf[from] = buf[:copy(buf, buf[n:])]
+		} else {
+			r.evBuf[from] = buf[n:]
+		}
 	}
 	if len(merged) > 0 {
-		sort.SliceStable(merged, func(i, j int) bool { return merged[i].Time < merged[j].Time })
+		slices.SortStableFunc(merged, func(a, b event.Event) int { return cmp.Compare(a.Time, b.Time) })
 		r.eng.ProcessBatch(merged)
 	}
+	r.merged = merged
 	r.eng.AdvanceTo(w)
 	r.asm.AdvanceTo(w)
 }

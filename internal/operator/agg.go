@@ -75,14 +75,15 @@ func NewAgg(ops Op) Agg {
 	return a
 }
 
-// CloneState returns a deep copy of the aggregate state sharing no memory
-// with a: Values gets its own backing array and the scratch buffer is not
-// carried over (the copy re-grows one on its first merge).
-func (a *Agg) CloneState() Agg {
-	c := *a
-	c.Values = append([]float64(nil), a.Values...)
-	c.scratch = nil
-	return c
+// CopyFrom sets a to b's aggregate state, refilling a's own Values buffer
+// and keeping a's merge scratch: a shares no memory with b afterwards.
+//
+//desis:hotpath
+func (a *Agg) CopyFrom(b *Agg) {
+	values, scratch := a.Values, a.scratch
+	*a = *b
+	a.Values = append(values[:0], b.Values...)
+	a.scratch = scratch
 }
 
 // Reset re-initialises a for a new slice, keeping the Values buffer to avoid
