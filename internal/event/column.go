@@ -29,6 +29,8 @@ var (
 	errBool      = errors.New("event: bool byte other than 0 or 1")
 	errCount     = errors.New("event: count exceeds the bytes left")
 	errVarint    = errors.New("event: bad varint")
+	errF64Varint = errors.New("event: bad varint in float column")
+	errF64Range  = errors.New("event: float column value out of range")
 )
 
 // fail records err unless an earlier failure already stands.
@@ -290,7 +292,20 @@ var f64ColPow10 = [f64ColMaxScale + 1]float64{
 // nothing.
 //
 //desis:hotpath
-func AppendF64Column(buf []byte, col []float64) []byte {
+func AppendF64Column(buf []byte, col []float64) []byte { return AppendF64Runs(buf, col, nil) }
+
+// AppendF64Runs is AppendF64Column over col cut into consecutive runs of
+// the given lengths, which must be non-negative and sum to len(col); nil
+// runs is one run of the whole column. On the scaled path a run's first
+// value is coded against the first value of the run before it (the first
+// run's against 0) and every other value against its predecessor, so sorted
+// runs of similar data cost their spread, not the step from one run's
+// largest value down to the next one's smallest. Scale, factor and the raw
+// path are chosen over the whole column as in AppendF64Column, and
+// AppendF64Runs(buf, col, nil) writes exactly its bytes.
+//
+//desis:hotpath
+func AppendF64Runs(buf []byte, col []float64, runs []int64) []byte {
 	if len(col) == 0 {
 		return buf
 	}
@@ -304,11 +319,25 @@ func AppendF64Column(buf []byte, col []float64) []byte {
 		buf = binary.AppendUvarint(buf, uint64(g))
 		// q·g is below 2^53 and a multiple of g, so the float division is
 		// exact and spares an integer one per value.
-		fg, prev := float64(g), int64(0)
-		for _, v := range col {
+		fg, prev, first, at, k := float64(g), int64(0), int64(0), 0, 0
+		for i, v := range col {
 			q := int64(math.RoundToEven(v*p) / fg)
-			buf = binary.AppendVarint(buf, q-prev)
+			d := q - prev
+			if i == at { // a run's first value
+				d, first = q-first, q
+				for at == i && runs != nil { // past this run and empty ones
+					at, k = at+int(runs[k]), k+1
+				}
+				if runs == nil {
+					at = len(col)
+				}
+			}
 			prev = q
+			if u := uint64(d<<1) ^ uint64(d>>63); u < 0x80 { // zigzag
+				buf = append(buf, byte(u))
+			} else {
+				buf = binary.AppendUvarint(buf, u)
+			}
 		}
 		return buf
 	}
@@ -361,7 +390,11 @@ func f64ColFactor(col []float64, p float64) (int64, bool) {
 
 // F64Column fills dst from a float column of len(dst) values; an empty dst
 // reads nothing. On error dst holds garbage and r.Err says why.
-func (r *Reader) F64Column(dst []float64) {
+func (r *Reader) F64Column(dst []float64) { r.F64Runs(dst, nil) }
+
+// F64Runs fills dst from a column AppendF64Runs wrote with the same runs,
+// which must be non-negative and sum to len(dst); nil runs is one run.
+func (r *Reader) F64Runs(dst []float64, runs []int64) {
 	if len(dst) == 0 || r.Err != nil {
 		return
 	}
@@ -384,31 +417,51 @@ func (r *Reader) F64Column(dst []float64) {
 	if r.Err != nil {
 		return
 	}
-	// lim bounds |q| so that |q·g| ≤ f64ColMaxInt; with |q| ≤ lim a delta
-	// within ±2·lim cannot overflow the sum.
+	// lim bounds |q| so that |q·g| ≤ f64ColMaxInt; with every reference
+	// within ±lim a delta within ±2·lim cannot overflow the sum.
 	lim := int64(0)
 	if g <= f64ColMaxInt {
 		lim = f64ColMaxInt / int64(g)
 	}
-	p, b, q := f64ColPow10[e], r.Buf, int64(0)
-	for i := range dst {
-		var d int64
-		if len(b) > 0 && b[0] < 0x80 { // one-byte varints need no call
-			d, b = int64(b[0]>>1)^-int64(b[0]&1), b[1:]
+	// first is the scaled first value of the previous run. Each run's first
+	// delta is read ahead (d0) so the loop over a run tests nothing per value
+	// that the whole-column loop did not.
+	p, b, first := f64ColPow10[e], r.Buf, int64(0)
+	for k, rest := 0, dst; len(rest) > 0; k++ {
+		run := rest
+		if runs != nil {
+			run = rest[:runs[k]]
+		}
+		if rest = rest[len(run):]; len(run) == 0 {
+			continue
+		}
+		var d0 int64
+		if len(b) > 0 && b[0] < 0x80 {
+			d0 = int64(b[0]>>1) ^ -int64(b[0]&1)
 		} else {
-			v, n := binary.Varint(b)
-			if n <= 0 {
-				r.Err = fmt.Errorf("event: bad varint in float column")
+			d0, _ = binary.Varint(b) // a bad varint fails in the loop below
+		}
+		q := first
+		for i := range run {
+			var d int64
+			if len(b) > 0 && b[0] < 0x80 { // one-byte varints need no call
+				d, b = int64(b[0]>>1)^-int64(b[0]&1), b[1:]
+			} else {
+				v, n := binary.Varint(b)
+				if n <= 0 {
+					r.Err = errF64Varint
+					return
+				}
+				d, b = v, b[n:]
+			}
+			q += d
+			if d > 2*lim || d < -2*lim || q > lim || q < -lim {
+				r.Err = errF64Range
 				return
 			}
-			d, b = v, b[n:]
+			run[i] = float64(q*int64(g)) / p
 		}
-		q += d
-		if d > 2*lim || d < -2*lim || q > lim || q < -lim {
-			r.Err = fmt.Errorf("event: float column value out of range")
-			return
-		}
-		dst[i] = float64(q*int64(g)) / p
+		first += d0
 	}
 	r.Buf = b
 }

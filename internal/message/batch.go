@@ -16,12 +16,14 @@ import (
 // KindWatermark frames from one sender, encoded as a single wire frame.
 //
 // The body is columnar rather than a concatenation of per-frame encodings:
-// slice ids and timestamps are delta-varint streams, group ids are
-// dictionary-coded, and the operator state of all partials is laid out as
-// contiguous per-operator columns (all counts, then all sums, ...). Values
-// of the same column are near-identical across consecutive slices of a
-// stream, so the deltas are tiny and runs collapse — this is what lets a
-// throttled uplink ship events instead of frame headers (§6.5.2, Figure 13b).
+// group ids are dictionary-coded, the operator state of all partials is laid
+// out as contiguous per-operator columns (all counts, then all sums, ...),
+// and every column carries what the decoder cannot derive from what it has
+// already read: slice ids, timestamps and values as residuals against a
+// prediction, Ingested and retained-run lengths against the slice's count.
+// A field the decoder could have derived becomes a zero, and a column of
+// zeros is one run of a few bytes — this is what lets a throttled uplink
+// ship events instead of frame headers (§6.5.2, Figure 13b).
 //
 // Within a batch the producer's frame order is preserved, and producers
 // emit a slice partial strictly before any watermark covering it, so
@@ -42,22 +44,40 @@ type Batch struct {
 type batchScratch struct {
 	partials []*core.SlicePartial
 	dict     []uint32
+	// groupOf holds each partial's dictionary index; next and seen, per
+	// dictionary entry, one past the last slice id of that group and
+	// whether the group has appeared yet; prevID the last slice id of any
+	// group.
+	groupOf []int32
+	next    []uint64
+	seen    []bool
+	prevID  uint64
 	// ints and col stage one int or float column at a time, for the encoder
-	// and the decoder alike.
+	// and the decoder alike; runs holds the retained-value run lengths that
+	// cut the value column.
 	ints []int64
 	col  []float64
+	runs []int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// appendBatchBody appends the columnar encoding of b: a flags byte, always
-// zero, then the payload. Steady-state it allocates nothing beyond growing
-// buf: all staging space comes from the scratch pool.
+// batchLayout is the layout number, the first byte of every KindBatch body.
+// Earlier layouts are refused by name rather than misread: 0 wrote the
+// columns below without residuals, 1 deflated the body.
+const batchLayout = 2
+
+// batchLayoutNames names the layouts a decoder refuses.
+var batchLayoutNames = [batchLayout]string{"absolute columns", "deflated"}
+
+// appendBatchBody appends the columnar encoding of b: the layout byte, then
+// the payload. Steady-state it allocates nothing beyond growing buf: all
+// staging space comes from the scratch pool.
 //
 //desis:hotpath
 func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
 	s := scratchPool.Get().(*batchScratch)
-	buf, err := appendBatchPayload(append(buf, 0), s, b)
+	buf, err := appendBatchPayload(append(buf, batchLayout), s, b)
 	scratchPool.Put(s)
 	if err != nil {
 		return nil, err
@@ -65,14 +85,18 @@ func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeBatchBody parses a columnar batch body (flags byte plus payload)
+// decodeBatchBody parses a columnar batch body (layout byte plus payload)
 // into b, or into a new Batch when b is nil, stamping every decoded frame
 // with the batch sender from. b's frames, and the messages they point to,
-// are refilled. The flags byte is reserved: a nonzero one (a deflated body
-// from an older peer) is refused.
+// are refilled. A body in any layout but batchLayout is refused, naming the
+// layout when it is an earlier one.
 func decodeBatchBody(r *event.Reader, from uint32, b *Batch) *Batch {
-	if flags := r.U8(); flags != 0 {
-		r.Err = fmt.Errorf("message: unknown batch flags %#x", flags)
+	switch layout := r.U8(); {
+	case r.Err != nil, layout == batchLayout:
+	case int(layout) < len(batchLayoutNames):
+		r.Err = fmt.Errorf("message: batch body in layout %d (%s), want layout %d", layout, batchLayoutNames[layout], batchLayout)
+	default:
+		r.Err = fmt.Errorf("message: batch body in unknown layout %d, want layout %d", layout, batchLayout)
 	}
 	if r.Err != nil {
 		return nil
@@ -137,17 +161,25 @@ func batchItems(m *Message) int {
 //	int column of watermark deltas
 //	partial columns, over the partial frames in order:
 //	  group dictionary: uvarint nGroups, then the group ids (uvarint)
-//	  int columns: dictionary index, slice id delta, Start delta,
-//	    End−Start, Ingested, agg count
+//	  int columns: dictionary index, slice id residual, Start delta,
+//	    End−Start, agg count
 //	  int column of the ops of every agg, then per-operator columns, each
-//	  contiguous over all aggs that carry the op: an int column of counts,
-//	  float columns of sums, products and min/max pairs, an int column of
-//	  retained-value run lengths and one float column of all retained values
+//	  contiguous over all aggs that carry the op: an int column of counts
+//	  followed by the per-partial int column of Ingested residuals, float
+//	  columns of sums, products and min/max pairs, an int column of
+//	  retained-value run-length residuals and one float column of all
+//	  retained values, cut into those runs (event.AppendF64Runs)
 //	  int column of EP counts, then int columns of the EP fields QueryIdx,
 //	  Start and End−Start
 //
+// The residuals, each in wrapping int64 arithmetic so any input round-trips:
+// a slice id against one past the previous id of its group in this batch,
+// or against the previous partial's id at the group's first partial;
+// Ingested against the first agg's count when that agg has OpCount, else
+// against 0; a run length against its agg's count when the agg has OpCount.
 // A column that holds one value throughout (End−Start, the agg count and
-// ops of a stream's partials) costs a few bytes per batch.
+// ops of a stream's partials, residuals of derivable fields) costs a few
+// bytes per batch.
 //
 //desis:hotpath
 func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
@@ -202,38 +234,36 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 	// stream pays one dictionary entry and a one-run index column. A linear
 	// scan keeps the dictionary allocation-free: batches carry a handful of
 	// groups.
-	dict := s.dict[:0]
+	dict, groupOf := s.dict[:0], s.groupOf[:0]
 	for _, p := range partials {
-		if dictFind(dict, p.Group) < 0 {
-			dict = append(dict, p.Group)
+		j := dictFind(dict, p.Group)
+		if j < 0 {
+			j, dict = len(dict), append(dict, p.Group)
 		}
+		groupOf = append(groupOf, int32(j))
+		s.ints = append(s.ints, int64(j))
 	}
-	s.dict = dict // dictionary is complete; keep the grown slice
+	s.dict, s.groupOf = dict, groupOf // complete; keep the grown slices
 	buf = binary.AppendUvarint(buf, uint64(len(dict)))
 	for _, g := range dict {
 		buf = binary.AppendUvarint(buf, uint64(g))
 	}
-	for _, p := range partials {
-		s.ints = append(s.ints, int64(dictFind(dict, p.Group)))
-	}
 	buf = s.intColumn(buf)
 
-	// Slice id and Start, delta-coded against the previous partial; the
-	// other times against the partial's own bounds.
-	for _, p := range partials {
-		s.ints = append(s.ints, int64(p.ID))
+	// Slice ids against their group's next id; Start delta-coded against
+	// the previous partial, End against the partial's own Start.
+	s.resetGroups(len(dict))
+	for i, p := range partials {
+		s.ints = append(s.ints, int64(p.ID-s.predictID(groupOf[i])))
+		s.noteID(groupOf[i], p.ID)
 	}
-	buf = s.deltaColumn(buf)
+	buf = s.intColumn(buf)
 	for _, p := range partials {
 		s.ints = append(s.ints, p.Start)
 	}
 	buf = s.deltaColumn(buf)
 	for _, p := range partials {
 		s.ints = append(s.ints, p.End-p.Start)
-	}
-	buf = s.intColumn(buf)
-	for _, p := range partials {
-		s.ints = append(s.ints, p.Ingested)
 	}
 	buf = s.intColumn(buf)
 
@@ -258,13 +288,17 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 	}
 	buf = s.intColumn(buf)
 	for _, p := range partials {
+		s.ints = append(s.ints, p.Ingested-ingestedPrediction(p))
+	}
+	buf = s.intColumn(buf)
+	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpSum != 0 {
 				s.col = append(s.col, p.Aggs[i].SumV)
 			}
 		}
 	}
-	buf = s.f64Column(buf)
+	buf = s.f64Column(buf, nil)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpMult != 0 {
@@ -272,7 +306,7 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 			}
 		}
 	}
-	buf = s.f64Column(buf)
+	buf = s.f64Column(buf, nil)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpDSort != 0 {
@@ -280,17 +314,20 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 			}
 		}
 	}
-	buf = s.f64Column(buf)
+	buf = s.f64Column(buf, nil)
+	runs := s.runs[:0]
 	for _, p := range partials {
 		for i := range p.Aggs {
-			if p.Aggs[i].Ops&operator.OpNDSort != 0 {
-				s.ints = append(s.ints, int64(len(p.Aggs[i].Values)))
-				s.col = append(s.col, p.Aggs[i].Values...)
+			if a := &p.Aggs[i]; a.Ops&operator.OpNDSort != 0 {
+				runs = append(runs, int64(len(a.Values)))
+				s.ints = append(s.ints, int64(len(a.Values))-runPrediction(a))
+				s.col = append(s.col, a.Values...)
 			}
 		}
 	}
+	s.runs = runs
 	buf = s.intColumn(buf)
-	buf = s.f64Column(buf)
+	buf = s.f64Column(buf, runs)
 
 	// EP columns.
 	for _, p := range partials {
@@ -340,14 +377,63 @@ func (s *batchScratch) deltaColumn(buf []byte) []byte {
 	return s.intColumn(buf)
 }
 
-// f64Column writes the staged floats as one float column and empties the
-// stage.
+// f64Column writes the staged floats as one float column cut into runs
+// (nil: one run) and empties the stage.
 //
 //desis:hotpath
-func (s *batchScratch) f64Column(buf []byte) []byte {
-	buf = event.AppendF64Column(buf, s.col)
+func (s *batchScratch) f64Column(buf []byte, runs []int64) []byte {
+	buf = event.AppendF64Runs(buf, s.col, runs)
 	s.col = s.col[:0]
 	return buf
+}
+
+// resetGroups readies the per-group slice id predictions for a dictionary
+// of n groups, none of them seen yet.
+//
+//desis:hotpath
+func (s *batchScratch) resetGroups(n int) {
+	s.next, s.seen, s.prevID = resize(s.next, n), resize(s.seen, n), 0
+	clear(s.seen)
+}
+
+// predictID is what the slice id of the next partial of dictionary entry j
+// is coded against: one past the group's previous id, or at the group's
+// first partial the previous partial's id (0 for the batch's first).
+// Interleaved groups that slice alike therefore predict every id exactly.
+//
+//desis:hotpath
+func (s *batchScratch) predictID(j int32) uint64 {
+	if s.seen[j] {
+		return s.next[j]
+	}
+	return s.prevID
+}
+
+// noteID records id as the slice id of dictionary entry j's latest partial.
+//
+//desis:hotpath
+func (s *batchScratch) noteID(j int32, id uint64) {
+	s.next[j], s.seen[j], s.prevID = id+1, true, id
+}
+
+// ingestedPrediction is what a partial's Ingested is coded against: the
+// first agg's count when that agg has OpCount, since a slice's first
+// aggregate usually counts every event it ingested; 0 otherwise.
+func ingestedPrediction(p *core.SlicePartial) int64 {
+	if len(p.Aggs) > 0 && p.Aggs[0].Ops&operator.OpCount != 0 {
+		return p.Aggs[0].CountV
+	}
+	return 0
+}
+
+// runPrediction is what an agg's retained-run length is coded against: its
+// count when it has OpCount, since a run retains every value counted; 0
+// otherwise.
+func runPrediction(a *operator.Agg) int64 {
+	if a.Ops&operator.OpCount != 0 {
+		return a.CountV
+	}
+	return 0
 }
 
 // stashPartials zeroes and stores back the partial work list so a pooled
@@ -378,10 +464,10 @@ func (s *batchScratch) readInts(r *event.Reader, n int) []int64 {
 	return s.ints
 }
 
-// readF64s is readInts for a float column.
-func (s *batchScratch) readF64s(r *event.Reader, n int) []float64 {
+// readF64s is readInts for a float column cut into runs (nil: one run).
+func (s *batchScratch) readF64s(r *event.Reader, n int, runs []int64) []float64 {
 	s.col = slices.Grow(s.col[:0], n)[:n]
-	r.F64Column(s.col)
+	r.F64Runs(s.col, runs)
 	return s.col
 }
 
@@ -442,8 +528,8 @@ func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 	if r.Err != nil {
 		return false
 	}
-	s.dict = resize(s.dict, int(nDict))
-	dict := s.dict
+	s.dict, s.groupOf = resize(s.dict, int(nDict)), resize(s.groupOf, nP)
+	dict, groupOf := s.dict, s.groupOf
 	for i := range dict {
 		dict[i] = uint32(r.Uvarint())
 	}
@@ -454,24 +540,22 @@ func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 		if r.Err != nil {
 			return false
 		}
-		partials[i].Group = dict[idx]
+		partials[i].Group, groupOf[i] = dict[idx], int32(idx)
 	}
 
-	prev := int64(0)
+	s.resetGroups(len(dict))
 	for i, d := range s.readInts(r, nP) {
-		prev += d
-		partials[i].ID = uint64(prev)
+		id := s.predictID(groupOf[i]) + uint64(d)
+		s.noteID(groupOf[i], id)
+		partials[i].ID = id
 	}
-	prev = 0
+	prev := int64(0)
 	for i, d := range s.readInts(r, nP) {
 		prev += d
 		partials[i].Start = prev
 	}
 	for i, d := range s.readInts(r, nP) {
 		partials[i].End = partials[i].Start + d
-	}
-	for i, v := range s.readInts(r, nP) {
-		partials[i].Ingested = v
 	}
 
 	items := n
@@ -526,8 +610,11 @@ func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 			}
 		}
 	}
+	for i, d := range s.readInts(r, nP) {
+		partials[i].Ingested = ingestedPrediction(partials[i]) + d
+	}
 	k = 0
-	sums := s.readF64s(r, nSum)
+	sums := s.readF64s(r, nSum, nil)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpSum != 0 {
@@ -537,7 +624,7 @@ func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 		}
 	}
 	k = 0
-	prods := s.readF64s(r, nMult)
+	prods := s.readF64s(r, nMult, nil)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpMult != 0 {
@@ -547,7 +634,7 @@ func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 		}
 	}
 	k = 0
-	minMax := s.readF64s(r, 2*nDSort)
+	minMax := s.readF64s(r, 2*nDSort, nil)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			if p.Aggs[i].Ops&operator.OpDSort != 0 {
@@ -558,15 +645,17 @@ func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 	}
 	// Every retained value costs at least one byte of its float column;
 	// the bound is on the running total, so n aggs cannot each claim the
-	// whole remaining buffer.
+	// whole remaining buffer. A run-length residual that wraps past
+	// MaxInt64 reads as a negative length and is refused with the rest.
 	total, k := 0, 0
-	lens := s.readInts(r, nNDSort)
+	lens, runs := s.readInts(r, nNDSort), s.runs[:0]
 	for _, p := range partials {
 		for i := range p.Aggs {
-			if p.Aggs[i].Ops&operator.OpNDSort == 0 {
+			a := &p.Aggs[i]
+			if a.Ops&operator.OpNDSort == 0 {
 				continue
 			}
-			l := lens[k]
+			l := runPrediction(a) + lens[k]
 			k++
 			if r.Err == nil && (l < 0 || l > int64(len(r.Buf)-total)) {
 				r.Err = fmt.Errorf("message: batch claims %d more retained values in %d bytes", l, len(r.Buf))
@@ -575,11 +664,13 @@ func (s *batchScratch) decode(r *event.Reader, from uint32, b *Batch) bool {
 				return false
 			}
 			total += int(l)
-			p.Aggs[i].Values = resize(p.Aggs[i].Values, int(l))
-			p.Aggs[i].Sorted = true
+			runs = append(runs, l)
+			a.Values = resize(a.Values, int(l))
+			a.Sorted = true
 		}
 	}
-	vals := s.readF64s(r, total)
+	s.runs = runs
+	vals := s.readF64s(r, total, runs)
 	for _, p := range partials {
 		for i := range p.Aggs {
 			vals = vals[copy(p.Aggs[i].Values, vals):]

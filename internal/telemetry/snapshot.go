@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"desis/internal/event"
-	"desis/internal/metrics"
 )
 
 // Snapshot is a point-in-time copy of a registry (or a merge of many —
@@ -17,9 +16,9 @@ import (
 // because every gauge name is node-qualified (node.<id>.…) or describes
 // an additive quantity (replay-ring occupancy).
 type Snapshot struct {
-	Counters map[string]uint64                `json:"counters,omitempty"`
-	Gauges   map[string]int64                 `json:"gauges,omitempty"`
-	Hists    map[string]metrics.HistogramData `json:"histograms,omitempty"`
+	Counters map[string]uint64        `json:"counters,omitempty"`
+	Gauges   map[string]int64         `json:"gauges,omitempty"`
+	Hists    map[string]HistogramData `json:"histograms,omitempty"`
 }
 
 // NewSnapshot returns an empty snapshot with all maps allocated.
@@ -27,12 +26,11 @@ func NewSnapshot() *Snapshot {
 	return &Snapshot{
 		Counters: map[string]uint64{},
 		Gauges:   map[string]int64{},
-		Hists:    map[string]metrics.HistogramData{},
+		Hists:    map[string]HistogramData{},
 	}
 }
 
-// Merge folds o into s. Histogram merging reuses metrics.Histogram.Merge
-// via the portable form, so wire-merged quantiles equal in-process ones.
+// Merge folds o into s; histograms merge through HistogramData.Merge.
 func (s *Snapshot) Merge(o *Snapshot) {
 	if o == nil {
 		return
@@ -168,20 +166,20 @@ func DecodeSnapshot(r *event.Reader) *Snapshot {
 	n = r.Uvarint()
 	for i := uint64(0); i < n && r.Err == nil; i++ {
 		k := r.String()
-		var h metrics.HistogramData
+		var h HistogramData
 		h.Count = r.Uvarint()
 		h.Sum = time.Duration(r.Varint())
 		h.Max = time.Duration(r.Varint())
 		nb := r.Uvarint()
 		// Bound the bucket count before allocating: a histogram cannot
 		// have more distinct buckets than the geometry allows.
-		if r.Err == nil && nb > metrics.NumBuckets {
-			r.Err = fmt.Errorf("telemetry: %d histogram buckets exceeds %d", nb, metrics.NumBuckets)
+		if r.Err == nil && nb > numBuckets {
+			r.Err = fmt.Errorf("telemetry: %d histogram buckets exceeds %d", nb, numBuckets)
 		}
 		for j := uint64(0); j < nb && r.Err == nil; j++ {
 			idx := r.Uvarint()
 			cnt := r.Uvarint()
-			h.Buckets = append(h.Buckets, metrics.BucketCount{Index: int(idx), N: cnt})
+			h.Buckets = append(h.Buckets, BucketCount{Index: int(idx), N: cnt})
 		}
 		if r.Err == nil {
 			s.Hists[k] = h

@@ -7,8 +7,8 @@
 // Design rules:
 //
 //   - Recording never allocates and never takes a lock — instruments are
-//     plain atomics; the Histogram shadows metrics.Histogram with an
-//     atomic bucket array sharing the same bucket geometry.
+//     plain atomics; the Histogram is an atomic array of logarithmic
+//     buckets (histogram.go).
 //   - Every method tolerates a nil receiver (no-op / zero), so code can
 //     hold optional instrument pointers and call them unconditionally:
 //     an unattached registry costs one predictable branch per call site.
@@ -21,9 +21,6 @@ package telemetry
 import (
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"desis/internal/metrics"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -82,57 +79,6 @@ func (g *Gauge) Load() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Histogram is the concurrent twin of metrics.Histogram: same logarithmic
-// bucket geometry (metrics.BucketIndex / metrics.BucketValue), but every
-// cell is atomic so shards and goroutines record without coordination.
-// Export converts to metrics.HistogramData, whose merging delegates to
-// metrics.Histogram.Merge.
-type Histogram struct {
-	buckets [metrics.NumBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Int64
-	max     atomic.Int64
-}
-
-// Record adds one duration sample. No-op on nil.
-//
-//desis:hotpath
-func (h *Histogram) Record(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.buckets[metrics.BucketIndex(d)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-	for {
-		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// Export snapshots the histogram into its portable form. The buckets are
-// read one by one while writers may be recording, so the export is a
-// consistent-enough view (each cell individually exact); count/sum/max
-// may trail the bucket totals by in-flight samples, never the reverse,
-// because Record bumps buckets first.
-func (h *Histogram) Export() metrics.HistogramData {
-	if h == nil {
-		return metrics.HistogramData{}
-	}
-	var d metrics.HistogramData
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n != 0 {
-			d.Buckets = append(d.Buckets, metrics.BucketCount{Index: i, N: n})
-		}
-	}
-	d.Count = h.count.Load()
-	d.Sum = time.Duration(h.sum.Load())
-	d.Max = time.Duration(h.max.Load())
-	return d
 }
 
 // instrumentSet is an immutable view of the registry's instruments. A new

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"desis/internal/event"
-	"desis/internal/metrics"
 )
 
 // Count reports the number of samples; 0 on nil.
@@ -117,28 +115,6 @@ func TestSnapshotValues(t *testing.T) {
 	}
 }
 
-func TestHistogramMatchesMetricsGeometry(t *testing.T) {
-	var ours Histogram
-	var want metrics.HistogramData
-	var buckets [metrics.NumBuckets]uint64
-	for i := 1; i <= 1000; i++ {
-		d := time.Duration(i*i) * time.Microsecond
-		ours.Record(d)
-		buckets[metrics.BucketIndex(d)]++
-		want.Count++
-		want.Sum += d
-		want.Max = d
-	}
-	for i, n := range buckets {
-		if n != 0 {
-			want.Buckets = append(want.Buckets, metrics.BucketCount{Index: i, N: n})
-		}
-	}
-	if got := ours.Export(); !reflect.DeepEqual(got, want) {
-		t.Errorf("atomic histogram %q diverged from metrics geometry %q", got.Summary(), want.Summary())
-	}
-}
-
 func TestSnapshotMerge(t *testing.T) {
 	a := NewSnapshot()
 	a.Counters["x"] = 1
@@ -224,7 +200,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	}
 	// A hostile bucket count larger than the geometry is rejected.
 	hostile := NewSnapshot()
-	hostile.Hists["x"] = metrics.HistogramData{Count: 1}
+	hostile.Hists["x"] = HistogramData{Count: 1}
 	hb := AppendSnapshot(nil, hostile)
 	// Patch the bucket count (last uvarint) to a huge value.
 	hb[len(hb)-1] = 0xff
