@@ -29,8 +29,9 @@ func localSliceRate(qs []query.Query, sc gen.StreamConfig, events int) (float64,
 
 // mergeRate measures an intermediate/root merge stage: it replays nSlices
 // aligned slices from children child nodes, each slice summarising
-// eventsPerSlice events with ctxs selection contexts, and reports the
-// equivalent events/second the stage sustains.
+// eventsPerSlice events with ctxs selection contexts and followed by its
+// child's watermark, and reports the equivalent events/second the stage
+// sustains, merging and forwarding.
 func mergeRate(children, nSlices, eventsPerSlice, ctxs int, ops operator.Op) float64 {
 	ids := make([]uint32, children)
 	for i := range ids {
@@ -70,6 +71,7 @@ func mergeRate(children, nSlices, eventsPerSlice, ctxs int, ops operator.Op) flo
 	for _, b := range batches {
 		for c, p := range b {
 			m.HandlePartial(ids[c], p)
+			m.HandleWatermark(ids[c], p.End)
 		}
 	}
 	el := time.Since(start).Seconds()
@@ -257,17 +259,20 @@ func Fig12(cfg Config, median bool, id string) (*Table, error) {
 	t.Add("Desis", 0, float64(localLat.mean().Nanoseconds())/1000)
 
 	// Intermediate: merge completion latency over the emitted partials
-	// replayed from two children.
+	// replayed from two children, each followed by its child's watermark:
+	// from the second contribution to the forward its watermark releases.
 	m := node.NewMerger([]uint32{1, 2})
 	m.Out = func(*core.SlicePartial) {}
 	var interLat latencySamples
 	for _, p := range emitted {
 		m.HandlePartial(1, p)
+		m.HandleWatermark(1, p.End)
 		// A deep copy: the merger releases the second contribution to the
 		// decode pool, which must not share storage with p.
 		q := p.Clone()
 		t0 := time.Now()
 		m.HandlePartial(2, q)
+		m.HandleWatermark(2, p.End)
 		interLat.record(time.Since(t0), 1)
 	}
 	t.Add("Desis", 1, float64(interLat.mean().Nanoseconds())/1000)

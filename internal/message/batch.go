@@ -38,9 +38,10 @@ type Batch struct {
 
 // batchScratch holds the encoder's and decoder's reusable staging space:
 // the partial/dictionary work lists and one column at a time. Scratches
-// recycle through a sync.Pool rather than living on the BatchingConn because
-// replayed KindBatch frames are re-encoded by whichever goroutine is
-// reconnecting, concurrently with the pump encoding fresh batches.
+// recycle through a sync.Pool because the codec is a stateless value every
+// connection shares: batcher pumps encode and connection readers decode
+// concurrently. (The replay ring resends the bytes it recorded, so a
+// replayed KindBatch frame is never re-encoded.)
 type batchScratch struct {
 	partials []*core.SlicePartial
 	dict     []uint32

@@ -3,6 +3,7 @@ package node
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -20,9 +21,17 @@ import (
 // attributes, closes session and user-defined windows from unions of the
 // children's EPs once the watermark passes them (the gap covering of
 // §5.1.2), and emits final query results.
+//
+// Partials arrive matured, as the root's merger flushes them: every partial
+// added before AdvanceTo(w) ends at or before w, and one group's partials
+// come in (End, Start) order, so a user-defined member's bar is the partial
+// of its newest marker.
 type Assembler struct {
 	states   map[uint32]*rootGroup
 	onResult func(core.Result)
+	// addedEnd is the newest End added since the last AdvanceTo, which the
+	// checked build holds to the watermark AdvanceTo is given.
+	addedEnd int64
 	// tel registers a group.<id>.windows counter per distributed group, so
 	// root-assembled windows land under the same names the single-node
 	// engine uses and cluster-wide merges line up per group.
@@ -34,9 +43,8 @@ type rootGroup struct {
 	g          *query.Group
 	telWindows *telemetry.Counter
 	cal        window.Calendar
-	buffer     []*core.SlicePartial  // arrived, waiting for the watermark
-	store      []storedPartial       // processed, sorted by Start
-	take       []*core.SlicePartial  // scratch: the partials one watermark matured, empty between calls
+	store      []storedPartial       // sorted by Start, unless unsorted
+	unsorted   bool                  // a partial added since the last AdvanceTo started before its predecessor
 	unions     map[int32]*unionState // session and user-defined members
 	started    bool
 	lastPunct  int64
@@ -47,7 +55,7 @@ type rootGroup struct {
 	stored     uint64                  // partials stored so far: the next storedPartial.key
 }
 
-// storedPartial is a matured partial in a group's store with the key that
+// storedPartial is a partial in a group's store with the key that
 // names its value runs to the selection memos. Partials with equal extents
 // (two children's session EPs) are different runs, so the key counts the
 // group's stored partials instead of reading the extent.
@@ -78,7 +86,7 @@ type interval struct{ start, end int64 }
 
 // NewAssembler builds the assembly stage for the distributed groups.
 func NewAssembler(groups []*query.Group, onResult func(core.Result)) *Assembler {
-	a := &Assembler{states: make(map[uint32]*rootGroup), onResult: onResult}
+	a := &Assembler{states: make(map[uint32]*rootGroup), onResult: onResult, addedEnd: math.MinInt64}
 	for _, g := range groups {
 		if g.Placement != query.Distributed {
 			continue
@@ -170,80 +178,58 @@ func (a *Assembler) RemoveMember(groupID uint32, idx int) {
 	delete(rg.unions, int32(idx))
 }
 
-// AddPartial buffers a merged partial until the watermark matures it. The
-// assembler owns p from here: prune releases it to the decode pool once no
-// window can need it.
+// AddPartial stores a matured merged partial: its EPs join their members'
+// unions and it extends the group's store. The assembler owns p from here:
+// prune releases it to the decode pool once no window can need it.
 func (a *Assembler) AddPartial(p *core.SlicePartial) {
 	rg, ok := a.states[p.Group]
 	if !ok {
 		message.ReleasePartial(p)
 		return
 	}
-	rg.buffer = append(rg.buffer, p)
+	a.addedEnd = max(a.addedEnd, p.End)
+	if !rg.started {
+		rg.started = true
+		rg.lastPunct = p.Start
+		for _, u := range rg.unions {
+			u.openStart = p.Start
+		}
+	}
+	for _, ep := range p.EPs {
+		u, ok := rg.unions[ep.QueryIdx]
+		if !ok {
+			continue
+		}
+		u.add(ep.Start, ep.End)
+		if rg.g.Queries[ep.QueryIdx].Type == query.UserDefined {
+			u.barStart, u.barEnd, u.barSet = p.Start, p.End, true
+		}
+	}
+	// In-order partials extend the store in place; only one that starts
+	// before the store's last entry makes it owe a sort.
+	if n := len(rg.store); n > 0 && p.Start < rg.store[n-1].Start {
+		rg.unsorted = true
+	}
+	rg.store = append(rg.store, storedPartial{p, rg.stored})
+	rg.stored++
 }
 
-// AdvanceTo processes everything the watermark W has matured: partials with
-// End <= W, fixed boundaries <= W, and session and user-defined unions that
-// end at or before W.
+// AdvanceTo closes everything the watermark W has matured: fixed boundaries
+// <= W, and session and user-defined unions that end at or before W.
 func (a *Assembler) AdvanceTo(w int64) {
+	if invariant.Enabled {
+		invariant.Assertf(a.addedEnd <= w, "assembler advanced to %d with a partial ending at %d added since: partials must arrive matured", w, a.addedEnd)
+	}
+	a.addedEnd = math.MinInt64
 	for _, rg := range a.states {
 		a.advanceGroup(rg, w)
 	}
 }
 
 func (a *Assembler) advanceGroup(rg *rootGroup, w int64) {
-	// Mature partials, in (End, Start) order so a user-defined member's bar
-	// is the partial of its newest marker.
-	take := rg.take[:0]
-	rest := rg.buffer[:0]
-	for _, p := range rg.buffer {
-		if p.End <= w {
-			take = append(take, p)
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	// Zero the dead tail: the matured partials are recycled after assembly,
-	// and the buffer must not keep the recycled pointers reachable past len.
-	clear(rg.buffer[len(rest):])
-	rg.buffer = rest
-	slices.SortFunc(take, func(p, q *core.SlicePartial) int {
-		if c := cmp.Compare(p.End, q.End); c != 0 {
-			return c
-		}
-		return cmp.Compare(p.Start, q.Start)
-	})
-	// In-order partials extend the store in place; only one that starts
-	// before the store's last entry makes it owe a sort.
-	unsorted := false
-	for _, p := range take {
-		if !rg.started {
-			rg.started = true
-			rg.lastPunct = p.Start
-			for _, u := range rg.unions {
-				u.openStart = p.Start
-			}
-		}
-		for _, ep := range p.EPs {
-			u, ok := rg.unions[ep.QueryIdx]
-			if !ok {
-				continue
-			}
-			u.add(ep.Start, ep.End)
-			if rg.g.Queries[ep.QueryIdx].Type == query.UserDefined {
-				u.barStart, u.barEnd, u.barSet = p.Start, p.End, true
-			}
-		}
-		if n := len(rg.store); n > 0 && p.Start < rg.store[n-1].Start {
-			unsorted = true
-		}
-		rg.store = append(rg.store, storedPartial{p, rg.stored})
-		rg.stored++
-	}
-	clear(take) // the store owns them now
-	rg.take = take[:0]
-	if unsorted {
+	if rg.unsorted {
 		slices.SortFunc(rg.store, func(p, q storedPartial) int { return cmp.Compare(p.Start, q.Start) })
+		rg.unsorted = false
 	}
 	if !rg.started {
 		return

@@ -14,15 +14,18 @@ import (
 
 // childSet is the child side of a TCP parent, shared by RootServer and
 // IntermediateServer: the listener, the membership of DESIGN.md §5c (admit
-// with supersede, goodbye, depart, eviction), the grace-timed finish line,
-// the downward broadcast, stats-reply routing and the Wait verdict. The
-// embedding server keeps its own receive loop and supplies join and leave,
-// which adjust its merger's expected child set under mu.
+// with supersede, goodbye, depart, eviction), the per-child receive loop,
+// the grace-timed finish line, the downward broadcast, heartbeat digests and
+// stats-reply routing, and the Wait verdict. The embedding server supplies
+// join and leave, which adjust its merger's expected child set under mu,
+// the watermark its children's lag is measured against, and to serveChild
+// how a child's frames are handled and flushed upward.
 type childSet struct {
 	l           *message.Listener
 	tel         *telemetry.Registry
 	timeout     time.Duration
 	join, leave func(id uint32)
+	watermark   func() int64
 
 	// mu guards the fields below (the root also serialises its pipeline
 	// under it).
@@ -31,7 +34,6 @@ type childSet struct {
 	// hist is the plan history a joining child resyncs from by epoch diff.
 	hist     *plan.History
 	expected int
-	active   int
 	seenIDs  map[uint32]bool
 	evicted  map[uint32]bool
 	// goodbye marks children that announced a deliberate departure
@@ -39,6 +41,9 @@ type childSet struct {
 	// may therefore still reconnect. Both reset when the id returns.
 	goodbye map[uint32]bool
 	unclean map[uint32]bool
+	// loads holds the most recent heartbeat load digest per child, for the
+	// per-child lag gauges (lagGauges).
+	loads map[uint32]*telemetry.LoadDigest
 	// err is the first child-stream error, reported by Wait.
 	err error
 	// statsC, when non-nil, routes KindStatsDump replies arriving on child
@@ -58,21 +63,23 @@ type childSet struct {
 	statsMu sync.Mutex
 }
 
-func newChildSet(l *message.Listener, tel *telemetry.Registry, hist *plan.History, nChildren int, timeout time.Duration, join, leave func(uint32)) *childSet {
+func newChildSet(l *message.Listener, tel *telemetry.Registry, hist *plan.History, nChildren int, timeout time.Duration, join, leave func(uint32), watermark func() int64) *childSet {
 	return &childSet{
-		l:        l,
-		tel:      tel,
-		timeout:  timeout,
-		join:     join,
-		leave:    leave,
-		children: make(map[uint32]*message.TCPConn),
-		hist:     hist,
-		expected: nChildren,
-		seenIDs:  make(map[uint32]bool),
-		evicted:  make(map[uint32]bool),
-		goodbye:  make(map[uint32]bool),
-		unclean:  make(map[uint32]bool),
-		done:     make(chan struct{}),
+		l:         l,
+		tel:       tel,
+		timeout:   timeout,
+		join:      join,
+		leave:     leave,
+		watermark: watermark,
+		children:  make(map[uint32]*message.TCPConn),
+		hist:      hist,
+		expected:  nChildren,
+		seenIDs:   make(map[uint32]bool),
+		evicted:   make(map[uint32]bool),
+		goodbye:   make(map[uint32]bool),
+		unclean:   make(map[uint32]bool),
+		loads:     make(map[uint32]*telemetry.LoadDigest),
+		done:      make(chan struct{}),
 	}
 }
 
@@ -145,7 +152,6 @@ func (c *childSet) admit(conn *message.TCPConn, hello *message.Message) bool {
 	if prev, live := c.children[id]; live {
 		prev.Close()
 	} else {
-		c.active++
 		c.join(id) // (re-)join the merge expectations (§3.2)
 	}
 	c.seenIDs[id] = true
@@ -173,11 +179,52 @@ func planResync(hist *plan.History, epoch uint64) *message.Message {
 	return &message.Message{Kind: message.KindPlanState, Plan: hist.Plan()}
 }
 
+// serveChild admits child hello.From and runs its stream until the child
+// departs: frames for the parent itself go to route, the rest to handle,
+// whose error is kept for Wait. flush puts what handling queued upward on
+// the wire, outside every lock, and runs before the loop blocks for the
+// child's next frame — so a burst leaves in one write and nothing waits
+// behind a child that has gone silent — and after a departure, which may
+// have advanced the merged watermark.
+func (c *childSet) serveChild(conn *message.TCPConn, hello *message.Message, handle func(*message.Message) error, flush func()) {
+	id := hello.From
+	if !c.admit(conn, hello) {
+		flush()
+		return
+	}
+	for {
+		if conn.InputBuffered() == 0 {
+			flush()
+		}
+		m, err := conn.RecvTimeout(c.timeout)
+		if err != nil {
+			c.depart(id, conn, err)
+			flush()
+			return
+		}
+		if c.route(id, conn, m) {
+			continue
+		}
+		if err := handle(m); err != nil {
+			c.mu.Lock()
+			c.failLocked(id, err)
+			c.mu.Unlock()
+		}
+	}
+}
+
 // route takes the frames a child addresses to its parent rather than to
-// the merge pipeline: a goodbye marks the coming departure clean, a stats
-// reply goes to the collection in flight. It reports whether m was one.
+// the merge pipeline: a goodbye marks the coming departure clean, a
+// heartbeat's load digest is kept for the lag gauges, a stats reply goes to
+// the collection in flight. It reports whether m was one.
 func (c *childSet) route(id uint32, conn *message.TCPConn, m *message.Message) bool {
 	switch m.Kind {
+	case message.KindHeartbeat:
+		if m.Load != nil {
+			c.mu.Lock()
+			c.loads[id] = m.Load
+			c.mu.Unlock()
+		}
 	case message.KindGoodbye:
 		c.mu.Lock()
 		if c.children[id] == conn {
@@ -220,7 +267,6 @@ func (c *childSet) depart(id uint32, conn *message.TCPConn, rerr error) {
 	}
 	delete(c.children, id)
 	c.leave(id)
-	c.active--
 	switch {
 	case errors.Is(rerr, message.ErrTimeout):
 		c.evicted[id] = true
@@ -236,7 +282,7 @@ func (c *childSet) depart(id uint32, conn *message.TCPConn, rerr error) {
 // finishedLocked reports whether every expected child has been seen and
 // none is active.
 func (c *childSet) finishedLocked() bool {
-	return c.expected > 0 && len(c.seenIDs) >= c.expected && c.active == 0
+	return c.expected > 0 && len(c.seenIDs) >= c.expected && len(c.children) == 0
 }
 
 // maybeDoneLocked closes done once the children are finished. If any seen
@@ -306,6 +352,20 @@ func (c *childSet) broadcastLocked(m *message.Message) error {
 // a shorter bound than the root so their (partial) reply still arrives
 // inside the root's window.
 const statsWait = 2 * time.Second
+
+// lagGauges sets the per-child gauges from the latest heartbeat digests:
+// how far each child's plan epoch and watermark trail this node's, and how
+// full its replay ring is.
+func (c *childSet) lagGauges() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	epoch, wm := c.hist.Epoch(), c.watermark()
+	for id, d := range c.loads {
+		c.tel.Gauge(fmt.Sprintf("node.%d.epoch_lag", id)).Set(int64(epoch) - int64(d.Epoch))
+		c.tel.Gauge(fmt.Sprintf("node.%d.watermark_lag", id)).Set(wm - d.Watermark)
+		c.tel.Gauge(fmt.Sprintf("node.%d.replay_occupancy", id)).Set(int64(d.ReplayLen))
+	}
+}
 
 // collectStats asks every child for its subtree's snapshot (children
 // forward the request down their own subtree, so the recursion covers the

@@ -197,7 +197,8 @@ func (c *Cluster) pumpToRoot(conn message.Conn) {
 }
 
 // pumpToIntermediate drains a connection into intermediate idx until EOF;
-// the node's own mutex serialises concurrent children.
+// the node's own mutex serialises concurrent children, and each pump flushes
+// the parent link outside it, as a TCP intermediate's child pumps do.
 func (c *Cluster) pumpToIntermediate(idx int, conn message.Conn) {
 	n := c.inters[idx]
 	c.wg.Add(1)
@@ -210,7 +211,8 @@ func (c *Cluster) pumpToIntermediate(idx int, conn message.Conn) {
 			if err != nil {
 				return
 			}
-			_ = n.HandleLocked(m)
+			_ = n.handleQueued(m)
+			n.flushParent()
 		}
 	}()
 }

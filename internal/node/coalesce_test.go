@@ -165,14 +165,16 @@ func TestFaultSeverWithUnflushedFrames(t *testing.T) {
 			if unflushed == 0 || unflushed >= replayDepth/2 {
 				t.Errorf("unflushed frames before the cut: %d, want in (0, %d)", unflushed, replayDepth/2)
 			}
-			// One child, so the root's merger forwards each partial as it
-			// arrives: its count is the number of frames delivered. (Every
-			// slice here holds events, so every slice is a frame.)
+			// One child, so every partial that arrived is one the root's
+			// merger holds or has forwarded: their count is the number of
+			// frames delivered. (Every slice here holds events, so every
+			// slice is a frame.)
 			written := int64(l.l.engine.Stats().Slices) - int64(unflushed)
 			delivered := func() bool {
 				root.mu.Lock()
 				defer root.mu.Unlock()
-				return root.root.merger.PartialsSent() >= written
+				mg := root.root.merger
+				return int64(mg.pending)+mg.PartialsSent() >= written
 			}
 			for deadline := time.Now().Add(5 * time.Second); !delivered(); time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {

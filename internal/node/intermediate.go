@@ -2,7 +2,6 @@ package node
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"desis/internal/core"
@@ -18,8 +17,8 @@ import (
 //
 // What the merger emits is queued on the parent link and flushed before the
 // call that caused it returns, so a caller that pumps messages into Handle
-// sees every output on the wire when Handle returns. IntermediateServer
-// defers that flush across a child's burst (handleQueued, flushParent).
+// sees every output on the wire when Handle returns. Concurrent child pumps
+// (IntermediateServer, Cluster) take handleQueued and flushParent instead.
 type Intermediate struct {
 	id     uint32
 	merger *Merger
@@ -84,40 +83,18 @@ func (n *Intermediate) Handle(m *message.Message) error {
 	return err
 }
 
-// handle is Handle without the flush.
+// handle is Handle without the flush. The merged output re-batches on this
+// node's own uplink if it is batching too.
 func (n *Intermediate) handle(m *message.Message) error {
-	switch m.Kind {
-	case message.KindPartial:
-		n.merger.HandlePartial(m.From, m.Partial)
-	case message.KindWatermark:
-		n.merger.HandleWatermark(m.From, m.Watermark)
-	case message.KindEventBatch:
-		n.merger.HandleEvents(m.From, m.Events)
-	case message.KindBatch:
-		// Unbatch in order under the same (caller-held) lock; the merged
-		// output re-batches on this node's own uplink if it is batching too.
-		for _, f := range m.Batch.Frames {
-			if err := n.handle(f); err != nil {
-				return err
-			}
-		}
-	case message.KindHello, message.KindHeartbeat, message.KindGoodbye:
-	default:
-		return fmt.Errorf("node: intermediate cannot handle message kind %d", m.Kind)
+	if err := n.merger.Handle(m); err != nil {
+		return err
 	}
 	return n.err
 }
 
-// HandleLocked is Handle behind the node's mutex, for concurrent child
-// pumps; the merger itself is single-threaded.
-func (n *Intermediate) HandleLocked(m *message.Message) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.Handle(m)
-}
-
-// handleQueued is HandleLocked without the flush, for a pump that calls
-// flushParent before it blocks for its child's next message.
+// handleQueued is handle behind the node's mutex, for concurrent child
+// pumps (the merger itself is single-threaded) that call flushParent before
+// they block for their child's next message.
 func (n *Intermediate) handleQueued(m *message.Message) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -138,9 +115,9 @@ func (n *Intermediate) flushParent() {
 
 // AddChild and RemoveChild adjust the expected child set at runtime (§3.2)
 // under the node's mutex, so concurrent per-child goroutines may call them
-// alongside HandleLocked. A departure can complete slices that waited for
-// the child; RemoveChild only queues them, and the caller puts them on the
-// wire with flushParent once it holds no lock.
+// alongside handleQueued. A departure can advance the merged watermark past
+// slices that waited for the child; RemoveChild only queues them, and the
+// caller puts them on the wire with flushParent once it holds no lock.
 func (n *Intermediate) AddChild(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

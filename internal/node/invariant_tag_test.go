@@ -53,3 +53,20 @@ func TestAssembleReleasedPartialPanics(t *testing.T) {
 	message.ReleasePartial(p) // an ownership bug: the assembler owns p
 	mustPanicOnRecycled(t, 43, func() { asm.AdvanceTo(100) })
 }
+
+// TestAssemblerAdvancePanicsOnUnmaturedPartial: every partial added before
+// AdvanceTo(w) must end at or before w, as the root's merger forwards only
+// what the watermark has passed.
+func TestAssemblerAdvancePanicsOnUnmaturedPartial(t *testing.T) {
+	groups := analyzeT(t, []query.Query{mustQuery(t, "tumbling(100ms) sum key=0")})
+	asm := NewAssembler(groups, func(core.Result) {})
+	asm.AddPartial(mkPartial(groups[0].ID, 0, 100, 1, 1))
+	asm.AdvanceTo(100)
+	asm.AddPartial(mkPartial(groups[0].ID, 100, 200, 1, 1))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "partials must arrive matured") {
+			t.Fatalf("panic %q, want the matured-partial invariant", msg)
+		}
+	}()
+	asm.AdvanceTo(150)
+}

@@ -504,7 +504,7 @@ func TestDepartureFlushesOutsideNodeLock(t *testing.T) {
 		<-departed
 	})
 	go func() {
-		// IntermediateServer.serveChild's order: depart, which removes the
+		// childSet.serveChild's order: depart, which removes the
 		// child under the child set's lock, then the flush.
 		n.RemoveChild(1)
 		n.flushParent()

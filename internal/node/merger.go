@@ -2,6 +2,7 @@ package node
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"time"
 
@@ -16,12 +17,12 @@ import (
 // Merger is the protocol logic of an intermediate node (§5.1.1): it merges
 // the per-slice partial results of its children by slice extent, performing
 // the intermediate incremental aggregation, and forwards one merged partial
-// per slice. Fixed slices align across children (their boundaries are
+// per slice once the merged watermark passes it, right before that
+// watermark. Fixed slices align across children (their boundaries are
 // global), so most slices merge k-to-1; dynamic punctuations (session
-// starts/ends, markers) produce child-specific extents, which are flushed
-// unmerged once the watermark passes them. Raw event batches (RootOnly
-// groups) pass through. The merger is single-threaded: the owner pumps
-// messages into Handle.
+// starts/ends, markers) produce child-specific extents, which leave unmerged.
+// Raw event batches (RootOnly groups) pass through. The merger is
+// single-threaded: the owner pumps every child frame into Handle.
 //
 // The merger owns every partial handed to HandlePartial: a duplicate or
 // stale one is released to the decode pool at once (message.ReleasePartial),
@@ -42,7 +43,7 @@ type Merger struct {
 	joining map[uint32]bool
 	hold    int
 	// runs holds, per group, the extents the watermark has not passed yet
-	// (extentRun); pending counts their slots that still wait for children.
+	// (extentRun); pending counts their slots.
 	// Group ids come off the wire, so they key a map rather than index a
 	// slice that would need a bound.
 	runs      map[uint32]*extentRun
@@ -50,7 +51,7 @@ type Merger struct {
 	watermark int64
 	maxEnd    int64 // newest slice end seen, for final flushes
 	sent      int64
-	// free holds emitted entries for reuse, their contributor lists keeping
+	// free holds flushed entries for reuse, their contributor lists keeping
 	// capacity; flush is flushUpTo's scratch, empty between calls.
 	free, flush []*mergeEntry
 	// started counts entries begun, so merge.latency times one in
@@ -58,10 +59,11 @@ type Merger struct {
 	started uint64
 
 	// Telemetry (nil-safe no-ops when unattached): merge latency is the
-	// time from a slice extent's first contribution to its emission, and
-	// the dup counter makes replayed-frame drops visible — a reconnect
-	// storm shows up here, not as silently diverging counts. The pending
-	// gauge is what waits for a child, set at every watermark step.
+	// time from a slice extent's first contribution to its emission, the
+	// wait for the watermark that releases it included, and the dup counter
+	// makes replayed-frame drops visible — a reconnect storm shows up here,
+	// not as silently diverging counts. The pending gauge counts the
+	// extents the watermark has not passed, set at every watermark step.
 	telMergeLat *telemetry.Histogram
 	telDups     *telemetry.Counter
 	telPending  *telemetry.Gauge
@@ -98,10 +100,7 @@ type extentRun struct {
 // child's) do not pile up.
 const maxIdleSteps = 64
 
-// extentSlot is one live extent. e is its pending merge; nil marks an extent
-// forwarded before the watermark passed it (every child contributed early),
-// kept as a tombstone so replayed duplicates are dropped instead of merged
-// again.
+// extentSlot is one live extent and its pending merge.
 type extentSlot struct {
 	start, end int64
 	e          *mergeEntry
@@ -133,14 +132,12 @@ func (r *extentRun) find(start, end int64) (int, bool) {
 	return r.head + i, ok
 }
 
-// popUpTo appends the pending entries of every slot with End <= w to flush,
-// drops the tombstones among them, and returns the grown flush.
+// popUpTo appends the entries of every slot with End <= w to flush and
+// returns the grown flush.
 func (r *extentRun) popUpTo(w int64, flush []*mergeEntry) []*mergeEntry {
 	i := r.head
 	for ; i < len(r.slots) && r.slots[i].end <= w; i++ {
-		if e := r.slots[i].e; e != nil {
-			flush = append(flush, e)
-		}
+		flush = append(flush, r.slots[i].e)
 	}
 	switch n := len(r.slots); {
 	case i == n:
@@ -187,13 +184,12 @@ func (m *Merger) AttachTelemetry(reg *telemetry.Registry, traceName string) {
 	m.traceName = traceName
 }
 
-// Hold keeps the merger from forwarding anything until n distinct children
-// have joined. A server that is told how many children to expect must not
-// take the first one's slices for complete: forwarded with one contributor,
-// they would make the merger drop the sibling's as duplicates, and the first
-// child's watermark alone would close their windows. What arrives during the
-// hold merges as usual and stays pending, also when the child that sent it
-// has already left again.
+// Hold keeps the merged watermark, and with it everything pending, where it
+// is until n distinct children have joined. A server that is told how many
+// children to expect must not let the first one's watermark alone close the
+// slices its siblings have yet to send. What arrives during the hold merges
+// as usual and stays pending, also when the child that sent it has already
+// left again.
 func (m *Merger) Hold(n int) {
 	if n > len(m.children) {
 		m.hold, m.joining = n, make(map[uint32]bool)
@@ -234,6 +230,42 @@ func (m *Merger) RemoveChild(id uint32) {
 	m.advance()
 }
 
+// Handle interprets one frame of child msg.From's stream, taking ownership
+// of the partials it carries: partials merge, watermarks advance, raw event
+// batches pass to OutEvents, and a batch unbatches in order — the producer
+// emits a partial strictly before any watermark covering it, so in-order
+// delivery of the frames is indistinguishable from the unbatched wire.
+// Handshake and liveness frames carry nothing for the merge. Plan changes
+// reach a tree from the root's control clients, downward, and stats replies
+// are the parent's to route: on a child's data stream they are refused.
+//
+//desis:wirekind
+func (m *Merger) Handle(msg *message.Message) error {
+	switch msg.Kind {
+	case message.KindPartial:
+		m.HandlePartial(msg.From, msg.Partial)
+	case message.KindWatermark:
+		m.HandleWatermark(msg.From, msg.Watermark)
+	case message.KindEventBatch:
+		if m.OutEvents != nil {
+			m.OutEvents(msg.From, msg.Events)
+		}
+	case message.KindBatch:
+		for _, f := range msg.Batch.Frames {
+			if err := m.Handle(f); err != nil {
+				return err
+			}
+		}
+	case message.KindHello, message.KindHeartbeat, message.KindGoodbye:
+	case message.KindPlanState, message.KindPlanDelta, message.KindAddQuery,
+		message.KindRemoveQuery, message.KindPlanDump, message.KindStatsDump:
+		fallthrough
+	default:
+		return fmt.Errorf("node: cannot handle message kind %d on a child stream", msg.Kind)
+	}
+	return nil
+}
+
 // HandlePartial merges one child partial, taking ownership of p.
 func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 	// The merger retains p (as a pending merge base); receiving a partial
@@ -242,9 +274,10 @@ func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 	invariant.AssertPartialLive(p)
 	// A reconnecting child replays its recent frames (at-least-once
 	// delivery); anything the watermark already passed was flushed, and a
-	// tombstoned extent was forwarded early — drop both instead of
-	// double-merging. On an ordered, fault-free link neither case occurs: a
-	// child's partial always precedes the child watermark that covers it.
+	// pending extent the child already contributed to holds its first
+	// copy — drop both instead of double-merging. On an ordered, fault-free
+	// link neither case occurs: a child's partial always precedes the child
+	// watermark that covers it.
 	if p.End <= m.watermark {
 		m.dropDup(p)
 		return
@@ -255,34 +288,25 @@ func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 		m.runs[p.Group] = r
 	}
 	i, found := r.find(p.Start, p.End)
-	var e *mergeEntry
-	switch {
-	case !found:
+	if !found {
 		if p.End > m.maxEnd {
 			m.maxEnd = p.End
 		}
-		e = m.newEntry(p)
+		e := m.newEntry(p)
+		e.from = append(e.from, from)
 		r.slots = slices.Insert(r.slots, i, extentSlot{start: p.Start, end: p.End, e: e})
 		r.idle = 0
 		m.pending++
-	case r.slots[i].e == nil:
-		m.dropDup(p)
 		return
-	default:
-		e = r.slots[i].e
-		if slices.Contains(e.from, from) {
-			m.dropDup(p) // duplicate contribution from a replayed frame
-			return
-		}
-		mergePartial(e.p, p)
-		message.ReleasePartial(p)
 	}
+	e := r.slots[i].e
+	if slices.Contains(e.from, from) {
+		m.dropDup(p) // duplicate contribution from a replayed frame
+		return
+	}
+	mergePartial(e.p, p)
+	message.ReleasePartial(p)
 	e.from = append(e.from, from)
-	if len(e.from) >= len(m.children) && m.joining == nil {
-		r.slots[i].e = nil
-		m.pending--
-		m.emitEntry(e)
-	}
 }
 
 // dropDup counts and releases a replayed partial.
@@ -322,13 +346,6 @@ func (m *Merger) HandleWatermark(from uint32, w int64) {
 		c.watermark = w
 	}
 	m.advance()
-}
-
-// HandleEvents forwards a raw batch (RootOnly groups).
-func (m *Merger) HandleEvents(from uint32, evs []event.Event) {
-	if m.OutEvents != nil {
-		m.OutEvents(from, evs)
-	}
 }
 
 // advance moves the merged watermark to the minimum over the children when
@@ -378,31 +395,22 @@ func (m *Merger) flushUpTo(w int64) {
 		return cmp.Compare(a.p.Group, b.p.Group)
 	})
 	for _, e := range flush {
-		m.emitEntry(e)
+		if !e.t0.IsZero() {
+			m.telMergeLat.Record(time.Since(e.t0))
+		}
+		if telemetry.TraceEnabled {
+			telemetry.TraceSlice(telemetry.TraceMerge, m.traceName, uint64(e.p.Group), e.p.ID, e.p.Start, e.p.End)
+		}
+		p := e.p
+		*e = mergeEntry{from: e.from[:0]}
+		m.free = append(m.free, e)
+		m.sent++
+		if m.Out != nil {
+			m.Out(p)
+		}
 	}
 	clear(flush)
 	m.flush = flush[:0]
-}
-
-// emitEntry forwards e's merged partial and recycles e.
-func (m *Merger) emitEntry(e *mergeEntry) {
-	if !e.t0.IsZero() {
-		m.telMergeLat.Record(time.Since(e.t0))
-	}
-	if telemetry.TraceEnabled {
-		telemetry.TraceSlice(telemetry.TraceMerge, m.traceName, uint64(e.p.Group), e.p.ID, e.p.Start, e.p.End)
-	}
-	p := e.p
-	*e = mergeEntry{from: e.from[:0]}
-	m.free = append(m.free, e)
-	m.emit(p)
-}
-
-func (m *Merger) emit(p *core.SlicePartial) {
-	m.sent++
-	if m.Out != nil {
-		m.Out(p)
-	}
 }
 
 // PartialsSent reports how many merged partials were forwarded.

@@ -98,9 +98,10 @@ func FuzzMergerMatchesReference(f *testing.F) {
 	sched := func(children, groups byte, ops ...[]byte) []byte {
 		return slices.Concat(append([][]byte{{children, groups}}, ops...)...)
 	}
-	// The five TestMerger* scenarios.
+	// The TestMerger* scenarios.
 	f.Add(sched(2, 0, // TestMergerAlignedSlices
-		op(opExtent, 0, 0, 0, 9), op(opExtent, 1, 0, 0, 9)))
+		op(opExtent, 0, 0, 0, 9), op(opExtent, 1, 0, 0, 9),
+		op(opWatermark, 0, 10, 0, 0), op(opWatermark, 1, 10, 0, 0)))
 	f.Add(sched(2, 0, // TestMergerWatermarkFlushesMisaligned
 		op(opExtent, 0, 0, 0, 5), op(opExtent, 0, 0, 6, 3), op(opExtent, 1, 0, 0, 9),
 		op(opWatermark, 0, 10, 0, 0), op(opWatermark, 1, 10, 0, 0)))
@@ -108,11 +109,24 @@ func FuzzMergerMatchesReference(f *testing.F) {
 		op(opExtent, 0, 0, 0, 9), op(opExtent, 1, 0, 0, 9),
 		op(opWatermark, 0, 10, 0, 0), op(opWatermark, 1, 10, 0, 0), op(opMembership, 1, 2, 0, 0)))
 	f.Add(sched(1, 0, // TestMergerAddChild
-		op(opMembership, 0, 1, 0, 0), op(opExtent, 0, 0, 0, 9), op(opExtent, 1, 0, 0, 9)))
+		op(opMembership, 0, 1, 0, 0), op(opExtent, 0, 0, 0, 9), op(opWatermark, 0, 10, 0, 0),
+		op(opExtent, 1, 0, 0, 9), op(opWatermark, 1, 10, 0, 0)))
 	f.Add(sched(0, 0, // TestMergerHoldsUntilAllJoined
 		op(opMembership, 2, 1, 0, 0), op(opMembership, 0, 0, 0, 0), op(opExtent, 0, 0, 0, 9),
 		op(opWatermark, 0, 10, 0, 0), op(opMembership, 1, 0, 0, 0), op(opMembership, 0, 1, 0, 0),
 		op(opExtent, 1, 0, 0, 9), op(opWatermark, 1, 10, 0, 0)))
+	f.Add(sched(2, 0, // TestMergerDropsReplayOfCompleteSlice
+		op(opAligned, 0, 0, 1, 0), op(opAligned, 1, 0, 2, 0), op(opReplay, 0, 0, 0, 0),
+		op(opOwnMark, 0, 0, 0, 0), op(opOwnMark, 1, 0, 0, 0), op(opReplay, 1, 0, 0, 0)))
+	// A hold for three children, during which the first two's slice is
+	// replayed and the second departs: the third's partial still merges into
+	// it.
+	f.Add(sched(0, 0,
+		op(opMembership, 2, 2, 0, 0), op(opMembership, 0, 0, 0, 0), op(opMembership, 0, 1, 0, 0),
+		op(opAligned, 0, 0, 1, 0), op(opAligned, 1, 0, 2, 0),
+		op(opReplay, 0, 0, 0, 0), op(opOwnMark, 0, 0, 0, 0), op(opOwnMark, 1, 0, 0, 0),
+		op(opMembership, 1, 1, 0, 0), op(opMembership, 0, 2, 0, 0), op(opAligned, 2, 0, 3, 0),
+		op(opOwnMark, 2, 0, 0, 0), op(opOwnMark, 0, 0, 0, 0)))
 	// Seeded random schedules, so plain `go test` covers replays and
 	// misaligned runs across groups too.
 	r := rand.New(rand.NewSource(1))

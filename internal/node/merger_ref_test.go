@@ -1,9 +1,10 @@
 package node
 
 // refMerger is the map-keyed Merger that the per-group extent runs replaced,
-// kept unchanged (renamed) as the reference FuzzMergerMatchesReference
-// compares the production Merger against. Do not optimise it: its value is
-// that it is the old, obviously-keyed implementation.
+// kept (renamed) as the reference FuzzMergerMatchesReference compares the
+// production Merger against. It changes only with the merge rule itself —
+// a merged slice leaves only when the watermark passes it. Do not optimise
+// it: its value is that it is the old, obviously-keyed implementation.
 
 import (
 	"cmp"
@@ -21,12 +22,11 @@ import (
 // refMerger is the protocol logic of an intermediate node (§5.1.1): it merges
 // the per-slice partial results of its children by slice extent, performing
 // the intermediate incremental aggregation, and forwards one merged partial
-// per slice. Fixed slices align across children (their boundaries are
-// global), so most slices merge k-to-1; dynamic punctuations (session
-// starts/ends, markers) produce child-specific extents, which are flushed
-// unmerged once the watermark passes them. Raw event batches (RootOnly
-// groups) pass through. The merger is single-threaded: the owner pumps
-// messages into Handle.
+// per slice once the watermark passes it. Fixed slices align across
+// children (their boundaries are global), so most slices merge k-to-1;
+// dynamic punctuations (session starts/ends, markers) produce child-specific
+// extents, which leave unmerged. Raw event batches (RootOnly groups) pass
+// through. The merger is single-threaded.
 //
 // The merger owns every partial handed to HandlePartial: a duplicate or
 // stale one is released to the decode pool at once (message.ReleasePartial),
@@ -50,11 +50,6 @@ type refMerger struct {
 	watermark int64
 	maxEnd    int64 // newest slice end seen, for final flushes
 	sent      int64
-	// emitted remembers extents forwarded before the watermark passed them
-	// (all children contributed early), so replayed duplicates of a
-	// completed slice are dropped instead of re-merged. Entries are
-	// garbage-collected as the watermark advances.
-	emitted map[refMergeKey]bool
 	// free holds emitted entries for reuse, their contributor lists keeping
 	// capacity; flush is flushUpTo's scratch, empty between calls.
 	free, flush []*refMergeEntry
@@ -93,7 +88,6 @@ func newRefMerger(children []uint32) *refMerger {
 	m := &refMerger{
 		children: make(map[uint32]*refChildState),
 		pending:  make(map[refMergeKey]*refMergeEntry),
-		emitted:  make(map[refMergeKey]bool),
 	}
 	for _, id := range children {
 		m.children[id] = &refChildState{watermark: -1}
@@ -111,13 +105,9 @@ func (m *refMerger) AttachTelemetry(reg *telemetry.Registry, traceName string) {
 	m.traceName = traceName
 }
 
-// Hold keeps the merger from forwarding anything until n distinct children
-// have joined. A server that is told how many children to expect must not
-// take the first one's slices for complete: forwarded with one contributor,
-// they would make the merger drop the sibling's as duplicates, and the first
-// child's watermark alone would close their windows. What arrives during the
-// hold merges as usual and stays pending, also when the child that sent it
-// has already left again.
+// Hold keeps the merged watermark where it is until n distinct children
+// have joined. What arrives during the hold merges as usual and stays
+// pending, also when the child that sent it has already left again.
 func (m *refMerger) Hold(n int) {
 	if n > len(m.children) {
 		m.hold, m.joining = n, make(map[uint32]bool)
@@ -148,7 +138,6 @@ func (m *refMerger) RemoveChild(id uint32) {
 		if m.maxEnd > m.watermark {
 			m.watermark = m.maxEnd
 		}
-		m.gcEmitted()
 		m.flushUpTo(m.watermark)
 		if m.OutWatermark != nil {
 			m.OutWatermark(m.watermark)
@@ -170,11 +159,9 @@ func (m *refMerger) HandlePartial(from uint32, p *core.SlicePartial) {
 	invariant.AssertPartialLive(p)
 	k := refMergeKey{p.Group, p.Start, p.End}
 	// A reconnecting child replays its recent frames (at-least-once
-	// delivery); anything the watermark already passed was flushed, and
-	// anything in emitted was forwarded early — drop both instead of
-	// double-merging. On an ordered, fault-free link neither case occurs: a
-	// child's partial always precedes the child watermark that covers it.
-	if p.End <= m.watermark || m.emitted[k] {
+	// delivery); anything the watermark already passed was flushed — drop
+	// it instead of double-merging.
+	if p.End <= m.watermark {
 		m.telDups.Inc()
 		message.ReleasePartial(p)
 		return
@@ -196,11 +183,6 @@ func (m *refMerger) HandlePartial(from uint32, p *core.SlicePartial) {
 		message.ReleasePartial(p)
 	}
 	e.from = append(e.from, from)
-	if len(e.from) >= len(m.children) && m.joining == nil {
-		delete(m.pending, k)
-		m.emitted[k] = true
-		m.emitEntry(e)
-	}
 }
 
 // newEntry starts the merge of p's slice with a recycled entry when there is
@@ -258,20 +240,9 @@ func (m *refMerger) advance() {
 		return
 	}
 	m.watermark = min
-	m.gcEmitted()
 	m.flushUpTo(min)
 	if m.OutWatermark != nil {
 		m.OutWatermark(min)
-	}
-}
-
-// gcEmitted drops early-emit records the watermark has passed; duplicates of
-// those extents are rejected by the watermark check alone.
-func (m *refMerger) gcEmitted() {
-	for k := range m.emitted {
-		if k.end <= m.watermark {
-			delete(m.emitted, k)
-		}
 	}
 }
 

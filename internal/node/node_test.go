@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/gen"
+	"desis/internal/message"
 	"desis/internal/operator"
 	"desis/internal/plan"
 	"desis/internal/query"
@@ -29,21 +31,61 @@ func mkPartial(group uint32, start, end int64, sum float64, n int64) *core.Slice
 	}
 }
 
+// TestMergerAlignedSlices: two children's partials of one extent merge into
+// one, which leaves only when the merged watermark passes it — not when the
+// last child has contributed — and right before that watermark.
 func TestMergerAlignedSlices(t *testing.T) {
 	m := NewMerger([]uint32{1, 2})
 	var out []*core.SlicePartial
+	var wms []int64
 	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
-	m.HandlePartial(1, mkPartial(0, 0, 100, 10, 2))
-	if len(out) != 0 {
-		t.Fatal("emitted before all children reported")
+	m.OutWatermark = func(w int64) {
+		if len(out) != 1 {
+			t.Errorf("watermark %d forwarded with %d partials before it, want 1", w, len(out))
+		}
+		wms = append(wms, w)
 	}
+	m.HandlePartial(1, mkPartial(0, 0, 100, 10, 2))
 	m.HandlePartial(2, mkPartial(0, 0, 100, 20, 3))
-	if len(out) != 1 {
-		t.Fatalf("emitted %d partials, want 1", len(out))
+	m.HandleWatermark(1, 100)
+	if len(out) != 0 {
+		t.Fatal("emitted before the merged watermark passed the slice")
+	}
+	m.HandleWatermark(2, 100)
+	if len(out) != 1 || len(wms) != 1 {
+		t.Fatalf("emitted %d partials and watermarks %v, want 1 and [100]", len(out), wms)
 	}
 	p := out[0]
 	if p.Aggs[0].SumV != 30 || p.Aggs[0].CountV != 5 || p.Ingested != 5 {
 		t.Errorf("merged partial = %+v", p)
+	}
+}
+
+// TestMergerDropsReplayOfCompleteSlice: a replayed duplicate of a slice every
+// child has contributed to, but that the watermark has not passed yet, is
+// dropped, and the slice leaves once, at the watermark.
+func TestMergerDropsReplayOfCompleteSlice(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := NewMerger([]uint32{1, 2})
+	m.AttachTelemetry(reg, "inter")
+	var out []*core.SlicePartial
+	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
+	m.HandlePartial(1, mkPartial(0, 0, 100, 1, 1))
+	m.HandlePartial(2, mkPartial(0, 0, 100, 2, 1))
+	m.HandlePartial(1, mkPartial(0, 0, 100, 1, 1)) // child 1 reconnects and replays
+	if got := reg.Counter("merge.dup_dropped").Load(); got != 1 {
+		t.Fatalf("merge.dup_dropped = %d after the replay, want 1", got)
+	}
+	m.HandleWatermark(1, 100)
+	m.HandleWatermark(2, 100)
+	m.HandlePartial(2, mkPartial(0, 0, 100, 2, 1)) // a replay behind the watermark
+	m.HandleWatermark(1, 200)
+	m.HandleWatermark(2, 200)
+	if len(out) != 1 || out[0].Aggs[0].SumV != 3 {
+		t.Fatalf("forwarded %v, want the slice once with sum 3", out)
+	}
+	if got := reg.Counter("merge.dup_dropped").Load(); got != 2 {
+		t.Fatalf("merge.dup_dropped = %d after both replays, want 2", got)
 	}
 }
 
@@ -101,18 +143,22 @@ func TestMergerRemoveChildUnblocks(t *testing.T) {
 	}
 }
 
+// TestMergerAddChild: a child joining at runtime holds the merged watermark
+// back until it advances too, and its partial merges into the slice.
 func TestMergerAddChild(t *testing.T) {
 	m := NewMerger([]uint32{1})
 	var out []*core.SlicePartial
 	m.Out = func(p *core.SlicePartial) { out = append(out, p) }
 	m.AddChild(2)
 	m.HandlePartial(1, mkPartial(0, 0, 100, 1, 1))
+	m.HandleWatermark(1, 100)
 	if len(out) != 0 {
-		t.Fatal("merge completed without new child")
+		t.Fatal("slice left while the new child's watermark was behind it")
 	}
 	m.HandlePartial(2, mkPartial(0, 0, 100, 2, 1))
-	if len(out) != 1 {
-		t.Fatal("merge did not complete with new child")
+	m.HandleWatermark(2, 100)
+	if len(out) != 1 || out[0].Aggs[0].SumV != 3 {
+		t.Fatalf("forwarded %v, want one partial with sum 3", out)
 	}
 }
 
@@ -141,15 +187,61 @@ func TestMergerPendingGauge(t *testing.T) {
 }
 
 // TestMergerLatencySampled: merge.latency times one merged slice in
-// mergeLatencySample, starting with the first.
+// mergeLatencySample, starting with the first, when the watermark releases
+// it.
 func TestMergerLatencySampled(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMerger([]uint32{1})
 	m.AttachTelemetry(reg, "inter")
 	for i := int64(0); i <= 2*mergeLatencySample; i++ {
 		m.HandlePartial(1, mkPartial(0, i*100, (i+1)*100, 1, 1))
+		if got := reg.Histogram("merge.latency").Export().Count; got != uint64((i+mergeLatencySample-1)/mergeLatencySample) {
+			t.Fatalf("slice %d timed before the watermark released it: %d latency samples", i+1, got)
+		}
+		m.HandleWatermark(1, (i+1)*100)
 		if want := uint64(1 + i/mergeLatencySample); reg.Histogram("merge.latency").Export().Count != want {
 			t.Fatalf("after %d merged slices: %d latency samples, want %d", i+1, reg.Histogram("merge.latency").Export().Count, want)
+		}
+	}
+}
+
+// TestChildStreamRefusesPlanAndControlKinds: plan changes and control
+// commands never travel up a child's data stream. A root and an intermediate
+// refuse each of them, alone or inside a batch, and take the handshake and
+// liveness kinds as carrying nothing.
+func TestChildStreamRefusesPlanAndControlKinds(t *testing.T) {
+	p, err := plan.New([]query.Query{mustQuery(t, "tumbling(100ms) sum key=0")}, plan.Options{Decentralized: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := NewRootFromPlan(p, []uint32{1}, func(core.Result) {})
+	up, down := message.NewPipe(message.Binary{}, 4)
+	defer down.Close()
+	inter := NewIntermediate(100, []uint32{1}, up)
+	parents := []struct {
+		name   string
+		handle func(*message.Message) error
+	}{{"root", root.Handle}, {"intermediate", inter.Handle}}
+	for _, k := range []message.Kind{
+		message.KindPlanState, message.KindPlanDelta, message.KindAddQuery,
+		message.KindRemoveQuery, message.KindPlanDump, message.KindStatsDump,
+	} {
+		for _, pt := range parents {
+			for _, m := range []*message.Message{
+				{Kind: k, From: 1},
+				{Kind: message.KindBatch, From: 1, Batch: &message.Batch{Frames: []*message.Message{{Kind: k, From: 1}}}},
+			} {
+				if err := pt.handle(m); err == nil || !strings.Contains(err.Error(), "cannot handle message kind") {
+					t.Errorf("%s handling kind %d (batched: %v) on a child stream: %v, want a refusal", pt.name, k, m.Kind == message.KindBatch, err)
+				}
+			}
+		}
+	}
+	for _, k := range []message.Kind{message.KindHello, message.KindHeartbeat, message.KindGoodbye} {
+		for _, pt := range parents {
+			if err := pt.handle(&message.Message{Kind: k, From: 1}); err != nil {
+				t.Errorf("%s handling kind %d: %v, want nil", pt.name, k, err)
+			}
 		}
 	}
 }
@@ -171,9 +263,10 @@ func TestMergerDropsIdleRuns(t *testing.T) {
 	}
 }
 
-// TestMergerHoldsUntilAllJoined: a merger told to expect two children takes
-// nothing the first one sends for complete — not its slices, not its
-// watermark, not even its departure — until the second has joined.
+// TestMergerHoldsUntilAllJoined: a merger told to expect two children lets
+// nothing the first one sends advance the merged watermark — not its
+// watermark, not even its departure — until the second has joined, so its
+// slices stay pending for the second child's contribution.
 func TestMergerHoldsUntilAllJoined(t *testing.T) {
 	m := NewMerger(nil)
 	m.Hold(2)
@@ -191,10 +284,13 @@ func TestMergerHoldsUntilAllJoined(t *testing.T) {
 	}
 	m.AddChild(2)
 	m.HandlePartial(2, mkPartial(0, 0, 100, 2, 1))
-	if len(out) != 1 || out[0].Aggs[0].SumV != 3 {
-		t.Fatalf("after the second child's partial: %v, want one partial with sum 3", out)
+	if len(out) != 0 {
+		t.Fatalf("forwarded %d partials before the second child's watermark", len(out))
 	}
 	m.HandleWatermark(2, 100)
+	if len(out) != 1 || out[0].Aggs[0].SumV != 3 {
+		t.Fatalf("after the second child's watermark: %v, want one partial with sum 3", out)
+	}
 	if len(wms) != 1 || wms[0] != 100 {
 		t.Fatalf("watermarks %v, want [100]", wms)
 	}

@@ -76,34 +76,11 @@ func (r *Root) History() *plan.History { return r.hist }
 // Epoch returns the current plan epoch.
 func (r *Root) Epoch() uint64 { return r.hist.Epoch() }
 
-// Handle dispatches one message from a child, taking ownership of the
-// partials it carries: the merger and then the assembler release them to
-// the decode pool when they are done with them.
-func (r *Root) Handle(m *message.Message) error {
-	switch m.Kind {
-	case message.KindPartial:
-		r.merger.HandlePartial(m.From, m.Partial)
-	case message.KindWatermark:
-		r.merger.HandleWatermark(m.From, m.Watermark)
-	case message.KindEventBatch:
-		r.evBuf[m.From] = append(r.evBuf[m.From], m.Events...)
-	case message.KindBatch:
-		// Unbatch in order: the producer emits a partial strictly before any
-		// watermark covering it, so in-order delivery of the frames is
-		// indistinguishable from the unbatched wire.
-		for _, f := range m.Batch.Frames {
-			if err := r.Handle(f); err != nil {
-				return err
-			}
-		}
-	case message.KindHello, message.KindHeartbeat, message.KindGoodbye:
-	default:
-		// Plan changes reach the root through Apply (or RootServer's control
-		// clients), never on a child's data stream.
-		return fmt.Errorf("node: root cannot handle message kind %d", m.Kind)
-	}
-	return nil
-}
+// Handle interprets one message from a child (Merger.Handle), taking
+// ownership of the partials it carries: the merger and then the assembler
+// release them to the decode pool when they are done with them. Plan changes
+// reach the root through Apply, never on a child's data stream.
+func (r *Root) Handle(m *message.Message) error { return r.merger.Handle(m) }
 
 // advance moves the root watermark: raw events up to w feed the RootOnly
 // engine in global time order, and the assembler closes matured windows.

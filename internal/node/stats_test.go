@@ -241,3 +241,64 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 		t.Fatalf("survivor: %v", err)
 	}
 }
+
+// TestIntermediateKeepsChildDigests: an intermediate keeps its children's
+// heartbeat digests, so a stats pull at the root carries the lag gauges of
+// the locals below the intermediate, not only of the root's own child.
+func TestIntermediateKeepsChildDigests(t *testing.T) {
+	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
+	queries[0].ID = 1
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 30*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { root.Close() })
+	opts := DialOptions{Heartbeat: 50 * time.Millisecond}
+	inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 2, 30*time.Second, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	errs := make(chan error, 2)
+	for id := uint32(1); id <= 2; id++ {
+		go func() {
+			errs <- RunLocalTCPOptions(inter.Addr(), id, 64, opts, func(l *LocalSession) error {
+				if err := l.Process(stepEvents(0, 1000, 10)); err != nil {
+					return err
+				}
+				if err := l.AdvanceTo(1000); err != nil {
+					return err
+				}
+				<-release // idle: the uplink heartbeats with its digest
+				return nil
+			})
+		}()
+	}
+	waitUntil(t, 10*time.Second, "stats carrying both locals' watermark lag", func() bool {
+		// A stats pull is traffic on every link: leave them idle for a few
+		// heartbeat periods before each one.
+		time.Sleep(4 * opts.Heartbeat)
+		snap, err := FetchStats(root.Addr())
+		if err != nil {
+			return false
+		}
+		for _, id := range []uint32{1, 2} {
+			if _, ok := snap.Gauges[fmt.Sprintf("node.%d.watermark_lag", id)]; !ok {
+				return false
+			}
+		}
+		return true
+	})
+	close(release)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatalf("local: %v", err)
+		}
+	}
+	if err := inter.Wait(); err != nil {
+		t.Fatalf("intermediate: %v", err)
+	}
+	if err := root.Wait(); err != nil {
+		t.Fatalf("root: %v", err)
+	}
+}

@@ -72,9 +72,6 @@ func isDisconnect(err error) bool {
 type RootServer struct {
 	*childSet
 	root *Root
-	// loads holds the most recent heartbeat load digest per child (for the
-	// per-child lag gauges). Guarded by mu.
-	loads map[uint32]*telemetry.LoadDigest
 }
 
 // RootServeOptions carries the optional knobs of a root server.
@@ -99,9 +96,8 @@ func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout
 	root := NewRootFromPlan(p, nil, opts.OnResult)
 	root.merger.Hold(nChildren)
 	s := &RootServer{
-		childSet: newChildSet(l, telemetry.NewRegistry(), root.History(), nChildren, timeout, root.AddChild, root.RemoveChild),
+		childSet: newChildSet(l, telemetry.NewRegistry(), root.History(), nChildren, timeout, root.AddChild, root.RemoveChild, root.Watermark),
 		root:     root,
-		loads:    make(map[uint32]*telemetry.LoadDigest),
 	}
 	root.AttachTelemetry(s.tel, "root")
 	go s.acceptLoop(s.serve)
@@ -119,36 +115,19 @@ func (s *RootServer) Watermark() int64 {
 // clients issue a command directly.
 func (s *RootServer) serve(conn *message.TCPConn, first *message.Message) {
 	if first.Kind == message.KindHello {
-		s.serveChild(conn, first)
+		// The root sends nothing upward: there is nothing to flush.
+		s.serveChild(conn, first, s.handle, func() {})
 		return
 	}
 	s.serveControl(conn, first)
 	conn.Close()
 }
 
-func (s *RootServer) serveChild(conn *message.TCPConn, hello *message.Message) {
-	id := hello.From
-	if !s.admit(conn, hello) {
-		return
-	}
-	for {
-		m, err := conn.RecvTimeout(s.timeout)
-		if err != nil {
-			s.depart(id, conn, err)
-			return
-		}
-		if s.route(id, conn, m) {
-			continue
-		}
-		s.mu.Lock()
-		if m.Kind == message.KindHeartbeat && m.Load != nil {
-			s.loads[id] = m.Load
-		}
-		if err := s.root.Handle(m); err != nil {
-			s.failLocked(id, err)
-		}
-		s.mu.Unlock()
-	}
+// handle runs one child frame through the root's pipeline under mu.
+func (s *RootServer) handle(m *message.Message) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.root.Handle(m)
 }
 
 // serveControl applies one control command and broadcasts it downward; the
@@ -186,15 +165,7 @@ func (s *RootServer) serveControl(conn *message.TCPConn, m *message.Message) {
 // latest heartbeat digests, this node's own instruments, and the merged
 // snapshots of every child that answers in time.
 func (s *RootServer) stats() *telemetry.Snapshot {
-	s.mu.Lock()
-	epoch := s.root.Epoch()
-	wm := s.root.Watermark()
-	for id, d := range s.loads {
-		s.tel.Gauge(fmt.Sprintf("node.%d.epoch_lag", id)).Set(int64(epoch) - int64(d.Epoch))
-		s.tel.Gauge(fmt.Sprintf("node.%d.watermark_lag", id)).Set(wm - d.Watermark)
-		s.tel.Gauge(fmt.Sprintf("node.%d.replay_occupancy", id)).Set(int64(d.ReplayLen))
-	}
-	s.mu.Unlock()
+	s.lagGauges()
 	snap := s.tel.Snapshot()
 	s.collectStats(snap, statsWait)
 	return snap
@@ -270,10 +241,11 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 	inter.merger.Hold(nChildren)
 	inter.AttachTelemetry(tel, fmt.Sprintf("inter.%d", id))
 	s := &IntermediateServer{
-		childSet: newChildSet(l, tel, plan.NewHistory(p), nChildren, timeout, inter.AddChild, inter.RemoveChild),
-		id:       id,
-		inter:    inter,
-		parent:   up,
+		childSet: newChildSet(l, tel, plan.NewHistory(p), nChildren, timeout, inter.AddChild, inter.RemoveChild,
+			func() int64 { return inter.Digest().Watermark }),
+		id:     id,
+		inter:  inter,
+		parent: up,
 	}
 	s.epoch.Store(p.Epoch)
 	up.AttachTelemetry(tel)
@@ -284,7 +256,13 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 		return d
 	})
 	up.startHeartbeats()
-	go s.acceptLoop(s.serveChild)
+	go s.acceptLoop(func(conn *message.TCPConn, first *message.Message) {
+		if first.Kind != message.KindHello {
+			conn.Close() // control clients talk to the root
+			return
+		}
+		s.serveChild(conn, first, s.inter.handleQueued, s.inter.flushParent)
+	})
 	go s.downstreamLoop()
 	return s, nil
 }
@@ -340,47 +318,12 @@ func (s *IntermediateServer) downstreamLoop() {
 // uplink's Send is safe for concurrent use, so this runs beside the merge
 // pipeline without extra locking.
 func (s *IntermediateServer) answerStats() {
+	s.lagGauges()
 	snap := s.tel.Snapshot()
 	// Half the root's budget, so this node's (possibly partial) reply still
 	// lands inside the root's collection window when a child is dead.
 	s.collectStats(snap, statsWait/2)
 	_ = s.parent.Send(&message.Message{Kind: message.KindStatsDump, From: s.id, Stats: snap})
-}
-
-func (s *IntermediateServer) serveChild(conn *message.TCPConn, hello *message.Message) {
-	if hello.Kind != message.KindHello {
-		conn.Close()
-		return
-	}
-	id := hello.From
-	if !s.admit(conn, hello) {
-		s.inter.flushParent() // the departure may have completed slices
-		return
-	}
-	for {
-		// Flush before block: whatever this child's burst made the merger
-		// emit leaves in one write, and nothing waits behind a child that
-		// has gone silent.
-		if conn.InputBuffered() == 0 {
-			s.inter.flushParent()
-		}
-		m, err := conn.RecvTimeout(s.timeout)
-		if err != nil {
-			// depart runs under the child set's lock and may complete slices
-			// that waited for this child: flush after it, outside every lock.
-			s.depart(id, conn, err)
-			s.inter.flushParent()
-			return
-		}
-		if s.route(id, conn, m) {
-			continue
-		}
-		if err := s.inter.handleQueued(m); err != nil {
-			s.mu.Lock()
-			s.failLocked(id, err)
-			s.mu.Unlock()
-		}
-	}
 }
 
 // Wait blocks until all expected children have come and gone, then closes
