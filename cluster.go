@@ -73,10 +73,12 @@ func (c *Cluster) AdvanceAll(t int64) error { return c.c.AdvanceAll(t) }
 // event time t.
 func (c *Cluster) WaitRoot(t int64) { c.c.WaitRoot(t) }
 
-// AddQuery registers a query on every node at runtime.
+// AddQuery registers a query on every node at runtime. It may run beside
+// Push and Advance: each local takes the change between two of their calls.
 func (c *Cluster) AddQuery(q Query) error { return c.c.AddQuery(q) }
 
-// RemoveQuery removes a running query everywhere.
+// RemoveQuery removes a running query everywhere; like AddQuery, it may run
+// beside Push and Advance.
 func (c *Cluster) RemoveQuery(id uint64) error { return c.c.RemoveQuery(id) }
 
 // Results returns and clears final window results (only without OnResult).

@@ -51,7 +51,7 @@ func main() {
 	keys := flag.Int("keys", 10, "distinct keys in the stream (local)")
 	interval := flag.Int64("interval", 1, "mean event spacing in ms (local)")
 	quiet := flag.Bool("quiet", false, "suppress per-window output (root)")
-	heartbeat := flag.Duration("heartbeat", node.HeartbeatInterval, "idle-uplink heartbeat period (intermediate, local); negative disables")
+	heartbeat := flag.Duration("heartbeat", node.HeartbeatInterval, "uplink heartbeat period, busy or idle (intermediate, local); negative disables")
 	retries := flag.Int("reconnect-retries", 8, "uplink reconnect attempts before giving up (intermediate, local)")
 	batch := flag.Bool("batch", false, "coalesce uplink partials/watermarks into adaptive columnar batch frames (intermediate, local)")
 	instanceTTL := flag.Duration("instance-ttl", 0, "park group instances of keys idle this long in event time; 0 keeps every instance resident (local)")

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"desis/internal/core"
@@ -45,7 +44,9 @@ type ClusterConfig struct {
 // physical cluster. It is the substitution for the paper's 10-node testbed;
 // cmd/desis-node deploys the same node types over TCP.
 type Cluster struct {
-	locals []*Local
+	// locals are sessions, as over TCP: a plan change and a feed of the
+	// same local serialise on the session's lock.
+	locals []*LocalSession
 	inters []*Intermediate
 	root   *Root
 	rootMu sync.Mutex
@@ -57,7 +58,7 @@ type Cluster struct {
 	results []core.Result
 
 	wg         sync.WaitGroup
-	interPumps []*sync.WaitGroup // child pumps per intermediate
+	interPumps []sync.WaitGroup // child pumps per intermediate
 
 	// wmCond (on rootMu) is broadcast whenever the root watermark advances
 	// or a root pump exits, so WaitRoot can sleep instead of busy-spinning.
@@ -129,18 +130,20 @@ func NewCluster(p *plan.Plan, cfg ClusterConfig) *Cluster {
 		inter := NewIntermediate(interID(i), children, upConn)
 		inter.AttachTelemetry(nil, fmt.Sprintf("inter.%d", interID(i)))
 		c.inters = append(c.inters, inter)
-		c.interPumps = append(c.interPumps, &sync.WaitGroup{})
 		c.pumpToRoot(rootSide)
 	}
+	c.interPumps = make([]sync.WaitGroup, cfg.Intermediates)
 
 	// Locals and their upward links.
 	for i := 0; i < cfg.Locals; i++ {
 		up, parentSide := newPipe()
 		upConn := batching(up, localID(i), cfg.Batch, nil)
 		c.localConns = append(c.localConns, upConn)
-		c.locals = append(c.locals, NewLocalFromPlan(localID(i), p.Clone(), upConn, 0))
+		c.locals = append(c.locals, newSession(NewLocalFromPlan(localID(i), p.Clone(), upConn, 0)))
 		if cfg.Intermediates > 0 {
-			c.pumpToIntermediate(i%cfg.Intermediates, parentSide)
+			idx := i % cfg.Intermediates
+			c.interPumps[idx].Add(1)
+			c.pump(parentSide, c.inters[idx].Handle, c.interPumps[idx].Done)
 		} else {
 			c.pumpToRoot(parentSide)
 		}
@@ -162,57 +165,43 @@ func batching(up message.Conn, id uint32, batch bool, reg *telemetry.Registry) m
 	return b
 }
 
-// pumpToRoot drains a connection into the root until EOF, broadcasting
-// watermark progress to WaitRoot sleepers.
+// pumpToRoot drains a connection into the root, broadcasting watermark
+// progress to WaitRoot sleepers, and wakes them when the link closes.
 func (c *Cluster) pumpToRoot(conn message.Conn) {
-	c.wg.Add(1)
 	c.rootMu.Lock()
 	c.rootPumps++
 	c.rootMu.Unlock()
-	go func() {
-		defer c.wg.Done()
-		defer func() {
-			c.rootMu.Lock()
-			c.rootPumps--
+	c.pump(conn, func(m *message.Message) error {
+		c.rootMu.Lock()
+		defer c.rootMu.Unlock()
+		before := c.root.Watermark()
+		err := c.root.Handle(m)
+		if c.root.Watermark() > before {
 			c.wmCond.Broadcast()
-			c.rootMu.Unlock()
-		}()
-		for {
-			m, err := conn.Recv()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
-			c.rootMu.Lock()
-			before := c.root.Watermark()
-			_ = c.root.Handle(m)
-			if c.root.Watermark() > before {
-				c.wmCond.Broadcast()
-			}
-			c.rootMu.Unlock()
 		}
-	}()
+		return err
+	}, func() {
+		c.rootMu.Lock()
+		c.rootPumps--
+		c.wmCond.Broadcast()
+		c.rootMu.Unlock()
+	})
 }
 
-// pumpToIntermediate drains a connection into intermediate idx until EOF;
-// the node's own mutex serialises concurrent children, and each pump flushes
-// the parent link outside it, as a TCP intermediate's child pumps do.
-func (c *Cluster) pumpToIntermediate(idx int, conn message.Conn) {
-	n := c.inters[idx]
+// pump drains a connection into handle until the link closes, then calls
+// done. The in-process cluster has no Wait verdict, so handle's error is
+// dropped.
+func (c *Cluster) pump(conn message.Conn, handle func(*message.Message) error, done func()) {
 	c.wg.Add(1)
-	c.interPumps[idx].Add(1)
 	go func() {
 		defer c.wg.Done()
-		defer c.interPumps[idx].Done()
+		defer done()
 		for {
 			m, err := conn.Recv()
 			if err != nil {
 				return
 			}
-			_ = n.handleQueued(m)
-			n.flushParent()
+			_ = handle(m)
 		}
 	}()
 }
@@ -226,7 +215,7 @@ func (c *Cluster) Push(i int, evs []event.Event) error {
 }
 
 // Advance advances event time on local node i to t. Safe for concurrent use
-// across distinct locals (each local is single-threaded).
+// across distinct locals (each local serialises on its session).
 func (c *Cluster) Advance(i int, t int64) error {
 	return c.locals[i].AdvanceTo(t)
 }
@@ -272,36 +261,31 @@ func (c *Cluster) WaitRoot(t int64) {
 // TCP tree's KindPlanDelta broadcast, which guarantees identical epochs and
 // derived placement everywhere. It first waits for the root to catch up with
 // the latest AdvanceAll, so the new query's registration time is well
-// defined across nodes.
+// defined across nodes. It may run beside Push and Advance: each local takes
+// the delta between two of their calls.
 func (c *Cluster) AddQuery(q query.Query) error {
-	c.WaitRoot(c.lastAdvanced())
-	c.rootMu.Lock()
-	d := c.root.History().Plan().AddDelta(q)
-	err := c.root.Apply(d)
-	c.rootMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return c.applyToLocals(d)
+	return c.apply(func(p *plan.Plan) plan.Delta { return p.AddDelta(q) })
 }
 
 // RemoveQuery removes a running query everywhere, through the same
 // one-minted-delta path as AddQuery.
 func (c *Cluster) RemoveQuery(id uint64) error {
+	return c.apply(func(p *plan.Plan) plan.Delta { return p.RemoveDelta(id) })
+}
+
+// apply mints one delta against the root's plan, applies it at the root and
+// then at every local.
+func (c *Cluster) apply(mint func(*plan.Plan) plan.Delta) error {
 	c.WaitRoot(c.lastAdvanced())
 	c.rootMu.Lock()
-	d := c.root.History().Plan().RemoveDelta(id)
+	d := mint(c.root.History().Plan())
 	err := c.root.Apply(d)
 	c.rootMu.Unlock()
 	if err != nil {
 		return err
 	}
-	return c.applyToLocals(d)
-}
-
-func (c *Cluster) applyToLocals(d plan.Delta) error {
 	for _, l := range c.locals {
-		if err := l.Apply(d); err != nil {
+		if err := l.apply([]plan.Delta{d}); err != nil {
 			return err
 		}
 	}
@@ -320,7 +304,7 @@ func (c *Cluster) Close() error {
 	c.stateMu.Unlock()
 	var firstErr error
 	for _, l := range c.locals {
-		if err := l.Close(); err != nil && firstErr == nil {
+		if err := l.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -359,10 +343,7 @@ func (c *Cluster) NetworkBytes() (localBytes, intermediateBytes uint64) {
 }
 
 // RootTime reports how far the root has advanced (Deployment interface).
-func (c *Cluster) RootTime() int64 { return c.RootWatermark() }
-
-// RootWatermark reports how far the root has advanced.
-func (c *Cluster) RootWatermark() int64 {
+func (c *Cluster) RootTime() int64 {
 	c.rootMu.Lock()
 	defer c.rootMu.Unlock()
 	return c.root.Watermark()

@@ -48,7 +48,7 @@ func TestTreeHoldsNoFedGroups(t *testing.T) {
 	noFed("in-process root", c.root.hist.Plan())
 	noFed("in-process root engine", c.root.eng.Plan())
 	for i, l := range c.locals {
-		noFed(fmt.Sprintf("in-process local %d", i), l.engine.Plan())
+		noFed(fmt.Sprintf("in-process local %d", i), l.l.engine.Plan())
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

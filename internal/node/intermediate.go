@@ -17,8 +17,7 @@ import (
 //
 // What the merger emits is queued on the parent link and flushed before the
 // call that caused it returns, so a caller that pumps messages into Handle
-// sees every output on the wire when Handle returns. Concurrent child pumps
-// (IntermediateServer, Cluster) take handleQueued and flushParent instead.
+// sees every output on the wire when Handle returns.
 type Intermediate struct {
 	id     uint32
 	merger *Merger
@@ -65,20 +64,14 @@ func (n *Intermediate) send() {
 	n.out.Partial, n.out.Events = nil, nil
 }
 
-// flush puts what the merger queued on the wire.
-func (n *Intermediate) flush() {
-	if n.err == nil {
-		n.err = n.up.Flush()
-	}
-}
-
 // Handle dispatches one message from a child, taking ownership of the
-// partials it carries (see Merger).
+// partials it carries (see Merger), and puts what the merger queued on the
+// wire. Concurrent child pumps may call it: the merge runs under the node's
+// mutex, the flush outside it.
 func (n *Intermediate) Handle(m *message.Message) error {
 	err := n.handle(m)
-	n.flush()
-	if err == nil {
-		err = n.err
+	if ferr := n.flush(); err == nil {
+		err = ferr
 	}
 	return err
 }
@@ -86,38 +79,31 @@ func (n *Intermediate) Handle(m *message.Message) error {
 // handle is Handle without the flush. The merged output re-batches on this
 // node's own uplink if it is batching too.
 func (n *Intermediate) handle(m *message.Message) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if err := n.merger.Handle(m); err != nil {
 		return err
 	}
 	return n.err
 }
 
-// handleQueued is handle behind the node's mutex, for concurrent child
-// pumps (the merger itself is single-threaded) that call flushParent before
-// they block for their child's next message.
-func (n *Intermediate) handleQueued(m *message.Message) error {
+// flush puts what the merger queued on the wire outside the node's mutex,
+// so one child's write does not hold up the merging of another's messages.
+func (n *Intermediate) flush() error {
+	err := n.up.Flush()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.handle(m)
-}
-
-// flushParent flushes the parent link outside the node's mutex, so one
-// child's write does not hold up the merging of another's messages.
-func (n *Intermediate) flushParent() {
-	if err := n.up.Flush(); err != nil {
-		n.mu.Lock()
-		if n.err == nil {
-			n.err = err
-		}
-		n.mu.Unlock()
+	if n.err == nil {
+		n.err = err
 	}
+	return n.err
 }
 
 // AddChild and RemoveChild adjust the expected child set at runtime (§3.2)
 // under the node's mutex, so concurrent per-child goroutines may call them
-// alongside handleQueued. A departure can advance the merged watermark past
-// slices that waited for the child; RemoveChild only queues them, and the
-// caller puts them on the wire with flushParent once it holds no lock.
+// alongside Handle. A departure can advance the merged watermark past slices
+// that waited for the child; RemoveChild only queues them, and the caller
+// puts them on the wire with flush once it holds no lock.
 func (n *Intermediate) AddChild(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -153,8 +139,8 @@ func (n *Intermediate) Digest() *telemetry.LoadDigest {
 // goodbye's Send is also the final flush, so its error is reported.
 func (n *Intermediate) Close() error {
 	err := errors.Join(n.parent.Send(&message.Message{Kind: message.KindGoodbye, From: n.id}), n.parent.Close())
-	// An evicted child's pump may still be flushing (flushParent), so n.err
-	// is read under the lock that pump writes it under.
+	// An evicted child's pump may still be flushing, so n.err is read under
+	// the lock that pump writes it under.
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.err != nil {

@@ -494,7 +494,7 @@ func TestDepartureFlushesOutsideNodeLock(t *testing.T) {
 		{Kind: message.KindPartial, From: 2, Partial: mkPartial(0, 0, 100, 2, 1)},
 		{Kind: message.KindWatermark, From: 2, Watermark: 100},
 	} {
-		if err := n.handleQueued(m); err != nil {
+		if err := n.handle(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,7 +507,7 @@ func TestDepartureFlushesOutsideNodeLock(t *testing.T) {
 		// childSet.serveChild's order: depart, which removes the
 		// child under the child set's lock, then the flush.
 		n.RemoveChild(1)
-		n.flushParent()
+		n.flush()
 		close(departed)
 	}()
 	<-parent.entered
@@ -516,7 +516,7 @@ func TestDepartureFlushesOutsideNodeLock(t *testing.T) {
 	}
 	sibling := make(chan error, 1)
 	go func() {
-		sibling <- n.handleQueued(&message.Message{Kind: message.KindWatermark, From: 2, Watermark: 200})
+		sibling <- n.handle(&message.Message{Kind: message.KindWatermark, From: 2, Watermark: 200})
 	}()
 	select {
 	case err := <-sibling:

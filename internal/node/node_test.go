@@ -729,6 +729,53 @@ func TestClusterAddRemoveQuery(t *testing.T) {
 	}
 }
 
+// TestClusterAddQueryBesidePush: a plan change may run while another
+// goroutine feeds the same local. Each local is a session, so the change and
+// the feed take turns; a bare Local would race the engine's Apply against its
+// event path, which -race reports.
+func TestClusterAddQueryBesidePush(t *testing.T) {
+	base := query.MustParse("tumbling(100ms) sum key=0")
+	base.ID = 1
+	p, err := plan.New([]query.Query{base}, plan.Options{Decentralized: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCluster(p, ClusterConfig{Locals: 1})
+	stop := make(chan struct{})
+	fed := make(chan error, 1)
+	go func() {
+		for ts := int64(0); ; ts += 100 {
+			select {
+			case <-stop:
+				fed <- nil
+				return
+			default:
+			}
+			if err := c.Push(0, stepEvents(ts, ts+100, 10)); err != nil {
+				fed <- err
+				return
+			}
+		}
+	}()
+	for id := uint64(2); id < 12; id++ {
+		q := query.MustParse("tumbling(200ms) count key=0")
+		q.ID = id
+		if err := c.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RemoveQuery(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-fed; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClusterRemoveQuery(t *testing.T) {
 	a := query.MustParse("tumbling(100ms) sum key=0")
 	a.ID = 1

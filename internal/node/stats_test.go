@@ -191,8 +191,8 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 		})
 	}()
 	waitUntil(t, 10*time.Second, "root watermark 1000", func() bool { return root.Watermark() >= 1000 })
-	// The gauges checked below come from heartbeat digests, and a child only
-	// heartbeats once it has been idle for a period: wait for both.
+	// The gauges checked below come from heartbeat digests, one per child
+	// per period: wait for both.
 	waitUntil(t, 10*time.Second, "a heartbeat digest from both children", func() bool {
 		root.mu.Lock()
 		defer root.mu.Unlock()
@@ -244,7 +244,9 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 
 // TestIntermediateKeepsChildDigests: an intermediate keeps its children's
 // heartbeat digests, so a stats pull at the root carries the lag gauges of
-// the locals below the intermediate, not only of the root's own child.
+// the locals below the intermediate, not only of the root's own child. The
+// locals feed without pause and the root is polled every 5 ms, so no link is
+// ever idle for a period: the digest must travel on busy links too.
 func TestIntermediateKeepsChildDigests(t *testing.T) {
 	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
 	queries[0].ID = 1
@@ -263,21 +265,24 @@ func TestIntermediateKeepsChildDigests(t *testing.T) {
 	for id := uint32(1); id <= 2; id++ {
 		go func() {
 			errs <- RunLocalTCPOptions(inter.Addr(), id, 64, opts, func(l *LocalSession) error {
-				if err := l.Process(stepEvents(0, 1000, 10)); err != nil {
-					return err
+				for ts := int64(0); ; ts += 100 {
+					select {
+					case <-release:
+						return nil
+					default:
+					}
+					if err := l.Process(stepEvents(ts, ts+100, 10)); err != nil {
+						return err
+					}
+					if err := l.AdvanceTo(ts + 100); err != nil {
+						return err
+					}
+					time.Sleep(time.Millisecond)
 				}
-				if err := l.AdvanceTo(1000); err != nil {
-					return err
-				}
-				<-release // idle: the uplink heartbeats with its digest
-				return nil
 			})
 		}()
 	}
-	waitUntil(t, 10*time.Second, "stats carrying both locals' watermark lag", func() bool {
-		// A stats pull is traffic on every link: leave them idle for a few
-		// heartbeat periods before each one.
-		time.Sleep(4 * opts.Heartbeat)
+	waitUntil(t, 5*time.Second, "stats carrying both locals' watermark lag", func() bool {
 		snap, err := FetchStats(root.Addr())
 		if err != nil {
 			return false

@@ -27,9 +27,10 @@ import (
 //     missing delta suffix as KindPlanDelta when its history reaches back
 //     far enough, otherwise the full catalog as KindPlanState
 //     (intermediates serve this from their own cached plan history);
-//  3. the child streams partials/events/watermarks upward; an idle child
-//     emits KindHeartbeat every HeartbeatInterval so the §3.2 liveness
-//     timeout only fires for genuinely dead peers;
+//  3. the child streams partials/events/watermarks upward and emits a
+//     KindHeartbeat carrying its load digest every HeartbeatInterval, busy
+//     or idle, so the §3.2 liveness timeout only fires for genuinely dead
+//     peers and the parent's lag gauges stay fresh;
 //  4. when a child disconnects it is removed from the merge expectations; a
 //     silent child is *evicted* after the liveness timeout (enforced with a
 //     socket read deadline — no per-message goroutines or timers). Children
@@ -44,10 +45,11 @@ import (
 //     dropped (it resyncs by epoch diff on reconnect) rather than failing
 //     the command. A child's data stream carries no plan changes.
 //
-// Both parents run the child side of this protocol through one childSet;
-// the full lifecycle state machine is documented in DESIGN.md §5c.
+// Both parents run the parent side of this protocol through one childSet,
+// and both children its child side through one uplink (uplink.serve); the
+// full lifecycle state machine is documented in DESIGN.md §5c.
 
-// HeartbeatInterval is how often idle children emit heartbeats.
+// HeartbeatInterval is how often children emit heartbeats.
 const HeartbeatInterval = 2 * time.Second
 
 // EvictionError reports children that were evicted by the liveness timeout
@@ -248,69 +250,53 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 		parent: up,
 	}
 	s.epoch.Store(p.Epoch)
-	up.AttachTelemetry(tel)
-	up.SetEpochFn(s.epoch.Load)
-	up.SetDigestFn(func() *telemetry.LoadDigest {
-		d := inter.Digest()
-		d.Epoch = s.epoch.Load()
-		return d
-	})
-	up.startHeartbeats()
+	up.serve(s.epoch.Load, inter.Digest, s.control)
 	go s.acceptLoop(func(conn *message.TCPConn, first *message.Message) {
 		if first.Kind != message.KindHello {
 			conn.Close() // control clients talk to the root
 			return
 		}
-		s.serveChild(conn, first, s.inter.handleQueued, s.inter.flushParent)
+		s.serveChild(conn, first, s.inter.handle, func() { s.inter.flush() })
 	})
-	go s.downstreamLoop()
 	return s, nil
 }
 
-// downstreamLoop relays plan changes arriving from the parent to every child
-// (the "root sends the new topology/queries to all other nodes" flow of
-// §3.2), keeping the cached plan history in sync so late-connecting children
-// resync from here by epoch diff. The merger never reads from the parent, so
-// this goroutine owns the downward direction; the supervised uplink
-// reconnects underneath it. Deltas this node has already applied (a
+// control relays a plan change arriving from the parent to every child (the
+// "root sends the new topology/queries to all other nodes" flow of §3.2),
+// keeping the cached plan history in sync so late-connecting children resync
+// from here by epoch diff. Deltas this node has already applied (a
 // rebroadcast after reconnect) are skipped but still relayed: children
 // deduplicate by epoch themselves.
-func (s *IntermediateServer) downstreamLoop() {
-	for {
-		m, err := s.parent.Recv()
-		if err != nil {
-			return
-		}
-		switch m.Kind {
-		case message.KindPlanState:
-			// Full plan from an uplink re-handshake: adopt it if it is not
-			// older than what we have, and relay as-is (children validate the
-			// epoch on their side too).
-			s.mu.Lock()
-			if m.Plan != nil && m.Plan.Epoch >= s.hist.Epoch() {
-				s.hist = plan.NewHistory(m.Plan)
-				s.epoch.Store(m.Plan.Epoch)
-				_ = s.broadcastLocked(m)
-			}
-			s.mu.Unlock()
-		case message.KindPlanDelta:
-			s.mu.Lock()
-			for _, d := range m.Deltas {
-				if d.Epoch <= s.hist.Epoch() {
-					continue
-				}
-				if err := s.hist.Apply(d); err != nil {
-					break // stale history; the next re-handshake resyncs us
-				}
-			}
-			s.epoch.Store(s.hist.Epoch())
+func (s *IntermediateServer) control(m *message.Message) {
+	switch m.Kind {
+	case message.KindPlanState:
+		// Full plan from an uplink re-handshake: adopt it if it is not older
+		// than what we have, and relay as-is (children validate the epoch on
+		// their side too).
+		s.mu.Lock()
+		if m.Plan != nil && m.Plan.Epoch >= s.hist.Epoch() {
+			s.hist = plan.NewHistory(m.Plan)
+			s.epoch.Store(m.Plan.Epoch)
 			_ = s.broadcastLocked(m)
-			s.mu.Unlock()
-		case message.KindStatsDump:
-			// Answer off the relay goroutine: the collection waits on child
-			// replies, and plan traffic must keep flowing meanwhile.
-			go s.answerStats()
 		}
+		s.mu.Unlock()
+	case message.KindPlanDelta:
+		s.mu.Lock()
+		for _, d := range m.Deltas {
+			if d.Epoch <= s.hist.Epoch() {
+				continue
+			}
+			if err := s.hist.Apply(d); err != nil {
+				break // stale history; the next re-handshake resyncs us
+			}
+		}
+		s.epoch.Store(s.hist.Epoch())
+		_ = s.broadcastLocked(m)
+		s.mu.Unlock()
+	case message.KindStatsDump:
+		// Answer off the relay goroutine: the collection waits on child
+		// replies, and plan traffic must keep flowing meanwhile.
+		go s.answerStats()
 	}
 }
 
@@ -339,10 +325,12 @@ func (s *IntermediateServer) Wait() error {
 	return err
 }
 
-// LocalSession is the handle RunLocalTCPOptions gives the feed callback: it
-// serialises the caller's stream against plan changes (deltas, post-reconnect
-// resyncs) arriving from the parent. The local's plan epoch makes every
-// arriving change idempotent, so a rebroadcast after reconnect is harmless.
+// LocalSession is a local node as its feeder drives it, over TCP (the handle
+// RunLocalTCPOptions gives the feed callback) and in the in-process Cluster:
+// it serialises the caller's stream against plan changes (deltas,
+// post-reconnect resyncs) arriving from the parent. The local's plan epoch
+// makes every arriving change idempotent, so a rebroadcast after reconnect is
+// harmless.
 type LocalSession struct {
 	mu sync.Mutex
 	l  *Local
@@ -350,6 +338,12 @@ type LocalSession struct {
 	// without mu: the feed goroutine may hold mu while blocking on the very
 	// reconnect that needs the epoch for its hello.
 	epoch atomic.Uint64
+}
+
+func newSession(l *Local) *LocalSession {
+	s := &LocalSession{l: l}
+	s.epoch.Store(l.Epoch())
+	return s
 }
 
 // Process ingests a batch of in-order events.
@@ -371,9 +365,11 @@ func (s *LocalSession) AdvanceTo(t int64) error {
 // while the feed goroutine holds the session lock.
 func (s *LocalSession) Epoch() uint64 { return s.epoch.Load() }
 
-// applyDeltas applies plan deltas arriving from the parent, skipping epochs
-// already applied (a rebroadcast after reconnect must not double-register).
-func (s *LocalSession) applyDeltas(ds []plan.Delta) {
+// apply applies plan deltas, skipping epochs already applied (a rebroadcast
+// after reconnect must not double-register). It stops at the first delta
+// that does not apply: over TCP an epoch gap waits for the full plan of the
+// next resync.
+func (s *LocalSession) apply(ds []plan.Delta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The closure reads the epoch at return time — a plain deferred Store
@@ -384,9 +380,10 @@ func (s *LocalSession) applyDeltas(ds []plan.Delta) {
 			continue
 		}
 		if err := s.l.Apply(d); err != nil {
-			return // epoch gap: wait for the full plan of the next resync
+			return err
 		}
 	}
+	return nil
 }
 
 // applyPlanState replaces the plan after an uplink re-handshake said we were
@@ -401,6 +398,13 @@ func (s *LocalSession) applyPlanState(p *plan.Plan) {
 	s.epoch.Store(s.l.Epoch())
 }
 
+// close flushes the local and closes its parent link.
+func (s *LocalSession) close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.l.Close()
+}
+
 // RunLocalTCPOptions connects a local node to parentAddr, performs the
 // handshake, and invokes feed with the ready session. Plan changes from the
 // parent are applied concurrently; the connection closes when feed returns.
@@ -408,8 +412,8 @@ func (s *LocalSession) applyPlanState(p *plan.Plan) {
 // backoff and jitter, re-handshakes reporting the session's plan epoch,
 // applies the resync (epoch-diff deltas, or the full plan when too stale),
 // and resumes the partial stream; once the retry budget is exhausted the
-// session errors out with ErrUplinkDown. While idle it emits heartbeats so
-// the parent's liveness timeout never evicts an alive child.
+// session errors out with ErrUplinkDown. It heartbeats every period so the
+// parent's liveness timeout never evicts an alive child.
 func RunLocalTCPOptions(parentAddr string, id uint32, batchSize int, opts DialOptions, feed func(*LocalSession) error) error {
 	opts = opts.withDefaults()
 	up, p, err := dialUplink(parentAddr, id, opts)
@@ -417,45 +421,26 @@ func RunLocalTCPOptions(parentAddr string, id uint32, batchSize int, opts DialOp
 		return err
 	}
 	tel := opts.Telemetry
-	session := &LocalSession{l: newLocal(id, p, batching(up, id, opts.Batch, tel), batchSize, opts.InstanceTTL)}
-	session.epoch.Store(session.l.Epoch())
-	session.l.AttachTelemetry(tel)
-	up.AttachTelemetry(tel)
-	up.SetEpochFn(session.Epoch)
-	up.SetDigestFn(func() *telemetry.LoadDigest {
-		d := session.l.Digest()
-		d.Epoch = session.Epoch()
-		return d
-	})
-	up.startHeartbeats()
-	go func() {
-		for {
-			m, err := up.Recv()
-			if err != nil {
-				return
-			}
-			switch m.Kind {
-			case message.KindPlanState:
-				session.applyPlanState(m.Plan)
-			case message.KindPlanDelta:
-				session.applyDeltas(m.Deltas)
-			case message.KindStatsDump:
-				// Snapshot is lock-free and the uplink's Send is safe for
-				// concurrent use, so answering from the relay goroutine
-				// never stalls the feed.
-				_ = up.Send(&message.Message{Kind: message.KindStatsDump, From: id, Stats: tel.Snapshot()})
-			}
+	s := newSession(newLocal(id, p, batching(up, id, opts.Batch, tel), batchSize, opts.InstanceTTL))
+	s.l.AttachTelemetry(tel)
+	up.serve(s.Epoch, s.l.Digest, func(m *message.Message) {
+		switch m.Kind {
+		case message.KindPlanState:
+			s.applyPlanState(m.Plan)
+		case message.KindPlanDelta:
+			_ = s.apply(m.Deltas)
+		case message.KindStatsDump:
+			// Snapshot is lock-free and the uplink's Send is safe for
+			// concurrent use, so answering from the relay goroutine never
+			// stalls the feed.
+			_ = up.Send(&message.Message{Kind: message.KindStatsDump, From: id, Stats: tel.Snapshot()})
 		}
-	}()
-	if err := feed(session); err != nil {
-		session.mu.Lock()
-		defer session.mu.Unlock()
-		session.l.Close()
+	})
+	if err := feed(s); err != nil {
+		s.close()
 		return err
 	}
-	session.mu.Lock()
-	defer session.mu.Unlock()
-	return session.l.Close()
+	return s.close()
 }
 
 // Control connects to a root as a control client and applies one command:

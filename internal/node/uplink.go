@@ -53,8 +53,9 @@ const handshakeTimeout = 5 * time.Second
 type DialOptions struct {
 	// Retry shapes the reconnect loop; the zero value uses defaults.
 	Retry RetryPolicy
-	// Heartbeat is the idle-uplink heartbeat period (§3.2 liveness). Zero
-	// means HeartbeatInterval; negative disables heartbeats.
+	// Heartbeat is the uplink's heartbeat period (§3.2 liveness); each
+	// heartbeat carries the node's load digest. Zero means
+	// HeartbeatInterval; negative disables heartbeats.
 	Heartbeat time.Duration
 	// Batch wraps the uplink in a message.BatchingConn: outgoing
 	// partial/watermark frames coalesce into columnar KindBatch frames whose
@@ -88,9 +89,8 @@ func (o DialOptions) withDefaults() DialOptions {
 // uplink is a supervised message.Conn from a child (local or intermediate)
 // to its parent. On Send/Recv failure it re-dials with backoff, re-performs
 // the hello/query-set handshake, and resumes the stream; the parent treats
-// the returning id as a reconnect. Heartbeats are emitted when the uplink
-// has been idle for a full period, so the parent's liveness timeout only
-// fires for genuinely dead children.
+// the returning id as a reconnect. A heartbeat leaves every period, so the
+// parent's liveness timeout only fires for genuinely dead children.
 //
 // Failure semantics across a reconnect are at-least-once per frame: the
 // frame being sent when the link died is retransmitted, and the recorded
@@ -115,8 +115,8 @@ type uplink struct {
 	prevBytes    uint64 // BytesSent of retired connections
 	closed       bool
 	// epochFn reports the child's current plan epoch for the hello of a
-	// re-handshake; nil (or before SetEpochFn) reports NoEpoch, which makes
-	// the parent send the full plan.
+	// re-handshake; nil (before serve) reports NoEpoch, which makes the
+	// parent send the full plan.
 	epochFn func() uint64
 	// pending holds the resync messages received by re-handshakes — a
 	// KindPlanDelta (epoch diff) or KindPlanState (full plan) — delivered
@@ -144,23 +144,21 @@ type uplink struct {
 
 	// reconnects counts successful re-dials (atomic: heartbeat and digest
 	// readers race the reconnecting goroutine); telReconnects/telReplay
-	// mirror reconnects and replay-ring occupancy into a registry when
-	// attached (nil-safe no-ops otherwise).
+	// mirror reconnects and replay-ring occupancy into the registry once
+	// serve registered them (nil-safe no-ops before).
 	reconnects    atomic.Uint64
 	telReconnects *telemetry.Counter
 	telReplay     *telemetry.Gauge
-	// digestFn, when set, builds the load digest piggybacked on idle
-	// heartbeats. It runs on the heartbeat goroutine with no uplink locks
-	// held; the uplink fills in the transport fields (reconnects, replay
-	// occupancy) itself.
+	// digestFn, set by serve, builds the node-level part of the load digest
+	// every heartbeat carries. It runs on the heartbeat goroutine with no
+	// uplink locks held.
 	digestFn func() *telemetry.LoadDigest
 }
 
 // dialUplink establishes the initial connection and handshake, returning
 // the uplink and the parent's execution plan (the child is fresh, so it
-// reports NoEpoch and always receives the full plan). The caller installs an
-// epoch callback with SetEpochFn and calls startHeartbeats once it is ready
-// to serve traffic.
+// reports NoEpoch and always receives the full plan). The caller calls serve
+// once it is ready for traffic.
 func dialUplink(addr string, id uint32, opts DialOptions) (*uplink, *plan.Plan, error) {
 	u := &uplink{
 		addr:    addr,
@@ -181,42 +179,32 @@ func dialUplink(addr string, id uint32, opts DialOptions) (*uplink, *plan.Plan, 
 	return u, resync.Plan, nil
 }
 
-// SetEpochFn installs the callback reporting the child's plan epoch, used by
-// re-handshakes so the parent can reply with an epoch diff. The callback is
-// invoked from the reconnecting goroutine and must do its own locking.
-func (u *uplink) SetEpochFn(fn func() uint64) {
+// serve puts the uplink to work for a ready child: it registers the
+// uplink's instruments (uplink.reconnects, uplink.replay_occupancy), starts
+// the heartbeats and relays every control frame from the parent to control,
+// on one goroutine, until the uplink is down. epoch reports the child's plan
+// epoch, for the hello of a re-handshake and the digest; digest builds the
+// node-level part of each heartbeat's load digest. Both run beside the
+// node's own goroutines and must do their own locking.
+func (u *uplink) serve(epoch func() uint64, digest func() *telemetry.LoadDigest, control func(*message.Message)) {
 	u.mu.Lock()
-	u.epochFn = fn
+	u.epochFn, u.digestFn = epoch, digest
+	u.telReconnects = u.opts.Telemetry.Counter("uplink.reconnects")
+	u.telReplay = u.opts.Telemetry.Gauge("uplink.replay_occupancy")
 	u.mu.Unlock()
-}
-
-// AttachTelemetry mirrors the uplink's reconnect count and replay-ring
-// occupancy into reg (uplink.reconnects, uplink.replay_occupancy).
-func (u *uplink) AttachTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	u.mu.Lock()
-	u.telReconnects = reg.Counter("uplink.reconnects")
-	u.telReplay = reg.Gauge("uplink.replay_occupancy")
-	u.mu.Unlock()
-}
-
-// SetDigestFn installs the callback building the node-level part of the
-// heartbeat load digest. The callback must be safe to run concurrently
-// with the node's feed goroutine.
-func (u *uplink) SetDigestFn(fn func() *telemetry.LoadDigest) {
-	u.mu.Lock()
-	u.digestFn = fn
-	u.mu.Unlock()
-}
-
-// startHeartbeats launches the idle-uplink heartbeat loop (when enabled).
-func (u *uplink) startHeartbeats() {
 	if u.opts.Heartbeat > 0 {
 		u.hbDone = make(chan struct{})
 		go u.heartbeatLoop()
 	}
+	go func() {
+		for {
+			m, err := u.Recv()
+			if err != nil {
+				return
+			}
+			control(m)
+		}
+	}()
 }
 
 // handshake dials the parent once: hello (with the child's plan epoch) up,
@@ -582,50 +570,38 @@ func (u *uplink) BytesSent() uint64 {
 	return total
 }
 
-// heartbeatLoop sends KindHeartbeat whenever a full period elapsed with
-// nothing written to the socket, so an idle-but-alive child is never evicted
-// by the parent's liveness timeout (§3.2). BytesSent counts flushed bytes
-// only, so frames queued and never flushed do not pass for traffic — and the
-// heartbeat's Send flushes them, which bounds a stranded frame to one
-// period. One goroutine and one ticker per uplink, regardless of message
-// volume.
+// heartbeatLoop sends a KindHeartbeat carrying the load digest every
+// period, whatever the traffic: an idle-but-alive child is never evicted by
+// the parent's liveness timeout (§3.2), a busy one still refreshes its lag
+// gauges at the parent, and the heartbeat's Send flushes what waits queued,
+// which bounds a stranded frame to one period. One goroutine and one ticker
+// per uplink, regardless of message volume.
 func (u *uplink) heartbeatLoop() {
 	defer close(u.hbDone)
 	t := time.NewTicker(u.opts.Heartbeat)
 	defer t.Stop()
-	last := u.BytesSent()
 	for {
 		select {
 		case <-u.closeCh:
 			return
 		case <-t.C:
 		}
-		if cur := u.BytesSent(); cur != last {
-			last = cur
-			continue // the socket carried traffic this period; stay quiet
-		}
 		if err := u.Send(&message.Message{Kind: message.KindHeartbeat, From: u.id, Load: u.digest()}); err != nil {
 			return // terminal: uplink down or closed
 		}
-		last = u.BytesSent()
 	}
 }
 
 // digest builds the heartbeat load digest: the node-level callback's view
-// completed with the uplink's own transport counters. Nil when no digest
-// callback is installed — the heartbeat then travels bare.
+// completed with the child's plan epoch and the uplink's own transport
+// counters.
 func (u *uplink) digest() *telemetry.LoadDigest {
 	u.mu.Lock()
-	fn := u.digestFn
+	fn, epoch := u.digestFn, u.epochFn
 	replayLen := u.filled
 	u.mu.Unlock()
-	if fn == nil {
-		return nil
-	}
 	d := fn()
-	if d == nil {
-		return nil
-	}
+	d.Epoch = epoch()
 	d.Reconnects = u.reconnects.Load()
 	d.ReplayLen = uint32(replayLen)
 	return d
