@@ -32,7 +32,13 @@ func compareToDesis(t *testing.T, sys System, queries []query.Query, evs []event
 		t.Fatal(err)
 	}
 	want := runSystem(t, d, evs, advTo)
-	got := runSystem(t, sys, evs, advTo)
+	compareResults(t, sys.Name(), runSystem(t, sys, evs, advTo), want)
+}
+
+// compareResults holds every result of got to want's count and values, and
+// reports results missing from either side.
+func compareResults(t *testing.T, name string, got, want []core.Result) {
+	t.Helper()
 	wm := map[string]core.Result{}
 	for _, r := range want {
 		wm[resultKey(r)] = r
@@ -44,25 +50,25 @@ func compareToDesis(t *testing.T, sys System, queries []query.Query, evs []event
 	for k, w := range wm {
 		g, ok := gm[k]
 		if !ok {
-			t.Errorf("%s: missing %s (count %d)", sys.Name(), k, w.Count)
+			t.Errorf("%s: missing %s (count %d)", name, k, w.Count)
 			continue
 		}
 		if g.Count != w.Count {
-			t.Errorf("%s %s: count %d, want %d", sys.Name(), k, g.Count, w.Count)
+			t.Errorf("%s %s: count %d, want %d", name, k, g.Count, w.Count)
 		}
 		for i := range w.Values {
 			if g.Values[i].OK != w.Values[i].OK {
-				t.Errorf("%s %s %v: ok %v, want %v", sys.Name(), k, w.Values[i].Spec, g.Values[i].OK, w.Values[i].OK)
+				t.Errorf("%s %s %v: ok %v, want %v", name, k, w.Values[i].Spec, g.Values[i].OK, w.Values[i].OK)
 				continue
 			}
 			if w.Values[i].OK && math.Abs(g.Values[i].Value-w.Values[i].Value) > 1e-9*(1+math.Abs(w.Values[i].Value)) {
-				t.Errorf("%s %s %v: %g, want %g", sys.Name(), k, w.Values[i].Spec, g.Values[i].Value, w.Values[i].Value)
+				t.Errorf("%s %s %v: %g, want %g", name, k, w.Values[i].Spec, g.Values[i].Value, w.Values[i].Value)
 			}
 		}
 	}
 	for k := range gm {
 		if _, ok := wm[k]; !ok {
-			t.Errorf("%s: extra result %s (count %d)", sys.Name(), k, gm[k].Count)
+			t.Errorf("%s: extra result %s (count %d)", name, k, gm[k].Count)
 		}
 	}
 }
@@ -298,41 +304,43 @@ func runDeployment(t *testing.T, d Deployment, evs []event.Event, advTo int64) [
 
 func TestCentralClusterMatchesDesis(t *testing.T) {
 	qs := testQueries(t)
-	evs, adv := testStream(5, 500)
-	// The central root sees the union of the local streams, in which every
-	// generator emitted its own copy of each marker — rebuild that exact
-	// merged stream for the reference run.
-	streams := splitStream(evs, 3)
-	var merged []event.Event
-	for _, s := range streams {
-		merged = append(merged, s...)
+	systems := map[string]func([]query.Query) (System, error){
+		"Scotty": NewScotty, "CeBuffer": NewCeBuffer,
 	}
-	sortEventsByTime(merged)
-	want := func() []core.Result {
+	for seed := int64(5); seed < 13; seed++ {
+		evs, adv := testStream(seed, 500)
+		// The central root sees the union of the local streams, in which
+		// every generator emitted its own copy of each marker — rebuild that
+		// exact merged stream for the reference run.
+		streams := splitStream(evs, 3)
+		var merged []event.Event
+		for _, s := range streams {
+			merged = append(merged, s...)
+		}
+		sortEventsByTime(merged)
 		d, err := NewDesis(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runSystem(t, d, merged, adv)
-	}()
-	sys, err := NewScotty(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := NewCentralCluster(sys, CentralConfig{Locals: 3, Intermediates: 1})
-	got := runDeployment(t, cc, evs, adv)
-	if len(got) != len(want) {
-		t.Fatalf("central cluster: %d results, want %d", len(got), len(want))
-	}
-	local, inter := cc.NetworkBytes()
-	if local == 0 || inter == 0 {
-		t.Errorf("network bytes: local=%d inter=%d", local, inter)
-	}
-	// Centralized systems forward everything: local and intermediate
-	// layers carry (almost) the same volume (§6.4.1).
-	ratio := float64(inter) / float64(local)
-	if ratio < 0.8 || ratio > 1.2 {
-		t.Errorf("central forwarding ratio = %.2f, want ~1", ratio)
+		want := runSystem(t, d, merged, adv)
+		for name, build := range systems {
+			sys, err := build(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cc := NewCentralCluster(sys, CentralConfig{Locals: 3, Intermediates: 1})
+			got := runDeployment(t, cc, evs, adv)
+			compareResults(t, fmt.Sprintf("%s seed %d", name, seed), got, want)
+			local, inter := cc.NetworkBytes()
+			if local == 0 || inter == 0 {
+				t.Errorf("%s network bytes: local=%d inter=%d", name, local, inter)
+			}
+			// Centralized systems forward everything: local and
+			// intermediate layers carry (almost) the same volume (§6.4.1).
+			if ratio := float64(inter) / float64(local); ratio < 0.8 || ratio > 1.2 {
+				t.Errorf("%s central forwarding ratio = %.2f, want ~1", name, ratio)
+			}
+		}
 	}
 }
 
@@ -374,11 +382,47 @@ func TestDiscoClusterCorrectAndPerWindow(t *testing.T) {
 	}
 }
 
+// TestDiscoKeepsQueriesSharingAnExtentApart runs queries whose windows all
+// share one extent: the merge tier must keep each query's window partials
+// apart, not merge every local's partials of that extent into one.
+func TestDiscoKeepsQueriesSharingAnExtentApart(t *testing.T) {
+	var qs []query.Query
+	for i, s := range []string{
+		"tumbling(100ms) sum key=0",
+		"tumbling(100ms) max key=0",
+		"tumbling(100ms) average key=1",
+	} {
+		q := query.MustParse(s)
+		q.ID = uint64(i + 1)
+		qs = append(qs, q)
+	}
+	evs := make([]event.Event, 1000)
+	for i := range evs {
+		evs[i] = event.Event{Time: int64(i), Key: uint32(i % 2), Value: float64(i % 13)}
+	}
+	dc, err := NewDiscoCluster(qs, CentralConfig{Locals: 2, Intermediates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runDeployment(t, dc, evs, 2000)
+	d, err := NewDesis(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "Disco", got, runSystem(t, d, evs, 2000))
+}
+
 func TestDiscoRejectsDynamicWindows(t *testing.T) {
 	q := query.MustParse("session(10s) sum")
 	q.ID = 1
 	if _, err := NewDiscoCluster([]query.Query{q}, CentralConfig{Locals: 1}); err == nil {
 		t.Error("disco accepted a session window")
+	}
+	// A window partial carries its query id in a 32-bit group.
+	q = query.MustParse("tumbling(100ms) sum")
+	q.ID = 1 << 32
+	if _, err := NewDiscoCluster([]query.Query{q}, CentralConfig{Locals: 1}); err == nil {
+		t.Error("disco accepted a query id wider than a partial's group")
 	}
 }
 

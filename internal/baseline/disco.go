@@ -2,13 +2,12 @@ package baseline
 
 import (
 	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"math"
 
 	"desis/internal/core"
 	"desis/internal/event"
 	"desis/internal/message"
+	"desis/internal/node"
 	"desis/internal/operator"
 	"desis/internal/plan"
 	"desis/internal/query"
@@ -22,200 +21,55 @@ import (
 // Disco "cannot efficiently share results between unfixed-size and
 // fixed-size windows", and its decentralized experiments use tumbling
 // windows.
+//
+// Its merge tier is Desis' own: a window partial carries its query id as
+// its group, so node.Merger merges it by (query, start, end) — one window of
+// one query — and the root finalizes each window once the merged watermark
+// passes it.
 type DiscoCluster struct {
+	*tree
 	queries map[uint64]query.Query
-
-	locals     []*discoLocal
-	localConns []message.Conn
-	interConns []message.Conn
-
-	rootMu  sync.Mutex
-	rootMrg *windowMerger
-	results []core.Result
-
-	wg         sync.WaitGroup
-	interPumps []*sync.WaitGroup
-	closed     bool
+	results []core.Result // guarded by rootMu
 }
 
 // NewDiscoCluster builds the topology. Every query must be a fixed
-// time-based window.
+// time-based window whose id fits a partial's 32-bit group.
 func NewDiscoCluster(queries []query.Query, cfg CentralConfig) (*DiscoCluster, error) {
-	cfg.defaults()
+	c := &DiscoCluster{queries: make(map[uint64]query.Query)}
 	for _, q := range queries {
 		if q.Measure != query.Time || (q.Type != query.Tumbling && q.Type != query.Sliding) {
 			return nil, fmt.Errorf("baseline: disco supports fixed time-based windows, got %v", q)
 		}
-	}
-	c := &DiscoCluster{queries: make(map[uint64]query.Query)}
-	for _, q := range queries {
+		if q.ID > math.MaxUint32 {
+			return nil, fmt.Errorf("baseline: disco query id %d exceeds a partial's group", q.ID)
+		}
 		c.queries[q.ID] = q
 	}
-
-	newPipe := func() (*message.Pipe, *message.Pipe) {
-		if cfg.Bandwidth > 0 {
-			return message.NewThrottledPipe(Text{}, cfg.Buffer, cfg.Bandwidth)
-		}
-		return message.NewPipe(Text{}, cfg.Buffer)
+	t, err := newTree(cfg, Text{}, func(root *node.Merger) { root.Out = c.finalize },
+		func(id uint32, up message.Conn) (localNode, error) { return newDiscoLocal(id, queries, up) })
+	if err != nil {
+		return nil, err
 	}
-
-	// Root merges per-window partials from its direct children and
-	// finalises them.
-	var rootChildren []uint32
-	if cfg.Intermediates > 0 {
-		for i := 0; i < cfg.Intermediates; i++ {
-			rootChildren = append(rootChildren, uint32(1001+i))
-		}
-	} else {
-		for i := 0; i < cfg.Locals; i++ {
-			rootChildren = append(rootChildren, uint32(1+i))
-		}
-	}
-	c.rootMrg = newWindowMerger(rootChildren, func(p *core.SlicePartial) {
-		c.finalize(p)
-	}, nil)
-
-	// Intermediates merge per-window partials from their children —
-	// "overlapping windows are processed individually on intermediate and
-	// center nodes without sharing results" (§1).
-	type interNode struct {
-		mu    sync.Mutex
-		mrg   *windowMerger
-		up    message.Conn
-		pumps *sync.WaitGroup
-	}
-	var inters []*interNode
-	for i := 0; i < cfg.Intermediates; i++ {
-		up, rootSide := newPipe()
-		c.interConns = append(c.interConns, up)
-		in := &interNode{up: up, pumps: &sync.WaitGroup{}}
-		id := uint32(1001 + i)
-		var children []uint32
-		for j := 0; j < cfg.Locals; j++ {
-			if j%cfg.Intermediates == i {
-				children = append(children, uint32(1+j))
-			}
-		}
-		in.mrg = newWindowMerger(children, func(p *core.SlicePartial) {
-			_ = up.Send(&message.Message{Kind: message.KindPartial, From: id, Partial: p})
-		}, func(w int64) {
-			_ = up.Send(&message.Message{Kind: message.KindWatermark, From: id, Watermark: w})
-		})
-		inters = append(inters, in)
-		c.interPumps = append(c.interPumps, in.pumps)
-		c.pumpToRoot(rootSide)
-	}
-
-	for i := 0; i < cfg.Locals; i++ {
-		up, parentSide := newPipe()
-		c.localConns = append(c.localConns, up)
-		l, err := newDiscoLocal(uint32(1+i), queries, up)
-		if err != nil {
-			return nil, err
-		}
-		c.locals = append(c.locals, l)
-		if cfg.Intermediates > 0 {
-			in := inters[i%cfg.Intermediates]
-			c.wg.Add(1)
-			in.pumps.Add(1)
-			go func(conn message.Conn, in *interNode) {
-				defer c.wg.Done()
-				defer in.pumps.Done()
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					in.mu.Lock()
-					switch m.Kind {
-					case message.KindPartial:
-						in.mrg.handlePartial(m.From, m.Partial)
-					case message.KindWatermark:
-						in.mrg.handleWatermark(m.From, m.Watermark)
-					}
-					in.mu.Unlock()
-				}
-			}(parentSide, in)
-		} else {
-			c.pumpToRoot(parentSide)
-		}
-	}
-	for i := range inters {
-		in := inters[i]
-		go func() {
-			in.pumps.Wait()
-			in.up.Close()
-		}()
-	}
+	c.tree = t
 	return c, nil
 }
 
-func (c *DiscoCluster) pumpToRoot(conn message.Conn) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			m, err := conn.Recv()
-			if err == io.EOF || err != nil {
-				return
-			}
-			c.rootMu.Lock()
-			switch m.Kind {
-			case message.KindPartial:
-				c.rootMrg.handlePartial(m.From, m.Partial)
-			case message.KindWatermark:
-				c.rootMrg.handleWatermark(m.From, m.Watermark)
-			}
-			c.rootMu.Unlock()
-		}
-	}()
-}
-
-// finalize evaluates a fully merged window partial into a query result.
+// finalize evaluates a fully merged window partial into a query result and
+// releases it.
 func (c *DiscoCluster) finalize(p *core.SlicePartial) {
-	q, ok := c.queries[p.ID]
-	if !ok {
-		return
-	}
-	agg := &p.Aggs[0]
-	agg.Finish()
-	values := make([]core.FuncValue, len(q.Funcs))
-	for i, spec := range q.Funcs {
-		v, ok := agg.Eval(spec)
-		values[i] = core.FuncValue{Spec: spec, Value: v, OK: ok}
-	}
-	c.results = append(c.results, core.Result{
-		QueryID: q.ID, Start: p.Start, End: p.End, Count: agg.CountV, Values: values,
-	})
-}
-
-// Push implements Deployment.
-func (c *DiscoCluster) Push(i int, evs []event.Event) error { return c.locals[i].push(evs) }
-
-// Advance implements Deployment.
-func (c *DiscoCluster) Advance(i int, t int64) error { return c.locals[i].advance(t) }
-
-// AdvanceAll implements Deployment.
-func (c *DiscoCluster) AdvanceAll(t int64) error {
-	for _, l := range c.locals {
-		if err := l.advance(t); err != nil {
-			return err
+	if q, ok := c.queries[uint64(p.Group)]; ok {
+		agg := &p.Aggs[0]
+		agg.Finish()
+		values := make([]core.FuncValue, len(q.Funcs))
+		for i, spec := range q.Funcs {
+			v, ok := agg.Eval(spec)
+			values[i] = core.FuncValue{Spec: spec, Value: v, OK: ok}
 		}
+		c.results = append(c.results, core.Result{
+			QueryID: q.ID, Start: p.Start, End: p.End, Count: agg.CountV, Values: values,
+		})
 	}
-	return nil
-}
-
-// Close implements Deployment.
-func (c *DiscoCluster) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	for _, l := range c.locals {
-		l.conn.Close()
-	}
-	c.wg.Wait()
-	return nil
+	message.ReleasePartial(p)
 }
 
 // Results implements Deployment.
@@ -225,27 +79,6 @@ func (c *DiscoCluster) Results() []core.Result {
 	r := c.results
 	c.results = nil
 	return r
-}
-
-// NetworkBytes implements Deployment.
-func (c *DiscoCluster) NetworkBytes() (localBytes, intermediateBytes uint64) {
-	for _, conn := range c.localConns {
-		localBytes += conn.BytesSent()
-	}
-	for _, conn := range c.interConns {
-		intermediateBytes += conn.BytesSent()
-	}
-	return localBytes, intermediateBytes
-}
-
-// NumLocals implements Deployment.
-func (c *DiscoCluster) NumLocals() int { return len(c.locals) }
-
-// RootTime implements Deployment.
-func (c *DiscoCluster) RootTime() int64 {
-	c.rootMu.Lock()
-	defer c.rootMu.Unlock()
-	return c.rootMrg.wm
 }
 
 // discoLocal runs per-function-partition slicing engines whose window
@@ -287,11 +120,11 @@ func (l *discoLocal) sendWindow(queryID uint64, start, end int64, agg *operator.
 	if l.err != nil {
 		return
 	}
-	cp := *agg
-	cp.Values = append([]float64(nil), agg.Values...)
+	// Send encodes the partial before it returns, so it may share agg's
+	// values.
 	p := &core.SlicePartial{
-		ID: queryID, Start: start, End: end,
-		Ingested: cp.CountV, Aggs: []operator.Agg{cp},
+		Group: uint32(queryID), Start: start, End: end,
+		Ingested: agg.CountV, Aggs: []operator.Agg{*agg},
 	}
 	l.err = l.conn.Send(&message.Message{Kind: message.KindPartial, From: l.id, Partial: p})
 }
@@ -322,89 +155,4 @@ func (l *discoLocal) advance(t int64) error {
 	return l.err
 }
 
-// windowMerger merges per-window partials by (query, start, end) — Disco's
-// per-window granularity, as opposed to Desis' per-slice Merger.
-type windowMerger struct {
-	children map[uint32]int64
-	pending  map[winKey]*winEntry
-	out      func(*core.SlicePartial)
-	outWM    func(int64)
-	wm       int64
-}
-
-type winKey struct {
-	query      uint64
-	start, end int64
-}
-
-type winEntry struct {
-	p    *core.SlicePartial
-	seen int
-}
-
-func newWindowMerger(children []uint32, out func(*core.SlicePartial), outWM func(int64)) *windowMerger {
-	m := &windowMerger{
-		children: make(map[uint32]int64),
-		pending:  make(map[winKey]*winEntry),
-		out:      out,
-		outWM:    outWM,
-	}
-	for _, id := range children {
-		m.children[id] = -1
-	}
-	return m
-}
-
-func (m *windowMerger) handlePartial(from uint32, p *core.SlicePartial) {
-	k := winKey{p.ID, p.Start, p.End}
-	e, ok := m.pending[k]
-	if !ok {
-		e = &winEntry{p: p}
-		m.pending[k] = e
-	} else {
-		e.p.Aggs[0].Merge(&p.Aggs[0])
-		e.p.Ingested += p.Ingested
-	}
-	e.seen++
-	if e.seen >= len(m.children) {
-		delete(m.pending, k)
-		m.out(e.p)
-	}
-}
-
-func (m *windowMerger) handleWatermark(from uint32, w int64) {
-	if old, ok := m.children[from]; !ok || w <= old {
-		return
-	}
-	m.children[from] = w
-	min := int64(-1)
-	first := true
-	for _, cw := range m.children {
-		if first || cw < min {
-			min, first = cw, false
-		}
-	}
-	if first || min <= m.wm {
-		return
-	}
-	m.wm = min
-	var flush []*winEntry
-	for k, e := range m.pending {
-		if k.end <= min {
-			flush = append(flush, e)
-			delete(m.pending, k)
-		}
-	}
-	sort.Slice(flush, func(i, j int) bool {
-		if flush[i].p.End != flush[j].p.End {
-			return flush[i].p.End < flush[j].p.End
-		}
-		return flush[i].p.Start < flush[j].p.Start
-	})
-	for _, e := range flush {
-		m.out(e.p)
-	}
-	if m.outWM != nil {
-		m.outWM(min)
-	}
-}
+func (l *discoLocal) close() { l.conn.Close() }

@@ -334,11 +334,6 @@ func Fig11ab(cfg Config, median bool, id string) (*Table, error) {
 	}}
 	sc := gen.StreamConfig{Seed: 4, Keys: 1, IntervalMS: 1}
 	for _, d := range Deployments {
-		if d.Name == "Disco" && median {
-			// Disco ships per-window value batches for median too; it
-			// participates (the string encoding shows up here).
-			_ = d
-		}
 		r, err := buildAndRun(d, qs, 1, 1, 0, sc, cfg.Events)
 		if err != nil {
 			return nil, err

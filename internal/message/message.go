@@ -108,7 +108,7 @@ type Message struct {
 	Plan *plan.Plan
 	// Stats is the payload of a KindStatsDump reply; nil in the request.
 	Stats *telemetry.Snapshot
-	// Load is an optional compact load digest piggybacked on KindHeartbeat,
+	// Load is an optional compact load digest carried by KindHeartbeat,
 	// letting the parent track per-child lag between stats pulls.
 	Load *telemetry.LoadDigest
 	// Batch is the payload of KindBatch: an ordered run of partial/watermark

@@ -40,10 +40,7 @@ func sampleMessages() []*Message {
 		{Kind: KindHello, From: 7, Epoch: 42},
 		{Kind: KindHello, From: 8, Epoch: NoEpoch},
 		{Kind: KindHeartbeat, From: 9},
-		{Kind: KindHeartbeat, From: 9, Load: &telemetry.LoadDigest{
-			Epoch: 4, Watermark: 98_000, Events: 120_000, Slices: 98, Windows: 42,
-			Reconnects: 1, ReplayLen: 7,
-		}},
+		{Kind: KindHeartbeat, From: 9, Load: &telemetry.LoadDigest{Epoch: 4, Watermark: 98_000, ReplayLen: 7}},
 		{Kind: KindWatermark, From: 1, Watermark: 123456},
 		{Kind: KindEventBatch, From: 4, Events: []event.Event{
 			{Time: 1, Key: 2, Value: 3.5},

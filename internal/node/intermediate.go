@@ -124,15 +124,11 @@ func (n *Intermediate) AttachTelemetry(reg *telemetry.Registry, traceName string
 	n.merger.AttachTelemetry(reg, traceName)
 }
 
-// Digest summarises this node's progress for the heartbeat piggyback: the
-// merged watermark and how many merged partials went upward.
-func (n *Intermediate) Digest() *telemetry.LoadDigest {
+// Watermark reports the merged watermark, for heartbeats and lag gauges.
+func (n *Intermediate) Watermark() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return &telemetry.LoadDigest{
-		Watermark: n.merger.Watermark(),
-		Slices:    uint64(n.merger.PartialsSent()),
-	}
+	return n.merger.Watermark()
 }
 
 // Close announces a clean departure and closes the parent connection. The

@@ -43,7 +43,7 @@ type Local struct {
 	forward map[uint32]bool // keys needed by RootOnly groups
 	buf     []event.Event
 	batchSz int
-	// wm is atomic so Digest (called from the uplink's heartbeat
+	// wm is atomic so Watermark (called from the uplink's heartbeat
 	// goroutine) can read the watermark while the feed goroutine advances
 	// it; everything else about Local stays single-threaded.
 	wm  atomic.Int64
@@ -193,19 +193,9 @@ func (l *Local) Stats() core.Stats { return l.engine.Stats() }
 // serving traffic.
 func (l *Local) AttachTelemetry(reg *telemetry.Registry) { l.engine.AttachTelemetry(reg) }
 
-// Digest summarises this node's progress for the heartbeat piggyback. Safe
-// to call from a goroutine other than the feeder: the engine counters and
-// the watermark are atomic (the plan epoch is filled in by the caller from
-// its own lock-free mirror).
-func (l *Local) Digest() *telemetry.LoadDigest {
-	s := l.engine.Stats()
-	return &telemetry.LoadDigest{
-		Watermark: l.wm.Load(),
-		Events:    s.Events,
-		Slices:    s.Slices,
-		Windows:   s.Windows,
-	}
-}
+// Watermark reports the highest event time this node has advanced to, for
+// its heartbeats. Safe to call from a goroutine other than the feeder.
+func (l *Local) Watermark() int64 { return l.wm.Load() }
 
 // Close flushes and closes the parent connection.
 func (l *Local) Close() error {

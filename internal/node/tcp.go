@@ -244,13 +244,13 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 	inter.AttachTelemetry(tel, fmt.Sprintf("inter.%d", id))
 	s := &IntermediateServer{
 		childSet: newChildSet(l, tel, plan.NewHistory(p), nChildren, timeout, inter.AddChild, inter.RemoveChild,
-			func() int64 { return inter.Digest().Watermark }),
+			inter.Watermark),
 		id:     id,
 		inter:  inter,
 		parent: up,
 	}
 	s.epoch.Store(p.Epoch)
-	up.serve(s.epoch.Load, inter.Digest, s.control)
+	up.serve(s.epoch.Load, inter.Watermark, s.control)
 	go s.acceptLoop(func(conn *message.TCPConn, first *message.Message) {
 		if first.Kind != message.KindHello {
 			conn.Close() // control clients talk to the root
@@ -423,7 +423,7 @@ func RunLocalTCPOptions(parentAddr string, id uint32, batchSize int, opts DialOp
 	tel := opts.Telemetry
 	s := newSession(newLocal(id, p, batching(up, id, opts.Batch, tel), batchSize, opts.InstanceTTL))
 	s.l.AttachTelemetry(tel)
-	up.serve(s.Epoch, s.l.Digest, func(m *message.Message) {
+	up.serve(s.Epoch, s.l.Watermark, func(m *message.Message) {
 		switch m.Kind {
 		case message.KindPlanState:
 			s.applyPlanState(m.Plan)

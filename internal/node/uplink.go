@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"desis/internal/message"
@@ -142,17 +141,15 @@ type uplink struct {
 	closeCh chan struct{}
 	hbDone  chan struct{}
 
-	// reconnects counts successful re-dials (atomic: heartbeat and digest
-	// readers race the reconnecting goroutine); telReconnects/telReplay
-	// mirror reconnects and replay-ring occupancy into the registry once
-	// serve registered them (nil-safe no-ops before).
-	reconnects    atomic.Uint64
+	// telReconnects/telReplay count successful re-dials and mirror
+	// replay-ring occupancy into the registry once serve registered them
+	// (nil-safe no-ops before).
 	telReconnects *telemetry.Counter
 	telReplay     *telemetry.Gauge
-	// digestFn, set by serve, builds the node-level part of the load digest
-	// every heartbeat carries. It runs on the heartbeat goroutine with no
-	// uplink locks held.
-	digestFn func() *telemetry.LoadDigest
+	// watermarkFn, set by serve, reports the node's watermark for the load
+	// digest every heartbeat carries. It runs on the heartbeat goroutine
+	// with no uplink locks held.
+	watermarkFn func() int64
 }
 
 // dialUplink establishes the initial connection and handshake, returning
@@ -183,12 +180,12 @@ func dialUplink(addr string, id uint32, opts DialOptions) (*uplink, *plan.Plan, 
 // uplink's instruments (uplink.reconnects, uplink.replay_occupancy), starts
 // the heartbeats and relays every control frame from the parent to control,
 // on one goroutine, until the uplink is down. epoch reports the child's plan
-// epoch, for the hello of a re-handshake and the digest; digest builds the
-// node-level part of each heartbeat's load digest. Both run beside the
+// epoch, for the hello of a re-handshake and the digest; watermark reports
+// the node's watermark for each heartbeat's load digest. Both run beside the
 // node's own goroutines and must do their own locking.
-func (u *uplink) serve(epoch func() uint64, digest func() *telemetry.LoadDigest, control func(*message.Message)) {
+func (u *uplink) serve(epoch func() uint64, watermark func() int64, control func(*message.Message)) {
 	u.mu.Lock()
-	u.epochFn, u.digestFn = epoch, digest
+	u.epochFn, u.watermarkFn = epoch, watermark
 	u.telReconnects = u.opts.Telemetry.Counter("uplink.reconnects")
 	u.telReplay = u.opts.Telemetry.Gauge("uplink.replay_occupancy")
 	u.mu.Unlock()
@@ -309,7 +306,6 @@ func (u *uplink) fail(gen uint64, cause error) (*message.TCPConn, uint64, error)
 	u.cond.Broadcast()
 	tel := u.telReconnects
 	u.mu.Unlock()
-	u.reconnects.Add(1)
 	tel.Inc()
 	return conn, g, nil
 }
@@ -592,19 +588,14 @@ func (u *uplink) heartbeatLoop() {
 	}
 }
 
-// digest builds the heartbeat load digest: the node-level callback's view
-// completed with the child's plan epoch and the uplink's own transport
-// counters.
+// digest builds the heartbeat load digest: the child's plan epoch and
+// watermark, and how full the uplink's replay ring is.
 func (u *uplink) digest() *telemetry.LoadDigest {
 	u.mu.Lock()
-	fn, epoch := u.digestFn, u.epochFn
+	watermark, epoch := u.watermarkFn, u.epochFn
 	replayLen := u.filled
 	u.mu.Unlock()
-	d := fn()
-	d.Epoch = epoch()
-	d.Reconnects = u.reconnects.Load()
-	d.ReplayLen = uint32(replayLen)
-	return d
+	return &telemetry.LoadDigest{Epoch: epoch(), Watermark: watermark(), ReplayLen: uint32(replayLen)}
 }
 
 var _ message.Conn = (*uplink)(nil)

@@ -81,16 +81,14 @@ func (s *Snapshot) Format(w io.Writer) {
 	}
 }
 
-// LoadDigest is the compact per-node load summary piggybacked on idle
-// heartbeats, letting a parent report child lag without a stats pull.
+// LoadDigest is the compact per-node load summary every heartbeat carries,
+// letting a parent report child lag without a stats pull. It holds what the
+// parent's lag gauges read; everything else a node counts travels in stats
+// pulls.
 type LoadDigest struct {
-	Epoch      uint64 // plan epoch the node has applied
-	Watermark  int64  // highest event time fully processed
-	Events     uint64 // events ingested since start
-	Slices     uint64 // slices closed since start
-	Windows    uint64 // windows emitted since start
-	Reconnects uint64 // uplink reconnects performed
-	ReplayLen  uint32 // frames currently held in the replay ring
+	Epoch     uint64 // plan epoch the node has applied
+	Watermark int64  // highest event time fully processed
+	ReplayLen uint32 // frames currently held in the replay ring
 }
 
 // Wire encoding. Snapshots and digests ride inside message frames; the
@@ -195,10 +193,6 @@ func DecodeSnapshot(r *event.Reader) *Snapshot {
 func AppendLoadDigest(buf []byte, d *LoadDigest) []byte {
 	buf = binary.AppendUvarint(buf, d.Epoch)
 	buf = binary.AppendVarint(buf, d.Watermark)
-	buf = binary.AppendUvarint(buf, d.Events)
-	buf = binary.AppendUvarint(buf, d.Slices)
-	buf = binary.AppendUvarint(buf, d.Windows)
-	buf = binary.AppendUvarint(buf, d.Reconnects)
 	buf = binary.AppendUvarint(buf, uint64(d.ReplayLen))
 	return buf
 }
@@ -207,13 +201,9 @@ func AppendLoadDigest(buf []byte, d *LoadDigest) []byte {
 // in r.Err on malformed input.
 func DecodeLoadDigest(r *event.Reader) *LoadDigest {
 	d := &LoadDigest{
-		Epoch:      r.Uvarint(),
-		Watermark:  r.Varint(),
-		Events:     r.Uvarint(),
-		Slices:     r.Uvarint(),
-		Windows:    r.Uvarint(),
-		Reconnects: r.Uvarint(),
-		ReplayLen:  uint32(r.Uvarint()),
+		Epoch:     r.Uvarint(),
+		Watermark: r.Varint(),
+		ReplayLen: uint32(r.Uvarint()),
 	}
 	if r.Err != nil {
 		return nil
